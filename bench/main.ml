@@ -1888,10 +1888,30 @@ let prog_smoke () =
     Printf.printf "  %-44s %s\n%!" name (if ok then "ok" else "FAIL");
     if not ok then incr failures
   in
+  let plan_stats () =
+    List.find
+      (fun (s : Par.Cache.stats) -> s.Par.Cache.name = "stt.search_plan")
+      (Par.Cache.all_stats ())
+  in
+  (* empty memo tables, so the first shape builds the plan even when an
+     earlier command in this process (bench-prog) searched the same GEMM *)
+  Par.Cache.clear_all ();
+  let plan_before = plan_stats () in
+  let found =
+    List.map
+      (fun k ->
+        let stmt = Workloads.gemm ~m:4 ~n:4 ~k in
+        (k, stmt, Compile.find_design ~target stmt))
+      prog_shapes
+  in
+  (* the three shapes differ only in extents: one plan serves them all *)
+  let plan_after = plan_stats () in
+  check "one search plan for the three shapes"
+    (plan_after.Par.Cache.entries = plan_before.Par.Cache.entries + 1
+     && plan_after.Par.Cache.hits >= plan_before.Par.Cache.hits + 2);
   List.iter
-    (fun k ->
-      let stmt = Workloads.gemm ~m:4 ~n:4 ~k in
-      match Compile.find_design ~target stmt with
+    (fun (k, stmt, found) ->
+      match found with
       | Error rejections ->
         List.iter
           (fun (n, e) ->
@@ -1914,7 +1934,7 @@ let prog_smoke () =
           (Printf.sprintf "gemm k=%d program codec roundtrip" k)
           (Compile.program_of_json (Compile.program_to_json program)
            = Ok program))
-    prog_shapes;
+    found;
   (* the programmable variant must introduce no new static findings *)
   let stmt = Workloads.gemm ~m:4 ~n:4 ~k:4 in
   let design = design_of_name stmt "MNK-SST" in

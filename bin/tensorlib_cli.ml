@@ -77,7 +77,7 @@ let validate_widths ~data_width ~acc_width =
    into a one-line message on stderr and exit code 2. *)
 let guard f =
   try f () with
-  | Failure msg ->
+  | Failure msg | Parse.Parse_error msg ->
     Printf.eprintf "tensorlib: error: %s\n" msg;
     exit 2
 
@@ -1068,25 +1068,35 @@ let extents_of_string s =
       | _ -> failwith ("bad extent binding: " ^ kv))
     (String.split_on_char ',' s)
 
+(* The statement of an "expr" or "einsum" request.  A malformed formula
+   or extent binding is the client's error: a [Failure] that the caller
+   answers with the request's id. *)
+let stmt_of_request req ~field =
+  let formula = Option.get (Json.mem_string req field) in
+  let extents =
+    match Json.mem_string req "extents" with
+    | None -> failwith (Printf.sprintf "%S requires \"extents\"" field)
+    | Some s -> extents_of_string s
+  in
+  try Parse.stmt formula ~extents
+  with Parse.Parse_error msg -> failwith ("bad request: " ^ msg)
+
 (* Program request against the standing programmable netlist
    (--accel-workload): compile the einsum to a descriptor program, load
    and run it on the server's one amortised simulator, verify against the
-   golden executor, and answer with the program document itself. *)
-let serve_program ~accel ~id req =
+   golden executor, and answer with the program document itself.  The
+   request's budget is polled between stages and between compile
+   candidates; expiry raises [Budget.Expired]. *)
+let serve_program ~budget ~accel ~id req =
   match accel with
   | None ->
     failwith
       "server started without --accel-workload; \"einsum\" requests \
        unavailable"
   | Some ((target : Accel.t), sim) -> (
-    let formula = Option.get (Json.mem_string req "einsum") in
-    let extents =
-      match Json.mem_string req "extents" with
-      | None -> failwith "\"einsum\" requires \"extents\""
-      | Some s -> extents_of_string s
-    in
-    let stmt = Parse.stmt formula ~extents in
-    match Compile.find_design ~target stmt with
+    let stmt = stmt_of_request req ~field:"einsum" in
+    Resil.Budget.check budget;
+    match Compile.find_design ~budget ~target stmt with
     | Error rejections ->
       let head =
         match rejections with
@@ -1101,20 +1111,17 @@ let serve_program ~accel ~id req =
            stmt.Stmt.name target.Accel.design.Design.name
            (List.length rejections) head)
     | Ok (design, program) ->
+      Resil.Budget.check budget;
       let env = Exec.alloc_inputs stmt in
       let golden = Exec.run stmt env in
       let got = Accel.execute_program ~sim target program env in
       let verified = Dense.equal got golden in
       if not verified then
         failwith "golden verification of the programmed run failed";
+      Resil.Budget.check budget;
       let est =
         Perf.estimate_program ~rows:target.Accel.rows
           ~cols:target.Accel.cols program
-      in
-      let program_json =
-        match Json.parse (Compile.program_to_json program) with
-        | Ok j -> j
-        | Error _ -> Json.Null
       in
       Json.Obj
         [ ("id", id);
@@ -1125,49 +1132,45 @@ let serve_program ~accel ~id req =
           ("macs", Json.Num (float_of_int est.Perf.pe_macs));
           ("program_words",
            Json.Num (float_of_int est.Perf.pe_program_words));
-          ("program", program_json) ])
+          ("program", Compile.program_to_value program) ])
 
 let serve_request ?deadline_ms ?accel store limit line =
   let fail id msg =
     Json.Obj
       (("id", id) :: [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
   in
+  (* a fresh budget per request: one slow request degrades its own
+     answer, never the server or the requests behind it *)
+  let budget =
+    match deadline_ms with
+    | None -> Resil.Budget.unlimited
+    | Some ms ->
+      Resil.Budget.of_seconds ~label:"serve-request"
+        (float_of_int ms /. 1000.)
+  in
   match Json.parse line with
   | Error msg -> fail Json.Null ("bad request: " ^ msg)
   | Ok req when Json.mem_string req "einsum" <> None -> (
     let id = Option.value (Json.member "id" req) ~default:Json.Null in
-    match serve_program ~accel ~id req with
+    match serve_program ~budget ~accel ~id req with
     | exception Failure msg -> fail id msg
+    | exception Resil.Budget.Expired _ -> fail id "deadline"
     | answer -> answer)
   | Ok req -> (
     let id = Option.value (Json.member "id" req) ~default:Json.Null in
     let layers_of () =
-      match (Json.mem_string req "network", Json.mem_string req "expr") with
-      | Some name, _ -> (name, network_of_string name)
-      | None, Some formula ->
-        let extents =
-          match Json.mem_string req "extents" with
-          | None -> failwith "\"expr\" requires \"extents\""
-          | Some s -> extents_of_string s
-        in
-        let stmt = Parse.stmt formula ~extents in
+      match Json.mem_string req "network" with
+      | Some name -> (name, network_of_string name)
+      | None when Json.mem_string req "expr" <> None ->
+        let stmt = stmt_of_request req ~field:"expr" in
         ("adhoc", [ (stmt.Stmt.name, stmt) ])
-      | None, None ->
+      | None ->
         failwith "request needs \"network\", \"expr\" or \"einsum\""
     in
     match layers_of () with
     | exception Failure msg -> fail id msg
     | name, layers -> (
       let before = Store.stats store in
-      (* a fresh budget per request: one slow request degrades its own
-         answer, never the server or the requests behind it *)
-      let budget =
-        match deadline_ms with
-        | None -> Tensorlib.Resil.Budget.unlimited
-        | Some ms ->
-          Tensorlib.Resil.Budget.of_seconds ~label:"serve-request"
-            (float_of_int ms /. 1000.)
-      in
       match Network.sweep ?per_shape_limit:limit ~budget ~store ~name layers with
       | exception Failure msg -> fail id msg
       | r when not r.Network.r_complete -> fail id "deadline"

@@ -74,36 +74,67 @@ let rename_of (target : Tl_stt.Design.t) (request : Tl_stt.Design.t) =
   in
   fun n -> match List.assoc_opt n pairs with Some n' -> n' | None -> n
 
-let capacity_check (env : Layout.envelope) (l : Layout.t) =
+(* The envelope checks shared by the pre-check and the post-build check;
+   each takes figures equal to the ones [Layout.build] records. *)
+let schedule_check (env : Layout.envelope) ~total ~passes =
   let* () =
-    if l.Layout.l_total > env.Layout.env_cycles then
+    if total > env.Layout.env_cycles then
       Error
         (Capacity_exceeded
-           { what = "schedule cycles"; need = l.Layout.l_total;
+           { what = "schedule cycles"; need = total;
              capacity = env.Layout.env_cycles })
     else Ok ()
   in
+  if passes > env.Layout.env_passes then
+    Error
+      (Capacity_exceeded
+         { what = "schedule passes"; need = passes;
+           capacity = env.Layout.env_passes })
+  else Ok ()
+
+let elems_check (env : Layout.envelope) sizes =
+  List.fold_left
+    (fun acc (tensor, elems) ->
+      let* () = acc in
+      if elems > env.Layout.env_elems then
+        Error
+          (Capacity_exceeded
+             { what = Printf.sprintf "tensor %s elements" tensor;
+               need = elems; capacity = env.Layout.env_elems })
+      else Ok ())
+    (Ok ()) sizes
+
+(* [Layout.build] costs time in proportion to the schedule's events
+   (passes times the selected box), which a request's extents can make
+   arbitrarily many.  The schedule length and pass count come from the
+   schedule's frame and the input sizes from the access shapes, all
+   without events and equal to what [Layout.build] records, so rejecting
+   here only moves a rejection [capacity_check] would make anyway. *)
+let precheck (env : Layout.envelope) (request : Tl_stt.Design.t) ~rows ~cols =
+  let* total, passes =
+    try Ok (Layout.schedule_size request ~rows ~cols)
+    with Layout.Unsupported msg -> Error (Unsupported_design msg)
+  in
+  let* () = schedule_check env ~total ~passes in
+  let stmt = request.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
+  elems_check env
+    (List.map
+       (fun (a : Tl_ir.Access.t) ->
+         (a.Tl_ir.Access.tensor,
+          Array.fold_left ( * ) 1
+            (Tl_ir.Access.shape a stmt.Tl_ir.Stmt.iters)))
+       stmt.Tl_ir.Stmt.inputs)
+
+let capacity_check (env : Layout.envelope) (l : Layout.t) =
   let* () =
-    if l.Layout.l_passes > env.Layout.env_passes then
-      Error
-        (Capacity_exceeded
-           { what = "schedule passes"; need = l.Layout.l_passes;
-             capacity = env.Layout.env_passes })
-    else Ok ()
+    schedule_check env ~total:l.Layout.l_total ~passes:l.Layout.l_passes
   in
   let* () =
-    List.fold_left
-      (fun acc (inp : Layout.input) ->
-        let* () = acc in
-        if inp.Layout.in_elems > env.Layout.env_elems then
-          Error
-            (Capacity_exceeded
-               { what =
-                   Printf.sprintf "tensor %s elements" inp.Layout.in_tensor;
-                 need = inp.Layout.in_elems;
-                 capacity = env.Layout.env_elems })
-        else Ok ())
-      (Ok ()) l.Layout.l_inputs
+    elems_check env
+      (List.map
+         (fun (inp : Layout.input) ->
+           (inp.Layout.in_tensor, inp.Layout.in_elems))
+         l.Layout.l_inputs)
   in
   List.fold_left
     (fun acc (name, capacity, _used) ->
@@ -155,6 +186,10 @@ let compile ~(target : Accel.t) (request : Tl_stt.Design.t) =
            ("no netlist template for " ^ request.Tl_stt.Design.name))
   in
   let* () = dataflow_check target.Accel.design request in
+  let* () =
+    precheck pi.Accel.pi_envelope request ~rows:target.Accel.rows
+      ~cols:target.Accel.cols
+  in
   let rename = rename_of target.Accel.design request in
   let* l =
     try Ok (Layout.build ~rename request ~rows:target.Accel.rows
@@ -169,11 +204,13 @@ let compile ~(target : Accel.t) (request : Tl_stt.Design.t) =
   let* () = width_check pi l in
   Ok (Layout.to_program l)
 
-let find_design ~(target : Accel.t) stmt =
-  let candidates = Tl_stt.Search.all_designs stmt in
+let find_design ?(budget = Tl_resil.Budget.unlimited) ~(target : Accel.t)
+    stmt =
+  let candidates = Tl_stt.Search.all_designs ~budget stmt in
   let rec go errs = function
     | [] -> Error (List.rev errs)
     | (name, design) :: rest -> (
+      Tl_resil.Budget.check budget;
       match compile ~target design with
       | Ok p -> Ok (design, p)
       | Error e -> go ((name, e) :: errs) rest)
@@ -196,7 +233,7 @@ let json_ints l = Json.List (List.map json_int l)
 
 let json_int_array a = Json.List (Array.to_list a |> List.map json_int)
 
-let program_to_json (p : Layout.program) =
+let program_to_value (p : Layout.program) =
   let images =
     List.map
       (fun (name, (domain, data)) ->
@@ -225,20 +262,21 @@ let program_to_json (p : Layout.program) =
             ("addr", json_int addr) ])
       p.Layout.p_out
   in
-  Json.to_string
-    (Json.Obj
-       [ ("schema", Json.Str schema);
-         ("name", Json.Str p.Layout.p_name);
-         ("structure_digest",
-          Json.Str (Layout.structure_digest p.Layout.p_structure));
-         ("structure", Json.Str p.Layout.p_structure);
-         ("total", json_int p.Layout.p_total);
-         ("passes", json_int p.Layout.p_passes);
-         ("events", json_int p.Layout.p_events);
-         ("images", Json.List images);
-         ("inputs", Json.List inputs);
-         ("out", Json.List out);
-         ("out_shape", json_int_array p.Layout.p_out_shape) ])
+  Json.Obj
+    [ ("schema", Json.Str schema);
+      ("name", Json.Str p.Layout.p_name);
+      ("structure_digest",
+       Json.Str (Layout.structure_digest p.Layout.p_structure));
+      ("structure", Json.Str p.Layout.p_structure);
+      ("total", json_int p.Layout.p_total);
+      ("passes", json_int p.Layout.p_passes);
+      ("events", json_int p.Layout.p_events);
+      ("images", Json.List images);
+      ("inputs", Json.List inputs);
+      ("out", Json.List out);
+      ("out_shape", json_int_array p.Layout.p_out_shape) ]
+
+let program_to_json p = Json.to_string (program_to_value p)
 
 let ( let+ ) r f = Result.map f r
 

@@ -33,7 +33,10 @@ type error =
       (** dataflows match but the elaborated shapes differ (spatial
           extents, active-PE footprint, chain topology, …) *)
   | Capacity_exceeded of { what : string; need : int; capacity : int }
-      (** the schedule or data exceeds the envelope dimension [what] *)
+      (** the schedule or data exceeds the envelope dimension [what];
+          schedule length, pass count and input sizes are checked before
+          scheduling, so a request whose extents are far over the
+          envelope fails in time independent of them *)
   | Width_overflow of { mem : string; value : int; width : int }
       (** an image value does not fit the generated port width (cannot
           occur when the capacity checks pass; kept as a final guarantee
@@ -49,13 +52,16 @@ val compile : target:Tl_templates.Accel.t -> Tl_stt.Design.t ->
     request-side name).  A returned program is guaranteed loadable on
     [target]. *)
 
-val find_design : target:Tl_templates.Accel.t -> Tl_ir.Stmt.t ->
+val find_design : ?budget:Tl_resil.Budget.t -> target:Tl_templates.Accel.t ->
+  Tl_ir.Stmt.t ->
   (Tl_stt.Design.t * Tl_templates.Layout.program,
    (string * error) list) result
 (** Sweep every STT candidate for [stmt] ({!Tl_stt.Search.all_designs})
     and return the first that compiles onto [target] — "can this netlist
     run this einsum at all?".  On failure, the per-candidate rejection
-    reasons (design name, error), in search order. *)
+    reasons (design name, error), in search order.  [budget] (default
+    unlimited) is passed to the search and polled before each candidate;
+    @raise Tl_resil.Budget.Expired when it runs out. *)
 
 (** {2 Program codec}
 
@@ -65,7 +71,12 @@ val find_design : target:Tl_templates.Accel.t -> Tl_ir.Stmt.t ->
 
 val schema : string
 
+val program_to_value : Tl_templates.Layout.program -> Tl_store.Json.t
+(** The program document as a JSON value, for embedding in a larger
+    document without printing and re-parsing it. *)
+
 val program_to_json : Tl_templates.Layout.program -> string
+(** [Json.to_string (program_to_value p)]. *)
 
 val program_of_json : string ->
   (Tl_templates.Layout.program, string) result

@@ -138,7 +138,17 @@ let parse_formula tokens =
 
 let stmt ?name src ~extents =
   let output_ast, input_asts = parse_formula (tokenize src) in
-  let iters = List.map (fun (n, e) -> Iter.v n e) extents in
+  let iters =
+    List.fold_left
+      (fun acc (n, e) ->
+        if n = "" then fail "empty iterator name in extents";
+        if e <= 0 then fail "extent of %s must be positive; got %d" n e;
+        if List.exists (fun (i : Iter.t) -> String.equal i.Iter.name n) acc
+        then fail "iterator %s is declared twice in extents" n;
+        Iter.v n e :: acc)
+      [] extents
+    |> List.rev
+  in
   let pos name =
     match Iter.index_of iters name with
     | i -> i

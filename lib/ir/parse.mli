@@ -17,4 +17,6 @@ exception Parse_error of string
 
 val stmt : ?name:string -> string -> extents:(string * int) list -> Stmt.t
 (** @raise Parse_error on malformed input (with a description), including
-    iterators used in the formula but missing from [extents]. *)
+    iterators used in the formula but missing from [extents], and
+    [extents] that bind an iterator twice, to a non-positive extent or
+    to an empty name. *)

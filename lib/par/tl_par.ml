@@ -113,10 +113,12 @@ module Cache = struct
 
   type 'a t = {
     c_name : string;
+    capacity : int option;
     tbl : (string, 'a) Hashtbl.t;
     lock : Mutex.t;
     hits : int Atomic.t;
     misses : int Atomic.t;
+    evictions : int Atomic.t;
   }
 
   type registered = {
@@ -143,22 +145,25 @@ module Cache = struct
       hits = Atomic.get c.hits;
       misses = Atomic.get c.misses;
       entries = Hashtbl.length c.tbl;
-      evictions = 0 }
+      evictions = Atomic.get c.evictions }
 
   let clear c =
     Mutex.lock c.lock;
     Hashtbl.reset c.tbl;
     Atomic.set c.hits 0;
     Atomic.set c.misses 0;
+    Atomic.set c.evictions 0;
     Mutex.unlock c.lock
 
-  let create ~name () =
+  let create ?capacity ~name () =
     let c =
       { c_name = name;
+        capacity;
         tbl = Hashtbl.create 256;
         lock = Mutex.create ();
         hits = Atomic.make 0;
-        misses = Atomic.make 0 }
+        misses = Atomic.make 0;
+        evictions = Atomic.make 0 }
     in
     register_entry
       { r_stats = (fun () -> stats c); r_clear = (fun () -> clear c) };
@@ -184,6 +189,13 @@ module Cache = struct
         match Hashtbl.find_opt c.tbl key with
         | Some v0 -> v0
         | None ->
+          (* a full bounded cache starts over: dropping every entry keeps
+             the policy free of recency bookkeeping on the hit path *)
+          (match c.capacity with
+           | Some cap when Hashtbl.length c.tbl >= cap ->
+             ignore (Atomic.fetch_and_add c.evictions (Hashtbl.length c.tbl));
+             Hashtbl.reset c.tbl
+           | Some _ | None -> ());
           Hashtbl.add c.tbl key v;
           v
       in

@@ -69,9 +69,10 @@ val set_wrapper : wrapper option -> unit
     A cache is a mutex-guarded hash table with atomic hit/miss counters.
     [find_or_add] computes misses {e outside} the lock and keeps the
     {b first} insertion when two domains race on the same key, so for a
-    deterministic [f] the cache contents (and every returned value) are
-    independent of scheduling.  Every cache registers itself at [create]
-    so consumers (the benchmark gate) can report or reset them all. *)
+    deterministic [f] every returned value (and, in an unbounded cache,
+    the contents) is independent of scheduling.  Every cache registers
+    itself at [create] so consumers (the benchmark gate) can report or
+    reset them all. *)
 module Cache : sig
   type 'a t
 
@@ -81,12 +82,17 @@ module Cache : sig
     misses : int;
     entries : int;
     evictions : int;
-        (** entries dropped by a capacity policy; always [0] for the
-            unbounded in-memory caches, nonzero only for external
-            registered sources (the persistent design store) *)
+        (** entries dropped by a capacity policy (a cache created with
+            [~capacity], or an external source such as the persistent
+            design store); always [0] for unbounded in-memory caches *)
   }
 
-  val create : name:string -> unit -> 'a t
+  val create : ?capacity:int -> name:string -> unit -> 'a t
+  (** Unbounded by default.  With [~capacity], inserting into a full
+      cache first drops every entry (counted in [evictions]), so it never
+      holds more than [capacity] entries: for caches keyed on client
+      input in a long-running process. *)
+
   val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
   val stats : 'a t -> stats
   val clear : 'a t -> unit

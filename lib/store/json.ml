@@ -186,24 +186,31 @@ let parse s =
 
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
+(* Identifiers, digests and structure strings need no escaping: append
+   them whole. *)
+let add_escaped buf s =
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+(* Integral values below 1e15 print as integers, exactly as "%.0f" would
+   (including "-0"), without going through [Printf]. *)
 let number f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f < 1e15 then
+    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
   else
     let s = Printf.sprintf "%.17g" f in
     if Float.is_finite f then s else "null"
@@ -214,7 +221,7 @@ let rec render buf = function
   | Num f -> Buffer.add_string buf (number f)
   | Str s ->
     Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
+    add_escaped buf s;
     Buffer.add_char buf '"'
   | List xs ->
     Buffer.add_char buf '[';
@@ -230,7 +237,7 @@ let rec render buf = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ", ";
         Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
+        add_escaped buf k;
         Buffer.add_string buf "\": ";
         render buf v)
       kvs;

@@ -119,8 +119,7 @@ let normalize_int v =
   let v = if flip then Array.map (fun x -> -x) v else v in
   (Array.sub v 0 (n - 1), v.(n - 1))
 
-let classify_prepared prep (t : Transform.t) =
-  let m = t.Transform.imatrix in
+let classify_matrix prep m =
   let n = Array.length m in
   let mulv v =
     Array.init n (fun i ->
@@ -160,6 +159,9 @@ let classify_prepared prep (t : Transform.t) =
       end
     end
   | _ -> Dataflow.Reuse_full
+
+let classify_prepared prep (t : Transform.t) =
+  classify_matrix prep t.Transform.imatrix
 
 let reuses_same_element t access x1 x2 =
   let a_sel = Transform.restricted_access t access in

@@ -33,3 +33,9 @@ val classify_prepared : prepared -> Transform.t -> Dataflow.t
 (** [classify_prepared (prepare ~selected access) t] equals
     [classify t access] for every [t] with that selection, computed with
     pure integer arithmetic (no rational null space per candidate). *)
+
+val classify_matrix : prepared -> int array array -> Dataflow.t
+(** [classify_matrix prep m] is [classify_prepared prep t] for the
+    transform [t] whose integer matrix is [m], without building [t]: the
+    search sweep classifies every full-rank candidate this way.  [m] must
+    be square with one row per selected iterator. *)

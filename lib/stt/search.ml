@@ -163,21 +163,79 @@ let find_design_exn stmt name =
   | Some d -> d
   | None -> raise Not_found
 
-let all_designs ?selection stmt =
-  let sels =
-    match selection with Some s -> [ s ] | None -> selections stmt ~n:3
-  in
+(* A plan is what an [all_designs] sweep learns that depends only on the
+   statement's structure: for each dataflow name, the first (selection,
+   matrix) in search order that realises it, sorted by name.  Names read
+   iterator initials and access matrices, never extents or tensor names,
+   so one plan serves every extent binding of an einsum. *)
+type plan = (string * int array * int list list) list
+
+let build_plan ~budget ~sels stmt =
+  let accesses = stmt.Tl_ir.Stmt.inputs @ [ stmt.Tl_ir.Stmt.output ] in
   let table = Hashtbl.create 64 in
   List.iter
     (fun selected ->
-      let analyze = Design.analyzer stmt ~selected in
+      let label = Transform.label_of stmt selected ^ "-" in
+      let preps =
+        Array.of_list (List.map (Reuse.prepare ~selected) accesses)
+      in
+      let n = Array.length selected in
+      (* one scratch matrix refilled per candidate: classification reads
+         it and keeps nothing, so the sweep allocates no matrices *)
+      let im = Array.make_matrix n n 0 in
       List.iter
         (fun m ->
-          let t = Transform.v stmt ~selected ~matrix:m in
-          let d = analyze t in
-          if not (Hashtbl.mem table d.Design.name) then
-            Hashtbl.add table d.Design.name d)
-        (candidate_matrices ~n:(Array.length selected)))
+          Tl_resil.Budget.check budget;
+          List.iteri
+            (fun i row -> List.iteri (fun j x -> im.(i).(j) <- x) row)
+            m;
+          let name =
+            label
+            ^ String.init (Array.length preps) (fun i ->
+                  Dataflow.letter (Reuse.classify_matrix preps.(i) im))
+          in
+          if not (Hashtbl.mem table name) then
+            Hashtbl.add table name (selected, m))
+        (candidate_matrices ~n))
     sels;
-  let names = Hashtbl.fold (fun k v acc -> (k, v) :: acc) table [] in
-  List.sort (fun (a, _) (b, _) -> String.compare a b) names
+  Hashtbl.fold (fun name (sel, m) acc -> (name, sel, m) :: acc) table []
+  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+
+(* [find_or_add] stores a plan only once its build returns, so a build
+   cut short by the budget leaves no entry behind.  Keys come from client
+   text in [serve], so the table is bounded: a plan takes at most a few
+   tens of KB (its matrices are shared with [candidate_matrices]). *)
+let plan_capacity = 256
+
+let plan_cache : plan Tl_par.Cache.t =
+  Tl_par.Cache.create ~capacity:plan_capacity ~name:"stt.search_plan" ()
+
+let all_designs ?(budget = Tl_resil.Budget.unlimited) ?selection stmt =
+  let sels, sel_key =
+    match selection with
+    | Some s ->
+      ([ s ],
+       String.concat "," (Array.to_list (Array.map string_of_int s)))
+    | None -> (selections stmt ~n:3, "*")
+  in
+  let key = Signature.structure_fingerprint stmt ^ "#sel" ^ sel_key in
+  let plan =
+    Tl_par.Cache.find_or_add plan_cache key (fun () ->
+        build_plan ~budget ~sels stmt)
+  in
+  (* realise against the caller's own statement, so its extents reach
+     the transforms; names and dataflows read no extents and so match
+     the plan's *)
+  let analyzers = ref [] in
+  let analyzer selected =
+    match List.assoc_opt selected !analyzers with
+    | Some a -> a
+    | None ->
+      let a = Design.analyzer stmt ~selected in
+      analyzers := (selected, a) :: !analyzers;
+      a
+  in
+  List.map
+    (fun (name, selected, matrix) ->
+      (name, analyzer selected (Transform.v stmt ~selected ~matrix)))
+    plan

@@ -38,8 +38,24 @@ val find_design : Tl_ir.Stmt.t -> string -> Design.t option
 val find_design_exn : Tl_ir.Stmt.t -> string -> Design.t
 (** @raise Not_found when unrealisable. *)
 
-val all_designs : ?selection:int array -> Tl_ir.Stmt.t ->
-  (string * Design.t) list
+val all_designs : ?budget:Tl_resil.Budget.t -> ?selection:int array ->
+  Tl_ir.Stmt.t -> (string * Design.t) list
 (** Every distinct dataflow name reachable over the candidate matrices (for
     the given selection, or all selections), with the simplest realising
-    design for each.  Names are returned sorted. *)
+    design for each: the first (selection, matrix) in search order, built
+    against [stmt].  Names are returned sorted.
+
+    Cost: one sweep of every candidate matrix per statement {e structure}
+    ({!Signature.structure_fingerprint} and [selection]: iterator
+    initials and access matrices, not the names or the extents),
+    memoised in the ["stt.search_plan"] {!Tl_par.Cache}; each later call
+    on that structure only builds its O(names) designs.  The cache holds
+    at most 256 plans and starts over when full, so a process that sees
+    more distinct structures pays the sweep again for them.  The
+    sweep classifies integer matrices directly
+    ({!Reuse.classify_matrix}) and polls [budget] (default unlimited)
+    once per candidate; {!Tl_resil.Budget.Expired} aborts it without
+    leaving a plan behind.  A memoised plan costs no budget polls.
+
+    @raise Invalid_argument on a selection with out-of-range or duplicate
+    indices, or fewer than two. *)

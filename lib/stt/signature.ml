@@ -102,8 +102,8 @@ let add_int_array buf a =
       Buffer.add_string buf (string_of_int v))
     a
 
-let add_access buf (a : Tl_ir.Access.t) =
-  Buffer.add_string buf a.Tl_ir.Access.tensor;
+let add_access ~full buf (a : Tl_ir.Access.t) =
+  if full then Buffer.add_string buf a.Tl_ir.Access.tensor;
   Buffer.add_char buf '[';
   Array.iter
     (fun row ->
@@ -116,22 +116,33 @@ let add_access buf (a : Tl_ir.Access.t) =
    and the exact access matrices, output last (the position [Design.analyze]
    gives it).  Two statements with equal fingerprints are interchangeable
    for classification, scheduling and cost. *)
-let stmt_fingerprint (stmt : Tl_ir.Stmt.t) =
+let fingerprint ~full (stmt : Tl_ir.Stmt.t) =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf stmt.Tl_ir.Stmt.name;
+  if full then Buffer.add_string buf stmt.Tl_ir.Stmt.name;
   Buffer.add_char buf '{';
   List.iter
     (fun it ->
-      Buffer.add_string buf it.Tl_ir.Iter.name;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf (string_of_int it.Tl_ir.Iter.extent);
+      let name = it.Tl_ir.Iter.name in
+      if full then begin
+        Buffer.add_string buf name;
+        Buffer.add_char buf '=';
+        Buffer.add_string buf (string_of_int it.Tl_ir.Iter.extent)
+      end
+      else Buffer.add_char buf (Char.uppercase_ascii name.[0]);
       Buffer.add_char buf ' ')
     stmt.Tl_ir.Stmt.iters;
-  List.iter (fun a -> add_access buf a; Buffer.add_char buf ' ')
+  List.iter (fun a -> add_access ~full buf a; Buffer.add_char buf ' ')
     stmt.Tl_ir.Stmt.inputs;
-  add_access buf stmt.Tl_ir.Stmt.output;
+  add_access ~full buf stmt.Tl_ir.Stmt.output;
   Buffer.add_char buf '}';
   Buffer.contents buf
+
+let stmt_fingerprint = fingerprint ~full:true
+
+(* A dataflow name reads the selected iterators' upper-cased initials and
+   the access matrices by position, so the statement name, the extents,
+   the rest of each iterator name and the tensor names are left out. *)
+let structure_fingerprint = fingerprint ~full:false
 
 (* Render [d]'s STT matrix with the spatial rows transformed by [s]:
    [s] permutes/negates the two space rows and fixes the time row, i.e. it

@@ -42,6 +42,13 @@ val stmt_fingerprint : Tl_ir.Stmt.t -> string
 (** Pins everything the analyses read from a statement: name, iterator
     names/extents, and exact access matrices (output last). *)
 
+val structure_fingerprint : Tl_ir.Stmt.t -> string
+(** What a dataflow name reads from a statement: the upper-cased initial
+    of each iterator and the exact access matrices, positionally (output
+    last).  Statement name, extents, full iterator names and tensor names
+    are left out.  Statements with equal structure fingerprints realise
+    the same dataflow name with the same (selection, matrix). *)
+
 val key_digest : string -> string
 (** Stable 32-hex-char MD5 digest of a key string — identical across
     processes and sessions for identical bytes.  The persistent design

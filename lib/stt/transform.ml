@@ -68,11 +68,12 @@ let unselected_iters t =
     (fun i _ -> not (List.mem i chosen))
     t.stmt.Tl_ir.Stmt.iters
 
-let selection_label t =
-  String.concat ""
-    (List.map
-       (fun i -> String.uppercase_ascii (String.sub i.Tl_ir.Iter.name 0 1))
-       (selected_iters t))
+let label_of stmt selected =
+  let iters = Array.of_list stmt.Tl_ir.Stmt.iters in
+  String.init (Array.length selected) (fun j ->
+      Char.uppercase_ascii iters.(selected.(j)).Tl_ir.Iter.name.[0])
+
+let selection_label t = label_of t.stmt t.selected
 
 let apply t x_sel =
   let n = Array.length t.selected in

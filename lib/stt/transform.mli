@@ -36,6 +36,10 @@ val unselected_iters : t -> Tl_ir.Iter.t list
 val selection_label : t -> string
 (** Upper-cased initials of the selected iterator names, e.g. ["KCX"]. *)
 
+val label_of : Tl_ir.Stmt.t -> int array -> string
+(** [label_of stmt selected] is the {!selection_label} of any transform
+    of [stmt] with that selection. *)
+
 val apply : t -> int array -> int array * int
 (** [apply t x_sel] is [(p, time)] for a selected-iterator point. *)
 

@@ -89,8 +89,18 @@ let max_dt (design : Tl_stt.Design.t) =
       | Tl_stt.Dataflow.Reuse_full -> acc)
     1 design.Tl_stt.Design.tensors
 
+let total_of ~compute_end ~rows design = compute_end + rows + max_dt design + 4
+
 let total_cycles (sched : Schedule.t) ~rows design =
-  sched.Schedule.compute_end + rows + max_dt design + 4
+  total_of ~compute_end:sched.Schedule.compute_end ~rows design
+
+let schedule_size design ~rows ~cols =
+  let fr =
+    try Schedule.frame design ~rows ~cols
+    with Schedule.Unsupported msg -> raise (Unsupported msg)
+  in
+  (total_of ~compute_end:fr.Schedule.f_compute_end ~rows design,
+   fr.Schedule.f_passes)
 
 (* ------------------------------------------------------------------ *)
 (* Build context: the pure mirror of accel.ml's [ctx].                  *)

@@ -78,6 +78,13 @@ val max_dt : Tl_stt.Design.t -> int
 val total_cycles : Schedule.t -> rows:int -> Tl_stt.Design.t -> int
 (** The controller cycle count [Accel.generate] uses for this schedule. *)
 
+val schedule_size : Tl_stt.Design.t -> rows:int -> cols:int -> int * int
+(** [(l_total, l_passes)] of [build design ~rows ~cols], read off the
+    schedule's {!Schedule.frame} in O(depth): no events are built, so the
+    cost does not grow with the extents.
+    @raise Unsupported when the schedule footprint does not fit the
+    array, as {!build} would. *)
+
 val build : ?rename:(string -> string) -> Tl_stt.Design.t ->
   rows:int -> cols:int -> t
 (** Compute every schedule-table image for [design] on a [rows]×[cols]

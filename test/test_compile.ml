@@ -337,6 +337,73 @@ let test_find_design_reports_all_rejections () =
           Alcotest.failf "%s: empty rejection message" name)
       errs
 
+(* The pre-check runs before scheduling, so it may only move a rejection
+   forward: the schedule figures it reads equal the ones the layout
+   records, and every capacity rejection names a figure that the layout
+   the full compile would build really has.  The statements include an
+   iterator that indexes no input ([b]), whose extent multiplies the
+   passes without growing any input. *)
+let test_precheck_sound () =
+  let target, _ = target_and_request () in
+  let gemms =
+    List.map
+      (fun (m, n, k) ->
+        (Printf.sprintf "gemm %dx%dx%d" m n k, Workloads.gemm ~m ~n ~k))
+      [ (4, 4, 1); (4, 4, 8); (4, 4, 32); (4, 4, 33); (4, 4, 48); (3, 4, 40);
+        (4, 5, 40); (5, 5, 64); (4, 4, 200) ]
+  in
+  let with_b =
+    List.concat_map
+      (fun formula ->
+        List.map
+          (fun b ->
+            (Printf.sprintf "%s b=%d" formula b,
+             Parse.stmt formula
+               ~extents:[ ("m", 4); ("n", 4); ("k", 4); ("b", b) ]))
+          [ 3; 5; 40 ])
+      [ "C[m,n] += A[m,k] * B[n,k]"; "C[m,n,b] += A[m,k] * B[n,k]" ]
+  in
+  let fired = ref [] and accepted = ref 0 in
+  List.iter
+    (fun (label, stmt) ->
+      List.iter
+        (fun (name, d) ->
+          let what s = Printf.sprintf "%s %s: %s" label name s in
+          let layout =
+            match Layout.build d ~rows:4 ~cols:4 with
+            | exception Layout.Unsupported _ -> None
+            | l ->
+              Alcotest.(check (pair int int))
+                (what "schedule_size = layout")
+                (l.Layout.l_total, l.Layout.l_passes)
+                (Layout.schedule_size d ~rows:4 ~cols:4);
+              Some l
+          in
+          match (Compile.compile ~target d, layout) with
+          | Ok _, _ -> incr accepted
+          | Error (Compile.Capacity_exceeded { what = w; need; capacity }),
+            Some l ->
+            let recorded =
+              match w with
+              | "schedule cycles" -> l.Layout.l_total = need
+              | "schedule passes" -> l.Layout.l_passes = need
+              | _ when String.starts_with ~prefix:"tensor " w ->
+                List.exists
+                  (fun (i : Layout.input) -> i.Layout.in_elems = need)
+                  l.Layout.l_inputs
+              | _ -> true
+            in
+            Alcotest.(check bool) (what w) true (recorded && need > capacity);
+            if not (List.mem w !fired) then fired := w :: !fired
+          | Error _, _ -> ())
+        (Search.all_designs stmt))
+    (gemms @ with_b);
+  Alcotest.(check bool) "in-envelope shapes accepted" true (!accepted > 0);
+  List.iter
+    (fun w ->
+      Alcotest.(check bool) ("rejections on " ^ w) true (List.mem w !fired))
+    [ "schedule cycles"; "schedule passes"; "tensor A elements" ]
+
 (* ---------------- loader validation ---------------- *)
 
 let test_load_rejects_bad_programs () =
@@ -556,6 +623,99 @@ let test_cli_serve_einsum () =
       (Json.member "ok" j2 = Some (Json.Bool false))
   | _ -> Alcotest.fail "responses must all be JSON"
 
+let gemm_einsum = "C[m,n] += A[m,k] * B[n,k]"
+
+(* serve answers on one line per (id, einsum, extents) request, parsed *)
+let serve_answers ?(flags = "") requests =
+  let path = Filename.temp_file "tlreq" ".jsonl" in
+  let oc = open_out path in
+  List.iter
+    (fun (id, einsum, extents) ->
+      Printf.fprintf oc "{\"id\": %d, \"einsum\": %S, \"extents\": %S}\n" id
+        einsum extents)
+    requests;
+  close_out oc;
+  let rc, out, _ =
+    run_cli ~stdin:path
+      ("serve --accel-workload gemm-small --headroom 16 " ^ flags)
+  in
+  Sys.remove path;
+  Alcotest.(check int) "serve exits 0" 0 rc;
+  String.split_on_char '\n' out
+  |> List.filter (fun l -> String.trim l <> "")
+  |> List.map (fun l ->
+      match Json.parse l with
+      | Ok j -> j
+      | Error e -> Alcotest.failf "unparsable answer %S: %s" l e)
+
+let check_rejected ~id ~error j =
+  Alcotest.(check (option int)) "answer keeps the id" (Some id)
+    (Option.bind (Json.member "id" j) Json.int_opt);
+  Alcotest.(check bool) "not ok" true
+    (Json.member "ok" j = Some (Json.Bool false));
+  let msg = Option.value ~default:"" (Json.mem_string j "error") in
+  Alcotest.(check bool) (Printf.sprintf "%S in %S" error msg) true
+    (contains msg error)
+
+(* parse errors and bad extents are the client's: answered with its id *)
+let test_cli_serve_bad_einsum_keeps_id () =
+  match
+    serve_answers
+      [ (7, gemm_einsum, "m=4,n=4"); (8, gemm_einsum, "m=4,n=4,k=0");
+        (9, gemm_einsum, "m=4,n=4,k=-3") ]
+  with
+  | [ a; b; c ] ->
+    check_rejected ~id:7 ~error:"bad request: iterator k is not declared" a;
+    check_rejected ~id:8 ~error:"bad request: extent of k must be positive" b;
+    check_rejected ~id:9 ~error:"bad request: extent of k must be positive" c
+  | l -> Alcotest.failf "expected 3 answers, got %d" (List.length l)
+
+let test_cli_duplicate_extent_rejected () =
+  (match serve_answers [ (3, gemm_einsum, "m=4,n=4,k=4,k=8") ] with
+   | [ a ] -> check_rejected ~id:3 ~error:"k is declared twice" a
+   | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l));
+  let rc, _, err =
+    run_cli
+      "compile -w gemm-small -d MNK-SST --rows 4 --cols 4 -e 'C[m,n] += \
+       A[m,k] * B[n,k]' --extents m=4,n=4,k=4,k=8 -o /dev/null"
+  in
+  Alcotest.(check int) "compile exits 2" 2 rc;
+  Alcotest.(check bool) "compile names the duplicate" true
+    (contains err "k is declared twice")
+
+(* requests far over the envelope are rejected before any scheduling:
+   one with an input too large, and two whose iterator [b] indexes no
+   input (only the output, in the second) and multiplies the passes *)
+let test_cli_oversized_rejected_fast () =
+  let t0 = Unix.gettimeofday () in
+  let answers =
+    serve_answers
+      [ (5, gemm_einsum, "m=4,n=4,k=100000");
+        (6, gemm_einsum, "m=4,n=4,k=4,b=100000");
+        (7, "C[m,n,b] += A[m,k] * B[n,k]", "m=4,n=4,k=4,b=100000") ]
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  (match answers with
+   | [ a; b; c ] ->
+     List.iter2
+       (fun id j -> check_rejected ~id ~error:"no dataflow of C compiles" j)
+       [ 5; 6; 7 ] [ a; b; c ]
+   | l -> Alcotest.failf "expected 3 answers, got %d" (List.length l));
+  Alcotest.(check bool)
+    (Printf.sprintf "server answered within 1 s (took %.2f s)" wall)
+    true (wall < 1.)
+
+(* a 1 ms budget cannot cover the first plan of the einsum *)
+let test_cli_serve_einsum_deadline () =
+  match
+    serve_answers ~flags:"--deadline-ms 1" [ (4, gemm_einsum, "m=4,n=4,k=4") ]
+  with
+  | [ a ] ->
+    check_rejected ~id:4 ~error:"deadline" a;
+    Alcotest.(check (option string)) "plain deadline answer" (Some "deadline")
+      (Json.mem_string a "error")
+  | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l)
+
 let suite =
   [ Alcotest.test_case "programmable = ROM as generated" `Quick
       test_programmable_matches_rom;
@@ -592,4 +752,14 @@ let suite =
     Alcotest.test_case "cli compile --run differential" `Quick
       test_cli_compile_run;
     Alcotest.test_case "cli serve einsum requests" `Quick
-      test_cli_serve_einsum ]
+      test_cli_serve_einsum;
+    Alcotest.test_case "capacity pre-check is sound" `Quick
+      test_precheck_sound;
+    Alcotest.test_case "cli serve bad einsum keeps id" `Quick
+      test_cli_serve_bad_einsum_keeps_id;
+    Alcotest.test_case "cli duplicate extent rejected" `Quick
+      test_cli_duplicate_extent_rejected;
+    Alcotest.test_case "cli serve oversized rejected fast" `Quick
+      test_cli_oversized_rejected_fast;
+    Alcotest.test_case "cli serve einsum deadline" `Quick
+      test_cli_serve_einsum_deadline ]

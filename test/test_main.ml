@@ -3,6 +3,7 @@ let () =
     [ ("linalg", Test_linalg.suite);
       ("ir", Test_ir.suite);
       ("stt", Test_stt.suite);
+      ("search", Test_search.suite);
       ("hw", Test_hw.suite);
       ("sim-backends", Test_sim_backends.suite);
       ("templates", Test_templates.suite);

@@ -72,7 +72,16 @@ let test_parse_errors () =
   check_error "empty dims" (fun () ->
       Parse.stmt "C[] += A[m]" ~extents:[ ("m", 2) ]);
   check_error "coefficient without iterator" (fun () ->
-      Parse.stmt "C[m] += A[2]" ~extents:[ ("m", 2) ])
+      Parse.stmt "C[m] += A[2]" ~extents:[ ("m", 2) ]);
+  check_error "iterator bound twice" (fun () ->
+      Parse.stmt "C[m] += A[m,k] * B[k]"
+        ~extents:[ ("m", 2); ("k", 4); ("k", 8) ]);
+  check_error "zero extent" (fun () ->
+      Parse.stmt "C[m] += A[m]" ~extents:[ ("m", 0) ]);
+  check_error "negative extent" (fun () ->
+      Parse.stmt "C[m] += A[m]" ~extents:[ ("m", -3) ]);
+  check_error "empty iterator name" (fun () ->
+      Parse.stmt "C[m] += A[m]" ~extents:[ ("m", 2); ("", 2) ])
 
 let test_parse_end_to_end_hardware () =
   (* the parsed workload drives the whole generator *)

@@ -41,6 +41,77 @@ let test_json_errors () =
       (Json.mem_string j "b");
     Alcotest.(check (option int)) "missing" None (Json.mem_int j "c")
 
+(* the renderer before integers went through [string_of_int] and plain
+   strings were appended whole: every byte must stay the same, since
+   store entries, digests and program documents are built from it *)
+let reference_render v =
+  let escape s =
+    let buf = Buffer.create (String.length s + 2) in
+    String.iter
+      (fun ch ->
+        match ch with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  in
+  let number f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+    else
+      let s = Printf.sprintf "%.17g" f in
+      if Float.is_finite f then s else "null"
+  in
+  let rec go = function
+    | Json.Null -> "null"
+    | Json.Bool b -> string_of_bool b
+    | Json.Num f -> number f
+    | Json.Str s -> "\"" ^ escape s ^ "\""
+    | Json.List xs -> "[" ^ String.concat ", " (List.map go xs) ^ "]"
+    | Json.Obj kvs ->
+      "{"
+      ^ String.concat ", "
+          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\": " ^ go v) kvs)
+      ^ "}"
+  in
+  go v
+
+let test_json_render_bytes () =
+  let edge = 1e15 -. 1. in
+  let nums =
+    [ 0.; -0.; 1.; -1.; 42.; -4096.; 2147483648.; -1099511627776.; edge;
+      -.edge; 1e15; -1e15; 1.5; -0.25; 1e300; Float.nan; Float.infinity;
+      Float.neg_infinity ]
+    @ List.init 200 (fun i -> float_of_int ((i * 7919) - 500000))
+  in
+  let strs =
+    [ ""; "plain"; "MNK-SST"; "tab\there"; "quote\"in"; "back\\slash";
+      "\x01ctrl\x1f"; "line\nbreak\r"; "caf\xc3\xa9"; "grid 4x4\ntensor 0" ]
+  in
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "number %h" f)
+        (reference_render (Json.Num f)) (Json.to_string (Json.Num f)))
+    nums;
+  List.iter
+    (fun s ->
+      let v = Json.Obj [ (s, Json.Str s) ] in
+      Alcotest.(check string) (Printf.sprintf "string %S" s)
+        (reference_render v) (Json.to_string v))
+    strs;
+  let doc =
+    Json.Obj
+      [ ("xs", Json.List (List.map (fun f -> Json.Num f) nums));
+        ("ss", Json.List (List.map (fun s -> Json.Str s) strs)) ]
+  in
+  Alcotest.(check string) "whole document" (reference_render doc)
+    (Json.to_string doc)
+
 (* ---------------- store basics ---------------- *)
 
 let test_store_memory () =
@@ -180,6 +251,31 @@ let test_cache_counters_parallel () =
   Alcotest.(check bool) "misses cover every key" true
     (s.Par.Cache.misses >= distinct);
   Alcotest.(check int) "in-memory caches never evict" 0 s.Par.Cache.evictions
+
+(* a bounded cache never holds more than its capacity: inserting into a
+   full one drops every entry first, and values stay those of [f] *)
+let test_cache_capacity () =
+  let c = Par.Cache.create ~capacity:3 ~name:"test.bounded" () in
+  let get i =
+    Par.Cache.find_or_add c (Printf.sprintf "key-%d" i) (fun () -> i * i)
+  in
+  let sizes =
+    List.map
+      (fun i ->
+        Alcotest.(check int) (Printf.sprintf "value of key-%d" i) (i * i)
+          (get i);
+        (Par.Cache.stats c).Par.Cache.entries)
+      [ 0; 1; 2; 3; 4; 0; 4; 5; 6 ]
+  in
+  Alcotest.(check (list int)) "entries after each call"
+    [ 1; 2; 3; 1; 2; 3; 3; 1; 2 ] sizes;
+  let s = Par.Cache.stats c in
+  Alcotest.(check int) "evictions count dropped entries" 6 s.Par.Cache.evictions;
+  Alcotest.(check int) "one hit (key-4 before the second flush)" 1
+    s.Par.Cache.hits;
+  Par.Cache.clear c;
+  Alcotest.(check int) "clear resets evictions" 0
+    (Par.Cache.stats c).Par.Cache.evictions
 
 (* ---------------- signature key stability ---------------- *)
 
@@ -468,6 +564,7 @@ let test_cli_sweep_and_serve () =
 let suite =
   [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json errors" `Quick test_json_errors;
+    Alcotest.test_case "json render bytes" `Quick test_json_render_bytes;
     Alcotest.test_case "store in-memory" `Quick test_store_memory;
     Alcotest.test_case "store persistence" `Quick test_store_persistence;
     Alcotest.test_case "store corruption -> miss" `Quick test_store_corruption;
@@ -476,6 +573,8 @@ let suite =
       test_store_concurrent_writers;
     Alcotest.test_case "cache counters exact under domains" `Quick
       test_cache_counters_parallel;
+    Alcotest.test_case "bounded cache starts over when full" `Quick
+      test_cache_capacity;
     Alcotest.test_case "signature stability goldens" `Quick
       test_signature_stability;
     Alcotest.test_case "signature no collisions" `Quick
