@@ -1860,20 +1860,9 @@ let prog_headroom = 4
 let prog_target () =
   let stmt = Workloads.gemm ~m:4 ~n:4 ~k:4 in
   let design = design_of_name stmt "MNK-SST" in
-  let l = Layout.build design ~rows:4 ~cols:4 in
-  let nat_elems =
-    List.fold_left
-      (fun a (i : Layout.input) -> max a i.Layout.in_elems)
-      1 l.Layout.l_inputs
-  in
-  let nat_bank =
-    List.fold_left (fun a (_, cap, _) -> max a cap) 1 l.Layout.l_banks
-  in
   let envelope =
-    { Layout.env_cycles = prog_headroom * l.Layout.l_total;
-      env_passes = prog_headroom * l.Layout.l_passes;
-      env_elems = prog_headroom * nat_elems;
-      env_bank = prog_headroom * nat_bank }
+    Layout.envelope ~headroom:prog_headroom
+      (Layout.build design ~rows:4 ~cols:4)
   in
   let env = Exec.alloc_inputs stmt in
   Accel.generate ~rows:4 ~cols:4 ~programmable:envelope design env

@@ -185,21 +185,7 @@ let resolve ?expr ?extents ?select ?matrix w d =
    re-elaboration. *)
 let programmable_target ~rows ~cols ~data_width ~acc_width ~headroom stmt
     design =
-  let l = Layout.build design ~rows ~cols in
-  let nat_elems =
-    List.fold_left
-      (fun a (i : Layout.input) -> max a i.Layout.in_elems)
-      1 l.Layout.l_inputs
-  in
-  let nat_bank =
-    List.fold_left (fun a (_, cap, _) -> max a cap) 1 l.Layout.l_banks
-  in
-  let envelope =
-    { Layout.env_cycles = headroom * l.Layout.l_total;
-      env_passes = headroom * l.Layout.l_passes;
-      env_elems = headroom * nat_elems;
-      env_bank = headroom * nat_bank }
-  in
+  let envelope = Layout.envelope ~headroom (Layout.build design ~rows ~cols) in
   let env = Exec.alloc_inputs stmt in
   ( Accel.generate ~rows ~cols ~data_width ~acc_width ~programmable:envelope
       design env,

@@ -33,8 +33,7 @@ let error_to_string = function
   | Structure_mismatch ->
     "netlist structure mismatch: the schedules differ beyond table contents"
   | Capacity_exceeded { what; need; capacity } ->
-    Printf.sprintf "%s exceed the envelope: need %d, capacity %d" what need
-      capacity
+    Layout.overflow_to_string { Layout.what; need; capacity }
   | Width_overflow { mem; value; width } ->
     Printf.sprintf "image %s: value %d overflows the generated %d-bit port"
       mem value width
@@ -74,78 +73,31 @@ let rename_of (target : Tl_stt.Design.t) (request : Tl_stt.Design.t) =
   in
   fun n -> match List.assoc_opt n pairs with Some n' -> n' | None -> n
 
-(* The envelope checks shared by the pre-check and the post-build check;
-   each takes figures equal to the ones [Layout.build] records. *)
-let schedule_check (env : Layout.envelope) ~total ~passes =
-  let* () =
-    if total > env.Layout.env_cycles then
-      Error
-        (Capacity_exceeded
-           { what = "schedule cycles"; need = total;
-             capacity = env.Layout.env_cycles })
-    else Ok ()
-  in
-  if passes > env.Layout.env_passes then
-    Error
-      (Capacity_exceeded
-         { what = "schedule passes"; need = passes;
-           capacity = env.Layout.env_passes })
-  else Ok ()
-
-let elems_check (env : Layout.envelope) sizes =
-  List.fold_left
-    (fun acc (tensor, elems) ->
-      let* () = acc in
-      if elems > env.Layout.env_elems then
-        Error
-          (Capacity_exceeded
-             { what = Printf.sprintf "tensor %s elements" tensor;
-               need = elems; capacity = env.Layout.env_elems })
-      else Ok ())
-    (Ok ()) sizes
+let capacity = function
+  | None -> Ok ()
+  | Some { Layout.what; need; capacity } ->
+    Error (Capacity_exceeded { what; need; capacity })
 
 (* [Layout.build] costs time in proportion to the schedule's events
    (passes times the selected box), which a request's extents can make
    arbitrarily many.  The schedule length and pass count come from the
    schedule's frame and the input sizes from the access shapes, all
    without events and equal to what [Layout.build] records, so rejecting
-   here only moves a rejection [capacity_check] would make anyway. *)
+   here only moves a rejection [Layout.overflow] would make anyway. *)
 let precheck (env : Layout.envelope) (request : Tl_stt.Design.t) ~rows ~cols =
   let* total, passes =
     try Ok (Layout.schedule_size request ~rows ~cols)
     with Layout.Unsupported msg -> Error (Unsupported_design msg)
   in
-  let* () = schedule_check env ~total ~passes in
   let stmt = request.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
-  elems_check env
-    (List.map
-       (fun (a : Tl_ir.Access.t) ->
-         (a.Tl_ir.Access.tensor,
-          Array.fold_left ( * ) 1
-            (Tl_ir.Access.shape a stmt.Tl_ir.Stmt.iters)))
-       stmt.Tl_ir.Stmt.inputs)
-
-let capacity_check (env : Layout.envelope) (l : Layout.t) =
-  let* () =
-    schedule_check env ~total:l.Layout.l_total ~passes:l.Layout.l_passes
+  let elems =
+    List.map
+      (fun (a : Tl_ir.Access.t) ->
+        (a.Tl_ir.Access.tensor,
+         Array.fold_left ( * ) 1 (Tl_ir.Access.shape a stmt.Tl_ir.Stmt.iters)))
+      stmt.Tl_ir.Stmt.inputs
   in
-  let* () =
-    elems_check env
-      (List.map
-         (fun (inp : Layout.input) ->
-           (inp.Layout.in_tensor, inp.Layout.in_elems))
-         l.Layout.l_inputs)
-  in
-  List.fold_left
-    (fun acc (name, capacity, _used) ->
-      let* () = acc in
-      if max 1 capacity > max 1 env.Layout.env_bank then
-        Error
-          (Capacity_exceeded
-             { what = Printf.sprintf "bank %s cells" name;
-               need = max 1 capacity; capacity = env.Layout.env_bank })
-      else Ok ())
-    (Ok ()) l.Layout.l_banks
+  capacity (Layout.exceeds env ~total ~passes ~elems ~banks:[])
 
 (* belt-and-suspenders: with the capacity checks above every image value
    fits its envelope-derived port width, but verify against the widths
@@ -200,7 +152,7 @@ let compile ~(target : Accel.t) (request : Tl_stt.Design.t) =
     if l.Layout.l_structure = pi.Accel.pi_structure then Ok ()
     else Error Structure_mismatch
   in
-  let* () = capacity_check pi.Accel.pi_envelope l in
+  let* () = capacity (Layout.overflow pi.Accel.pi_envelope l) in
   let* () = width_check pi l in
   Ok (Layout.to_program l)
 

@@ -1,6 +1,6 @@
 open Tl_hw
 
-exception Unsupported of string
+exception Unsupported = Layout.Unsupported
 
 exception Simulation_timeout of { design : string; cycles : int }
 
@@ -44,7 +44,8 @@ let bits_for n =
   max 1 (go 1)
 
 (* ------------------------------------------------------------------ *)
-(* Elaboration context shared by the per-tensor builders.              *)
+(* Elaboration context.  Everything schedule-dependent comes from one
+   [Layout.t]; this side only creates and wires hardware.               *)
 
 (* ROM mode bakes each schedule table into an elaborated rom of natural
    size; programmable mode sizes the same table to the capacity envelope
@@ -56,22 +57,17 @@ type table_mode = [ `Rom | `Prog of Layout.envelope ]
 
 type ctx = {
   mode : table_mode;
-  mutable prog_mems : (string * Signal.ram) list;  (* reverse order *)
-  sched : Schedule.t;
+  tables : (string * Signal.ram) list ref;  (* descriptor rams, reverse order *)
   dw : int;
   aw : int;
-  total : int;
-  cw : int;  (* cycle counter width *)
   cycle : Signal.t;
   tick : Signal.t;        (* last cycle of each pass *)
   stage_start : Signal.t; (* first cycle of passes 1.. *)
   stage_load : Signal.t;  (* preload tick or pass tick: stationary load *)
   stage_load_addr : Signal.t;
   drain_shift : Signal.t;
-  pass_sig : Signal.t;
   env : Tl_ir.Exec.env;
   data_rams : (string, Signal.ram) Hashtbl.t;
-  out_locs : (int list, Signal.ram * int) Hashtbl.t;
   mutable bank_list : (string * Signal.ram) list;
   mutable probe_outputs : (string * Signal.t) list;
   probe_addr : Signal.t;
@@ -79,14 +75,6 @@ type ctx = {
   parity_of_ram : (int, Signal.ram) Hashtbl.t;  (* ram id → parity ram *)
   mutable parity_pairs : (Signal.ram * Signal.ram) list;
   mutable parity_errs : Signal.t list;  (* comb parity-mismatch strobes *)
-  (* observability bookkeeping: the builders tally, per cycle, how many
-     useful reads each input memory serves and how many values cross
-     systolic hops / multicast buses; [generate ~counters] compiles the
-     tallies into increment ROMs + accumulator registers.  Tallies are
-     pure metadata — no hardware is created unless counters are on. *)
-  tally_reads : (string, int array) Hashtbl.t;  (* tensor → per-cycle *)
-  tally_sys_link : int array;
-  tally_mc_link : int array;
   mutable write_strobes : (string * Signal.t) list;  (* bank name → we *)
 }
 
@@ -117,77 +105,50 @@ let parity_check ctx ram ~addr ~data =
     ctx.parity_errs <- err :: ctx.parity_errs
   end
 
-(* Every schedule table goes through this chokepoint.  [`Rom]: an
-   elaborated rom of natural size, exactly as before.  [`Prog]: a
-   read-only (config-plane-written) ram sized by the envelope and
-   zero-padded past the natural image — safe because the controller's
-   saturating done flag keeps the cycle counter off the padding. *)
-let table_ram ~mode ~record ~domain ~name ~width data =
+(* Every schedule table goes through this chokepoint.  [`Rom]: a rom of
+   natural size holding the layout's image.  [`Prog]: a read-only
+   (config-plane-written) ram sized by the envelope and zero-padded past
+   the image — safe because the controller's saturating done flag keeps
+   the cycle counter off the padding.  [generate] has checked that every
+   image fits. *)
+let table_ram ~mode ~tables ~width (m : Layout.mem) =
+  let name = m.Layout.m_name and image = m.Layout.m_image in
   match (mode : table_mode) with
-  | `Rom -> Signal.rom ~name ~width data
+  | `Rom -> Signal.rom ~name ~width image
   | `Prog e ->
     let size =
-      match domain with
+      match m.Layout.m_domain with
       | Layout.Cycle -> e.Layout.env_cycles
       | Layout.Pass -> e.Layout.env_passes + 1
     in
-    if Array.length data > size then
-      raise
-        (Unsupported
-           (Printf.sprintf
-              "programmable envelope too small for %s: need %d, capacity %d"
-              name (Array.length data) size));
     let init = Array.make size 0 in
-    Array.blit data 0 init 0 (Array.length data);
+    Array.blit image 0 init 0 (Array.length image);
     let r = Signal.ram ~name ~read_only:true ~size ~width ~init () in
-    record := (name, r) :: !record;
+    tables := (name, r) :: !tables;
     r
 
-let sched_table ctx ~domain ~name ~width data =
-  let record = ref [] in
-  let r = table_ram ~mode:ctx.mode ~record ~domain ~name ~width data in
-  ctx.prog_mems <- !record @ ctx.prog_mems;
-  r
-
-let grid_iter rows cols f =
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      f (r, c)
-    done
-  done
-
-let active_pes ctx =
-  let acc = ref [] in
-  grid_iter ctx.sched.Schedule.rows ctx.sched.Schedule.cols (fun p ->
-      if Schedule.pe_active ctx.sched p then acc := p :: !acc);
-  List.rev !acc
-
-let events_of ctx (r, c) = ctx.sched.Schedule.by_pe.(r).(c)
+(* a table read at its domain's index: the cycle, or the stage to load *)
+let read_table ctx ~width (m : Layout.mem) =
+  let index =
+    match m.Layout.m_domain with
+    | Layout.Cycle -> ctx.cycle
+    | Layout.Pass -> ctx.stage_load_addr
+  in
+  Signal.ram_read (table_ram ~mode:ctx.mode ~tables:ctx.tables ~width m) index
 
 (* Input data lives in one linear (row-major) memory per tensor, as a DMA
-   engine would deposit it; feeders address it through schedule-table ROMs
+   engine would deposit it; feeders address it through schedule tables
    (cycle -> address).  This factors data from schedule: the same generated
    accelerator re-runs on fresh data by rewriting the data memories only
    (see [execute_with]). *)
-let data_ram ctx (access : Tl_ir.Access.t) =
-  let name = access.Tl_ir.Access.tensor in
-  match Hashtbl.find_opt ctx.data_rams name with
+let data_ram ctx tensor =
+  match Hashtbl.find_opt ctx.data_rams tensor with
   | Some r -> r
   | None ->
-    let dense = List.assoc name ctx.env in
+    let dense = List.assoc tensor ctx.env in
     let natural = Tl_ir.Dense.size dense in
     let size =
-      match ctx.mode with
-      | `Rom -> natural
-      | `Prog e ->
-        if natural > e.Layout.env_elems then
-          raise
-            (Unsupported
-               (Printf.sprintf
-                  "programmable envelope too small for %s: %d elements, \
-                   capacity %d"
-                  name natural e.Layout.env_elems));
-        e.Layout.env_elems
+      match ctx.mode with `Rom -> natural | `Prog e -> e.Layout.env_elems
     in
     let init =
       Array.init size (fun i ->
@@ -196,178 +157,46 @@ let data_ram ctx (access : Tl_ir.Access.t) =
     let r =
       (* pre-loaded data memory: the netlist never writes it (a DMA engine
          or [Sim.load_ram] fills it), so it is a rom to the lint *)
-      Signal.ram ~name:(name ^ "_mem") ~read_only:true ~size ~width:ctx.dw
+      Signal.ram ~name:(tensor ^ "_mem") ~read_only:true ~size ~width:ctx.dw
         ~init ()
     in
-    Hashtbl.add ctx.data_rams name r;
+    Hashtbl.add ctx.data_rams tensor r;
     r
 
-let tensor_offset ctx access ev =
-  let idx = Schedule.tensor_index ctx.sched access ev in
-  let dense = List.assoc access.Tl_ir.Access.tensor ctx.env in
-  Tl_ir.Dense.offset dense idx
-
-(* feed port: data_mem[addr_rom[cycle]] *)
-let value_rom ctx access name pairs =
-  let mem = data_ram ctx access in
-  let abits = bits_for mem.Signal.size in
-  let data = Array.make ctx.total 0 in
-  List.iter (fun (cycle, off) -> data.(cycle) <- off) pairs;
-  let rom =
-    sched_table ctx ~domain:Layout.Cycle ~name:(name ^ "_addr") ~width:abits
-      data
-  in
-  let addr = Signal.ram_read rom ctx.cycle in
+(* feed port: data_mem[table[index]] *)
+let read_data ctx tensor table =
+  let mem = data_ram ctx tensor in
+  let addr = read_table ctx ~width:(bits_for mem.Signal.size) table in
   let value = Signal.ram_read mem addr in
   parity_check ctx mem ~addr ~data:value;
   value
-
-let bitmap_rom ctx name cycles =
-  let data = Array.make ctx.total 0 in
-  List.iter (fun cycle -> data.(cycle) <- 1) cycles;
-  let rom = sched_table ctx ~domain:Layout.Cycle ~name ~width:1 data in
-  Signal.ram_read rom ctx.cycle
-
-(* stationary feed: one address per pass (+ trailing zero entry) *)
-let stage_rom ctx access name per_pass =
-  let mem = data_ram ctx access in
-  let abits = bits_for mem.Signal.size in
-  let data = Array.make (ctx.sched.Schedule.passes + 1) 0 in
-  List.iter (fun (pass, off) -> data.(pass) <- off) per_pass;
-  let rom =
-    sched_table ctx ~domain:Layout.Pass ~name:(name ^ "_saddr") ~width:abits
-      data
-  in
-  let addr = Signal.ram_read rom ctx.stage_load_addr in
-  let value = Signal.ram_read mem addr in
-  parity_check ctx mem ~addr ~data:value;
-  value
-
-let pos_name prefix (r, c) = Printf.sprintf "%s_%d_%d" prefix r c
-
-(* ------------------------------------------------------------------ *)
-(* Observability tallies (see the ctx comment).  The counting rules
-   mirror Perf_model's per-tensor traffic accounting so the compiled
-   counters can be cross-checked against the analytical model:
-   - unicast: one read per PE event;
-   - multicast / broadcast: one read per distinct bus cycle, one link
-     delivery per member event;
-   - stationary (and multicast-stationary): one read per port per useful
-     stage load — the preload tick plus every pass tick except the last,
-     whose load fetches the trailing dummy entry and is not counted;
-   - systolic: one read per chain-entry injection, one link transfer per
-     event served by a neighbour hop. *)
-
-let tally arr cycle = arr.(cycle) <- arr.(cycle) + 1
-
-let tally_read ctx tensor cycle =
-  let a =
-    match Hashtbl.find_opt ctx.tally_reads tensor with
-    | Some a -> a
-    | None ->
-      let a = Array.make ctx.total 0 in
-      Hashtbl.add ctx.tally_reads tensor a;
-      a
-  in
-  tally a cycle
-
-(* useful stage loads of one stationary port: preload tick + the pass
-   ticks of passes 0..passes-2 (the final tick loads the dummy entry) *)
-let stage_load_cycles ctx =
-  let sched = ctx.sched in
-  0
-  :: List.init
-       (max 0 (sched.Schedule.passes - 1))
-       (fun p ->
-         sched.Schedule.preload + ((p + 1) * sched.Schedule.span) - 1)
-
-let tally_stage_loads ctx tensor =
-  List.iter (fun cycle -> tally_read ctx tensor cycle) (stage_load_cycles ctx)
-
-let distinct_cycles pairs =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun (cycle, _) ->
-      if Hashtbl.mem seen cycle then false
-      else begin
-        Hashtbl.add seen cycle ();
-        true
-      end)
-    pairs
-  |> List.map fst
 
 (* ------------------------------------------------------------------ *)
 (* Collector banks: accumulate-in-place output memories.               *)
 
-type collector = {
-  bank : Signal.ram;
-  alloc : int list -> int;  (* element index → bank address *)
-  mutable writes : (int * int list) list;  (* (cycle, element) *)
-}
-
-let make_collector ctx ~name ~capacity =
+(* the bank plus its table-scheduled read-modify-write accumulation *)
+let collector ctx (b : Layout.bank) value =
+  let open Signal in
+  let name = b.Layout.b_name in
   let size =
     match ctx.mode with
-    | `Rom -> max 1 capacity
-    | `Prog e ->
-      if max 1 capacity > max 1 e.Layout.env_bank then
-        raise
-          (Unsupported
-             (Printf.sprintf
-                "programmable envelope too small for %s: %d cells, capacity \
-                 %d"
-                name (max 1 capacity) e.Layout.env_bank));
-      max 1 e.Layout.env_bank
+    | `Rom -> b.Layout.b_cells
+    | `Prog e -> max 1 e.Layout.env_bank
   in
   let bank =
     Signal.ram ~name ~size ~width:ctx.aw ~init:(Array.make size 0) ()
   in
-  let table : (int list, int) Hashtbl.t = Hashtbl.create 16 in
-  let next = ref 0 in
-  let alloc idx =
-    match Hashtbl.find_opt table idx with
-    | Some a -> a
-    | None ->
-      let a = !next in
-      if a >= max 1 capacity then
-        raise (Unsupported ("collector bank overflow: " ^ name));
-      incr next;
-      Hashtbl.add table idx a;
-      Hashtbl.replace ctx.out_locs idx (bank, a);
-      a
-  in
   ctx.bank_list <- (name, bank) :: ctx.bank_list;
-  { bank; alloc; writes = [] }
-
-(* wire the collector: ROM-scheduled read-modify-write accumulation *)
-let finalize_collector ctx name col value =
-  let open Signal in
-  let aw_bits = bits_for (col.bank.Signal.size - 1 + 1) in
-  let we_data = Array.make ctx.total 0 in
-  let addr_data = Array.make ctx.total 0 in
-  List.iter
-    (fun (cycle, idx) ->
-      if we_data.(cycle) <> 0 then
-        raise (Unsupported ("collector write conflict: " ^ name));
-      we_data.(cycle) <- 1;
-      addr_data.(cycle) <- col.alloc idx)
-    col.writes;
-  let we_rom =
-    sched_table ctx ~domain:Layout.Cycle ~name:(name ^ "_we") ~width:1 we_data
-  in
-  let addr_rom =
-    sched_table ctx ~domain:Layout.Cycle ~name:(name ^ "_addr") ~width:aw_bits
-      addr_data
-  in
-  let we = ram_read we_rom ctx.cycle in
-  let addr = ram_read addr_rom ctx.cycle in
-  let old = ram_read col.bank addr in
+  let aw_bits = bits_for size in
+  let we = read_table ctx ~width:1 b.Layout.b_we in
+  let addr = read_table ctx ~width:aw_bits b.Layout.b_addr in
+  let old = ram_read bank addr in
   ctx.write_strobes <- (name, we) :: ctx.write_strobes;
-  Signal.ram_write col.bank ~we ~addr ~data:(old +: value);
+  Signal.ram_write bank ~we ~addr ~data:(old +: value);
   if ctx.harden.Harden.parity_banks then begin
     (* parity companion follows every accumulate; the read-modify-write
        path re-checks the parity of the accumulator value it consumes *)
-    let p = parity_ram ctx col.bank in
+    let p = parity_ram ctx bank in
     Signal.ram_write p ~we ~addr ~data:(Harden.parity_of (old +: value));
     let err = we &: (Harden.parity_of old ^: ram_read p addr) in
     ctx.parity_errs <- err :: ctx.parity_errs
@@ -376,602 +205,189 @@ let finalize_collector ctx name col value =
   let pbits = min (width ctx.probe_addr) aw_bits in
   let paddr = uresize (select ctx.probe_addr ~hi:(pbits - 1) ~lo:0) aw_bits in
   ctx.probe_outputs <-
-    (name ^ "_probe", ram_read col.bank paddr) :: ctx.probe_outputs
+    (name ^ "_probe", ram_read bank paddr) :: ctx.probe_outputs
 
 (* ------------------------------------------------------------------ *)
-(* Input-tensor hardware.  Returns the per-PE operand ("use") signals. *)
+(* Input-tensor hardware: sets the per-PE operand ("use") signals.     *)
 
-let zero_uses rows cols = Array.init rows (fun _ -> Array.make cols None)
-
-let set_use uses (r, c) s = uses.(r).(c) <- Some s
-
-(* element accessed by each (pe, cycle) for a tensor: entry detection *)
-let index_table ctx access =
-  let tbl : (int * int * int, int array) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (r, c) ->
-      List.iter
-        (fun ev ->
-          Hashtbl.replace tbl (r, c, ev.Schedule.cycle)
-            (Schedule.tensor_index ctx.sched access ev))
-        (events_of ctx (r, c)))
-    (active_pes ctx);
-  tbl
-
-let has_peer tbl ((r, c) : Geometry.pos) cycle idx =
-  match Hashtbl.find_opt tbl (r, c, cycle) with
-  | Some idx' -> idx' = idx
-  | None -> false
-
-let build_unicast_input ctx access uses =
-  List.iter
-    (fun p ->
-      let pairs =
-        List.map
-          (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-          (events_of ctx p)
-      in
-      List.iter (fun (cycle, _) -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        pairs;
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_uni") p in
-      set_use uses p (value_rom ctx access name pairs))
-    (active_pes ctx)
-
-let build_stationary_input ctx access uses =
-  List.iter
-    (fun p ->
-      let per_pass =
-        List.map
-          (fun ev -> (ev.Schedule.pass, tensor_offset ctx access ev))
-          (events_of ctx p)
-      in
-      tally_stage_loads ctx access.Tl_ir.Access.tensor;
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_st") p in
-      let next = stage_rom ctx access name per_pass in
-      set_use uses p
-        Signal.(
-          Pe_modules.stationary_input ~load:ctx.stage_load ~next
-          -- pos_name (access.Tl_ir.Access.tensor ^ "_stin") p))
-    (active_pes ctx)
-
-(* Multicast and broadcast: one bus per line (or one global bus). *)
-let group_by_line ctx ~dir pes =
-  let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  let groups : (Geometry.pos, Geometry.pos list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun p ->
-      let rep = Geometry.line_rep ~rows ~cols ~dir p in
-      match Hashtbl.find_opt groups rep with
-      | Some l -> l := p :: !l
-      | None -> Hashtbl.add groups rep (ref [ p ]))
-    pes;
-  Hashtbl.fold (fun rep l acc -> (rep, List.rev !l) :: acc) groups []
-  |> List.sort compare
-
-let build_multicast_input ctx access ~dp uses =
-  List.iter
-    (fun (rep, members) ->
-      let pairs =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-              (events_of ctx p))
-          members
-      in
-      List.iter (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        (distinct_cycles pairs);
-      List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_mc") rep in
-      let bus = value_rom ctx access name pairs in
-      List.iter (fun p -> set_use uses p (Pe_modules.direct_input ~bus))
-        members)
-    (group_by_line ctx ~dir:dp (active_pes ctx))
-
-let build_broadcast_input ctx access uses =
-  let pairs =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-          (events_of ctx p))
-      (active_pes ctx)
-  in
-  List.iter (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-    (distinct_cycles pairs);
-  List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
-  let bus = value_rom ctx access (access.Tl_ir.Access.tensor ^ "_bc") pairs in
-  List.iter (fun p -> set_use uses p (Pe_modules.direct_input ~bus))
-    (active_pes ctx)
-
-let build_multicast_stationary_input ctx access ~multicast uses =
-  List.iter
-    (fun (rep, members) ->
-      let per_pass =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun ev -> (ev.Schedule.pass, tensor_offset ctx access ev))
-              (events_of ctx p))
-          members
-      in
-      tally_stage_loads ctx access.Tl_ir.Access.tensor;
-      (* each useful stage load travels the line bus once *)
-      List.iter (fun cycle -> tally ctx.tally_mc_link cycle)
-        (stage_load_cycles ctx);
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_mcst") rep in
-      let next = stage_rom ctx access name per_pass in
-      let held =
-        Signal.(
-          Pe_modules.stationary_input ~load:ctx.stage_load ~next
-          -- pos_name (access.Tl_ir.Access.tensor ^ "_stin") rep)
-      in
-      List.iter (fun p -> set_use uses p held) members)
-    (group_by_line ctx ~dir:multicast (active_pes ctx))
-
-(* Systolic chains, optionally fed from multicast entry buses (2-D reuse).
-   [entry_bus p] gives the injection value signal for an entry at PE [p]. *)
-let build_systolic_chains ctx access ~dp ~dt ~entry_bus uses =
-  let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  let tbl = index_table ctx access in
-  let pes = active_pes ctx in
-  let wires = Array.init rows (fun _ -> Array.make cols None) in
-  List.iter
-    (fun (r, c) -> wires.(r).(c) <- Some (Signal.wire ctx.dw))
-    pes;
-  List.iter
-    (fun p ->
-      let r, c = p in
-      let entries =
-        List.filter
-          (fun ev ->
-            let idx = Schedule.tensor_index ctx.sched access ev in
-            not (has_peer tbl (Geometry.back p dp) (ev.Schedule.cycle - dt) idx))
-          (events_of ctx p)
-      in
-      (* every event not served by an injection rides a neighbour hop *)
-      let entry_cycles = List.map (fun ev -> ev.Schedule.cycle) entries in
-      List.iter
-        (fun ev ->
-          if not (List.mem ev.Schedule.cycle entry_cycles) then
-            tally ctx.tally_sys_link ev.Schedule.cycle)
-        (events_of ctx p);
-      let neighbor =
-        let pr, pc = Geometry.back p dp in
-        if Geometry.in_grid ~rows ~cols (pr, pc) then
-          match wires.(pr).(pc) with
+let wire_input ctx tensor (wiring : Layout.wiring) uses =
+  let set (r, c) s = uses.(r).(c) <- Some s in
+  match wiring with
+  | Layout.Feeds feeds ->
+    List.iter
+      (function
+        | Layout.Bus { table; pes } ->
+          let bus = read_data ctx tensor table in
+          List.iter (fun p -> set p (Pe_modules.direct_input ~bus)) pes
+        | Layout.Held { table; at; pes } ->
+          let next = read_data ctx tensor table in
+          let held =
+            Signal.(
+              Pe_modules.stationary_input ~load:ctx.stage_load ~next
+              -- Layout.pos_name (tensor ^ "_stin") at)
+          in
+          List.iter (fun p -> set p held) pes)
+      feeds
+  | Layout.Chains { dp; dt; links; line_feeds } ->
+    (* systolic chains, optionally fed from per-line entry buses (2-D
+       reuse); a PE without an active neighbour behind it reads zero *)
+    let line_bus =
+      List.map (fun (rep, _) -> (rep, Signal.wire ctx.dw)) line_feeds
+    in
+    let wires = Hashtbl.create 16 in
+    List.iter
+      (fun (k : Layout.link) ->
+        Hashtbl.replace wires k.Layout.pe (Signal.wire ctx.dw))
+      links;
+    List.iter
+      (fun { Layout.pe; inject } ->
+        let neighbor =
+          match Hashtbl.find_opt wires (Geometry.back pe dp) with
           | Some w -> w
           | None -> Signal.const ~width:ctx.dw 0
-        else Signal.const ~width:ctx.dw 0
-      in
-      let din =
-        if entries = [] then neighbor
-        else begin
-          let inject =
-            bitmap_rom ctx
-              (pos_name (access.Tl_ir.Access.tensor ^ "_inj") p)
-              (List.map (fun ev -> ev.Schedule.cycle) entries)
-          in
-          let feed = entry_bus p entries in
-          Signal.mux2 inject feed neighbor
-        end
-      in
-      let use, dout = Pe_modules.systolic_input ~dt ~din in
-      if dt > 0 then
-        (* the chain register carrying data to the neighbour: interconnect *)
-        ignore
-          Signal.(dout -- pos_name (access.Tl_ir.Access.tensor ^ "_sysin") p);
-      (match wires.(r).(c) with
-       | Some w -> Signal.assign w dout
-       | None -> assert false);
-      set_use uses p use)
-    pes
-
-let build_systolic_input ctx access ~dp ~dt uses =
-  let entry_bus p entries =
-    let pairs =
-      List.map
-        (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-        entries
-    in
-    List.iter (fun (cycle, _) -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-      pairs;
-    value_rom ctx access
-      (pos_name (access.Tl_ir.Access.tensor ^ "_feed") p)
-      pairs
-  in
-  build_systolic_chains ctx access ~dp ~dt ~entry_bus uses
-
-(* 2-D systolic+multicast: entries on the same line (along the multicast
-   direction) share one feed bus per line. *)
-let build_systolic_multicast_input ctx access ~multicast ~dp ~dt uses =
-  let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  let line_bus : (Geometry.pos, Signal.t) Hashtbl.t = Hashtbl.create 8 in
-  let line_pairs : (Geometry.pos, (int * int) list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  (* first sweep: collect entry values per line (needs the same entry
-     detection as the chain builder, so run it in the entry_bus callback
-     and create per-line buses lazily backed by wires) *)
-  let entry_bus p entries =
-    let rep = Geometry.line_rep ~rows ~cols ~dir:multicast p in
-    let pairs =
-      List.map
-        (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-        entries
-    in
-    (* each injected entry is a delivery over the shared line feed bus *)
-    List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
-    (match Hashtbl.find_opt line_pairs rep with
-     | Some l -> l := pairs @ !l
-     | None -> Hashtbl.add line_pairs rep (ref pairs));
-    match Hashtbl.find_opt line_bus rep with
-    | Some bus -> bus
-    | None ->
-      let bus = Signal.wire ctx.dw in
-      Hashtbl.add line_bus rep bus;
-      bus
-  in
-  build_systolic_chains ctx access ~dp ~dt ~entry_bus uses;
-  Hashtbl.iter
-    (fun rep bus ->
-      let pairs =
-        match Hashtbl.find_opt line_pairs rep with
-        | Some l -> !l
-        | None -> []
-      in
-      List.iter (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        (distinct_cycles pairs);
-      let v =
-        value_rom ctx access
-          (pos_name (access.Tl_ir.Access.tensor ^ "_lfeed") rep)
-          pairs
-      in
-      Signal.assign bus v)
-    line_bus
-
-(* ------------------------------------------------------------------ *)
-
-let build_input ctx (ti : Tl_stt.Design.tensor_info) uses =
-  let access = ti.Tl_stt.Design.access in
-  match ti.Tl_stt.Design.dataflow with
-  | Tl_stt.Dataflow.Unicast -> build_unicast_input ctx access uses
-  | Tl_stt.Dataflow.Stationary _ -> build_stationary_input ctx access uses
-  | Tl_stt.Dataflow.Systolic { dp; dt } ->
-    build_systolic_input ctx access ~dp ~dt uses
-  | Tl_stt.Dataflow.Multicast { dp } ->
-    build_multicast_input ctx access ~dp uses
-  | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast ->
-    build_broadcast_input ctx access uses
-  | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Multicast_stationary { multicast })
-    ->
-    build_multicast_stationary_input ctx access ~multicast uses
-  | Tl_stt.Dataflow.Reuse2d
-      (Tl_stt.Dataflow.Systolic_multicast { multicast; systolic }) ->
-    build_systolic_multicast_input ctx access ~multicast
-      ~dp:systolic.Tl_stt.Dataflow.dp ~dt:systolic.Tl_stt.Dataflow.dt uses
-  | Tl_stt.Dataflow.Reuse_full ->
-    raise (Unsupported "full-reuse input tensors are not implemented")
+        in
+        let din =
+          match inject with
+          | None -> neighbor
+          | Some (bitmap, source) ->
+            let inject = read_table ctx ~width:1 bitmap in
+            let feed =
+              match source with
+              | Layout.Own table -> read_data ctx tensor table
+              | Layout.Line rep -> List.assoc rep line_bus
+            in
+            Signal.mux2 inject feed neighbor
+        in
+        let use, dout = Pe_modules.systolic_input ~dt ~din in
+        if dt > 0 then
+          (* the chain register carrying data to the neighbour: interconnect *)
+          ignore Signal.(dout -- Layout.pos_name (tensor ^ "_sysin") pe);
+        Signal.assign (Hashtbl.find wires pe) dout;
+        set pe use)
+      links;
+    List.iter
+      (fun (rep, table) ->
+        Signal.assign (List.assoc rep line_bus) (read_data ctx tensor table))
+      line_feeds
 
 (* ------------------------------------------------------------------ *)
 (* Output-tensor hardware.                                             *)
 
-let out_elem ctx access ev =
-  Array.to_list (Schedule.tensor_index ctx.sched access ev)
-
-let build_stationary_output ctx access ~prods ~valids =
-  let cols = ctx.sched.Schedule.cols in
-  let sched = ctx.sched in
-  (* the drain chain only spans the active footprint rows *)
-  let fp_rows =
-    1 + List.fold_left (fun acc (r, _) -> max acc r) 0 (active_pes ctx)
+let wire_output ctx tensor (collect : Layout.collect) ~prods ~valids =
+  let prod (r, c) =
+    match prods.(r).(c) with
+    | Some s -> s
+    | None -> Signal.const ~width:ctx.aw 0
   in
-  if sched.Schedule.span < fp_rows then
-    raise
-      (Unsupported
-         (Printf.sprintf
-            "stationary output: stage span %d shorter than drain chain %d"
-            sched.Schedule.span fp_rows));
-  (* columns containing at least one active PE *)
-  let col_active = Array.make cols false in
-  List.iter (fun (_, c) -> col_active.(c) <- true) (active_pes ctx);
-  for c = 0 to cols - 1 do
-    if col_active.(c) then begin
-      let collector =
-        make_collector ctx
-          ~name:(Printf.sprintf "obank_col%d" c)
-          ~capacity:(fp_rows * (sched.Schedule.passes + 1))
-      in
-      let shadow_above = ref (Signal.const ~width:ctx.aw 0) in
-      for r = 0 to fp_rows - 1 do
-        let prod =
-          match prods.(r).(c) with
-          | Some p -> p
-          | None -> Signal.const ~width:ctx.aw 0
-        in
-        let valid =
-          match valids.(r).(c) with Some v -> v | None -> Signal.gnd
-        in
-        let m =
-          Pe_modules.stationary_output ~valid ~stage_start:ctx.stage_start
-            ~capture:ctx.tick ~drain_shift:ctx.drain_shift
-            ~contribution:prod ~shadow_in:!shadow_above
-        in
-        ignore Signal.(m.Pe_modules.acc -- pos_name "acc" (r, c));
-        ignore Signal.(m.Pe_modules.shadow -- pos_name "shadow" (r, c));
-        shadow_above := m.Pe_modules.shadow;
-        (* schedule the drain writes for this PE *)
-        let seen_pass = Hashtbl.create 8 in
-        List.iter
-          (fun ev ->
-            if not (Hashtbl.mem seen_pass ev.Schedule.pass) then begin
-              Hashtbl.add seen_pass ev.Schedule.pass ();
-              let tick_cycle =
-                sched.Schedule.preload
-                + ((ev.Schedule.pass + 1) * sched.Schedule.span)
-                - 1
-              in
-              let write_cycle = tick_cycle + (fp_rows - r) in
-              collector.writes <-
-                (write_cycle, out_elem ctx access ev) :: collector.writes
-            end)
-          (events_of ctx (r, c))
-      done;
-      finalize_collector ctx
-        (Printf.sprintf "obank_col%d" c)
-        collector !shadow_above
-    end
-  done
-
-let build_systolic_output ctx access ~dp ~dt ~prods ~valids =
-  let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  let tbl = index_table ctx access in
-  let pes = active_pes ctx in
-  let wires = Array.init rows (fun _ -> Array.make cols None) in
-  List.iter (fun (r, c) -> wires.(r).(c) <- Some (Signal.wire ctx.aw)) pes;
-  let exits : (Geometry.pos * Schedule.event list) list =
-    List.filter_map
-      (fun p ->
-        let exits =
-          List.filter
-            (fun ev ->
-              let idx = Schedule.tensor_index ctx.sched access ev in
-              not (has_peer tbl (Geometry.step p dp) (ev.Schedule.cycle + dt) idx))
-            (events_of ctx p)
-        in
-        if exits = [] then None else Some (p, exits))
-      pes
+  let valid (r, c) =
+    match valids.(r).(c) with Some v -> v | None -> Signal.gnd
   in
-  List.iter
-    (fun p ->
-      let r, c = p in
-      let entries =
-        List.filter
-          (fun ev ->
-            let idx = Schedule.tensor_index ctx.sched access ev in
-            not (has_peer tbl (Geometry.back p dp) (ev.Schedule.cycle - dt) idx))
-          (events_of ctx p)
-      in
-      let neighbor =
-        let pr, pc = Geometry.back p dp in
-        if Geometry.in_grid ~rows ~cols (pr, pc) then
-          match wires.(pr).(pc) with
+  let gated p =
+    let contribution = prod p in
+    Pe_modules.tree_contribution ~valid:(valid p) ~contribution
+  in
+  match collect with
+  | Layout.Drain { fp_rows; columns } ->
+    List.iter
+      (fun (c, bank) ->
+        let shadow_above = ref (Signal.const ~width:ctx.aw 0) in
+        for r = 0 to fp_rows - 1 do
+          let contribution = prod (r, c) in
+          let m =
+            Pe_modules.stationary_output ~valid:(valid (r, c))
+              ~stage_start:ctx.stage_start ~capture:ctx.tick
+              ~drain_shift:ctx.drain_shift ~contribution
+              ~shadow_in:!shadow_above
+          in
+          ignore Signal.(m.Pe_modules.acc -- Layout.pos_name "acc" (r, c));
+          ignore
+            Signal.(m.Pe_modules.shadow -- Layout.pos_name "shadow" (r, c));
+          shadow_above := m.Pe_modules.shadow
+        done;
+        collector ctx bank !shadow_above)
+      columns
+  | Layout.Sys_out { dp; dt; psums; exits } ->
+    let wires = Hashtbl.create 16 in
+    List.iter
+      (fun (p, _) -> Hashtbl.replace wires p (Signal.wire ctx.aw))
+      psums;
+    List.iter
+      (fun (p, psum) ->
+        let neighbor =
+          match Hashtbl.find_opt wires (Geometry.back p dp) with
           | Some w -> w
           | None -> Signal.const ~width:ctx.aw 0
-        else Signal.const ~width:ctx.aw 0
-      in
-      let psum_in =
-        if List.length entries = List.length (events_of ctx p) then
-          (* every event starts a fresh chain here *)
-          Signal.const ~width:ctx.aw 0
-        else if entries = [] then neighbor
+        in
+        let psum_in =
+          match (psum : Layout.psum) with
+          | Layout.Fresh -> Signal.const ~width:ctx.aw 0
+          | Layout.Chain -> neighbor
+          | Layout.Mux bitmap ->
+            let inject = read_table ctx ~width:1 bitmap in
+            Signal.mux2 inject (Signal.const ~width:ctx.aw 0) neighbor
+        in
+        let out =
+          Pe_modules.systolic_output ~dt ~psum_in ~contribution:(gated p)
+        in
+        if dt > 0 then
+          ignore Signal.(out -- Layout.pos_name (tensor ^ "_sysout") p);
+        Signal.assign (Hashtbl.find wires p) out)
+      psums;
+    List.iter (fun (p, bank) -> collector ctx bank (Hashtbl.find wires p)) exits
+  | Layout.Trees { stage_acc; lines } ->
+    List.iter
+      (fun (rep, members, bank) ->
+        let tree = Reduce_tree.build (List.map gated members) in
+        if not stage_acc then collector ctx bank tree
         else begin
-          let inject =
-            bitmap_rom ctx
-              (pos_name (access.Tl_ir.Access.tensor ^ "_oinj") p)
-              (List.map (fun ev -> ev.Schedule.cycle) entries)
-          in
-          Signal.mux2 inject (Signal.const ~width:ctx.aw 0) neighbor
-        end
-      in
-      let prod =
-        match prods.(r).(c) with
-        | Some s -> s
-        | None -> Signal.const ~width:ctx.aw 0
-      in
-      let valid =
-        match valids.(r).(c) with Some v -> v | None -> Signal.gnd
-      in
-      let contribution = Pe_modules.tree_contribution ~valid ~contribution:prod in
-      let out = Pe_modules.systolic_output ~dt ~psum_in ~contribution in
-      if dt > 0 then
-        ignore
-          Signal.(out -- pos_name (access.Tl_ir.Access.tensor ^ "_sysout") p);
-      match wires.(r).(c) with
-      | Some w -> Signal.assign w out
-      | None -> assert false)
-    pes;
-  List.iter
-    (fun (p, exit_events) ->
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_obank") p in
-      let collector =
-        make_collector ctx ~name ~capacity:(List.length exit_events)
-      in
-      List.iter
-        (fun ev ->
-          collector.writes <-
-            (ev.Schedule.cycle + dt, out_elem ctx access ev)
-            :: collector.writes)
-        exit_events;
-      let r, c = p in
-      let value =
-        match wires.(r).(c) with Some w -> w | None -> assert false
-      in
-      finalize_collector ctx name collector value)
-    exits
-
-let gated_tree ctx members ~prods ~valids =
-  let leaves =
-    List.map
-      (fun (r, c) ->
-        let prod =
-          match prods.(r).(c) with
-          | Some s -> s
-          | None -> Signal.const ~width:ctx.aw 0
-        in
-        let valid =
-          match valids.(r).(c) with Some v -> v | None -> Signal.gnd
-        in
-        Pe_modules.tree_contribution ~valid ~contribution:prod)
-      members
-  in
-  Reduce_tree.build leaves
-
-let build_multicast_output ctx access ~dp ~prods ~valids =
-  List.iter
-    (fun (rep, members) ->
-      let root = gated_tree ctx members ~prods ~valids in
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_tbank") rep in
-      let events =
-        List.concat_map (fun p -> events_of ctx p) members
-      in
-      (* one write per (cycle, element); all members at a cycle share one *)
-      let writes = Hashtbl.create 64 in
-      List.iter
-        (fun ev ->
-          Hashtbl.replace writes ev.Schedule.cycle (out_elem ctx access ev))
-        events;
-      let collector =
-        make_collector ctx ~name ~capacity:(Hashtbl.length writes)
-      in
-      Hashtbl.iter
-        (fun cycle elem ->
-          collector.writes <- (cycle, elem) :: collector.writes)
-        writes;
-      finalize_collector ctx name collector root)
-    (group_by_line ctx ~dir:dp (active_pes ctx))
-
-let build_multicast_stationary_output ctx access ~multicast ~prods ~valids =
-  let sched = ctx.sched in
-  List.iter
-    (fun (rep, members) ->
-      let open Signal in
-      let tree = gated_tree ctx members ~prods ~valids in
-      let accw = wire ctx.aw in
-      let acc_d = mux2 ctx.stage_start tree (accw +: tree) in
-      let acc = reg acc_d -- pos_name "acc" rep in
-      assign accw acc;
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_tsbank") rep in
-      let per_pass = Hashtbl.create 8 in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun ev ->
-              Hashtbl.replace per_pass ev.Schedule.pass
-                (out_elem ctx access ev))
-            (events_of ctx p))
-        members;
-      let collector =
-        make_collector ctx ~name ~capacity:(Hashtbl.length per_pass)
-      in
-      Hashtbl.iter
-        (fun pass elem ->
-          let tick_cycle =
-            sched.Schedule.preload + ((pass + 1) * sched.Schedule.span) - 1
-          in
-          collector.writes <- (tick_cycle, elem) :: collector.writes)
-        per_pass;
-      (* at the tick the full stage total is acc + tree (the reg input) *)
-      finalize_collector ctx name collector acc_d)
-    (group_by_line ctx ~dir:multicast (active_pes ctx))
-
-let build_unicast_output ctx access ~prods ~valids =
-  List.iter
-    (fun p ->
-      let r, c = p in
-      let prod =
-        match prods.(r).(c) with
-        | Some s -> s
-        | None -> Signal.const ~width:ctx.aw 0
-      in
-      let valid =
-        match valids.(r).(c) with Some v -> v | None -> Signal.gnd
-      in
-      let contribution = Pe_modules.tree_contribution ~valid ~contribution:prod in
-      let events = events_of ctx p in
-      let name = pos_name (access.Tl_ir.Access.tensor ^ "_ubank") p in
-      let collector =
-        make_collector ctx ~name ~capacity:(List.length events)
-      in
-      List.iter
-        (fun ev ->
-          collector.writes <-
-            (ev.Schedule.cycle, out_elem ctx access ev) :: collector.writes)
-        events;
-      finalize_collector ctx name collector contribution)
-    (active_pes ctx)
-
-let build_output ctx (ti : Tl_stt.Design.tensor_info) ~prods ~valids =
-  let access = ti.Tl_stt.Design.access in
-  match ti.Tl_stt.Design.dataflow with
-  | Tl_stt.Dataflow.Unicast -> build_unicast_output ctx access ~prods ~valids
-  | Tl_stt.Dataflow.Stationary _ ->
-    build_stationary_output ctx access ~prods ~valids
-  | Tl_stt.Dataflow.Systolic { dp; dt } ->
-    build_systolic_output ctx access ~dp ~dt ~prods ~valids
-  | Tl_stt.Dataflow.Multicast { dp } ->
-    build_multicast_output ctx access ~dp ~prods ~valids
-  | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Multicast_stationary { multicast })
-    ->
-    build_multicast_stationary_output ctx access ~multicast ~prods ~valids
-  | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast
-  | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Systolic_multicast _)
-  | Tl_stt.Dataflow.Reuse_full ->
-    raise
-      (Unsupported
-         (Printf.sprintf "output dataflow %s has no netlist template"
-            (Tl_stt.Dataflow.to_string ti.Tl_stt.Design.dataflow)))
+          let open Signal in
+          let accw = wire ctx.aw in
+          let acc_d = mux2 ctx.stage_start tree (accw +: tree) in
+          assign accw (reg acc_d -- Layout.pos_name "acc" rep);
+          (* at the tick the full stage total is acc + tree (the reg input) *)
+          collector ctx bank acc_d
+        end)
+      lines
 
 (* ------------------------------------------------------------------ *)
 
+(* The env must hold every tensor the layout reads, at the layout's
+   shape: data-memory addresses are row-major over that shape. *)
+let check_env (l : Layout.t) env =
+  List.iter
+    (fun (i : Layout.input) ->
+      let name = i.Layout.in_tensor in
+      match List.assoc_opt name env with
+      | None -> invalid_arg ("Accel.generate: missing tensor " ^ name)
+      | Some d ->
+        if Tl_ir.Dense.shape d <> i.Layout.in_shape then
+          invalid_arg ("Accel.generate: shape mismatch for " ^ name))
+    l.Layout.l_inputs
+
 let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
     ?(harden = Harden.none) ?(counters = false) ?programmable design env =
-  let sched =
-    try Schedule.build design ~rows ~cols
-    with Schedule.Unsupported msg -> raise (Unsupported msg)
-  in
-  let total = sched.Schedule.compute_end + rows + Layout.max_dt design + 4 in
+  let l = Layout.build design ~rows ~cols in
+  check_env l env;
+  let sched = l.Layout.l_sched and total = l.Layout.l_total in
   let mode : table_mode =
     match programmable with None -> `Rom | Some e -> `Prog e
   in
   (match mode with
    | `Rom -> ()
    | `Prog e ->
-     if total > e.Layout.env_cycles then
-       raise
-         (Unsupported
-            (Printf.sprintf
-               "programmable envelope too small: schedule needs %d cycles, \
-                capacity %d"
-               total e.Layout.env_cycles));
-     if sched.Schedule.passes > e.Layout.env_passes then
-       raise
-         (Unsupported
-            (Printf.sprintf
-               "programmable envelope too small: schedule needs %d passes, \
-                capacity %d"
-               sched.Schedule.passes e.Layout.env_passes)));
+     Option.iter
+       (fun o ->
+         raise
+           (Unsupported
+              ("programmable envelope too small: "
+              ^ Layout.overflow_to_string o)))
+       (Layout.overflow e l));
   let cw =
     match mode with
     | `Rom -> bits_for total
     | `Prog e -> bits_for e.Layout.env_cycles
   in
-  let ctrl_mems = ref [] in
-  let ctrl_table ~domain ~name ~width data =
-    table_ram ~mode ~record:ctrl_mems ~domain ~name ~width data
-  in
+  let tables = ref [] in
   let open Signal in
   (* controller: [creg] builds each state register, triplicated with a
      majority vote when TMR hardening is on — all copies latch the same
@@ -996,9 +412,7 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
     match mode with
     | `Rom -> eq cycle_w (const ~width:cw (total - 1)) -- "done"
     | `Prog _ ->
-      let data = Array.make total 0 in
-      data.(total - 1) <- 1;
-      let m = ctrl_table ~domain:Layout.Cycle ~name:"ctrl_done" ~width:1 data in
+      let m = table_ram ~mode ~tables ~width:1 l.Layout.l_done in
       ram_read m cycle_w -- "done"
   in
   let cycle =
@@ -1027,12 +441,7 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
       assign in_pass_w in_pass;
       tick
     | `Prog _ ->
-      let data = Array.make total 0 in
-      for p = 0 to sched.Schedule.passes - 1 do
-        data.(sched.Schedule.preload + ((p + 1) * sched.Schedule.span) - 1) <-
-          1
-      done;
-      let m = ctrl_table ~domain:Layout.Cycle ~name:"ctrl_tick" ~width:1 data in
+      let m = table_ram ~mode ~tables ~width:1 l.Layout.l_tick in
       ram_read m cycle -- "tick"
   in
   let pw =
@@ -1064,42 +473,33 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
   let drain_shift = dc_nonzero -- "drain_shift" in
   let probe_addr = input "probe_addr" 16 in
   let ctx =
-    { mode; prog_mems = !ctrl_mems;
-      sched; dw = data_width; aw = acc_width; total; cw; cycle; tick;
-      stage_start; stage_load; stage_load_addr; drain_shift; pass_sig;
-      env; data_rams = Hashtbl.create 8; out_locs = Hashtbl.create 64;
-      bank_list = []; probe_outputs = []; probe_addr; harden;
-      parity_of_ram = Hashtbl.create 8; parity_pairs = [];
-      parity_errs = []; tally_reads = Hashtbl.create 4;
-      tally_sys_link = Array.make total 0;
-      tally_mc_link = Array.make total 0; write_strobes = [] }
+    { mode; tables; dw = data_width; aw = acc_width; cycle; tick;
+      stage_start; stage_load; stage_load_addr; drain_shift;
+      env; data_rams = Hashtbl.create 8; bank_list = []; probe_outputs = [];
+      probe_addr; harden; parity_of_ram = Hashtbl.create 8;
+      parity_pairs = []; parity_errs = []; write_strobes = [] }
   in
   (* input tensors *)
-  let inputs = Tl_stt.Design.input_infos design in
   let uses_per_tensor =
     List.map
-      (fun ti ->
-        let uses = zero_uses rows cols in
-        build_input ctx ti uses;
+      (fun (tensor, wiring) ->
+        let uses = Array.make_matrix rows cols None in
+        wire_input ctx tensor wiring uses;
         uses)
-      inputs
+      l.Layout.l_feeds
   in
   (* validity + computation cell per active PE *)
-  let prods = Array.init rows (fun _ -> Array.make cols None) in
-  let valids = Array.init rows (fun _ -> Array.make cols None) in
+  let prods = Array.make_matrix rows cols None in
+  let valids = Array.make_matrix rows cols None in
   List.iter
-    (fun p ->
-      let r, c = p in
-      let valid =
-        bitmap_rom ctx (pos_name "valid" p)
-          (List.map (fun ev -> ev.Schedule.cycle) (events_of ctx p))
-      in
+    (fun (((r, c) as p), bitmap) ->
+      let valid = read_table ctx ~width:1 bitmap in
       let operand_signals =
         List.map
           (fun uses ->
             match uses.(r).(c) with
             | Some s -> s
-            | None -> assert false (* every builder covers active PEs *))
+            | None -> assert false (* every feed covers the active PEs *))
           uses_per_tensor
       in
       let prod =
@@ -1111,11 +511,14 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
             (sresize first acc_width)
             rest
       in
-      prods.(r).(c) <- Some (prod -- pos_name "prod" p);
+      prods.(r).(c) <- Some (prod -- Layout.pos_name "prod" p);
       valids.(r).(c) <- Some valid)
-    (active_pes ctx);
+    l.Layout.l_valid;
   (* output tensor *)
-  build_output ctx (Tl_stt.Design.output_info design) ~prods ~valids;
+  let out_tensor =
+    (Tl_stt.Design.output_info design).Tl_stt.Design.access.Tl_ir.Access.tensor
+  in
+  wire_output ctx out_tensor l.Layout.l_collect ~prods ~valids;
   (* parity hardening: fold all comb parity-mismatch strobes into one
      sticky flag exported as [error_detected] *)
   let error_outputs =
@@ -1151,8 +554,9 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
         assign w a;
         (name, a)
       in
-      let rom_counter name tally =
-        let m = Array.fold_left max 1 tally in
+      (* an increment table per counter, read every cycle *)
+      let table_counter (name, (inc : Layout.mem)) =
+        let m = Array.fold_left max 1 inc.Layout.m_image in
         (* programmable variants fix the increment width at the whole-array
            bound (no per-cycle tally can exceed one count per PE), keeping
            it independent of the generating shape *)
@@ -1161,16 +565,12 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
           | `Rom -> bits_for m
           | `Prog _ -> bits_for (max (rows * cols) m)
         in
-        let rom =
-          sched_table ctx ~domain:Layout.Cycle ~name:(name ^ "_inc") ~width:w
-            tally
-        in
-        acc32 name (ram_read rom cycle)
+        acc32 name (read_table ctx ~width:w inc)
       in
       (* MAC-enable popcount: the same per-PE valid bitmaps that gate the
          datapath feed a balanced adder tree *)
       let vs =
-        List.filter_map (fun (r, c) -> valids.(r).(c)) (active_pes ctx)
+        List.filter_map (fun ((r, c), _) -> valids.(r).(c)) l.Layout.l_valid
       in
       let pcw = bits_for (List.length vs + 1) in
       let popcount =
@@ -1178,20 +578,19 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
         | [] -> const ~width:pcw 0
         | _ -> Reduce_tree.build (List.map (fun v -> uresize v pcw) vs)
       in
-      let reads =
-        Hashtbl.fold (fun t a acc -> (t, a) :: acc) ctx.tally_reads []
-        |> List.sort compare
-        |> List.map (fun (t, a) -> rom_counter ("ctr_rd_" ^ t) a)
-      in
+      let reads = List.map table_counter l.Layout.l_read_ctrs in
       let writes =
         List.rev ctx.write_strobes
         |> List.map (fun (n, we) -> acc32 ("ctr_wr_" ^ n) we)
       in
+      (* the link counters' tables are created last to first; memory
+         creation order fixes their place in the emitted Verilog *)
+      let links =
+        List.rev (List.map table_counter (List.rev l.Layout.l_link_ctrs))
+      in
       (acc32 "ctr_cycles" vdd :: acc32 "ctr_active_pe_cycles" popcount
        :: reads)
-      @ writes
-      @ [ rom_counter "ctr_link_systolic" ctx.tally_sys_link;
-          rom_counter "ctr_link_multicast" ctx.tally_mc_link ]
+      @ writes @ links
     end
   in
   let outputs =
@@ -1202,20 +601,26 @@ let generate ?(rows = 4) ?(cols = 4) ?(data_width = 16) ?(acc_width = 32)
   let circuit =
     Circuit.create ~name:("tensorlib_" ^ design.Tl_stt.Design.name) ~outputs
   in
+  let banks = List.rev ctx.bank_list in
+  let bank_ram = Hashtbl.create 16 in
+  List.iter (fun (name, r) -> Hashtbl.replace bank_ram name r) banks;
+  let out_locs = Hashtbl.create 64 in
+  List.iter
+    (fun (idx, (bank, addr)) ->
+      Hashtbl.replace out_locs idx (Hashtbl.find bank_ram bank, addr))
+    l.Layout.l_out;
   let prog =
     match mode with
     | `Rom -> None
     | `Prog e ->
       Some
-        { pi_envelope = e;
-          pi_structure =
-            (Layout.build design ~rows ~cols).Layout.l_structure;
-          pi_mems = List.rev ctx.prog_mems }
+        { pi_envelope = e; pi_structure = l.Layout.l_structure;
+          pi_mems = List.rev !tables }
   in
   { design; rows; cols; data_width; acc_width; schedule = sched;
-    circuit; total_cycles = total; out_locs = ctx.out_locs; prog;
+    circuit; total_cycles = total; out_locs; prog;
     counter_ports = List.map fst counter_outputs;
-    banks = List.rev ctx.bank_list;
+    banks;
     input_rams =
       Hashtbl.fold (fun name r acc -> (name, r) :: acc) ctx.data_rams []
       |> List.sort compare;
@@ -1375,7 +780,9 @@ let execute_batch ?max_cycles t envs =
    data layout, see Tl_compile) into a live simulator of a programmable
    netlist.  Validation is strict — a program that names an unknown
    memory, overflows a capacity, or carries a value wider than the
-   generated port raises [Bad_program] before anything is written. *)
+   generated port raises [Bad_program] before anything is written, and so
+   does an env that lacks a tensor or holds one of the wrong size
+   ([Invalid_argument]). *)
 
 let prog_info t =
   match t.prog with
@@ -1392,70 +799,77 @@ let load_program t sim (p : Layout.program) env =
   let pi = prog_info t in
   if p.Layout.p_structure <> pi.pi_structure then
     raise (Bad_program "program structure does not match the target netlist");
-  (* reset FIRST: it restores every ram's init image (banks to zero,
-     descriptors to the generating shape), which the loads below then
+  (* check everything before writing anything, so a rejected program
+     leaves the simulator as it was.  Every descriptor memory of the
+     target must receive an image; images for memories the target did not
+     elaborate (e.g. counter increments on a counters-off netlist) are
+     simply unused. *)
+  let images =
+    List.map
+      (fun (name, (ram : Signal.ram)) ->
+        match List.assoc_opt name p.Layout.p_images with
+        | None -> raise (Bad_program ("program missing image for " ^ name))
+        | Some (_, img) ->
+          let n = Array.length img in
+          if n > ram.Signal.size then
+            raise
+              (Bad_program
+                 (Printf.sprintf
+                    "image %s: %d entries exceed memory capacity %d" name n
+                    ram.Signal.size));
+          let lim =
+            if ram.Signal.ram_width >= Sys.int_size - 1 then max_int
+            else 1 lsl ram.Signal.ram_width
+          in
+          Array.iter
+            (fun v ->
+              if v < 0 || v >= lim then
+                raise
+                  (Bad_program
+                     (Printf.sprintf
+                        "image %s: value %d overflows the %d-bit port" name v
+                        ram.Signal.ram_width)))
+            img;
+          (ram, img))
+      pi.pi_mems
+  in
+  (* input tensors: prefix-loaded at the program's layout, zero tail *)
+  let inputs =
+    List.map
+      (fun (inp : Layout.input) ->
+        let ram =
+          match List.assoc_opt inp.Layout.in_mem t.input_rams with
+          | Some r -> r
+          | None ->
+            raise
+              (Bad_program
+                 ("program names unknown data memory " ^ inp.Layout.in_mem))
+        in
+        let dense =
+          match List.assoc_opt inp.Layout.in_tensor env with
+          | Some d -> d
+          | None ->
+            invalid_arg
+              ("Accel.load_program: missing tensor " ^ inp.Layout.in_tensor)
+        in
+        if Tl_ir.Dense.size dense <> inp.Layout.in_elems then
+          invalid_arg
+            ("Accel.load_program: shape mismatch for " ^ inp.Layout.in_tensor);
+        if inp.Layout.in_elems > ram.Signal.size then
+          raise
+            (Bad_program
+               (Printf.sprintf "tensor %s: %d elements exceed data memory %d"
+                  inp.Layout.in_tensor inp.Layout.in_elems ram.Signal.size));
+        (ram, Array.init inp.Layout.in_elems (Tl_ir.Dense.flat_get dense)))
+      p.Layout.p_inputs
+  in
+  (* reset before the loads: it restores every ram's init image (banks to
+     zero, descriptors to the generating shape), which the loads below then
      overwrite — the reverse order would wipe the program *)
   Sim.reset sim;
-  (* every descriptor memory of the target must receive an image; images
-     for memories the target did not elaborate (e.g. counter increments
-     on a counters-off netlist) are simply unused *)
-  let images = p.Layout.p_images in
+  List.iter (fun (ram, img) -> Sim.load_ram_prefix sim ram img) images;
   List.iter
-    (fun (name, (ram : Signal.ram)) ->
-      match List.assoc_opt name images with
-      | None -> raise (Bad_program ("program missing image for " ^ name))
-      | Some (_, img) ->
-        let n = Array.length img in
-        if n > ram.Signal.size then
-          raise
-            (Bad_program
-               (Printf.sprintf
-                  "image %s: %d entries exceed memory capacity %d" name n
-                  ram.Signal.size));
-        let lim =
-          if ram.Signal.ram_width >= Sys.int_size - 1 then max_int
-          else 1 lsl ram.Signal.ram_width
-        in
-        Array.iter
-          (fun v ->
-            if v < 0 || v >= lim then
-              raise
-                (Bad_program
-                   (Printf.sprintf
-                      "image %s: value %d overflows the %d-bit port" name v
-                      ram.Signal.ram_width)))
-          img;
-        Sim.load_ram_prefix sim ram img)
-    pi.pi_mems;
-  (* input tensors: prefix-load each at the program's layout, zero tail *)
-  List.iter
-    (fun (inp : Layout.input) ->
-      let ram =
-        match List.assoc_opt inp.Layout.in_mem t.input_rams with
-        | Some r -> r
-        | None ->
-          raise
-            (Bad_program
-               ("program names unknown data memory " ^ inp.Layout.in_mem))
-      in
-      let dense =
-        match List.assoc_opt inp.Layout.in_tensor env with
-        | Some d -> d
-        | None ->
-          invalid_arg
-            ("Accel.load_program: missing tensor " ^ inp.Layout.in_tensor)
-      in
-      if Tl_ir.Dense.size dense <> inp.Layout.in_elems then
-        invalid_arg
-          ("Accel.load_program: shape mismatch for " ^ inp.Layout.in_tensor);
-      if inp.Layout.in_elems > ram.Signal.size then
-        raise
-          (Bad_program
-             (Printf.sprintf "tensor %s: %d elements exceed data memory %d"
-                inp.Layout.in_tensor inp.Layout.in_elems ram.Signal.size));
-      let data =
-        Array.init inp.Layout.in_elems (Tl_ir.Dense.flat_get dense)
-      in
+    (fun (ram, data) ->
       Sim.load_ram_prefix sim ram data;
       (* keep the parity companion coherent on hardened variants, or the
          first read would trip error_detected; the zero tail has parity 0,
@@ -1465,7 +879,7 @@ let load_program t sim (p : Layout.program) env =
       | Some pram ->
         Sim.load_ram_prefix sim pram
           (Array.map (fun v -> Harden.parity_bit (v land ((1 lsl t.data_width) - 1))) data))
-    p.Layout.p_inputs
+    inputs
 
 let read_program_output t sim (p : Layout.program) =
   let out = Tl_ir.Dense.create p.Layout.p_out_shape in

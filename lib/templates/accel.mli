@@ -16,11 +16,18 @@
     - a controller providing the cycle counter, stage (pass) bookkeeping,
       stationary-load and drain-shift strobes.
 
-    The result simulates cycle-accurately ({!execute}) and emits Verilog
-    ({!Tl_hw.Verilog}).  Functional correctness is checked against the
-    golden executor in the test suite. *)
+    Everything that follows from the schedule — table images, the
+    data-memory layout, collector cell allocation, the output-bank map,
+    counter increments and the schedule-dependent wiring choices — comes
+    from one {!Layout.build}; this module only creates and wires the
+    hardware.  The result simulates cycle-accurately ({!execute}) and
+    emits Verilog ({!Tl_hw.Verilog}).  Functional correctness is checked
+    against the golden executor in the test suite. *)
 
 exception Unsupported of string
+(** Bound to {!Layout.Unsupported}: one exception under two names, so a
+    handler for either catches both.  Raised when the design has no
+    netlist or does not fit the [programmable] envelope. *)
 
 exception Bad_program of string
 (** Raised by {!load_program} / {!execute_program} when a program cannot
@@ -108,9 +115,17 @@ val generate : ?rows:int -> ?cols:int -> ?data_width:int -> ?acc_width:int ->
     aggregate systolic-hop / multicast-bus link-transfer counters.  With
     [counters] off the generated netlist is bit-identical to one built
     without the option (same discipline as [harden]).
+    Generation runs {!Layout.build} once and checks [env] against it:
+    every tensor the design reads must be present at the shape of its
+    access, because the data memories are addressed row-major over that
+    shape.
     @raise Unsupported when the design needs an unimplemented template
     (see {!Tl_stt.Design.netlist_supported}), the footprint exceeds the
-    array, or a stationary output's stage is shorter than the drain chain. *)
+    array, a stationary output's stage is shorter than the drain chain,
+    or the design does not fit [programmable].
+    @raise Invalid_argument when [env] lacks a tensor the design reads
+    ("missing tensor …") or holds one of another shape ("shape mismatch
+    for …"). *)
 
 val execute : ?backend:Tl_hw.Sim.backend -> ?max_cycles:int -> t ->
   Tl_ir.Dense.t
@@ -175,6 +190,8 @@ val load_program : t -> Tl_hw.Sim.t -> Layout.program -> Tl_ir.Exec.env ->
     on hardened variants).  Program images for memories the target did
     not elaborate (e.g. counter increments on a counters-off netlist) are
     ignored, so one program serves every option variant of a structure.
+    Every image, data memory and [env] tensor is checked before the reset,
+    so a rejected program leaves the simulator as it was.
     @raise Bad_program on any validation failure (see {!Bad_program});
     @raise Invalid_argument on a missing tensor or shape mismatch in
     [env] (mirroring {!load_env}). *)

@@ -1,18 +1,17 @@
-(* Pure schedule-table computation: the descriptor images that
-   [Accel.generate] bakes into ROMs, computed without elaborating any
-   hardware.  This is the software half of the runtime-programmable
-   accelerator: [Accel.generate ~programmable] sizes every schedule table
-   to a capacity envelope and loads these images at configuration time,
-   and [Tl_compile] re-runs this module for a *new* einsum against an
+(* The schedule model: every schedule-table image, the data-memory
+   layout, collector cell allocation, the output-bank map, the
+   counter-increment tallies and the schedule-dependent wiring choices of
+   an accelerator, computed without elaborating hardware.
+   [Accel.generate] wires a netlist from one [build] (ROMs, or
+   envelope-sized descriptor rams, take their images from here);
+   [Tl_compile] re-runs [build] for a new einsum against an
    already-generated netlist to obtain a program.
 
-   Every builder here mirrors its counterpart in [accel.ml] line for line
-   (same memory names, same image contents, same bank-address allocation
-   order — including Hashtbl iteration order, which is deterministic for
-   identical insertion sequences).  The correspondence is locked by a
-   sync test that compares [build] output against the ROM images recorded
-   in a freshly generated circuit; touch one side only together with the
-   other. *)
+   Names, cell allocation and the order of every wiring list are the
+   netlist's: [Accel] creates memories in the order the wiring data lists
+   them, and that order fixes the emitted Verilog.  Where a list follows a
+   Hashtbl's iteration order, the table's initial size and insertion
+   sequence are part of that order. *)
 
 exception Unsupported of string
 
@@ -38,10 +37,36 @@ type input = {
   in_shape : int array;
 }
 
+type pos = Geometry.pos
+
+type bank = { b_name : string; b_cells : int; b_we : mem; b_addr : mem }
+
+type feed =
+  | Bus of { table : mem; pes : pos list }
+  | Held of { table : mem; at : pos; pes : pos list }
+
+type source = Own of mem | Line of pos
+
+type link = { pe : pos; inject : (mem * source) option }
+
+type wiring =
+  | Feeds of feed list
+  | Chains of { dp : int array; dt : int; links : link list;
+                line_feeds : (pos * mem) list }
+
+type psum = Fresh | Chain | Mux of mem
+
+type collect =
+  | Drain of { fp_rows : int; columns : (int * bank) list }
+  | Sys_out of { dp : int array; dt : int; psums : (pos * psum) list;
+                 exits : (pos * bank) list }
+  | Trees of { stage_acc : bool; lines : (pos * pos list * bank) list }
+
 type t = {
   l_design : Tl_stt.Design.t;
   l_rows : int;
   l_cols : int;
+  l_sched : Schedule.t;
   l_total : int;
   l_passes : int;
   l_events : int;
@@ -52,6 +77,13 @@ type t = {
   l_out : (int list * (string * int)) list;
       (** output element index → (bank name, bank address) *)
   l_out_shape : int array;
+  l_done : mem;
+  l_tick : mem;
+  l_feeds : (string * wiring) list;
+  l_valid : (pos * mem) list;
+  l_collect : collect;
+  l_read_ctrs : (string * mem) list;
+  l_link_ctrs : (string * mem) list;
 }
 
 (* A compiled program: the loadable subset of a layout, stripped of the
@@ -72,7 +104,7 @@ type program = {
 let domain_string = function Cycle -> "cycle" | Pass -> "pass"
 
 (* ------------------------------------------------------------------ *)
-(* The controller's schedule geometry, shared with [Accel.generate].    *)
+(* The controller's schedule geometry.                                  *)
 
 let max_dt (design : Tl_stt.Design.t) =
   List.fold_left
@@ -91,9 +123,6 @@ let max_dt (design : Tl_stt.Design.t) =
 
 let total_of ~compute_end ~rows design = compute_end + rows + max_dt design + 4
 
-let total_cycles (sched : Schedule.t) ~rows design =
-  total_of ~compute_end:sched.Schedule.compute_end ~rows design
-
 let schedule_size design ~rows ~cols =
   let fr =
     try Schedule.frame design ~rows ~cols
@@ -102,12 +131,31 @@ let schedule_size design ~rows ~cols =
   (total_of ~compute_end:fr.Schedule.f_compute_end ~rows design,
    fr.Schedule.f_passes)
 
-(* ------------------------------------------------------------------ *)
-(* Build context: the pure mirror of accel.ml's [ctx].                  *)
+(* last cycle of pass [p] *)
+let tick_cycle (sched : Schedule.t) p =
+  sched.Schedule.preload + ((p + 1) * sched.Schedule.span) - 1
 
-type pctx = {
+let grid_iter rows cols f =
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      f (r, c)
+    done
+  done
+
+(* PEs with at least one event, row-major *)
+let active_pes (sched : Schedule.t) =
+  let acc = ref [] in
+  grid_iter sched.Schedule.rows sched.Schedule.cols (fun p ->
+      if Schedule.pe_active sched p then acc := p :: !acc);
+  List.rev !acc
+
+(* ------------------------------------------------------------------ *)
+(* Build context.                                                       *)
+
+type ctx = {
   sched : Schedule.t;
   total : int;
+  pes : pos list;  (* active PEs, row-major *)
   rename : string -> string;  (* request tensor name → target tensor name *)
   shapes : (string * int array) list;  (* request tensor name → shape *)
   mutable mems : mem list;  (* reverse insertion order *)
@@ -115,6 +163,9 @@ type pctx = {
   seen_inputs : (string, unit) Hashtbl.t;
   out_locs : (int list, string * int) Hashtbl.t;
   mutable banks : (string * int * int) list;  (* reverse insertion order *)
+  (* observability tallies, per cycle: useful reads of each input memory
+     and values crossing systolic hops / multicast buses; [Accel] compiles
+     them into increment tables when counters are on *)
   tally_reads : (string, int array) Hashtbl.t;
   tally_sys_link : int array;
   tally_mc_link : int array;
@@ -124,20 +175,9 @@ type pctx = {
 let structural ctx line = ctx.struct_lines <- line :: ctx.struct_lines
 
 let add_mem ctx ~domain name image =
-  ctx.mems <- { m_name = name; m_domain = domain; m_image = image } :: ctx.mems
-
-let grid_iter rows cols f =
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      f (r, c)
-    done
-  done
-
-let active_pes ctx =
-  let acc = ref [] in
-  grid_iter ctx.sched.Schedule.rows ctx.sched.Schedule.cols (fun p ->
-      if Schedule.pe_active ctx.sched p then acc := p :: !acc);
-  List.rev !acc
+  let m = { m_name = name; m_domain = domain; m_image = image } in
+  ctx.mems <- m :: ctx.mems;
+  m
 
 let events_of ctx (r, c) = ctx.sched.Schedule.by_pe.(r).(c)
 
@@ -174,6 +214,10 @@ let tensor_offset ctx access ev =
   let idx = Schedule.tensor_index ctx.sched access ev in
   offset_in (shape_of ctx access.Tl_ir.Access.tensor) idx
 
+(* (cycle, data-memory address) of each event *)
+let cycle_offsets ctx access events =
+  List.map (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev)) events
+
 (* feed port image: cycle → data-memory address *)
 let value_mem ctx access name pairs =
   data_mem ctx access;
@@ -187,17 +231,28 @@ let bitmap_mem ctx name cycles =
   add_mem ctx ~domain:Cycle name data
 
 (* stationary feed image: pass → address (+ trailing zero entry) *)
-let stage_mem ctx access name per_pass =
+let stage_mem ctx access name events =
   data_mem ctx access;
   let data = Array.make (ctx.sched.Schedule.passes + 1) 0 in
-  List.iter (fun (pass, off) -> data.(pass) <- off) per_pass;
+  List.iter
+    (fun ev -> data.(ev.Schedule.pass) <- tensor_offset ctx access ev)
+    events;
   add_mem ctx ~domain:Pass (name ^ "_saddr") data
 
 let pos_name prefix (r, c) = Printf.sprintf "%s_%d_%d" prefix r c
 
 (* ------------------------------------------------------------------ *)
-(* Observability tallies (identical accounting to accel.ml, so the
-   compiled counter-increment images match the generated ones).         *)
+(* Observability tallies.  The counting rules mirror Perf_model's
+   per-tensor traffic accounting so the compiled counters can be
+   cross-checked against the analytical model:
+   - unicast: one read per PE event;
+   - multicast / broadcast: one read per distinct bus cycle, one link
+     delivery per member event;
+   - stationary (and multicast-stationary): one read per port per useful
+     stage load — the preload tick plus every pass tick except the last,
+     whose load fetches the trailing dummy entry and is not counted;
+   - systolic: one read per chain-entry injection, one link transfer per
+     event served by a neighbour hop. *)
 
 let tally arr cycle = arr.(cycle) <- arr.(cycle) + 1
 
@@ -212,13 +267,11 @@ let tally_read ctx tensor cycle =
   in
   tally a cycle
 
+(* useful stage loads of one stationary port: preload tick + the pass
+   ticks of passes 0..passes-2 (the final tick loads the dummy entry) *)
 let stage_load_cycles ctx =
-  let sched = ctx.sched in
   0
-  :: List.init
-       (max 0 (sched.Schedule.passes - 1))
-       (fun p ->
-         sched.Schedule.preload + ((p + 1) * sched.Schedule.span) - 1)
+  :: List.init (max 0 (ctx.sched.Schedule.passes - 1)) (tick_cycle ctx.sched)
 
 let tally_stage_loads ctx tensor =
   List.iter (fun cycle -> tally_read ctx tensor cycle) (stage_load_cycles ctx)
@@ -236,50 +289,41 @@ let distinct_cycles pairs =
   |> List.map fst
 
 (* ------------------------------------------------------------------ *)
-(* Collector banks (pure): same first-touch allocation order.           *)
+(* Collector banks: accumulate-in-place output memories.  [writes] lists
+   (cycle, output element); cells are allocated on first touch in that
+   order. *)
 
-type pcollector = {
-  pc_name : string;
-  pc_capacity : int;
-  pc_table : (int list, int) Hashtbl.t;
-  mutable pc_next : int;
-  mutable pc_writes : (int * int list) list;
-}
-
-let make_collector ctx ~name ~capacity =
-  ignore ctx;
-  { pc_name = name; pc_capacity = capacity; pc_table = Hashtbl.create 16;
-    pc_next = 0; pc_writes = [] }
-
-let alloc_cell ctx col idx =
-  match Hashtbl.find_opt col.pc_table idx with
-  | Some a -> a
-  | None ->
-    let a = col.pc_next in
-    if a >= max 1 col.pc_capacity then
-      raise (Unsupported ("collector bank overflow: " ^ col.pc_name));
-    col.pc_next <- a + 1;
-    Hashtbl.add col.pc_table idx a;
-    Hashtbl.replace ctx.out_locs idx (col.pc_name, a);
-    a
-
-let finalize_collector ctx name col =
-  let we_data = Array.make ctx.total 0 in
-  let addr_data = Array.make ctx.total 0 in
+let collector ctx ~name ~capacity writes =
+  let cells : (int list, int) Hashtbl.t = Hashtbl.create 16 in
+  let alloc idx =
+    match Hashtbl.find_opt cells idx with
+    | Some a -> a
+    | None ->
+      let a = Hashtbl.length cells in
+      if a >= max 1 capacity then
+        raise (Unsupported ("collector bank overflow: " ^ name));
+      Hashtbl.add cells idx a;
+      Hashtbl.replace ctx.out_locs idx (name, a);
+      a
+  in
+  let we = Array.make ctx.total 0 in
+  let addr = Array.make ctx.total 0 in
   List.iter
     (fun (cycle, idx) ->
-      if we_data.(cycle) <> 0 then
+      if we.(cycle) <> 0 then
         raise (Unsupported ("collector write conflict: " ^ name));
-      we_data.(cycle) <- 1;
-      addr_data.(cycle) <- alloc_cell ctx col idx)
-    col.pc_writes;
-  add_mem ctx ~domain:Cycle (name ^ "_we") we_data;
-  add_mem ctx ~domain:Cycle (name ^ "_addr") addr_data;
-  ctx.banks <- (name, col.pc_capacity, col.pc_next) :: ctx.banks
+      we.(cycle) <- 1;
+      addr.(cycle) <- alloc idx)
+    writes;
+  let b_we = add_mem ctx ~domain:Cycle (name ^ "_we") we in
+  let b_addr = add_mem ctx ~domain:Cycle (name ^ "_addr") addr in
+  ctx.banks <- (name, capacity, Hashtbl.length cells) :: ctx.banks;
+  { b_name = name; b_cells = max 1 capacity; b_we; b_addr }
 
 (* ------------------------------------------------------------------ *)
-(* Input-tensor images.                                                 *)
+(* Input tensors.                                                       *)
 
+(* element accessed by each (pe, cycle) for a tensor: entry detection *)
 let index_table ctx access =
   let tbl : (int * int * int, int array) Hashtbl.t = Hashtbl.create 256 in
   List.iter
@@ -289,215 +333,180 @@ let index_table ctx access =
           Hashtbl.replace tbl (r, c, ev.Schedule.cycle)
             (Schedule.tensor_index ctx.sched access ev))
         (events_of ctx (r, c)))
-    (active_pes ctx);
+    ctx.pes;
   tbl
 
-let has_peer tbl ((r, c) : Geometry.pos) cycle idx =
-  match Hashtbl.find_opt tbl (r, c, cycle) with
-  | Some idx' -> idx' = idx
-  | None -> false
+(* events of [p] whose element the PE at [p + dp·k] does not hold at
+   [cycle + dt·k]: chain entries (k = -1) or chain exits (k = 1) *)
+let unpaired ctx tbl access (r, c) ~dp ~dt k =
+  let qr = r + (k * dp.(0)) and qc = c + (k * dp.(1)) in
+  List.filter
+    (fun ev ->
+      let idx = Schedule.tensor_index ctx.sched access ev in
+      match Hashtbl.find_opt tbl (qr, qc, ev.Schedule.cycle + (k * dt)) with
+      | Some idx' -> idx' <> idx
+      | None -> true)
+    (events_of ctx (r, c))
 
 (* renamed base name for a tensor's table family *)
 let tname ctx (access : Tl_ir.Access.t) suffix =
   ctx.rename access.Tl_ir.Access.tensor ^ suffix
 
-let build_unicast_input ctx access =
-  List.iter
-    (fun p ->
-      let pairs =
-        List.map
-          (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-          (events_of ctx p)
-      in
-      List.iter
-        (fun (cycle, _) -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        pairs;
-      value_mem ctx access (pos_name (tname ctx access "_uni") p) pairs)
-    (active_pes ctx)
-
-let build_stationary_input ctx access =
-  List.iter
-    (fun p ->
-      let per_pass =
-        List.map
-          (fun ev -> (ev.Schedule.pass, tensor_offset ctx access ev))
-          (events_of ctx p)
-      in
-      tally_stage_loads ctx access.Tl_ir.Access.tensor;
-      stage_mem ctx access (pos_name (tname ctx access "_st") p) per_pass)
-    (active_pes ctx)
-
-let group_by_line ctx ~dir pes =
+let group_by_line ctx ~dir =
   let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  let groups : (Geometry.pos, Geometry.pos list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
+  let groups : (pos, pos list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun p ->
       let rep = Geometry.line_rep ~rows ~cols ~dir p in
       match Hashtbl.find_opt groups rep with
       | Some l -> l := p :: !l
       | None -> Hashtbl.add groups rep (ref [ p ]))
-    pes;
+    ctx.pes;
   Hashtbl.fold (fun rep l acc -> (rep, List.rev !l) :: acc) groups []
   |> List.sort compare
 
-let build_multicast_input ctx access ~dp =
-  List.iter
-    (fun (rep, members) ->
-      let pairs =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-              (events_of ctx p))
-          members
-      in
-      List.iter
-        (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        (distinct_cycles pairs);
-      List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
-      value_mem ctx access (pos_name (tname ctx access "_mc") rep) pairs)
-    (group_by_line ctx ~dir:dp (active_pes ctx))
-
-let build_broadcast_input ctx access =
+(* data[table[cycle]] on a bus to [members]: a unicast port reads once
+   per event; a shared bus (a multicast line or the broadcast) reads once
+   per distinct cycle and delivers every member event over a link *)
+let bus ctx access ~shared name members =
+  let tensor = access.Tl_ir.Access.tensor in
   let pairs =
-    List.concat_map
-      (fun p ->
-        List.map
-          (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-          (events_of ctx p))
-      (active_pes ctx)
+    cycle_offsets ctx access (List.concat_map (events_of ctx) members)
   in
-  List.iter
-    (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-    (distinct_cycles pairs);
-  List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
-  value_mem ctx access (tname ctx access "_bc") pairs
+  if shared then begin
+    List.iter
+      (fun cycle -> tally_read ctx tensor cycle)
+      (distinct_cycles pairs);
+    List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs
+  end
+  else List.iter (fun (cycle, _) -> tally_read ctx tensor cycle) pairs;
+  Bus { table = value_mem ctx access name pairs; pes = members }
 
-let build_multicast_stationary_input ctx access ~multicast =
-  List.iter
-    (fun (rep, members) ->
-      let per_pass =
-        List.concat_map
-          (fun p ->
-            List.map
-              (fun ev -> (ev.Schedule.pass, tensor_offset ctx access ev))
-              (events_of ctx p))
-          members
-      in
-      tally_stage_loads ctx access.Tl_ir.Access.tensor;
-      List.iter
-        (fun cycle -> tally ctx.tally_mc_link cycle)
-        (stage_load_cycles ctx);
-      stage_mem ctx access (pos_name (tname ctx access "_mcst") rep) per_pass)
-    (group_by_line ctx ~dir:multicast (active_pes ctx))
+(* data[table[pass]] held in one stage register for [members]; a shared
+   register (a multicast-stationary line) takes each useful stage load
+   over the line bus once *)
+let held ctx access ~shared suffix (at, members) =
+  tally_stage_loads ctx access.Tl_ir.Access.tensor;
+  if shared then
+    List.iter
+      (fun cycle -> tally ctx.tally_mc_link cycle)
+      (stage_load_cycles ctx);
+  let table =
+    stage_mem ctx access
+      (pos_name (tname ctx access suffix) at)
+      (List.concat_map (events_of ctx) members)
+  in
+  Held { table; at; pes = members }
 
-(* Systolic chains: entry detection is purely schedule-driven, so the
-   injection bitmaps and feed images replicate accel.ml's exactly. *)
-let build_systolic_chains ctx access ~dp ~dt ~entry_bus =
+(* Systolic chains: an event is an entry unless the PE behind holds its
+   element [dt] cycles earlier; [entry p entries] supplies the injected
+   values.  Every event not served by an injection rides a neighbour
+   hop. *)
+let chains ctx access ~dp ~dt ~entry =
   let tbl = index_table ctx access in
-  let pes = active_pes ctx in
-  List.iter
+  List.map
     (fun p ->
-      let entries =
-        List.filter
-          (fun ev ->
-            let idx = Schedule.tensor_index ctx.sched access ev in
-            not (has_peer tbl (Geometry.back p dp) (ev.Schedule.cycle - dt) idx))
-          (events_of ctx p)
-      in
+      let entries = unpaired ctx tbl access p ~dp ~dt (-1) in
       let entry_cycles = List.map (fun ev -> ev.Schedule.cycle) entries in
       List.iter
         (fun ev ->
           if not (List.mem ev.Schedule.cycle entry_cycles) then
             tally ctx.tally_sys_link ev.Schedule.cycle)
         (events_of ctx p);
-      if entries <> [] then begin
-        bitmap_mem ctx (pos_name (tname ctx access "_inj") p) entry_cycles;
-        entry_bus p entries
+      if entries = [] then { pe = p; inject = None }
+      else begin
+        let bitmap =
+          bitmap_mem ctx (pos_name (tname ctx access "_inj") p) entry_cycles
+        in
+        { pe = p; inject = Some (bitmap, entry p entries) }
       end)
-    pes
+    ctx.pes
 
-let build_systolic_input ctx access ~dp ~dt =
-  let entry_bus p entries =
-    let pairs =
-      List.map
-        (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-        entries
-    in
+let systolic_input ctx access ~dp ~dt =
+  let entry p entries =
+    let pairs = cycle_offsets ctx access entries in
     List.iter
       (fun (cycle, _) -> tally_read ctx access.Tl_ir.Access.tensor cycle)
       pairs;
-    value_mem ctx access (pos_name (tname ctx access "_feed") p) pairs
+    Own (value_mem ctx access (pos_name (tname ctx access "_feed") p) pairs)
   in
-  build_systolic_chains ctx access ~dp ~dt ~entry_bus
+  Chains { dp; dt; links = chains ctx access ~dp ~dt ~entry; line_feeds = [] }
 
-let build_systolic_multicast_input ctx access ~multicast ~dp ~dt =
+(* 2-D systolic+multicast: entries on the same line (along the multicast
+   direction) share one feed per line *)
+let systolic_multicast_input ctx access ~multicast ~dp ~dt =
   let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  let line_bus : (Geometry.pos, unit) Hashtbl.t = Hashtbl.create 8 in
-  let line_pairs : (Geometry.pos, (int * int) list ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let entry_bus p entries =
+  (* line feeds are recorded in this table's iteration order *)
+  let line_pairs : (pos, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  let entry p entries =
     let rep = Geometry.line_rep ~rows ~cols ~dir:multicast p in
-    let pairs =
-      List.map
-        (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev))
-        entries
-    in
+    let pairs = cycle_offsets ctx access entries in
+    (* each injected entry is a delivery over the shared line feed bus *)
     List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
     (match Hashtbl.find_opt line_pairs rep with
      | Some l -> l := pairs @ !l
      | None -> Hashtbl.add line_pairs rep (ref pairs));
-    if not (Hashtbl.mem line_bus rep) then Hashtbl.add line_bus rep ()
+    Line rep
   in
-  build_systolic_chains ctx access ~dp ~dt ~entry_bus;
+  let links = chains ctx access ~dp ~dt ~entry in
+  let line_feeds = ref [] in
   Hashtbl.iter
-    (fun rep () ->
-      let pairs =
-        match Hashtbl.find_opt line_pairs rep with
-        | Some l -> !l
-        | None -> []
-      in
+    (fun rep pairs ->
       List.iter
         (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        (distinct_cycles pairs);
-      value_mem ctx access (pos_name (tname ctx access "_lfeed") rep) pairs)
-    line_bus
+        (distinct_cycles !pairs);
+      let name = pos_name (tname ctx access "_lfeed") rep in
+      line_feeds := (rep, value_mem ctx access name !pairs) :: !line_feeds)
+    line_pairs;
+  Chains { dp; dt; links; line_feeds = List.rev !line_feeds }
 
 let build_input ctx (ti : Tl_stt.Design.tensor_info) =
   let access = ti.Tl_stt.Design.access in
   match ti.Tl_stt.Design.dataflow with
-  | Tl_stt.Dataflow.Unicast -> build_unicast_input ctx access
-  | Tl_stt.Dataflow.Stationary _ -> build_stationary_input ctx access
-  | Tl_stt.Dataflow.Systolic { dp; dt } ->
-    build_systolic_input ctx access ~dp ~dt
-  | Tl_stt.Dataflow.Multicast { dp } -> build_multicast_input ctx access ~dp
+  | Tl_stt.Dataflow.Unicast ->
+    Feeds
+      (List.map
+         (fun p ->
+           bus ctx access ~shared:false (pos_name (tname ctx access "_uni") p)
+             [ p ])
+         ctx.pes)
+  | Tl_stt.Dataflow.Stationary _ ->
+    Feeds
+      (List.map
+         (fun p -> held ctx access ~shared:false "_st" (p, [ p ]))
+         ctx.pes)
+  | Tl_stt.Dataflow.Systolic { dp; dt } -> systolic_input ctx access ~dp ~dt
+  | Tl_stt.Dataflow.Multicast { dp } ->
+    Feeds
+      (List.map
+         (fun (rep, members) ->
+           bus ctx access ~shared:true (pos_name (tname ctx access "_mc") rep)
+             members)
+         (group_by_line ctx ~dir:dp))
   | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast ->
-    build_broadcast_input ctx access
+    Feeds [ bus ctx access ~shared:true (tname ctx access "_bc") ctx.pes ]
   | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Multicast_stationary { multicast })
     ->
-    build_multicast_stationary_input ctx access ~multicast
+    Feeds
+      (List.map (held ctx access ~shared:true "_mcst")
+         (group_by_line ctx ~dir:multicast))
   | Tl_stt.Dataflow.Reuse2d
       (Tl_stt.Dataflow.Systolic_multicast { multicast; systolic }) ->
-    build_systolic_multicast_input ctx access ~multicast
+    systolic_multicast_input ctx access ~multicast
       ~dp:systolic.Tl_stt.Dataflow.dp ~dt:systolic.Tl_stt.Dataflow.dt
   | Tl_stt.Dataflow.Reuse_full ->
     raise (Unsupported "full-reuse input tensors are not implemented")
 
 (* ------------------------------------------------------------------ *)
-(* Output-tensor images.                                                *)
+(* Output tensor.                                                       *)
 
 let out_elem ctx access ev =
   Array.to_list (Schedule.tensor_index ctx.sched access ev)
 
-let build_stationary_output ctx access =
-  let cols = ctx.sched.Schedule.cols in
+let stationary_output ctx access =
   let sched = ctx.sched in
-  let fp_rows =
-    1 + List.fold_left (fun acc (r, _) -> max acc r) 0 (active_pes ctx)
-  in
+  (* the drain chain only spans the active footprint rows *)
+  let fp_rows = 1 + List.fold_left (fun acc (r, _) -> max acc r) 0 ctx.pes in
   if sched.Schedule.span < fp_rows then
     raise
       (Unsupported
@@ -505,163 +514,125 @@ let build_stationary_output ctx access =
             "stationary output: stage span %d shorter than drain chain %d"
             sched.Schedule.span fp_rows));
   structural ctx (Printf.sprintf "fp_rows %d" fp_rows);
-  let col_active = Array.make cols false in
-  List.iter (fun (_, c) -> col_active.(c) <- true) (active_pes ctx);
-  for c = 0 to cols - 1 do
-    if col_active.(c) then begin
-      let name = Printf.sprintf "obank_col%d" c in
-      let collector =
-        make_collector ctx ~name
-          ~capacity:(fp_rows * (sched.Schedule.passes + 1))
-      in
-      for r = 0 to fp_rows - 1 do
-        let seen_pass = Hashtbl.create 8 in
-        List.iter
-          (fun ev ->
-            if not (Hashtbl.mem seen_pass ev.Schedule.pass) then begin
-              Hashtbl.add seen_pass ev.Schedule.pass ();
-              let tick_cycle =
-                sched.Schedule.preload
-                + ((ev.Schedule.pass + 1) * sched.Schedule.span)
-                - 1
-              in
-              let write_cycle = tick_cycle + (fp_rows - r) in
-              collector.pc_writes <-
-                (write_cycle, out_elem ctx access ev) :: collector.pc_writes
-            end)
-          (events_of ctx (r, c))
-      done;
-      finalize_collector ctx name collector
-    end
-  done
+  let column c =
+    let writes = ref [] in
+    for r = 0 to fp_rows - 1 do
+      let seen_pass = Hashtbl.create 8 in
+      List.iter
+        (fun ev ->
+          if not (Hashtbl.mem seen_pass ev.Schedule.pass) then begin
+            Hashtbl.add seen_pass ev.Schedule.pass ();
+            let write_cycle =
+              tick_cycle sched ev.Schedule.pass + (fp_rows - r)
+            in
+            writes := (write_cycle, out_elem ctx access ev) :: !writes
+          end)
+        (events_of ctx (r, c))
+    done;
+    ( c,
+      collector ctx
+        ~name:(Printf.sprintf "obank_col%d" c)
+        ~capacity:(fp_rows * (sched.Schedule.passes + 1))
+        !writes )
+  in
+  Drain
+    { fp_rows;
+      columns =
+        List.map column (List.sort_uniq compare (List.map snd ctx.pes)) }
 
-let build_systolic_output ctx access ~dp ~dt =
+let systolic_output ctx access ~dp ~dt =
   let tbl = index_table ctx access in
-  let pes = active_pes ctx in
   let exits =
     List.filter_map
       (fun p ->
-        let exits =
-          List.filter
-            (fun ev ->
-              let idx = Schedule.tensor_index ctx.sched access ev in
-              not (has_peer tbl (Geometry.step p dp) (ev.Schedule.cycle + dt) idx))
-            (events_of ctx p)
-        in
-        if exits = [] then None else Some (p, exits))
-      pes
+        match unpaired ctx tbl access p ~dp ~dt 1 with
+        | [] -> None
+        | exits -> Some (p, exits))
+      ctx.pes
   in
-  List.iter
-    (fun p ->
-      let entries =
-        List.filter
-          (fun ev ->
-            let idx = Schedule.tensor_index ctx.sched access ev in
-            not (has_peer tbl (Geometry.back p dp) (ev.Schedule.cycle - dt) idx))
-          (events_of ctx p)
-      in
-      (* the three psum-input cases are structural: all-fresh (constant
-         zero), pure chain (neighbour), or injection-muxed (oinj bitmap) *)
+  (* the three psum-input cases are structural: all-fresh (constant
+     zero), pure chain (neighbour), or injection-muxed (oinj bitmap) *)
+  let psum p =
+    let entries = unpaired ctx tbl access p ~dp ~dt (-1) in
+    let kind, psum =
       if List.length entries = List.length (events_of ctx p) then
-        structural ctx (Printf.sprintf "opsum %s fresh" (pos_name "" p))
-      else if entries = [] then
-        structural ctx (Printf.sprintf "opsum %s chain" (pos_name "" p))
-      else begin
-        structural ctx (Printf.sprintf "opsum %s mux" (pos_name "" p));
-        bitmap_mem ctx
-          (pos_name (tname ctx access "_oinj") p)
-          (List.map (fun ev -> ev.Schedule.cycle) entries)
-      end)
-    pes;
-  List.iter
-    (fun (p, exit_events) ->
-      let name = pos_name (tname ctx access "_obank") p in
-      let collector =
-        make_collector ctx ~name ~capacity:(List.length exit_events)
-      in
-      List.iter
-        (fun ev ->
-          collector.pc_writes <-
-            (ev.Schedule.cycle + dt, out_elem ctx access ev)
-            :: collector.pc_writes)
-        exit_events;
-      finalize_collector ctx name collector)
-    exits
+        ("fresh", Fresh)
+      else if entries = [] then ("chain", Chain)
+      else
+        ( "mux",
+          Mux
+            (bitmap_mem ctx
+               (pos_name (tname ctx access "_oinj") p)
+               (List.map (fun ev -> ev.Schedule.cycle) entries)) )
+    in
+    structural ctx (Printf.sprintf "opsum %s %s" (pos_name "" p) kind);
+    (p, psum)
+  in
+  let psums = List.map psum ctx.pes in
+  let exits =
+    List.map
+      (fun (p, exit_events) ->
+        ( p,
+          collector ctx
+            ~name:(pos_name (tname ctx access "_obank") p)
+            ~capacity:(List.length exit_events)
+            (List.rev_map
+               (fun ev -> (ev.Schedule.cycle + dt, out_elem ctx access ev))
+               exit_events) ))
+      exits
+  in
+  Sys_out { dp; dt; psums; exits }
 
-let build_multicast_output ctx access ~dp =
-  List.iter
-    (fun (rep, members) ->
-      let name = pos_name (tname ctx access "_tbank") rep in
-      let events = List.concat_map (fun p -> events_of ctx p) members in
-      let writes = Hashtbl.create 64 in
-      List.iter
-        (fun ev ->
-          Hashtbl.replace writes ev.Schedule.cycle (out_elem ctx access ev))
-        events;
-      let collector =
-        make_collector ctx ~name ~capacity:(Hashtbl.length writes)
-      in
-      Hashtbl.iter
-        (fun cycle elem ->
-          collector.pc_writes <- (cycle, elem) :: collector.pc_writes)
-        writes;
-      finalize_collector ctx name collector)
-    (group_by_line ctx ~dir:dp (active_pes ctx))
+(* one collector per group, written once per cycle (a multicast tree) or
+   once per pass at its tick (a stage accumulator); the last event per
+   cycle or pass names the element.  Cells are allocated in the table's
+   iteration order, which its initial size fixes. *)
+let trees ctx access suffix groups ~stage_acc =
+  let group (rep, members) =
+    let writes = Hashtbl.create (if stage_acc then 8 else 64) in
+    List.iter
+      (fun ev ->
+        let key = if stage_acc then ev.Schedule.pass else ev.Schedule.cycle in
+        Hashtbl.replace writes key (out_elem ctx access ev))
+      (List.concat_map (events_of ctx) members);
+    let cycle key = if stage_acc then tick_cycle ctx.sched key else key in
+    let bank =
+      collector ctx
+        ~name:(pos_name (tname ctx access suffix) rep)
+        ~capacity:(Hashtbl.length writes)
+        (Hashtbl.fold (fun key elem acc -> (cycle key, elem) :: acc) writes [])
+    in
+    (rep, members, bank)
+  in
+  Trees { stage_acc; lines = List.map group groups }
 
-let build_multicast_stationary_output ctx access ~multicast =
-  let sched = ctx.sched in
-  List.iter
-    (fun (rep, members) ->
-      let name = pos_name (tname ctx access "_tsbank") rep in
-      let per_pass = Hashtbl.create 8 in
-      List.iter
-        (fun p ->
-          List.iter
-            (fun ev ->
-              Hashtbl.replace per_pass ev.Schedule.pass
-                (out_elem ctx access ev))
-            (events_of ctx p))
-        members;
-      let collector =
-        make_collector ctx ~name ~capacity:(Hashtbl.length per_pass)
-      in
-      Hashtbl.iter
-        (fun pass elem ->
-          let tick_cycle =
-            sched.Schedule.preload + ((pass + 1) * sched.Schedule.span) - 1
-          in
-          collector.pc_writes <- (tick_cycle, elem) :: collector.pc_writes)
-        per_pass;
-      finalize_collector ctx name collector)
-    (group_by_line ctx ~dir:multicast (active_pes ctx))
-
-let build_unicast_output ctx access =
-  List.iter
-    (fun p ->
-      let events = events_of ctx p in
-      let name = pos_name (tname ctx access "_ubank") p in
-      let collector =
-        make_collector ctx ~name ~capacity:(List.length events)
-      in
-      List.iter
-        (fun ev ->
-          collector.pc_writes <-
-            (ev.Schedule.cycle, out_elem ctx access ev) :: collector.pc_writes)
-        events;
-      finalize_collector ctx name collector)
-    (active_pes ctx)
+let unicast_output ctx access =
+  let per_pe p =
+    let events = events_of ctx p in
+    let bank =
+      collector ctx
+        ~name:(pos_name (tname ctx access "_ubank") p)
+        ~capacity:(List.length events)
+        (List.rev_map
+           (fun ev -> (ev.Schedule.cycle, out_elem ctx access ev))
+           events)
+    in
+    (p, [ p ], bank)
+  in
+  Trees { stage_acc = false; lines = List.map per_pe ctx.pes }
 
 let build_output ctx (ti : Tl_stt.Design.tensor_info) =
   let access = ti.Tl_stt.Design.access in
   match ti.Tl_stt.Design.dataflow with
-  | Tl_stt.Dataflow.Unicast -> build_unicast_output ctx access
-  | Tl_stt.Dataflow.Stationary _ -> build_stationary_output ctx access
-  | Tl_stt.Dataflow.Systolic { dp; dt } ->
-    build_systolic_output ctx access ~dp ~dt
-  | Tl_stt.Dataflow.Multicast { dp } -> build_multicast_output ctx access ~dp
+  | Tl_stt.Dataflow.Unicast -> unicast_output ctx access
+  | Tl_stt.Dataflow.Stationary _ -> stationary_output ctx access
+  | Tl_stt.Dataflow.Systolic { dp; dt } -> systolic_output ctx access ~dp ~dt
+  | Tl_stt.Dataflow.Multicast { dp } ->
+    trees ctx access "_tbank" (group_by_line ctx ~dir:dp) ~stage_acc:false
   | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Multicast_stationary { multicast })
     ->
-    build_multicast_stationary_output ctx access ~multicast
+    trees ctx access "_tsbank" (group_by_line ctx ~dir:multicast)
+      ~stage_acc:true
   | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast
   | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Systolic_multicast _)
   | Tl_stt.Dataflow.Reuse_full ->
@@ -677,7 +648,7 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
     try Schedule.build design ~rows ~cols
     with Schedule.Unsupported msg -> raise (Unsupported msg)
   in
-  let total = total_cycles sched ~rows design in
+  let total = total_of ~compute_end:sched.Schedule.compute_end ~rows design in
   let stmt = design.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
   let shapes =
     List.map
@@ -687,9 +658,9 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
       (Tl_ir.Stmt.tensors stmt)
   in
   let ctx =
-    { sched; total; rename; shapes; mems = []; inputs = [];
-      seen_inputs = Hashtbl.create 8; out_locs = Hashtbl.create 64;
-      banks = []; tally_reads = Hashtbl.create 4;
+    { sched; total; pes = active_pes sched; rename; shapes; mems = [];
+      inputs = []; seen_inputs = Hashtbl.create 8;
+      out_locs = Hashtbl.create 64; banks = []; tally_reads = Hashtbl.create 4;
       tally_sys_link = Array.make total 0;
       tally_mc_link = Array.make total 0; struct_lines = [] }
   in
@@ -709,34 +680,46 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
     design.Tl_stt.Design.tensors;
   structural ctx
     (String.concat " "
-       ("pes"
-        :: List.map (fun (r, c) -> Printf.sprintf "%d,%d" r c)
-             (active_pes ctx)));
+       ("pes" :: List.map (fun (r, c) -> Printf.sprintf "%d,%d" r c) ctx.pes));
   (* controller streams: done saturates the cycle counter at total-1 (so
      zero padding past the natural length is harmless), tick marks the
      last cycle of each pass *)
-  bitmap_mem ctx "ctrl_done" [ total - 1 ];
-  bitmap_mem ctx "ctrl_tick"
-    (List.init sched.Schedule.passes (fun p ->
-         sched.Schedule.preload + ((p + 1) * sched.Schedule.span) - 1));
-  (* input tensors, then per-PE valid bitmaps, then the output — the same
-     elaboration order as [Accel.generate] *)
-  List.iter (fun ti -> build_input ctx ti) (Tl_stt.Design.input_infos design);
-  List.iter
-    (fun p ->
-      bitmap_mem ctx (pos_name "valid" p)
-        (List.map (fun ev -> ev.Schedule.cycle) (events_of ctx p)))
-    (active_pes ctx);
-  build_output ctx (Tl_stt.Design.output_info design);
-  (* counter-increment images, in accel.ml's elaboration order: per-tensor
-     reads (sorted), then the two link tallies.  Emitted unconditionally —
-     the loader only consumes the ones the target netlist elaborated. *)
-  Hashtbl.fold (fun t a acc -> (t, a) :: acc) ctx.tally_reads []
-  |> List.sort compare
-  |> List.iter (fun (t, a) ->
-         add_mem ctx ~domain:Cycle ("ctr_rd_" ^ rename t ^ "_inc") a);
-  add_mem ctx ~domain:Cycle "ctr_link_systolic_inc" ctx.tally_sys_link;
-  add_mem ctx ~domain:Cycle "ctr_link_multicast_inc" ctx.tally_mc_link;
+  let l_done = bitmap_mem ctx "ctrl_done" [ total - 1 ] in
+  let l_tick =
+    bitmap_mem ctx "ctrl_tick"
+      (List.init sched.Schedule.passes (tick_cycle sched))
+  in
+  (* input tensors, then per-PE valid bitmaps, then the output: the
+     netlist's elaboration order *)
+  let l_feeds =
+    List.map
+      (fun (ti : Tl_stt.Design.tensor_info) ->
+        let w = build_input ctx ti in
+        (ti.Tl_stt.Design.access.Tl_ir.Access.tensor, w))
+      (Tl_stt.Design.input_infos design)
+  in
+  let l_valid =
+    List.map
+      (fun p ->
+        let cycles = List.map (fun ev -> ev.Schedule.cycle) (events_of ctx p) in
+        (p, bitmap_mem ctx (pos_name "valid" p) cycles))
+      ctx.pes
+  in
+  let l_collect = build_output ctx (Tl_stt.Design.output_info design) in
+  (* counter-increment images: per-tensor reads (sorted), then the two
+     link tallies.  Emitted unconditionally — a netlist without counters
+     ignores them. *)
+  let counter (name, a) = (name, add_mem ctx ~domain:Cycle (name ^ "_inc") a) in
+  let l_read_ctrs =
+    Hashtbl.fold (fun t a acc -> (t, a) :: acc) ctx.tally_reads []
+    |> List.sort compare
+    |> List.map (fun (t, a) -> counter ("ctr_rd_" ^ rename t, a))
+  in
+  let l_link_ctrs =
+    List.map counter
+      [ ("ctr_link_systolic", ctx.tally_sys_link);
+        ("ctr_link_multicast", ctx.tally_mc_link) ]
+  in
   let mems = List.rev ctx.mems in
   (* the structure signature appends the (sorted) schedule-memory name and
      domain set — counters excluded so a program compiled for a plain
@@ -744,9 +727,10 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
   let mem_lines =
     List.filter_map
       (fun m ->
-        if String.length m.m_name >= 4 && String.sub m.m_name 0 4 = "ctr_"
-        then None
-        else Some (Printf.sprintf "mem %s %s" m.m_name (domain_string m.m_domain)))
+        if String.starts_with ~prefix:"ctr_" m.m_name then None
+        else
+          Some
+            (Printf.sprintf "mem %s %s" m.m_name (domain_string m.m_domain)))
       mems
     |> List.sort compare
   in
@@ -758,14 +742,63 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
     String.concat "\n" (List.rev ctx.struct_lines @ mem_lines @ bank_lines)
   in
   let out_access = (Tl_stt.Design.output_info design).Tl_stt.Design.access in
-  { l_design = design; l_rows = rows; l_cols = cols; l_total = total;
-    l_passes = sched.Schedule.passes; l_events = sched.Schedule.event_count;
-    l_structure = structure; l_mems = mems;
-    l_inputs = List.rev ctx.inputs; l_banks = List.rev ctx.banks;
+  { l_design = design; l_rows = rows; l_cols = cols; l_sched = sched;
+    l_total = total; l_passes = sched.Schedule.passes;
+    l_events = sched.Schedule.event_count; l_structure = structure;
+    l_mems = mems; l_inputs = List.rev ctx.inputs;
+    l_banks = List.rev ctx.banks;
     l_out =
       Hashtbl.fold (fun idx loc acc -> (idx, loc) :: acc) ctx.out_locs []
       |> List.sort compare;
-    l_out_shape = shape_of ctx out_access.Tl_ir.Access.tensor }
+    l_out_shape = shape_of ctx out_access.Tl_ir.Access.tensor;
+    l_done; l_tick; l_feeds; l_valid; l_collect; l_read_ctrs; l_link_ctrs }
+
+(* ------------------------------------------------------------------ *)
+(* Capacity envelopes.                                                  *)
+
+let envelope ~headroom l =
+  { env_cycles = headroom * l.l_total;
+    env_passes = headroom * l.l_passes;
+    env_elems =
+      headroom
+      * List.fold_left (fun a (i : input) -> max a i.in_elems) 1 l.l_inputs;
+    env_bank =
+      headroom * List.fold_left (fun a (_, cap, _) -> max a cap) 1 l.l_banks }
+
+type overflow = { what : string; need : int; capacity : int }
+
+let exceeds env ~total ~passes ~elems ~banks =
+  let over what need capacity =
+    if need > capacity then Some { what; need; capacity } else None
+  in
+  let first = List.find_map Fun.id in
+  first
+    [ over "schedule cycles" total env.env_cycles;
+      over "schedule passes" passes env.env_passes;
+      first
+        (List.map
+           (fun (t, n) ->
+             over (Printf.sprintf "tensor %s elements" t) n env.env_elems)
+           elems);
+      first
+        (List.map
+           (fun (b, cap) ->
+             (* a bank holds at least one cell, however small either side *)
+             if max 1 cap > max 1 env.env_bank then
+               Some
+                 { what = Printf.sprintf "bank %s cells" b; need = max 1 cap;
+                   capacity = env.env_bank }
+             else None)
+           banks) ]
+
+let overflow env l =
+  exceeds env ~total:l.l_total ~passes:l.l_passes
+    ~elems:(List.map (fun i -> (i.in_tensor, i.in_elems)) l.l_inputs)
+    ~banks:(List.map (fun (b, cap, _) -> (b, cap)) l.l_banks)
+
+let overflow_to_string { what; need; capacity } =
+  Printf.sprintf "%s exceed the envelope: need %d, capacity %d" what need
+    capacity
 
 let structure_digest structure = Tl_stt.Signature.key_digest structure
 

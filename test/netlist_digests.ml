@@ -1,0 +1,48 @@
+(* Netlist identity record: one line per (tier-1 workload, STT candidate,
+   option combo) on a 4x4 array, giving the first 12 hex digits of the md5
+   of the normalised Verilog, or "unsupported".  The runtest alias diffs
+   the output against netlist_digests.expected, so any change to what the
+   templates emit shows up as a diff; accept an intended one with
+   [dune promote]. *)
+
+open Tensorlib
+
+let cases =
+  [ ("gemm", Workloads.gemm ~m:4 ~n:4 ~k:5);
+    ("conv2d", Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3);
+    ("depthwise", Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3);
+    ("mttkrp", Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4) ]
+
+let rom design env = Accel.generate ~rows:4 ~cols:4 design env
+
+let prog design env =
+  let envelope =
+    Layout.envelope ~headroom:2 (Layout.build design ~rows:4 ~cols:4)
+  in
+  Accel.generate ~rows:4 ~cols:4 ~counters:true ~harden:Harden.full
+    ~programmable:envelope design env
+
+let combos = [ ("rom", rom); ("prog2+ctr+full", prog) ]
+
+let digest gen design env =
+  match gen design env with
+  | exception Accel.Unsupported _ -> "unsupported"
+  | acc ->
+    String.sub
+      (Digest.to_hex
+         (Digest.string (Netlist_text.normalize (Accel.verilog acc))))
+      0 12
+
+let () =
+  List.iter
+    (fun (wname, stmt) ->
+      let env = Exec.alloc_inputs stmt in
+      List.iter
+        (fun (dname, design) ->
+          List.iter
+            (fun (cname, gen) ->
+              Printf.printf "%s %s %s %s\n" wname dname cname
+                (digest gen design env))
+            combos)
+        (Search.all_designs stmt))
+    cases

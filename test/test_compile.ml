@@ -7,29 +7,14 @@
 
 open Tensorlib
 
-let envelope_of ?(headroom = 4) l =
-  { Layout.env_cycles = headroom * l.Layout.l_total;
-    env_passes = headroom * max 1 l.Layout.l_passes;
-    env_elems =
-      headroom
-      * List.fold_left
-          (fun a (i : Layout.input) -> max a i.Layout.in_elems)
-          1 l.Layout.l_inputs;
-    env_bank =
-      headroom
-      * List.fold_left (fun a (_, cap, _) -> max a (max 1 cap)) 1
-          l.Layout.l_banks }
-
-let programmable ?headroom ?harden ?counters ?(rows = 4) ?(cols = 4) stmt name
-    =
+let programmable ?(headroom = 4) ?harden ?counters ?(rows = 4) ?(cols = 4)
+    stmt name =
   let design = Search.find_design_exn stmt name in
   let env = Exec.alloc_inputs stmt in
-  let l = Layout.build design ~rows ~cols in
-  let acc =
-    Accel.generate ~rows ~cols ?harden ?counters
-      ~programmable:(envelope_of ?headroom l) design env
-  in
-  (acc, env)
+  let envelope = Layout.envelope ~headroom (Layout.build design ~rows ~cols) in
+  (Accel.generate ~rows ~cols ?harden ?counters ~programmable:envelope design
+     env,
+   env)
 
 let compile_exn ~target design =
   match Compile.compile ~target design with
@@ -59,65 +44,6 @@ let test_programmable_matches_rom () =
     [ (Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
       (Workloads.gemm ~m:4 ~n:4 ~k:4, "MNK-STS");
       (Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3, "KCX-SST") ]
-
-(* the software layout pass must reproduce, image for image, the tables
-   the hardware builders bake into ROMs — the sync that makes a compiled
-   program trustworthy *)
-let test_layout_matches_builder_images () =
-  List.iter
-    (fun (stmt, name) ->
-      let design = Search.find_design_exn stmt name in
-      let env = Exec.alloc_inputs stmt in
-      let rom = Accel.generate ~rows:4 ~cols:4 design env in
-      let prog, _ = programmable stmt name in
-      let pi =
-        match prog.Accel.prog with Some pi -> pi | None -> assert false
-      in
-      let l = Layout.build design ~rows:4 ~cols:4 in
-      let rams = Circuit.rams rom.Accel.circuit in
-      let checked = ref 0 in
-      let has_prefix p s =
-        String.length s >= String.length p && String.sub s 0 (String.length p) = p
-      in
-      List.iter
-        (fun (m : Layout.mem) ->
-          match
-            List.find_opt
-              (fun (r : Signal.ram) -> r.Signal.ram_name = m.Layout.m_name)
-              rams
-          with
-          | None ->
-            (* controller streams (ctrl_ prefix) and counter increments
-               (ctr_ prefix) are comparator logic / absent on the ROM
-               variant and only become memories on the programmable one —
-               they must still be addressable there *)
-            if
-              not
-                (has_prefix "ctrl_" m.Layout.m_name
-                || has_prefix "ctr_" m.Layout.m_name)
-            then
-              Alcotest.failf "%s: layout mem %s missing from ROM netlist" name
-                m.Layout.m_name;
-            if
-              has_prefix "ctrl_" m.Layout.m_name
-              && not (List.mem_assoc m.Layout.m_name pi.Accel.pi_mems)
-            then
-              Alcotest.failf "%s: %s absent from programmable descriptors"
-                name m.Layout.m_name
-          | Some r ->
-            incr checked;
-            if r.Signal.init_data <> m.Layout.m_image then
-              Alcotest.failf "%s: image mismatch for %s" name m.Layout.m_name)
-        l.Layout.l_mems;
-      Alcotest.(check bool)
-        (name ^ " checked some images")
-        true (!checked > 0);
-      Alcotest.(check int)
-        (name ^ " layout cycles = accel cycles")
-        rom.Accel.total_cycles l.Layout.l_total)
-    [ (Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
-      (Workloads.gemm ~m:4 ~n:4 ~k:4, "MNK-MTM");
-      (Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4, "IKL-UBBB") ]
 
 (* ---------------- serving many shapes ---------------- *)
 
@@ -406,14 +332,53 @@ let test_precheck_sound () =
 
 (* ---------------- loader validation ---------------- *)
 
+(* Every rejection must leave the standing simulator as it was: the
+   last run's output still reads back and every descriptor memory keeps
+   its contents.  The bad images fail only at their last entry, after the
+   loader has accepted every other image. *)
 let test_load_rejects_bad_programs () =
   let target, request = target_and_request () in
+  let pi =
+    match target.Accel.prog with Some pi -> pi | None -> assert false
+  in
   let p = compile_exn ~target request in
-  let env = Exec.alloc_inputs (Workloads.gemm ~m:4 ~n:4 ~k:12) in
+  let stmt = Workloads.gemm ~m:4 ~n:4 ~k:12 in
+  let env = Exec.alloc_inputs stmt in
+  let golden = Exec.run stmt env in
+  let sim = Sim.create target.Accel.circuit in
+  let run p' env' = Accel.execute_program ~sim target p' env' in
+  Alcotest.(check bool) "clean program = golden" true
+    (Dense.equal (run p env) golden);
+  let descriptors () =
+    List.map (fun (_, ram) -> Sim.ram_contents_lane sim 0 ram) pi.Accel.pi_mems
+  in
+  let before = descriptors () in
+  let unchanged name =
+    Alcotest.(check bool) (name ^ ": output unchanged") true
+      (Dense.equal (Accel.read_program_output target sim p) golden);
+    Alcotest.(check bool) (name ^ ": descriptors unchanged") true
+      (descriptors () = before)
+  in
   let expect_bad name p' =
-    match Accel.execute_program target p' env with
-    | exception Accel.Bad_program _ -> ()
-    | _ -> Alcotest.failf "%s: loader accepted a bad program" name
+    (match run p' env with
+     | exception Accel.Bad_program _ -> ()
+     | _ -> Alcotest.failf "%s: loader accepted a bad program" name);
+    unchanged name
+  in
+  let expect_invalid name env' =
+    (match run p env' with
+     | exception Invalid_argument _ -> ()
+     | _ -> Alcotest.failf "%s: loader accepted a bad env" name);
+    unchanged name
+  in
+  (* the image of the target's last descriptor memory *)
+  let last_image f =
+    let last, _ = List.nth pi.Accel.pi_mems (List.length pi.Accel.pi_mems - 1) in
+    { p with
+      Layout.p_images =
+        List.map
+          (fun (name, (d, img)) -> (name, (d, if name = last then f img else img)))
+          p.Layout.p_images }
   in
   expect_bad "structure mismatch"
     { p with Layout.p_structure = p.Layout.p_structure ^ "x" };
@@ -424,12 +389,26 @@ let test_load_rejects_bad_programs () =
         List.map
           (fun (n, (d, img)) -> (n, (d, Array.map (fun _ -> max_int) img)))
           p.Layout.p_images };
-  (* a valid program still runs after all those rejections: validation
-     must not have half-configured the standing simulator *)
-  let golden = Exec.run (Workloads.gemm ~m:4 ~n:4 ~k:12) env in
+  expect_bad "last image overflows its port"
+    (last_image (fun img ->
+         let img = Array.copy img in
+         img.(Array.length img - 1) <- max_int;
+         img));
+  expect_bad "last image over capacity"
+    (last_image (fun _ -> Array.make (target.Accel.total_cycles * 8) 0));
+  expect_bad "unknown data memory"
+    { p with
+      Layout.p_inputs =
+        List.map
+          (fun (i : Layout.input) -> { i with Layout.in_mem = "nowhere" })
+          p.Layout.p_inputs };
+  expect_invalid "missing tensor" (List.tl env);
+  expect_invalid "shape mismatch"
+    (Exec.alloc_inputs (Workloads.gemm ~m:4 ~n:4 ~k:11));
+  (* a valid program still runs after all those rejections *)
   Alcotest.(check bool)
     "clean program still loads" true
-    (Dense.equal (Accel.execute_program target p env) golden)
+    (Dense.equal (run p env) golden)
 
 (* ---------------- program codec ---------------- *)
 
@@ -719,8 +698,6 @@ let test_cli_serve_einsum_deadline () =
 let suite =
   [ Alcotest.test_case "programmable = ROM as generated" `Quick
       test_programmable_matches_rom;
-    Alcotest.test_case "layout images = builder ROMs" `Quick
-      test_layout_matches_builder_images;
     Alcotest.test_case "one netlist, three shapes" `Quick
       test_one_netlist_three_shapes;
     Alcotest.test_case "reprogram hardened variant" `Quick

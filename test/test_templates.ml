@@ -99,6 +99,27 @@ let test_footprint_too_big () =
      Alcotest.fail "expected footprint rejection"
    with Accel.Unsupported _ -> ())
 
+(* generate reads data memories at row-major addresses over the layout's
+   shapes, so an env that lacks a tensor or holds one of another shape is
+   refused up front *)
+let test_generate_checks_env () =
+  let stmt = Workloads.gemm ~m:4 ~n:4 ~k:4 in
+  let d = Search.find_design_exn stmt "MNK-SST" in
+  let env = Exec.alloc_inputs stmt in
+  let expect what env' =
+    match Accel.generate ~rows:4 ~cols:4 d env' with
+    | exception Invalid_argument msg ->
+      let n = String.length what in
+      let rec has i =
+        i + n <= String.length msg && (String.sub msg i n = what || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "%S lacks %S" msg what
+    | _ -> Alcotest.failf "generate accepted an env with a %s" what
+  in
+  expect "missing tensor B" (List.remove_assoc "B" env);
+  expect "shape mismatch for A"
+    (Exec.alloc_inputs (Workloads.gemm ~m:4 ~n:4 ~k:5))
+
 let test_verilog_generates () =
   let d = Search.find_design_exn gemm "MNK-SST" in
   let env = Exec.alloc_inputs gemm in
@@ -244,6 +265,8 @@ let suite =
     Alcotest.test_case "ttmc unicast output" `Quick test_ttmc_unicast_output;
     Alcotest.test_case "batched gemv" `Quick test_batched_gemv;
     Alcotest.test_case "footprint rejection" `Quick test_footprint_too_big;
+    Alcotest.test_case "generate checks its env" `Quick
+      test_generate_checks_env;
     Alcotest.test_case "verilog generation" `Quick test_verilog_generates;
     Alcotest.test_case "circuit structure" `Quick test_circuit_structure;
     Alcotest.test_case "schedule invariants" `Quick test_schedule_properties;
