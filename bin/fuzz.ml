@@ -3,7 +3,7 @@
    golden executor.  A standing end-to-end soundness harness for the
    generator (the CI-style long-running counterpart of the property tests).
 
-   Four phases:
+   Five phases:
    - designs: random stmt x random STT; generated accelerators must match
      the golden executor, and the lint must report no error-severity
      finding on the generated netlist, before or after [Rewrite].  Trials
@@ -23,25 +23,41 @@
      with 62 independent random lane stimuli under [`Batch] must be
      bit-identical, lane by lane and node by node, to scalar [`Tape] and
      [`Closure] replays of each lane's stimulus.
+   - perf stats: random stmt (a third of its index terms sum two
+     iterators, like conv's [y+p]) x random STT on a random 2..9 x 2..9
+     array; the streaming tile statistics must equal the materialised
+     ones exactly, and on every 10th case the fast [Perf.evaluate]
+     (pruned search, streaming statistics) must return the reference's
+     record (exhaustive search, materialised statistics) or raise the
+     same exception.
 
    Usage: dune exec bin/fuzz.exe -- [iterations] [seed] *)
 
 open Tensorlib
 
-let random_stmt rng =
+(* With [~sums:true] a third of the index terms add a second iterator, as
+   conv's [y+p] does: only such accesses reach systolic reuse with
+   [dt >= 2] or STTs with [|det T| = 2]. *)
+let random_stmt ?(sums = false) rng =
   let extent () = 2 + Random.State.int rng 3 in
   let depth = 3 + Random.State.int rng 2 in
   let names = [| "i"; "j"; "k"; "l" |] in
   let iters = List.init depth (fun d -> Iter.v names.(d) (extent ())) in
+  let term j =
+    if sums && Random.State.int rng 3 = 0 then
+      [ j; (j + 1 + Random.State.int rng (depth - 1)) mod depth ]
+    else [ j ]
+  in
   let access name =
-    (* non-empty random subset of iterators, one coefficient-1 term each *)
+    (* non-empty random subset of iterators, one coefficient-1 term each
+       (plus a second iterator under [~sums]) *)
     let rec rows () =
       let chosen =
         List.filteri (fun _ _ -> Random.State.bool rng) (List.init depth Fun.id)
       in
       if chosen = [] then rows () else chosen
     in
-    Access.of_terms name ~depth (List.map (fun j -> [ j ]) (rows ()))
+    Access.of_terms name ~depth (List.map term (rows ()))
   in
   let inputs =
     if Random.State.bool rng then [ access "A"; access "B" ]
@@ -442,7 +458,49 @@ let () =
     "fuzz batch oracle: %d netlists, %d lanes vs tape+closure, %d \
      violations\n"
     !batch_checked lanes !batch_violations;
+  (* phase 5: perf-model statistics oracle *)
+  let stats_checked = ref 0 and evals_checked = ref 0 in
+  let stats_violations = ref 0 in
+  let outcome f =
+    match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+  in
+  let disagree i what ~rows ~cols d =
+    incr stats_violations;
+    Format.printf "PERF FAIL at case %d (%s, %dx%d):@.%a@." i what rows cols
+      Design.pp_report d
+  in
+  for i = 1 to iterations do
+    let stmt = random_stmt ~sums:true rng in
+    let d = Design.analyze (random_transform rng stmt) in
+    let rows = 2 + Random.State.int rng 8 in
+    let cols = 2 + Random.State.int rng 8 in
+    (match Schedule.frame d ~rows ~cols with
+     | exception Schedule.Unsupported _ -> ()
+     | fr ->
+       incr stats_checked;
+       let fast = outcome (fun () -> Perf.tile_statistics_streaming d fr) in
+       let reference =
+         outcome (fun () ->
+             Perf.tile_statistics d (Schedule.build d ~rows ~cols))
+       in
+       if fast <> reference then disagree i "tile stats" ~rows ~cols d);
+    if i mod 10 = 0 then begin
+      incr evals_checked;
+      let config = { Perf.default_config with Perf.rows; cols } in
+      let fast = outcome (fun () -> Perf.evaluate ~config ~cache:false d) in
+      let reference =
+        outcome (fun () ->
+            Perf.evaluate ~config ~tile_search:`Exhaustive
+              ~stats:`Materialised d)
+      in
+      if fast <> reference then disagree i "evaluate" ~rows ~cols d
+    end
+  done;
+  Printf.printf
+    "fuzz perf oracle: %d tile stats and %d evaluations vs the materialised \
+     reference, %d violations\n"
+    !stats_checked !evals_checked !stats_violations;
   if
     !failed > 0 || !violations > 0 || !absint_violations > 0
-    || !batch_violations > 0
+    || !batch_violations > 0 || !stats_violations > 0
   then exit 1

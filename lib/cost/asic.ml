@@ -48,9 +48,13 @@ type report = {
 
 (* Reports are memoised per exact design (identity signature — the module
    inventory depends on dataflow directions, so no symmetry folding) and
-   geometry.  Custom coefficient sets bypass the cache. *)
+   geometry.  Custom coefficient sets bypass the cache.  Bounded for the
+   same reason as [Perf_model]'s memo: a network sweep costs every point
+   of every shape once, so an unbounded table only grows. *)
+let cache_capacity = 1024
+
 let report_cache : report Tl_par.Cache.t =
-  Tl_par.Cache.create ~name:"asic.evaluate" ()
+  Tl_par.Cache.create ~capacity:cache_capacity ~name:"asic.evaluate" ()
 
 let evaluate_uncached ~params ?rows ?cols ?data_width ?acc_width design =
   let inv = Inventory.of_design ?rows ?cols ?data_width ?acc_width design in

@@ -147,8 +147,10 @@ let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
         (fun ev ->
           let idx = index_code (S.tensor_index sched access ev) in
           let pr, pc = (r - dp.(0), c - dp.(1)) in
+          (* a predecessor slot off the grid or before cycle 0 holds no
+             event: the chain starts here *)
           let is_entry =
-            pr < 0 || pr >= rows || pc < 0 || pc >= cols
+            pr < 0 || pr >= rows || pc < 0 || pc >= cols || ev.S.cycle < dt
             ||
             match Hashtbl.find_opt tbl (pos_cycle_code (pr, pc) (ev.S.cycle - dt)) with
             | Some idx' -> idx' <> idx
@@ -286,39 +288,107 @@ let tile_statistics (design : Tl_stt.Design.t) sched =
     per_tensor = List.rev !per_tensor }
 
 (* ---------------------------------------------------------------- *)
-(* Streaming statistics: the same numbers as {!tile_statistics}, computed
-   in one elaboration sweep per dataflow over {!Schedule.iter_events}
-   without materialising any event list.
+(* Streaming statistics: the same numbers as {!tile_statistics} with work
+   proportional to the events — no event lists, no PE × cycle tables.  One
+   {!Schedule.iter_events} sweep gives the occupancy; each systolic or
+   multicast tensor then takes one pass over (part of) the selected box.
 
    Key facts that make this exact (checked differentially by the tests):
    - the [t = cycle - preload ∈ [0, span)] window of {!tile_statistics}
-     selects exactly the pass-0 events;
+     selects exactly the pass-0 events, and a pass-0 event at selected
+     point [x] has [t = row_t · x - t_min];
    - every pass maps the same selected box to the same PEs with the same
      per-PE multiplicity, so [busiest_pe = passes × busiest-in-pass-0] and
      the active PE set is the pass-0 PE set;
-   - (pe, cycle) is unique across all events (the STT is nonsingular and
-     passes occupy disjoint cycle ranges), and a systolic predecessor of a
-     window event lives at [cycle < preload + span], so a dense
-     [PE × cycle] table over that horizon replaces the hash table;
+   - [T] is injective on the box, so the slot [(pe - dp, cycle - dt)] of
+     a pass-0 event at [x] holds an event iff [x - u] lies in the box,
+     where [u = T⁻¹(dp, dt)]: never when [u] is not integral, and no
+     later pass is that early.  [u] lies in the access's null space, so
+     that predecessor reads the same element: the systolic chain entries
+     are the events outside the sub-box [box ∩ (box + u)];
+   - two pass-0 events share a multicast (line, cycle) group iff they
+     differ by an integer multiple of [w], the primitive integer vector
+     parallel to [T⁻¹(dp, 0)]; a group is one chain of the box along [w],
+     counted once at its head (outside [box ∩ (box + w)]), and a
+     systolic-multicast group counts iff a member is a systolic entry;
    - a unicast access is injective on the selected iterators (its
      restricted null space is trivial), so the distinct elements touched
      per window cycle equal the active events of that cycle.
 
-   Demand accumulation replicates [add]/[add_amortized]/[credit] with the
-   same float operations in the same order, so results are bit-identical
-   to the materialised path. *)
+   Counts are exact integers, and demand accumulation replicates
+   [add]/[add_amortized]/[credit] with the same float operations in the
+   same order, so results are bit-identical to the materialised path. *)
 
 let tile_statistics_streaming (design : Tl_stt.Design.t)
     (fr : Schedule.frame) =
   let module S = Schedule in
+  let module D = Tl_stt.Dataflow in
   let rows = fr.S.f_rows and cols = fr.S.f_cols in
   let span = fr.S.f_span in
   let offset = fr.S.f_preload in
   let passes = fr.S.f_passes in
   let n_pes = rows * cols in
-  let stmt = design.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
-  let extents = Tl_ir.Stmt.extents stmt in
-  (* sweep 1: pass-0 occupancy *)
+  let transform = design.Tl_stt.Design.transform in
+  let ext = Tl_stt.Transform.selected_extents transform in
+  let n = Array.length ext in
+  let row_t = transform.Tl_stt.Transform.imatrix.(n - 1) in
+  let inverse = lazy (Tl_stt.Transform.inverse transform) in
+  (* [T⁻¹(dp, dt)]; [dp] is padded to 2-D on 1-D arrays *)
+  let preimage dp dt =
+    let st = if n = 2 then [| dp.(0); dt |] else [| dp.(0); dp.(1); dt |] in
+    Tl_linalg.Mat.mul_vec (Lazy.force inverse)
+      (Array.map Tl_linalg.Rat.of_int st)
+  in
+  let systolic_step (v : D.vector) =
+    let u = preimage v.D.dp v.D.dt in
+    if Array.for_all Tl_linalg.Rat.is_integer u then
+      Some (Array.map Tl_linalg.Rat.to_int u)
+    else None
+  in
+  let chain_step dir = Tl_linalg.Vec.to_integer (preimage dir 0) in
+  (* visit the selected points of the sub-box [lo, hi) with their window
+     cycle; [xs] holds the current point *)
+  let xs = Array.make n 0 and ys = Array.make n 0 in
+  let iter_box lo hi f =
+    let rec go d t =
+      if d = n then f t
+      else
+        for v = lo.(d) to hi.(d) - 1 do
+          xs.(d) <- v;
+          go (d + 1) (t + (row_t.(d) * v))
+        done
+    in
+    go 0 (-fr.S.f_t_min)
+  in
+  let has_pred p s =
+    (* [p - s] lies in the selected box *)
+    let ok = ref true and d = ref 0 in
+    while !ok && !d < n do
+      let v = p.(!d) - s.(!d) in
+      if v < 0 || v >= ext.(!d) then ok := false;
+      incr d
+    done;
+    !ok
+  in
+  let chain_has_entry w u =
+    (* walk the chain along [w] from its head [xs] *)
+    Array.blit xs 0 ys 0 n;
+    let rec walk () =
+      (not (has_pred ys u))
+      || begin
+        (* step to the next member; false past the chain's tail *)
+        let ok = ref true in
+        for d = 0 to n - 1 do
+          let v = ys.(d) + w.(d) in
+          ys.(d) <- v;
+          if v < 0 || v >= ext.(d) then ok := false
+        done;
+        !ok && walk ()
+      end
+    in
+    walk ()
+  in
+  (* pass-0 occupancy *)
   let pe_count = Array.make n_pes 0 in
   let active = Array.make span 0 in
   S.iter_events fr (fun ~pass ~cycle ~r ~c _x ->
@@ -334,89 +404,23 @@ let tile_statistics_streaming (design : Tl_stt.Design.t)
       if k > !busiest0 then busiest0 := k)
     pe_count;
   let active_pe_cycles = Array.fold_left ( + ) 0 active in
-  (* collision-free dense code (≥ 1) for a tensor index: mixed radix over
-     the analytic per-dimension bounds of the access rows *)
-  let coder am =
-    let dims = Array.length am in
-    let lo = Array.make dims 0 and radix = Array.make dims 1 in
-    let cap = ref 1 in
-    for i = 0 to dims - 1 do
-      let l = ref 0 and h = ref 0 in
-      Array.iteri
-        (fun j c ->
-          let contrib = c * (extents.(j) - 1) in
-          if contrib >= 0 then h := !h + contrib else l := !l + contrib)
-        am.(i);
-      lo.(i) <- !l;
-      radix.(i) <- !h - !l + 1;
-      if !cap > max_int / 2 / radix.(i) then
-        invalid_arg "Perf_model: tensor index exceeds the dense code range";
-      cap := !cap * radix.(i)
-    done;
-    fun x ->
-      let code = ref 1 in
-      for i = 0 to dims - 1 do
-        let row = am.(i) in
-        let v = ref 0 in
-        for j = 0 to Array.length row - 1 do
-          v := !v + (row.(j) * x.(j))
-        done;
-        code := (!code * radix.(i)) + (!v - lo.(i))
-      done;
-      !code
+  (* words per window cycle: the events without a predecessor along [s],
+     i.e. all of them but those in the sub-box [box ∩ (box + s)] *)
+  let without_pred s =
+    let counts = Array.copy active in
+    iter_box
+      (Array.init n (fun d -> max 0 s.(d)))
+      (Array.init n (fun d -> min ext.(d) (ext.(d) + s.(d))))
+      (fun t -> counts.(t) <- counts.(t) - 1);
+    Array.map float_of_int counts
   in
-  (* reuse-chain entries per window cycle, optionally deduplicated into
-     multicast lines: dense predecessor table over cycles < preload+span *)
-  let systolic_entries am ~dp ~dt ~group =
-    let horizon = offset + span in
-    let idx_at = Array.make (n_pes * horizon) 0 in
-    let code = coder am in
-    S.iter_events fr (fun ~pass:_ ~cycle ~r ~c x ->
-        if cycle < horizon then
-          idx_at.((((r * cols) + c) * horizon) + cycle) <- code x);
-    let counts = Array.make span 0. in
-    let groups =
-      match group with None -> [||] | Some _ -> Array.make (n_pes * span) false
-    in
-    S.iter_events fr (fun ~pass ~cycle ~r ~c x ->
-        if pass = 0 then begin
-          let idx = code x in
-          let pr = r - dp.(0) and pc = c - dp.(1) in
-          let pcyc = cycle - dt in
-          let is_entry =
-            pr < 0 || pr >= rows || pc < 0 || pc >= cols || pcyc < 0
-            || pcyc >= horizon
-            || idx_at.((((pr * cols) + pc) * horizon) + pcyc) <> idx
-          in
-          if is_entry then begin
-            let t = cycle - offset in
-            match group with
-            | None -> counts.(t) <- counts.(t) +. 1.
-            | Some dir ->
-              let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
-              let k = ((((rr * cols) + rc) * span) + t) in
-              if not groups.(k) then begin
-                groups.(k) <- true;
-                counts.(t) <- counts.(t) +. 1.
-              end
-          end
-        end);
-    counts
-  in
-  let multicast_counts ~dir =
-    let seen = Array.make (n_pes * span) false in
-    let counts = Array.make span 0. in
-    S.iter_events fr (fun ~pass ~cycle ~r ~c _x ->
-        if pass = 0 then begin
-          let t = cycle - offset in
-          let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
-          let k = ((((rr * cols) + rc) * span) + t) in
-          if not seen.(k) then begin
-            seen.(k) <- true;
-            counts.(t) <- counts.(t) +. 1.
-          end
-        end);
-    counts
+  (* the chain heads along [w] whose chain holds a systolic entry *)
+  let chains_with_entry w u =
+    let counts = Array.make span 0 in
+    iter_box (Array.make n 0) ext (fun t ->
+        if (not (has_pred xs w)) && chain_has_entry w u then
+          counts.(t) <- counts.(t) + 1);
+    Array.map float_of_int counts
   in
   let line_count dir =
     let seen = Array.make n_pes false in
@@ -450,27 +454,25 @@ let tile_statistics_streaming (design : Tl_stt.Design.t)
   in
   List.iter
     (fun (ti : Tl_stt.Design.tensor_info) ->
-      let access = ti.Tl_stt.Design.access in
-      let am = access.Tl_ir.Access.matrix in
-      current_tensor := access.Tl_ir.Access.tensor;
+      current_tensor := ti.Tl_stt.Design.access.Tl_ir.Access.tensor;
       match ti.Tl_stt.Design.dataflow with
-      | Tl_stt.Dataflow.Unicast -> add (Array.map float_of_int active)
-      | Tl_stt.Dataflow.Stationary _ ->
-        add_amortized (float_of_int !active_pes)
-      | Tl_stt.Dataflow.Systolic { dp; dt } ->
-        add (systolic_entries am ~dp ~dt ~group:None)
-      | Tl_stt.Dataflow.Multicast { dp } -> add (multicast_counts ~dir:dp)
-      | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast ->
+      | D.Unicast -> add (Array.map float_of_int active)
+      | D.Stationary _ -> add_amortized (float_of_int !active_pes)
+      | D.Systolic v -> (
+        match systolic_step v with
+        | Some u -> add (without_pred u)
+        | None -> add (Array.map float_of_int active))
+      | D.Multicast { dp } -> add (without_pred (chain_step dp))
+      | D.Reuse2d D.Broadcast ->
         add (Array.map (fun a -> if a > 0 then 1. else 0.) active)
-      | Tl_stt.Dataflow.Reuse2d
-          (Tl_stt.Dataflow.Multicast_stationary { multicast }) ->
+      | D.Reuse2d (D.Multicast_stationary { multicast }) ->
         add_amortized (float_of_int (line_count multicast))
-      | Tl_stt.Dataflow.Reuse2d
-          (Tl_stt.Dataflow.Systolic_multicast { multicast; systolic }) ->
-        add
-          (systolic_entries am ~dp:systolic.Tl_stt.Dataflow.dp
-             ~dt:systolic.Tl_stt.Dataflow.dt ~group:(Some multicast))
-      | Tl_stt.Dataflow.Reuse_full -> credit 1.)
+      | D.Reuse2d (D.Systolic_multicast { multicast; systolic }) -> (
+        let w = chain_step multicast in
+        match systolic_step systolic with
+        | Some u -> add (chains_with_entry w u)
+        | None -> add (without_pred w))
+      | D.Reuse_full -> credit 1.)
     design.Tl_stt.Design.tensors;
   { t_span = span;
     active_pes = !active_pes;
@@ -729,10 +731,20 @@ let evaluate_core ~config ~tile_search ~stats (design : Tl_stt.Design.t) =
    D4-canonical evaluation signature, so symmetry-equivalent designs (which
    provably evaluate identically on a square array) share one entry.  Only
    the default fast path is cached — the reference combinations always
-   recompute, so differential tests compare independent computations. *)
+   recompute, so differential tests compare independent computations.
+
+   The memo is bounded: [Network.sweep] files every point of every shape
+   in it, and those points are canonically distinct, so they never hit —
+   unbounded, it grows by about 1.7 MB per new shape in a long-running
+   [serve].  1024
+   entries (about 1.5 MB) still cover the repeats callers make: a whole
+   GEMM design space (393 points), [explore]'s 64-design default and
+   [evaluate_name]'s six candidates. *)
+
+let cache_capacity = 1024
 
 let eval_cache : (result, exn) Stdlib.result Tl_par.Cache.t =
-  Tl_par.Cache.create ~name:"perf.evaluate" ()
+  Tl_par.Cache.create ~capacity:cache_capacity ~name:"perf.evaluate" ()
 
 let config_fingerprint c =
   Printf.sprintf "%d,%d,%h,%h,%d,%h" c.rows c.cols c.freq_mhz

@@ -67,13 +67,28 @@ type tile_stats = {
     of the two computation paths. *)
 
 val tile_statistics : Tl_stt.Design.t -> Tl_templates.Schedule.t -> tile_stats
-(** Reference path: statistics from a materialised schedule. *)
+(** Reference path: statistics from a materialised schedule, with hash
+    tables keyed by PE, cycle and tensor element.  Kept as the tests'
+    oracle for {!tile_statistics_streaming}. *)
 
 val tile_statistics_streaming :
   Tl_stt.Design.t -> Tl_templates.Schedule.frame -> tile_stats
 (** Fast path: the same statistics (bit-identical, including float demand)
-    from streaming elaboration sweeps — no event lists, no hash tables.
-    @raise Invalid_argument if a tensor index exceeds the dense code range. *)
+    with work proportional to the events; nothing of size PEs × cycles is
+    allocated.  One {!Tl_templates.Schedule.iter_events} sweep gives the
+    occupancy, and each systolic or multicast tensor takes one pass over
+    (part of) the selected box, testing box membership of iteration
+    points [x]:
+    - a systolic tensor with step [(dp, dt)] fetches at [x] iff [x - u]
+      leaves the box, [u = T⁻¹(dp, dt)], or [u] is not integral.  This is
+      exact because [T] is injective: the slot [(pe - dp, cycle - dt)]
+      holds an event iff [x - u] is in the box, and [u] lies in the
+      access's null space, so that event reads the same element;
+    - a multicast (line, cycle) group is one chain of the box along [w],
+      the primitive integer vector parallel to [T⁻¹(dp, 0)], counted at
+      its head (the [x] with [x - w] outside the box); a
+      systolic-multicast group counts iff one of its members is a
+      systolic entry. *)
 
 val evaluate :
   ?config:config ->
@@ -88,8 +103,11 @@ val evaluate :
     return identical results.  Results are memoised by D4-canonical design
     signature and config fingerprint when [cache] is true (default) and
     both fast paths are selected; [cache:false] or any reference choice
-    bypasses the memo entirely.
+    bypasses the memo entirely.  The memo (["perf.evaluate"] in
+    {!Tl_par.Cache}) holds at most {!cache_capacity} entries.
     @raise Invalid_argument for non-2-D space transformations. *)
+
+val cache_capacity : int
 
 val config_fingerprint : config -> string
 (** Stable textual form of a config (ints + hex floats): equal strings

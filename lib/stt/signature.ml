@@ -147,10 +147,12 @@ let structure_fingerprint = fingerprint ~full:false
 (* Render [d]'s STT matrix with the spatial rows transformed by [s]:
    [s] permutes/negates the two space rows and fixes the time row, i.e. it
    renders the matrix of the same design re-expressed in the transformed
-   array coordinates. *)
+   array coordinates.  Entries are plain [string_of_int] text (this runs
+   8 times per evaluation key); the persistent store addresses entries by
+   that key, so its text must not change. *)
 let render_matrix buf s (d : Design.t) =
-  let m = d.Design.transform.Transform.matrix in
-  let n = Tl_linalg.Mat.rows m in
+  let m = d.Design.transform.Transform.imatrix in
+  let n = Array.length m in
   let src_row i =
     if n >= 3 && i = 0 then (if s.swap then 1 else 0)
     else if n >= 3 && i = 1 then (if s.swap then 0 else 1)
@@ -161,12 +163,11 @@ let render_matrix buf s (d : Design.t) =
   in
   for i = 0 to n - 1 do
     let r = src_row i and sg = row_sign i in
-    for j = 0 to Tl_linalg.Mat.cols m - 1 do
-      let v = Tl_linalg.Mat.get m r j in
-      Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Tl_linalg.Rat.to_string (if sg < 0 then Tl_linalg.Rat.neg v else v))
-    done;
+    Array.iter
+      (fun v ->
+        Buffer.add_char buf ',';
+        Buffer.add_string buf (string_of_int (sg * v)))
+      m.(r);
     Buffer.add_char buf ';'
   done
 

@@ -67,17 +67,57 @@ let arbitrary_matrix =
         (List.map (fun r -> String.concat "," (List.map string_of_int r)) m))
     gen
 
-let prop_streaming_stats_random =
-  QCheck.Test.make ~name:"streaming stats = materialised stats (random STT)"
-    ~count:50 arbitrary_matrix (fun m ->
-      let stmt = Workloads.gemm ~m:7 ~n:6 ~k:5 in
-      let t = Transform.by_names stmt [ "m"; "n"; "k" ] ~matrix:m in
-      let d = Design.analyze t in
-      match Schedule.build d ~rows:24 ~cols:24 with
-      | exception Schedule.Unsupported _ -> true
-      | sched ->
-        Perf.tile_statistics d sched
-        = Perf.tile_statistics_streaming d (Schedule.frame d ~rows:24 ~cols:24))
+(* Random STTs over three statement/selection pairs.  GEMM reuses in one
+   pass only; conv2d selecting (y, x, p) and mttkrp selecting (i, k, l)
+   add 2-D reuse, unselected loops > 1 (multi-pass frames), systolic
+   steps with [dt >= 2] and [|det T| = 2].  The run tallies the cases
+   that reach each counting rule of the streaming path and requires
+   every one, so the property cannot quietly degenerate to easy cases. *)
+let stats_cases =
+  [| (Workloads.gemm ~m:7 ~n:6 ~k:5, [ "m"; "n"; "k" ]);
+     (Workloads.conv2d ~k:2 ~c:2 ~y:4 ~x:4 ~p:3 ~q:2, [ "y"; "x"; "p" ]);
+     (Workloads.mttkrp ~i:5 ~j:3 ~k:4 ~l:4, [ "i"; "k"; "l" ]) |]
+
+let stats_features (d : Design.t) =
+  let flow (ti : Design.tensor_info) =
+    match ti.Design.dataflow with
+    | Dataflow.Reuse2d (Dataflow.Systolic_multicast { systolic; _ }) ->
+      [ "systolic-multicast" ]
+      @ if systolic.Dataflow.dt >= 2 then [ "systolic dt>=2" ] else []
+    | Dataflow.Reuse2d (Dataflow.Multicast_stationary _) ->
+      [ "multicast-stationary" ]
+    | Dataflow.Reuse2d Dataflow.Broadcast -> [ "broadcast" ]
+    | Dataflow.Systolic { dt; _ } when dt >= 2 -> [ "systolic dt>=2" ]
+    | _ -> []
+  in
+  let det = Mat.det d.Design.transform.Transform.matrix in
+  (if Rat.equal (Rat.abs det) (Rat.of_int 2) then [ "|det T|=2" ] else [])
+  @ List.concat_map flow d.Design.tensors
+
+let test_streaming_stats_random () =
+  let seen = Hashtbl.create 8 in
+  let arb =
+    QCheck.pair (QCheck.int_bound (Array.length stats_cases - 1))
+      arbitrary_matrix
+  in
+  let prop =
+    QCheck.Test.make ~name:"streaming = materialised" ~count:150 arb
+      (fun (case, m) ->
+        let stmt, names = stats_cases.(case) in
+        let d = Design.analyze (Transform.by_names stmt names ~matrix:m) in
+        match Schedule.build d ~rows:24 ~cols:24 with
+        | exception Schedule.Unsupported _ -> true
+        | sched ->
+          List.iter (fun f -> Hashtbl.replace seen f ()) (stats_features d);
+          Perf.tile_statistics d sched
+          = Perf.tile_statistics_streaming d
+              (Schedule.frame d ~rows:24 ~cols:24))
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop;
+  List.iter
+    (fun f -> Alcotest.(check bool) ("reached " ^ f) true (Hashtbl.mem seen f))
+    [ "systolic-multicast"; "multicast-stationary"; "broadcast";
+      "systolic dt>=2"; "|det T|=2" ]
 
 (* index components beyond the old 10-bit packing range: a long loop on
    the time axis drives tensor indices past 1023, where the narrow code
@@ -94,30 +134,55 @@ let test_stats_wide_indices () =
     (Perf.tile_statistics_streaming d (Schedule.frame d ~rows:16 ~cols:16))
 
 (* pruned tile search + streaming stats must reproduce the exhaustive +
-   materialised reference bit-for-bit, over whole evaluation records *)
+   materialised reference bit-for-bit, over whole evaluation records: both
+   return equal records or both raise the same exception *)
+let check_evaluate_agrees label d =
+  let outcome f =
+    match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
+  in
+  let reference =
+    outcome (fun () ->
+        Perf.evaluate ~tile_search:`Exhaustive ~stats:`Materialised
+          ~cache:false d)
+  in
+  let fast =
+    outcome (fun () ->
+        Perf.evaluate ~tile_search:`Pruned ~stats:`Streaming ~cache:false d)
+  in
+  Alcotest.(check bool) (label ^ " identical outcome") true (reference = fast);
+  fast
+
 let test_pruned_equals_exhaustive () =
   let checked = ref 0 in
   List.iter
     (fun stmt ->
       List.iter
         (fun (dname, d) ->
-          match
-            Perf.evaluate ~tile_search:`Exhaustive ~stats:`Materialised
-              ~cache:false d
-          with
-          | exception Invalid_argument _ -> ()
-          | reference ->
-            let fast =
-              Perf.evaluate ~tile_search:`Pruned ~stats:`Streaming ~cache:false
-                d
-            in
-            incr checked;
-            Alcotest.(check bool) (dname ^ " identical result") true
-              (reference = fast))
+          match check_evaluate_agrees dname d with
+          | Ok _ -> incr checked
+          | Error _ -> ())
         (List.filteri (fun i _ -> i < 8) (Search.all_designs stmt)))
     [ Workloads.gemm ~m:256 ~n:256 ~k:256;
       Workloads.conv2d ~k:64 ~c:64 ~y:56 ~x:56 ~p:3 ~q:3 ];
   Alcotest.(check bool) "checked some designs" true (!checked > 6)
+
+(* a systolic tensor with dt = 2 (conv's y+p input): its first chain
+   entries have their predecessor slot before cycle 0, which both paths
+   must count as entries *)
+let test_systolic_dt2_regression () =
+  let stmt = Workloads.conv2d ~k:2 ~c:2 ~y:4 ~x:4 ~p:3 ~q:2 in
+  let d =
+    Design.analyze
+      (Transform.by_names stmt [ "y"; "x"; "p" ]
+         ~matrix:[ [ -1; -1; -1 ]; [ -1; -1; 0 ]; [ -1; 0; 1 ] ])
+  in
+  Alcotest.(check string) "design" "YXP-SBS" d.Design.name;
+  check_stats_equal "YXP-SBS"
+    (Perf.tile_statistics d (Schedule.build d ~rows:24 ~cols:24))
+    (Perf.tile_statistics_streaming d (Schedule.frame d ~rows:24 ~cols:24));
+  match check_evaluate_agrees "YXP-SBS" d with
+  | Ok r -> Alcotest.(check (float 0.)) "cycles" 64. r.Perf.cycles
+  | Error e -> Alcotest.fail e
 
 (* a cache hit returns the same record as the cold computation *)
 let test_cache_hit_equals_cold () =
@@ -203,6 +268,86 @@ let test_evaluate_name_deterministic () =
   Alcotest.(check bool) "some result" true (a <> None);
   Alcotest.(check bool) "repeat = first" true (a = b)
 
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* a cold sweep on fresh memos, through a fresh store it removes after *)
+let cold_sweep name layers =
+  Par.Cache.clear_all ();
+  let root = Filename.temp_file "tlsweep" "" in
+  Sys.remove root;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists root then remove_tree root)
+    (fun () ->
+      Network.sweep ~domains:1 ~store:(Store.open_store ~root ()) ~name layers)
+
+(* cold sweeps of two cheap network shapes keep their pinned digests, as
+   netlist_digests.expected pins netlists: a change to any evaluated
+   figure shows here *)
+let test_sweep_digests_pinned () =
+  let tables = Network.networks () in
+  let layer net name = (name, List.assoc name (List.assoc net tables)) in
+  List.iter
+    (fun (name, layers, digest) ->
+      Alcotest.(check string) name digest (cold_sweep name layers).Network.r_digest)
+    [ ("tiny-gemm_a", [ layer "tiny" "gemm_a" ],
+       "dc83c4c801616186acf85d53f3702544");
+      ("bert-attn_scores", [ layer "bert-base" "attn_scores" ],
+       "3cc414dabe54c390692a6a5c5db531b9") ]
+
+(* a sweep over more points than the evaluation memos hold evicts instead
+   of growing, and its report is the one the unbounded memos gave *)
+let test_memos_bounded () =
+  let layers =
+    List.init 3 (fun i ->
+        (Printf.sprintf "g%d" i, Workloads.gemm ~m:8 ~n:8 ~k:(4 + i)))
+  in
+  let r = cold_sweep "memo3" layers in
+  Alcotest.(check bool) "more points than the capacity" true
+    (r.Network.r_points > Perf.cache_capacity);
+  Alcotest.(check string) "digest" "cf5caa1232de05735efbd17e876d85f0"
+    r.Network.r_digest;
+  List.iter
+    (fun (name, capacity) ->
+      let s =
+        List.find (fun s -> s.Par.Cache.name = name) (Par.Cache.all_stats ())
+      in
+      Alcotest.(check bool) (name ^ " bounded") true
+        (s.Par.Cache.entries <= capacity);
+      Alcotest.(check bool) (name ^ " evicted") true (s.Par.Cache.evictions > 0))
+    [ ("perf.evaluate", Perf.cache_capacity);
+      ("asic.evaluate", Asic.cache_capacity) ]
+
+(* the evaluation key is pinned text: the persistent design store
+   addresses its entries by it, so a rendering change would orphan every
+   stored result *)
+let test_cache_key_pinned () =
+  let d =
+    Design.analyze
+      (Transform.by_names (Workloads.gemm ~m:64 ~n:48 ~k:32)
+         [ "m"; "n"; "k" ]
+         ~matrix:[ [ 0; 1; 1 ]; [ 1; 0; 0 ]; [ 1; 1; -1 ] ])
+  in
+  let stmt_part =
+    "GEMM{m=64 n=48 k=32 A[,1,0,0;,0,0,1;] B[,0,1,0;,0,0,1;] \
+     C[,1,0,0;,0,1,0;]}#sel,0,1,2#"
+  in
+  Alcotest.(check string) "square"
+    ("16,16,0x1.4p+8,0x1p+5,2,0x1p+8|" ^ stmt_part
+   ^ ",-1,0,0;,0,-1,-1;,1,1,-1;|A:systolic(dp=(0,-1) dt=1)\
+      |B:systolic(dp=(-1,0) dt=1)|C:systolic(dp=(0,1) dt=1)")
+    (Perf.cache_key d);
+  (* no transpose on a rectangular array: a different canonical form *)
+  Alcotest.(check string) "non-square"
+    ("8,16,0x1.4p+8,0x1p+5,2,0x1p+8|" ^ stmt_part
+   ^ ",0,-1,-1;,-1,0,0;,1,1,-1;|A:systolic(dp=(-1,0) dt=1)\
+      |B:systolic(dp=(0,-1) dt=1)|C:systolic(dp=(1,0) dt=1)")
+    (Perf.cache_key ~config:{ Perf.default_config with Perf.rows = 8 } d)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -216,7 +361,13 @@ let suite =
     Alcotest.test_case "cache under Tl_par domains" `Quick
       test_cache_multi_domain;
     Alcotest.test_case "evaluate_name deterministic" `Quick
-      test_evaluate_name_deterministic ]
-  @ qsuite
-      [ prop_streaming_stats_random; prop_analyzer_equals_analyze;
-        prop_pareto_matches_reference ]
+      test_evaluate_name_deterministic;
+    Alcotest.test_case "streaming stats = materialised stats (random STT)"
+      `Quick test_streaming_stats_random ]
+  @ qsuite [ prop_analyzer_equals_analyze; prop_pareto_matches_reference ]
+  @ [ Alcotest.test_case "systolic dt=2 regression (YXP-SBS)" `Quick
+        test_systolic_dt2_regression;
+      Alcotest.test_case "cold sweep digests pinned" `Slow
+        test_sweep_digests_pinned;
+      Alcotest.test_case "evaluation memos bounded" `Slow test_memos_bounded;
+      Alcotest.test_case "cache key pinned" `Quick test_cache_key_pinned ]
