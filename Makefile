@@ -1,4 +1,4 @@
-.PHONY: all build test lint bench bench-quick bench-dse fault-smoke batch-smoke bench-obs obs-smoke analyze-smoke bench-absint store-smoke chaos-smoke bench-resil prog-smoke bench-prog examples fuzz doc clean
+.PHONY: all build test lint bench fault-smoke batch-smoke bench-obs obs-smoke analyze-smoke bench-absint store-smoke chaos-smoke bench-resil prog-smoke bench-prog examples fuzz doc clean
 
 all: build
 
@@ -10,20 +10,6 @@ test:
 
 bench:
 	dune exec bench/main.exe
-
-# Benchmark gate: quick sim + DSE throughput run, writes BENCH_sim.json
-# (schema and fields: docs/PERF.md).
-bench-quick:
-	dune exec bench/main.exe -- bench-quick
-
-# DSE gate: full explore/enumerate throughput plus the ResNet-18
-# whole-network sweep through a fresh persistent design store (cold,
-# same-process warm, and fresh-process warm); writes BENCH_dse.json
-# (schema and fields: docs/PERF.md).
-bench-dse:
-	dune build bin/tensorlib_cli.exe bench/main.exe
-	dune exec bench/main.exe -- bench-dse
-	grep -q '"schema": "tensorlib-bench-dse/1"' BENCH_dse.json
 
 # Store gate: sweep the tiny network twice through a fresh persistent
 # store in fresh CLI processes — the second run must be 100% store hits,

@@ -1,17 +1,17 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
-   evaluation (§VI), plus the ablations called out in DESIGN.md, plus
-   Bechamel micro-benchmarks of the generator itself (one Test.make per
-   table/figure).
+   evaluation (§VI) plus the ablations called out in DESIGN.md, and hosts
+   the pass/fail gates the Makefile runs.  Timing of the product paths
+   (sweep, generate, fault campaign, serve) lives in perfbench/.
 
-   Run everything:          dune exec bench/main.exe
-   One experiment:          dune exec bench/main.exe -- fig5
-   Sections: table1 table2 fig5 fig6 table3 ablation-float ablation-span
-             micro bench-sim bench-dse bench-quick
+   Run every paper section:  dune exec bench/main.exe
+   One section or gate:      dune exec bench/main.exe -- fig5
+   Sections: table1 table2 verify fig3 fig4 fig5 fig6 table3 metrics
+             tradeoffs ablation-float ablation-span ablation-rewrite
+   Gates:    bench-fault bench-obs bench-absint batch-smoke store-smoke
+             chaos-smoke bench-resil prog-smoke bench-prog
 
-   The heavy sweeps (fig5, fig6, verify) and the DSE loops fan out over a
-   Tl_par domain pool (override the width with TL_DOMAINS=n).  The
-   bench-sim / bench-dse sections are the benchmark gate: they emit
-   machine-readable BENCH_sim.json (see docs/PERF.md). *)
+   The heavy sweeps (fig5, fig6, verify) fan out over a Tl_par domain
+   pool (override the width with TL_DOMAINS=n). *)
 
 open Tensorlib
 
@@ -491,93 +491,6 @@ let ablation_span () =
     \  (no fill/drain skew), losing the paper's Fig. 5 GEMM ordering."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks.                                          *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel): generator and model throughput";
-  let open Bechamel in
-  let open Toolkit in
-  let gemm4 = Workloads.gemm ~m:4 ~n:4 ~k:4 in
-  let gemm256 = Workloads.gemm ~m:256 ~n:256 ~k:256 in
-  let sst = Search.find_design_exn gemm4 "MNK-SST" in
-  let sst256 = Search.find_design_exn gemm256 "MNK-SST" in
-  let env = Exec.alloc_inputs gemm4 in
-  let tests =
-    [ Test.make ~name:"table1-classify-design"
-        (Staged.stage (fun () -> ignore (Design.analyze sst.Design.transform)));
-      Test.make ~name:"fig5-perf-evaluate"
-        (Staged.stage (fun () -> ignore (Perf.evaluate sst256)));
-      Test.make ~name:"fig6-asic-evaluate"
-        (Staged.stage (fun () -> ignore (Asic.evaluate sst256)));
-      Test.make ~name:"table3-fpga-evaluate"
-        (Staged.stage (fun () ->
-             ignore
-               (Fpga.evaluate ~device:Fpga.vu9p ~rows:10 ~cols:16 ~vec:8
-                  ~datatype:Fpga.Fp32 ~efficiency:1.0 ~workload:"MM" sst256)));
-      Test.make ~name:"generate-4x4-netlist"
-        (Staged.stage (fun () ->
-             ignore (Accel.generate ~rows:4 ~cols:4 sst env)));
-      (* steady-state simulation: the sim (and hence the compiled tape /
-         closure program) is built once, each run is reset + full schedule,
-         as in a DSE loop re-simulating one accelerator on many inputs *)
-      Test.make ~name:"simulate-4x4-netlist"
-        (Staged.stage
-           (let acc = Accel.generate ~rows:4 ~cols:4 sst env in
-            let sim = Sim.create acc.Accel.circuit in
-            let n = acc.Accel.total_cycles + 1 in
-            fun () ->
-              Sim.reset sim;
-              Sim.cycles sim n));
-      Test.make ~name:"simulate-4x4-closure"
-        (Staged.stage
-           (let acc = Accel.generate ~rows:4 ~cols:4 sst env in
-            let sim = Sim.create ~backend:`Closure acc.Accel.circuit in
-            let n = acc.Accel.total_cycles + 1 in
-            fun () ->
-              Sim.reset sim;
-              Sim.cycles sim n));
-      Test.make ~name:"emit-verilog-4x4"
-        (Staged.stage
-           (let acc = Accel.generate ~rows:4 ~cols:4 sst env in
-            fun () -> ignore (Accel.verilog acc))) ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let grouped = Test.make_grouped ~name:"tensorlib" tests in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some (t :: _) ->
-        if t > 1e6 then Printf.printf "  %-40s %10.2f ms/run\n" name (t /. 1e6)
-        else if t > 1e3 then
-          Printf.printf "  %-40s %10.2f us/run\n" name (t /. 1e3)
-        else Printf.printf "  %-40s %10.0f ns/run\n" name t
-      | Some [] | None -> Printf.printf "  %-40s (no estimate)\n" name)
-    (List.sort compare rows);
-  let estimate_of suffix =
-    List.find_map
-      (fun (name, est) ->
-        if Filename.check_suffix name suffix then
-          match Analyze.OLS.estimates est with
-          | Some (t :: _) -> Some t
-          | Some [] | None -> None
-        else None)
-      rows
-  in
-  match (estimate_of "simulate-4x4-netlist", estimate_of "simulate-4x4-closure")
-  with
-  | Some tape, Some closure when tape > 0. ->
-    Printf.printf
-      "\n  instruction-tape backend speedup over closure interpreter: %.2fx\n"
-      (closure /. tape)
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
 (* Functional verification: generated netlists vs the golden model.    *)
 
 let verify () =
@@ -709,342 +622,100 @@ let ablation_rewrite () =
     \  boundary muxes against constant-zero neighbours."
 
 (* ------------------------------------------------------------------ *)
-(* Benchmark gate: machine-readable sim / DSE throughput.  Each section
-   measures, prints a human-readable table, and (re)writes BENCH_sim.json
-   with every fragment recorded so far, so `bench-sim`, `bench-dse` and
-   `bench-quick` all leave a valid gate file behind.                    *)
-
-let bench_fragments : (string * string) list ref = ref []
-
-let record_fragment key json =
-  bench_fragments := List.remove_assoc key !bench_fragments @ [ (key, json) ]
-
-let write_bench_json () =
-  let oc = open_out "BENCH_sim.json" in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"tensorlib-bench-sim/2\",\n  \"domains\": %d%s\n}\n"
-    (Par.n_domains ())
-    (String.concat ""
-       (List.map (fun (_, j) -> Printf.sprintf ",\n%s" j) !bench_fragments));
-  close_out oc;
-  print_endline "\n  (machine-readable results written to BENCH_sim.json)"
+(* Gate plumbing shared by the pass/fail sections below.               *)
 
 let wall f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* fresh, empty, uniquely named directory path (not yet created: the
-   design store creates its own tree) *)
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* A fresh, empty, uniquely named directory, removed with everything in
+   it when the process ends: [exit 1] and uncaught exceptions run
+   [at_exit] handlers too. *)
 let temp_dir prefix =
   let path = Filename.temp_file prefix "" in
   Sys.remove path;
+  Sys.mkdir path 0o700;
+  at_exit (fun () -> rm_rf path);
   path
 
-let sim_case ~quick name stmt dname rows cols reps =
-  let d = Search.find_design_exn stmt dname in
-  let env = Exec.alloc_inputs stmt in
-  let acc = Accel.generate ~rows ~cols d env in
-  let reps = if quick then max 1 (reps / 10) else reps in
-  (* steady-state: one sim per backend, each rep replays the full schedule
-     from reset — compile cost (measured by generate-4x4-netlist) excluded *)
-  let tape = Sim.create acc.Accel.circuit in
-  let closure = Sim.create ~backend:`Closure acc.Accel.circuit in
-  let n = acc.Accel.total_cycles + 1 in
-  let run sim () =
-    for _ = 1 to reps do
-      Sim.reset sim;
-      Sim.cycles sim n
-    done
-  in
-  Sim.cycles tape n (* warm-up *);
-  Sim.cycles closure n;
-  let (), tape_s = wall (run tape) in
-  let (), closure_s = wall (run closure) in
-  let simulated = float_of_int ((acc.Accel.total_cycles + 1) * reps) in
-  let tape_cps = simulated /. tape_s in
-  let closure_cps = simulated /. closure_s in
-  (* bit-sliced batch backend: one pass simulates [lanes] independent
-     trials, so throughput is trials per second — the scalar tape's
-     trials/s (one trial per pass) is the baseline *)
-  let tape_tps = float_of_int reps /. tape_s in
-  let batch_tps, packed_frac =
-    List.fold_left
-      (fun (acc_tps, _) lanes ->
-        let sim = Sim.create ~backend:`Batch ~lanes acc.Accel.circuit in
-        Sim.cycles sim n (* warm-up *);
-        let (), s = wall (run sim) in
-        let tps = float_of_int (reps * lanes) /. s in
-        (acc_tps @ [ (lanes, tps) ], Sim.packed_fraction sim))
-      ([], 0.0)
-      [ 1; 8; Sim.max_lanes ]
-  in
-  let w62 = List.assoc Sim.max_lanes batch_tps in
-  Printf.printf
-    "  %-10s %5d cyc/run  tape %11.3e cyc/s  closure %11.3e cyc/s  %5.2fx\n"
-    name (acc.Accel.total_cycles + 1) tape_cps closure_cps
-    (tape_cps /. closure_cps);
-  Printf.printf
-    "  %-10s batched trials/s: tape %9.1f  w1 %9.1f  w8 %9.1f  w%d %9.1f  \
-     (%5.2fx, packed %4.1f%%)\n"
-    "" tape_tps
-    (List.assoc 1 batch_tps)
-    (List.assoc 8 batch_tps)
-    Sim.max_lanes w62 (w62 /. tape_tps) (100. *. packed_frac);
-  (name, acc.Accel.total_cycles + 1, reps, tape_cps, closure_cps, tape_tps,
-   batch_tps, packed_frac)
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
 
-let bench_sim ~quick () =
-  section
-    "Benchmark gate: netlist simulation throughput (tape vs closure vs \
-     batch)";
-  let cases =
-    [ sim_case ~quick "gemm-4x4" (Workloads.gemm ~m:4 ~n:4 ~k:4) "MNK-SST" 4 4
-        200;
-      sim_case ~quick "gemm-8x8" (Workloads.gemm ~m:8 ~n:8 ~k:8) "MNK-SST" 8 8
-        40 ]
-  in
-  record_fragment "sim"
-    (Printf.sprintf "  \"sim\": {%s\n  }"
-       (String.concat ","
-          (List.map
-             (fun (n, cyc, reps, t, c, tape_tps, batch_tps, packed) ->
-               Printf.sprintf
-                 "\n    \"%s\": {\"cycles_per_run\": %d, \"reps\": %d, \
-                  \"tape_cycles_per_sec\": %.0f, \"closure_cycles_per_sec\": \
-                  %.0f, \"speedup\": %.3f, \"tape_trials_per_sec\": %.1f, \
-                  \"batch_trials_per_sec\": {%s}, \"batch_speedup_w62\": \
-                  %.2f, \"packed_fraction\": %.3f}"
-                 n cyc reps t c (t /. c) tape_tps
-                 (String.concat ", "
-                    (List.map
-                       (fun (w, tps) -> Printf.sprintf "\"w%d\": %.1f" w tps)
-                       batch_tps))
-                 (List.assoc Sim.max_lanes batch_tps /. tape_tps)
-                 packed)
-             cases)));
-  write_bench_json ()
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
 
-let bench_dse ~quick () =
-  section "Benchmark gate: DSE sweep wall-time (sequential vs Tl_par)";
-  let pool = Par.n_domains () in
-  let gemm = Workloads.gemm ~m:256 ~n:256 ~k:256 in
-  let limit = if quick then 10 else 32 in
-  ignore (Explore.explore ~limit:2 gemm) (* warm-up (candidate matrices) *);
-  (* cold = evaluation caches emptied; warm = same sweep over a hot cache *)
-  Par.Cache.clear_all ();
-  Perf.reset_counters ();
-  let r_cold, cold_s = wall (fun () -> Explore.explore ~limit ~domains:1 gemm) in
-  let r_warm, warm_s = wall (fun () -> Explore.explore ~limit ~domains:1 gemm) in
-  let explore_ok = List.length r_cold = List.length r_warm in
-  Printf.printf
-    "  explore (GEMM, limit=%d):    cold %7.3fs   warm %7.3fs   %5.2fx%s\n"
-    limit cold_s warm_s (cold_s /. warm_s)
-    (if explore_ok then "" else "  [MISMATCH]");
-  (* a sequential-vs-parallel race on a one-domain pool measures nothing
-     but scheduling overhead: record it as skipped rather than a ~1x
-     "speedup" *)
-  let par_race =
-    if pool <= 1 then None
-    else begin
-      Par.Cache.clear_all ();
-      let r_par, par_s = wall (fun () -> Explore.explore ~limit gemm) in
-      Some (List.length r_par = List.length r_cold, par_s)
-    end
-  in
-  (match par_race with
-   | Some (ok, par_s) ->
-     Printf.printf
-       "  explore seq-vs-par:          cold %7.3fs   par  %7.3fs   %5.2fx%s\n"
-       cold_s par_s (cold_s /. par_s)
-       (if ok then "" else "  [MISMATCH]")
-   | None ->
-     Printf.printf "  explore seq-vs-par:          skipped (pool width 1)\n");
-  let dw = Workloads.depthwise_conv ~k:256 ~y:28 ~x:28 ~p:3 ~q:3 in
-  let e_seq, es = wall (fun () -> Enumerate.design_space ~domains:1 dw) in
-  let points = List.length e_seq in
-  let pts_per_sec = float_of_int points /. es in
-  let enum_par =
-    if pool <= 1 then None
-    else begin
-      let e_par, ep = wall (fun () -> Enumerate.design_space dw) in
-      Some
-        (List.map (fun p -> p.Enumerate.signature) e_seq
-         = List.map (fun p -> p.Enumerate.signature) e_par,
-         ep)
-    end
-  in
-  (match enum_par with
-   | Some (ok, ep) ->
-     Printf.printf
-       "  enumerate (Depthwise, %4d): seq %7.3fs   par %7.3fs   %5.2fx%s\n"
-       points es ep (es /. ep)
-       (if ok then "" else "  [MISMATCH]")
-   | None ->
-     Printf.printf
-       "  enumerate (Depthwise, %4d): seq %7.3fs   par skipped (pool width \
-        1)\n"
-       points es);
-  Printf.printf "  DSE throughput: %.0f points/s\n" pts_per_sec;
-  let counters_json =
-    String.concat ", "
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v)
-         (Perf.counters ()))
-  in
-  let caches_json =
-    String.concat ", "
-      (List.map
-         (fun s ->
-           let total = s.Par.Cache.hits + s.Par.Cache.misses in
-           Printf.sprintf
-             "\"%s\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f, \
-              \"entries\": %d, \"evictions\": %d}"
-             s.Par.Cache.name s.Par.Cache.hits s.Par.Cache.misses
-             (if total = 0 then 0.
-              else float_of_int s.Par.Cache.hits /. float_of_int total)
-             s.Par.Cache.entries s.Par.Cache.evictions)
-         (Par.Cache.all_stats ()))
-  in
-  let opt_race = function
-    | Some (_, s) -> Printf.sprintf "%.4f" s
-    | None -> "null"
-  in
-  let race_ok = function Some (ok, _) -> ok | None -> true in
-  record_fragment "dse"
-    (Printf.sprintf
-       "  \"dse\": {\n    \"pool_width\": %d, \"seq_vs_par\": \"%s\",\n    \
-        \"explore_limit\": %d, \"explore_seq_s\": %.4f, \"explore_warm_s\": \
-        %.4f, \"explore_cache_speedup\": %.3f, \"explore_par_s\": %s,\n    \
-        \"enumerate_points\": %d, \"enumerate_seq_s\": %.4f, \
-        \"enumerate_par_s\": %s, \"points_per_sec\": %.1f,\n    \
-        \"counters\": {%s},\n    \"caches\": {%s},\n    \"deterministic\": \
-        %b\n  }"
-       pool
-       (if pool <= 1 then "skipped (pool width 1)" else "measured")
-       limit cold_s warm_s (cold_s /. warm_s) (opt_race par_race) points es
-       (opt_race enum_par) pts_per_sec counters_json caches_json
-       (explore_ok && race_ok par_race && race_ok enum_par));
-  write_bench_json ();
-  (* ---- whole-network sweep through the persistent design store ---- *)
-  let net = if quick then "tiny" else "resnet18" in
-  let root = temp_dir "tlstore" in
-  let store = Store.open_store ~root () in
-  let layers = List.assoc net (Network.networks ()) in
-  let r_cold, net_cold_s =
-    wall (fun () -> Network.sweep ~store ~name:net layers)
-  in
-  (* warm must be served by the store alone, not the in-memory memos *)
-  Par.Cache.clear_all ();
-  let r_warm, net_warm_s =
-    wall (fun () -> Network.sweep ~store ~name:net layers)
-  in
-  let frontiers (r : Network.report) =
-    List.map (fun l -> l.Network.l_frontier) r.Network.r_layers
-  in
-  let identical =
-    r_cold.Network.r_digest = r_warm.Network.r_digest
-    && frontiers r_cold = frontiers r_warm
-  in
-  Printf.printf
-    "  network sweep (%s, %d layers, %d shapes, %d points):\n\
-    \    cold %7.3fs   warm %7.3fs   %5.1fx   hit rate %.0f%%%s\n"
-    net
-    (List.length r_cold.Network.r_layers)
-    r_cold.Network.r_unique_shapes r_cold.Network.r_points net_cold_s
-    net_warm_s
-    (net_cold_s /. net_warm_s)
-    (100. *. r_warm.Network.r_hit_rate)
-    (if identical then "" else "  [MISMATCH]");
-  (* fresh process against the same persisted store: the whole point of
-     the on-disk format is that a new process starts warm *)
+(* Named checks: each prints PASS or FAIL; [conclude] exits 1 if any
+   check of the process failed. *)
+let failures = ref 0
+
+let check name ok =
+  Printf.printf "  %-52s %s\n%!" name (if ok then "PASS" else "FAIL");
+  if not ok then incr failures
+
+let conclude gate =
+  if !failures > 0 then begin
+    Printf.printf "%s: %d check(s) FAILED\n" gate !failures;
+    exit 1
+  end;
+  print_endline (gate ^ ": OK")
+
+let cli_binary gate =
   let cli =
     Filename.concat (Sys.getcwd ()) "_build/default/bin/tensorlib_cli.exe"
   in
-  let fresh =
-    if not (Sys.file_exists cli) then None
-    else begin
-      let out = Filename.temp_file "tlsweep" ".json" in
-      let cmd =
-        Printf.sprintf "%s sweep --network %s --store %s --json > %s"
-          (Filename.quote cli) net (Filename.quote root) (Filename.quote out)
-      in
-      let rc, fresh_s = wall (fun () -> Sys.command cmd) in
-      let parsed =
-        if rc <> 0 then None
-        else
-          let ic = open_in out in
-          let n = in_channel_length ic in
-          let content = really_input_string ic n in
-          close_in ic;
-          match Json.parse (String.trim content) with
-          | Error _ -> None
-          | Ok j ->
-            Some
-              ( Option.value (Json.mem_string j "digest") ~default:"",
-                Option.value (Json.mem_number j "hit_rate") ~default:0. )
-      in
-      Sys.remove out;
-      match parsed with
-      | None -> None
-      | Some (digest, hit_rate) ->
-        Some (fresh_s, digest = r_cold.Network.r_digest, hit_rate)
-    end
-  in
-  (match fresh with
-   | Some (fresh_s, same, hit_rate) ->
-     Printf.printf
-       "  fresh-process warm sweep:    %7.3fs   %5.1fx   hit rate %.0f%%%s\n"
-       fresh_s
-       (net_cold_s /. fresh_s)
-       (100. *. hit_rate)
-       (if same then "" else "  [MISMATCH]")
-   | None ->
-     Printf.printf
-       "  fresh-process warm sweep:    skipped (CLI binary not built)\n");
-  let st = Store.stats store in
-  let fresh_json =
-    match fresh with
-    | None -> "null"
-    | Some (fresh_s, same, hit_rate) ->
-      Printf.sprintf
-        "{\"warm_s\": %.4f, \"speedup\": %.2f, \"hit_rate\": %.3f, \
-         \"identical\": %b}"
-        fresh_s (net_cold_s /. fresh_s) hit_rate same
-  in
-  let network_json =
-    Printf.sprintf
-      "  \"network\": {\n    \"name\": \"%s\", \"layers\": %d, \
-       \"unique_shapes\": %d, \"points\": %d,\n    \"cold_s\": %.4f, \
-       \"warm_s\": %.4f, \"store_speedup\": %.2f,\n    \"warm_hit_rate\": \
-       %.3f, \"identical\": %b, \"digest\": \"%s\",\n    \"fresh_process\": \
-       %s,\n    \"store\": {\"hits\": %d, \"misses\": %d, \"entries\": %d, \
-       \"evictions\": %d}\n  }"
-      net
-      (List.length r_cold.Network.r_layers)
-      r_cold.Network.r_unique_shapes r_cold.Network.r_points net_cold_s
-      net_warm_s
-      (net_cold_s /. net_warm_s)
-      r_warm.Network.r_hit_rate identical r_cold.Network.r_digest fresh_json
-      st.Par.Cache.hits st.Par.Cache.misses st.Par.Cache.entries
-      st.Par.Cache.evictions
-  in
-  let dse_json =
-    match List.assoc_opt "dse" !bench_fragments with
-    | Some j -> j
-    | None -> "  \"dse\": null"
-  in
-  let oc = open_out "BENCH_dse.json" in
-  Printf.fprintf oc
-    "{\n  \"schema\": \"tensorlib-bench-dse/1\",\n  \"domains\": %d,\n\
-     %s,\n%s\n}\n"
-    (Par.n_domains ()) dse_json network_json;
-  close_out oc;
-  print_endline "  (machine-readable results written to BENCH_dse.json)"
+  if not (Sys.file_exists cli) then begin
+    Printf.eprintf "%s: CLI binary not built (%s)\n" gate cli;
+    exit 1
+  end;
+  cli
 
-let bench_quick () =
-  bench_sim ~quick:true ();
-  bench_dse ~quick:true ()
+let int n = Json.Num (float_of_int n)
+
+let write_json path v =
+  write_file path (Json.to_string v ^ "\n");
+  Printf.printf "\n  (machine-readable results written to %s)\n" path
+
+(* Interrupt a tiny-network sweep by killing its shape 0: the smallest
+   seed whose [par:network-sweep] plan kills task 0 but not tasks 1 and 2.
+   Injections key on the task index, so the choice holds at any pool
+   width. *)
+let arm_kill_shape0 () =
+  let rate = 0.5 and site = "par:network-sweep" in
+  let fires seed key = Resil.Chaos.would_fire ~seed ~rate ~site ~key in
+  let rec find s =
+    if s > 100_000 then failwith "no seed kills exactly shape 0"
+    else if fires s 0 && not (fires s 1 || fires s 2) then s
+    else find (s + 1)
+  in
+  Resil.Chaos.arm
+    { Resil.Chaos.seed = find 0; rate;
+      sites = [ (site, [ Resil.Chaos.Fail "interrupted" ]) ] }
+
+(* The four tier-1 workloads at netlist size. *)
+let tier1 =
+  [ ("gemm", Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
+    ("conv2d", Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3, "KCX-SST");
+    ("depthwise", Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3,
+     "XYP-MMM");
+    ("mttkrp", Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4, "IKL-UBBB") ]
+
+let tier1_accel (_, stmt, dname) =
+  let design = Search.find_design_exn stmt dname in
+  Accel.generate ~rows:4 ~cols:4 ~counters:true design (Exec.alloc_inputs stmt)
 
 (* ------------------------------------------------------------------ *)
 (* Store gate: sweep a small network twice through a fresh persistent
@@ -1056,16 +727,11 @@ let bench_quick () =
 
 let store_smoke () =
   section "Store gate: persistent design store (cold/warm/corrupt)";
-  let cli =
-    Filename.concat (Sys.getcwd ()) "_build/default/bin/tensorlib_cli.exe"
-  in
-  if not (Sys.file_exists cli) then begin
-    Printf.eprintf "store-smoke: CLI binary not built (%s)\n" cli;
-    exit 1
-  end;
-  let root = temp_dir "tlstore" in
+  let cli = cli_binary "store-smoke" in
+  let dir = temp_dir "tlstore" in
+  let root = Filename.concat dir "store" in
+  let out = Filename.concat dir "sweep.json" in
   let run_sweep () =
-    let out = Filename.temp_file "tlsweep" ".json" in
     let cmd =
       Printf.sprintf "%s sweep --network tiny --store %s --json > %s"
         (Filename.quote cli) (Filename.quote root) (Filename.quote out)
@@ -1075,11 +741,7 @@ let store_smoke () =
       Printf.eprintf "store-smoke: sweep exited %d\n" rc;
       exit 1
     end;
-    let ic = open_in out in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    Sys.remove out;
-    match Json.parse (String.trim content) with
+    match Json.parse (String.trim (read_file out)) with
     | Error msg ->
       Printf.eprintf "store-smoke: bad sweep JSON: %s\n" msg;
       exit 1
@@ -1087,11 +749,6 @@ let store_smoke () =
       let digest = Option.value (Json.mem_string j "digest") ~default:"" in
       let hit_rate = Option.value (Json.mem_number j "hit_rate") ~default:0. in
       (secs, digest, hit_rate)
-  in
-  let failures = ref 0 in
-  let check name ok =
-    Printf.printf "  %-42s %s\n" name (if ok then "PASS" else "FAIL");
-    if not ok then incr failures
   in
   let cold_s, cold_digest, cold_rate = run_sweep () in
   let warm_s, warm_digest, warm_rate = run_sweep () in
@@ -1104,16 +761,11 @@ let store_smoke () =
   (* corruption tolerance: truncate one entry file to half its length *)
   let entries = Filename.concat root "entries" in
   (match Sys.readdir entries with
-   | [||] ->
-     check "store has persisted entries" false
+   | [||] -> check "store has persisted entries" false
    | names ->
      let victim = Filename.concat entries names.(0) in
-     let ic = open_in_bin victim in
-     let content = really_input_string ic (in_channel_length ic) in
-     close_in ic;
-     let oc = open_out_bin victim in
-     output_string oc (String.sub content 0 (String.length content / 2));
-     close_out oc);
+     let content = read_file victim in
+     write_file victim (String.sub content 0 (String.length content / 2)));
   let _, corrupt_digest, corrupt_rate = run_sweep () in
   check "truncated entry degrades to a miss" (corrupt_rate < 1.0);
   check "sweep over corrupt store still bit-identical"
@@ -1121,11 +773,7 @@ let store_smoke () =
   let _, healed_digest, healed_rate = run_sweep () in
   check "recomputed entry re-persisted (store healed)"
     (healed_rate = 1.0 && healed_digest = cold_digest);
-  if !failures > 0 then begin
-    Printf.printf "store-smoke: %d check(s) FAILED\n" !failures;
-    exit 1
-  end;
-  print_endline "store-smoke: OK"
+  conclude "store-smoke"
 
 (* ------------------------------------------------------------------ *)
 (* Chaos gate: a seeded software-fault campaign over every probe site —
@@ -1138,18 +786,13 @@ let store_smoke () =
 
 let chaos_smoke () =
   section "Chaos gate: seeded software-fault campaign (store/pool/serve)";
-  let failures = ref 0 in
-  let check name ok =
-    Printf.printf "  %-52s %s\n" name (if ok then "PASS" else "FAIL");
-    if not ok then incr failures
-  in
+  let cli = cli_binary "chaos-smoke" in
   Resil.Chaos.reset_injected ();
   (* fast retries: deterministic backoff, no wall-clock sleeping *)
   let retry = { Resil.Retry.default with sleep = ignore } in
 
   (* -- store campaign: puts and finds under heavy I/O weather -------- *)
-  let root = temp_dir "tlchaos" in
-  let store = Store.open_store ~retry ~root () in
+  let store = Store.open_store ~retry ~root:(temp_dir "tlchaos") () in
   let payload i = Printf.sprintf "payload-%d-%s" i (String.make 64 'x') in
   Resil.Chaos.arm
     {
@@ -1195,23 +838,17 @@ let chaos_smoke () =
     | [||] -> failwith "chaos-smoke: no entry persisted"
     | names -> Filename.concat entries2 names.(0)
   in
-  let ic = open_in_bin victim in
-  let full = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let full = read_file victim in
   let torn_ok = ref true in
   for cut = 0 to String.length full - 1 do
-    let oc = open_out_bin victim in
-    output_string oc (String.sub full 0 cut);
-    close_out oc;
+    write_file victim (String.sub full 0 cut);
     (* fresh handle: no index state, straight to the torn file *)
     let probe_store = Store.open_store ~root:root2 () in
     match Store.find probe_store "torn" with
     | None -> ()
     | Some _ -> torn_ok := false
   done;
-  let oc = open_out_bin victim in
-  output_string oc full;
-  close_out oc;
+  write_file victim full;
   check
     (Printf.sprintf "torn entry degrades to a miss at all %d offsets"
        (String.length full))
@@ -1261,42 +898,27 @@ let chaos_smoke () =
     (ordered = List.map (fun i -> 2 * i) items);
 
   (* -- serve under hostile stdin (subprocess) ------------------------ *)
-  let cli =
-    Filename.concat (Sys.getcwd ()) "_build/default/bin/tensorlib_cli.exe"
-  in
-  if not (Sys.file_exists cli) then begin
-    Printf.eprintf "chaos-smoke: CLI binary not built (%s)\n" cli;
-    exit 1
-  end;
-  let serve_root = temp_dir "tlserve" in
-  let infile = Filename.temp_file "tlserve" ".in" in
-  let outfile = Filename.temp_file "tlserve" ".out" in
-  let errfile = Filename.temp_file "tlserve" ".err" in
-  let oc = open_out infile in
-  output_string oc "{\"id\": 1, \"network\": \"tiny\"}\n";
-  output_string oc (String.make 4096 'z' ^ "\n") (* oversized *);
-  output_string oc "this is not json\n";
-  output_string oc "{\"id\": 2, \"expr\": \"bogus\"}\n";
-  output_string oc "\n" (* blank: ignored *);
-  output_string oc "{\"id\": 3, \"network\": \"tiny\"}" (* mid-line EOF *);
-  close_out oc;
+  let dir = temp_dir "tlserve" in
+  let file name = Filename.concat dir name in
+  write_file (file "requests")
+    (String.concat ""
+       [ "{\"id\": 1, \"network\": \"tiny\"}\n";
+         String.make 4096 'z' ^ "\n" (* oversized *);
+         "this is not json\n";
+         "{\"id\": 2, \"expr\": \"bogus\"}\n";
+         "\n" (* blank: ignored *);
+         "{\"id\": 3, \"network\": \"tiny\"}" (* mid-line EOF *) ]);
   let rc =
     Sys.command
       (Printf.sprintf "%s serve --store %s --max-request-bytes 1024 < %s > %s 2> %s"
-         (Filename.quote cli) (Filename.quote serve_root)
-         (Filename.quote infile) (Filename.quote outfile)
-         (Filename.quote errfile))
+         (Filename.quote cli) (Filename.quote (file "store"))
+         (Filename.quote (file "requests")) (Filename.quote (file "out"))
+         (Filename.quote (file "err")))
   in
   check "serve exits 0 after oversized/malformed/mid-line-EOF input"
     (rc = 0);
-  let read_all path =
-    let ic = open_in path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let responses =
-    String.split_on_char '\n' (read_all outfile)
+    String.split_on_char '\n' (read_file (file "out"))
     |> List.filter (fun l -> String.trim l <> "")
   in
   let parsed = List.map (fun l -> Json.parse l) responses in
@@ -1309,7 +931,7 @@ let chaos_smoke () =
   in
   check "hostile lines got structured errors, real requests succeeded"
     (List.map ok_of parsed = [ true; false; false; false; true ]);
-  let errlog = read_all errfile in
+  let errlog = read_file (file "err") in
   let contains_shutdown =
     let needle = "serve: shutdown after" in
     let n = String.length needle in
@@ -1320,47 +942,20 @@ let chaos_smoke () =
     go 0
   in
   check "serve printed the final stats line on stderr" contains_shutdown;
-  List.iter Sys.remove [ infile; outfile; errfile ];
 
   (* -- interrupted-then-resumed sweep, digest-identical -------------- *)
   let layers = List.assoc "tiny" (Network.networks ()) in
-  (* pick a seed whose par:network-sweep plan kills exactly shape 0:
-     injections key on the task index, so the choice holds at any
-     pool width *)
-  let kill_rate = 0.5 in
-  let seed =
-    let fires s k =
-      Resil.Chaos.would_fire ~seed:s ~rate:kill_rate ~site:"par:network-sweep"
-        ~key:k
-    in
-    let rec go s =
-      if s > 100_000 then failwith "chaos-smoke: no suitable seed"
-      else if fires s 0 && not (fires s 1) && not (fires s 2) then s
-      else go (s + 1)
-    in
-    go 0
-  in
-  let sweep_digest ~width ~root ~resume =
-    let store = Store.open_store ~root () in
-    let ckpt = Filename.concat root "sweep-tiny.ckpt" in
-    let r =
-      Network.sweep ~domains:width ~checkpoint:ckpt ~resume ~store ~name:"tiny"
-        layers
-    in
-    r
+  let sweep ~width ~root ~resume =
+    Network.sweep ~domains:width
+      ~checkpoint:(Filename.concat root "sweep-tiny.ckpt")
+      ~resume ~store:(Store.open_store ~root ()) ~name:"tiny" layers
   in
   List.iter
     (fun width ->
-      let cold_root = temp_dir "tlcold" in
-      let cold = sweep_digest ~width ~root:cold_root ~resume:false in
+      let cold = sweep ~width ~root:(temp_dir "tlcold") ~resume:false in
       let int_root = temp_dir "tlint" in
-      Resil.Chaos.arm
-        {
-          Resil.Chaos.seed;
-          rate = kill_rate;
-          sites = [ ("par:network-sweep", [ Resil.Chaos.Fail "interrupted" ]) ];
-        };
-      let interrupted = sweep_digest ~width ~root:int_root ~resume:false in
+      arm_kill_shape0 ();
+      let interrupted = sweep ~width ~root:int_root ~resume:false in
       Resil.Chaos.disarm ();
       check
         (Printf.sprintf "width %d: injected kill degrades the sweep" width)
@@ -1369,7 +964,7 @@ let chaos_smoke () =
       check
         (Printf.sprintf "width %d: interrupted sweep left a checkpoint" width)
         (Sys.file_exists (Filename.concat int_root "sweep-tiny.ckpt"));
-      let resumed = sweep_digest ~width ~root:int_root ~resume:true in
+      let resumed = sweep ~width ~root:int_root ~resume:true in
       check
         (Printf.sprintf
            "width %d: resumed digest bit-identical to uninterrupted" width)
@@ -1384,11 +979,7 @@ let chaos_smoke () =
   let injected = Resil.Chaos.injected () in
   Printf.printf "  total injected software faults: %d\n" injected;
   check "campaign injected at least 200 software faults" (injected >= 200);
-  if !failures > 0 then begin
-    Printf.printf "chaos-smoke: %d check(s) FAILED\n" !failures;
-    exit 1
-  end;
-  print_endline "chaos-smoke: OK"
+  conclude "chaos-smoke"
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark gate: resilience overheads.  Measures what the software
@@ -1403,8 +994,7 @@ let bench_resil () =
   Resil.Retry.reset_counters ();
   (* retry economics under seeded read weather *)
   let retry = { Resil.Retry.default with sleep = ignore } in
-  let root = temp_dir "tlresil" in
-  let store = Store.open_store ~retry ~root () in
+  let store = Store.open_store ~retry ~root:(temp_dir "tlresil") () in
   let n_keys = 200 in
   for i = 0 to n_keys - 1 do
     Store.put store (Printf.sprintf "k%d" i) (Printf.sprintf "v%d" i)
@@ -1434,19 +1024,14 @@ let bench_resil () =
 
   (* partial-result latency: a hard budget answers fast with estimates *)
   let layers = List.assoc "tiny" (Network.networks ()) in
-  let cold_root = temp_dir "tlresilc" in
-  let cold, cold_s =
-    wall (fun () ->
-        Network.sweep ~store:(Store.open_store ~root:cold_root ())
-          ~name:"tiny" layers)
+  let sweep ?budget ?checkpoint ?resume store =
+    Network.sweep ?budget ?checkpoint ?resume ~store ~name:"tiny" layers
   in
-  let partial_root = temp_dir "tlresilp" in
+  let fresh_store prefix = Store.open_store ~root:(temp_dir prefix) () in
+  let cold, cold_s = wall (fun () -> sweep (fresh_store "tlresilc")) in
   let partial, partial_s =
     wall (fun () ->
-        Network.sweep
-          ~budget:(Resil.Budget.of_checks 1000)
-          ~store:(Store.open_store ~root:partial_root ())
-          ~name:"tiny" layers)
+        sweep ~budget:(Resil.Budget.of_checks 1000) (fresh_store "tlresilp"))
   in
   Printf.printf
     "  full sweep %.3fs  budget-degraded %.3fs (%.0fx faster, %d/%d shapes \
@@ -1457,34 +1042,14 @@ let bench_resil () =
     failwith "bench-resil: budget failed to degrade the sweep";
 
   (* resume-vs-cold: interrupt by killing shape 0, then resume *)
-  let kill_rate = 0.5 in
-  let fires s k =
-    Resil.Chaos.would_fire ~seed:s ~rate:kill_rate ~site:"par:network-sweep"
-      ~key:k
-  in
-  let rec find_seed s =
-    if s > 100_000 then failwith "bench-resil: no suitable seed"
-    else if fires s 0 && not (fires s 1) && not (fires s 2) then s
-    else find_seed (s + 1)
-  in
-  let seed = find_seed 0 in
   let int_root = temp_dir "tlresili" in
   let int_store = Store.open_store ~root:int_root () in
-  let ckpt = Filename.concat int_root "sweep-tiny.ckpt" in
-  Resil.Chaos.arm
-    {
-      Resil.Chaos.seed;
-      rate = kill_rate;
-      sites = [ ("par:network-sweep", [ Resil.Chaos.Fail "interrupted" ]) ];
-    };
-  let _interrupted =
-    Network.sweep ~checkpoint:ckpt ~store:int_store ~name:"tiny" layers
-  in
+  let checkpoint = Filename.concat int_root "sweep-tiny.ckpt" in
+  arm_kill_shape0 ();
+  let _interrupted = sweep ~checkpoint int_store in
   Resil.Chaos.disarm ();
   let resumed, resume_s =
-    wall (fun () ->
-        Network.sweep ~checkpoint:ckpt ~resume:true ~store:int_store
-          ~name:"tiny" layers)
+    wall (fun () -> sweep ~checkpoint ~resume:true int_store)
   in
   let digest_identical = resumed.Network.r_digest = cold.Network.r_digest in
   Printf.printf
@@ -1494,39 +1059,40 @@ let bench_resil () =
     (if digest_identical then "identical" else "DIVERGED");
   if not digest_identical then
     failwith "bench-resil: resumed digest diverged from cold";
-  let oc = open_out "BENCH_resil.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"tensorlib-bench-resil/1\",\n\
-    \  \"domains\": %d,\n\
-    \  \"retry\": {\"reads\": %d, \"healed\": %d, \"missed\": %d, \
-     \"retries\": %d, \"giveups\": %d, \"degraded_reads\": %d, \
-     \"dropped_writes\": %d},\n\
-    \  \"partial\": {\"cold_s\": %.4f, \"partial_s\": %.4f, \
-     \"speedup\": %.2f, \"degraded_shapes\": %d, \"unique_shapes\": %d},\n\
-    \  \"resume\": {\"cold_s\": %.4f, \"resume_s\": %.4f, \
-     \"speedup\": %.2f, \"resumed_shapes\": %d, \"digest_identical\": %b},\n\
-    \  \"injected_faults\": %d\n\
-     }\n"
-    (Par.n_domains ()) n_keys !healed !missed retries giveups degraded_reads
-    dropped_writes cold_s partial_s (cold_s /. partial_s)
-    partial.Network.r_degraded_shapes partial.Network.r_unique_shapes cold_s
-    resume_s (cold_s /. resume_s) resumed.Network.r_resumed_shapes
-    digest_identical
-    (Resil.Chaos.injected ());
-  close_out oc;
-  ignore cold.Network.r_complete;
-  print_endline "\n  (machine-readable results written to BENCH_resil.json)"
+  write_json "BENCH_resil.json"
+    (Json.Obj
+       [ ("schema", Json.Str "tensorlib-bench-resil/1");
+         ("domains", int (Par.n_domains ()));
+         ("retry",
+          Json.Obj
+            [ ("reads", int n_keys); ("healed", int !healed);
+              ("missed", int !missed); ("retries", int retries);
+              ("giveups", int giveups);
+              ("degraded_reads", int degraded_reads);
+              ("dropped_writes", int dropped_writes) ]);
+         ("partial",
+          Json.Obj
+            [ ("cold_s", Json.Num cold_s); ("partial_s", Json.Num partial_s);
+              ("speedup", Json.Num (cold_s /. partial_s));
+              ("degraded_shapes", int partial.Network.r_degraded_shapes);
+              ("unique_shapes", int partial.Network.r_unique_shapes) ]);
+         ("resume",
+          Json.Obj
+            [ ("cold_s", Json.Num cold_s); ("resume_s", Json.Num resume_s);
+              ("speedup", Json.Num (cold_s /. resume_s));
+              ("resumed_shapes", int resumed.Network.r_resumed_shapes);
+              ("digest_identical", Json.Bool digest_identical) ]);
+         ("injected_faults", int (Resil.Chaos.injected ())) ])
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark gate: fault-injection campaign.  Baseline 4x4 GEMM vs the
    fully hardened (TMR + parity + ABFT) variant of the same dataflow,
-   each under a 1000-trial seeded campaign; writes BENCH_fault.json with
-   outcome counts, SDC rates and the ASIC-model hardening overhead.
-   A second, throughput-sized campaign (8x8 GEMM, 10000 trials — the
-   same paper-scale design bench-sim headlines) runs the identical fault
-   plan on the scalar tape and on the bit-sliced backend to measure the
-   batch wall-clock speedup at full lane width.                         *)
+   each under a 1000-trial seeded campaign; the hardened design must let
+   no silent data corruption through.  A second, throughput-sized
+   campaign (8x8 GEMM, 10000 trials) runs the identical fault plan on the
+   scalar tape and on the bit-sliced backend to measure the batch
+   wall-clock speedup at full lane width.  Writes BENCH_fault.json with
+   outcome counts, SDC rates and the ASIC-model hardening overhead.      *)
 
 let bench_fault () =
   section "Benchmark gate: fault campaigns (baseline vs TMR+parity+ABFT)";
@@ -1609,29 +1175,28 @@ let bench_fault () =
   Printf.printf
     "  ABFT problem overhead (5x5 array): area %+.2f%%  cycles %+.2f%%\n"
     abft_area abft_cycles;
-  let oc = open_out "BENCH_fault.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"schema\": \"tensorlib-bench-fault/1\",\n\
-    \  \"domains\": %d,\n\
-    \  \"baseline\": %s,\n\
-    \  \"hardened\": %s,\n\
-    \  \"overhead\": {\"tmr_parity_area_pct\": %.2f, \
-     \"tmr_parity_power_pct\": %.2f, \"abft_area_pct\": %.2f, \
-     \"abft_cycles_pct\": %.2f},\n\
-    \  \"wall_s\": {\"baseline\": %.3f, \"hardened\": %.3f, \
-     \"campaign_8x8_tape\": %.3f, \"campaign_8x8_batch\": %.3f},\n\
-    \  \"batch_trials\": %d,\n\
-    \  \"batch_speedup\": %.3f\n\
-     }\n"
-    (Par.n_domains ())
-    (Campaign.to_json base_rep)
-    (Campaign.to_json hard_rep)
-    tmr_area tmr_power abft_area abft_cycles base_s hard_s tape_s batch_s
-    perf_trials
-    (tape_s /. batch_s);
-  close_out oc;
-  print_endline "\n  (machine-readable results written to BENCH_fault.json)"
+  write_json "BENCH_fault.json"
+    (Json.Obj
+       [ ("schema", Json.Str "tensorlib-bench-fault/1");
+         ("domains", int (Par.n_domains ()));
+         ("baseline", Campaign.to_json base_rep);
+         ("hardened", Campaign.to_json hard_rep);
+         ("overhead",
+          Json.Obj
+            [ ("tmr_parity_area_pct", Json.Num tmr_area);
+              ("tmr_parity_power_pct", Json.Num tmr_power);
+              ("abft_area_pct", Json.Num abft_area);
+              ("abft_cycles_pct", Json.Num abft_cycles) ]);
+         ("wall_s",
+          Json.Obj
+            [ ("baseline", Json.Num base_s); ("hardened", Json.Num hard_s);
+              ("campaign_8x8_tape", Json.Num tape_s);
+              ("campaign_8x8_batch", Json.Num batch_s) ]);
+         ("batch_trials", int perf_trials);
+         ("batch_speedup", Json.Num (tape_s /. batch_s)) ]);
+  check "hardened design: zero silent data corruptions"
+    (hard_rep.Campaign.sdc = 0);
+  conclude "fault-smoke"
 
 (* ------------------------------------------------------------------ *)
 (* Fast batch-backend gate: lane-differential correctness plus a quick
@@ -1690,21 +1255,10 @@ let batch_smoke () =
 
 let bench_obs () =
   section "Benchmark gate: observability (counters vs model, traced pools)";
-  let cases =
-    [ ("gemm", Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
-      ("conv2d", Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3, "KCX-SST");
-      ("depthwise", Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3,
-       "XYP-MMM");
-      ("mttkrp", Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4, "IKL-UBBB") ]
-  in
   let results =
     List.map
-      (fun (tag, stmt, dname) ->
-        let design = Search.find_design_exn stmt dname in
-        let env = Exec.alloc_inputs stmt in
-        let acc =
-          Accel.generate ~rows:4 ~cols:4 ~counters:true design env
-        in
+      (fun ((tag, _, dname) as case) ->
+        let acc = tier1_accel case in
         let v, v_s = wall (fun () -> Obs.Counters.validate acc) in
         let p, p_s = wall (fun () -> Obs.Power.measure acc) in
         Printf.printf
@@ -1715,7 +1269,7 @@ let bench_obs () =
           p.Obs.Power.modeled.Asic.power_mw
           p.Obs.Power.measured.Asic.power_mw v_s p_s;
         (tag, v, p, v_s, p_s))
-      cases
+      tier1
   in
   List.iter
     (fun (tag, v, _, _, _) ->
@@ -1750,32 +1304,33 @@ let bench_obs () =
     explored dse_s campaign_rep.Campaign.trials fault_s
     (Obs.Trace.length trace);
   Obs.Trace.write_file "TRACE_obs.json" trace;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"tensorlib-bench-obs/1\",\n";
-  Printf.fprintf oc "  \"domains\": %d,\n  \"workloads\": [\n"
-    (Par.n_domains ());
-  List.iteri
-    (fun i (tag, v, p, v_s, p_s) ->
-      Printf.fprintf oc
-        "    { \"workload\": \"%s\",\n      \"counters\": %s,\n\
-        \      \"power\": %s,\n\
-        \      \"wall_s\": {\"validate\": %.3f, \"power\": %.3f} }%s\n"
-        tag
-        (Obs.Counters.to_json v)
-        (Obs.Power.to_json p) v_s p_s
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Printf.fprintf oc
-    "  ],\n\
-    \  \"traced\": {\"dse_designs\": %d, \"fault_trials\": %d, \
-     \"spans\": %d, \"trace_file\": \"TRACE_obs.json\",\n\
-    \             \"wall_s\": {\"dse\": %.3f, \"fault\": %.3f}}\n}\n"
-    explored campaign_rep.Campaign.trials
-    (Obs.Trace.length trace) dse_s fault_s;
-  close_out oc;
-  print_endline
-    "\n  (machine-readable results written to BENCH_obs.json; Chrome \
-     trace in TRACE_obs.json)"
+  write_json "BENCH_obs.json"
+    (Json.Obj
+       [ ("schema", Json.Str "tensorlib-bench-obs/1");
+         ("domains", int (Par.n_domains ()));
+         ("workloads",
+          Json.List
+            (List.map
+               (fun (tag, v, p, v_s, p_s) ->
+                 Json.Obj
+                   [ ("workload", Json.Str tag);
+                     ("counters", Obs.Counters.to_json v);
+                     ("power", Obs.Power.to_json p);
+                     ("wall_s",
+                      Json.Obj
+                        [ ("validate", Json.Num v_s); ("power", Json.Num p_s) ])
+                   ])
+               results));
+         ("traced",
+          Json.Obj
+            [ ("dse_designs", int explored);
+              ("fault_trials", int campaign_rep.Campaign.trials);
+              ("spans", int (Obs.Trace.length trace));
+              ("trace_file", Json.Str "TRACE_obs.json");
+              ("wall_s",
+               Json.Obj
+                 [ ("dse", Json.Num dse_s); ("fault", Json.Num fault_s) ]) ])
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Benchmark gate: abstract interpretation.  Runs the Tl_absint proof
@@ -1786,21 +1341,10 @@ let bench_obs () =
 
 let bench_absint () =
   section "Benchmark gate: abstract interpretation (proofs + narrowing)";
-  let cases =
-    [ ("gemm", Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
-      ("conv2d", Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3, "KCX-SST");
-      ("depthwise", Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3,
-       "XYP-MMM");
-      ("mttkrp", Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4, "IKL-UBBB") ]
-  in
   let results =
     List.map
-      (fun (tag, stmt, dname) ->
-        let design = Search.find_design_exn stmt dname in
-        let env = Exec.alloc_inputs stmt in
-        let acc =
-          Accel.generate ~rows:4 ~cols:4 ~counters:true design env
-        in
+      (fun ((tag, _, dname) as case) ->
+        let acc = tier1_accel case in
         let r, a_s = wall (fun () -> Absint.Report.of_accel acc) in
         let open Absint.Report in
         let sv = r.savings in
@@ -1812,7 +1356,7 @@ let bench_absint () =
           (List.length r.proofs) sv.Absint.Narrow.reg_bits_before
           sv.Absint.Narrow.reg_bits_after r.area_before r.area_after a_s;
         (tag, r, a_s))
-      cases
+      tier1
   in
   List.iter
     (fun (tag, (r : Absint.Report.t), _) ->
@@ -1823,31 +1367,27 @@ let bench_absint () =
              (Format.asprintf "%a" Lint.Finding.pp_report
                 r.Absint.Report.findings)))
     results;
-  let oc = open_out "BENCH_absint.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"tensorlib-bench-absint/1\",\n";
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (tag, (r : Absint.Report.t), a_s) ->
-      let sv = r.Absint.Report.savings in
-      Printf.fprintf oc
-        "    { \"workload\": \"%s\", \"target\": \"%s\", \"safe\": %b,\n\
-        \      \"cycles\": %d, \"proofs\": %d, \"findings\": %d,\n\
-        \      \"reg_bits_before\": %d, \"reg_bits_after\": %d,\n\
-        \      \"cells_before\": %d, \"cells_after\": %d,\n\
-        \      \"area_before\": %.2f, \"area_after\": %.2f,\n\
-        \      \"wall_s\": %.3f }%s\n"
-        tag r.Absint.Report.target r.Absint.Report.safe
-        r.Absint.Report.cycles
-        (List.length r.Absint.Report.proofs)
-        (List.length r.Absint.Report.findings)
-        sv.Absint.Narrow.reg_bits_before sv.Absint.Narrow.reg_bits_after
-        sv.Absint.Narrow.cells_before sv.Absint.Narrow.cells_after
-        r.Absint.Report.area_before r.Absint.Report.area_after a_s
-        (if i < List.length results - 1 then "," else ""))
-    results;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  print_endline "\n  (machine-readable results written to BENCH_absint.json)"
+  let workload (tag, (r : Absint.Report.t), a_s) =
+    let sv = r.Absint.Report.savings in
+    Json.Obj
+      [ ("workload", Json.Str tag);
+        ("target", Json.Str r.Absint.Report.target);
+        ("safe", Json.Bool r.Absint.Report.safe);
+        ("cycles", int r.Absint.Report.cycles);
+        ("proofs", int (List.length r.Absint.Report.proofs));
+        ("findings", int (List.length r.Absint.Report.findings));
+        ("reg_bits_before", int sv.Absint.Narrow.reg_bits_before);
+        ("reg_bits_after", int sv.Absint.Narrow.reg_bits_after);
+        ("cells_before", int sv.Absint.Narrow.cells_before);
+        ("cells_after", int sv.Absint.Narrow.cells_after);
+        ("area_before", Json.Num r.Absint.Report.area_before);
+        ("area_after", Json.Num r.Absint.Report.area_after);
+        ("wall_s", Json.Num a_s) ]
+  in
+  write_json "BENCH_absint.json"
+    (Json.Obj
+       [ ("schema", Json.Str "tensorlib-bench-absint/1");
+         ("workloads", Json.List (List.map workload results)) ])
 
 (* ------------------------------------------------------------------ *)
 (* prog-smoke: one programmable 4x4 netlist serves three einsum shapes
@@ -1872,11 +1412,6 @@ let prog_shapes = [ 6; 10; 14 ]
 let prog_smoke () =
   section "prog-smoke: one programmable netlist, three shapes";
   let target = prog_target () in
-  let failures = ref 0 in
-  let check name ok =
-    Printf.printf "  %-44s %s\n%!" name (if ok then "ok" else "FAIL");
-    if not ok then incr failures
-  in
   let plan_stats () =
     List.find
       (fun (s : Par.Cache.stats) -> s.Par.Cache.name = "stt.search_plan")
@@ -1947,11 +1482,7 @@ let prog_smoke () =
     (List.for_all
        (fun r -> List.mem r (rules ar.Absint.Report.findings))
        (rules ap.Absint.Report.findings));
-  if !failures > 0 then begin
-    Printf.printf "prog-smoke: %d check(s) FAILED\n" !failures;
-    exit 1
-  end;
-  print_endline "prog-smoke: OK"
+  conclude "prog-smoke"
 
 (* ------------------------------------------------------------------ *)
 (* bench-prog: latency to retarget the array to a new shape —
@@ -2017,22 +1548,20 @@ let bench_prog () =
     List.fold_left (fun a (_, _, _, _, s, _) -> min a s) infinity rows
   in
   let all_verified = List.for_all (fun (_, _, _, _, _, v) -> v) rows in
-  let oc = open_out "BENCH_prog.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"tensorlib-bench-prog/1\",\n";
-  Printf.fprintf oc "  \"target\": \"%s\",\n  \"rows\": 4,\n  \"cols\": 4,\n"
-    target.Accel.design.Design.name;
-  Printf.fprintf oc "  \"headroom\": %d,\n  \"shapes\": [\n" prog_headroom;
-  List.iteri
-    (fun i (k, regen, reprog, compile, speedup, verified) ->
-      Printf.fprintf oc
-        "    { \"k\": %d, \"regenerate_ms\": %.4f, \"reprogram_ms\": %.4f,\n\
-        \      \"compile_ms\": %.4f, \"speedup\": %.2f, \"verified\": %b }%s\n"
-        k regen reprog compile speedup verified
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ],\n  \"min_speedup\": %.2f\n}\n" min_speedup;
-  close_out oc;
-  print_endline "\n  (machine-readable results written to BENCH_prog.json)";
+  let shape (k, regen, reprog, compile, speedup, verified) =
+    Json.Obj
+      [ ("k", int k); ("regenerate_ms", Json.Num regen);
+        ("reprogram_ms", Json.Num reprog); ("compile_ms", Json.Num compile);
+        ("speedup", Json.Num speedup); ("verified", Json.Bool verified) ]
+  in
+  write_json "BENCH_prog.json"
+    (Json.Obj
+       [ ("schema", Json.Str "tensorlib-bench-prog/1");
+         ("target", Json.Str target.Accel.design.Design.name);
+         ("rows", int 4); ("cols", int 4);
+         ("headroom", int prog_headroom);
+         ("shapes", Json.List (List.map shape rows));
+         ("min_speedup", Json.Num min_speedup) ]);
   if not all_verified then begin
     print_endline "bench-prog: programmed output diverged";
     exit 1
@@ -2051,14 +1580,11 @@ let all_sections =
     ("fig5", fig5); ("fig6", fig6); ("table3", table3);
     ("metrics", metrics); ("tradeoffs", tradeoffs);
     ("ablation-float", ablation_float);
-    ("ablation-span", ablation_span); ("ablation-rewrite", ablation_rewrite);
-    ("micro", micro);
-    ("bench-sim", fun () -> bench_sim ~quick:false ());
-    ("bench-dse", fun () -> bench_dse ~quick:false ()) ]
+    ("ablation-span", ablation_span); ("ablation-rewrite", ablation_rewrite) ]
 
 let dispatch =
   all_sections
-  @ [ ("bench-quick", bench_quick); ("bench-fault", bench_fault);
+  @ [ ("bench-fault", bench_fault);
       ("bench-obs", bench_obs); ("bench-absint", bench_absint);
       ("batch-smoke", batch_smoke); ("store-smoke", store_smoke);
       ("chaos-smoke", chaos_smoke); ("bench-resil", bench_resil);

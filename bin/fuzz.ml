@@ -488,11 +488,7 @@ let () =
       incr evals_checked;
       let config = { Perf.default_config with Perf.rows; cols } in
       let fast = outcome (fun () -> Perf.evaluate ~config ~cache:false d) in
-      let reference =
-        outcome (fun () ->
-            Perf.evaluate ~config ~tile_search:`Exhaustive
-              ~stats:`Materialised d)
-      in
+      let reference = outcome (fun () -> Perf.evaluate_reference ~config d) in
       if fast <> reference then disagree i "evaluate" ~rows ~cols d
     end
   done;

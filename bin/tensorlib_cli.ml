@@ -644,11 +644,11 @@ let fault_cmd =
         | None -> []
         | Some (area, power) ->
           [ ("hardening_overhead",
-             Printf.sprintf "{\"area_pct\": %.2f, \"power_pct\": %.2f}" area
-               power) ]
+             Json.Obj
+               [ ("area_pct", Json.Num area); ("power_pct", Json.Num power) ])
+          ]
       in
-      print_string (Campaign.to_json ~extra report);
-      print_newline ()
+      print_endline (Json.to_string (Campaign.to_json ~extra report))
     end
     else begin
       Format.printf "%a" Campaign.pp report;
@@ -711,12 +711,12 @@ let profile_cmd =
      | None -> ()
      | Some path -> Obs.Trace.write_file path trace);
     if json then
-      Printf.printf
-        "{ \"schema\": \"tensorlib-profile/1\",\n\
-        \  \"counters\": %s,\n\
-        \  \"power\": %s }\n"
-        (Obs.Counters.to_json validation)
-        (Obs.Power.to_json power)
+      print_endline
+        (Json.to_string
+           (Json.Obj
+              [ ("schema", Json.Str "tensorlib-profile/1");
+                ("counters", Obs.Counters.to_json validation);
+                ("power", Obs.Power.to_json power) ]))
     else begin
       Format.printf "%a@." Obs.Counters.pp validation;
       Format.printf "%a@." Obs.Power.pp power

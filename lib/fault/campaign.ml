@@ -295,29 +295,27 @@ let pp ppf r =
     r.per_class
 
 let to_json ?(extra = []) r =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{";
-  add "\"design\": %S, " r.design;
-  add "\"hardening\": %S, " r.hardening;
-  add "\"backend\": %S, " r.backend;
-  add "\"trials\": %d, " r.trials;
-  add "\"seed\": %d, " r.seed;
-  add
-    "\"outcomes\": {\"masked\": %d, \"sdc\": %d, \"detected\": %d, \"hang\": \
-     %d}, "
-    r.masked r.sdc r.detected r.hang;
-  add "\"sdc_rate\": %.6f, " r.sdc_rate;
-  add "\"per_class\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then add ", ";
-      add
-        "{\"class\": %S, \"total\": %d, \"masked\": %d, \"sdc\": %d, \
-         \"detected\": %d, \"hang\": %d}"
-        (Fault.class_label c.cls) c.total c.masked c.sdc c.detected c.hang)
-    r.per_class;
-  add "]";
-  List.iter (fun (k, v) -> add ", %S: %s" k v) extra;
-  add "}";
-  Buffer.contents b
+  let open Tl_store.Json in
+  let int n = Num (float_of_int n) in
+  Obj
+    ([ ("design", Str r.design);
+       ("hardening", Str r.hardening);
+       ("backend", Str r.backend);
+       ("trials", int r.trials);
+       ("seed", int r.seed);
+       ("outcomes",
+        Obj
+          [ ("masked", int r.masked); ("sdc", int r.sdc);
+            ("detected", int r.detected); ("hang", int r.hang) ]);
+       ("sdc_rate", Num r.sdc_rate);
+       ("per_class",
+        List
+          (List.map
+             (fun c ->
+               Obj
+                 [ ("class", Str (Fault.class_label c.cls));
+                   ("total", int c.total); ("masked", int c.masked);
+                   ("sdc", int c.sdc); ("detected", int c.detected);
+                   ("hang", int c.hang) ])
+             r.per_class)) ]
+    @ extra)

@@ -83,7 +83,8 @@ val run_faults : ?config:config -> ?golden:Tl_ir.Dense.t ->
 val pp : Format.formatter -> report -> unit
 (** Human-readable summary table. *)
 
-val to_json : ?extra:(string * string) list -> report -> string
-(** Render the report (without per-trial detail) as JSON.  [extra] pairs
-    of (key, pre-rendered JSON value) are appended to the top-level
-    object — the bench gate uses this for hardening-overhead figures. *)
+val to_json : ?extra:(string * Tl_store.Json.t) list -> report ->
+  Tl_store.Json.t
+(** The report (without per-trial detail) as a JSON object.  [extra]
+    fields are appended to the top-level object — the CLI uses this for
+    hardening-overhead figures. *)

@@ -9,8 +9,7 @@
    - [`Closure]: the original interpreter — one closure per combinational
      node, and a latch that resolves register operands through the
      signal-id hash table each cycle.  Kept as an independently implemented
-     reference for differential testing and as the baseline the benchmark
-     gate reports speedups against.
+     differential oracle for the other two backends.
 
    - [`Batch]: a bit-sliced evaluator over the same compiled tape, packing
      up to 62 independent trials into the bit lanes of each native int.

@@ -14,9 +14,8 @@
       sequential phase is pre-resolved to dense indices so {!cycle}
       performs no hashing and no allocation.
     - [`Closure]: the reference interpreter — one closure per
-      combinational node and a hash-resolved latch.  Slower; kept for
-      differential testing ({i tape vs closure must agree cycle-for-cycle})
-      and as the baseline for the [bench-sim] benchmark gate.
+      combinational node and a hash-resolved latch.  Slower; kept as a
+      differential oracle ({i tape vs closure must agree cycle-for-cycle}).
     - [`Batch]: a bit-sliced evaluator over the same compiled tape,
       packing up to {!max_lanes} independent trials into the bit lanes of
       each native int and executing all of them in one pass.  Width-1

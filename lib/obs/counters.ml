@@ -114,41 +114,23 @@ let validate ?(backend = `Tape) (acc : Accel.t) =
   Accel.check_done acc sim;
   validate_sim ~backend acc sim
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json v =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "{ \"design\": \"%s\", \"backend\": \"%s\", \"ok\": %b,\n"
-    (json_escape v.v_design) v.v_backend v.v_ok;
-  add "  \"counters\": { %s },\n"
-    (String.concat ", "
-       (List.map
-          (fun (n, x) -> Printf.sprintf "\"%s\": %d" (json_escape n) x)
-          v.v_counters));
-  add "  \"checks\": [ %s ] }"
-    (String.concat ", "
-       (List.map
-          (fun c ->
-            Printf.sprintf
-              "{ \"name\": \"%s\", \"measured\": %d, \"modeled\": %d, \
-               \"ok\": %b }"
-              (json_escape c.c_name) c.measured c.modeled
-              (c.measured = c.modeled))
-          v.v_checks));
-  Buffer.contents b
+  let open Tl_store.Json in
+  let int n = Num (float_of_int n) in
+  Obj
+    [ ("design", Str v.v_design);
+      ("backend", Str v.v_backend);
+      ("ok", Bool v.v_ok);
+      ("counters", Obj (List.map (fun (n, x) -> (n, int x)) v.v_counters));
+      ("checks",
+       List
+         (List.map
+            (fun c ->
+              Obj
+                [ ("name", Str c.c_name); ("measured", int c.measured);
+                  ("modeled", int c.modeled);
+                  ("ok", Bool (c.measured = c.modeled)) ])
+            v.v_checks)) ]
 
 let pp ppf v =
   Fmt.pf ppf "@[<v>%s (%s) counters %s@," v.v_design v.v_backend

@@ -45,6 +45,6 @@ val validate_sim : ?backend:Tl_hw.Sim.backend -> Tl_templates.Accel.t ->
 (** Same cross-check against a caller-owned simulator that has already
     completed the full bounded run ([backend] only labels the report). *)
 
-val to_json : validation -> string
+val to_json : validation -> Tl_store.Json.t
 
 val pp : Format.formatter -> validation -> unit

@@ -51,31 +51,32 @@ let measure ?(backend = `Tape) ?params (acc : Accel.t) =
         acc.Accel.circuit }
 
 let to_json c =
-  let b = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let open Tl_store.Json in
+  let int n = Num (float_of_int n) in
   let breakdown (r : Tl_cost.Asic.report) =
-    String.concat ", "
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\": %.4f" k v)
-         r.Tl_cost.Asic.breakdown)
+    Obj (List.map (fun (k, v) -> (k, Num v)) r.Tl_cost.Asic.breakdown)
   in
-  add "{ \"design\": \"%s\", \"backend\": \"%s\", \"cycles\": %d,\n"
-    c.p_design c.p_backend c.p_cycles;
-  add
-    "  \"probe\": { \"reg_bits\": %d, \"reg_toggles\": %d, \"ram_reads\": \
-     %d, \"ram_writes\": %d, \"read_ports\": %d, \"write_ports\": %d },\n"
-    c.probe.Activity.reg_bits c.probe.Activity.reg_toggles
-    c.probe.Activity.ram_reads c.probe.Activity.ram_writes
-    c.probe.Activity.read_ports c.probe.Activity.write_ports;
-  add
-    "  \"alpha\": { \"compute\": %.6f, \"reg\": %.6f, \"mem\": %.6f },\n"
-    c.alpha.Tl_cost.Asic.alpha_compute c.alpha.Tl_cost.Asic.alpha_reg
-    c.alpha.Tl_cost.Asic.alpha_mem;
-  add "  \"modeled_power_mw\": %.4f, \"measured_power_mw\": %.4f,\n"
-    c.modeled.Tl_cost.Asic.power_mw c.measured.Tl_cost.Asic.power_mw;
-  add "  \"modeled_breakdown\": { %s },\n" (breakdown c.modeled);
-  add "  \"measured_breakdown\": { %s } }" (breakdown c.measured);
-  Buffer.contents b
+  Obj
+    [ ("design", Str c.p_design);
+      ("backend", Str c.p_backend);
+      ("cycles", int c.p_cycles);
+      ("probe",
+       Obj
+         [ ("reg_bits", int c.probe.Activity.reg_bits);
+           ("reg_toggles", int c.probe.Activity.reg_toggles);
+           ("ram_reads", int c.probe.Activity.ram_reads);
+           ("ram_writes", int c.probe.Activity.ram_writes);
+           ("read_ports", int c.probe.Activity.read_ports);
+           ("write_ports", int c.probe.Activity.write_ports) ]);
+      ("alpha",
+       Obj
+         [ ("compute", Num c.alpha.Tl_cost.Asic.alpha_compute);
+           ("reg", Num c.alpha.Tl_cost.Asic.alpha_reg);
+           ("mem", Num c.alpha.Tl_cost.Asic.alpha_mem) ]);
+      ("modeled_power_mw", Num c.modeled.Tl_cost.Asic.power_mw);
+      ("measured_power_mw", Num c.measured.Tl_cost.Asic.power_mw);
+      ("modeled_breakdown", breakdown c.modeled);
+      ("measured_breakdown", breakdown c.measured) ]
 
 let pp ppf c =
   Fmt.pf ppf

@@ -24,6 +24,6 @@ val measure : ?backend:Tl_hw.Sim.backend -> ?params:Tl_cost.Asic.params ->
   Tl_templates.Accel.t -> comparison
 (** @raise Tl_templates.Accel.Simulation_timeout if [done] never rises. *)
 
-val to_json : comparison -> string
+val to_json : comparison -> Tl_store.Json.t
 
 val pp : Format.formatter -> comparison -> unit

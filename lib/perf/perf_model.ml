@@ -503,7 +503,10 @@ let reset_counters () =
 
 (* ---------------------------------------------------------------- *)
 
-let evaluate_core ~config ~tile_search ~stats (design : Tl_stt.Design.t) =
+(* [reference] selects the differential oracle: exhaustive tile search
+   over materialised statistics instead of branch-and-bound over
+   streaming ones. *)
+let evaluate_core ~config ~reference (design : Tl_stt.Design.t) =
   let transform = design.Tl_stt.Design.transform in
   if Tl_stt.Transform.space_dims transform <> 2 then
     invalid_arg "Perf_model.evaluate: only 2-D arrays";
@@ -627,11 +630,7 @@ let evaluate_core ~config ~tile_search ~stats (design : Tl_stt.Design.t) =
     go 0 1;
     List.map (fun (e, _, t, p, s) -> (e, t, p, s)) !best3
   in
-  let top =
-    match tile_search with
-    | `Pruned -> search_pruned ()
-    | `Exhaustive -> search_exhaustive ()
-  in
+  let top = if reference then search_exhaustive () else search_pruned () in
   (match top with
    | [] -> invalid_arg "Perf_model.evaluate: no feasible tile (array too small)"
    | _ -> ());
@@ -647,11 +646,10 @@ let evaluate_core ~config ~tile_search ~stats (design : Tl_stt.Design.t) =
     let tt = Tl_stt.Transform.v ts ~selected ~matrix:int_rows in
     let td = Tl_stt.Design.analyze tt in
     let stats =
-      match stats with
-      | `Materialised ->
+      if reference then
         tile_statistics td
           (Schedule.build td ~rows:config.rows ~cols:config.cols)
-      | `Streaming ->
+      else
         tile_statistics_streaming td
           (Schedule.frame td ~rows:config.rows ~cols:config.cols)
     in
@@ -757,10 +755,10 @@ let cache_key ?(config = default_config) (design : Tl_stt.Design.t) =
   config_fingerprint config ^ "|"
   ^ Tl_stt.Signature.eval_key ~square:(config.rows = config.cols) design
 
-let evaluate ?(config = default_config) ?(tile_search = `Pruned)
-    ?(stats = `Streaming) ?(cache = true) (design : Tl_stt.Design.t) =
-  let run () = evaluate_core ~config ~tile_search ~stats design in
-  if cache && tile_search = `Pruned && stats = `Streaming then
+let evaluate ?(config = default_config) ?(cache = true)
+    (design : Tl_stt.Design.t) =
+  let run () = evaluate_core ~config ~reference:false design in
+  if cache then
     let key = cache_key ~config design in
     match
       Tl_par.Cache.find_or_add eval_cache key (fun () ->
@@ -769,6 +767,9 @@ let evaluate ?(config = default_config) ?(tile_search = `Pruned)
     | Ok r -> r
     | Error e -> raise e
   else run ()
+
+let evaluate_reference ?(config = default_config) design =
+  evaluate_core ~config ~reference:true design
 
 (* Several transformation matrices can realise the same dataflow name; the
    best choice (e.g. a [0,1,1] space row that packs y+p Conv2D loops into

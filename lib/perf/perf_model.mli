@@ -90,22 +90,18 @@ val tile_statistics_streaming :
       systolic-multicast group counts iff one of its members is a
       systolic entry. *)
 
-val evaluate :
-  ?config:config ->
-  ?tile_search:[ `Pruned | `Exhaustive ] ->
-  ?stats:[ `Streaming | `Materialised ] ->
-  ?cache:bool ->
-  Tl_stt.Design.t ->
-  result
-(** Evaluate a design.  [tile_search] picks branch-and-bound pruning
-    (default) or the exhaustive reference enumeration; [stats] picks the
-    streaming or the materialised statistics path.  All four combinations
-    return identical results.  Results are memoised by D4-canonical design
-    signature and config fingerprint when [cache] is true (default) and
-    both fast paths are selected; [cache:false] or any reference choice
-    bypasses the memo entirely.  The memo (["perf.evaluate"] in
+val evaluate : ?config:config -> ?cache:bool -> Tl_stt.Design.t -> result
+(** Evaluate a design: branch-and-bound tile search over streaming
+    schedule statistics.  Results are memoised by D4-canonical design
+    signature and config fingerprint when [cache] is true (default);
+    [cache:false] bypasses the memo.  The memo (["perf.evaluate"] in
     {!Tl_par.Cache}) holds at most {!cache_capacity} entries.
     @raise Invalid_argument for non-2-D space transformations. *)
+
+val evaluate_reference : ?config:config -> Tl_stt.Design.t -> result
+(** The differential oracle for {!evaluate}: exhaustive tile enumeration
+    over materialised {!tile_statistics}, never memoised.  Returns the
+    record {!evaluate} returns, or raises the same exception. *)
 
 val cache_capacity : int
 

@@ -140,15 +140,8 @@ let check_evaluate_agrees label d =
   let outcome f =
     match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
   in
-  let reference =
-    outcome (fun () ->
-        Perf.evaluate ~tile_search:`Exhaustive ~stats:`Materialised
-          ~cache:false d)
-  in
-  let fast =
-    outcome (fun () ->
-        Perf.evaluate ~tile_search:`Pruned ~stats:`Streaming ~cache:false d)
-  in
+  let reference = outcome (fun () -> Perf.evaluate_reference d) in
+  let fast = outcome (fun () -> Perf.evaluate ~cache:false d) in
   Alcotest.(check bool) (label ^ " identical outcome") true (reference = fast);
   fast
 

@@ -330,36 +330,17 @@ let test_par_explore_deterministic () =
         "same design order, same numbers" true
         (a.Explore.perf.Perf.cycles = b.Explore.perf.Perf.cycles
         && a.Explore.gops_per_watt = b.Explore.gops_per_watt))
-    seq par
-
-(* ---------------- benchmark gate smoke -------------------------------- *)
-
-let test_bench_quick_smoke () =
-  let exe = "../bench/main.exe" in
-  if Sys.file_exists exe then begin
-    let code =
-      Sys.command (Filename.quote_command exe [ "bench-quick" ] ^ " > /dev/null 2>&1")
-    in
-    Alcotest.(check int) "bench-quick exits 0" 0 code;
-    Alcotest.(check bool) "BENCH_sim.json written" true
-      (Sys.file_exists "BENCH_sim.json");
-    let ic = open_in "BENCH_sim.json" in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    let contains needle =
-      let nl = String.length needle and bl = String.length body in
-      let rec go i = i + nl <= bl && (String.sub body i nl = needle || go (i + 1)) in
-      go 0
-    in
-    List.iter
-      (fun needle ->
-        Alcotest.(check bool) (needle ^ " present") true (contains needle))
-      [ "tensorlib-bench-sim/2"; "\"domains\""; "\"sim\"";
-        "\"tape_cycles_per_sec\""; "\"speedup\""; "\"dse\"";
-        "\"batch_trials_per_sec\""; "\"batch_speedup_w62\"";
-        "\"packed_fraction\"" ]
-  end
+    seq par;
+  (* enumeration fans out per loop selection: depthwise has ten of them,
+     GEMM only one *)
+  let dw = Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3 in
+  let signatures domains =
+    List.map
+      (fun p -> p.Enumerate.signature)
+      (Enumerate.design_space ~domains dw)
+  in
+  Alcotest.(check (list string))
+    "enumerate: same signatures, same order" (signatures 1) (signatures 3)
 
 let suite =
   [ Alcotest.test_case "tape vs closure: random netlists" `Quick
@@ -383,6 +364,4 @@ let suite =
     Alcotest.test_case "par map deterministic" `Quick test_par_deterministic;
     Alcotest.test_case "par exception order" `Quick test_par_exception;
     Alcotest.test_case "par explore deterministic" `Quick
-      test_par_explore_deterministic;
-    Alcotest.test_case "bench-quick gate smoke" `Slow
-      test_bench_quick_smoke ]
+      test_par_explore_deterministic ]
