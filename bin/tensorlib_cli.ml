@@ -74,12 +74,39 @@ let validate_widths ~data_width ~acc_width =
   check "--acc-width" acc_width
 
 (* Run a command body, turning [Failure] (our validation / lookup errors)
-   into a one-line message on stderr and exit code 2. *)
+   and [Sys_error] (a file that cannot be read or written) into a one-line
+   message on stderr and exit code 2. *)
 let guard f =
   try f () with
-  | Failure msg | Parse.Parse_error msg ->
+  | Failure msg | Parse.Parse_error msg | Sys_error msg ->
     Printf.eprintf "tensorlib: error: %s\n" msg;
     exit 2
+
+(* Write every [(path, text)] or none of them: every path is opened before
+   any text is written, and on a [Sys_error] the paths this call created
+   are removed before the error propagates.  Paths are written through, so
+   a device or a pipe stays one; a path that already existed is left
+   truncated, not removed, when another path fails. *)
+let write_all files =
+  let opened = ref [] in
+  try
+    List.iter
+      (fun (path, text) ->
+        let created = not (Sys.file_exists path) in
+        opened := (path, created, open_out path, text) :: !opened)
+      files;
+    List.iter
+      (fun (_, _, oc, text) ->
+        output_string oc text;
+        close_out oc)
+      (List.rev !opened)
+  with Sys_error _ as e ->
+    List.iter
+      (fun (path, created, oc, _) ->
+        close_out_noerr oc;
+        if created then try Sys.remove path with Sys_error _ -> ())
+      !opened;
+    raise e
 
 open Cmdliner
 
@@ -278,23 +305,24 @@ let generate_cmd =
     let v = Accel.verilog acc in
     (match out with
      | Some path ->
-       let oc = open_out path in
-       output_string oc v;
-       close_out oc;
+       let tb =
+         if testbench then
+           let expected = Exec.run stmt env in
+           let tb_path =
+             (try Filename.chop_extension path with Invalid_argument _ -> path)
+             ^ "_tb.v"
+           in
+           [ (tb_path, Accel.verilog_testbench acc ~expected) ]
+         else []
+       in
+       write_all ((path, v) :: tb);
        Printf.printf "wrote %s (%d bytes, %d cycles schedule, %d banks)\n"
          path (String.length v) acc.Accel.total_cycles
          (List.length acc.Accel.banks);
-       if testbench then begin
-         let expected = Exec.run stmt env in
-         let tb_path =
-           (try Filename.chop_extension path with Invalid_argument _ -> path)
-           ^ "_tb.v"
-         in
-         let oc = open_out tb_path in
-         output_string oc (Accel.verilog_testbench acc ~expected);
-         close_out oc;
-         Printf.printf "wrote %s (self-checking testbench)\n" tb_path
-       end
+       List.iter
+         (fun (tb_path, _) ->
+           Printf.printf "wrote %s (self-checking testbench)\n" tb_path)
+         tb
      | None ->
        print_string v;
        if testbench then begin

@@ -13,10 +13,27 @@ let sanitize name =
     | '0' .. '9' -> "_" ^ s
     | _ -> s
 
+(* Every reserved word of IEEE 1364-2005 (Annex B). *)
 let keywords =
-  [ "module"; "endmodule"; "input"; "output"; "wire"; "reg"; "assign";
-    "always"; "initial"; "begin"; "end"; "if"; "else"; "posedge"; "negedge";
-    "signed"; "integer"; "for"; "case"; "endcase"; "default" ]
+  [ "always"; "and"; "assign"; "automatic"; "begin"; "buf"; "bufif0";
+    "bufif1"; "case"; "casex"; "casez"; "cell"; "cmos"; "config";
+    "deassign"; "default"; "defparam"; "design"; "disable"; "edge"; "else";
+    "end"; "endcase"; "endconfig"; "endfunction"; "endgenerate";
+    "endmodule"; "endprimitive"; "endspecify"; "endtable"; "endtask";
+    "event"; "for"; "force"; "forever"; "fork"; "function"; "generate";
+    "genvar"; "highz0"; "highz1"; "if"; "ifnone"; "incdir"; "include";
+    "initial"; "inout"; "input"; "instance"; "integer"; "join"; "large";
+    "liblist"; "library"; "localparam"; "macromodule"; "medium"; "module";
+    "nand"; "negedge"; "nmos"; "nor"; "noshowcancelled"; "not"; "notif0";
+    "notif1"; "or"; "output"; "parameter"; "pmos"; "posedge"; "primitive";
+    "pull0"; "pull1"; "pulldown"; "pullup"; "pulsestyle_ondetect";
+    "pulsestyle_onevent"; "rcmos"; "real"; "realtime"; "reg"; "release";
+    "repeat"; "rnmos"; "rpmos"; "rtran"; "rtranif0"; "rtranif1"; "scalared";
+    "showcancelled"; "signed"; "small"; "specify"; "specparam"; "strong0";
+    "strong1"; "supply0"; "supply1"; "table"; "task"; "time"; "tran";
+    "tranif0"; "tranif1"; "tri"; "tri0"; "tri1"; "triand"; "trior";
+    "trireg"; "unsigned"; "use"; "uwire"; "vectored"; "wait"; "wand";
+    "weak0"; "weak1"; "while"; "wire"; "wor"; "xnor"; "xor" ]
 
 type namer = {
   by_id : (int, string) Hashtbl.t;
@@ -101,89 +118,101 @@ let node_name n (s : Signal.t) =
     Hashtbl.replace n.by_id s.Signal.id name;
     name
 
-let width_decl w = if w = 1 then "" else Printf.sprintf "[%d:0] " (w - 1)
+(* The digits of [v <= 0], most significant first; counting on the
+   non-positive side covers [min_int]. *)
+let rec add_digits buf v =
+  if v <= -10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (v mod 10)))
 
-let const_lit w v = Printf.sprintf "%d'd%d" w v
+(* The bytes of [string_of_int v], written without allocating. *)
+let add_int buf v =
+  if v < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf v
+  end
+  else add_digits buf (-v)
 
-let expr n (s : Signal.t) =
-  let nm x = node_name n x in
-  match s.Signal.node with
-  | Signal.Input _ | Signal.Const _ | Signal.Reg _ -> assert false
-  | Signal.Unop (Signal.Not, a) -> Printf.sprintf "~%s" (nm a)
-  | Signal.Binop (op, a, b) -> (
-    let sa = nm a and sb = nm b in
-    match op with
-    | Signal.Add -> Printf.sprintf "%s + %s" sa sb
-    | Signal.Sub -> Printf.sprintf "%s - %s" sa sb
-    | Signal.Mul -> Printf.sprintf "%s * %s" sa sb
-    | Signal.And -> Printf.sprintf "%s & %s" sa sb
-    | Signal.Or -> Printf.sprintf "%s | %s" sa sb
-    | Signal.Xor -> Printf.sprintf "%s ^ %s" sa sb
-    | Signal.Eq -> Printf.sprintf "%s == %s" sa sb
-    | Signal.Ult -> Printf.sprintf "%s < %s" sa sb
-    | Signal.Slt -> Printf.sprintf "$signed(%s) < $signed(%s)" sa sb
-    | Signal.Shl k -> Printf.sprintf "%s << %d" sa k
-    | Signal.Shr k -> Printf.sprintf "%s >> %d" sa k
-    | Signal.Sra k -> Printf.sprintf "$signed(%s) >>> %d" sa k)
-  | Signal.Mux (c, a, b) ->
-    Printf.sprintf "%s ? %s : %s" (nm c) (nm a) (nm b)
-  | Signal.Concat (hi, lo) -> Printf.sprintf "{%s, %s}" (nm hi) (nm lo)
-  | Signal.Repl (a, n) -> Printf.sprintf "{%d{%s}}" n (nm a)
-  | Signal.Select (a, hi, lo) ->
-    if hi = lo then Printf.sprintf "%s[%d]" (nm a) hi
-    else Printf.sprintf "%s[%d:%d]" (nm a) hi lo
-  | Signal.Wire r -> (
-    match !r with
-    | Some d -> nm d
-    | None -> invalid_arg "Verilog: unassigned wire")
-  | Signal.Ram_read (ram, addr) ->
-    Printf.sprintf "%s[%s]" (ram_name n ram) (nm addr)
-
+(* Text goes straight into [buf]: fixed pieces as strings, integers through
+   [add_int].  The memory images are most of the bytes, so each memory's
+   constant text around an entry's index and value is built once. *)
 let emit buf circuit =
   let n = make_namer circuit in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let str = Buffer.add_string buf and int = add_int buf in
+  let id s = str (node_name n s) in
+  (* "[w-1:0] ", or nothing for a single bit *)
+  let width w = if w <> 1 then (str "["; int (w - 1); str ":0] ") in
+  let lit w v = int w; str "'d"; int v in
+  let infix a op b = id a; str op; id b in
+  let signed a = str "$signed("; id a; str ")" in
+  let expr (s : Signal.t) =
+    match s.Signal.node with
+    | Signal.Input _ | Signal.Const _ | Signal.Reg _ -> assert false
+    | Signal.Unop (Signal.Not, a) -> str "~"; id a
+    | Signal.Binop (op, a, b) -> (
+      match op with
+      | Signal.Add -> infix a " + " b
+      | Signal.Sub -> infix a " - " b
+      | Signal.Mul -> infix a " * " b
+      | Signal.And -> infix a " & " b
+      | Signal.Or -> infix a " | " b
+      | Signal.Xor -> infix a " ^ " b
+      | Signal.Eq -> infix a " == " b
+      | Signal.Ult -> infix a " < " b
+      | Signal.Slt -> signed a; str " < "; signed b
+      | Signal.Shl k -> id a; str " << "; int k
+      | Signal.Shr k -> id a; str " >> "; int k
+      | Signal.Sra k -> signed a; str " >>> "; int k)
+    | Signal.Mux (c, a, b) -> infix c " ? " a; str " : "; id b
+    | Signal.Concat (hi, lo) -> str "{"; infix hi ", " lo; str "}"
+    | Signal.Repl (a, k) -> str "{"; int k; str "{"; id a; str "}}"
+    | Signal.Select (a, hi, lo) ->
+      id a; str "["; int hi;
+      if hi <> lo then (str ":"; int lo);
+      str "]"
+    | Signal.Wire r -> (
+      match !r with
+      | Some d -> id d
+      | None -> invalid_arg "Verilog: unassigned wire")
+    | Signal.Ram_read (ram, addr) ->
+      str (ram_name n ram); str "["; id addr; str "]"
+  in
+  let decl kw (s : Signal.t) = str kw; width s.Signal.width; id s; str " = " in
   let nodes = Circuit.nodes circuit in
   (* pre-assign names for all nodes so forward refs are stable *)
   Array.iter (fun s -> ignore (node_name n s)) nodes;
   let out_ports = Circuit.outputs circuit in
-  add "module %s(\n  input clock" (sanitize (Circuit.name circuit));
+  str "module "; str (sanitize (Circuit.name circuit)); str "(\n  input clock";
   List.iter
-    (fun (name, w) ->
-      add ",\n  input %s%s" (width_decl w) (input_port n name))
+    (fun (name, w) -> str ",\n  input "; width w; str (input_port n name))
     (Circuit.inputs circuit);
   List.iter
     (fun (name, (s : Signal.t)) ->
-      add ",\n  output %s%s" (width_decl s.Signal.width) (output_port n name))
+      str ",\n  output "; width s.Signal.width; str (output_port n name))
     out_ports;
-  add "\n);\n\n";
+  str "\n);\n\n";
   (* ram declarations *)
   List.iter
     (fun (ram : Signal.ram) ->
-      let rname = ram_name n ram in
-      add "  reg %s%s [0:%d];\n"
-        (width_decl ram.Signal.ram_width)
-        rname (ram.Signal.size - 1);
-      add "  initial begin\n";
+      let rname = ram_name n ram and w = ram.Signal.ram_width in
+      str "  reg "; width w; str rname;
+      str " [0:"; int (ram.Signal.size - 1); str "];\n  initial begin\n";
+      let before_index = "    " ^ rname ^ "["
+      and before_value = "] = " ^ string_of_int w ^ "'d" in
       Array.iteri
-        (fun i v -> add "    %s[%d] = %s;\n" rname i
-            (const_lit ram.Signal.ram_width v))
+        (fun i v ->
+          str before_index; int i; str before_value; int v; str ";\n")
         ram.Signal.init_data;
-      add "  end\n")
+      str "  end\n")
     (Circuit.rams circuit);
   (* combinational nodes and registers *)
   Array.iter
     (fun (s : Signal.t) ->
-      let name = node_name n s in
       match s.Signal.node with
       | Signal.Input _ -> ()
-      | Signal.Const c ->
-        add "  wire %s%s = %s;\n" (width_decl s.Signal.width) name
-          (const_lit s.Signal.width c)
+      | Signal.Const c -> decl "  wire " s; lit s.Signal.width c; str ";\n"
       | Signal.Reg r ->
-        add "  reg %s%s = %s;\n" (width_decl s.Signal.width) name
-          (const_lit s.Signal.width r.Signal.init)
-      | _ ->
-        add "  wire %s%s = %s;\n" (width_decl s.Signal.width) name (expr n s))
+        decl "  reg " s; lit s.Signal.width r.Signal.init; str ";\n"
+      | _ -> decl "  wire " s; expr s; str ";\n")
     nodes;
   (* sequential block *)
   let regs =
@@ -200,49 +229,34 @@ let emit buf circuit =
       (Circuit.rams circuit)
   in
   if regs <> [] || ram_writes <> [] then begin
-    add "\n  always @(posedge clock) begin\n";
+    str "\n  always @(posedge clock) begin\n";
     List.iter
       (fun ((s : Signal.t), (r : Signal.reg)) ->
-        let name = node_name n s in
-        let d = node_name n r.Signal.d in
-        let update =
-          match r.Signal.enable with
-          | None -> Printf.sprintf "%s <= %s;" name d
-          | Some e ->
-            Printf.sprintf "if (%s) %s <= %s;" (node_name n e) name d
-        in
-        match r.Signal.clear with
-        | None -> add "    %s\n" update
-        | Some c ->
-          add "    if (%s) %s <= %s; else %s\n" (node_name n c) name
-            (const_lit s.Signal.width r.Signal.clear_to)
-            update)
+        str "    ";
+        Option.iter
+          (fun c ->
+            str "if ("; id c; str ") "; id s; str " <= ";
+            lit s.Signal.width r.Signal.clear_to; str "; else ")
+          r.Signal.clear;
+        Option.iter (fun e -> str "if ("; id e; str ") ") r.Signal.enable;
+        infix s " <= " r.Signal.d; str ";\n")
       regs;
     List.iter
       (fun ((ram : Signal.ram), (wp : Signal.write_port)) ->
-        add "    if (%s) %s[%s] <= %s;\n"
-          (node_name n wp.Signal.we) (ram_name n ram)
-          (node_name n wp.Signal.waddr)
-          (node_name n wp.Signal.wdata))
+        str "    if ("; id wp.Signal.we; str ") ";
+        str (ram_name n ram); str "["; id wp.Signal.waddr; str "] <= ";
+        id wp.Signal.wdata; str ";\n")
       ram_writes;
-    add "  end\n"
+    str "  end\n"
   end;
-  add "\n";
+  str "\n";
   List.iter
     (fun (name, s) ->
-      add "  assign %s = %s;\n" (output_port n name) (node_name n s))
+      str "  assign "; str (output_port n name); str " = "; id s; str ";\n")
     out_ports;
-  add "endmodule\n"
+  str "endmodule\n"
 
 let to_string circuit =
   let buf = Buffer.create 4096 in
   emit buf circuit;
   Buffer.contents buf
-
-let to_channel oc circuit = output_string oc (to_string circuit)
-
-let write_file path circuit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> to_channel oc circuit)

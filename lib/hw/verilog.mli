@@ -4,8 +4,7 @@
     [assign] per combinational node, one [always @(posedge clock)] block
     for registers and ram write ports, [reg] arrays with [initial] blocks
     for rams/roms.  Signal names use the user-provided {!Signal.set_name}
-    labels when available (sanitised and uniquified), [s<id>] otherwise. *)
+    labels when available (sanitised, kept clear of the IEEE 1364-2005
+    reserved words, and uniquified), [s<id>] otherwise. *)
 
 val to_string : Circuit.t -> string
-val to_channel : out_channel -> Circuit.t -> unit
-val write_file : string -> Circuit.t -> unit

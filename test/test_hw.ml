@@ -233,9 +233,141 @@ let test_verilog_emission () =
   Alcotest.(check bool) "clock port" true (has "input clock");
   Alcotest.(check bool) "named reg" true (has "reg [7:0] state");
   Alcotest.(check bool) "always block" true (has "always @(posedge clock)");
-  Alcotest.(check bool) "rom array" true (has "reg [7:0] table [0:2]");
+  (* "table" is a reserved word: the rom is renamed *)
+  Alcotest.(check bool) "rom array" true (has "reg [7:0] table_1 [0:2]");
   Alcotest.(check bool) "output assign" true (has "assign out = ");
   Alcotest.(check bool) "endmodule" true (has "endmodule")
+
+(* The whole emitted text of a circuit with every node constructor, all
+   twelve binops, both select forms, the four register forms, 1-bit and
+   wide declarations, a 19-digit constant, a rom and a written ram.  A
+   62-bit value is not masked, so a negative one keeps its sign
+   ([62'd-1]). *)
+let test_verilog_exact_text () =
+  let a = input "a" 8 and b = input "b" 8 in
+  let en = input "en" 1 and clr = input "clr" 1 and we = input "we" 1 in
+  let ones = const ~width:62 ((1 lsl 62) - 1) -- "ones" in
+  let minus_one = const ~width:62 (-1) -- "minus_one" in
+  let lowest = const ~width:62 min_int -- "lowest" in
+  let arith =
+    [ a +: b; a -: b; a *: b; a &: b; a |: b; a ^: b;
+      shift_left a 1; shift_right_l a 2; shift_right_a a 3 ]
+    |> List.fold_left ( ^: ) (not_ a)
+  in
+  let flags = concat [ eq a b; ult a b; slt a b ] in
+  let picked = mux2 (bit a 0) (select a ~hi:5 ~lo:2) (repl en 4) in
+  let plain = reg arith and gated = reg ~enable:en b in
+  let cleared = reg ~clear:clr ~clear_to:5 a in
+  let w = wire 8 in
+  let acc = reg ~enable:en ~clear:clr ~clear_to:3 ~init:7 w -- "acc" in
+  assign w (acc +: plain);
+  let lut = rom ~name:"lut" ~width:8 [| 10; 109; 255 |] in
+  let mem = ram ~name:"mem" ~size:4 ~width:8 ~init:[| 0; 1; 2; 3 |] () in
+  ram_write mem ~we ~addr:(select a ~hi:1 ~lo:0) ~data:gated;
+  let c =
+    Circuit.create ~name:"exact"
+      ~outputs:
+        [ ("acc_out", acc); ("cleared", cleared); ("flags", flags);
+          ("picked", picked); ("ones", ones);
+          ("minus_one", minus_one); ("lowest", lowest);
+          ("lut_q", ram_read lut (select b ~hi:1 ~lo:0));
+          ("mem_q", ram_read mem (select b ~hi:1 ~lo:0)) ]
+  in
+  Alcotest.(check string) "emitted text"
+    {|module exact(
+  input clock,
+  input [7:0] a,
+  input [7:0] b,
+  input clr,
+  input en,
+  input we,
+  output [7:0] acc_out,
+  output [7:0] cleared,
+  output [2:0] flags,
+  output [3:0] picked,
+  output [61:0] ones,
+  output [61:0] minus_one,
+  output [61:0] lowest,
+  output [7:0] lut_q,
+  output [7:0] mem_q
+);
+
+  reg [7:0] lut [0:2];
+  initial begin
+    lut[0] = 8'd10;
+    lut[1] = 8'd109;
+    lut[2] = 8'd255;
+  end
+  reg [7:0] mem [0:3];
+  initial begin
+    mem[0] = 8'd0;
+    mem[1] = 8'd1;
+    mem[2] = 8'd2;
+    mem[3] = 8'd3;
+  end
+  wire [7:0] s0 = ~a;
+  wire [7:0] s1 = a + b;
+  wire [7:0] s2 = s0 ^ s1;
+  wire [7:0] s3 = a - b;
+  wire [7:0] s4 = s2 ^ s3;
+  wire [7:0] s5 = a * b;
+  wire [7:0] s6 = s4 ^ s5;
+  wire [7:0] s7 = a & b;
+  wire [7:0] s8 = s6 ^ s7;
+  wire [7:0] s9 = a | b;
+  wire [7:0] s10 = s8 ^ s9;
+  wire [7:0] s11 = a ^ b;
+  wire [7:0] s12 = s10 ^ s11;
+  wire [7:0] s13 = a << 1;
+  wire [7:0] s14 = s12 ^ s13;
+  wire [7:0] s15 = a >> 2;
+  wire [7:0] s16 = s14 ^ s15;
+  wire [7:0] s17 = $signed(a) >>> 3;
+  wire [7:0] s18 = s16 ^ s17;
+  reg [7:0] s19 = 8'd0;
+  reg [7:0] acc = 8'd7;
+  wire [7:0] s20 = acc + s19;
+  wire [7:0] s21 = s20;
+  reg [7:0] s22 = 8'd0;
+  wire s23 = a == b;
+  wire s24 = a < b;
+  wire [1:0] s25 = {s23, s24};
+  wire s26 = $signed(a) < $signed(b);
+  wire [2:0] s27 = {s25, s26};
+  wire s28 = a[0];
+  wire [3:0] s29 = a[5:2];
+  wire [3:0] s30 = {4{en}};
+  wire [3:0] s31 = s28 ? s29 : s30;
+  wire [61:0] ones_1 = 62'd4611686018427387903;
+  wire [61:0] minus_one_1 = 62'd-1;
+  wire [61:0] lowest_1 = 62'd-4611686018427387904;
+  wire [1:0] s32 = b[1:0];
+  wire [7:0] s33 = lut[s32];
+  wire [1:0] s34 = b[1:0];
+  wire [1:0] s35 = a[1:0];
+  reg [7:0] s36 = 8'd0;
+  wire [7:0] s37 = mem[s34];
+
+  always @(posedge clock) begin
+    s19 <= s18;
+    if (clr) acc <= 8'd3; else if (en) acc <= s21;
+    if (clr) s22 <= 8'd5; else s22 <= a;
+    if (en) s36 <= b;
+    if (we) mem[s35] <= s36;
+  end
+
+  assign acc_out = acc;
+  assign cleared = s22;
+  assign flags = s27;
+  assign picked = s31;
+  assign ones = ones_1;
+  assign minus_one = minus_one_1;
+  assign lowest = lowest_1;
+  assign lut_q = s33;
+  assign mem_q = s37;
+endmodule
+|}
+    (Netlist_text.normalize (Verilog.to_string c))
 
 (* properties: simulator vs direct evaluation of random expression DAGs *)
 
@@ -327,7 +459,8 @@ let suite =
     Alcotest.test_case "sim reset" `Quick test_sim_reset;
     Alcotest.test_case "circuit stats" `Quick test_stats;
     Alcotest.test_case "input width conflict" `Quick test_input_width_conflict;
-    Alcotest.test_case "verilog emission" `Quick test_verilog_emission ]
+    Alcotest.test_case "verilog emission" `Quick test_verilog_emission;
+    Alcotest.test_case "verilog exact text" `Quick test_verilog_exact_text ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_sim_matches_eval; prop_signed_roundtrip ]
 

@@ -373,7 +373,36 @@ let test_cli_exit_codes () =
     Alcotest.(check int) "error exits 1" 1
       (cli exe
          [ "lint"; "-w"; "gemm-small"; "--select"; "m,n,k"; "--matrix";
-           "1,0,0;0,1,0;1,1,0" ])
+           "1,0,0;0,1,0;1,1,0" ]);
+    (* an output path is written through: a device stays a device *)
+    Alcotest.(check int) "generate -o /dev/null exits 0" 0
+      (cli exe [ "generate"; "-w"; "gemm-small"; "-o"; "/dev/null" ]);
+    Alcotest.(check string) "/dev/null still reads empty" ""
+      (In_channel.with_open_bin "/dev/null" In_channel.input_all);
+    let dir = Filename.temp_dir "tl_cli" "" in
+    Fun.protect ~finally:(fun () -> Test_dse_fast.remove_tree dir) @@ fun () ->
+    (* an output path that cannot be written is a validation error *)
+    let missing = Filename.concat (Filename.concat dir "missing") in
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (List.hd args ^ " unwritable output exits 2") 2
+          (cli exe (args @ [ "-w"; "gemm-small" ])))
+      [ [ "generate"; "-o"; missing "x.v" ];
+        [ "simulate"; "--vcd"; missing "x.vcd" ];
+        [ "profile"; "--trace"; missing "t.json" ] ];
+    (* generate writes the netlist and its testbench together or not at
+       all, and removes only a file it created *)
+    let h = Filename.concat dir "h.v" in
+    let generate_h () =
+      cli exe [ "generate"; "-w"; "gemm-small"; "-o"; h; "--testbench" ]
+    in
+    Sys.mkdir (Filename.concat dir "h_tb.v") 0o755;
+    Alcotest.(check int) "unwritable testbench exits 2" 2 (generate_h ());
+    Alcotest.(check (list string)) "no file written" [ "h_tb.v" ]
+      (Array.to_list (Sys.readdir dir));
+    Out_channel.with_open_bin h (fun oc -> output_string oc "old");
+    Alcotest.(check int) "unwritable testbench exits 2 again" 2 (generate_h ());
+    Alcotest.(check bool) "existing netlist kept" true (Sys.file_exists h)
   end
 
 (* Fast deterministic slice of the fuzz harness: the lint differential

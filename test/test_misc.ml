@@ -104,13 +104,25 @@ let test_verilog_signed_ops () =
 
 let test_verilog_keyword_collision () =
   let open Signal in
-  let x = input "x" 4 in
+  let x = input "x" 4 and t = input "time" 4 in
   let named = (x +: x) -- "output" in
-  (* "output" is a Verilog keyword: the emitter must rename it *)
+  let gate = (x &: t) -- "buf" in
+  let lut = rom ~name:"table" ~width:4 [| 1; 2 |] in
+  (* all four are IEEE 1364-2005 reserved words: the emitter must rename
+     them *)
   let v =
-    Verilog.to_string (Circuit.create ~name:"kw" ~outputs:[ ("o", named) ])
+    Verilog.to_string
+      (Circuit.create ~name:"kw"
+         ~outputs:
+           [ ("o", named); ("g", gate); ("q", ram_read lut (bit x 0)) ])
   in
-  Alcotest.(check bool) "keyword avoided" true (has v "output_1")
+  Alcotest.(check bool) "keyword avoided" true (has v "output_1");
+  Alcotest.(check bool) "gate primitive avoided" true
+    (has v "wire [3:0] buf_1 = x & time_1;");
+  Alcotest.(check bool) "input renamed" true (has v "input [3:0] time_1");
+  Alcotest.(check bool) "rom renamed" true (has v "reg [3:0] table_1 [0:1];");
+  Alcotest.(check bool) "no bare reserved word" false
+    (has v " buf " || has v " time," || has v " table ")
 
 let test_verilog_ram_write_block () =
   let open Signal in
@@ -122,7 +134,7 @@ let test_verilog_ram_write_block () =
       (Circuit.create ~name:"ramw" ~outputs:[ ("q", ram_read r addr) ])
   in
   Alcotest.(check bool) "write in always block" true
-    (has v "if (we) buf[addr] <= d;")
+    (has v "if (we) buf_1[addr] <= d;")
 
 (* ---------------- schedule events ---------------- *)
 
