@@ -73,12 +73,14 @@ let validate_widths ~data_width ~acc_width =
   check "--data-width" data_width;
   check "--acc-width" acc_width
 
-(* Run a command body, turning [Failure] (our validation / lookup errors)
-   and [Sys_error] (a file that cannot be read or written) into a one-line
-   message on stderr and exit code 2. *)
+(* Run a command body, turning [Failure] (our validation / lookup errors),
+   [Sys_error] (a file that cannot be read or written) and
+   [Accel.Unsupported] (a design with no netlist on the requested array)
+   into a one-line message on stderr and exit code 2. *)
 let guard f =
   try f () with
-  | Failure msg | Parse.Parse_error msg | Sys_error msg ->
+  | Failure msg | Parse.Parse_error msg | Sys_error msg | Accel.Unsupported msg
+    ->
     Printf.eprintf "tensorlib: error: %s\n" msg;
     exit 2
 

@@ -136,7 +136,7 @@ let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
         (fun ev ->
           Hashtbl.replace tbl
             (pos_cycle_code (r, c) ev.S.cycle)
-            (index_code (S.tensor_index sched access ev)))
+            (index_code (Tl_ir.Access.index access ev.S.x)))
         sched.S.by_pe.(r).(c)
     done
   done;
@@ -145,7 +145,7 @@ let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
     for c = 0 to cols - 1 do
       List.iter
         (fun ev ->
-          let idx = index_code (S.tensor_index sched access ev) in
+          let idx = index_code (Tl_ir.Access.index access ev.S.x) in
           let pr, pc = (r - dp.(0), c - dp.(1)) in
           (* a predecessor slot off the grid or before cycle 0 holds no
              event: the chain starts here *)
@@ -211,7 +211,7 @@ let tile_statistics (design : Tl_stt.Design.t) sched =
             if t >= 0 && t < span then begin
               let key =
                 match group with
-                | None -> (index_code (S.tensor_index sched access ev), t)
+                | None -> (index_code (Tl_ir.Access.index access ev.S.x), t)
                 | Some dir ->
                   let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
                   (pos_cycle_code (rr, rc) t, -1)

@@ -158,6 +158,7 @@ type ctx = {
   pes : pos list;  (* active PEs, row-major *)
   rename : string -> string;  (* request tensor name → target tensor name *)
   shapes : (string * int array) list;  (* request tensor name → shape *)
+  iters : Tl_ir.Iter.t list;  (* the iteration box, nest order *)
   mutable mems : mem list;  (* reverse insertion order *)
   mutable inputs : input list;  (* reverse insertion order *)
   seen_inputs : (string, unit) Hashtbl.t;
@@ -185,19 +186,6 @@ let shape_of ctx tensor =
   try List.assoc tensor ctx.shapes
   with Not_found -> raise (Unsupported ("Layout: unknown tensor " ^ tensor))
 
-(* row-major offset, mirroring Tl_ir.Dense.offset *)
-let offset_in shape idx =
-  if Array.length idx <> Array.length shape then
-    raise (Unsupported "Layout: index rank mismatch");
-  let off = ref 0 in
-  Array.iteri
-    (fun d i ->
-      if i < 0 || i >= shape.(d) then
-        raise (Unsupported "Layout: index out of bounds");
-      off := (!off * shape.(d)) + i)
-    idx;
-  !off
-
 (* the data memory backing one tensor: record it once, renamed *)
 let data_mem ctx (access : Tl_ir.Access.t) =
   let tensor = access.Tl_ir.Access.tensor in
@@ -210,34 +198,40 @@ let data_mem ctx (access : Tl_ir.Access.t) =
       :: ctx.inputs
   end
 
-let tensor_offset ctx access ev =
-  let idx = Schedule.tensor_index ctx.sched access ev in
-  offset_in (shape_of ctx access.Tl_ir.Access.tensor) idx
+(* One access's addressing.  Every access is affine, so the row-major
+   offset of an event's element in its tensor's data memory is one dot
+   product of a linear form with the iteration vector.  Every point of
+   the iteration box is an event, so one comparison of the access's own
+   reach with the tensor's shape bounds-checks every event.  A tensor's
+   shape is the reach of its first access and the output comes first,
+   so only an input read with a second shape can fail the check. *)
+type addr = { access : Tl_ir.Access.t; form : int array }
 
-(* (cycle, data-memory address) of each event *)
-let cycle_offsets ctx access events =
-  List.map (fun ev -> (ev.Schedule.cycle, tensor_offset ctx access ev)) events
+let addressing ctx (access : Tl_ir.Access.t) =
+  let shape = shape_of ctx access.Tl_ir.Access.tensor in
+  let reach = Tl_ir.Access.shape access ctx.iters in
+  if Array.length reach <> Array.length shape then
+    raise (Unsupported "Layout: index rank mismatch");
+  if not (Array.for_all2 ( <= ) reach shape) then
+    raise (Unsupported "Layout: index out of bounds");
+  let form = Array.make (Tl_ir.Access.depth access) 0 in
+  let stride = ref 1 in
+  for d = Array.length shape - 1 downto 0 do
+    Array.iteri
+      (fun j c -> form.(j) <- form.(j) + (!stride * c))
+      access.Tl_ir.Access.matrix.(d);
+    stride := !stride * shape.(d)
+  done;
+  { access; form }
 
-(* feed port image: cycle → data-memory address *)
-let value_mem ctx access name pairs =
-  data_mem ctx access;
-  let data = Array.make ctx.total 0 in
-  List.iter (fun (cycle, off) -> data.(cycle) <- off) pairs;
-  add_mem ctx ~domain:Cycle (name ^ "_addr") data
-
-let bitmap_mem ctx name cycles =
-  let data = Array.make ctx.total 0 in
-  List.iter (fun cycle -> data.(cycle) <- 1) cycles;
-  add_mem ctx ~domain:Cycle name data
-
-(* stationary feed image: pass → address (+ trailing zero entry) *)
-let stage_mem ctx access name events =
-  data_mem ctx access;
-  let data = Array.make (ctx.sched.Schedule.passes + 1) 0 in
-  List.iter
-    (fun ev -> data.(ev.Schedule.pass) <- tensor_offset ctx access ev)
-    events;
-  add_mem ctx ~domain:Pass (name ^ "_saddr") data
+(* the element an event touches, as its data-memory address: [form · x] *)
+let element a (ev : Schedule.event) =
+  let x = ev.Schedule.x and form = a.form in
+  let k = ref 0 in
+  for j = 0 to Array.length form - 1 do
+    k := !k + (form.(j) * x.(j))
+  done;
+  !k
 
 let pos_name prefix (r, c) = Printf.sprintf "%s_%d_%d" prefix r c
 
@@ -256,16 +250,14 @@ let pos_name prefix (r, c) = Printf.sprintf "%s_%d_%d" prefix r c
 
 let tally arr cycle = arr.(cycle) <- arr.(cycle) + 1
 
-let tally_read ctx tensor cycle =
-  let a =
-    match Hashtbl.find_opt ctx.tally_reads tensor with
-    | Some a -> a
-    | None ->
-      let a = Array.make ctx.total 0 in
-      Hashtbl.add ctx.tally_reads tensor a;
-      a
-  in
-  tally a cycle
+(* the useful-read tally of a tensor, made at its first read *)
+let reads_of ctx tensor =
+  match Hashtbl.find_opt ctx.tally_reads tensor with
+  | Some a -> a
+  | None ->
+    let a = Array.make ctx.total 0 in
+    Hashtbl.add ctx.tally_reads tensor a;
+    a
 
 (* useful stage loads of one stationary port: preload tick + the pass
    ticks of passes 0..passes-2 (the final tick loads the dummy entry) *)
@@ -274,19 +266,47 @@ let stage_load_cycles ctx =
   :: List.init (max 0 (ctx.sched.Schedule.passes - 1)) (tick_cycle ctx.sched)
 
 let tally_stage_loads ctx tensor =
-  List.iter (fun cycle -> tally_read ctx tensor cycle) (stage_load_cycles ctx)
+  List.iter (tally (reads_of ctx tensor)) (stage_load_cycles ctx)
 
-let distinct_cycles pairs =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun (cycle, _) ->
-      if Hashtbl.mem seen cycle then false
-      else begin
-        Hashtbl.add seen cycle ();
-        true
-      end)
-    pairs
-  |> List.map fst
+(* ------------------------------------------------------------------ *)
+(* Images.  [runs] are event lists written in order, so a later event
+   wins a shared slot. *)
+
+(* feed port image: cycle → data-memory address.  A port reads once per
+   event, a [shared] one (a line or the broadcast bus) once per distinct
+   cycle.  Every run comes from an active PE or a chain entry, so the
+   port reads at least once. *)
+let value_mem ctx a ~shared name runs =
+  data_mem ctx a.access;
+  let reads = reads_of ctx a.access.Tl_ir.Access.tensor in
+  let data = Array.make ctx.total 0 in
+  let seen = Bytes.make (if shared then ctx.total else 0) '\000' in
+  List.iter
+    (List.iter (fun ev ->
+         let cycle = ev.Schedule.cycle in
+         data.(cycle) <- element a ev;
+         if not shared then tally reads cycle
+         else if Bytes.get seen cycle = '\000' then begin
+           Bytes.set seen cycle '\001';
+           tally reads cycle
+         end))
+    runs;
+  add_mem ctx ~domain:Cycle (name ^ "_addr") data
+
+(* stationary feed image: pass → address (+ trailing zero entry) *)
+let stage_mem ctx a name runs =
+  data_mem ctx a.access;
+  let data = Array.make (ctx.sched.Schedule.passes + 1) 0 in
+  List.iter
+    (List.iter (fun ev ->
+         data.(ev.Schedule.pass) <- element a ev))
+    runs;
+  add_mem ctx ~domain:Pass (name ^ "_saddr") data
+
+let bitmap_mem ctx name cycles =
+  let data = Array.make ctx.total 0 in
+  List.iter (fun cycle -> data.(cycle) <- 1) cycles;
+  add_mem ctx ~domain:Cycle name data
 
 (* ------------------------------------------------------------------ *)
 (* Collector banks: accumulate-in-place output memories.  [writes] lists
@@ -323,34 +343,35 @@ let collector ctx ~name ~capacity writes =
 (* ------------------------------------------------------------------ *)
 (* Input tensors.                                                       *)
 
-(* element accessed by each (pe, cycle) for a tensor: entry detection *)
-let index_table ctx access =
-  let tbl : (int * int * int, int array) Hashtbl.t = Hashtbl.create 256 in
-  List.iter
-    (fun (r, c) ->
-      List.iter
-        (fun ev ->
-          Hashtbl.replace tbl (r, c, ev.Schedule.cycle)
-            (Schedule.tensor_index ctx.sched access ev))
-        (events_of ctx (r, c)))
-    ctx.pes;
-  tbl
+(* the events of a cycle-sorted list from [cycle] on *)
+let rec from_cycle cycle = function
+  | ev :: rest when ev.Schedule.cycle < cycle -> from_cycle cycle rest
+  | evs -> evs
 
 (* events of [p] whose element the PE at [p + dp·k] does not hold at
-   [cycle + dt·k]: chain entries (k = -1) or chain exits (k = 1) *)
-let unpaired ctx tbl access (r, c) ~dp ~dt k =
+   [cycle + dt·k]: chain entries (k = -1) or chain exits (k = 1).  Both
+   PEs' events ascend in cycle, so one merge walk pairs them. *)
+let unpaired ctx a (r, c) ~dp ~dt k =
   let qr = r + (k * dp.(0)) and qc = c + (k * dp.(1)) in
+  let sched = ctx.sched in
+  let theirs =
+    ref
+      (if qr >= 0 && qr < sched.Schedule.rows && qc >= 0
+          && qc < sched.Schedule.cols
+       then events_of ctx (qr, qc)
+       else [])
+  in
   List.filter
     (fun ev ->
-      let idx = Schedule.tensor_index ctx.sched access ev in
-      match Hashtbl.find_opt tbl (qr, qc, ev.Schedule.cycle + (k * dt)) with
-      | Some idx' -> idx' <> idx
-      | None -> true)
+      let cycle = ev.Schedule.cycle + (k * dt) in
+      theirs := from_cycle cycle !theirs;
+      match !theirs with
+      | q :: _ when q.Schedule.cycle = cycle -> element a q <> element a ev
+      | _ -> true)
     (events_of ctx (r, c))
 
 (* renamed base name for a tensor's table family *)
-let tname ctx (access : Tl_ir.Access.t) suffix =
-  ctx.rename access.Tl_ir.Access.tensor ^ suffix
+let tname ctx a suffix = ctx.rename a.access.Tl_ir.Access.tensor ^ suffix
 
 let group_by_line ctx ~dir =
   let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
@@ -368,33 +389,25 @@ let group_by_line ctx ~dir =
 (* data[table[cycle]] on a bus to [members]: a unicast port reads once
    per event; a shared bus (a multicast line or the broadcast) reads once
    per distinct cycle and delivers every member event over a link *)
-let bus ctx access ~shared name members =
-  let tensor = access.Tl_ir.Access.tensor in
-  let pairs =
-    cycle_offsets ctx access (List.concat_map (events_of ctx) members)
-  in
-  if shared then begin
+let bus ctx a ~shared name members =
+  let runs = List.map (events_of ctx) members in
+  if shared then
     List.iter
-      (fun cycle -> tally_read ctx tensor cycle)
-      (distinct_cycles pairs);
-    List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs
-  end
-  else List.iter (fun (cycle, _) -> tally_read ctx tensor cycle) pairs;
-  Bus { table = value_mem ctx access name pairs; pes = members }
+      (List.iter (fun ev -> tally ctx.tally_mc_link ev.Schedule.cycle))
+      runs;
+  Bus { table = value_mem ctx a ~shared name runs; pes = members }
 
 (* data[table[pass]] held in one stage register for [members]; a shared
    register (a multicast-stationary line) takes each useful stage load
    over the line bus once *)
-let held ctx access ~shared suffix (at, members) =
-  tally_stage_loads ctx access.Tl_ir.Access.tensor;
+let held ctx a ~shared suffix (at, members) =
+  tally_stage_loads ctx a.access.Tl_ir.Access.tensor;
   if shared then
-    List.iter
-      (fun cycle -> tally ctx.tally_mc_link cycle)
-      (stage_load_cycles ctx);
+    List.iter (tally ctx.tally_mc_link) (stage_load_cycles ctx);
   let table =
-    stage_mem ctx access
-      (pos_name (tname ctx access suffix) at)
-      (List.concat_map (events_of ctx) members)
+    stage_mem ctx a
+      (pos_name (tname ctx a suffix) at)
+      (List.map (events_of ctx) members)
   in
   Held { table; at; pes = members }
 
@@ -402,108 +415,116 @@ let held ctx access ~shared suffix (at, members) =
    element [dt] cycles earlier; [entry p entries] supplies the injected
    values.  Every event not served by an injection rides a neighbour
    hop. *)
-let chains ctx access ~dp ~dt ~entry =
-  let tbl = index_table ctx access in
+let chains ctx a ~dp ~dt ~entry =
   List.map
     (fun p ->
-      let entries = unpaired ctx tbl access p ~dp ~dt (-1) in
-      let entry_cycles = List.map (fun ev -> ev.Schedule.cycle) entries in
-      List.iter
-        (fun ev ->
-          if not (List.mem ev.Schedule.cycle entry_cycles) then
-            tally ctx.tally_sys_link ev.Schedule.cycle)
-        (events_of ctx p);
-      if entries = [] then { pe = p; inject = None }
-      else begin
+      let events = events_of ctx p in
+      match unpaired ctx a p ~dp ~dt (-1) with
+      | [] ->
+        List.iter (fun ev -> tally ctx.tally_sys_link ev.Schedule.cycle) events;
+        { pe = p; inject = None }
+      | entries ->
         let bitmap =
-          bitmap_mem ctx (pos_name (tname ctx access "_inj") p) entry_cycles
+          bitmap_mem ctx
+            (pos_name (tname ctx a "_inj") p)
+            (List.map (fun ev -> ev.Schedule.cycle) entries)
         in
-        { pe = p; inject = Some (bitmap, entry p entries) }
-      end)
+        List.iter
+          (fun ev ->
+            if bitmap.m_image.(ev.Schedule.cycle) = 0 then
+              tally ctx.tally_sys_link ev.Schedule.cycle)
+          events;
+        { pe = p; inject = Some (bitmap, entry p entries) })
     ctx.pes
 
-let systolic_input ctx access ~dp ~dt =
+let systolic_input ctx a ~dp ~dt =
   let entry p entries =
-    let pairs = cycle_offsets ctx access entries in
-    List.iter
-      (fun (cycle, _) -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-      pairs;
-    Own (value_mem ctx access (pos_name (tname ctx access "_feed") p) pairs)
+    Own
+      (value_mem ctx a ~shared:false
+         (pos_name (tname ctx a "_feed") p)
+         [ entries ])
   in
-  Chains { dp; dt; links = chains ctx access ~dp ~dt ~entry; line_feeds = [] }
+  Chains { dp; dt; links = chains ctx a ~dp ~dt ~entry; line_feeds = [] }
 
 (* 2-D systolic+multicast: entries on the same line (along the multicast
    direction) share one feed per line *)
-let systolic_multicast_input ctx access ~multicast ~dp ~dt =
+let systolic_multicast_input ctx a ~multicast ~dp ~dt =
   let rows = ctx.sched.Schedule.rows and cols = ctx.sched.Schedule.cols in
-  (* line feeds are recorded in this table's iteration order *)
-  let line_pairs : (pos, (int * int) list ref) Hashtbl.t = Hashtbl.create 8 in
+  (* line feeds are recorded in this table's iteration order; a line
+     holds its PEs' entries, the latest PE's first *)
+  let line_runs : (pos, Schedule.event list list ref) Hashtbl.t =
+    Hashtbl.create 8
+  in
   let entry p entries =
     let rep = Geometry.line_rep ~rows ~cols ~dir:multicast p in
-    let pairs = cycle_offsets ctx access entries in
     (* each injected entry is a delivery over the shared line feed bus *)
-    List.iter (fun (cycle, _) -> tally ctx.tally_mc_link cycle) pairs;
-    (match Hashtbl.find_opt line_pairs rep with
-     | Some l -> l := pairs @ !l
-     | None -> Hashtbl.add line_pairs rep (ref pairs));
+    List.iter (fun ev -> tally ctx.tally_mc_link ev.Schedule.cycle) entries;
+    (match Hashtbl.find_opt line_runs rep with
+     | Some runs -> runs := entries :: !runs
+     | None -> Hashtbl.add line_runs rep (ref [ entries ]));
     Line rep
   in
-  let links = chains ctx access ~dp ~dt ~entry in
+  let links = chains ctx a ~dp ~dt ~entry in
   let line_feeds = ref [] in
   Hashtbl.iter
-    (fun rep pairs ->
-      List.iter
-        (fun cycle -> tally_read ctx access.Tl_ir.Access.tensor cycle)
-        (distinct_cycles !pairs);
-      let name = pos_name (tname ctx access "_lfeed") rep in
-      line_feeds := (rep, value_mem ctx access name !pairs) :: !line_feeds)
-    line_pairs;
+    (fun rep runs ->
+      let name = pos_name (tname ctx a "_lfeed") rep in
+      line_feeds :=
+        (rep, value_mem ctx a ~shared:true name !runs) :: !line_feeds)
+    line_runs;
   Chains { dp; dt; links; line_feeds = List.rev !line_feeds }
 
+(* the dataflow picks the wiring before the access's bounds are checked,
+   so a full-reuse input reports that first *)
 let build_input ctx (ti : Tl_stt.Design.tensor_info) =
-  let access = ti.Tl_stt.Design.access in
-  match ti.Tl_stt.Design.dataflow with
-  | Tl_stt.Dataflow.Unicast ->
-    Feeds
-      (List.map
-         (fun p ->
-           bus ctx access ~shared:false (pos_name (tname ctx access "_uni") p)
-             [ p ])
-         ctx.pes)
-  | Tl_stt.Dataflow.Stationary _ ->
-    Feeds
-      (List.map
-         (fun p -> held ctx access ~shared:false "_st" (p, [ p ]))
-         ctx.pes)
-  | Tl_stt.Dataflow.Systolic { dp; dt } -> systolic_input ctx access ~dp ~dt
-  | Tl_stt.Dataflow.Multicast { dp } ->
-    Feeds
-      (List.map
-         (fun (rep, members) ->
-           bus ctx access ~shared:true (pos_name (tname ctx access "_mc") rep)
-             members)
-         (group_by_line ctx ~dir:dp))
-  | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast ->
-    Feeds [ bus ctx access ~shared:true (tname ctx access "_bc") ctx.pes ]
-  | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Multicast_stationary { multicast })
-    ->
-    Feeds
-      (List.map (held ctx access ~shared:true "_mcst")
-         (group_by_line ctx ~dir:multicast))
-  | Tl_stt.Dataflow.Reuse2d
-      (Tl_stt.Dataflow.Systolic_multicast { multicast; systolic }) ->
-    systolic_multicast_input ctx access ~multicast
-      ~dp:systolic.Tl_stt.Dataflow.dp ~dt:systolic.Tl_stt.Dataflow.dt
-  | Tl_stt.Dataflow.Reuse_full ->
-    raise (Unsupported "full-reuse input tensors are not implemented")
+  let wire =
+    match ti.Tl_stt.Design.dataflow with
+    | Tl_stt.Dataflow.Unicast ->
+      fun a ->
+        Feeds
+          (List.map
+             (fun p ->
+               bus ctx a ~shared:false (pos_name (tname ctx a "_uni") p) [ p ])
+             ctx.pes)
+    | Tl_stt.Dataflow.Stationary _ ->
+      fun a ->
+        Feeds
+          (List.map (fun p -> held ctx a ~shared:false "_st" (p, [ p ]))
+             ctx.pes)
+    | Tl_stt.Dataflow.Systolic { dp; dt } ->
+      fun a -> systolic_input ctx a ~dp ~dt
+    | Tl_stt.Dataflow.Multicast { dp } ->
+      fun a ->
+        Feeds
+          (List.map
+             (fun (rep, members) ->
+               bus ctx a ~shared:true (pos_name (tname ctx a "_mc") rep)
+                 members)
+             (group_by_line ctx ~dir:dp))
+    | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast ->
+      fun a -> Feeds [ bus ctx a ~shared:true (tname ctx a "_bc") ctx.pes ]
+    | Tl_stt.Dataflow.Reuse2d
+        (Tl_stt.Dataflow.Multicast_stationary { multicast }) ->
+      fun a ->
+        Feeds
+          (List.map (held ctx a ~shared:true "_mcst")
+             (group_by_line ctx ~dir:multicast))
+    | Tl_stt.Dataflow.Reuse2d
+        (Tl_stt.Dataflow.Systolic_multicast { multicast; systolic }) ->
+      fun a ->
+        systolic_multicast_input ctx a ~multicast
+          ~dp:systolic.Tl_stt.Dataflow.dp ~dt:systolic.Tl_stt.Dataflow.dt
+    | Tl_stt.Dataflow.Reuse_full ->
+      raise (Unsupported "full-reuse input tensors are not implemented")
+  in
+  wire (addressing ctx ti.Tl_stt.Design.access)
 
 (* ------------------------------------------------------------------ *)
 (* Output tensor.                                                       *)
 
-let out_elem ctx access ev =
-  Array.to_list (Schedule.tensor_index ctx.sched access ev)
+let out_elem a ev = Array.to_list (Tl_ir.Access.index a.access ev.Schedule.x)
 
-let stationary_output ctx access =
+let stationary_output ctx a =
   let sched = ctx.sched in
   (* the drain chain only spans the active footprint rows *)
   let fp_rows = 1 + List.fold_left (fun acc (r, _) -> max acc r) 0 ctx.pes in
@@ -517,15 +538,16 @@ let stationary_output ctx access =
   let column c =
     let writes = ref [] in
     for r = 0 to fp_rows - 1 do
-      let seen_pass = Hashtbl.create 8 in
+      (* passes ascend with cycles: the PE's first event of each pass *)
+      let pass = ref (-1) in
       List.iter
         (fun ev ->
-          if not (Hashtbl.mem seen_pass ev.Schedule.pass) then begin
-            Hashtbl.add seen_pass ev.Schedule.pass ();
+          if ev.Schedule.pass <> !pass then begin
+            pass := ev.Schedule.pass;
             let write_cycle =
               tick_cycle sched ev.Schedule.pass + (fp_rows - r)
             in
-            writes := (write_cycle, out_elem ctx access ev) :: !writes
+            writes := (write_cycle, out_elem a ev) :: !writes
           end)
         (events_of ctx (r, c))
     done;
@@ -540,12 +562,11 @@ let stationary_output ctx access =
       columns =
         List.map column (List.sort_uniq compare (List.map snd ctx.pes)) }
 
-let systolic_output ctx access ~dp ~dt =
-  let tbl = index_table ctx access in
+let systolic_output ctx a ~dp ~dt =
   let exits =
     List.filter_map
       (fun p ->
-        match unpaired ctx tbl access p ~dp ~dt 1 with
+        match unpaired ctx a p ~dp ~dt 1 with
         | [] -> None
         | exits -> Some (p, exits))
       ctx.pes
@@ -553,7 +574,7 @@ let systolic_output ctx access ~dp ~dt =
   (* the three psum-input cases are structural: all-fresh (constant
      zero), pure chain (neighbour), or injection-muxed (oinj bitmap) *)
   let psum p =
-    let entries = unpaired ctx tbl access p ~dp ~dt (-1) in
+    let entries = unpaired ctx a p ~dp ~dt (-1) in
     let kind, psum =
       if List.length entries = List.length (events_of ctx p) then
         ("fresh", Fresh)
@@ -562,7 +583,7 @@ let systolic_output ctx access ~dp ~dt =
         ( "mux",
           Mux
             (bitmap_mem ctx
-               (pos_name (tname ctx access "_oinj") p)
+               (pos_name (tname ctx a "_oinj") p)
                (List.map (fun ev -> ev.Schedule.cycle) entries)) )
     in
     structural ctx (Printf.sprintf "opsum %s %s" (pos_name "" p) kind);
@@ -574,10 +595,10 @@ let systolic_output ctx access ~dp ~dt =
       (fun (p, exit_events) ->
         ( p,
           collector ctx
-            ~name:(pos_name (tname ctx access "_obank") p)
+            ~name:(pos_name (tname ctx a "_obank") p)
             ~capacity:(List.length exit_events)
             (List.rev_map
-               (fun ev -> (ev.Schedule.cycle + dt, out_elem ctx access ev))
+               (fun ev -> (ev.Schedule.cycle + dt, out_elem a ev))
                exit_events) ))
       exits
   in
@@ -587,52 +608,56 @@ let systolic_output ctx access ~dp ~dt =
    once per pass at its tick (a stage accumulator); the last event per
    cycle or pass names the element.  Cells are allocated in the table's
    iteration order, which its initial size fixes. *)
-let trees ctx access suffix groups ~stage_acc =
+let trees ctx a suffix groups ~stage_acc =
   let group (rep, members) =
-    let writes = Hashtbl.create (if stage_acc then 8 else 64) in
+    let last = Hashtbl.create (if stage_acc then 8 else 64) in
     List.iter
-      (fun ev ->
-        let key = if stage_acc then ev.Schedule.pass else ev.Schedule.cycle in
-        Hashtbl.replace writes key (out_elem ctx access ev))
-      (List.concat_map (events_of ctx) members);
+      (fun p ->
+        List.iter
+          (fun ev ->
+            let key =
+              if stage_acc then ev.Schedule.pass else ev.Schedule.cycle
+            in
+            Hashtbl.replace last key ev)
+          (events_of ctx p))
+      members;
     let cycle key = if stage_acc then tick_cycle ctx.sched key else key in
     let bank =
       collector ctx
-        ~name:(pos_name (tname ctx access suffix) rep)
-        ~capacity:(Hashtbl.length writes)
-        (Hashtbl.fold (fun key elem acc -> (cycle key, elem) :: acc) writes [])
+        ~name:(pos_name (tname ctx a suffix) rep)
+        ~capacity:(Hashtbl.length last)
+        (Hashtbl.fold
+           (fun key ev acc -> (cycle key, out_elem a ev) :: acc)
+           last [])
     in
     (rep, members, bank)
   in
   Trees { stage_acc; lines = List.map group groups }
 
-let unicast_output ctx access =
+let unicast_output ctx a =
   let per_pe p =
     let events = events_of ctx p in
     let bank =
       collector ctx
-        ~name:(pos_name (tname ctx access "_ubank") p)
+        ~name:(pos_name (tname ctx a "_ubank") p)
         ~capacity:(List.length events)
-        (List.rev_map
-           (fun ev -> (ev.Schedule.cycle, out_elem ctx access ev))
-           events)
+        (List.rev_map (fun ev -> (ev.Schedule.cycle, out_elem a ev)) events)
     in
     (p, [ p ], bank)
   in
   Trees { stage_acc = false; lines = List.map per_pe ctx.pes }
 
 let build_output ctx (ti : Tl_stt.Design.tensor_info) =
-  let access = ti.Tl_stt.Design.access in
+  let a = addressing ctx ti.Tl_stt.Design.access in
   match ti.Tl_stt.Design.dataflow with
-  | Tl_stt.Dataflow.Unicast -> unicast_output ctx access
-  | Tl_stt.Dataflow.Stationary _ -> stationary_output ctx access
-  | Tl_stt.Dataflow.Systolic { dp; dt } -> systolic_output ctx access ~dp ~dt
+  | Tl_stt.Dataflow.Unicast -> unicast_output ctx a
+  | Tl_stt.Dataflow.Stationary _ -> stationary_output ctx a
+  | Tl_stt.Dataflow.Systolic { dp; dt } -> systolic_output ctx a ~dp ~dt
   | Tl_stt.Dataflow.Multicast { dp } ->
-    trees ctx access "_tbank" (group_by_line ctx ~dir:dp) ~stage_acc:false
+    trees ctx a "_tbank" (group_by_line ctx ~dir:dp) ~stage_acc:false
   | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Multicast_stationary { multicast })
     ->
-    trees ctx access "_tsbank" (group_by_line ctx ~dir:multicast)
-      ~stage_acc:true
+    trees ctx a "_tsbank" (group_by_line ctx ~dir:multicast) ~stage_acc:true
   | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast
   | Tl_stt.Dataflow.Reuse2d (Tl_stt.Dataflow.Systolic_multicast _)
   | Tl_stt.Dataflow.Reuse_full ->
@@ -658,7 +683,8 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
       (Tl_ir.Stmt.tensors stmt)
   in
   let ctx =
-    { sched; total; pes = active_pes sched; rename; shapes; mems = [];
+    { sched; total; pes = active_pes sched; rename; shapes;
+      iters = stmt.Tl_ir.Stmt.iters; mems = [];
       inputs = []; seen_inputs = Hashtbl.create 8;
       out_locs = Hashtbl.create 64; banks = []; tally_reads = Hashtbl.create 4;
       tally_sys_link = Array.make total 0;

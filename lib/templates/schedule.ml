@@ -190,8 +190,6 @@ let frame design ~rows ~cols =
 
 let iter_events fr k = iter_geom fr.f_geom k
 
-let tensor_index _t access ev = Tl_ir.Access.index access ev.x
-
 let events t =
   let all = ref [] in
   for r = t.rows - 1 downto 0 do

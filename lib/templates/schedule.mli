@@ -67,9 +67,6 @@ val iter_events :
     between calls} — visitors must copy it if they retain it.  The visited
     multiset of (pass, cycle, pe) slots equals {!build}'s events. *)
 
-val tensor_index : t -> Tl_ir.Access.t -> event -> int array
-(** Tensor element accessed by an event. *)
-
 val events : t -> event list
 (** All events sorted by cycle (ties by PE). *)
 

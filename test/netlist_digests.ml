@@ -1,9 +1,11 @@
 (* Netlist identity record: one line per (tier-1 workload, STT candidate,
    option combo) on a 4x4 array, giving the first 12 hex digits of the md5
-   of the normalised Verilog, or "unsupported".  The runtest alias diffs
-   the output against netlist_digests.expected, so any change to what the
-   templates emit shows up as a diff; accept an intended one with
-   [dune promote]. *)
+   of the normalised Verilog, or the [Unsupported] message; and one
+   "program" line per supported candidate, the md5 of its compiled program
+   document (table images, counter tallies, data-memory layout, output map
+   and structure string).  The runtest alias diffs the output against
+   netlist_digests.expected, so any change to what the templates emit shows
+   up as a diff; accept an intended one with [dune promote]. *)
 
 open Tensorlib
 
@@ -24,14 +26,12 @@ let prog design env =
 
 let combos = [ ("rom", rom); ("prog2+ctr+full", prog) ]
 
+let md5_12 s = String.sub (Digest.to_hex (Digest.string s)) 0 12
+
 let digest gen design env =
   match gen design env with
-  | exception Accel.Unsupported _ -> "unsupported"
-  | acc ->
-    String.sub
-      (Digest.to_hex
-         (Digest.string (Netlist_text.normalize (Accel.verilog acc))))
-      0 12
+  | exception Accel.Unsupported msg -> "unsupported: " ^ msg
+  | acc -> md5_12 (Netlist_text.normalize (Accel.verilog acc))
 
 let () =
   List.iter
@@ -43,6 +43,11 @@ let () =
             (fun (cname, gen) ->
               Printf.printf "%s %s %s %s\n" wname dname cname
                 (digest gen design env))
-            combos)
+            combos;
+          match Layout.build design ~rows:4 ~cols:4 with
+          | exception Layout.Unsupported _ -> ()
+          | l ->
+            Printf.printf "%s %s program %s\n" wname dname
+              (md5_12 (Compile.program_to_json (Layout.to_program l))))
         (Search.all_designs stmt))
     cases

@@ -362,7 +362,8 @@ let test_small_workloads_lint_clean () =
       ("mttkrp-small", Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4) ]
 
 let cli path args =
-  Sys.command (Filename.quote_command path args ^ " > /dev/null 2>&1")
+  Sys.command
+    (Filename.quote_command path args ^ " < /dev/null > /dev/null 2>&1")
 
 let test_cli_exit_codes () =
   let exe = "../bin/tensorlib_cli.exe" in
@@ -374,6 +375,22 @@ let test_cli_exit_codes () =
       (cli exe
          [ "lint"; "-w"; "gemm-small"; "--select"; "m,n,k"; "--matrix";
            "1,0,0;0,1,0;1,1,0" ]);
+    (* a design with no netlist on the array is a validation error: the
+       full-size gemm (generate's default) does not fit 8x8, and reading
+       one tensor with two shapes leaves its data memory *)
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (String.concat " " args ^ " exits 2") 2
+          (cli exe args))
+      [ [ "generate" ];
+        [ "simulate"; "-w"; "gemm" ];
+        [ "profile"; "-w"; "gemm" ];
+        [ "fault"; "-w"; "gemm" ];
+        [ "analyze"; "-w"; "gemm"; "--netlist" ];
+        [ "compile"; "-w"; "gemm" ];
+        [ "serve"; "--accel-workload"; "gemm" ];
+        [ "generate"; "-e"; "C[m,n]+=A[m,k]*A[k,n]"; "--extents";
+          "m=2,n=3,k=4"; "--rows"; "4"; "--cols"; "4" ] ];
     (* an output path is written through: a device stays a device *)
     Alcotest.(check int) "generate -o /dev/null exits 0" 0
       (cli exe [ "generate"; "-w"; "gemm-small"; "-o"; "/dev/null" ]);

@@ -155,7 +155,7 @@ let test_schedule_events_sorted () =
     (fun ev ->
       List.iter
         (fun access ->
-          let idx = Schedule.tensor_index sched access ev in
+          let idx = Access.index access ev.Schedule.x in
           let shape = Access.shape access stmt.Stmt.iters in
           Array.iteri
             (fun i v ->

@@ -231,6 +231,131 @@ let prop_random_designs_correct =
         | exception Accel.Unsupported _ -> true
       end)
 
+(* Chain pairing, reference implementation: the element every (PE,
+   cycle) holds, in a hash table; an event of [p] is unpaired unless the
+   PE at [p + k·dp] holds the same element at [cycle + k·dt].  k = -1
+   gives chain entries, k = 1 chain exits. *)
+let reference_unpaired (sched : Schedule.t) access =
+  let tbl : (int * int * int, int array) Hashtbl.t = Hashtbl.create 256 in
+  Array.iteri
+    (fun r row ->
+      Array.iteri
+        (fun c events ->
+          List.iter
+            (fun ev ->
+              Hashtbl.replace tbl (r, c, ev.Schedule.cycle)
+                (Access.index access ev.Schedule.x))
+            events)
+        row)
+    sched.Schedule.by_pe;
+  fun (r, c) ~dp ~dt k ->
+    let qr = r + (k * dp.(0)) and qc = c + (k * dp.(1)) in
+    List.filter
+      (fun ev ->
+        match Hashtbl.find_opt tbl (qr, qc, ev.Schedule.cycle + (k * dt)) with
+        | Some idx -> idx <> Access.index access ev.Schedule.x
+        | None -> true)
+      sched.Schedule.by_pe.(r).(c)
+
+(* [Layout.build]'s chain pairing against the reference on random STTs
+   (the draws of the streaming-statistics property): every chained
+   input's injection bitmaps, and a systolic output's psum kinds, exit
+   PEs and exit cycles.  The run must reach the cases where pairing is
+   subtle. *)
+let test_chain_pairing_random () =
+  let seen = Hashtbl.create 8 in
+  let reach f = Hashtbl.replace seen f () in
+  let check label b = if not b then Alcotest.fail label in
+  let arb =
+    QCheck.pair
+      (QCheck.int_bound (Array.length Test_dse_fast.stats_cases - 1))
+      Test_dse_fast.arbitrary_matrix
+  in
+  let prop =
+    QCheck.Test.make ~name:"chain pairing = reference" ~count:600 arb
+      (fun (case, m) ->
+        let stmt, names = Test_dse_fast.stats_cases.(case) in
+        let d = Design.analyze (Transform.by_names stmt names ~matrix:m) in
+        match Layout.build d ~rows:24 ~cols:24 with
+        | exception Layout.Unsupported _ -> true
+        | l ->
+          let sched = l.Layout.l_sched in
+          let image cycles =
+            let a = Array.make l.Layout.l_total 0 in
+            List.iter (fun c -> a.(c) <- 1) cycles;
+            a
+          in
+          let cycles ?(shift = 0) evs =
+            List.map (fun ev -> ev.Schedule.cycle + shift) evs
+          in
+          let pe_events (r, c) = sched.Schedule.by_pe.(r).(c) in
+          List.iter2
+            (fun (ti : Design.tensor_info) (_, wiring) ->
+              match wiring with
+              | Layout.Feeds _ -> ()
+              | Layout.Chains { dp; dt; links; line_feeds } ->
+                reach
+                  (if line_feeds <> [] then "systolic-multicast input"
+                   else if dt >= 2 then "systolic input dt>=2"
+                   else "systolic input");
+                let unpaired = reference_unpaired sched ti.Design.access in
+                List.iter
+                  (fun (link : Layout.link) ->
+                    match
+                      (unpaired link.Layout.pe ~dp ~dt (-1), link.Layout.inject)
+                    with
+                    | [], None -> ()
+                    | entries, Some (bitmap, _) ->
+                      check "injection bitmap"
+                        (entries <> []
+                        && bitmap.Layout.m_image = image (cycles entries))
+                    | _ :: _, None -> Alcotest.fail "missing injection")
+                  links)
+            (Design.input_infos d) l.Layout.l_feeds;
+          (match l.Layout.l_collect with
+           | Layout.Sys_out { dp; dt; psums; exits } ->
+             reach "systolic output";
+             let unpaired =
+               reference_unpaired sched (Design.output_info d).Design.access
+             in
+             List.iter
+               (fun (p, psum) ->
+                 let entries = unpaired p ~dp ~dt (-1) in
+                 check "psum kind"
+                   (match psum with
+                    | Layout.Fresh ->
+                      List.length entries = List.length (pe_events p)
+                    | Layout.Chain -> entries = []
+                    | Layout.Mux bitmap ->
+                      entries <> []
+                      && List.length entries < List.length (pe_events p)
+                      && bitmap.Layout.m_image = image (cycles entries)))
+               psums;
+             let expected =
+               List.filter_map
+                 (fun (p, _) ->
+                   match unpaired p ~dp ~dt 1 with
+                   | [] -> None
+                   | evs -> Some (p, image (cycles ~shift:dt evs)))
+                 psums
+             in
+             check "exit PEs and cycles"
+               (expected
+               = List.map
+                   (fun (p, (b : Layout.bank)) ->
+                     (p, b.Layout.b_we.Layout.m_image))
+                   exits)
+           | _ -> ());
+          let det = Mat.det d.Design.transform.Transform.matrix in
+          if Rat.equal (Rat.abs det) (Rat.of_int 2) then reach "|det T|=2";
+          true)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 17 |]) prop;
+  List.iter
+    (fun f -> Alcotest.(check bool) ("reached " ^ f) true (Hashtbl.mem seen f))
+    [ "systolic input dt>=2"; "systolic-multicast input"; "systolic output";
+      "|det T|=2" ]
+
 let suite =
   [ Alcotest.test_case "gemm output-stationary" `Quick
       test_gemm_output_stationary;
@@ -272,5 +397,7 @@ let suite =
     Alcotest.test_case "schedule invariants" `Quick test_schedule_properties;
     Alcotest.test_case "geometry lines" `Quick test_geometry_lines;
     Alcotest.test_case "reduction tree" `Quick test_reduce_tree;
-    Alcotest.test_case "pe module: systolic" `Quick test_pe_modules_systolic ]
+    Alcotest.test_case "pe module: systolic" `Quick test_pe_modules_systolic;
+    Alcotest.test_case "chain pairing = reference (random STT)" `Quick
+      test_chain_pairing_random ]
   @ [ QCheck_alcotest.to_alcotest prop_random_designs_correct ]
