@@ -29,7 +29,9 @@
      ones exactly, and on every 10th case the fast [Perf.evaluate]
      (pruned search, streaming statistics) must return the reference's
      record (exhaustive search, materialised statistics) or raise the
-     same exception.
+     same exception, and [Enumerate.design_space] of the statement must
+     equal the per-candidate [Oracle.design_space] (signatures and
+     matrices, in order).
 
    Usage: dune exec bin/fuzz.exe -- [iterations] [seed] *)
 
@@ -458,8 +460,9 @@ let () =
     "fuzz batch oracle: %d netlists, %d lanes vs tape+closure, %d \
      violations\n"
     !batch_checked lanes !batch_violations;
-  (* phase 5: perf-model statistics oracle *)
+  (* phase 5: perf-model statistics and enumeration oracles *)
   let stats_checked = ref 0 and evals_checked = ref 0 in
+  let spaces_checked = ref 0 in
   let stats_violations = ref 0 in
   let outcome f =
     match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
@@ -489,13 +492,32 @@ let () =
       let config = { Perf.default_config with Perf.rows; cols } in
       let fast = outcome (fun () -> Perf.evaluate ~config ~cache:false d) in
       let reference = outcome (fun () -> Perf.evaluate_reference ~config d) in
-      if fast <> reference then disagree i "evaluate" ~rows ~cols d
+      if fast <> reference then disagree i "evaluate" ~rows ~cols d;
+      (* the one classification sweep against the per-candidate
+         enumeration it replaced: same points, signatures and matrices,
+         in order *)
+      incr spaces_checked;
+      let space pts =
+        List.map
+          (fun (p : Enumerate.point) ->
+            ( p.Enumerate.signature,
+              p.Enumerate.design.Design.transform.Transform.imatrix ))
+          pts
+      in
+      if
+        space (Enumerate.design_space stmt)
+        <> space (Oracle.design_space stmt)
+      then begin
+        incr stats_violations;
+        Printf.printf "ENUMERATE FAIL at case %d: %s\n" i
+          (Signature.stmt_fingerprint stmt)
+      end
     end
   done;
   Printf.printf
-    "fuzz perf oracle: %d tile stats and %d evaluations vs the materialised \
-     reference, %d violations\n"
-    !stats_checked !evals_checked !stats_violations;
+    "fuzz perf oracle: %d tile stats, %d evaluations and %d design spaces vs \
+     the reference, %d violations\n"
+    !stats_checked !evals_checked !spaces_checked !stats_violations;
   if
     !failed > 0 || !violations > 0 || !absint_violations > 0
     || !batch_violations > 0 || !stats_violations > 0

@@ -186,6 +186,16 @@ let matrix_arg =
        & info [ "matrix" ]
            ~doc:"Explicit STT matrix rows, e.g. \"1,0,0;0,1,0;1,1,1\".")
 
+(* The design a dataflow name resolves to on workload [w].  A malformed
+   name (no [-], a selection that is not 2 or 3 distinct iterators) is
+   the caller's error, raised by [Search] before any sweep; it ends, like
+   an unrealisable name, in the exit-2 validation error. *)
+let design_of_name stmt w d =
+  match Search.find_design stmt d with
+  | Some design -> design
+  | None -> failwith (Printf.sprintf "dataflow %s not realisable for %s" d w)
+  | exception Invalid_argument msg -> failwith msg
+
 let resolve ?expr ?extents ?select ?matrix w d =
   let stmt = workload_of expr extents w in
   match (select, matrix) with
@@ -202,11 +212,7 @@ let resolve ?expr ?extents ?select ?matrix w d =
     (stmt, Design.analyze (Transform.by_names stmt names ~matrix:rows))
   | Some _, None | None, Some _ ->
     failwith "--select and --matrix must be given together"
-  | None, None -> (
-    match Search.find_design stmt d with
-    | Some design -> (stmt, design)
-    | None ->
-      failwith (Printf.sprintf "dataflow %s not realisable for %s" d w))
+  | None, None -> (stmt, design_of_name stmt w d)
 
 (* Programmable-target construction shared by [compile] and [serve]: size
    the descriptor memories to [headroom]× the generating design's natural
@@ -385,6 +391,8 @@ let perf_cmd =
   let run w d expr extents =
     guard @@ fun () ->
     let stmt = workload_of expr extents w in
+    (* validates the name; [evaluate_name] then hits the memoised match *)
+    ignore (design_of_name stmt w d);
     match Perf.evaluate_name stmt d with
     | Some r ->
       Format.printf "%a@." Perf.pp_result r;
@@ -554,12 +562,7 @@ let lint_cmd =
        failwith "--select and --matrix must be given together"
      | None, None -> (
        match d with
-       | Some name -> (
-         match Search.find_design stmt name with
-         | Some design -> lint_design design
-         | None ->
-           failwith
-             (Printf.sprintf "dataflow %s not realisable for %s" name w))
+       | Some name -> lint_design (design_of_name stmt w name)
        | None ->
          let designs = Search.all_designs stmt in
          let designs =
@@ -644,11 +647,7 @@ let fault_cmd =
                 (C[m,n] += A[m,k] * B[n,k])"
                w)
     in
-    let design =
-      match Search.find_design stmt d with
-      | Some design -> design
-      | None -> failwith (Printf.sprintf "dataflow %s not realisable for %s" d w)
-    in
+    let design = design_of_name stmt w d in
     let generate harden =
       Accel.generate ~rows ~cols ~data_width:dw ~acc_width:aw ~harden design
         env
@@ -718,11 +717,7 @@ let profile_cmd =
     in
     let stmt = workload_of_string w in
     let env = Exec.alloc_inputs stmt in
-    let design =
-      match Search.find_design stmt d with
-      | Some design -> design
-      | None -> failwith (Printf.sprintf "dataflow %s not realisable for %s" d w)
-    in
+    let design = design_of_name stmt w d in
     let trace = Obs.Trace.create () in
     let clock = Unix.gettimeofday in
     let span name f = Obs.Trace.span trace ~clock ~cat:"profile" ~name f in

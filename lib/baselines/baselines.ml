@@ -55,29 +55,29 @@ let susy =
 let all = [ susy; polysa ]
 
 let best_supported_design stmt baseline =
-  let candidates =
+  (* the first supported design of each name in search order; [supports]
+     reads dataflows only, so the first matrix of each dataflow list
+     stands for every matrix with that list *)
+  let seen = Hashtbl.create 32 in
+  let distinct =
     List.concat_map
       (fun selected ->
         List.filter_map
-          (fun m ->
-            let t = Tl_stt.Transform.v stmt ~selected ~matrix:m in
-            let d = Tl_stt.Design.analyze t in
-            if baseline.supports d then Some d else None)
-          (Tl_stt.Search.candidate_matrices ~n:3))
+          (fun (matrix, dfs) ->
+            let d =
+              Tl_stt.Design.of_dataflows
+                (Tl_stt.Transform.v stmt ~selected ~matrix)
+                dfs
+            in
+            let name = d.Tl_stt.Design.name in
+            if baseline.supports d && not (Hashtbl.mem seen name) then begin
+              Hashtbl.add seen name ();
+              Some d
+            end
+            else None)
+          (Tl_stt.Search.distinct_flows ~budget:Tl_resil.Budget.unlimited
+             stmt ~selected))
       (Tl_stt.Search.selections stmt ~n:3)
-  in
-  (* distinct names only: evaluating every matrix would repeat work *)
-  let seen = Hashtbl.create 32 in
-  let distinct =
-    List.filter
-      (fun d ->
-        let name = d.Tl_stt.Design.name in
-        if Hashtbl.mem seen name then false
-        else begin
-          Hashtbl.add seen name ();
-          true
-        end)
-      candidates
   in
   List.fold_left
     (fun best d ->

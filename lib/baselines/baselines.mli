@@ -16,6 +16,7 @@ type t = {
   name : string;
   device : Tl_cost.Fpga.device;
   supports : Tl_stt.Design.t -> bool;
+      (** Reads the design's dataflows only. *)
   published : workload:string -> Tl_cost.Fpga.report option;
       (** Published Table-III row for "MM" or "Conv". *)
 }

@@ -19,72 +19,93 @@ let design_space ?max_unselected ?(exclude_unicast = false)
         | Some k -> depth - Array.length sel <= k)
       (Tl_stt.Search.selections stmt ~n:3)
   in
-  let matrices = Tl_stt.Search.candidate_matrices ~n:3 in
-  (* analyse each selection's matrix sweep in its own task; the dedup stays
-     sequential over the concatenated (selection-order, matrix-order)
-     stream, so the kept representative and the output order are identical
-     to the serial enumeration *)
-  let per_selection selected =
-    let analyze = Tl_stt.Design.analyzer stmt ~selected in
-    (* within one selection the identity signature is a function of the
-       dataflow list alone (fixed tensor names, injective rendering), so
-       repeats can be dropped on the structural key before paying for the
-       string render; the kept representative (first in matrix order) is
-       the one the global dedup would keep *)
-    let local : (Tl_stt.Dataflow.t list, unit) Hashtbl.t =
-      Hashtbl.create 512
-    in
-    List.filter_map
-      (fun m ->
-        (* cooperative cancellation: one budget unit per candidate
-           matrix; expiry raises [Budget.Expired] between matrices so
-           the caller always observes a consistent prefix *)
-        Tl_resil.Budget.check budget;
-        let t = Tl_stt.Transform.v stmt ~selected ~matrix:m in
-        let d = analyze t in
-        let dfs =
-          List.map (fun ti -> ti.Tl_stt.Design.dataflow) d.Tl_stt.Design.tensors
-        in
-        let excluded =
-          List.exists
-            (fun df ->
-              df = Tl_stt.Dataflow.Reuse_full
-              || (exclude_unicast && df = Tl_stt.Dataflow.Unicast))
-            dfs
-          ||
-          match max_bank_ports with
-          | None -> false
-          | Some limit ->
-            (Tl_cost.Inventory.of_design d).Tl_cost.Inventory.bank_ports
-            > limit
-        in
-        if excluded || Hashtbl.mem local dfs then None
-        else begin
-          Hashtbl.add local dfs ();
-          Some (d, Tl_stt.Signature.identity_signature d)
-        end)
-      matrices
+  let roles =
+    List.map (fun _ -> Tl_stt.Design.Input) stmt.Tl_ir.Stmt.inputs
+    @ [ Tl_stt.Design.Output ]
   in
-  (* two-stage dedup: drop repeats of the cheap identity render first, and
-     pay the 8-fold canonical render only for survivors.  Equal identity
-     signatures imply equal canonical signatures, so the kept
-     representative (first in stream order per canonical class) and the
-     output order are unchanged. *)
-  let seen_id : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* every exclusion reads the dataflow list alone (the inventory reads
+     roles and dataflows), so it is decided once per distinct list *)
+  let excluded dfs =
+    List.exists
+      (fun df ->
+        df = Tl_stt.Dataflow.Reuse_full
+        || (exclude_unicast && df = Tl_stt.Dataflow.Unicast))
+      dfs
+    ||
+    match max_bank_ports with
+    | None -> false
+    | Some limit ->
+      (Tl_cost.Inventory.of_flows (List.combine roles dfs))
+        .Tl_cost.Inventory.bank_ports > limit
+  in
+  (* each selection's sweep is its own task; the dedup below stays
+     sequential over the (selection-order, matrix-order) stream, so the
+     kept representatives and their order do not depend on [domains] *)
+  let per_selection selected =
+    ( selected,
+      List.filter
+        (fun (_, dfs) -> not (excluded dfs))
+        (Tl_stt.Search.distinct_flows ~budget stmt ~selected) )
+  in
+  (* Two points are one architecture iff some D4 symmetry maps one's
+     (selection label, dataflow list) onto the other's, directions
+     mapped raw, which is exactly when their canonical signatures agree.
+     With labels and dataflows numbered, a kept point marks its eight
+     images seen, and a later point is a repeat iff its own key is seen;
+     only the kept points pay for a transform, a design and the
+     canonical render. *)
+  let numbers tbl x =
+    match Hashtbl.find_opt tbl x with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length tbl in
+      Hashtbl.add tbl x i;
+      i
+  in
+  let label_ids = Hashtbl.create 16 and flow_ids = Hashtbl.create 64 in
+  (* a dataflow's number -> the numbers of its images, in [d4] order *)
+  let flow_images : (int, int array) Hashtbl.t = Hashtbl.create 64 in
+  let images_of df =
+    let id = numbers flow_ids df in
+    match Hashtbl.find_opt flow_images id with
+    | Some images -> images
+    | None ->
+      let images =
+        Array.of_list
+          (List.map
+             (fun sym ->
+               numbers flow_ids (Tl_stt.Signature.map_dataflow sym df))
+             Tl_stt.Signature.d4)
+      in
+      Hashtbl.add flow_images id images;
+      images
+  in
+  let seen : (int array, unit) Hashtbl.t = Hashtbl.create 4096 in
+  let key label images k =
+    Array.of_list (label :: List.map (fun im -> im.(k)) images)
+  in
   Tl_par.map ?domains ~label:"dse-enumerate" per_selection selections
-  |> List.concat
-  |> List.filter_map (fun (d, id_sig) ->
-      if Hashtbl.mem seen_id id_sig then None
-      else begin
-        Hashtbl.add seen_id id_sig ();
-        let s = signature d in
-        if Hashtbl.mem seen s then None
-        else begin
-          Hashtbl.add seen s ();
-          Some { design = d; signature = s }
-        end
-      end)
+  |> List.concat_map (fun (selected, kept) ->
+      let label =
+        numbers label_ids (Tl_stt.Transform.label_of stmt selected)
+      in
+      List.filter_map
+        (fun (matrix, dfs) ->
+          let images = List.map images_of dfs in
+          (* [d4] starts with the identity *)
+          if Hashtbl.mem seen (key label images 0) then None
+          else begin
+            List.iteri
+              (fun k _ -> Hashtbl.replace seen (key label images k) ())
+              Tl_stt.Signature.d4;
+            let d =
+              Tl_stt.Design.of_dataflows
+                (Tl_stt.Transform.v stmt ~selected ~matrix)
+                dfs
+            in
+            Some { design = d; signature = signature d }
+          end)
+        kept)
 
 (* A point is dominated iff some point has both objectives <= with one
    strict: either a strictly smaller x with y' <= y, or an equal x with a

@@ -4,8 +4,8 @@
     plus every tensor's dataflow class {i including} its direction vectors
     (two systolic designs with different flow directions are different
     interconnects).  Enumeration sweeps all loop selections and all
-    candidate STT matrices, canonicalises each analysis into a signature,
-    and keeps one representative transformation per signature. *)
+    candidate STT matrices, and keeps one representative transformation
+    per canonical signature: the first in (selection, matrix) order. *)
 
 type point = {
   design : Tl_stt.Design.t;
@@ -23,9 +23,17 @@ val design_space : ?max_unselected:int -> ?exclude_unicast:bool ->
     matrices over every 3-loop selection.  [max_unselected] (default: no
     limit) can restrict how many loops are left sequential — the paper's
     Fig. 6 spaces keep every selection.  Points with [Reuse_full] tensors
-    are excluded (no hardware mapping).  The per-selection matrix sweeps
-    run on a {!Tl_par} pool ([?domains], default auto-detected); the
-    result set and order are identical to the serial enumeration.
+    are excluded (no hardware mapping), and so, on request, are points
+    with a [Unicast] tensor or more than [max_bank_ports] scratchpad
+    ports on the default 16×16 inventory.
+
+    Cost: one {!Tl_stt.Search.sweep} per selection, which classifies
+    each candidate by integer table lookups; an exclusion is decided once
+    per distinct dataflow list, and the D4 deduplication compares
+    numbered dataflows.  Only the kept points pay for a transform, a
+    design and the canonical signature.  The per-selection sweeps run on
+    a {!Tl_par} pool ([?domains], default auto-detected); the result set
+    and order are identical to the serial enumeration.
     [budget] (default unlimited) is polled once per candidate matrix;
     expiry raises {!Tl_resil.Budget.Expired} — cooperative, so a caller
     catching it has lost nothing but the un-enumerated tail. *)

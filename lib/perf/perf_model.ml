@@ -644,7 +644,9 @@ let evaluate_core ~config ~reference (design : Tl_stt.Design.t) =
     Atomic.incr c_tiles_evaluated;
     let ts = tile_stmt stmt selected tile in
     let tt = Tl_stt.Transform.v ts ~selected ~matrix:int_rows in
-    let td = Tl_stt.Design.analyze tt in
+    (* classification reads no extents: the tile keeps the design's
+       dataflows *)
+    let td = { design with Tl_stt.Design.transform = tt } in
     let stats =
       if reference then
         tile_statistics td

@@ -33,12 +33,22 @@ let equal (a : t) (b : t) = a = b
    enumerated design), and [Format.asprintf] is an order of magnitude
    slower than direct buffer appends. *)
 
+(* [string_of_int v] without the string for the one-digit values that
+   nearly every direction holds *)
+let add_int buf v =
+  if v >= 0 && v <= 9 then Buffer.add_char buf (Char.unsafe_chr (48 + v))
+  else if v < 0 && v >= -9 then begin
+    Buffer.add_char buf '-';
+    Buffer.add_char buf (Char.unsafe_chr (48 - v))
+  end
+  else Buffer.add_string buf (string_of_int v)
+
 let render_ints buf a =
   Buffer.add_char buf '(';
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int v))
+      add_int buf v)
     a;
   Buffer.add_char buf ')'
 
@@ -46,13 +56,13 @@ let render_vector buf v =
   Buffer.add_string buf "dp=";
   render_ints buf v.dp;
   Buffer.add_string buf " dt=";
-  Buffer.add_string buf (string_of_int v.dt)
+  add_int buf v.dt
 
 let render buf = function
   | Unicast -> Buffer.add_string buf "unicast"
   | Stationary { dt } ->
     Buffer.add_string buf "stationary(dt=";
-    Buffer.add_string buf (string_of_int dt);
+    add_int buf dt;
     Buffer.add_char buf ')'
   | Systolic v ->
     Buffer.add_string buf "systolic(";

@@ -12,45 +12,38 @@ type t = {
   name : string;
 }
 
-let analyze transform =
+let of_dataflows transform dataflows =
   let stmt = transform.Transform.stmt in
-  let info role access =
-    { access; role; dataflow = Reuse.classify transform access }
+  let roles =
+    List.map (fun a -> (Input, a)) stmt.Tl_ir.Stmt.inputs
+    @ [ (Output, stmt.Tl_ir.Stmt.output) ]
   in
   let tensors =
-    List.map (info Input) stmt.Tl_ir.Stmt.inputs
-    @ [ info Output stmt.Tl_ir.Stmt.output ]
+    List.map2 (fun (role, access) dataflow -> { access; role; dataflow })
+      roles dataflows
   in
   let letters =
-    String.init (List.length tensors) (fun i ->
-        Dataflow.letter (List.nth tensors i).dataflow)
+    String.of_seq
+      (Seq.map (fun ti -> Dataflow.letter ti.dataflow) (List.to_seq tensors))
   in
   let name = Transform.selection_label transform ^ "-" ^ letters in
   { transform; tensors; name }
+
+let accesses stmt = stmt.Tl_ir.Stmt.inputs @ [ stmt.Tl_ir.Stmt.output ]
+
+let analyze transform =
+  of_dataflows transform
+    (List.map (Reuse.classify transform) (accesses transform.Transform.stmt))
 
 (* Hoists the per-(selection, tensor) null-space work out of a matrix
    sweep: the returned closure analyses any transform over the same
    statement and selection with pure integer classification, producing a
    design structurally identical to {!analyze}'s. *)
 let analyzer stmt ~selected =
-  let prep role access = (access, role, Reuse.prepare ~selected access) in
-  let preps =
-    List.map (prep Input) stmt.Tl_ir.Stmt.inputs
-    @ [ prep Output stmt.Tl_ir.Stmt.output ]
-  in
+  let preps = List.map (Reuse.prepare ~selected) (accesses stmt) in
   fun transform ->
-    let tensors =
-      List.map
-        (fun (access, role, p) ->
-          { access; role; dataflow = Reuse.classify_prepared p transform })
-        preps
-    in
-    let letters =
-      String.init (List.length tensors) (fun i ->
-          Dataflow.letter (List.nth tensors i).dataflow)
-    in
-    let name = Transform.selection_label transform ^ "-" ^ letters in
-    { transform; tensors; name }
+    of_dataflows transform
+      (List.map (fun p -> Reuse.classify_prepared p transform) preps)
 
 let letters d =
   String.init (List.length d.tensors) (fun i ->

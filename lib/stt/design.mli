@@ -21,6 +21,14 @@ type t = {
 
 val analyze : Transform.t -> t
 
+val of_dataflows : Transform.t -> Dataflow.t list -> t
+(** [of_dataflows t dfs] is the design of [t] whose tensors (inputs in
+    formula order, output last) carry [dfs], named from them.  It
+    classifies nothing: [of_dataflows t dfs = analyze t] exactly when [dfs]
+    are the dataflows {!analyze} finds, as the sweeps of {!Search} know
+    them to be.  @raise Invalid_argument when [dfs] has the wrong
+    length. *)
+
 val analyzer : Tl_ir.Stmt.t -> selected:int array -> Transform.t -> t
 (** [analyzer stmt ~selected] hoists the per-(selection, tensor) null-space
     analysis out of a matrix sweep; applying the result to a transform over

@@ -119,31 +119,35 @@ let normalize_int v =
   let v = if flip then Array.map (fun x -> -x) v else v in
   (Array.sub v 0 (n - 1), v.(n - 1))
 
-let classify_matrix prep m =
+(* [T·v] for each integer null-basis vector [v]: the only thing
+   [classify_images] reads of the matrix. *)
+let images prep m =
   let n = Array.length m in
-  let mulv v =
-    Array.init n (fun i ->
-        let row = m.(i) in
-        let acc = ref 0 in
-        Array.iteri (fun j x -> acc := !acc + (row.(j) * x)) v;
-        !acc)
-  in
-  let sd = n - 1 in
-  let pad dp = if sd = 1 then [| dp.(0); 0 |] else dp in
-  match prep.null_int with
+  Array.map
+    (fun v ->
+      Array.init n (fun i ->
+          let row = m.(i) in
+          let acc = ref 0 in
+          Array.iteri (fun j x -> acc := !acc + (row.(j) * x)) v;
+          !acc))
+    prep.null_int
+
+let classify_images images =
+  match images with
   | [||] -> Dataflow.Unicast
-  | [| v |] ->
-    let dp, dt = normalize_int (mulv v) in
-    let dp = pad dp in
+  | [| r |] ->
+    let n = Array.length r in
+    let dp, dt = normalize_int r in
+    (* 1-D arrays pad directions to 2-D, as [classify] does *)
+    let dp = if n = 2 then [| dp.(0); 0 |] else dp in
     if Array.for_all (fun x -> x = 0) dp then Dataflow.Stationary { dt }
     else if dt = 0 then Dataflow.Multicast { dp }
     else Dataflow.Systolic { dp; dt }
-  | [| v1; v2 |] when sd = 2 ->
-    let r1 = mulv v1 and r2 = mulv v2 in
-    let t1 = r1.(n - 1) and t2 = r2.(n - 1) in
+  | [| r1; r2 |] when Array.length r1 = 3 ->
+    let t1 = r1.(2) and t2 = r2.(2) in
     if t1 = 0 && t2 = 0 then Dataflow.Reuse2d Dataflow.Broadcast
     else begin
-      let w = Array.init n (fun i -> (t2 * r1.(i)) - (t1 * r2.(i))) in
+      let w = Array.init 3 (fun i -> (t2 * r1.(i)) - (t1 * r2.(i))) in
       let multicast, _ = normalize_int w in
       (* e_t ∈ span(r1, r2) iff the spatial projections of the two
          (independent) basis vectors are linearly dependent — the exact
@@ -159,6 +163,8 @@ let classify_matrix prep m =
       end
     end
   | _ -> Dataflow.Reuse_full
+
+let classify_matrix prep m = classify_images (images prep m)
 
 let classify_prepared prep (t : Transform.t) =
   classify_matrix prep t.Transform.imatrix

@@ -34,8 +34,13 @@ val classify_prepared : prepared -> Transform.t -> Dataflow.t
     [classify t access] for every [t] with that selection, computed with
     pure integer arithmetic (no rational null space per candidate). *)
 
+val images : prepared -> int array array -> int array array
+(** [images prep m] is [m · v] for each integer null-basis vector [v] of
+    the prepared access, in basis order: all that {!classify_matrix}
+    reads of [m], so matrices with equal images classify alike.  [m]
+    must be square with one row per selected iterator. *)
+
 val classify_matrix : prepared -> int array array -> Dataflow.t
-(** [classify_matrix prep m] is [classify_prepared prep t] for the
-    transform [t] whose integer matrix is [m], without building [t]: the
-    search sweep classifies every full-rank candidate this way.  [m] must
-    be square with one row per selected iterator. *)
+(** [classify_matrix prep m] classifies the tensor from [images prep m];
+    it is [classify_prepared prep t] for the transform [t] whose integer
+    matrix is [m], without building [t]. *)

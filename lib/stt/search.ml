@@ -1,49 +1,61 @@
-(* Enumerate full-rank {-1,0,1} matrices once per dimension. *)
+let rec pow3 k = if k = 0 then 1 else 3 * pow3 (k - 1)
+
+(* Enumerate full-rank {-1,0,1} matrices once per dimension.  Sweeps run
+   on [Tl_par] domains, so the first call may come from any of them. *)
 let cache : (int, int list list list) Hashtbl.t = Hashtbl.create 4
+let cache_lock = Mutex.create ()
 
 (* Search order: light matrices first, then fewest negative entries, then
-   lexicographically largest (puts identity-like matrices ahead). *)
-let weight m =
-  let sum f =
-    List.fold_left
-      (fun acc row -> List.fold_left (fun a x -> a + f x) acc row)
-      0 m
-  in
-  (sum abs, sum (fun x -> if x < 0 then 1 else 0), List.map (List.map (fun x -> -x)) m)
-
-let full_rank m =
-  match m with
-  | [ [ a; b ]; [ c; d ] ] -> (a * d) - (b * c) <> 0
-  | [ [ a; b; c ]; [ d; e; f ]; [ g; h; i ] ] ->
-    (a * ((e * i) - (f * h))) - (b * ((d * i) - (f * g)))
-    + (c * ((d * h) - (e * g)))
-    <> 0
-  | _ ->
-    let mat = Tl_linalg.Mat.of_int_rows m in
-    not (Tl_linalg.Rat.is_zero (Tl_linalg.Mat.det mat))
-
+   lexicographically largest (puts identity-like matrices ahead).  One
+   integer per matrix carries that order: the absolute-entry sum, then
+   the negative count, then the negated entries (row-major, each shifted
+   to 0..2) read as a base-3 number, which differs between any two
+   matrices. *)
 let candidate_matrices ~n =
+  if n < 2 || n > 3 then
+    invalid_arg
+      (Printf.sprintf "Search.candidate_matrices: n must be 2 or 3; got %d" n);
+  Mutex.protect cache_lock @@ fun () ->
   match Hashtbl.find_opt cache n with
   | Some ms -> ms
   | None ->
     let cells = n * n in
-    let all = ref [] in
-    (* count in base 3 over the cells; entries are digit - 1 *)
-    let digits = Array.make cells 0 in
-    let total = int_of_float (3. ** float_of_int cells) in
-    for code = 0 to total - 1 do
+    let radix = pow3 cells in
+    (* [e.(i)]: entry of cell [i] (row-major) of the matrix with base-3
+       code [code], cell 0 most significant *)
+    let e = Array.make cells 0 in
+    let keyed = ref [] in
+    for code = 0 to radix - 1 do
       let c = ref code in
-      for i = 0 to cells - 1 do
-        digits.(i) <- (!c mod 3) - 1;
+      for i = cells - 1 downto 0 do
+        e.(i) <- (!c mod 3) - 1;
         c := !c / 3
       done;
-      let m =
-        List.init n (fun i -> List.init n (fun j -> digits.((i * n) + j)))
+      let full_rank =
+        if n = 2 then (e.(0) * e.(3)) - (e.(1) * e.(2)) <> 0
+        else
+          (e.(0) * ((e.(4) * e.(8)) - (e.(5) * e.(7))))
+          - (e.(1) * ((e.(3) * e.(8)) - (e.(5) * e.(6))))
+          + (e.(2) * ((e.(3) * e.(7)) - (e.(4) * e.(6))))
+          <> 0
       in
-      if full_rank m then all := m :: !all
+      if full_rank then begin
+        let abs_sum = Array.fold_left (fun a x -> a + abs x) 0 e in
+        let negatives =
+          Array.fold_left (fun a x -> if x < 0 then a + 1 else a) 0 e
+        in
+        (* negating an entry maps its digit [d] to [2 - d] *)
+        let key =
+          ((((abs_sum * (cells + 1)) + negatives) * radix) + radix - 1 - code)
+        in
+        keyed :=
+          (key, List.init n (fun i -> List.init n (fun j -> e.((i * n) + j))))
+          :: !keyed
+      end
     done;
     let ms =
-      List.stable_sort (fun a b -> compare (weight a) (weight b)) (List.rev !all)
+      List.map snd
+        (List.sort (fun (a, _) (b, _) -> Int.compare a b) !keyed)
     in
     Hashtbl.add cache n ms;
     ms
@@ -90,11 +102,165 @@ let selection_of_label stmt label =
   Array.init (String.length label) (fun k ->
       find_initial (Char.uppercase_ascii label.[k]))
 
-let split_name name =
+(* A selection names two or three distinct iterators of the statement:
+   its candidate matrices are 2×2 or 3×3. *)
+let valid_selection stmt selected =
+  let n = Array.length selected in
+  let depth = Tl_ir.Stmt.depth stmt in
+  (n = 2 || n = 3)
+  && Array.for_all (fun i -> i >= 0 && i < depth) selected
+  && List.length (List.sort_uniq Int.compare (Array.to_list selected)) = n
+
+let check_selection stmt selected =
+  if not (valid_selection stmt selected) then
+    invalid_arg
+      (Printf.sprintf
+         "Search: selection [%s] must name 2 or 3 distinct iterators of %s"
+         (String.concat ";" (Array.to_list (Array.map string_of_int selected)))
+         stmt.Tl_ir.Stmt.name)
+
+(* ------------------------------------------------------------------ *)
+(* The classification sweep.
+
+   [Reuse.classify_matrix] reads a matrix only through the images [T·v]
+   of the tensor's null-basis vectors, and over the candidate matrices a
+   tensor meets few distinct images.  So each tensor keeps a memo from
+   packed images to classes and classifies a matrix only when its images
+   are new.  A class is a dataflow and its number within the tensor:
+   equal numbers, equal dataflows, and one shared value per dataflow.
+
+   Row [i] of [T] gives coordinate [i] of every image, so the packed
+   images are a sum of one term per row, tabulated per row value: a
+   candidate costs a lookup and an add per row and tensor.  A row is
+   named by its base-3 code, first entry most significant. *)
+
+module Int_tbl = Hashtbl.Make (Int)
+
+type tensor_classes = {
+  prep : Reuse.prepared;
+  terms : int array array option;
+      (** [terms.(i).(code)]: the packed-image term of row [i] holding
+          the row with that code; [None] when images may not pack *)
+  by_image : (int * Dataflow.t) Int_tbl.t;
+  by_flow : (Dataflow.t, int * Dataflow.t) Hashtbl.t;
+}
+
+(* Every coordinate of every image packs into 6 bits as [x + 31], image
+   [v] coordinate [i] at bit [6 (v n + i)]: at most 3 × 3 coordinates,
+   54 bits.  The packing is exact when no row can push a coordinate out
+   of -31..31; otherwise the tensor goes without a memo rather than risk
+   a colliding key. *)
+let row_terms prep rows ~n =
+  (* the images of the matrix whose rows all equal [r] hold [r·v] in
+     every coordinate *)
+  let images = Array.map (fun r -> Reuse.images prep (Array.make n r)) rows in
+  if Array.exists (Array.exists (Array.exists (fun x -> abs x > 31))) images
+  then None
+  else
+    Some
+      (Array.init n (fun i ->
+           Array.map
+             (fun per_vector ->
+               let term = ref 0 in
+               Array.iteri
+                 (fun v image ->
+                   term := !term + ((image.(i) + 31) lsl (6 * ((v * n) + i))))
+                 per_vector;
+               !term)
+             images))
+
+let intern tc df =
+  match Hashtbl.find_opt tc.by_flow df with
+  | Some c -> c
+  | None ->
+    let c = (Hashtbl.length tc.by_flow, df) in
+    Hashtbl.add tc.by_flow df c;
+    c
+
+let classify_rows tc rows codes =
+  intern tc (Reuse.classify_matrix tc.prep (Array.map (fun c -> rows.(c)) codes))
+
+let classify tc rows codes =
+  match tc.terms with
+  | None -> classify_rows tc rows codes
+  | Some terms -> (
+    let key = ref 0 in
+    for i = 0 to Array.length codes - 1 do
+      key := !key + terms.(i).(codes.(i))
+    done;
+    match Int_tbl.find tc.by_image !key with
+    | c -> c
+    | exception Not_found ->
+      let c = classify_rows tc rows codes in
+      Int_tbl.add tc.by_image !key c;
+      c)
+
+let sweep ~budget stmt ~selected f =
+  check_selection stmt selected;
+  let n = Array.length selected in
+  let rows =
+    Array.init (pow3 n) (fun code ->
+        Array.init n (fun j -> (code / pow3 (n - 1 - j) mod 3) - 1))
+  in
+  let tensors =
+    Array.of_list
+      (List.map
+         (fun access ->
+           let prep = Reuse.prepare ~selected access in
+           { prep;
+             terms = row_terms prep rows ~n;
+             by_image = Int_tbl.create 64;
+             by_flow = Hashtbl.create 16 })
+         (stmt.Tl_ir.Stmt.inputs @ [ stmt.Tl_ir.Stmt.output ]))
+  in
+  let codes = Array.make n 0 in
+  let ids = Array.make (Array.length tensors) 0 in
+  let dfs = Array.make (Array.length tensors) Dataflow.Unicast in
+  List.iter
+    (fun m ->
+      Tl_resil.Budget.check budget;
+      List.iteri
+        (fun i row ->
+          codes.(i) <- List.fold_left (fun c x -> (3 * c) + x + 1) 0 row)
+        m;
+      for t = 0 to Array.length tensors - 1 do
+        let id, df = classify tensors.(t) rows codes in
+        ids.(t) <- id;
+        dfs.(t) <- df
+      done;
+      f m ids dfs)
+    (candidate_matrices ~n)
+
+let distinct_flows ~budget stmt ~selected =
+  let seen = Hashtbl.create 256 in
+  let firsts = ref [] in
+  sweep ~budget stmt ~selected (fun m ids dfs ->
+      if not (Hashtbl.mem seen ids) then begin
+        Hashtbl.add seen (Array.copy ids) ();
+        firsts := (m, Array.to_list dfs) :: !firsts
+      end);
+  List.rev !firsts
+
+(* ------------------------------------------------------------------ *)
+(* Dataflow names. *)
+
+(* [Some (selection, letters)] for a well-formed name, [None] when an
+   initial names no iterator (the name is then not realisable). *)
+let parse_name stmt name =
+  let fail why = invalid_arg (Printf.sprintf "dataflow name %S: %s" name why) in
   match String.index_opt name '-' with
-  | None -> invalid_arg "Search: dataflow name must be <SEL>-<LETTERS>"
-  | Some i ->
-    (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+  | None -> fail "expected <SELECTION>-<LETTERS>, e.g. MNK-SST"
+  | Some i -> (
+    let label = String.sub name 0 i in
+    let letters = String.sub name (i + 1) (String.length name - i - 1) in
+    match selection_of_label stmt label with
+    | exception Not_found -> None
+    | selected ->
+      if not (valid_selection stmt selected) then
+        fail
+          (Printf.sprintf
+             "the selection %S must name 2 or 3 distinct iterators" label);
+      Some (selected, letters))
 
 (* The paper sometimes labels a 2-D-reuse tensor with the letter of its
    dominant 1-D component (e.g. Conv2D "XYP-MST" where the weight's reuse is
@@ -112,34 +278,32 @@ let letter_matches ~loose (df : Dataflow.t) target =
       | Dataflow.Unicast | Dataflow.Stationary _ | Dataflow.Systolic _
       | Dataflow.Multicast _ | Dataflow.Reuse_full -> false)
 
-let design_matches ~loose d target_letters =
-  let dfs =
-    List.map (fun ti -> ti.Design.dataflow) d.Design.tensors
+(* [dfs] and [letters] have equal lengths *)
+let spells ~loose dfs letters =
+  let rec go i =
+    i = Array.length dfs
+    || (letter_matches ~loose dfs.(i) letters.[i] && go (i + 1))
   in
-  List.length dfs = String.length target_letters
-  && List.for_all2
-       (fun df ch -> letter_matches ~loose df ch)
-       dfs
-       (List.init (String.length target_letters) (String.get target_letters))
+  go 0
 
 let matching_designs_uncached stmt name =
-  let label, target_letters = split_name name in
-  match selection_of_label stmt label with
-  | exception Not_found -> []
-  | selected ->
-    let n = Array.length selected in
-    let analyze = Design.analyzer stmt ~selected in
-    let collect ~loose =
-      List.filter_map
-        (fun m ->
-          let t = Transform.v stmt ~selected ~matrix:m in
-          let d = analyze t in
-          if design_matches ~loose d target_letters then Some d else None)
-        (candidate_matrices ~n)
-    in
-    (match collect ~loose:false with
-     | [] -> collect ~loose:true
-     | strict -> strict)
+  match parse_name stmt name with
+  | None -> []
+  | Some (_, letters)
+    when String.length letters <> List.length stmt.Tl_ir.Stmt.inputs + 1 ->
+    []
+  | Some (selected, letters) ->
+    (* strict matches win; loose ones are kept only while none is found *)
+    let strict = ref [] and loose = ref [] in
+    sweep ~budget:Tl_resil.Budget.unlimited stmt ~selected (fun m _ dfs ->
+        if spells ~loose:false dfs letters then
+          strict := (m, Array.to_list dfs) :: !strict
+        else if !strict = [] && spells ~loose:true dfs letters then
+          loose := (m, Array.to_list dfs) :: !loose);
+    List.rev_map
+      (fun (m, dfs) ->
+        Design.of_dataflows (Transform.v stmt ~selected ~matrix:m) dfs)
+      (if !strict <> [] then !strict else !loose)
 
 (* name resolution sweeps every candidate matrix; memoise per (statement,
    name) so repeated lookups — evaluate_name, the figure benches, ASIC
@@ -165,41 +329,30 @@ let find_design_exn stmt name =
 
 (* A plan is what an [all_designs] sweep learns that depends only on the
    statement's structure: for each dataflow name, the first (selection,
-   matrix) in search order that realises it, sorted by name.  Names read
-   iterator initials and access matrices, never extents or tensor names,
-   so one plan serves every extent binding of an einsum. *)
-type plan = (string * int array * int list list) list
+   matrix) in search order that realises it and its per-tensor
+   dataflows, sorted by name.  Names and dataflows read iterator initials
+   and access matrices, never extents or tensor names, so one plan
+   serves every extent binding of an einsum. *)
+type plan = (string * int array * int list list * Dataflow.t list) list
 
 let build_plan ~budget ~sels stmt =
-  let accesses = stmt.Tl_ir.Stmt.inputs @ [ stmt.Tl_ir.Stmt.output ] in
   let table = Hashtbl.create 64 in
   List.iter
     (fun selected ->
       let label = Transform.label_of stmt selected ^ "-" in
-      let preps =
-        Array.of_list (List.map (Reuse.prepare ~selected) accesses)
-      in
-      let n = Array.length selected in
-      (* one scratch matrix refilled per candidate: classification reads
-         it and keeps nothing, so the sweep allocates no matrices *)
-      let im = Array.make_matrix n n 0 in
+      (* a name is a function of the dataflow list, so the first matrix
+         of a name is the first of one of its lists *)
       List.iter
-        (fun m ->
-          Tl_resil.Budget.check budget;
-          List.iteri
-            (fun i row -> List.iteri (fun j x -> im.(i).(j) <- x) row)
-            m;
+        (fun (m, dfs) ->
           let name =
-            label
-            ^ String.init (Array.length preps) (fun i ->
-                  Dataflow.letter (Reuse.classify_matrix preps.(i) im))
+            label ^ String.of_seq (Seq.map Dataflow.letter (List.to_seq dfs))
           in
           if not (Hashtbl.mem table name) then
-            Hashtbl.add table name (selected, m))
-        (candidate_matrices ~n))
+            Hashtbl.add table name (selected, m, dfs))
+        (distinct_flows ~budget stmt ~selected))
     sels;
-  Hashtbl.fold (fun name (sel, m) acc -> (name, sel, m) :: acc) table []
-  |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
+  Hashtbl.fold (fun name (sel, m, dfs) acc -> (name, sel, m, dfs) :: acc) table []
+  |> List.sort (fun (a, _, _, _) (b, _, _, _) -> String.compare a b)
 
 (* [find_or_add] stores a plan only once its build returns, so a build
    cut short by the budget leaves no entry behind.  Keys come from client
@@ -214,6 +367,7 @@ let all_designs ?(budget = Tl_resil.Budget.unlimited) ?selection stmt =
   let sels, sel_key =
     match selection with
     | Some s ->
+      check_selection stmt s;
       ([ s ],
        String.concat "," (Array.to_list (Array.map string_of_int s)))
     | None -> (selections stmt ~n:3, "*")
@@ -223,19 +377,10 @@ let all_designs ?(budget = Tl_resil.Budget.unlimited) ?selection stmt =
     Tl_par.Cache.find_or_add plan_cache key (fun () ->
         build_plan ~budget ~sels stmt)
   in
-  (* realise against the caller's own statement, so its extents reach
-     the transforms; names and dataflows read no extents and so match
-     the plan's *)
-  let analyzers = ref [] in
-  let analyzer selected =
-    match List.assoc_opt selected !analyzers with
-    | Some a -> a
-    | None ->
-      let a = Design.analyzer stmt ~selected in
-      analyzers := (selected, a) :: !analyzers;
-      a
-  in
+  (* realise against the caller's own statement, so its extents and
+     tensors reach the designs; names and dataflows read neither and so
+     match the plan's *)
   List.map
-    (fun (name, selected, matrix) ->
-      (name, analyzer selected (Transform.v stmt ~selected ~matrix)))
+    (fun (name, selected, matrix, dfs) ->
+      (name, Design.of_dataflows (Transform.v stmt ~selected ~matrix) dfs))
     plan

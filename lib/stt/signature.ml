@@ -4,8 +4,9 @@
    Two designs whose interconnects differ only by a rotation/reflection of
    the square PE array are the same hardware; signatures are canonicalised
    under the dihedral group D4 acting on every direction vector at once.
-   Rendering goes through one reused [Buffer] (no [Format]): signature
-   construction is the inner loop of {!Tl_dse.Enumerate.design_space}. *)
+   Rendering goes through one reused [Buffer] (no [Format]): every point
+   {!Tl_dse.Enumerate.design_space} keeps, and every evaluation key, is
+   rendered eight times. *)
 
 (* A D4 element as data: [new_r = sr * (swap ? c : r)],
    [new_c = sc * (swap ? r : c)]. *)
@@ -84,8 +85,7 @@ let signature_under syms (d : Design.t) =
 let signature d = signature_under d4 d
 
 (* One buffer-render with the identity element: a cheap non-canonical key
-   whose equality implies canonical-signature equality.  Deduplicating on
-   it first means the 8-fold canonical render only runs on survivors. *)
+   whose equality implies canonical-signature equality. *)
 let identity_signature (d : Design.t) =
   let buf = Buffer.create 96 in
   Buffer.add_string buf (Transform.selection_label d.Design.transform);

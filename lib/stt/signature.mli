@@ -1,9 +1,9 @@
 (** Canonical design signatures, statement fingerprints and cache keys.
 
     The fast-path replacement for per-design [Format] rendering: one reused
-    [Buffer], D4 canonicalisation as data, and a cheap identity pre-key so
-    enumeration only pays the 8-fold canonical render for designs that
-    survive first-stage deduplication. *)
+    [Buffer] and D4 canonicalisation as data ({!d4}, {!map_dataflow}),
+    which enumeration also uses to deduplicate on numbered dataflows, so
+    it renders only the designs it keeps. *)
 
 type sym = { swap : bool; sr : int; sc : int }
 (** A dihedral-group element acting on array coordinates:
@@ -35,8 +35,8 @@ val signature_under : sym list -> Design.t -> string
 
 val identity_signature : Design.t -> string
 (** One render with {!identity} only.  Equal identity signatures imply
-    equal canonical signatures, so this is a sound (and ~8x cheaper)
-    first-stage dedup key. *)
+    equal canonical signatures, so this is a sound (and ~8x cheaper) key
+    where canonical equality is not needed. *)
 
 val stmt_fingerprint : Tl_ir.Stmt.t -> string
 (** Pins everything the analyses read from a statement: name, iterator

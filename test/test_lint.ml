@@ -391,6 +391,24 @@ let test_cli_exit_codes () =
         [ "serve"; "--accel-workload"; "gemm" ];
         [ "generate"; "-e"; "C[m,n]+=A[m,k]*A[k,n]"; "--extents";
           "m=2,n=3,k=4"; "--rows"; "4"; "--cols"; "4" ] ];
+    (* a malformed dataflow name is refused before any sweep, in every
+       command that takes one: no dash, a repeated iterator, and a
+       4-letter selection (whose sweep would be 3^16 matrices) *)
+    List.iter
+      (fun args ->
+        Alcotest.(check int) (String.concat " " args ^ " exits 2") 2
+          (cli exe args))
+      [ [ "generate"; "-w"; "gemm-small"; "-d"; "MNK" ];
+        [ "generate"; "-w"; "gemm-small"; "-d"; "MMK-SST" ];
+        [ "simulate"; "-w"; "gemm-small"; "-d"; "MMK-SST" ];
+        [ "perf"; "-w"; "gemm-small"; "-d"; "MNKK-SSTT" ];
+        [ "perf"; "-w"; "gemm-small"; "-d"; "MNK" ];
+        [ "fault"; "-w"; "gemm-small"; "-d"; "MNK" ];
+        [ "lint"; "-w"; "gemm-small"; "-d"; "MMK-SST" ];
+        [ "compile"; "-w"; "gemm-small"; "-d"; "MNKK-SSTT" ];
+        [ "analyze"; "-w"; "gemm-small"; "-d"; "M-S" ];
+        [ "serve"; "--accel-workload"; "gemm-small"; "--accel-dataflow";
+          "MNKK-SSTT" ] ];
     (* an output path is written through: a device stays a device *)
     Alcotest.(check int) "generate -o /dev/null exits 0" 0
       (cli exe [ "generate"; "-w"; "gemm-small"; "-o"; "/dev/null" ]);

@@ -4,6 +4,7 @@ let () =
       ("ir", Test_ir.suite);
       ("stt", Test_stt.suite);
       ("search", Test_search.suite);
+      ("sweep", Test_sweep.suite);
       ("hw", Test_hw.suite);
       ("sim-backends", Test_sim_backends.suite);
       ("templates", Test_templates.suite);
