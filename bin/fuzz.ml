@@ -25,11 +25,11 @@
      [`Closure] replays of each lane's stimulus.
    - perf stats: random stmt (a third of its index terms sum two
      iterators, like conv's [y+p]) x random STT on a random 2..9 x 2..9
-     array; the streaming tile statistics must equal the materialised
-     ones exactly, and on every 10th case the fast [Perf.evaluate]
-     (pruned search, streaming statistics) must return the reference's
-     record (exhaustive search, materialised statistics) or raise the
-     same exception, and [Enumerate.design_space] of the statement must
+     array; the closed-form tile statistics must equal the materialised
+     ones of [Oracle] exactly, and on every 10th case [Perf.evaluate]
+     (pruned search, closed-form statistics) must return the record of
+     [Oracle.evaluate_reference] (exhaustive search, materialised
+     statistics) or raise the same exception, and [Enumerate.design_space] of the statement must
      equal the per-candidate [Oracle.design_space] (signatures and
      matrices, in order).
 
@@ -481,17 +481,17 @@ let () =
      | exception Schedule.Unsupported _ -> ()
      | fr ->
        incr stats_checked;
-       let fast = outcome (fun () -> Perf.tile_statistics_streaming d fr) in
+       let fast = outcome (fun () -> Perf.tile_statistics d fr) in
        let reference =
          outcome (fun () ->
-             Perf.tile_statistics d (Schedule.build d ~rows ~cols))
+             Oracle.tile_statistics d (Schedule.build d ~rows ~cols))
        in
        if fast <> reference then disagree i "tile stats" ~rows ~cols d);
     if i mod 10 = 0 then begin
       incr evals_checked;
       let config = { Perf.default_config with Perf.rows; cols } in
       let fast = outcome (fun () -> Perf.evaluate ~config ~cache:false d) in
-      let reference = outcome (fun () -> Perf.evaluate_reference ~config d) in
+      let reference = outcome (fun () -> Oracle.evaluate_reference ~config d) in
       if fast <> reference then disagree i "evaluate" ~rows ~cols d;
       (* the one classification sweep against the per-candidate
          enumeration it replaced: same points, signatures and matrices,

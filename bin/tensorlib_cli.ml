@@ -196,20 +196,43 @@ let design_of_name stmt w d =
   | None -> failwith (Printf.sprintf "dataflow %s not realisable for %s" d w)
   | exception Invalid_argument msg -> failwith msg
 
+(* [--select] as iterator indices and [--matrix] as integer rows; an
+   unknown iterator or a malformed entry is a validation error *)
+let selection_arg stmt sel =
+  let iters = stmt.Stmt.iters in
+  Array.of_list
+    (List.map
+       (fun name ->
+         let name = String.trim name in
+         match Iter.index_of iters name with
+         | i -> i
+         | exception Not_found ->
+           failwith
+             (Printf.sprintf "unknown iterator %S in --select %s; %s has %s"
+                name sel stmt.Stmt.name
+                (String.concat ", " (List.map (fun i -> i.Iter.name) iters))))
+       (String.split_on_char ',' sel))
+
+let matrix_rows m =
+  List.map
+    (fun row ->
+      List.map
+        (fun c ->
+          match int_of_string_opt (String.trim c) with
+          | Some v -> v
+          | None -> failwith (Printf.sprintf "bad entry %S in --matrix %s" c m))
+        (String.split_on_char ',' row))
+    (String.split_on_char ';' m)
+
 let resolve ?expr ?extents ?select ?matrix w d =
   let stmt = workload_of expr extents w in
   match (select, matrix) with
-  | Some sel, Some m ->
-    let names = List.map String.trim (String.split_on_char ',' sel) in
-    let rows =
-      List.map
-        (fun row ->
-          List.map
-            (fun c -> int_of_string (String.trim c))
-            (String.split_on_char ',' row))
-        (String.split_on_char ';' m)
-    in
-    (stmt, Design.analyze (Transform.by_names stmt names ~matrix:rows))
+  | Some sel, Some m -> (
+    let selected = selection_arg stmt sel in
+    match Transform.v stmt ~selected ~matrix:(matrix_rows m) with
+    | t -> (stmt, Design.analyze t)
+    | exception Invalid_argument msg ->
+      failwith (Printf.sprintf "--select %s --matrix %s: %s" sel m msg))
   | Some _, None | None, Some _ ->
     failwith "--select and --matrix must be given together"
   | None, None -> (stmt, design_of_name stmt w d)
@@ -538,23 +561,11 @@ let lint_cmd =
     in
     (match (select, matrix) with
      | Some sel, Some m ->
-       let names = List.map String.trim (String.split_on_char ',' sel) in
-       let selected =
-         Array.of_list
-           (List.map (Iter.index_of stmt.Stmt.iters) names)
-       in
-       let rows_m =
-         List.map
-           (fun row ->
-             List.map
-               (fun c -> int_of_string (String.trim c))
-               (String.split_on_char ',' row))
-           (String.split_on_char ';' m)
-       in
+       let selected = selection_arg stmt sel in
        incr checked;
        let fs, design =
          Lint.Design.check_matrix ~rows ~cols ~suppress stmt ~selected
-           ~matrix:rows_m
+           ~matrix:(matrix_rows m)
        in
        add fs;
        Option.iter lint_netlist design

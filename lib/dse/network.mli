@@ -78,7 +78,8 @@ val evaluate_shape :
   Tl_ir.Stmt.t ->
   point list
 (** Enumerate ([domains:1]) and evaluate one shape's design space;
-    points that fail evaluation are dropped.  [budget] is polled per
+    points that fail evaluation are dropped.  The points never repeat, so
+    they bypass the ["perf.evaluate"] memo.  [budget] is polled per
     candidate matrix and per evaluated point; expiry raises
     {!Tl_resil.Budget.Expired}. *)
 

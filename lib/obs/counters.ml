@@ -1,6 +1,6 @@
 (* Measured-vs-modeled cross-check: read the hardware performance
    counters of an instrumented accelerator after a full run and compare
-   them, count for count, against Perf_model's streaming schedule
+   them, count for count, against Perf_model's closed-form schedule
    statistics.  The two sides share nothing below the Schedule frame —
    the hardware counts real valid strobes, write enables and feeder
    fetches; the model counts events analytically — so equality is a
@@ -34,7 +34,7 @@ let iround f = int_of_float (Float.round f)
 let expected (acc : Accel.t) =
   let design = acc.Accel.design in
   let fr = Schedule.frame design ~rows:acc.Accel.rows ~cols:acc.Accel.cols in
-  let stats = Tl_perf.Perf_model.tile_statistics_streaming design fr in
+  let stats = Tl_perf.Perf_model.tile_statistics design fr in
   let passes = fr.Schedule.f_passes in
   let per_tensor name =
     match List.assoc_opt name stats.Tl_perf.Perf_model.per_tensor with

@@ -2,7 +2,7 @@
 
     Reads the hardware performance counters of an accelerator generated
     with [Accel.generate ~counters:true] after a full simulated run and
-    compares them against {!Tl_perf.Perf_model}'s streaming schedule
+    compares them against {!Tl_perf.Perf_model}'s closed-form schedule
     statistics.  The hardware side counts real valid strobes, write
     enables and feeder fetches; the model side counts events
     analytically from the schedule frame — equality validates both. *)
@@ -11,7 +11,7 @@ type expected = {
   e_cycles : int;
       (** model-side total cycles: [f_compute_end + rows + max_dt + 4] *)
   e_active_pe_cycles : int;
-      (** [f_passes x active_pe_cycles] from the streaming statistics *)
+      (** [f_passes x active_pe_cycles] from the model's statistics *)
   e_reads : (string * int) list;
       (** useful reads per input memory: [per_tensor x passes] *)
   e_writes_total : int;
@@ -20,7 +20,7 @@ type expected = {
 
 val expected : Tl_templates.Accel.t -> expected
 (** Model-side prediction of every cross-checked counter, computed from
-    the streaming statistics only (no netlist involved). *)
+    the model's statistics only (no netlist involved). *)
 
 type check = { c_name : string; measured : int; modeled : int }
 

@@ -74,26 +74,8 @@ let candidate_sizes extent limit =
   List.sort_uniq compare
     (List.filter (fun s -> s <= extent && s <= limit) (min extent limit :: base))
 
-(* working-set estimate of a tile: sum of per-tensor bounding boxes;
-   monotone nondecreasing in every tile dimension *)
-let tile_working_set (design : Tl_stt.Design.t) selected tile =
-  List.fold_left
-    (fun acc (ti : Tl_stt.Design.tensor_info) ->
-      let am = ti.Tl_stt.Design.access.Tl_ir.Access.matrix in
-      let per_dim = ref 1 in
-      for i = 0 to Array.length am - 1 do
-        let e = ref 1 in
-        let row = am.(i) in
-        Array.iteri
-          (fun k s -> e := !e + (abs row.(s) * (tile.(k) - 1)))
-          selected;
-        per_dim := !per_dim * !e
-      done;
-      acc + !per_dim)
-    0 design.Tl_stt.Design.tensors
-
 (* ---------------------------------------------------------------- *)
-(* Exact per-tile statistics via the elaboration schedule.           *)
+(* Exact per-tile statistics in closed form.                         *)
 
 type tile_stats = {
   t_span : int;
@@ -104,251 +86,133 @@ type tile_stats = {
   per_tensor : (string * float) list;  (* words per pass, by tensor *)
 }
 
-(* dense integer keys keep the per-tile statistics fast: tensor indices,
-   PE positions and cycles are packed into single ints.  Packing that
-   cannot represent its input raises instead of silently colliding. *)
-let index_code idx =
-  if Array.length idx > 4 then
-    invalid_arg "Perf_model.index_code: more than 4 index components";
-  Array.fold_left
-    (fun acc v ->
-      let v1 = v + 1 in
-      if v1 < 0 || v1 >= 16384 then
-        invalid_arg "Perf_model.index_code: index component out of range";
-      (acc * 16384) + v1)
-    7 idx
-
-let pos_cycle_code (r, c) cycle =
-  if r < 0 || r >= 0x20_0000 || c < 0 || c >= 0x20_0000 then
-    invalid_arg "Perf_model.pos_cycle_code: PE coordinate out of range";
-  if cycle < 0 || cycle >= 0x10_0000 then
-    invalid_arg "Perf_model.pos_cycle_code: cycle out of range";
-  (((cycle * 0x20_0000) + r) * 0x20_0000) + c
-
-let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
-  (* count reuse-chain entries per cycle, optionally grouped into lines *)
-  let module S = Schedule in
-  let tbl : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let rows = sched.S.rows and cols = sched.S.cols in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      List.iter
-        (fun ev ->
-          Hashtbl.replace tbl
-            (pos_cycle_code (r, c) ev.S.cycle)
-            (index_code (Tl_ir.Access.index access ev.S.x)))
-        sched.S.by_pe.(r).(c)
-    done
-  done;
-  let groups : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      List.iter
-        (fun ev ->
-          let idx = index_code (Tl_ir.Access.index access ev.S.x) in
-          let pr, pc = (r - dp.(0), c - dp.(1)) in
-          (* a predecessor slot off the grid or before cycle 0 holds no
-             event: the chain starts here *)
-          let is_entry =
-            pr < 0 || pr >= rows || pc < 0 || pc >= cols || ev.S.cycle < dt
-            ||
-            match Hashtbl.find_opt tbl (pos_cycle_code (pr, pc) (ev.S.cycle - dt)) with
-            | Some idx' -> idx' <> idx
-            | None -> true
-          in
-          if is_entry then begin
-            let t = ev.S.cycle - offset in
-            if t >= 0 && t < span then
-              match group with
-              | None -> count_into.(t) <- count_into.(t) +. 1.
-              | Some dir ->
-                let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
-                let key = pos_cycle_code (rr, rc) t in
-                if not (Hashtbl.mem groups key) then begin
-                  Hashtbl.add groups key ();
-                  count_into.(t) <- count_into.(t) +. 1.
-                end
-          end)
-        sched.S.by_pe.(r).(c)
-    done
-  done
-
-let tile_statistics (design : Tl_stt.Design.t) sched =
-  let module S = Schedule in
-  let rows = sched.S.rows and cols = sched.S.cols in
-  let span = sched.S.span in
-  let offset = sched.S.preload in
-  let demand = Array.make span 0. in
-  let active = Array.make span 0 in
-  let active_pes = ref 0 in
-  let active_pe_cycles = ref 0 in
-  let busiest = ref 0 in
-  for r = 0 to rows - 1 do
-    for c = 0 to cols - 1 do
-      let evs = sched.S.by_pe.(r).(c) in
-      if evs <> [] then incr active_pes;
-      busiest := max !busiest (List.length evs);
-      List.iter
-        (fun ev ->
-          let t = ev.S.cycle - offset in
-          if t >= 0 && t < span then begin
-            active.(t) <- active.(t) + 1;
-            incr active_pe_cycles
-          end)
-        evs
-    done
-  done;
-  let per_cycle_distinct access ~group =
-    (* distinct elements (or line-groups) touched per cycle; two-int keys
-       so a widened index code cannot overflow when mixed with the cycle *)
-    let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
-    let counts = Array.make span 0. in
-    for r = 0 to rows - 1 do
-      for c = 0 to cols - 1 do
-        List.iter
-          (fun ev ->
-            let t = ev.S.cycle - offset in
-            if t >= 0 && t < span then begin
-              let key =
-                match group with
-                | None -> (index_code (Tl_ir.Access.index access ev.S.x), t)
-                | Some dir ->
-                  let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
-                  (pos_cycle_code (rr, rc) t, -1)
-              in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.add seen key ();
-                counts.(t) <- counts.(t) +. 1.
-              end
-            end)
-          sched.S.by_pe.(r).(c)
-      done
-    done;
-    counts
-  in
-  let per_tensor = ref [] in
-  let current_tensor = ref "" in
-  let credit total =
-    per_tensor := (!current_tensor, total) :: !per_tensor
-  in
-  let add arr =
-    credit (Array.fold_left ( +. ) 0. arr);
-    Array.iteri (fun i v -> demand.(i) <- demand.(i) +. v) arr
-  in
-  let add_amortized total =
-    credit total;
-    let per = total /. float_of_int span in
-    Array.iteri (fun i v -> demand.(i) <- v +. per) demand
-  in
-  let line_count dir =
-    let reps = Hashtbl.create 16 in
-    for r = 0 to rows - 1 do
-      for c = 0 to cols - 1 do
-        if sched.S.by_pe.(r).(c) <> [] then
-          Hashtbl.replace reps (Geometry.line_rep ~rows ~cols ~dir (r, c)) ()
-      done
-    done;
-    Hashtbl.length reps
-  in
-  List.iter
-    (fun (ti : Tl_stt.Design.tensor_info) ->
-      let access = ti.Tl_stt.Design.access in
-      current_tensor := access.Tl_ir.Access.tensor;
-      match ti.Tl_stt.Design.dataflow with
-      | Tl_stt.Dataflow.Unicast ->
-        add (per_cycle_distinct access ~group:None)
-      | Tl_stt.Dataflow.Stationary _ -> add_amortized (float_of_int !active_pes)
-      | Tl_stt.Dataflow.Systolic { dp; dt } ->
-        let counts = Array.make span 0. in
-        entry_count_per_cycle sched access ~dp ~dt span offset counts
-          ~group:None;
-        add counts
-      | Tl_stt.Dataflow.Multicast { dp } ->
-        add (per_cycle_distinct access ~group:(Some dp))
-      | Tl_stt.Dataflow.Reuse2d Tl_stt.Dataflow.Broadcast ->
-        add
-          (Array.map (fun a -> if a > 0 then 1. else 0.) active)
-      | Tl_stt.Dataflow.Reuse2d
-          (Tl_stt.Dataflow.Multicast_stationary { multicast }) ->
-        add_amortized (float_of_int (line_count multicast))
-      | Tl_stt.Dataflow.Reuse2d
-          (Tl_stt.Dataflow.Systolic_multicast { multicast; systolic }) ->
-        let counts = Array.make span 0. in
-        entry_count_per_cycle sched access ~dp:systolic.Tl_stt.Dataflow.dp
-          ~dt:systolic.Tl_stt.Dataflow.dt span offset counts
-          ~group:(Some multicast);
-        add counts
-      | Tl_stt.Dataflow.Reuse_full -> credit 1.)
-    design.Tl_stt.Design.tensors;
-  { t_span = span;
-    active_pes = !active_pes;
-    active_pe_cycles = !active_pe_cycles;
-    busiest_pe = !busiest;
-    demand;
-    per_tensor = List.rev !per_tensor }
-
-(* ---------------------------------------------------------------- *)
-(* Streaming statistics: the same numbers as {!tile_statistics} with work
-   proportional to the events — no event lists, no PE × cycle tables.  One
-   {!Schedule.iter_events} sweep gives the occupancy; each systolic or
-   multicast tensor then takes one pass over (part of) the selected box.
-
-   Key facts that make this exact (checked differentially by the tests):
-   - the [t = cycle - preload ∈ [0, span)] window of {!tile_statistics}
-     selects exactly the pass-0 events, and a pass-0 event at selected
-     point [x] has [t = row_t · x - t_min];
-   - every pass maps the same selected box to the same PEs with the same
-     per-PE multiplicity, so [busiest_pe = passes × busiest-in-pass-0] and
-     the active PE set is the pass-0 PE set;
+(* The window [cycle - preload ∈ [0, span)] holds exactly the pass-0
+   events, the points [x] of the selected box [0, e) at window cycle
+   [t = τ·x - t_min] ([τ] the time row), and every pass maps the box to
+   the same PEs with the same multiplicity.  So every figure is a count
+   over the box, and no event is visited:
+   - occupancy per cycle is the number of box points on [τ·x - t_min = t],
+     a convolution of one comb per loop (step [|τ_d|], [e_d] teeth);
    - [T] is injective on the box, so the slot [(pe - dp, cycle - dt)] of
-     a pass-0 event at [x] holds an event iff [x - u] lies in the box,
-     where [u = T⁻¹(dp, dt)]: never when [u] is not integral, and no
-     later pass is that early.  [u] lies in the access's null space, so
-     that predecessor reads the same element: the systolic chain entries
-     are the events outside the sub-box [box ∩ (box + u)];
-   - two pass-0 events share a multicast (line, cycle) group iff they
-     differ by an integer multiple of [w], the primitive integer vector
-     parallel to [T⁻¹(dp, 0)]; a group is one chain of the box along [w],
-     counted once at its head (outside [box ∩ (box + w)]), and a
-     systolic-multicast group counts iff a member is a systolic entry;
+     the event at [x] holds an event iff [x - u] lies in the box, where
+     [u = T⁻¹(dp, dt)]: never when [u] is not integral, and no later pass
+     is that early.  [u] lies in the access's null space, so that
+     predecessor reads the same element: the systolic chain entries are
+     the occupancy minus the occupancy of the sub-box [box ∩ (box + u)];
+   - two events share a multicast (line, cycle) group iff they differ by
+     an integer multiple of [w], the primitive integer vector parallel to
+     [T⁻¹(dp, 0)]; a group is one chain of the box along [w], counted at
+     its head, so the heads are again box minus sub-box;
+   - a PE's events are one chain of the box along [k], the primitive
+     kernel vector of the space rows: the active PEs are the chain heads
+     along [k], [|box| - |box ∩ (box + k)|], and the busiest PE holds the
+     longest chain, [min over k_d ≠ 0 of ⌈e_d / |k_d|⌉];
+   - a systolic-multicast group counts iff a member is a systolic entry.
+     The box is convex, so the members inside [box + u] are contiguous,
+     and the group counts iff one of its chain's two ends leaves
+     [box + u].  This and the multicast-stationary line count walk the
+     chain heads, never the events;
    - a unicast access is injective on the selected iterators (its
      restricted null space is trivial), so the distinct elements touched
-     per window cycle equal the active events of that cycle.
+     per cycle equal the events of that cycle.
 
-   Counts are exact integers, and demand accumulation replicates
-   [add]/[add_amortized]/[credit] with the same float operations in the
-   same order, so results are bit-identical to the materialised path. *)
+   Counts are exact integers, and demand accumulates with the same float
+   operations in the same order as the materialised statistics the tests
+   keep as the oracle, so results are bit-identical. *)
 
-let tile_statistics_streaming (design : Tl_stt.Design.t)
-    (fr : Schedule.frame) =
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let tile_statistics (design : Tl_stt.Design.t) (fr : Schedule.frame) =
   let module S = Schedule in
   let module D = Tl_stt.Dataflow in
   let rows = fr.S.f_rows and cols = fr.S.f_cols in
   let span = fr.S.f_span in
-  let offset = fr.S.f_preload in
-  let passes = fr.S.f_passes in
-  let n_pes = rows * cols in
+  let t_min = fr.S.f_t_min in
   let transform = design.Tl_stt.Design.transform in
   let ext = Tl_stt.Transform.selected_extents transform in
   let n = Array.length ext in
-  let row_t = transform.Tl_stt.Transform.imatrix.(n - 1) in
-  let inverse = lazy (Tl_stt.Transform.inverse transform) in
-  (* [T⁻¹(dp, dt)]; [dp] is padded to 2-D on 1-D arrays *)
-  let preimage dp dt =
-    let st = if n = 2 then [| dp.(0); dt |] else [| dp.(0); dp.(1); dt |] in
-    Tl_linalg.Mat.mul_vec (Lazy.force inverse)
-      (Array.map Tl_linalg.Rat.of_int st)
+  let im = transform.Tl_stt.Transform.imatrix in
+  let row_t = im.(n - 1) in
+  let adj, det = Tl_stt.Transform.adjugate transform in
+  (* [adj T · (dp, dt)]; [dp] is padded to 2-D on 1-D arrays *)
+  let adj_apply dp dt =
+    Array.init n (fun i ->
+        let a = ref (adj.(i).(n - 1) * dt) in
+        for j = 0 to n - 2 do
+          a := !a + (adj.(i).(j) * dp.(j))
+        done;
+        !a)
   in
   let systolic_step (v : D.vector) =
-    let u = preimage v.D.dp v.D.dt in
-    if Array.for_all Tl_linalg.Rat.is_integer u then
-      Some (Array.map Tl_linalg.Rat.to_int u)
+    let a = adj_apply v.D.dp v.D.dt in
+    if Array.for_all (fun x -> x mod det = 0) a then
+      Some (Array.map (fun x -> x / det) a)
     else None
   in
-  let chain_step dir = Tl_linalg.Vec.to_integer (preimage dir 0) in
-  (* visit the selected points of the sub-box [lo, hi) with their window
-     cycle; [xs] holds the current point *)
-  let xs = Array.make n 0 and ys = Array.make n 0 in
+  (* the primitive integer vector parallel to [a], first nonzero entry
+     positive *)
+  let primitive a =
+    let g = Array.fold_left (fun g x -> gcd g (abs x)) 0 a in
+    let g =
+      match Array.find_opt (( <> ) 0) a with Some x when x < 0 -> -g | _ -> g
+    in
+    Array.map (fun x -> x / g) a
+  in
+  let chain_step dir = primitive (adj_apply dir 0) in
+  let kernel = primitive (adj_apply [| 0; 0 |] 1) in
+  let volume e = Array.fold_left ( * ) 1 e in
+  let overlap s = Array.init n (fun d -> ext.(d) - abs s.(d)) in
+  (* [occupancy e]: the points [y] of the box [0, e) at each value of
+     [τ·y - min τ·y], one comb per loop convolved in by a strided prefix
+     sum and a difference *)
+  let occupancy e =
+    let len = ref 1 in
+    for d = 0 to n - 1 do
+      len := !len + (abs row_t.(d) * (e.(d) - 1))
+    done;
+    let buf = Array.make !len 0 in
+    buf.(0) <- 1;
+    let cur = ref 1 in
+    for d = 0 to n - 1 do
+      let a = abs row_t.(d) and m = e.(d) in
+      if a = 0 then
+        for t = 0 to !cur - 1 do
+          buf.(t) <- buf.(t) * m
+        done
+      else if m > 1 then begin
+        let next = !cur + (a * (m - 1)) in
+        for t = a to next - 1 do
+          buf.(t) <- buf.(t) + buf.(t - a)
+        done;
+        for t = next - 1 downto a * m do
+          buf.(t) <- buf.(t) - buf.(t - (a * m))
+        done;
+        cur := next
+      end
+    done;
+    buf
+  in
+  let active = occupancy ext in
+  (* the events without a predecessor along [s]: all but those of the
+     sub-box [box ∩ (box + s)], whose corner is [max 0 s] *)
+  let without_pred s =
+    let counts = Array.copy active in
+    let sub = overlap s in
+    if Array.for_all (fun e -> e > 0) sub then begin
+      let shift = ref (-t_min) in
+      for d = 0 to n - 1 do
+        shift :=
+          !shift + (row_t.(d) * max 0 s.(d)) + min 0 (row_t.(d) * (sub.(d) - 1))
+      done;
+      Array.iteri
+        (fun i v -> counts.(!shift + i) <- counts.(!shift + i) - v)
+        (occupancy sub)
+    end;
+    counts
+  in
+  (* visit the sub-box [lo, hi) with its window cycles; [xs] holds the
+     current point *)
+  let xs = Array.make n 0 in
   let iter_box lo hi f =
     let rec go d t =
       if d = n then f t
@@ -358,94 +222,80 @@ let tile_statistics_streaming (design : Tl_stt.Design.t)
           go (d + 1) (t + (row_t.(d) * v))
         done
     in
-    go 0 (-fr.S.f_t_min)
+    go 0 (-t_min)
   in
-  let has_pred p s =
-    (* [p - s] lies in the selected box *)
-    let ok = ref true and d = ref 0 in
-    while !ok && !d < n do
-      let v = p.(!d) - s.(!d) in
-      if v < 0 || v >= ext.(!d) then ok := false;
-      incr d
-    done;
-    !ok
-  in
-  let chain_has_entry w u =
-    (* walk the chain along [w] from its head [xs] *)
-    Array.blit xs 0 ys 0 n;
-    let rec walk () =
-      (not (has_pred ys u))
-      || begin
-        (* step to the next member; false past the chain's tail *)
-        let ok = ref true in
-        for d = 0 to n - 1 do
-          let v = ys.(d) + w.(d) in
-          ys.(d) <- v;
-          if v < 0 || v >= ext.(d) then ok := false
-        done;
-        !ok && walk ()
+  (* the chain heads along [s], [box \ (box + s)], as at most [n] disjoint
+     boxes: [d] is the first coordinate where [x_d - s_d] leaves [0, e_d) *)
+  let iter_heads s f =
+    let lo = Array.make n 0 and hi = Array.copy ext in
+    for d = 0 to n - 1 do
+      if s.(d) > 0 then begin
+        hi.(d) <- min s.(d) ext.(d);
+        iter_box lo hi f
       end
-    in
-    walk ()
+      else if s.(d) < 0 then begin
+        lo.(d) <- max 0 (ext.(d) + s.(d));
+        iter_box lo hi f
+      end;
+      lo.(d) <- max 0 s.(d);
+      hi.(d) <- min ext.(d) (ext.(d) + s.(d))
+    done
   in
-  (* pass-0 occupancy *)
-  let pe_count = Array.make n_pes 0 in
-  let active = Array.make span 0 in
-  S.iter_events fr (fun ~pass ~cycle ~r ~c _x ->
-      if pass = 0 then begin
-        active.(cycle - offset) <- active.(cycle - offset) + 1;
-        let k = (r * cols) + c in
-        pe_count.(k) <- pe_count.(k) + 1
-      end);
-  let active_pes = ref 0 and busiest0 = ref 0 in
-  Array.iter
-    (fun k ->
-      if k > 0 then incr active_pes;
-      if k > !busiest0 then busiest0 := k)
-    pe_count;
-  let active_pe_cycles = Array.fold_left ( + ) 0 active in
-  (* words per window cycle: the events without a predecessor along [s],
-     i.e. all of them but those in the sub-box [box ∩ (box + s)] *)
-  let without_pred s =
-    let counts = Array.copy active in
-    iter_box
-      (Array.init n (fun d -> max 0 s.(d)))
-      (Array.init n (fun d -> min ext.(d) (ext.(d) + s.(d))))
-      (fun t -> counts.(t) <- counts.(t) - 1);
-    Array.map float_of_int counts
-  in
-  (* the chain heads along [w] whose chain holds a systolic entry *)
+  (* the chain heads along [w] whose chain holds a systolic entry along
+     [u]: the head or the tail leaves [box + u] *)
   let chains_with_entry w u =
     let counts = Array.make span 0 in
-    iter_box (Array.make n 0) ext (fun t ->
-        if (not (has_pred xs w)) && chain_has_entry w u then
-          counts.(t) <- counts.(t) + 1);
-    Array.map float_of_int counts
+    let inside j =
+      let ok = ref true in
+      for d = 0 to n - 1 do
+        let v = xs.(d) + (j * w.(d)) - u.(d) in
+        if v < 0 || v >= ext.(d) then ok := false
+      done;
+      !ok
+    in
+    iter_heads w (fun t ->
+        let last = ref max_int in
+        for d = 0 to n - 1 do
+          if w.(d) > 0 then last := min !last ((ext.(d) - 1 - xs.(d)) / w.(d))
+          else if w.(d) < 0 then last := min !last (xs.(d) / -w.(d))
+        done;
+        if not (inside 0 && inside !last) then counts.(t) <- counts.(t) + 1);
+    counts
   in
+  (* distinct lines along [dir] through the active PEs, one PE per chain
+     head along the kernel; 2-D reuse occurs on 2-D arrays only *)
   let line_count dir =
-    let seen = Array.make n_pes false in
-    let count = ref 0 in
-    for r = 0 to rows - 1 do
-      for c = 0 to cols - 1 do
-        if pe_count.((r * cols) + c) > 0 then begin
-          let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
-          let k = (rr * cols) + rc in
-          if not seen.(k) then begin
-            seen.(k) <- true;
-            incr count
-          end
-        end
-      done
-    done;
+    let row_r = im.(0) and row_c = im.(1) in
+    let seen = Array.make (rows * cols) false and count = ref 0 in
+    iter_heads kernel (fun _ ->
+        let r = ref fr.S.f_offset.(0) and c = ref fr.S.f_offset.(1) in
+        for d = 0 to n - 1 do
+          r := !r + (row_r.(d) * xs.(d));
+          c := !c + (row_c.(d) * xs.(d))
+        done;
+        let rr, rc = Geometry.line_rep ~rows ~cols ~dir (!r, !c) in
+        let k = (rr * cols) + rc in
+        if not seen.(k) then begin
+          seen.(k) <- true;
+          incr count
+        end);
     !count
   in
+  let active_pes = volume ext - volume (Array.map (max 0) (overlap kernel)) in
+  let longest = ref max_int in
+  Array.iteri
+    (fun d k ->
+      if k <> 0 then longest := min !longest ((ext.(d) + abs k - 1) / abs k))
+    kernel;
   let demand = Array.make span 0. in
   let per_tensor = ref [] in
   let current_tensor = ref "" in
   let credit total = per_tensor := (!current_tensor, total) :: !per_tensor in
-  let add arr =
-    credit (Array.fold_left ( +. ) 0. arr);
-    Array.iteri (fun i v -> demand.(i) <- demand.(i) +. v) arr
+  let add counts =
+    let total = ref 0. in
+    Array.iter (fun v -> total := !total +. float_of_int v) counts;
+    credit !total;
+    Array.iteri (fun i v -> demand.(i) <- demand.(i) +. float_of_int v) counts
   in
   let add_amortized total =
     credit total;
@@ -456,15 +306,15 @@ let tile_statistics_streaming (design : Tl_stt.Design.t)
     (fun (ti : Tl_stt.Design.tensor_info) ->
       current_tensor := ti.Tl_stt.Design.access.Tl_ir.Access.tensor;
       match ti.Tl_stt.Design.dataflow with
-      | D.Unicast -> add (Array.map float_of_int active)
-      | D.Stationary _ -> add_amortized (float_of_int !active_pes)
+      | D.Unicast -> add active
+      | D.Stationary _ -> add_amortized (float_of_int active_pes)
       | D.Systolic v -> (
         match systolic_step v with
         | Some u -> add (without_pred u)
-        | None -> add (Array.map float_of_int active))
+        | None -> add active)
       | D.Multicast { dp } -> add (without_pred (chain_step dp))
       | D.Reuse2d D.Broadcast ->
-        add (Array.map (fun a -> if a > 0 then 1. else 0.) active)
+        add (Array.map (fun a -> if a > 0 then 1 else 0) active)
       | D.Reuse2d (D.Multicast_stationary { multicast }) ->
         add_amortized (float_of_int (line_count multicast))
       | D.Reuse2d (D.Systolic_multicast { multicast; systolic }) -> (
@@ -475,9 +325,9 @@ let tile_statistics_streaming (design : Tl_stt.Design.t)
       | D.Reuse_full -> credit 1.)
     design.Tl_stt.Design.tensors;
   { t_span = span;
-    active_pes = !active_pes;
-    active_pe_cycles;
-    busiest_pe = passes * !busiest0;
+    active_pes;
+    active_pe_cycles = volume ext;
+    busiest_pe = fr.S.f_passes * !longest;
     demand;
     per_tensor = List.rev !per_tensor }
 
@@ -503,10 +353,7 @@ let reset_counters () =
 
 (* ---------------------------------------------------------------- *)
 
-(* [reference] selects the differential oracle: exhaustive tile search
-   over materialised statistics instead of branch-and-bound over
-   streaming ones. *)
-let evaluate_core ~config ~reference (design : Tl_stt.Design.t) =
+let evaluate_core ~config (design : Tl_stt.Design.t) =
   let transform = design.Tl_stt.Design.transform in
   if Tl_stt.Transform.space_dims transform <> 2 then
     invalid_arg "Perf_model.evaluate: only 2-D arrays";
@@ -528,119 +375,143 @@ let evaluate_core ~config ~reference (design : Tl_stt.Design.t) =
     int_of_float (config.scratchpad_kbytes *. 1024.)
     / config.elem_bytes
   in
-  let cand = Array.init n (fun j -> candidate_sizes sel_ext.(j) limit) in
-  (* Both searches return the best three feasible tiles as
-     (est, tile, sel_passes, span), ordered by estimate ascending with
-     ties broken towards the LATER enumeration index — the order the
-     reference's reversed-prepend list assumes under a stable sort. *)
-  let search_exhaustive () =
-    let feasible = ref [] in
-    let rec enum j tile =
-      if j = n then begin
-        let t = Array.of_list (List.rev tile) in
-        if
-          row_extent im 0 t <= config.rows
-          && row_extent im 1 t <= config.cols
-          && tile_working_set design selected t <= spad_words
-        then begin
-          let span = row_extent im 2 t in
-          let sel_passes =
-            Array.to_list
-              (Array.mapi (fun j tj -> (sel_ext.(j) + tj - 1) / tj) t)
-            |> List.fold_left ( * ) 1
-          in
-          let est = float_of_int (sel_passes * span) in
-          feasible := (est, t, sel_passes, span) :: !feasible
-        end
-      end
-      else List.iter (fun s -> enum (j + 1) (s :: tile)) cand.(j)
-    in
-    enum 0 [];
-    let ranked =
-      List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !feasible
-    in
-    List.filteri (fun i _ -> i < 3) ranked
+  let cand =
+    Array.init n (fun j -> Array.of_list (candidate_sizes sel_ext.(j) limit))
   in
-  (* Branch-and-bound over the same lexicographic enumeration.  Feasibility
-     (row extents, working set) is monotone in every tile dimension, so an
-     infeasible size cuts the rest of its ascending candidate list; a
-     partial tile is cut when a lower bound on every completion's estimate
-     already exceeds the current third-best.  Pruned leaves are strictly
-     worse than all final survivors, so ties are unaffected. *)
-  let search_pruned () =
-    let cand_a = Array.map Array.of_list cand in
-    let tile = Array.make n 1 in
-    (* fewest passes dims >= j can contribute (each at its largest size) *)
-    let suffix_min = Array.make (n + 1) 1 in
-    for j = n - 1 downto 0 do
-      let cs = cand_a.(j) in
-      let max_c = cs.(Array.length cs - 1) in
-      suffix_min.(j) <- suffix_min.(j + 1) * ((sel_ext.(j) + max_c - 1) / max_c)
+  (* Branch-and-bound over the lexicographic enumeration of candidate
+     sizes.  A tile's bounding box along a row [a] of [|T|] or of a
+     tensor's [|access|] is [1 + Σ_j a_j (tile_j - 1)]; the three rows
+     of [|T|] bound the array footprint and the span, and each tensor's
+     product of access extents sums to the working set.  Feasibility is
+     monotone in every tile dimension, so an infeasible size cuts the rest
+     of its ascending candidate list, and a binary search finds the first
+     one; a partial tile is cut when a lower bound on every completion's
+     estimate already exceeds the current third-best.  Pruned leaves are
+     strictly worse than all final survivors, so ties are unaffected.
+     [ext.(j).(r)] holds the extent of row [r] with the loops from [j] on
+     at 1, so a node costs a few integer operations (and a pass over the
+     rows when it recurses), a binary search step one pass over the rows,
+     and neither allocates. *)
+  let rows =
+    let access =
+      List.concat_map
+        (fun (ti : Tl_stt.Design.tensor_info) ->
+          Array.to_list ti.Tl_stt.Design.access.Tl_ir.Access.matrix)
+        design.Tl_stt.Design.tensors
+    in
+    Array.of_list
+      (List.map (Array.map abs) (Array.to_list im)
+      @ List.map (fun row -> Array.map (fun s -> abs row.(s)) selected) access)
+  in
+  let n_rows = Array.length rows in
+  (* [coef.(j).(r)]: the coefficient of loop [j] in row [r] *)
+  let coef = Array.init n (fun j -> Array.map (fun row -> row.(j)) rows) in
+  (* the access rows of tensor [t] end before row [stop.(t)]; the first
+     tensor's start after the three rows of [|T|] *)
+  let stop =
+    let next = ref 3 in
+    Array.of_list
+      (List.map
+         (fun (ti : Tl_stt.Design.tensor_info) ->
+           let am = ti.Tl_stt.Design.access.Tl_ir.Access.matrix in
+           next := !next + Array.length am;
+           !next)
+         design.Tl_stt.Design.tensors)
+  in
+  let ext = Array.make_matrix n n_rows 1 in
+  let infeasible j s =
+    let here = ext.(j) and cj = coef.(j) and g = s - 1 in
+    here.(0) + (cj.(0) * g) > config.rows
+    || here.(1) + (cj.(1) * g) > config.cols
+    ||
+    let working_set = ref 0 and r = ref 3 in
+    for t = 0 to Array.length stop - 1 do
+      let words = ref 1 in
+      while !r < stop.(t) do
+        words := !words * (here.(!r) + (cj.(!r) * g));
+        incr r
+      done;
+      working_set := !working_set + !words
     done;
-    let best3 = ref [] in
-    let worst () =
-      match !best3 with [ _; _; (e, _, _, _, _) ] -> e | _ -> infinity
-    in
-    let insert ((e1, i1, _, _, _) as entry) =
-      let before (e2, i2, _, _, _) = e1 < e2 || (e1 = e2 && i1 > i2) in
-      let rec ins = function
-        | [] -> [ entry ]
-        | x :: rest -> if before x then entry :: x :: rest else x :: ins rest
-      in
-      best3 :=
-        (match ins !best3 with a :: b :: c :: _ -> [ a; b; c ] | l -> l)
-    in
-    let next_idx = ref 0 in
-    let rec go j passes_so_far =
-      if j = n then begin
-        Atomic.incr c_tile_leaves;
-        let span = row_extent im 2 tile in
-        let est = float_of_int (passes_so_far * span) in
-        let idx = !next_idx in
-        incr next_idx;
-        insert (est, idx, Array.copy tile, passes_so_far, span)
+    !working_set > spad_words
+  in
+  let tile = Array.make n 1 in
+  (* fewest passes dims >= j can contribute (each at its largest size) *)
+  let suffix_min = Array.make (n + 1) 1 in
+  for j = n - 1 downto 0 do
+    let cs = cand.(j) in
+    let max_c = cs.(Array.length cs - 1) in
+    suffix_min.(j) <- suffix_min.(j + 1) * ((sel_ext.(j) + max_c - 1) / max_c)
+  done;
+  (* the best three leaves by estimate, a later leaf before an equal one *)
+  let kept = ref 0 in
+  let best_est = Array.make 3 0. and best_tile = Array.make 3 [||] in
+  let best_passes = Array.make 3 0 in
+  let keep est passes =
+    let est = float_of_int est in
+    let p = ref 0 in
+    while !p < !kept && est > best_est.(!p) do
+      incr p
+    done;
+    if !p < 3 then begin
+      for q = min !kept 2 downto !p + 1 do
+        best_est.(q) <- best_est.(q - 1);
+        best_tile.(q) <- best_tile.(q - 1);
+        best_passes.(q) <- best_passes.(q - 1)
+      done;
+      best_est.(!p) <- est;
+      best_tile.(!p) <- Array.copy tile;
+      best_passes.(!p) <- passes;
+      kept := min 3 (!kept + 1)
+    end
+  in
+  let nodes = ref 0 and leaves = ref 0 and pruned = ref 0 in
+  let rec go j passes_so_far =
+    let cs = cand.(j) in
+    let len = Array.length cs in
+    (* [fit]: the first infeasible size, [len] if none *)
+    let lo = ref 0 and fit = ref len in
+    while !lo < !fit do
+      let mid = (!lo + !fit) / 2 in
+      if infeasible j cs.(mid) then fit := mid else lo := mid + 1
+    done;
+    nodes := !nodes + min (!fit + 1) len;
+    let here = ext.(j) and cj = coef.(j) in
+    for i = 0 to !fit - 1 do
+      let s = cs.(i) in
+      let span = here.(2) + (cj.(2) * (s - 1)) in
+      let passes = passes_so_far * ((sel_ext.(j) + s - 1) / s) in
+      let lb = float_of_int (passes * suffix_min.(j + 1) * span) in
+      tile.(j) <- s;
+      if !kept = 3 && lb > best_est.(2) then incr pruned
+      else if j = n - 1 then begin
+        incr leaves;
+        keep (passes * span) passes
       end
       else begin
-        let cs = cand_a.(j) in
-        let len = Array.length cs in
-        let i = ref 0 and fits = ref true in
-        while !fits && !i < len do
-          let s = cs.(!i) in
-          tile.(j) <- s;
-          Atomic.incr c_tile_nodes;
-          if
-            row_extent im 0 tile > config.rows
-            || row_extent im 1 tile > config.cols
-            || tile_working_set design selected tile > spad_words
-          then fits := false
-          else begin
-            let passes = passes_so_far * ((sel_ext.(j) + s - 1) / s) in
-            let lb =
-              float_of_int (passes * suffix_min.(j + 1) * row_extent im 2 tile)
-            in
-            if List.length !best3 = 3 && lb > worst () then
-              Atomic.incr c_tile_pruned
-            else go (j + 1) passes
-          end;
-          incr i
+        let next = ext.(j + 1) in
+        for r = 0 to n_rows - 1 do
+          next.(r) <- here.(r) + (cj.(r) * (s - 1))
         done;
-        tile.(j) <- 1
+        go (j + 1) passes
       end
-    in
-    go 0 1;
-    List.map (fun (e, _, t, p, s) -> (e, t, p, s)) !best3
+    done;
+    tile.(j) <- 1
   in
-  let top = if reference then search_exhaustive () else search_pruned () in
-  (match top with
-   | [] -> invalid_arg "Perf_model.evaluate: no feasible tile (array too small)"
-   | _ -> ());
+  go 0 1;
+  ignore (Atomic.fetch_and_add c_tile_nodes !nodes);
+  ignore (Atomic.fetch_and_add c_tile_leaves !leaves);
+  ignore (Atomic.fetch_and_add c_tile_pruned !pruned);
+  if !kept = 0 then
+    invalid_arg "Perf_model.evaluate: no feasible tile (array too small)";
+  let top = List.init !kept (fun p -> (best_tile.(p), best_passes.(p))) in
   let capacity =
     config.bandwidth_gbps *. 1e9
     /. (config.freq_mhz *. 1e6)
     /. float_of_int config.elem_bytes
   in
   let int_rows = Array.to_list (Array.map Array.to_list im) in
-  let evaluate_tile (_, tile, sel_passes, _) =
+  let evaluate_tile (tile, sel_passes) =
     Atomic.incr c_tiles_evaluated;
     let ts = tile_stmt stmt selected tile in
     let tt = Tl_stt.Transform.v ts ~selected ~matrix:int_rows in
@@ -648,12 +519,7 @@ let evaluate_core ~config ~reference (design : Tl_stt.Design.t) =
        dataflows *)
     let td = { design with Tl_stt.Design.transform = tt } in
     let stats =
-      if reference then
-        tile_statistics td
-          (Schedule.build td ~rows:config.rows ~cols:config.cols)
-      else
-        tile_statistics_streaming td
-          (Schedule.frame td ~rows:config.rows ~cols:config.cols)
+      tile_statistics td (Schedule.frame td ~rows:config.rows ~cols:config.cols)
     in
     let eff_span =
       Array.fold_left
@@ -729,17 +595,14 @@ let evaluate_core ~config ~reference (design : Tl_stt.Design.t) =
 (* ---------------------------------------------------------------- *)
 (* Evaluation cache: results are keyed by the config fingerprint and the
    D4-canonical evaluation signature, so symmetry-equivalent designs (which
-   provably evaluate identically on a square array) share one entry.  Only
-   the default fast path is cached — the reference combinations always
-   recompute, so differential tests compare independent computations.
+   provably evaluate identically on a square array) share one entry.
 
-   The memo is bounded: [Network.sweep] files every point of every shape
-   in it, and those points are canonically distinct, so they never hit —
-   unbounded, it grows by about 1.7 MB per new shape in a long-running
-   [serve].  1024
-   entries (about 1.5 MB) still cover the repeats callers make: a whole
-   GEMM design space (393 points), [explore]'s 64-design default and
-   [evaluate_name]'s six candidates. *)
+   The memo is bounded, so a long-running process that evaluates many
+   distinct designs does not grow with them.  1024 entries (about 1.5 MB)
+   cover the repeats callers make: a whole GEMM design space (393 points),
+   [explore]'s 64-design default and [evaluate_name]'s six candidates.
+   [Network.sweep] bypasses it: a network's points are canonically
+   distinct and never hit. *)
 
 let cache_capacity = 1024
 
@@ -751,15 +614,15 @@ let config_fingerprint c =
     c.bandwidth_gbps c.elem_bytes c.scratchpad_kbytes
 
 (* The full memo key: config fingerprint joined with the symmetry-canonical
-   evaluation signature.  Stable across processes (pure text, hex floats),
-   so the persistent design store can reuse it verbatim. *)
+   evaluation signature, pure text with hex floats.  The persistent design
+   store does not use it; it keys whole shapes by [Network.shape_key]. *)
 let cache_key ?(config = default_config) (design : Tl_stt.Design.t) =
   config_fingerprint config ^ "|"
   ^ Tl_stt.Signature.eval_key ~square:(config.rows = config.cols) design
 
 let evaluate ?(config = default_config) ?(cache = true)
     (design : Tl_stt.Design.t) =
-  let run () = evaluate_core ~config ~reference:false design in
+  let run () = evaluate_core ~config design in
   if cache then
     let key = cache_key ~config design in
     match
@@ -769,9 +632,6 @@ let evaluate ?(config = default_config) ?(cache = true)
     | Ok r -> r
     | Error e -> raise e
   else run ()
-
-let evaluate_reference ?(config = default_config) design =
-  evaluate_core ~config ~reference:true design
 
 (* Several transformation matrices can realise the same dataflow name; the
    best choice (e.g. a [0,1,1] space row that packs y+p Conv2D loops into

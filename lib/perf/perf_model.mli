@@ -63,45 +63,47 @@ type tile_stats = {
   demand : float array;  (** memory words demanded per schedule cycle *)
   per_tensor : (string * float) list;  (** words per pass, by tensor *)
 }
-(** Exact per-tile schedule statistics; exposed for differential testing
-    of the two computation paths. *)
+(** Exact per-tile schedule statistics. *)
 
-val tile_statistics : Tl_stt.Design.t -> Tl_templates.Schedule.t -> tile_stats
-(** Reference path: statistics from a materialised schedule, with hash
-    tables keyed by PE, cycle and tensor element.  Kept as the tests'
-    oracle for {!tile_statistics_streaming}. *)
-
-val tile_statistics_streaming :
+val tile_statistics :
   Tl_stt.Design.t -> Tl_templates.Schedule.frame -> tile_stats
-(** Fast path: the same statistics (bit-identical, including float demand)
-    with work proportional to the events; nothing of size PEs × cycles is
-    allocated.  One {!Tl_templates.Schedule.iter_events} sweep gives the
-    occupancy, and each systolic or multicast tensor takes one pass over
-    (part of) the selected box, testing box membership of iteration
-    points [x]:
-    - a systolic tensor with step [(dp, dt)] fetches at [x] iff [x - u]
-      leaves the box, [u = T⁻¹(dp, dt)], or [u] is not integral.  This is
+(** The statistics of one tile, in closed form: counts over the selected
+    box [0, e) binned by window cycle [τ·x - t_min], with no event of the
+    schedule visited.
+    - Occupancy per cycle is a convolution of one comb per selected loop
+      (step [|τ_d|], [e_d] teeth), O(span · n).
+    - A systolic tensor with step [(dp, dt)] fetches at [x] iff [x - u]
+      leaves the box, [u = T⁻¹(dp, dt)], or [u] is not integral: the
+      occupancy minus that of the sub-box [box ∩ (box + u)].  This is
       exact because [T] is injective: the slot [(pe - dp, cycle - dt)]
       holds an event iff [x - u] is in the box, and [u] lies in the
-      access's null space, so that event reads the same element;
-    - a multicast (line, cycle) group is one chain of the box along [w],
+      access's null space, so that event reads the same element.
+    - A multicast (line, cycle) group is one chain of the box along [w],
       the primitive integer vector parallel to [T⁻¹(dp, 0)], counted at
-      its head (the [x] with [x - w] outside the box); a
-      systolic-multicast group counts iff one of its members is a
-      systolic entry. *)
+      its head: again box minus sub-box.
+    - Active PEs are [|box| - |box ∩ (box + k)|], [k] the primitive
+      kernel of the space rows, and the busiest PE holds
+      [min over k_d ≠ 0 of ⌈e_d / |k_d|⌉] events per pass.
+    - Multicast-stationary line counts and systolic-multicast groups walk
+      the chain heads; a group counts iff one of its chain's two ends is
+      a systolic entry.
+    [T⁻¹] is applied in integers through {!Tl_stt.Transform.adjugate}.
+    Bit-identical, float [demand] included, to the statistics counted
+    over a materialised schedule, which the tests keep as the oracle. *)
 
 val evaluate : ?config:config -> ?cache:bool -> Tl_stt.Design.t -> result
-(** Evaluate a design: branch-and-bound tile search over streaming
-    schedule statistics.  Results are memoised by D4-canonical design
-    signature and config fingerprint when [cache] is true (default);
-    [cache:false] bypasses the memo.  The memo (["perf.evaluate"] in
-    {!Tl_par.Cache}) holds at most {!cache_capacity} entries.
+(** Evaluate a design: a branch-and-bound search for the three tiles with
+    the best analytic estimate, then {!tile_statistics} of each.  The
+    search precomputes the rows of [|T|] and of every tensor's access
+    matrix over the selected loops and keeps their extents per depth; a
+    binary search finds where each candidate list stops fitting, so a
+    node costs a few integer operations and allocates nothing.  Results
+    are memoised by D4-canonical design signature and config fingerprint
+    when [cache] is true (default); [cache:false] bypasses the memo, as
+    {!Tl_dse.Network} sweeps do, whose points never repeat.  The memo
+    (["perf.evaluate"] in {!Tl_par.Cache}) holds at most
+    {!cache_capacity} entries.
     @raise Invalid_argument for non-2-D space transformations. *)
-
-val evaluate_reference : ?config:config -> Tl_stt.Design.t -> result
-(** The differential oracle for {!evaluate}: exhaustive tile enumeration
-    over materialised {!tile_statistics}, never memoised.  Returns the
-    record {!evaluate} returns, or raises the same exception. *)
 
 val cache_capacity : int
 
@@ -112,8 +114,8 @@ val config_fingerprint : config -> string
 val cache_key : ?config:config -> Tl_stt.Design.t -> string
 (** The exact memoisation key {!evaluate} uses: config fingerprint joined
     with the symmetry-canonical evaluation signature.  Pure text, stable
-    across processes and sessions — the persistent design store keys its
-    entries with it. *)
+    across processes.  The persistent design store does not use it: it
+    keys whole shapes by {!Tl_dse.Network.shape_key}. *)
 
 val result_to_string : result -> string
 (** Versioned exact codec (hex floats): [result_of_string (result_to_string

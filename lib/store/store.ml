@@ -159,22 +159,26 @@ let save_index st root =
   write_atomic st root ~dest:(index_file root) (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
-(* Eviction: drop oldest-mtime entries until back under the cap. *)
+(* Eviction: drop oldest-mtime entries until back under the cap.  Entries
+   written within one timestamp tick tie on mtime, so [keep], the entry
+   being put, is never a candidate: it is the newest. *)
 
-let evict_locked st root cap =
+let evict_locked st root cap ~keep =
   let entries =
     Hashtbl.fold
       (fun digest () acc ->
-        let path = Filename.concat (entries_dir root) digest in
-        match Unix.stat path with
-        | { Unix.st_mtime; _ } -> (st_mtime, digest) :: acc
-        | exception Unix.Unix_error _ ->
-          (* file vanished: just forget it *)
-          Hashtbl.remove st.index digest;
-          acc)
+        if digest = keep then acc
+        else
+          let path = Filename.concat (entries_dir root) digest in
+          match Unix.stat path with
+          | { Unix.st_mtime; _ } -> (st_mtime, digest) :: acc
+          | exception Unix.Unix_error _ ->
+            (* file vanished: just forget it *)
+            Hashtbl.remove st.index digest;
+            acc)
       st.index []
   in
-  let n = List.length entries in
+  let n = List.length entries + 1 (* [keep] *) in
   if n > cap then begin
     let by_age = List.sort compare entries in
     let doomed = ref (n - cap) in
@@ -298,7 +302,7 @@ let put st key payload =
           end;
           match st.max_entries with
           | Some cap when Hashtbl.length st.index > cap ->
-            evict_locked st root cap
+            evict_locked st root cap ~keep:digest
           | _ -> ())
     in
     match

@@ -83,6 +83,20 @@ let apply t x_sel =
   let p = Array.init (n - 1) (fun i -> Rat.to_int st.(i)) in
   (p, Rat.to_int st.(n - 1))
 
+(* [m · adj m = det m · I], so [m⁻¹ v = adj m · v / det m] stays in
+   integers *)
+let adjugate t =
+  let adj =
+    match t.imatrix with
+    | [| [| a; b |]; [| c; d |] |] -> [| [| d; -b |]; [| -c; a |] |]
+    | [| [| a; b; c |]; [| d; e; f |]; [| g; h; i |] |] ->
+      [| [| (e * i) - (f * h); (c * h) - (b * i); (b * f) - (c * e) |];
+         [| (f * g) - (d * i); (a * i) - (c * g); (c * d) - (a * f) |];
+         [| (d * h) - (e * g); (b * g) - (a * h); (a * e) - (b * d) |] |]
+    | _ -> invalid_arg "Transform.adjugate: only 2x2 and 3x3 matrices"
+  in
+  (adj, Option.get (int_det_small t.imatrix))
+
 let inverse t =
   match Mat.inverse t.matrix with
   | Some inv -> inv

@@ -46,6 +46,11 @@ val apply : t -> int array -> int array * int
 val inverse : t -> Tl_linalg.Mat.t
 (** Exact rational [T⁻¹]. *)
 
+val adjugate : t -> int array array * int
+(** [(adj T, det T)] in native integers: [T · adj T = det T · I], so
+    [T⁻¹ v = adj T · v / det T] needs no rational arithmetic.
+    @raise Invalid_argument unless [n] is 2 or 3. *)
+
 val inverse_apply : t -> int array -> int -> Tl_linalg.Vec.t
 (** [inverse_apply t p time] recovers the (rational) iteration point mapped
     to space-time position [(p, time)].  An iteration point exists there iff

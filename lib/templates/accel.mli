@@ -111,7 +111,7 @@ val generate : ?rows:int -> ?cols:int -> ?data_width:int -> ?acc_width:int ->
     ({!field-counter_ports}): a total-cycle counter, a MAC-enable popcount
     accumulator (active-PE-cycles), per-input-memory useful-read and
     per-collector-bank write counters (increment-ROM + accumulator,
-    cross-checkable against {!Tl_perf}'s streaming statistics), and
+    cross-checkable against {!Tl_perf}'s schedule statistics), and
     aggregate systolic-hop / multicast-bus link-transfer counters.  With
     [counters] off the generated netlist is bit-identical to one built
     without the option (same discipline as [harden]).

@@ -159,10 +159,7 @@ let build design ~rows ~cols =
     compute_end = preload + (g.g_passes * span); by_pe; event_count = !count }
 
 (* ------------------------------------------------------------------ *)
-(* Streaming mode: the same schedule as {!build}, without materialising
-   any event.  [iter_events] re-runs the elaboration loop and hands each
-   (pass, cycle, pe, x) slot to a visitor; the iteration vector is REUSED
-   between calls and must not be retained or mutated by the visitor. *)
+(* The same geometry as {!build}, without the events. *)
 
 type frame = {
   f_design : Tl_stt.Design.t;
@@ -175,7 +172,6 @@ type frame = {
   f_preload : int;
   f_compute_end : int;
   f_event_count : int;
-  f_geom : geom;
 }
 
 let frame design ~rows ~cols =
@@ -185,10 +181,7 @@ let frame design ~rows ~cols =
     f_t_min = g.g_t_min; f_span = g.g_span; f_passes = g.g_passes;
     f_preload = g.g_preload;
     f_compute_end = g.g_preload + (g.g_passes * g.g_span);
-    f_event_count = g.g_passes * sel_volume;
-    f_geom = g }
-
-let iter_events fr k = iter_geom fr.f_geom k
+    f_event_count = g.g_passes * sel_volume }
 
 let events t =
   let all = ref [] in

@@ -47,25 +47,12 @@ type frame = private {
   f_preload : int;
   f_compute_end : int;
   f_event_count : int;
-  f_geom : geom;
 }
 (** The geometry of a schedule without its events: everything {!t} carries
     except [by_pe].  Identical field values to the corresponding {!build}. *)
 
-and geom
-
 val frame : Tl_stt.Design.t -> rows:int -> cols:int -> frame
 (** @raise Unsupported under exactly the conditions of {!build}. *)
-
-val iter_events :
-  frame -> (pass:int -> cycle:int -> r:int -> c:int -> int array -> unit) ->
-  unit
-(** Visit every event of the schedule in elaboration order (passes
-    lexicographic over the unselected iterators, the selected box
-    lexicographically inside each pass) without allocating per event.  The
-    int array is the full iteration vector in nest order; it is {b reused
-    between calls} — visitors must copy it if they retain it.  The visited
-    multiset of (pass, cycle, pe) slots equals {!build}'s events. *)
 
 val events : t -> event list
 (** All events sorted by cycle (ties by PE). *)

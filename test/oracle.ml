@@ -7,7 +7,9 @@
    keeps the first matrix of each dataflow list that passes the
    exclusions, and the survivors are deduplicated on the identity
    signature and then on the canonical (D4) signature.  [matching_designs] is the per-candidate name lookup
-   that [Search.matching_designs] replaced. *)
+   that [Search.matching_designs] replaced.  [tile_statistics] and
+   [evaluate_reference], at the end, are the perf model's materialised
+   statistics and exhaustive tile search. *)
 
 open Tensorlib
 
@@ -130,3 +132,381 @@ let best_supported_design stmt (baseline : Baselines.t) =
          | None -> Some (d, r)
          | Some (_, rb) -> if r.Perf.cycles < rb.Perf.cycles then Some (d, r) else best)
        None
+
+(* ------------------------------------------------------------------ *)
+(* The perf model's reference paths, which [Perf.tile_statistics] and
+   [Perf.evaluate] replaced: statistics counted over a materialised
+   schedule with hash tables keyed by PE, cycle and tensor element, and
+   an exhaustive tile search over them.  [evaluate_reference] returns the
+   record [Perf.evaluate] returns, or raises the same exception. *)
+
+module Geometry = Tl_templates.Geometry
+
+(* dense integer keys: tensor indices, PE positions and cycles packed into
+   single ints.  Packing that cannot represent its input raises instead
+   of silently colliding. *)
+let index_code idx =
+  if Array.length idx > 4 then
+    invalid_arg "Oracle.index_code: more than 4 index components";
+  Array.fold_left
+    (fun acc v ->
+      let v1 = v + 1 in
+      if v1 < 0 || v1 >= 16384 then
+        invalid_arg "Oracle.index_code: index component out of range";
+      (acc * 16384) + v1)
+    7 idx
+
+let pos_cycle_code (r, c) cycle =
+  if r < 0 || r >= 0x20_0000 || c < 0 || c >= 0x20_0000 then
+    invalid_arg "Oracle.pos_cycle_code: PE coordinate out of range";
+  if cycle < 0 || cycle >= 0x10_0000 then
+    invalid_arg "Oracle.pos_cycle_code: cycle out of range";
+  (((cycle * 0x20_0000) + r) * 0x20_0000) + c
+
+let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
+  (* count reuse-chain entries per cycle, optionally grouped into lines *)
+  let module S = Schedule in
+  let tbl : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+  let rows = sched.S.rows and cols = sched.S.cols in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      List.iter
+        (fun ev ->
+          Hashtbl.replace tbl
+            (pos_cycle_code (r, c) ev.S.cycle)
+            (index_code (Access.index access ev.S.x)))
+        sched.S.by_pe.(r).(c)
+    done
+  done;
+  let groups : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      List.iter
+        (fun ev ->
+          let idx = index_code (Access.index access ev.S.x) in
+          let pr, pc = (r - dp.(0), c - dp.(1)) in
+          (* a predecessor slot off the grid or before cycle 0 holds no
+             event: the chain starts here *)
+          let is_entry =
+            pr < 0 || pr >= rows || pc < 0 || pc >= cols || ev.S.cycle < dt
+            ||
+            match Hashtbl.find_opt tbl (pos_cycle_code (pr, pc) (ev.S.cycle - dt)) with
+            | Some idx' -> idx' <> idx
+            | None -> true
+          in
+          if is_entry then begin
+            let t = ev.S.cycle - offset in
+            if t >= 0 && t < span then
+              match group with
+              | None -> count_into.(t) <- count_into.(t) +. 1.
+              | Some dir ->
+                let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
+                let key = pos_cycle_code (rr, rc) t in
+                if not (Hashtbl.mem groups key) then begin
+                  Hashtbl.add groups key ();
+                  count_into.(t) <- count_into.(t) +. 1.
+                end
+          end)
+        sched.S.by_pe.(r).(c)
+    done
+  done
+
+let tile_statistics (design : Design.t) sched =
+  let module S = Schedule in
+  let rows = sched.S.rows and cols = sched.S.cols in
+  let span = sched.S.span in
+  let offset = sched.S.preload in
+  let demand = Array.make span 0. in
+  let active = Array.make span 0 in
+  let active_pes = ref 0 in
+  let active_pe_cycles = ref 0 in
+  let busiest = ref 0 in
+  for r = 0 to rows - 1 do
+    for c = 0 to cols - 1 do
+      let evs = sched.S.by_pe.(r).(c) in
+      if evs <> [] then incr active_pes;
+      busiest := max !busiest (List.length evs);
+      List.iter
+        (fun ev ->
+          let t = ev.S.cycle - offset in
+          if t >= 0 && t < span then begin
+            active.(t) <- active.(t) + 1;
+            incr active_pe_cycles
+          end)
+        evs
+    done
+  done;
+  let per_cycle_distinct access ~group =
+    (* distinct elements (or line-groups) touched per cycle; two-int keys
+       so a widened index code cannot overflow when mixed with the cycle *)
+    let seen : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
+    let counts = Array.make span 0. in
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        List.iter
+          (fun ev ->
+            let t = ev.S.cycle - offset in
+            if t >= 0 && t < span then begin
+              let key =
+                match group with
+                | None -> (index_code (Access.index access ev.S.x), t)
+                | Some dir ->
+                  let rr, rc = Geometry.line_rep ~rows ~cols ~dir (r, c) in
+                  (pos_cycle_code (rr, rc) t, -1)
+              in
+              if not (Hashtbl.mem seen key) then begin
+                Hashtbl.add seen key ();
+                counts.(t) <- counts.(t) +. 1.
+              end
+            end)
+          sched.S.by_pe.(r).(c)
+      done
+    done;
+    counts
+  in
+  let per_tensor = ref [] in
+  let current_tensor = ref "" in
+  let credit total =
+    per_tensor := (!current_tensor, total) :: !per_tensor
+  in
+  let add arr =
+    credit (Array.fold_left ( +. ) 0. arr);
+    Array.iteri (fun i v -> demand.(i) <- demand.(i) +. v) arr
+  in
+  let add_amortized total =
+    credit total;
+    let per = total /. float_of_int span in
+    Array.iteri (fun i v -> demand.(i) <- v +. per) demand
+  in
+  let line_count dir =
+    let reps = Hashtbl.create 16 in
+    for r = 0 to rows - 1 do
+      for c = 0 to cols - 1 do
+        if sched.S.by_pe.(r).(c) <> [] then
+          Hashtbl.replace reps (Geometry.line_rep ~rows ~cols ~dir (r, c)) ()
+      done
+    done;
+    Hashtbl.length reps
+  in
+  List.iter
+    (fun (ti : Design.tensor_info) ->
+      let access = ti.Design.access in
+      current_tensor := access.Access.tensor;
+      match ti.Design.dataflow with
+      | Dataflow.Unicast ->
+        add (per_cycle_distinct access ~group:None)
+      | Dataflow.Stationary _ -> add_amortized (float_of_int !active_pes)
+      | Dataflow.Systolic { dp; dt } ->
+        let counts = Array.make span 0. in
+        entry_count_per_cycle sched access ~dp ~dt span offset counts
+          ~group:None;
+        add counts
+      | Dataflow.Multicast { dp } ->
+        add (per_cycle_distinct access ~group:(Some dp))
+      | Dataflow.Reuse2d Dataflow.Broadcast ->
+        add
+          (Array.map (fun a -> if a > 0 then 1. else 0.) active)
+      | Dataflow.Reuse2d
+          (Dataflow.Multicast_stationary { multicast }) ->
+        add_amortized (float_of_int (line_count multicast))
+      | Dataflow.Reuse2d
+          (Dataflow.Systolic_multicast { multicast; systolic }) ->
+        let counts = Array.make span 0. in
+        entry_count_per_cycle sched access ~dp:systolic.Dataflow.dp
+          ~dt:systolic.Dataflow.dt span offset counts
+          ~group:(Some multicast);
+        add counts
+      | Dataflow.Reuse_full -> credit 1.)
+    design.Design.tensors;
+  { Perf.t_span = span;
+    active_pes = !active_pes;
+    active_pe_cycles = !active_pe_cycles;
+    busiest_pe = !busiest;
+    demand;
+    per_tensor = List.rev !per_tensor }
+
+(* tile statement: selected loops shrunk to the tile, unselected = 1 *)
+let tile_stmt stmt selected tile =
+  let iters =
+    List.mapi
+      (fun i (it : Iter.t) ->
+        let ext =
+          match Array.to_list selected |> List.mapi (fun k s -> (k, s))
+                |> List.find_opt (fun (_, s) -> s = i)
+          with
+          | Some (k, _) -> tile.(k)
+          | None -> 1
+        in
+        Iter.v it.Iter.name ext)
+      stmt.Stmt.iters
+  in
+  Stmt.v stmt.Stmt.name ~iters ~output:stmt.Stmt.output
+    ~inputs:stmt.Stmt.inputs
+
+let row_extent imatrix row tile =
+  let n = Array.length tile in
+  let acc = ref 1 in
+  let r = imatrix.(row) in
+  for j = 0 to n - 1 do
+    acc := !acc + (abs r.(j) * (tile.(j) - 1))
+  done;
+  !acc
+
+let candidate_sizes extent limit =
+  let base =
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 10; 12; 14; 16; 24; 32; 48; 64; 96; 128;
+      192; 256; 384; 512 ]
+  in
+  List.sort_uniq compare
+    (List.filter (fun s -> s <= extent && s <= limit) (min extent limit :: base))
+
+(* working-set estimate of a tile: sum of per-tensor bounding boxes *)
+let tile_working_set (design : Design.t) selected tile =
+  List.fold_left
+    (fun acc (ti : Design.tensor_info) ->
+      let am = ti.Design.access.Access.matrix in
+      let per_dim = ref 1 in
+      for i = 0 to Array.length am - 1 do
+        let e = ref 1 in
+        let row = am.(i) in
+        Array.iteri
+          (fun k s -> e := !e + (abs row.(s) * (tile.(k) - 1)))
+          selected;
+        per_dim := !per_dim * !e
+      done;
+      acc + !per_dim)
+    0 design.Design.tensors
+
+let evaluate_reference ?(config = Perf.default_config) (design : Design.t) =
+  let transform = design.Design.transform in
+  if Transform.space_dims transform <> 2 then
+    invalid_arg "Perf_model.evaluate: only 2-D arrays";
+  let stmt = transform.Transform.stmt in
+  let selected = transform.Transform.selected in
+  let im = transform.Transform.imatrix in
+  let sel_ext = Transform.selected_extents transform in
+  let n = Array.length selected in
+  let unsel_product =
+    List.fold_left ( * ) 1
+      (List.map
+         (fun (it : Iter.t) -> it.Iter.extent)
+         (Transform.unselected_iters transform))
+  in
+  let limit = 512 in
+  let spad_words =
+    int_of_float (config.Perf.scratchpad_kbytes *. 1024.)
+    / config.Perf.elem_bytes
+  in
+  let cand = Array.init n (fun j -> candidate_sizes sel_ext.(j) limit) in
+  (* the best three feasible tiles as (est, tile, sel_passes, span), by
+     estimate ascending, ties towards the later enumeration index *)
+  let feasible = ref [] in
+  let rec enum j tile =
+    if j = n then begin
+      let t = Array.of_list (List.rev tile) in
+      if
+        row_extent im 0 t <= config.Perf.rows
+        && row_extent im 1 t <= config.Perf.cols
+        && tile_working_set design selected t <= spad_words
+      then begin
+        let span = row_extent im 2 t in
+        let sel_passes =
+          Array.to_list
+            (Array.mapi (fun j tj -> (sel_ext.(j) + tj - 1) / tj) t)
+          |> List.fold_left ( * ) 1
+        in
+        let est = float_of_int (sel_passes * span) in
+        feasible := (est, t, sel_passes, span) :: !feasible
+      end
+    end
+    else List.iter (fun s -> enum (j + 1) (s :: tile)) cand.(j)
+  in
+  enum 0 [];
+  let top =
+    List.filteri (fun i _ -> i < 3)
+      (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !feasible)
+  in
+  if top = [] then
+    invalid_arg "Perf_model.evaluate: no feasible tile (array too small)";
+  let capacity =
+    config.Perf.bandwidth_gbps *. 1e9
+    /. (config.Perf.freq_mhz *. 1e6)
+    /. float_of_int config.Perf.elem_bytes
+  in
+  let int_rows = Array.to_list (Array.map Array.to_list im) in
+  let evaluate_tile (_, tile, sel_passes, _) =
+    let ts = tile_stmt stmt selected tile in
+    let tt = Transform.v ts ~selected ~matrix:int_rows in
+    let td = { design with Design.transform = tt } in
+    let stats =
+      tile_statistics td
+        (Schedule.build td ~rows:config.Perf.rows ~cols:config.Perf.cols)
+    in
+    let eff_span =
+      Array.fold_left
+        (fun acc d -> acc +. Stdlib.max 1. (d /. capacity))
+        0. stats.Perf.demand
+    in
+    let total_passes = sel_passes * unsel_product in
+    let tail = config.Perf.rows in
+    let cycles = (float_of_int total_passes *. eff_span) +. float_of_int tail in
+    (tile, sel_passes, total_passes, stats, eff_span, cycles)
+  in
+  let results = List.map evaluate_tile top in
+  let best =
+    List.fold_left
+      (fun acc r ->
+        match acc with
+        | None -> Some r
+        | Some (_, _, _, _, _, c) ->
+          let _, _, _, _, _, c' = r in
+          if c' < c then Some r else acc)
+      None results
+  in
+  let tile, sel_passes, total_passes, stats, eff_span, cycles =
+    match best with Some r -> r | None -> assert false
+  in
+  let busy = float_of_int stats.Perf.busiest_pe in
+  let busy_eff =
+    busy +. Stdlib.max 0. (eff_span -. float_of_int stats.Perf.t_span)
+  in
+  let pipelined_cycles =
+    (float_of_int total_passes *. busy_eff)
+    +. (float_of_int stats.Perf.t_span -. busy)
+    +. float_of_int config.Perf.rows
+  in
+  let macs = Stmt.domain_size stmt in
+  let array_size = float_of_int (config.Perf.rows * config.Perf.cols) in
+  let utilization =
+    float_of_int stats.Perf.active_pe_cycles
+    /. (array_size *. float_of_int stats.Perf.t_span)
+  in
+  let normalized_perf = float_of_int macs /. (array_size *. cycles) in
+  let bw_stall_factor = eff_span /. float_of_int stats.Perf.t_span in
+  let words_per_cycle =
+    Array.fold_left ( +. ) 0. stats.Perf.demand
+    /. float_of_int stats.Perf.t_span
+  in
+  let runtime_us = cycles /. config.Perf.freq_mhz in
+  let ops_per_mac = float_of_int (List.length stmt.Stmt.inputs + 1) in
+  let gops = ops_per_mac *. float_of_int macs /. runtime_us /. 1e3 in
+  { Perf.design_name = design.Design.name;
+    tile;
+    selected_passes = sel_passes;
+    total_passes;
+    span = stats.Perf.t_span;
+    tail = config.Perf.rows;
+    cycles;
+    macs;
+    utilization;
+    normalized_perf;
+    bw_stall_factor;
+    words_per_cycle;
+    runtime_us;
+    gops;
+    pipelined_cycles;
+    pipelined_perf = float_of_int macs /. (array_size *. pipelined_cycles);
+    traffic_words =
+      List.map
+        (fun (t, per_pass) -> (t, per_pass *. float_of_int total_passes))
+        stats.Perf.per_tensor }

@@ -1,6 +1,7 @@
-(* Fast-path DSE engine: streaming schedule statistics vs the materialised
-   reference, branch-and-bound tile search vs exhaustive enumeration, the
-   signature-keyed evaluation cache, and the sort-based Pareto filter. *)
+(* Fast-path DSE engine: closed-form schedule statistics vs the
+   materialised reference in [Oracle], branch-and-bound tile search vs
+   exhaustive enumeration, the signature-keyed evaluation cache, and the
+   sort-based Pareto filter. *)
 
 open Tensorlib
 
@@ -25,7 +26,7 @@ let check_stats_equal label (a : Perf.tile_stats) (b : Perf.tile_stats) =
     true
     (a.Perf.per_tensor = b.Perf.per_tensor)
 
-(* streaming statistics equal the materialised reference on every design of
+(* closed-form statistics equal the materialised reference on every design of
    four workloads (multi-pass schedules included: unselected loops > 1) *)
 let test_streaming_stats_workloads () =
   let checked = ref 0 in
@@ -36,9 +37,9 @@ let test_streaming_stats_workloads () =
           match Schedule.build d ~rows:16 ~cols:16 with
           | exception Schedule.Unsupported _ -> ()
           | sched ->
-            let reference = Perf.tile_statistics d sched in
+            let reference = Oracle.tile_statistics d sched in
             let streaming =
-              Perf.tile_statistics_streaming d
+              Perf.tile_statistics d
                 (Schedule.frame d ~rows:16 ~cols:16)
             in
             incr checked;
@@ -71,7 +72,7 @@ let arbitrary_matrix =
    pass only; conv2d selecting (y, x, p) and mttkrp selecting (i, k, l)
    add 2-D reuse, unselected loops > 1 (multi-pass frames), systolic
    steps with [dt >= 2] and [|det T| = 2].  The run tallies the cases
-   that reach each counting rule of the streaming path and requires
+   that reach each counting rule of the closed form and requires
    every one, so the property cannot quietly degenerate to easy cases. *)
 let stats_cases =
   [| (Workloads.gemm ~m:7 ~n:6 ~k:5, [ "m"; "n"; "k" ]);
@@ -109,8 +110,8 @@ let test_streaming_stats_random () =
         | exception Schedule.Unsupported _ -> true
         | sched ->
           List.iter (fun f -> Hashtbl.replace seen f ()) (stats_features d);
-          Perf.tile_statistics d sched
-          = Perf.tile_statistics_streaming d
+          Oracle.tile_statistics d sched
+          = Perf.tile_statistics d
               (Schedule.frame d ~rows:24 ~cols:24))
   in
   QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop;
@@ -118,6 +119,33 @@ let test_streaming_stats_random () =
     (fun f -> Alcotest.(check bool) ("reached " ^ f) true (Hashtbl.mem seen f))
     [ "systolic-multicast"; "multicast-stationary"; "broadcast";
       "systolic dt>=2"; "|det T|=2" ]
+
+(* 1-D frames (two selected iterators, one column): every full-rank
+   {-1,0,1} 2×2 STT of GEMM (m, k) and conv2d (y, p) on 3, 8 and 24
+   rows, so the two-row transforms reach each rule the random 3×3 ones
+   do on a 2-D array *)
+let test_stats_1d_frames () =
+  let checked = ref 0 in
+  List.iter
+    (fun (stmt, names) ->
+      List.iter
+        (fun m ->
+          let d = Design.analyze (Transform.by_names stmt names ~matrix:m) in
+          List.iter
+            (fun rows ->
+              match Schedule.build d ~rows ~cols:1 with
+              | exception Schedule.Unsupported _ -> ()
+              | sched ->
+                incr checked;
+                check_stats_equal
+                  (Printf.sprintf "%s %dx1" d.Design.name rows)
+                  (Oracle.tile_statistics d sched)
+                  (Perf.tile_statistics d (Schedule.frame d ~rows ~cols:1)))
+            [ 3; 8; 24 ])
+        (Search.candidate_matrices ~n:2))
+    [ (fst stats_cases.(0), [ "m"; "k" ]);
+      (fst stats_cases.(1), [ "y"; "p" ]) ];
+  Alcotest.(check bool) "checked most frames" true (!checked > 150)
 
 (* index components beyond the old 10-bit packing range: a long loop on
    the time axis drives tensor indices past 1023, where the narrow code
@@ -130,17 +158,17 @@ let test_stats_wide_indices () =
   in
   let d = Design.analyze t in
   let sched = Schedule.build d ~rows:16 ~cols:16 in
-  check_stats_equal "wide" (Perf.tile_statistics d sched)
-    (Perf.tile_statistics_streaming d (Schedule.frame d ~rows:16 ~cols:16))
+  check_stats_equal "wide" (Oracle.tile_statistics d sched)
+    (Perf.tile_statistics d (Schedule.frame d ~rows:16 ~cols:16))
 
-(* pruned tile search + streaming stats must reproduce the exhaustive +
+(* pruned tile search + closed-form stats must reproduce the exhaustive +
    materialised reference bit-for-bit, over whole evaluation records: both
    return equal records or both raise the same exception *)
 let check_evaluate_agrees label d =
   let outcome f =
     match f () with r -> Ok r | exception e -> Error (Printexc.to_string e)
   in
-  let reference = outcome (fun () -> Perf.evaluate_reference d) in
+  let reference = outcome (fun () -> Oracle.evaluate_reference d) in
   let fast = outcome (fun () -> Perf.evaluate ~cache:false d) in
   Alcotest.(check bool) (label ^ " identical outcome") true (reference = fast);
   fast
@@ -171,8 +199,8 @@ let test_systolic_dt2_regression () =
   in
   Alcotest.(check string) "design" "YXP-SBS" d.Design.name;
   check_stats_equal "YXP-SBS"
-    (Perf.tile_statistics d (Schedule.build d ~rows:24 ~cols:24))
-    (Perf.tile_statistics_streaming d (Schedule.frame d ~rows:24 ~cols:24));
+    (Oracle.tile_statistics d (Schedule.build d ~rows:24 ~cols:24))
+    (Perf.tile_statistics d (Schedule.frame d ~rows:24 ~cols:24));
   match check_evaluate_agrees "YXP-SBS" d with
   | Ok r -> Alcotest.(check (float 0.)) "cycles" 64. r.Perf.cycles
   | Error e -> Alcotest.fail e
@@ -280,20 +308,31 @@ let cold_sweep name layers =
 
 (* cold sweeps of two cheap network shapes keep their pinned digests, as
    netlist_digests.expected pins netlists: a change to any evaluated
-   figure shows here *)
+   figure shows here.  The tile-search counters are pinned too, so a
+   search that visits other nodes fails even when it keeps the tiles. *)
 let test_sweep_digests_pinned () =
   let tables = Network.networks () in
   let layer net name = (name, List.assoc name (List.assoc net tables)) in
   List.iter
-    (fun (name, layers, digest) ->
-      Alcotest.(check string) name digest (cold_sweep name layers).Network.r_digest)
+    (fun (name, layers, digest, counters) ->
+      Perf.reset_counters ();
+      Alcotest.(check string) name digest
+        (cold_sweep name layers).Network.r_digest;
+      Alcotest.(check (list (pair string int))) (name ^ " search counters")
+        counters (Perf.counters ()))
     [ ("tiny-gemm_a", [ layer "tiny" "gemm_a" ],
-       "dc83c4c801616186acf85d53f3702544");
+       "dc83c4c801616186acf85d53f3702544",
+       [ ("tile_nodes", 411_582); ("tile_leaves", 31_377);
+         ("tile_pruned", 289_514); ("tiles_evaluated", 1_179) ]);
       ("bert-attn_scores", [ layer "bert-base" "attn_scores" ],
-       "3cc414dabe54c390692a6a5c5db531b9") ]
+       "3cc414dabe54c390692a6a5c5db531b9",
+       [ ("tile_nodes", 451_836); ("tile_leaves", 33_738);
+         ("tile_pruned", 320_665); ("tiles_evaluated", 1_179) ]) ]
 
 (* a sweep over more points than the evaluation memos hold evicts instead
-   of growing, and its report is the one the unbounded memos gave *)
+   of growing, and its report is the one the unbounded memos gave.  The
+   sweep leaves the perf memo empty (its points never repeat), so direct
+   evaluations of the same designs fill that one. *)
 let test_memos_bounded () =
   let layers =
     List.init 3 (fun i ->
@@ -304,20 +343,35 @@ let test_memos_bounded () =
     (r.Network.r_points > Perf.cache_capacity);
   Alcotest.(check string) "digest" "cf5caa1232de05735efbd17e876d85f0"
     r.Network.r_digest;
+  let stats name =
+    List.find (fun s -> s.Par.Cache.name = name) (Par.Cache.all_stats ())
+  in
+  let check_bounded name capacity =
+    let s = stats name in
+    Alcotest.(check bool) (name ^ " bounded") true
+      (s.Par.Cache.entries <= capacity);
+    Alcotest.(check bool) (name ^ " evicted") true (s.Par.Cache.evictions > 0)
+  in
+  check_bounded "asic.evaluate" Asic.cache_capacity;
+  Alcotest.(check int) "sweep adds no perf.evaluate entries" 0
+    (stats "perf.evaluate").Par.Cache.entries;
+  let designs =
+    List.concat_map
+      (fun (_, stmt) ->
+        List.map (fun (p : Enumerate.point) -> p.Enumerate.design)
+          (Enumerate.design_space stmt))
+      layers
+  in
+  Alcotest.(check int) "the sweep's designs" r.Network.r_points
+    (List.length designs);
   List.iter
-    (fun (name, capacity) ->
-      let s =
-        List.find (fun s -> s.Par.Cache.name = name) (Par.Cache.all_stats ())
-      in
-      Alcotest.(check bool) (name ^ " bounded") true
-        (s.Par.Cache.entries <= capacity);
-      Alcotest.(check bool) (name ^ " evicted") true (s.Par.Cache.evictions > 0))
-    [ ("perf.evaluate", Perf.cache_capacity);
-      ("asic.evaluate", Asic.cache_capacity) ]
+    (fun d -> try ignore (Perf.evaluate d) with Invalid_argument _ -> ())
+    designs;
+  check_bounded "perf.evaluate" Perf.cache_capacity
 
-(* the evaluation key is pinned text: the persistent design store
-   addresses its entries by it, so a rendering change would orphan every
-   stored result *)
+(* the evaluation key is pinned text: a rendering change would silently
+   split or merge memo entries.  (The persistent store keys whole shapes
+   by [Network.shape_key], not by this key.) *)
 let test_cache_key_pinned () =
   let d =
     Design.analyze
@@ -356,7 +410,9 @@ let suite =
     Alcotest.test_case "evaluate_name deterministic" `Quick
       test_evaluate_name_deterministic;
     Alcotest.test_case "streaming stats = materialised stats (random STT)"
-      `Quick test_streaming_stats_random ]
+      `Quick test_streaming_stats_random;
+    Alcotest.test_case "closed-form stats on 1-D frames" `Quick
+      test_stats_1d_frames ]
   @ qsuite [ prop_analyzer_equals_analyze; prop_pareto_matches_reference ]
   @ [ Alcotest.test_case "systolic dt=2 regression (YXP-SBS)" `Quick
         test_systolic_dt2_regression;

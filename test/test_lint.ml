@@ -409,6 +409,29 @@ let test_cli_exit_codes () =
         [ "analyze"; "-w"; "gemm-small"; "-d"; "M-S" ];
         [ "serve"; "--accel-workload"; "gemm-small"; "--accel-dataflow";
           "MNKK-SSTT" ] ];
+    (* an explicit --select/--matrix that names no design is a validation
+       error: an unknown or repeated iterator, a matrix of the wrong size,
+       a singular matrix.  lint reports the last three as L100/L101
+       findings instead *)
+    let explicit cmd (sel, m) =
+      [ cmd; "-w"; "gemm-small"; "--select"; sel; "--matrix"; m ]
+    in
+    let unknown = ("m,x,k", "1,0,0;0,1,0;1,1,1") in
+    let malformed =
+      [ ("m,m,k", "1,0,0;0,1,0;1,1,1"); ("m,n,k", "1,0;0,1");
+        ("m,n,k", "1,0,0;0,1,0;1,1,0") ]
+    in
+    List.iter
+      (fun (args, code) ->
+        Alcotest.(check int)
+          (String.concat " " args ^ Printf.sprintf " exits %d" code)
+          code (cli exe args))
+      (List.concat_map
+         (fun cmd ->
+           List.map (fun x -> (explicit cmd x, 2)) (unknown :: malformed))
+         [ "analyze"; "simulate" ]
+      @ (explicit "lint" unknown, 2)
+        :: List.map (fun x -> (explicit "lint" x, 1)) malformed);
     (* an output path is written through: a device stays a device *)
     Alcotest.(check int) "generate -o /dev/null exits 0" 0
       (cli exe [ "generate"; "-w"; "gemm-small"; "-o"; "/dev/null" ]);
