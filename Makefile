@@ -98,9 +98,10 @@ bench-absint:
 
 # Programmable-accelerator gate: one 4x4 MNK-SST netlist with writable
 # schedule memories serves three GEMM shapes, each bit-identical to a
-# freshly generated per-shape ROM build on both scalar sim backends,
-# with a program-codec roundtrip and lint/absint no-new-findings checks
-# on the programmable variant (exit 1 on any divergence).
+# freshly generated per-shape ROM build, with the reference interpreter
+# ending in the tape's state, a program-codec roundtrip and lint/absint
+# no-new-findings checks on the programmable variant (exit 1 on any
+# divergence).
 prog-smoke:
 	dune exec bench/main.exe -- prog-smoke
 
@@ -133,7 +134,8 @@ lint:
 # Random designs vs the golden executor, the lint differential oracle over
 # random netlists (Rewrite must never introduce findings), and the absint
 # soundness oracle (simulated values stay inside the abstract fixpoint on
-# both sim backends; narrowing stays output-equivalent).
+# the tape and the reference interpreter; narrowing stays
+# output-equivalent), and the batch lanes against per-lane replays.
 fuzz:
 	dune exec bin/fuzz.exe -- 500
 

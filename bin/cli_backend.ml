@@ -7,11 +7,11 @@
 open Tensorlib
 
 let all : (string * Sim.backend) list =
-  [ ("tape", `Tape); ("closure", `Closure); ("batch", `Batch) ]
+  [ ("tape", `Tape); ("batch", `Batch) ]
 
 let names = List.map fst all
 
-(* Levenshtein distance — the candidate set is three short words, so the
+(* Levenshtein distance — the candidate set is a few short words, so the
    textbook O(|a|·|b|) table is plenty. *)
 let distance a b =
   let la = String.length a and lb = String.length b in

@@ -15,14 +15,14 @@
      findings instead of exceptions.
    - absint: abstract-interpretation soundness.  The Tl_absint engine's
      abstract value for every node must contain the node's simulated value
-     on every cycle of a random stimulus, on BOTH simulator backends
-     ([`Tape] and [`Closure]); and the analysis-narrowed circuit
-     ([Absint.Narrow.circuit]) must stay cycle-for-cycle output-equivalent
-     to the original under the same stimulus.
+     on every cycle of a random stimulus, on the [`Tape] simulator and on
+     the reference interpreter [Oracle.Refsim]; and the analysis-narrowed
+     circuit ([Absint.Narrow.circuit]) must stay cycle-for-cycle
+     output-equivalent to the original under the same stimulus, on both.
    - batch lanes: bit-sliced simulation soundness.  Random netlists driven
      with 62 independent random lane stimuli under [`Batch] must be
-     bit-identical, lane by lane and node by node, to scalar [`Tape] and
-     [`Closure] replays of each lane's stimulus.
+     bit-identical, lane by lane and node by node, to [`Tape] and
+     reference-interpreter replays of each lane's stimulus.
    - perf stats: random stmt (a third of its index terms sum two
      iterators, like conv's [y+p]) x random STT on a random 2..9 x 2..9
      array; the closed-form tile statistics must equal the materialised
@@ -33,7 +33,9 @@
      equal the per-candidate [Oracle.design_space] (signatures and
      matrices, in order).
 
-   Usage: dune exec bin/fuzz.exe -- [iterations] [seed] *)
+   Usage: dune exec bin/fuzz.exe -- [iterations] [seed]
+   (iterations >= 1, default 200; seed any integer, default 2024; anything
+   else prints the usage line to stderr and exits 2) *)
 
 open Tensorlib
 
@@ -188,13 +190,49 @@ let broken_netlist rng =
     assign loop (x +: loop);
     ("L002", Lint.Netlist.source ~name:"fuzz_broken" [ ("o", loop) ])
 
+(* The two scalar simulators phases 3 and 4 run side by side: the
+   instruction tape and the reference interpreter. *)
+type scalar = {
+  set_input : string -> int -> unit;
+  settle : unit -> unit;
+  latch : unit -> unit;
+  peek : Signal.t -> int;
+  output : string -> int;
+}
+
+let scalars =
+  [ ( "tape",
+      fun circuit ->
+        let s = Sim.create circuit in
+        { set_input = Sim.set_input s;
+          settle = (fun () -> Sim.settle s);
+          latch = (fun () -> Sim.latch s);
+          peek = Sim.peek s;
+          output = Sim.output s } );
+    ( "reference",
+      fun circuit ->
+        let r = Oracle.Refsim.create circuit in
+        { set_input = Oracle.Refsim.set_input r;
+          settle = (fun () -> Oracle.Refsim.settle r);
+          latch = (fun () -> Oracle.Refsim.latch r);
+          peek = Oracle.Refsim.peek r;
+          output = Oracle.Refsim.output r } ) ]
+
+let usage () =
+  prerr_endline "usage: fuzz.exe [iterations >= 1] [seed]";
+  exit 2
+
 let () =
-  let iterations =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 200
+  let arg i default =
+    if Array.length Sys.argv <= i then default
+    else
+      match int_of_string_opt Sys.argv.(i) with
+      | Some n -> n
+      | None -> usage ()
   in
-  let seed =
-    if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 2024
-  in
+  if Array.length Sys.argv > 3 then usage ();
+  let iterations = arg 1 200 and seed = arg 2 2024 in
+  if iterations < 1 then usage ();
   let rng = Random.State.make [| seed |] in
   (* phase 1: designs.  Trials are independent — each draws from its own
      [seed; i] PRNG — so they fan out over the Tl_par domain pool; reports
@@ -330,63 +368,53 @@ let () =
            case it disappears from the narrowed circuit's input list *)
         let narrowed_inputs = List.map fst (Circuit.inputs narrowed) in
         List.iter
-          (fun backend ->
-            let sim = Sim.create ~backend circuit in
-            let sim_n = Sim.create ~backend narrowed in
+          (fun (what, make) ->
+            let sim = make circuit and sim_n = make narrowed in
             Array.iter
               (fun bindings ->
                 List.iter
                   (fun (name, v) ->
-                    Sim.set_input sim name v;
+                    sim.set_input name v;
                     if List.mem name narrowed_inputs then
-                      Sim.set_input sim_n name v)
+                      sim_n.set_input name v)
                   bindings;
-                Sim.settle sim;
-                Sim.settle sim_n;
+                sim.settle ();
+                sim_n.settle ();
                 (* soundness: every settled node value must be a member of
                    its abstract value *)
                 Array.iter
                   (fun node ->
-                    match Sim.slot sim node with
-                    | None -> ()
-                    | Some _ ->
-                      let v = Sim.peek sim node in
-                      let av = Absint.Engine.value engine node in
-                      if not (Absint.Av.mem v av) then begin
-                        incr absint_violations;
-                        Printf.printf
-                          "ABSINT FAIL at netlist %d (%s): node #%d value \
-                           %d outside %s\n"
-                          i
-                          (match backend with
-                           | `Tape -> "tape"
-                           | `Closure -> "closure"
-                           | `Batch -> "batch")
-                          node.Signal.id v
-                          (Format.asprintf "%a" Absint.Av.pp av)
-                      end)
+                    let v = sim.peek node in
+                    let av = Absint.Engine.value engine node in
+                    if not (Absint.Av.mem v av) then begin
+                      incr absint_violations;
+                      Printf.printf
+                        "ABSINT FAIL at netlist %d (%s): node #%d value %d \
+                         outside %s\n"
+                        i what node.Signal.id v
+                        (Format.asprintf "%a" Absint.Av.pp av)
+                    end)
                   (Circuit.nodes circuit);
                 (* rewrite equivalence: narrowed outputs must agree *)
                 List.iter
                   (fun (name, _) ->
-                    let a = Sim.output sim name
-                    and b = Sim.output sim_n name in
+                    let a = sim.output name and b = sim_n.output name in
                     if a <> b then begin
                       incr absint_violations;
                       Printf.printf
-                        "ABSINT FAIL at netlist %d: narrowed output %s \
+                        "ABSINT FAIL at netlist %d (%s): narrowed output %s \
                          disagrees (%d vs %d)\n"
-                        i name a b
+                        i what name a b
                     end)
                   (Circuit.outputs circuit);
-                Sim.latch sim;
-                Sim.latch sim_n)
+                sim.latch ();
+                sim_n.latch ())
               stimulus)
-          [ `Tape; `Closure ])
+          scalars)
   done;
   Printf.printf
-    "fuzz absint oracle: %d netlists checked on both backends, %d \
-     violations\n"
+    "fuzz absint oracle: %d netlists checked on the tape and the \
+     reference, %d violations\n"
     !absint_checked !absint_violations;
   (* phase 4: bit-sliced batch backend lane oracle *)
   let batch_checked = ref 0 and batch_violations = ref 0 in
@@ -407,11 +435,10 @@ let () =
                   inputs))
       in
       let batch = Sim.create ~backend:`Batch ~lanes circuit in
-      let scalars =
+      let replays =
         List.map
-          (fun backend ->
-            (backend, Array.init lanes (fun _ -> Sim.create ~backend circuit)))
-          [ `Tape; `Closure ]
+          (fun (what, make) -> (what, Array.init lanes (fun _ -> make circuit)))
+          scalars
       in
       Array.iter
         (fun per_lane ->
@@ -421,43 +448,39 @@ let () =
                 (fun (name, v) ->
                   Sim.set_input_lane batch l name v;
                   List.iter
-                    (fun (_, sims) -> Sim.set_input sims.(l) name v)
-                    scalars)
+                    (fun (_, sims) -> sims.(l).set_input name v)
+                    replays)
                 bindings)
             per_lane;
           Sim.settle batch;
-          List.iter (fun (_, sims) -> Array.iter Sim.settle sims) scalars;
+          List.iter
+            (fun (_, sims) -> Array.iter (fun s -> s.settle ()) sims)
+            replays;
           Array.iter
             (fun node ->
-              match Sim.slot batch node with
-              | None -> ()
-              | Some _ ->
-                for l = 0 to lanes - 1 do
-                  let bv = Sim.peek_lane batch l node in
-                  List.iter
-                    (fun (backend, sims) ->
-                      let sv = Sim.peek sims.(l) node in
-                      if bv <> sv then begin
-                        incr batch_violations;
-                        Printf.printf
-                          "BATCH FAIL at netlist %d lane %d (vs %s): node \
-                           #%d: %d <> %d\n"
-                          i l
-                          (match backend with
-                           | `Tape -> "tape"
-                           | `Closure -> "closure"
-                           | `Batch -> "batch")
-                          node.Signal.id bv sv
-                      end)
-                    scalars
-                done)
+              for l = 0 to lanes - 1 do
+                let bv = Sim.peek_lane batch l node in
+                List.iter
+                  (fun (what, sims) ->
+                    let sv = sims.(l).peek node in
+                    if bv <> sv then begin
+                      incr batch_violations;
+                      Printf.printf
+                        "BATCH FAIL at netlist %d lane %d (vs %s): node #%d: \
+                         %d <> %d\n"
+                        i l what node.Signal.id bv sv
+                    end)
+                  replays
+              done)
             (Circuit.nodes circuit);
           Sim.latch batch;
-          List.iter (fun (_, sims) -> Array.iter Sim.latch sims) scalars)
+          List.iter
+            (fun (_, sims) -> Array.iter (fun s -> s.latch ()) sims)
+            replays)
         stimulus
   done;
   Printf.printf
-    "fuzz batch oracle: %d netlists, %d lanes vs tape+closure, %d \
+    "fuzz batch oracle: %d netlists, %d lanes vs tape and reference, %d \
      violations\n"
     !batch_checked lanes !batch_violations;
   (* phase 5: perf-model statistics and enumeration oracles *)

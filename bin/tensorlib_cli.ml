@@ -140,8 +140,8 @@ let acc_width_arg =
 let backend_arg =
   Arg.(value & opt string "tape"
        & info [ "backend" ]
-           ~doc:"Simulator backend: tape, closure, or batch (bit-sliced, \
-                 62 trials per pass; fault campaigns and simulate only).")
+           ~doc:"Simulator backend: tape, or batch (bit-sliced, 62 trials \
+                 per pass; fault campaigns and simulate only).")
 
 let out_arg =
   Arg.(value & opt (some string) None
@@ -722,10 +722,8 @@ let profile_cmd =
     validate_grid ~rows ~cols;
     validate_widths ~data_width:dw ~acc_width:aw;
     (* the counter cross-check and activity-measured power probe scalar
-       state, so the bit-sliced backend is not meaningful here *)
-    let backend =
-      Cli_backend.of_string ~allowed:[ "tape"; "closure" ] backend_s
-    in
+       tape state; the flag stays so scripts passing --backend tape work *)
+    ignore (Cli_backend.of_string ~allowed:[ "tape" ] backend_s);
     let stmt = workload_of_string w in
     let env = Exec.alloc_inputs stmt in
     let design = design_of_name stmt w d in
@@ -738,10 +736,10 @@ let profile_cmd =
         design env
     in
     let validation =
-      span "validate-counters" @@ fun () -> Obs.Counters.validate ~backend acc
+      span "validate-counters" @@ fun () -> Obs.Counters.validate acc
     in
     let power =
-      span "measure-power" @@ fun () -> Obs.Power.measure ~backend acc
+      span "measure-power" @@ fun () -> Obs.Power.measure acc
     in
     (match trace_file with
      | None -> ()
@@ -791,9 +789,7 @@ let compile_cmd =
     validate_grid ~rows ~cols;
     validate_widths ~data_width:dw ~acc_width:aw;
     require_positive "--headroom" headroom;
-    let backend =
-      Cli_backend.of_string ~allowed:[ "tape"; "closure" ] backend_s
-    in
+    ignore (Cli_backend.of_string ~allowed:[ "tape" ] backend_s);
     (* the target netlist comes from the named workload + dataflow; the
        request einsum from --expr/--extents (default: the target itself) *)
     let tstmt, tdesign = resolve w d in
@@ -836,12 +832,12 @@ let compile_cmd =
       if run_check then begin
         let renv = Exec.alloc_inputs rstmt in
         let golden = Exec.run rstmt renv in
-        let got = Accel.execute_program ~backend target program renv in
+        let got = Accel.execute_program target program renv in
         let rom =
           Accel.generate ~rows ~cols ~data_width:dw ~acc_width:aw rdesign
             renv
         in
-        let rom_out = Accel.execute ~backend rom in
+        let rom_out = Accel.execute rom in
         let ok_golden = Dense.equal got golden in
         let ok_rom = Dense.equal got rom_out in
         Printf.printf "programmed run : %s golden model\n"

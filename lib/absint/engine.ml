@@ -13,26 +13,12 @@ let default_config =
     widen_after = 32;
     hard_cap = 160 }
 
-type t = {
-  circuit : Circuit.t;
-  values : (int, Av.t) Hashtbl.t;       (* node id -> comb value *)
-  reg_av : (int, Av.t) Hashtbl.t;       (* reg node id -> state join *)
-  ram_av : (int, Av.t) Hashtbl.t;       (* ram id -> content join *)
-  rounds : int;
-}
-
-let circuit t = t.circuit
-let rounds t = t.rounds
+type t = { values : (int, Av.t) Hashtbl.t (* node id -> comb value *) }
 
 let value t (s : Signal.t) =
   match Hashtbl.find_opt t.values s.Signal.id with
   | Some av -> av
   | None -> Av.top s.Signal.width
-
-let ram_state t (r : Signal.ram) =
-  match Hashtbl.find_opt t.ram_av r.Signal.ram_id with
-  | Some av -> av
-  | None -> Av.top r.Signal.ram_width
 
 (* join of a ram's initial contents *)
 let init_join (r : Signal.ram) =
@@ -268,4 +254,4 @@ let run ?(config = default_config) ?(reg_clamps = []) ?(ram_clamps = [])
       (Circuit.rams circuit);
     incr round
   done;
-  { circuit; values; reg_av; ram_av; rounds = !round }
+  { values }

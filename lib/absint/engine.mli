@@ -39,11 +39,3 @@ val run : ?config:config -> ?reg_clamps:(int * Av.t) list ->
 val value : t -> Tl_hw.Signal.t -> Av.t
 (** Abstract value of any node of the analysed circuit (top of the node's
     width for nodes outside it). *)
-
-val ram_state : t -> Tl_hw.Signal.ram -> Av.t
-(** Join over the cells of a writable ram across all reachable cycles. *)
-
-val rounds : t -> int
-(** Fixpoint iterations performed (diagnostic). *)
-
-val circuit : t -> Tl_hw.Circuit.t

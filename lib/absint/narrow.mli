@@ -18,11 +18,6 @@ type savings = {
   nodes_after : int;
 }
 
-val facts : Engine.t -> Tl_hw.Signal.t -> (int * int) option
-(** [(bv, bm)] bit facts read off the fixpoint, suitable for
-    {!Tl_hw.Rewrite.circuit_with_facts}; [None] when nothing is known (or
-    the signal has native width). *)
-
 val circuit : ?engine:Engine.t -> Tl_hw.Circuit.t ->
   Tl_hw.Circuit.t * (Tl_hw.Signal.ram * Tl_hw.Signal.ram) list * savings
 (** Narrow a circuit using [engine]'s facts (a fresh default-config

@@ -40,10 +40,7 @@ val analyze : ?config:Engine.config -> ?cycles:int -> ?target:string ->
     (default 1024; pass the accelerator's planned run length).  [target]
     names the circuit in findings (defaults to the circuit's name). *)
 
-val safety_rules : string list
-(** The rules whose findings should gate a build: ["L200"; "L201"; "L202"]
-    (at warning severity or above — info-level L201 read notes are
-    harmless by simulator semantics). *)
-
 val gate : Tl_lint.Finding.t list -> Tl_lint.Finding.t list
-(** The subset of findings that violate {!safety_rules}. *)
+(** The subset of findings that gate a build: L200, L201 and L202 at
+    warning severity or above (info-level L201 read notes are harmless by
+    simulator semantics). *)

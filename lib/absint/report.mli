@@ -19,9 +19,6 @@ type t = {
   area_after : float;
 }
 
-val of_circuit : ?config:Engine.config -> ?cycles:int -> ?target:string ->
-  Tl_hw.Circuit.t -> t
-
 val of_accel : ?data_bound:int -> Tl_templates.Accel.t -> t
 (** Analyse a generated accelerator over its planned schedule length.  The
     pre-loaded input data memories give the engine exact data bounds; pass

@@ -22,7 +22,6 @@ type t = {
 }
 
 val polysa : t
-val susy : t
 val all : t list
 
 val systolic_only : Tl_stt.Design.t -> bool

@@ -29,8 +29,6 @@ type params = {
   a_base : float;
 }
 
-val default_params : params
-
 type report = {
   design_name : string;
   area : float;        (** arbitrary units; see {!params} *)

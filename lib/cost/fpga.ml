@@ -104,10 +104,3 @@ let evaluate ?(style = rtl_style) ?(buffer_scale = 1.0) ~device ~rows ~cols
     bram_pct = 100. *. brams /. float_of_int device.brams;
     mhz;
     gops }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[%-24s %-9s %-5s LUT=%2.0f%% DSP=%2.0f%% BRAM=%2.0f%% %3.0fMHz %4.0f \
-     Gop/s@]"
-    r.generator r.device r.workload r.lut_pct r.dsp_pct r.bram_pct r.mhz
-    r.gops

@@ -58,5 +58,3 @@ val evaluate : ?style:style -> ?buffer_scale:float -> device:device ->
     {!Tl_perf.Perf_model.result.pipelined_perf} for TensorLib designs);
     [buffer_scale] scales the double-buffered tile storage (convolutions
     hold halos and weights: ≈1.45). *)
-
-val pp_report : Format.formatter -> report -> unit

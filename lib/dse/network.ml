@@ -403,12 +403,3 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     r_degraded_shapes = degraded;
     r_resumed_shapes = Hashtbl.length resumed_keys;
   }
-
-let sweep_named ?config ?domains ?per_shape_limit ?progress ?budget ?checkpoint
-    ?resume ~store name =
-  match List.assoc_opt name (networks ()) with
-  | None -> None
-  | Some layers ->
-    Some
-      (sweep ?config ?domains ?per_shape_limit ?progress ?budget ?checkpoint
-         ?resume ~store ~name layers)

@@ -120,15 +120,3 @@ val sweep :
     and independent of the pool width (for [Budget.of_checks] budgets,
     deterministic at [domains:1]). *)
 
-val sweep_named :
-  ?config:Tl_perf.Perf_model.config ->
-  ?domains:int ->
-  ?per_shape_limit:int ->
-  ?progress:(progress -> unit) ->
-  ?budget:Tl_resil.Budget.t ->
-  ?checkpoint:string ->
-  ?resume:bool ->
-  store:Tl_store.Store.t ->
-  string ->
-  report option
-(** {!sweep} on a named network table; [None] for unknown names. *)

@@ -183,11 +183,7 @@ let summarize (acc : Accel.t) (config : config) results =
   in
   { design = acc.Accel.design.Tl_stt.Design.name;
     hardening = Harden.label acc.Accel.hardening.Harden.config;
-    backend =
-      (match config.backend with
-      | `Tape -> "tape"
-      | `Closure -> "closure"
-      | `Batch -> "batch");
+    backend = (match config.backend with `Tape -> "tape" | `Batch -> "batch");
     trials;
     seed = config.seed;
     masked;
@@ -197,17 +193,6 @@ let summarize (acc : Accel.t) (config : config) results =
     sdc_rate = (if trials = 0 then 0.0 else float_of_int sdc /. float_of_int trials);
     per_class;
     results }
-
-let golden_of (config : config) golden acc =
-  match golden with
-  | Some g -> g
-  | None ->
-    (* the golden run is a single fault-free trial — no batching to
-       exploit, so compute it on the scalar tape *)
-    let backend =
-      match config.backend with `Batch -> `Tape | b -> b
-    in
-    Accel.execute ~backend acc
 
 (* Split [lst] into consecutive groups of at most [n]. *)
 let groups_of n lst =
@@ -220,17 +205,19 @@ let groups_of n lst =
   go [] [] 0 lst
 
 let run_faults ?(config = default_config) ?golden (acc : Accel.t) faults =
-  let golden = golden_of config golden acc in
+  (* the golden run is a single fault-free trial: no batching to exploit,
+     so it runs on the scalar tape *)
+  let golden = match golden with Some g -> g | None -> Accel.execute acc in
   let gcells = Accel.golden_cells acc golden in
   let domains =
     match config.domains with Some d -> max 1 d | None -> Tl_par.n_domains ()
   in
   match config.backend with
-  | `Tape | `Closure ->
+  | `Tape ->
     let chunks = chunk domains faults in
     Tl_par.map ~domains ~label:"fault-campaign"
       (fun chunk ->
-        let sim = Sim.create ~backend:config.backend acc.Accel.circuit in
+        let sim = Sim.create acc.Accel.circuit in
         let check = Accel.output_checker acc sim gcells in
         List.map (run_one acc sim config golden check) chunk)
       chunks

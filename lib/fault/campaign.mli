@@ -73,7 +73,7 @@ val run : ?config:config -> ?golden:Tl_ir.Dense.t -> Tl_templates.Accel.t ->
   report
 (** Plan [config.trials] faults over the accelerator's fault-site table
     and run them.  [golden] is the fault-free reference output; computed
-    with a clean run on [config.backend] when omitted (pass it when the
+    with a clean run on the tape when omitted (pass it when the
     accelerator was generated on rewritten data memories). *)
 
 val run_faults : ?config:config -> ?golden:Tl_ir.Dense.t ->

@@ -1,20 +1,20 @@
 (** Fault models over a netlist's architectural state.
 
-    A {e fault site} is a piece of state whose corruption both simulator
-    backends ({!Tl_hw.Sim}) observe identically: a register (its dense
-    value slot is never aliased or CSE-merged by the tape compiler) or a
-    memory cell (both backends share the contents arrays).  Arbitrary
-    combinational wires are {e not} injectable — the tape backend may
-    alias or merge them, so a wire-level upset could legally diverge
-    between backends.  Stuck-at faults on "wires" are therefore realised
-    as stuck bits on register outputs, which is where a synthesised
-    netlist latches them anyway.
+    A {e fault site} is a piece of state the simulator ({!Tl_hw.Sim})
+    corrupts exactly as the netlist would: a register (its dense value
+    slot is never aliased or CSE-merged by the tape compiler) or a memory
+    cell.  Arbitrary combinational wires are {e not} injectable — the
+    tape compiler may alias or merge them, so a wire-level upset could
+    reach readers the netlist does not connect.  Stuck-at faults on
+    "wires" are therefore realised as stuck bits on register outputs,
+    which is where a synthesised netlist latches them anyway.
 
     Three fault models:
     - {b transient register bit-flip}: one bit of one register inverted
       at one cycle, persisting until the register next latches;
     - {b stuck-at-0/1}: one register output bit forced for the whole
-      run (both backends re-apply the force around every settle/latch);
+      run (the simulator re-applies the force around every settle and
+      latch);
     - {b memory-cell corruption}: one bit of one ram cell inverted at
       one cycle (at cycle 0 for the stuck-at kind: a cell corrupted
       before the run, persisting until overwritten).
@@ -37,15 +37,10 @@ type module_class = Controller | Pe | Interconnect | Memory | Rom
 val class_label : module_class -> string
 val all_classes : module_class list
 
-val classify_reg : Tl_hw.Signal.t -> module_class
-val classify_ram : Tl_hw.Signal.ram -> module_class
-
 type target = Reg of Tl_hw.Signal.t | Mem of Tl_hw.Signal.ram
 type site = { target : target; cls : module_class }
 
 val site_name : site -> string
-val site_bits : site -> int
-(** Register width, or [size * width] for a memory. *)
 
 type table = {
   circuit : Tl_hw.Circuit.t;

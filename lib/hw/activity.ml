@@ -2,8 +2,8 @@
 
    Registers are observed at their dense storage slots — register slots are
    never aliased or CSE-merged by the tape compiler (same invariant the
-   fault-injection hooks rely on), so the probe behaves identically on both
-   backends.  Toggles are counted across the latch edge: popcount of
+   fault-injection hooks rely on), so a register's slot holds exactly its
+   value.  Toggles are counted across the latch edge: popcount of
    (old lxor new) per register per cycle.  Ram read ports count an access
    on every settled address change (plus the first cycle); write ports
    count cycles where the enable is high and the address in range, which

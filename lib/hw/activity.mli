@@ -4,12 +4,12 @@
     the latch-edge XOR) and per-ram access events, to replace the assumed
     activity factors in the ASIC power model with {e measured} ones.
 
-    Works identically on both scalar simulator backends: registers are
-    observed
-    at their canonical dense slots (never aliased by the tape compiler),
-    ram read ports count an access per settled address change, and write
-    ports count exactly the cycles the simulator commits a write
-    (enable high, address in range). *)
+    Runs on the [`Tape] simulator: registers are observed at their
+    canonical dense slots (never aliased by the tape compiler), ram read
+    ports count an access per settled address change, and write ports
+    count exactly the cycles the simulator commits a write (enable high,
+    address in range).  The test suite takes the same three counts on
+    the reference interpreter and compares. *)
 
 type t
 
@@ -32,14 +32,12 @@ val create : Sim.t -> Circuit.t -> t
     interleaves up to 62 independent trials, so a single toggle count
     would be meaningless. *)
 
-val cycle : t -> unit
-(** One full clock cycle ({!Sim.settle} + {!Sim.latch}) with observation
-    interleaved: ram ports are sampled post-settle, register toggles are
-    accumulated across the latch edge.  Drive the simulation through the
-    probe (don't mix with {!Sim.cycle}) or toggle counts will miss
-    edges. *)
-
 val cycles : t -> int -> unit
+(** [cycles t n] runs [n] full clock cycles ({!Sim.settle} +
+    {!Sim.latch}) with observation interleaved: ram ports are sampled
+    post-settle, register toggles are accumulated across the latch edge.
+    Drive the simulation through the probe (don't mix with {!Sim.cycle})
+    or toggle counts will miss edges. *)
 
 val report : t -> report
 

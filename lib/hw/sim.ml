@@ -6,11 +6,6 @@
      register next-state and ram write ports are pre-resolved to dense
      indices, so [latch] performs zero hashing and zero allocation per cycle.
 
-   - [`Closure]: the original interpreter — one closure per combinational
-     node, and a latch that resolves register operands through the
-     signal-id hash table each cycle.  Kept as an independently implemented
-     differential oracle for the other two backends.
-
    - [`Batch]: a bit-sliced evaluator over the same compiled tape, packing
      up to 62 independent trials into the bit lanes of each native int.
      Width-1 slots are {e packed} (one int, bit [l] = lane [l]) so bitwise
@@ -27,9 +22,12 @@
      the injected fault's fan-out cone) costs barely more than one scalar
      pass.  A slot {e materializes} (lane 0 is replicated into the stale
      lanes and the flag drops) the first time divergence reaches it:
-     per-lane stimuli, pokes, forces, or a diverged operand. *)
+     per-lane stimuli, pokes, forces, or a diverged operand.
 
-type backend = [ `Closure | `Tape | `Batch ]
+   Both are checked against a reference interpreter that shares none of
+   this state (test/refsim.ml). *)
+
+type backend = [ `Tape | `Batch ]
 
 (* Compiled register: dense [values] indices, -1 for an absent control. *)
 type creg = {
@@ -124,19 +122,16 @@ type batch = {
 }
 
 type t = {
-  circuit : Circuit.t;
   backend : backend;
   index_of : (int, int) Hashtbl.t;  (** signal id → dense index *)
   values : int array;
   (* compiled combinational phase *)
-  code : int array;  (** instruction tape ([`Tape] only) *)
+  code : int array;  (** instruction tape *)
   tape_rams : int array array;  (** dense ram slot → contents *)
-  program : (unit -> unit) array;  (** closure schedule ([`Closure] only) *)
   (* compiled sequential phase *)
   cregs : creg array;
   reg_next : int array;  (** latch scratch, one slot per register *)
   cwports : cwport array;
-  reg_state : (int * Signal.reg) array;  (** reference-latch view *)
   (* state and cached lookups *)
   ram_state : (int, int array) Hashtbl.t;  (** ram id → contents *)
   writable_inits : (int array * int array) array;
@@ -144,7 +139,8 @@ type t = {
           rams [reset] must restore (plus any the testbench dirtied) *)
   ram_init_of : (int, int array) Hashtbl.t;  (** ram id → init_data *)
   dirty_rams : (int, unit) Hashtbl.t;
-      (** read-only rams rewritten through {!load_ram} *)
+      (** read-only rams rewritten through {!load_ram_prefix} or
+          {!poke_ram} *)
   input_slots : int array;
   input_slot_of : (string, int * int) Hashtbl.t;  (** name → slot, width *)
   out_slot_of : (string, int * int) Hashtbl.t;  (** name → dense idx, width *)
@@ -2179,97 +2175,13 @@ let broadcast_init ~init_image b =
   b.bforces <- [||]
 
 (* ------------------------------------------------------------------ *)
-(* Reference interpreter: one closure per combinational node.          *)
-
-let compile_closures nodes ~idx ~slot_of_input ~values ~input_slots
-    ~ram_contents =
-  let steps =
-    Array.to_list nodes
-    |> List.filter_map (fun (s : Signal.t) ->
-        let i = idx s in
-        let w = s.Signal.width in
-        let m = Signal.mask_to_width w in
-        match s.Signal.node with
-        | Signal.Reg _ | Signal.Const _ -> None (* sequential / preloaded *)
-        | Signal.Input n ->
-          let slot = slot_of_input n in
-          Some (fun () -> values.(i) <- input_slots.(slot))
-        | Signal.Unop (Signal.Not, a) ->
-          let a = idx a in
-          Some (fun () -> values.(i) <- m (lnot values.(a)))
-        | Signal.Binop (op, a, b) -> (
-          let aw = a.Signal.width in
-          let a = idx a and b = idx b in
-          match op with
-          | Signal.Add -> Some (fun () -> values.(i) <- m (values.(a) + values.(b)))
-          | Signal.Sub -> Some (fun () -> values.(i) <- m (values.(a) - values.(b)))
-          | Signal.Mul -> Some (fun () -> values.(i) <- m (values.(a) * values.(b)))
-          | Signal.And -> Some (fun () -> values.(i) <- values.(a) land values.(b))
-          | Signal.Or -> Some (fun () -> values.(i) <- values.(a) lor values.(b))
-          | Signal.Xor -> Some (fun () -> values.(i) <- values.(a) lxor values.(b))
-          | Signal.Eq ->
-            Some (fun () -> values.(i) <- (if values.(a) = values.(b) then 1 else 0))
-          | Signal.Ult ->
-            Some (fun () -> values.(i) <- (if values.(a) < values.(b) then 1 else 0))
-          | Signal.Slt ->
-            Some
-              (fun () ->
-                values.(i) <-
-                  (if Signal.to_signed aw values.(a) < Signal.to_signed aw values.(b)
-                   then 1
-                   else 0))
-          | Signal.Shl n -> Some (fun () -> values.(i) <- m (values.(a) lsl n))
-          | Signal.Shr n -> Some (fun () -> values.(i) <- values.(a) lsr n)
-          | Signal.Sra n ->
-            Some (fun () -> values.(i) <- m (Signal.to_signed aw values.(a) asr n)))
-        | Signal.Mux (c, x, y) ->
-          let c = idx c and x = idx x and y = idx y in
-          Some
-            (fun () ->
-              values.(i) <- (if values.(c) <> 0 then values.(x) else values.(y)))
-        | Signal.Concat (hi, lo) ->
-          let lw = lo.Signal.width in
-          let hi = idx hi and lo = idx lo in
-          Some (fun () -> values.(i) <- m ((values.(hi) lsl lw) lor values.(lo)))
-        | Signal.Repl (a, n) ->
-          let aw = a.Signal.width in
-          let a = idx a in
-          Some
-            (fun () ->
-              let v = values.(a) in
-              let acc = ref 0 in
-              for _ = 1 to n do
-                acc := (!acc lsl aw) lor v
-              done;
-              values.(i) <- m !acc)
-        | Signal.Select (a, _, lo) ->
-          let a = idx a in
-          Some (fun () -> values.(i) <- m (values.(a) lsr lo))
-        | Signal.Wire r -> (
-          match !r with
-          | Some d ->
-            let d = idx d in
-            Some (fun () -> values.(i) <- values.(d))
-          | None -> invalid_arg "Sim: unassigned wire")
-        | Signal.Ram_read (ram, addr) ->
-          let contents = ram_contents ram.Signal.ram_id in
-          let size = ram.Signal.size in
-          let addr = idx addr in
-          Some
-            (fun () ->
-              let a = values.(addr) in
-              values.(i) <- (if a < size then contents.(a) else 0)))
-  in
-  Array.of_list steps
-
-(* ------------------------------------------------------------------ *)
 
 let create ?(backend = `Tape) ?lanes circuit =
   let lanes =
     match (backend, lanes) with
-    | (`Tape | `Closure), Some _ ->
+    | `Tape, Some _ ->
       invalid_arg "Sim.create: ~lanes requires the `Batch backend"
-    | (`Tape | `Closure), None -> 1
+    | `Tape, None -> 1
     | `Batch, None -> max_lanes
     | `Batch, Some l ->
       if l < 1 || l > max_lanes then
@@ -2305,11 +2217,8 @@ let create ?(backend = `Tape) ?lanes circuit =
      [index_of], and everything below (registers, write ports, outputs)
      must resolve through the redirected table. *)
   let code, folded =
-    match backend with
-    | `Tape | `Batch ->
-      compile_tape nodes ~index_of ~slot_of_input
-        ~ram_slot:(Hashtbl.find ram_slot_of)
-    | `Closure -> ([||], [||])
+    compile_tape nodes ~index_of ~slot_of_input
+      ~ram_slot:(Hashtbl.find ram_slot_of)
   in
   let idx (s : Signal.t) = Hashtbl.find index_of s.Signal.id in
   (* registers *)
@@ -2320,9 +2229,8 @@ let create ?(backend = `Tape) ?lanes circuit =
       | Signal.Reg r -> regs := (i, r) :: !regs
       | _ -> ())
     nodes;
-  let reg_state = Array.of_list (List.rev !regs) in
   let cregs =
-    Array.map
+    List.rev_map
       (fun (i, (r : Signal.reg)) ->
         { self = i;
           d = idx r.Signal.d;
@@ -2330,7 +2238,8 @@ let create ?(backend = `Tape) ?lanes circuit =
           clr = (match r.Signal.clear with Some c -> idx c | None -> -1);
           clear_to = r.Signal.clear_to;
           rinit = r.Signal.init })
-      reg_state
+      !regs
+    |> Array.of_list
   in
   let ram_init_of = Hashtbl.create 8 in
   List.iter
@@ -2379,16 +2288,9 @@ let create ?(backend = `Tape) ?lanes circuit =
       if not (Hashtbl.mem out_slot_of nm) then
         Hashtbl.add out_slot_of nm (idx s, s.Signal.width))
     (Circuit.outputs circuit);
-  let program =
-    match backend with
-    | `Closure ->
-      compile_closures nodes ~idx ~slot_of_input ~values ~input_slots
-        ~ram_contents:(Hashtbl.find ram_state)
-    | `Tape | `Batch -> [||]
-  in
   let batch =
     match backend with
-    | `Tape | `Closure -> None
+    | `Tape -> None
     | `Batch ->
       let widths = Array.make (max 1 n) 1 in
       Array.iteri (fun i s -> widths.(i) <- s.Signal.width) nodes;
@@ -2479,16 +2381,17 @@ let create ?(backend = `Tape) ?lanes circuit =
       broadcast_init ~init_image b;
       Some b
   in
-  { circuit; backend; index_of; values; code; tape_rams; program; cregs;
+  { backend; index_of; values; code; tape_rams; cregs;
     reg_next = Array.make (max 1 (Array.length cregs)) 0;
-    cwports; reg_state; ram_state; writable_inits; ram_init_of;
+    cwports; ram_state; writable_inits; ram_init_of;
     dirty_rams = Hashtbl.create 4;
     input_slots; input_slot_of; out_slot_of; init_image; clock = 0;
     forces = [||]; batch }
 
-(* The compiled programs (tape and closures) read state only through
-   [values], [input_slots] and the ram contents arrays, all of which are
-   restored in place — no recompilation needed. *)
+(* The compiled programs (tape and batch) read state only through
+   [values], [input_slots] and the ram contents arrays (the batch lanes
+   through their own arrays), all of which are restored in place — no
+   recompilation needed. *)
 let reset t =
   Array.blit t.init_image 0 t.values 0 (Array.length t.values);
   (* Read-only rams cannot have drifted from their init image, so only
@@ -2580,8 +2483,6 @@ let set_input_lane t lane name v =
         Bytes.set b.binuni base '\000';
       b.binputs.(base + lane) <- v)
 
-let value t (s : Signal.t) = t.values.(Hashtbl.find t.index_of s.Signal.id)
-
 (* Stuck-at forces target register slots only, which nothing writes
    during the combinational phase in either backend — applying them just
    before settle and just after latch keeps every reader consistent. *)
@@ -2594,19 +2495,11 @@ let apply_forces t =
 
 let settle t =
   apply_forces t;
-  match t.backend with
-  | `Tape -> exec_tape t
-  | `Batch -> (
-    match t.batch with
-    | Some b ->
-      apply_bforces b;
-      exec_batch b
-    | None -> assert false)
-  | `Closure ->
-    let program = t.program in
-    for i = 0 to Array.length program - 1 do
-      (Array.unsafe_get program i) ()
-    done
+  match t.batch with
+  | None -> exec_tape t
+  | Some b ->
+    apply_bforces b;
+    exec_batch b
 
 (* Compiled latch: next states into the preallocated scratch array, ram
    writes, then commit — registers and write ports see pre-edge values. *)
@@ -2638,52 +2531,13 @@ let latch_compiled t =
   done;
   t.clock <- t.clock + 1
 
-(* Reference latch: resolves every operand through the id hash table, as
-   the original interpreter did. *)
-let latch_reference t =
-  let v = value t in
-  let nexts =
-    Array.map
-      (fun (i, (r : Signal.reg)) ->
-        let q = t.values.(i) in
-        let next =
-          match r.Signal.clear with
-          | Some c when v c <> 0 -> r.Signal.clear_to
-          | Some _ | None -> (
-            match r.Signal.enable with
-            | Some e when v e = 0 -> q
-            | Some _ | None -> v r.Signal.d)
-        in
-        (i, next))
-      t.reg_state
-  in
-  List.iter
-    (fun (ram : Signal.ram) ->
-      match ram.Signal.write_port with
-      | None -> ()
-      | Some wp ->
-        if v wp.Signal.we <> 0 then begin
-          let a = v wp.Signal.waddr in
-          if a < ram.Signal.size then begin
-            let contents = Hashtbl.find t.ram_state ram.Signal.ram_id in
-            contents.(a) <- v wp.Signal.wdata
-          end
-        end)
-    (Circuit.rams t.circuit);
-  Array.iter (fun (i, next) -> t.values.(i) <- next) nexts;
-  t.clock <- t.clock + 1
-
 let latch t =
-  (match t.backend with
-  | `Tape -> latch_compiled t
-  | `Batch -> (
-    match t.batch with
-    | Some b ->
-      latch_batch b;
-      t.clock <- t.clock + 1;
-      apply_bforces b
-    | None -> assert false)
-  | `Closure -> latch_reference t);
+  (match t.batch with
+  | None -> latch_compiled t
+  | Some b ->
+    latch_batch b;
+    t.clock <- t.clock + 1;
+    apply_bforces b);
   apply_forces t
 
 let cycle t =
@@ -2711,8 +2565,6 @@ let peek t s =
     match t.batch with
     | None -> t.values.(i)
     | Some b -> read_slot_lane_b b 0 i)
-
-let peek_signed t s = Signal.to_signed s.Signal.width (peek t s)
 
 let slot t (s : Signal.t) = Hashtbl.find_opt t.index_of s.Signal.id
 
@@ -2779,20 +2631,9 @@ let ram_contents_lane t lane (r : Signal.ram) =
 
 let ram_contents t (r : Signal.ram) = ram_contents_lane t 0 r
 
-let ram_cell_lane t lane (r : Signal.ram) addr =
-  check_lane t lane;
-  match t.batch with
-  | None -> (Hashtbl.find t.ram_state r.Signal.ram_id).(addr)
-  | Some b ->
-    let k = Hashtbl.find b.bram_slot_of r.Signal.ram_id in
-    let contents = b.brams.(k) in
-    if b.bruni.(k) then contents.(addr * b.lanes)
-    else contents.((addr * b.lanes) + lane)
-
 (* Resolve the ram slot once and capture the contents array — sound
-   across {!reset}, which refills arrays in place.  The returned closure
-   is the hot-loop form of {!ram_cell_lane}: fault campaigns call it
-   O(lanes × output-cells) times per pass. *)
+   across {!reset}, which refills arrays in place.  Fault campaigns call
+   the returned closure O(lanes × output-cells) times per pass. *)
 let ram_reader t (r : Signal.ram) =
   match t.batch with
   | None ->
@@ -2806,48 +2647,8 @@ let ram_reader t (r : Signal.ram) =
       if b.bruni.(k) then contents.(addr * l)
       else contents.((addr * l) + lane)
 
-let load_ram_lane t lane (r : Signal.ram) data =
-  check_lane t lane;
-  if Array.length data <> r.Signal.size then
-    invalid_arg "Sim.load_ram: size mismatch";
-  match t.batch with
-  | None ->
-    (match r.Signal.write_port with
-    | None -> Hashtbl.replace t.dirty_rams r.Signal.ram_id ()
-    | Some _ -> ());
-    let contents = Hashtbl.find t.ram_state r.Signal.ram_id in
-    Array.iteri
-      (fun i v -> contents.(i) <- Signal.mask_to_width r.Signal.ram_width v)
-      data
-  | Some b ->
-    let k = Hashtbl.find b.bram_slot_of r.Signal.ram_id in
-    mat_ram b k;
-    let contents = b.brams.(k) in
-    Array.iteri
-      (fun a v ->
-        contents.((a * b.lanes) + lane) <-
-          Signal.mask_to_width r.Signal.ram_width v)
-      data
-
-let load_ram t (r : Signal.ram) data =
-  match t.batch with
-  | None -> load_ram_lane t 0 r data
-  | Some b ->
-    if Array.length data <> r.Signal.size then
-      invalid_arg "Sim.load_ram: size mismatch";
-    let k = Hashtbl.find b.bram_slot_of r.Signal.ram_id in
-    let contents = b.brams.(k) in
-    (* every address of every lane is overwritten with one value per
-       address, so the ram comes out uniform whatever it was before *)
-    Array.iteri
-      (fun a v ->
-        contents.(a * b.lanes) <-
-          Signal.mask_to_width r.Signal.ram_width v)
-      data;
-    b.bruni.(k) <- true
-
-(* Prefix load: [data] to addresses 0..len-1, zeros above — [load_ram]
-   without materialising a full-size padded image first.  This is the
+(* Prefix load: [data] to addresses 0..len-1, zeros above — a whole-ram
+   load without materialising a full-size padded image first.  This is the
    configuration fast path for programmable netlists, whose
    envelope-sized memories are mostly tail zeros. *)
 let load_ram_prefix_lane t lane (r : Signal.ram) data =

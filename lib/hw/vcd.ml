@@ -73,13 +73,13 @@ let create ?signals sim circuit =
       named
       @ List.map (fun (n, s) -> (s, Some n)) (Circuit.outputs circuit)
   in
-  (* Dedupe by signal id (backend-independent, so tape and closure runs
-     trace the same list), then resolve each signal through the backend's
-     canonical slot table: under the compiled backend a wire may have been
-     aliased or CSE-merged onto another node's storage, and reading its
+  (* Dedupe by signal id, then resolve each signal through the
+     simulator's canonical slot table: the tape compiler may have aliased
+     or CSE-merged a wire onto another node's storage, and reading its
      resolved slot — not a stale pre-compilation index — is what keeps the
-     dump correct.  Signals absent from the simulated circuit are
-     dropped. *)
+     dump correct (test_obs reads a dump of every node back against the
+     reference interpreter).  Signals absent from the simulated circuit
+     are dropped. *)
   let seen = Hashtbl.create 64 in
   let used = Hashtbl.create 64 in
   let traced =

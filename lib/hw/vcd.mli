@@ -13,7 +13,7 @@ val create : ?signals:Signal.t list -> Sim.t -> Circuit.t -> t
     (mirroring the Verilog namer: non-alphanumerics become ['_'], leading
     digits are prefixed) and colliding labels are uniquified with [_1],
     [_2], … suffixes.  Each traced signal is resolved once through the
-    backend's canonical storage slot ({!Sim.slot}), so wires the tape
+    simulator's canonical storage slot ({!Sim.slot}), so wires the tape
     compiler aliased or CSE-merged dump the correct merged value; signals
     not present in the simulated circuit are silently dropped.  The first
     {!record} emits a full [$dumpvars] snapshot at its timestamp, so
@@ -21,10 +21,8 @@ val create : ?signals:Signal.t list -> Sim.t -> Circuit.t -> t
     @raise Invalid_argument on a [`Batch] simulator (one VCD stream
     cannot represent 62 interleaved trials). *)
 
-val cycle : t -> unit
-(** Advance the simulator one clock cycle, recording changes. *)
-
 val cycles : t -> int -> unit
+(** Advance the simulator [n] clock cycles, recording changes. *)
 
 val contents : t -> string
 (** The VCD document for everything recorded so far. *)

@@ -5,7 +5,6 @@ let v name extent =
   if String.length name = 0 then invalid_arg "Iter.v: empty name";
   { name; extent }
 
-let equal a b = String.equal a.name b.name && a.extent = b.extent
 let pp ppf i = Format.fprintf ppf "%s<%d" i.name i.extent
 
 let index_of iters name =

@@ -11,7 +11,6 @@ val v : string -> int -> t
 (** [v name extent] is an iterator. @raise Invalid_argument if [extent <= 0]
     or [name] is empty. *)
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 val index_of : t list -> string -> int

@@ -27,9 +27,6 @@ let domain_size s =
 
 let tensors s = s.output :: s.inputs
 
-let find_tensor s name =
-  List.find (fun a -> String.equal a.Access.tensor name) (tensors s)
-
 let iter_domain s f =
   let ext = extents s in
   let n = Array.length ext in

@@ -25,9 +25,6 @@ val domain_size : t -> int
 val tensors : t -> Access.t list
 (** Output first, then inputs. *)
 
-val find_tensor : t -> string -> Access.t
-(** @raise Not_found *)
-
 val iter_domain : t -> (int array -> unit) -> unit
 (** Enumerate every iteration point in lexicographic nest order.  The array
     passed to the callback is reused; copy it if retained. *)

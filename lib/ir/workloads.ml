@@ -148,5 +148,3 @@ let all_named () =
     ("Depthwise-Conv", depthwise_conv ~k:256 ~y:28 ~x:28 ~p:3 ~q:3);
     ("MTTKRP", mttkrp ~i:128 ~j:64 ~k:64 ~l:64);
     ("TTMc", ttmc ~i:64 ~j:32 ~k:32 ~l:64 ~m:64) ]
-
-let default_sizes = all_named ()

@@ -41,18 +41,6 @@ val resnet_layer5 : Stmt.t
 (** Conv2D, ResNet-18 conv5_x: 512 ch in/out, 7×7 activations, 3×3 —
     the small [x = y = 7] bounds that hurt PE utilisation in Fig. 5. *)
 
-val resnet18 : unit -> (string * Stmt.t) list
-(** ResNet-18 inference, all 21 weight layers (conv1 ... fc) with
-    per-layer names; 12 unique shapes after dedup. *)
-
-val bert_base : unit -> (string * Stmt.t) list
-(** One BERT-base encoder layer at sequence length 128 as 8 GEMMs
-    (QKV/output projections, attention score/context, FFN up/down);
-    5 unique shapes after dedup. *)
-
-val tiny_net : unit -> (string * Stmt.t) list
-(** Four small layers (one duplicated shape) — the smoke-gate network. *)
-
 val networks : unit -> (string * (string * Stmt.t) list) list
 (** All whole-network tables by name: ["resnet18"], ["bert-base"],
     ["tiny"]. *)
@@ -61,6 +49,3 @@ val all_named : unit -> (string * Stmt.t) list
 (** Evaluation-sized instances of every workload, keyed by the names used in
     Fig. 5 ("GEMM", "Batched-GEMV", "Conv2D-L2", "Conv2D-L5",
     "Depthwise-Conv", "MTTKRP", "TTMc"). *)
-
-val default_sizes : (string * Stmt.t) list
-(** Alias of {!all_named} evaluated once. *)

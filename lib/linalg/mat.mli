@@ -10,7 +10,6 @@ val of_int_rows : int list list -> t
 (** Build from integer entries, one inner list per row.
     @raise Invalid_argument on ragged rows or the empty matrix. *)
 
-val of_rows : Rat.t array array -> t
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Rat.t

@@ -29,7 +29,6 @@ let make num den =
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let add a b =
   make (add_check (mul_check a.num b.den) (mul_check b.num a.den))

@@ -62,22 +62,19 @@ type check = { c_name : string; measured : int; modeled : int }
 
 type validation = {
   v_design : string;
-  v_backend : string;
   v_counters : (string * int) list;  (** every raw counter read-out *)
   v_checks : check list;
   v_ok : bool;
 }
 
-let backend_label = function
-  | `Tape -> "tape"
-  | `Closure -> "closure"
-  | `Batch -> "batch"
-
-(* Compare a finished run's counters against the model.  The caller owns
-   the simulator: it must have completed the full bounded run. *)
-let validate_sim ?(backend = `Tape) (acc : Accel.t) sim =
+(* Run the accelerator to completion on the tape and compare its
+   counters against the model. *)
+let validate (acc : Accel.t) =
   if acc.Accel.counter_ports = [] then
     invalid_arg "Obs.Counters: accelerator generated without ~counters";
+  let sim = Sim.create acc.Accel.circuit in
+  Sim.cycles sim (Accel.planned_cycles acc);
+  Accel.check_done acc sim;
   let counters = Accel.read_counters acc sim in
   let e = expected acc in
   let get name = try List.assoc name counters with Not_found -> -1 in
@@ -103,23 +100,16 @@ let validate_sim ?(backend = `Tape) (acc : Accel.t) sim =
          e.e_reads
   in
   { v_design = acc.Accel.design.Tl_stt.Design.name;
-    v_backend = backend_label backend;
     v_counters = counters;
     v_checks = checks;
     v_ok = List.for_all (fun c -> c.measured = c.modeled) checks }
-
-let validate ?(backend = `Tape) (acc : Accel.t) =
-  let sim = Sim.create ~backend acc.Accel.circuit in
-  Sim.cycles sim (Accel.planned_cycles acc);
-  Accel.check_done acc sim;
-  validate_sim ~backend acc sim
 
 let to_json v =
   let open Tl_store.Json in
   let int n = Num (float_of_int n) in
   Obj
     [ ("design", Str v.v_design);
-      ("backend", Str v.v_backend);
+      ("backend", Str "tape");
       ("ok", Bool v.v_ok);
       ("counters", Obj (List.map (fun (n, x) -> (n, int x)) v.v_counters));
       ("checks",
@@ -133,7 +123,7 @@ let to_json v =
             v.v_checks)) ]
 
 let pp ppf v =
-  Fmt.pf ppf "@[<v>%s (%s) counters %s@," v.v_design v.v_backend
+  Fmt.pf ppf "@[<v>%s (tape) counters %s@," v.v_design
     (if v.v_ok then "OK" else "MISMATCH");
   List.iter
     (fun c ->

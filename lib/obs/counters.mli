@@ -18,32 +18,21 @@ type expected = {
       (** aggregate collector-bank writes: output [per_tensor x passes] *)
 }
 
-val expected : Tl_templates.Accel.t -> expected
-(** Model-side prediction of every cross-checked counter, computed from
-    the model's statistics only (no netlist involved). *)
-
 type check = { c_name : string; measured : int; modeled : int }
 
 type validation = {
   v_design : string;
-  v_backend : string;
   v_counters : (string * int) list;  (** every raw counter read-out *)
   v_checks : check list;
   v_ok : bool;  (** all checks measured = modeled *)
 }
 
-val validate : ?backend:Tl_hw.Sim.backend -> Tl_templates.Accel.t ->
-  validation
-(** Run the accelerator to completion on a fresh simulator and
-    cross-check (default backend: the compiled tape).
+val validate : Tl_templates.Accel.t -> validation
+(** Run the accelerator to completion on a fresh tape simulator and
+    cross-check.  The JSON report's [backend] key reads ["tape"].
     @raise Invalid_argument if the accelerator was generated without
     [~counters],
     @raise Tl_templates.Accel.Simulation_timeout if [done] never rises. *)
-
-val validate_sim : ?backend:Tl_hw.Sim.backend -> Tl_templates.Accel.t ->
-  Tl_hw.Sim.t -> validation
-(** Same cross-check against a caller-owned simulator that has already
-    completed the full bounded run ([backend] only labels the report). *)
 
 val to_json : validation -> Tl_store.Json.t
 

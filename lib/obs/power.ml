@@ -8,7 +8,6 @@ open Tl_templates
 
 type comparison = {
   p_design : string;
-  p_backend : string;
   p_cycles : int;
   probe : Activity.report;
   alpha : Tl_cost.Asic.activity;
@@ -16,13 +15,8 @@ type comparison = {
   measured : Tl_cost.Asic.report;  (* measured activity factors *)
 }
 
-let backend_label = function
-  | `Tape -> "tape"
-  | `Closure -> "closure"
-  | `Batch -> "batch"
-
-let measure ?(backend = `Tape) ?params (acc : Accel.t) =
-  let sim = Sim.create ~backend acc.Accel.circuit in
+let measure ?params (acc : Accel.t) =
+  let sim = Sim.create acc.Accel.circuit in
   let probe = Activity.create sim acc.Accel.circuit in
   Activity.cycles probe (Accel.planned_cycles acc);
   Accel.check_done acc sim;
@@ -42,7 +36,6 @@ let measure ?(backend = `Tape) ?params (acc : Accel.t) =
       alpha_mem = Activity.alpha_mem rep }
   in
   { p_design = acc.Accel.design.Tl_stt.Design.name;
-    p_backend = backend_label backend;
     p_cycles = rep.Activity.cycles;
     probe = rep;
     alpha;
@@ -58,7 +51,7 @@ let to_json c =
   in
   Obj
     [ ("design", Str c.p_design);
-      ("backend", Str c.p_backend);
+      ("backend", Str "tape");
       ("cycles", int c.p_cycles);
       ("probe",
        Obj
@@ -80,9 +73,9 @@ let to_json c =
 
 let pp ppf c =
   Fmt.pf ppf
-    "@[<v>%s (%s): %d cycles@,\
+    "@[<v>%s (tape): %d cycles@,\
      activity: compute=%.3f reg=%.3f mem=%.3f@,\
      power: modeled=%.2f mW, measured=%.2f mW@]"
-    c.p_design c.p_backend c.p_cycles c.alpha.Tl_cost.Asic.alpha_compute
+    c.p_design c.p_cycles c.alpha.Tl_cost.Asic.alpha_compute
     c.alpha.Tl_cost.Asic.alpha_reg c.alpha.Tl_cost.Asic.alpha_mem
     c.modeled.Tl_cost.Asic.power_mw c.measured.Tl_cost.Asic.power_mw

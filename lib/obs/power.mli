@@ -9,7 +9,6 @@
 
 type comparison = {
   p_design : string;
-  p_backend : string;
   p_cycles : int;
   probe : Tl_hw.Activity.report;
   alpha : Tl_cost.Asic.activity;
@@ -20,7 +19,7 @@ type comparison = {
   measured : Tl_cost.Asic.report;  (** scaled by [alpha] *)
 }
 
-val measure : ?backend:Tl_hw.Sim.backend -> ?params:Tl_cost.Asic.params ->
+val measure : ?params:Tl_cost.Asic.params ->
   Tl_templates.Accel.t -> comparison
 (** @raise Tl_templates.Accel.Simulation_timeout if [done] never rises. *)
 

@@ -213,5 +213,3 @@ let mapi ?domains ?label f xs =
     (map_array ?domains ?label
        (fun (i, x) -> f i x)
        (Array.of_list (List.mapi (fun i x -> (i, x)) xs)))
-
-let iter ?domains ?label f xs = ignore (map ?domains ?label f xs)

@@ -19,10 +19,6 @@ val n_domains : unit -> int
 
 val map : ?domains:int -> ?label:string -> ('a -> 'b) -> 'a list -> 'b list
 val mapi : ?domains:int -> ?label:string -> (int -> 'a -> 'b) -> 'a list -> 'b list
-val map_array : ?domains:int -> ?label:string -> ('a -> 'b) -> 'a array -> 'b array
-val iter : ?domains:int -> ?label:string -> ('a -> unit) -> 'a list -> unit
-(** [label] names the pool for the task observer (default ["tl_par"]);
-    it has no effect on scheduling or results. *)
 
 (** {1 Failure isolation}
 
@@ -35,9 +31,6 @@ val iter : ?domains:int -> ?label:string -> ('a -> unit) -> 'a list -> unit
 
 val try_map :
   ?domains:int -> ?label:string -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-
-val try_map_array :
-  ?domains:int -> ?label:string -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 
 val set_task_probe : (label:string -> index:int -> unit) option -> unit
 (** Install (or remove) the global chaos probe, invoked before every

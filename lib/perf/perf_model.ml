@@ -883,14 +883,3 @@ let estimate_program ?(config = default_config) ~rows ~cols
   in
   { pe_name = p.Tl_templates.Layout.p_name; pe_cycles; pe_macs;
     pe_utilization; pe_program_words; pe_runtime_us; pe_gops }
-
-let pp_program_estimate fmt e =
-  Format.fprintf fmt
-    "@[<v>program %s:@;\
-     <1 2>cycles      : %d@;\
-     <1 2>macs        : %d@;\
-     <1 2>utilization : %.3f@;\
-     <1 2>prog words  : %d@;\
-     <1 2>runtime     : %.2f us (%.1f GOPS)@]"
-    e.pe_name e.pe_cycles e.pe_macs e.pe_utilization e.pe_program_words
-    e.pe_runtime_us e.pe_gops

@@ -157,5 +157,3 @@ val estimate_program : ?config:config -> rows:int -> cols:int ->
 (** Exact performance of [program] on a [rows]×[cols] programmable array
     (only [config.freq_mhz] is read — a loaded program is never
     bandwidth-throttled, its feeders replay from on-array memories). *)
-
-val pp_program_estimate : Format.formatter -> program_estimate -> unit

@@ -36,7 +36,6 @@ val check : t -> unit
 (** {!expired}, raising {!Expired} when the budget is gone. *)
 
 val is_unlimited : t -> bool
-val label : t -> string
 
 val remaining_s : t -> float
 (** Seconds left on a deadline, units left on a check budget,

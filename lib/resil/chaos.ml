@@ -36,7 +36,6 @@ let injected_ctr = Atomic.make 0
 
 let injected () = Atomic.get injected_ctr
 let reset_injected () = Atomic.set injected_ctr 0
-let armed () = Atomic.get armed_state <> None
 
 (* Pure fire/choose function, exposed so harnesses can pick seeds that
    hit (or spare) specific task indices. *)

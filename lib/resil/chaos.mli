@@ -33,8 +33,6 @@ val arm : config -> unit
 val disarm : unit -> unit
 (** Remove the plan and the {!Tl_par} task probe. *)
 
-val armed : unit -> bool
-
 val injected : unit -> int
 (** Faults fired since the last {!reset_injected} — cumulative across
     arm/disarm cycles so a multi-phase campaign can total its weather. *)

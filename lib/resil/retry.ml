@@ -33,8 +33,6 @@ let default =
     retry_on = transient;
   }
 
-let no_retry = { default with attempts = 1 }
-
 let retries_ctr = Atomic.make 0
 let giveups_ctr = Atomic.make 0
 

@@ -14,15 +14,10 @@ type policy = {
   retry_on : exn -> bool;  (** which exceptions are transient *)
 }
 
-val transient : exn -> bool
-(** [Sys_error] and [Unix.Unix_error] — the exceptions disk and network
-    weather raises, as opposed to logic bugs. *)
-
 val default : policy
 (** 3 attempts, 1 ms base delay x4 per attempt, 50 % jitter,
-    [Unix.sleepf], retrying {!transient} exceptions. *)
-
-val no_retry : policy
+    [Unix.sleepf], retrying the transient exceptions disk and network
+    weather raise ([Sys_error], [Unix.Unix_error]), not logic bugs. *)
 
 val with_retry : ?policy:policy -> ?seed:int -> label:string -> (unit -> 'a) -> 'a
 (** Run [f], re-attempting transient failures up to [policy.attempts]

@@ -21,7 +21,6 @@ val member : string -> t -> t option
 (** Object field lookup; [None] for non-objects and missing keys. *)
 
 val string_opt : t -> string option
-val number_opt : t -> float option
 val int_opt : t -> int option
 
 val mem_string : t -> string -> string option

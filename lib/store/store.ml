@@ -242,8 +242,6 @@ let open_store ?max_entries ?(retry = Tl_resil.Retry.default) ?root () =
       Atomic.set st.evictions 0);
   st
 
-let root st = st.root
-
 let find st key =
   let result =
     match st.root with
@@ -334,13 +332,6 @@ let stats st =
       | Some _ -> Hashtbl.length st.index);
     evictions = Atomic.get st.evictions;
   }
-
-let reset_counters st =
-  Atomic.set st.hits 0;
-  Atomic.set st.misses 0;
-  Atomic.set st.evictions 0;
-  Atomic.set st.degraded_reads 0;
-  Atomic.set st.dropped_writes 0
 
 let io_failures st =
   (Atomic.get st.degraded_reads, Atomic.get st.dropped_writes)

@@ -33,8 +33,6 @@ val open_store :
     tempfiles are fsynced before the atomic rename, so a crash cannot
     surface a renamed-but-torn entry. *)
 
-val root : t -> string option
-
 val find : t -> string -> string option
 (** Look up a key.  On disk the entry file is probed directly, so
     entries written by other processes since {!open_store} are found.
@@ -50,12 +48,11 @@ val find_or_add : t -> string -> (unit -> string) -> string
 (** [find] then, on a miss, compute + [put] + return. *)
 
 val stats : t -> Tl_par.Cache.stats
-val reset_counters : t -> unit
 
 val io_failures : t -> int * int
 (** [(degraded_reads, dropped_writes)]: transient I/O failures that
     exhausted their retries and were absorbed (miss / dropped put)
-    rather than raised.  Reset by {!reset_counters}. *)
+    rather than raised, counted since {!open_store}. *)
 
 val digest_hex : string -> string
 (** MD5 hex digest — the entry-file naming function, exposed so tests

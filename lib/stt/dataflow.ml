@@ -26,8 +26,6 @@ let subspace_dim = function
   | Reuse2d _ -> 2
   | Reuse_full -> 3
 
-let equal (a : t) (b : t) = a = b
-
 (* Rendering goes through [Buffer] rather than [Format]: dataflow strings
    are the unit of work of signature canonicalisation (8 renders per
    enumerated design), and [Format.asprintf] is an order of magnitude

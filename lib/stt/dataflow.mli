@@ -40,7 +40,6 @@ val letter : t -> char
     reduction tree), U (unicast), B (2-D or full reuse). *)
 
 val subspace_dim : t -> int
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_vector : Format.formatter -> vector -> unit
 val to_string : t -> string

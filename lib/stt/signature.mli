@@ -9,18 +9,8 @@ type sym = { swap : bool; sr : int; sc : int }
 (** A dihedral-group element acting on array coordinates:
     [new_r = sr * (swap ? c : r)], [new_c = sc * (swap ? r : c)]. *)
 
-val identity : sym
-
 val d4 : sym list
-(** All eight symmetries of the square array; [identity] first. *)
-
-val axis_syms : sym list
-(** The subgroup with [swap = false] — the symmetries of a rectangular
-    array (row/col axes preserved). *)
-
-val map_vec : sym -> int array -> int array
-(** Transform a length-2 direction vector.  Returns the argument itself
-    (physically) under {!identity}. *)
+(** All eight symmetries of the square array; the identity first. *)
 
 val map_dataflow : sym -> Dataflow.t -> Dataflow.t
 (** Transform every direction vector inside a dataflow. *)
@@ -30,11 +20,9 @@ val signature : Design.t -> string
     {!d4} of [selection_label ^ "|" ^ tensor:dataflow ^ ...].  Identical
     strings to the historical [Enumerate.signature]. *)
 
-val signature_under : sym list -> Design.t -> string
-(** {!signature} restricted to a given symmetry group. *)
 
 val identity_signature : Design.t -> string
-(** One render with {!identity} only.  Equal identity signatures imply
+(** One render with the identity only.  Equal identity signatures imply
     equal canonical signatures, so this is a sound (and ~8x cheaper) key
     where canonical equality is not needed. *)
 
@@ -58,4 +46,5 @@ val eval_key : square:bool -> Design.t -> string
 (** Memoisation key for performance/cost evaluation: statement fingerprint,
     selection, and the (STT matrix, dataflows) pair canonicalised under the
     symmetries that leave evaluation invariant — full {!d4} when [square],
-    {!axis_syms} otherwise, and no symmetry at all for non-2-D arrays. *)
+    the four that keep the row and column axes otherwise, and no symmetry
+    at all for non-2-D arrays. *)

@@ -29,7 +29,6 @@ val by_names : Tl_ir.Stmt.t -> string list -> matrix:int list list -> t
 val space_dims : t -> int
 (** Number of space rows (array dimensionality); [n - 1]. *)
 
-val selected_iters : t -> Tl_ir.Iter.t list
 val selected_extents : t -> int array
 val unselected_iters : t -> Tl_ir.Iter.t list
 

@@ -663,14 +663,7 @@ let golden_cells (t : t) golden =
       (bank, addr, Tl_ir.Dense.get golden (Array.of_list idx)) :: acc)
     t.out_locs []
 
-let output_equal_lane t sim lane cells =
-  List.for_all
-    (fun ((bank : Signal.ram), addr, expect) ->
-      Signal.to_signed t.acc_width (Sim.ram_cell_lane sim lane bank addr)
-      = expect)
-    cells
-
-(* Pre-resolved form of [output_equal_lane], bound to one simulator:
+(* "Lane output = golden" over those triples, bound to one simulator:
    bank slots are looked up once, so the per-lane check is just array
    reads and compares. *)
 let output_checker (t : t) sim cells =
@@ -699,7 +692,7 @@ let check_done t sim =
      per-trial semantics a scalar loop over the same trials would have *)
   let all_done =
     match Sim.backend sim with
-    | `Tape | `Closure -> Sim.output sim "done" = 1
+    | `Tape -> Sim.output sim "done" = 1
     | `Batch ->
       let l = Sim.lanes sim in
       let full = if l >= Sim.max_lanes then max_int else (1 lsl l) - 1 in

@@ -210,9 +210,6 @@ val read_program_output : t -> Tl_hw.Sim.t -> Layout.program -> Tl_ir.Dense.t
 (** Reassemble a program's output tensor from a live simulator (no
     cycling, no [done] check) — {!read_output} for programmed runs. *)
 
-val load_env_lane : t -> Tl_hw.Sim.t -> int -> Tl_ir.Exec.env -> unit
-(** Lane-targeted {!load_env} for [`Batch] simulators. *)
-
 val check_done : t -> Tl_hw.Sim.t -> unit
 (** @raise Simulation_timeout if the [done] output is not asserted — on
     a [`Batch] simulator, if {e any} lane's [done] is not asserted. *)
@@ -227,19 +224,16 @@ val read_output_lane : t -> Tl_hw.Sim.t -> int -> Tl_ir.Dense.t
 val golden_cells :
   t -> Tl_ir.Dense.t -> (Tl_hw.Signal.ram * int * int) list
 (** Flatten a golden output tensor into raw (bank, addr, expected-value)
-    triples, precomputed once per campaign so {!output_equal_lane} can
+    triples, precomputed once per campaign so {!output_checker} can
     test a lane without allocating. *)
-
-val output_equal_lane :
-  t -> Tl_hw.Sim.t -> int -> (Tl_hw.Signal.ram * int * int) list -> bool
-(** Does lane [l]'s output equal the golden flattened by {!golden_cells}?
-    Allocation-free equivalent of
-    [Tl_ir.Dense.equal (read_output_lane t sim l) golden]. *)
 
 val output_checker :
   t -> Tl_hw.Sim.t -> (Tl_hw.Signal.ram * int * int) list -> int -> bool
-(** {!output_equal_lane} with the bank slots pre-resolved against one
-    simulator; build it once per simulator, then call it per lane. *)
+(** Does lane [l]'s output equal the golden flattened by {!golden_cells}?
+    Allocation-free equivalent of
+    [Tl_ir.Dense.equal (read_output_lane t sim l) golden], with the bank
+    slots pre-resolved against one simulator; build it once per
+    simulator, then call it per lane. *)
 
 val verilog : t -> string
 

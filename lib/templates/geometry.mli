@@ -8,11 +8,8 @@ type pos = int * int
 
 val in_grid : rows:int -> cols:int -> pos -> bool
 
-val step : pos -> int array -> pos
-(** [step p d] is [p + d]. *)
-
 val back : pos -> int array -> pos
-(** [step p (-d)]. *)
+(** [back p d] is [p - d]. *)
 
 val line_rep : rows:int -> cols:int -> dir:int array -> pos -> pos
 (** Canonical representative of the line through [p] along [dir]: the

@@ -25,8 +25,6 @@ type applied = {
   parity_pairs : (Signal.ram * Signal.ram) list;
 }
 
-let no_hardening = { config = none; tmr_regs = []; parity_pairs = [] }
-
 let vote a b c = Signal.(a &: b |: (a &: c) |: (b &: c))
 
 let tmr_reg ~name ?enable ?clear ?clear_to ?init d =

@@ -42,11 +42,6 @@ type applied = {
           sweep these after a run to catch corrupted write-once cells *)
 }
 
-val no_hardening : applied
-
-val vote : Tl_hw.Signal.t -> Tl_hw.Signal.t -> Tl_hw.Signal.t -> Tl_hw.Signal.t
-(** Bitwise 2-of-3 majority. *)
-
 val tmr_reg :
   name:string ->
   ?enable:Tl_hw.Signal.t ->

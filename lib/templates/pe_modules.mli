@@ -7,9 +7,6 @@
 
 open Tl_hw
 
-val delay : int -> Signal.t -> Signal.t
-(** [delay n s]: [n] registers in series ([n = 0] is the identity). *)
-
 val systolic_input : dt:int -> din:Signal.t -> Signal.t * Signal.t
 (** Fig. 3 (a): tensor data enters, is used combinationally by the cell this
     cycle and leaves for the neighbouring PE after [dt] cycles.

@@ -9,9 +9,11 @@
    signature and then on the canonical (D4) signature.  [matching_designs] is the per-candidate name lookup
    that [Search.matching_designs] replaced.  [tile_statistics] and
    [evaluate_reference], at the end, are the perf model's materialised
-   statistics and exhaustive tile search. *)
+   statistics and exhaustive tile search.  [Refsim] is the reference
+   interpreter the simulator is checked against. *)
 
 open Tensorlib
+module Refsim = Refsim
 
 let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
     ?domains stmt =

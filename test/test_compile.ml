@@ -49,8 +49,9 @@ let test_programmable_matches_rom () =
 
 (* the tentpole scenario: ONE programmable 4x4 netlist serves three
    distinct GEMM shapes, each bit-identical to the golden executor AND
-   to a freshly generated per-shape ROM accelerator, on both scalar
-   backends *)
+   to a freshly generated per-shape ROM accelerator, and the reference
+   interpreter, started from the loaded memories, ends in the tape's
+   state *)
 let test_one_netlist_three_shapes () =
   let target, _ = programmable (Workloads.gemm ~m:4 ~n:4 ~k:4) "MNK-SST" in
   let sim = Sim.create target.Accel.circuit in
@@ -70,17 +71,17 @@ let test_one_netlist_three_shapes () =
         Accel.execute (Accel.generate ~rows:4 ~cols:4 design env)
       in
       let got_tape = Accel.execute_program ~sim target program env in
-      let got_closure =
-        Accel.execute_program ~backend:`Closure target program env
-      in
+      let reloaded = Sim.create target.Accel.circuit in
+      Accel.load_program target reloaded program env;
       Alcotest.(check bool)
         (Printf.sprintf "k=%d tape = golden" k)
         true
         (Dense.equal got_tape golden);
-      Alcotest.(check bool)
-        (Printf.sprintf "k=%d closure = golden" k)
-        true
-        (Dense.equal got_closure golden);
+      Alcotest.(check (list string))
+        (Printf.sprintf "k=%d reference = tape" k)
+        []
+        (Oracle.Refsim.run_against target.Accel.circuit reloaded
+           (program.Layout.p_total + 1));
       Alcotest.(check bool)
         (Printf.sprintf "k=%d programmed = per-shape ROM" k)
         true
@@ -518,13 +519,28 @@ let test_cli_backend_suggestions () =
   Alcotest.(check bool)
     "TAPE suggests canonical tape" true
     (contains err "did you mean \"tape\"");
-  let rc, _, err =
-    run_cli "simulate -w gemm-small -d MNK-SST --backend Closur"
-  in
+  let rc, _, err = run_cli "simulate -w gemm-small -d MNK-SST --backend Batc" in
   Alcotest.(check int) "typo exits 2" 2 rc;
   Alcotest.(check bool)
-    "Closur suggests closure" true
-    (contains err "did you mean \"closure\"");
+    "Batc suggests batch" true
+    (contains err "did you mean \"batch\"");
+  (* "closure" names no backend: a validation error listing the valid
+     ones *)
+  List.iter
+    (fun (cmd, valid) ->
+      let rc, _, err = run_cli (cmd ^ " --backend closure") in
+      Alcotest.(check int) (cmd ^ ": closure exits 2") 2 rc;
+      Alcotest.(check bool)
+        (cmd ^ ": lists the valid backends") true
+        (contains err ("valid: " ^ valid)))
+    [ ("simulate -w gemm-small -d MNK-SST", "tape, batch");
+      ("fault -w gemm-small -d MNK-SST --trials 1", "tape, batch");
+      ("profile -w gemm-small -d MNK-SST --rows 4 --cols 4", "tape");
+      ("compile -w gemm-small -d MNK-SST --rows 4 --cols 4", "tape") ];
+  let rc, _, _ =
+    run_cli "profile -w gemm-small -d MNK-SST --rows 4 --cols 4 --backend tape"
+  in
+  Alcotest.(check int) "profile still accepts --backend tape" 0 rc;
   let rc, _, err = run_cli "simulate -w gemm-small -d MNK-SST --backend '   '" in
   Alcotest.(check int) "whitespace backend exits 2" 2 rc;
   Alcotest.(check bool)

@@ -1,7 +1,7 @@
 (* Fault-injection subsystem: zero-fault transparency of the hardened
-   variants, campaign determinism and total classification, the tape /
-   closure differential oracle under injection, ABFT checksum coverage,
-   TMR masking, and the cycle watchdog. *)
+   variants, campaign determinism and total classification, the tape
+   against the reference interpreter under injection, ABFT checksum
+   coverage, TMR masking, and the cycle watchdog. *)
 
 open Tensorlib
 
@@ -29,13 +29,15 @@ let test_zero_fault_golden () =
       List.iter
         (fun harden ->
           let acc, golden = gen ~harden stmt dname in
-          List.iter
-            (fun backend ->
-              check
-                (Printf.sprintf "%s/%s zero-fault matches golden" dname
-                   (Harden.label harden))
-                (Dense.equal golden (Accel.execute ~backend acc)))
-            [ `Tape; `Closure ])
+          let label = dname ^ "/" ^ Harden.label harden in
+          check (label ^ " zero-fault matches golden")
+            (Dense.equal golden (Accel.execute acc));
+          Alcotest.(check (list string))
+            (label ^ " reference = tape")
+            []
+            (Oracle.Refsim.run_against acc.Accel.circuit
+               (Sim.create acc.Accel.circuit)
+               (Accel.planned_cycles acc)))
         [ Harden.none; Harden.full ])
     cases
 
@@ -79,16 +81,51 @@ let test_campaign_deterministic () =
     = r1.Campaign.trials);
   check "trial count as configured" (r1.Campaign.trials = 300)
 
+(* Every fault of a 150-trial plan, run on one reused tape simulator
+   through [Fault.install]/[Fault.trigger] and on a fresh reference
+   interpreter that applies the fault through its own hooks: both must
+   end in the same rams, registers and outputs. *)
 let test_backend_differential () =
-  let acc, golden = gen ~rows:4 ~cols:4 (small_gemm ()) "MNK-SST" in
-  let base = { Campaign.default_config with trials = 150 } in
-  let rt = Campaign.run ~config:{ base with backend = `Tape } ~golden acc in
-  let rc =
-    Campaign.run ~config:{ base with backend = `Closure } ~golden acc
+  let acc, _ = gen ~rows:4 ~cols:4 (small_gemm ()) "MNK-SST" in
+  let circuit = acc.Accel.circuit in
+  let planned = Accel.planned_cycles acc in
+  let faults =
+    Fault.plan ~seed:Campaign.default_config.Campaign.seed ~trials:150
+      ~cycles:planned (Fault.table circuit)
   in
-  check "tape and closure classify every fault identically"
-    (List.map trial_sig rt.Campaign.results
-    = List.map trial_sig rc.Campaign.results)
+  let sim = Sim.create circuit in
+  let strike r = function
+    | Fault.Flip_reg { reg; bit; _ } ->
+      Oracle.Refsim.poke r reg (Oracle.Refsim.peek r reg lxor (1 lsl bit))
+    | Fault.Flip_mem { ram; addr; bit; _ } ->
+      Oracle.Refsim.poke_ram r ram addr
+        ((Oracle.Refsim.ram_contents r ram).(addr) lxor (1 lsl bit))
+    | Fault.Stuck_reg _ -> ()
+  in
+  List.iter
+    (fun fault ->
+      Sim.reset sim;
+      Fault.install sim fault;
+      let r = Oracle.Refsim.create circuit in
+      (match fault with
+      | Fault.Stuck_reg { reg; bit; value; _ } ->
+        if value = 0 then
+          Oracle.Refsim.force r reg ~and_mask:(lnot (1 lsl bit)) ~or_mask:0
+        else Oracle.Refsim.force r reg ~and_mask:(-1) ~or_mask:(1 lsl bit)
+      | Fault.Flip_reg _ | Fault.Flip_mem _ -> ());
+      for c = 0 to planned - 1 do
+        if Fault.trigger_cycle fault = Some c then begin
+          Fault.trigger sim fault;
+          strike r fault
+        end;
+        Sim.cycle sim;
+        Oracle.Refsim.cycle r
+      done;
+      Alcotest.(check (list string))
+        (Fault.fault_label fault ^ ": reference = tape")
+        []
+        (Oracle.Refsim.differences r sim))
+    faults
 
 (* The bit-sliced backend runs the same plan 62 trials per pass; every
    trial must classify exactly as the scalar tape did.  This exercises
@@ -345,7 +382,7 @@ let suite =
     Alcotest.test_case "hardened interface" `Quick test_hardened_interface;
     Alcotest.test_case "campaign determinism + classification" `Quick
       test_campaign_deterministic;
-    Alcotest.test_case "tape/closure differential under faults" `Quick
+    Alcotest.test_case "tape vs reference under faults" `Quick
       test_backend_differential;
     Alcotest.test_case "batch campaign = scalar campaign" `Quick
       test_batch_campaign_differential;

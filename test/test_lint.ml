@@ -470,6 +470,29 @@ let test_fuzz_oracle_smoke () =
   if Sys.file_exists exe then
     Alcotest.(check int) "no oracle violations" 0 (cli exe [ "200"; "7" ])
 
+(* A malformed iteration count or seed, or a count below 1 (which would
+   check nothing), is a usage error: one line on stderr, exit 2. *)
+let test_fuzz_usage () =
+  let exe = "../bin/fuzz.exe" in
+  if Sys.file_exists exe then
+    List.iter
+      (fun args ->
+        let err = Filename.temp_file "fuzz" ".err" in
+        let rc =
+          Sys.command
+            (Filename.quote_command exe args ^ " < /dev/null > /dev/null 2> "
+            ^ Filename.quote err)
+        in
+        let msg = In_channel.with_open_bin err In_channel.input_all in
+        Sys.remove err;
+        let what = String.concat " " args in
+        Alcotest.(check int) (what ^ " exits 2") 2 rc;
+        Alcotest.(check bool)
+          (what ^ " prints the usage line") true
+          (String.length msg > 6 && String.sub msg 0 6 = "usage:"))
+      [ [ "many" ]; [ "10"; "seven" ]; [ "0" ]; [ "-4"; "7" ];
+        [ "1"; "2"; "3" ] ]
+
 let suite =
   [ Alcotest.test_case "finding severity defaults" `Quick test_finding_defaults;
     Alcotest.test_case "finding suppress + count" `Quick
@@ -505,4 +528,5 @@ let suite =
     Alcotest.test_case "small workloads lint clean" `Slow
       test_small_workloads_lint_clean;
     Alcotest.test_case "cli exit codes" `Slow test_cli_exit_codes;
-    Alcotest.test_case "fuzz oracle smoke" `Slow test_fuzz_oracle_smoke ]
+    Alcotest.test_case "fuzz oracle smoke" `Slow test_fuzz_oracle_smoke;
+    Alcotest.test_case "fuzz usage errors exit 2" `Quick test_fuzz_usage ]

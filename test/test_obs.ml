@@ -1,9 +1,11 @@
 (* Observability subsystem: hardware counter read-outs vs the analytic
-   model on the tier-1 workloads (both backends), bit-identity of
-   counters-off netlists, composition with hardening and fault injection,
-   the VCD waveform bugfixes (time-0 $dumpvars, sanitizer/uniquifier,
-   tape-vs-closure differential), the activity probe, measured-activity
-   power scaling, and the Tl_par pool observer. *)
+   model on the tier-1 workloads (the tape, with the reference
+   interpreter reading the same ports), bit-identity of counters-off
+   netlists, composition with hardening and fault injection, the VCD
+   waveform bugfixes (time-0 $dumpvars, sanitizer/uniquifier, the tape's
+   dump read back against the reference interpreter), the activity probe
+   against counts taken on the reference, measured-activity power
+   scaling, and the Tl_par pool observer. *)
 
 open Tensorlib
 
@@ -27,18 +29,19 @@ let test_counters_match_model () =
   List.iter
     (fun (stmt, dname) ->
       let acc = gen ~counters:true stmt dname in
-      List.iter
-        (fun backend ->
-          let v = Obs.Counters.validate ~backend acc in
-          check
-            (Printf.sprintf "%s/%s all counters = model" dname
-               v.Obs.Counters.v_backend)
-            v.Obs.Counters.v_ok;
-          check
-            (Printf.sprintf "%s cross-checks cover cycles, MACs, reads, \
-                             writes" dname)
-            (List.length v.Obs.Counters.v_checks >= 4))
-        [ `Tape; `Closure ])
+      let v = Obs.Counters.validate acc in
+      check (dname ^ " all counters = model") v.Obs.Counters.v_ok;
+      check
+        (Printf.sprintf "%s cross-checks cover cycles, MACs, reads, writes"
+           dname)
+        (List.length v.Obs.Counters.v_checks >= 4);
+      (* the counter ports are outputs: the reference reads the same *)
+      Alcotest.(check (list string))
+        (dname ^ " reference = tape, counter ports included")
+        []
+        (Oracle.Refsim.run_against acc.Accel.circuit
+           (Sim.create acc.Accel.circuit)
+           (Accel.planned_cycles acc)))
     cases
 
 (* A dataflow from each reuse class beyond the four tier-1 designs:
@@ -196,23 +199,74 @@ let test_vcd_sanitize_and_uniquify () =
             | _ -> Alcotest.fail (Printf.sprintf "illegal char in %S" line))
           line)
 
-(* ---------------- VCD: tape vs closure differential --------------- *)
+(* ---------------- VCD: the tape's dump vs the reference ---------- *)
 
+(* Every $var's value at each timestamp [0 .. cycles - 1] of a VCD
+   document, vars in declaration order. *)
+let vcd_values text ~cycles =
+  let lines = String.split_on_char '\n' text in
+  let code = Hashtbl.create 64 in
+  List.iter
+    (fun l ->
+      match String.split_on_char ' ' l with
+      | [ "$var"; "wire"; _; c; _; "$end" ] ->
+        Hashtbl.replace code c (Hashtbl.length code)
+      | _ -> ())
+    lines;
+  let current = Array.make (Hashtbl.length code) (-1) in
+  let rows = Array.make cycles [||] in
+  let time = ref (-1) in
+  let advance upto =
+    for t = max 0 !time to min (cycles - 1) (upto - 1) do
+      rows.(t) <- Array.copy current
+    done;
+    time := upto
+  in
+  let bits s = String.fold_left (fun v ch -> (2 * v) + Char.code ch - 48) 0 s in
+  List.iter
+    (fun l ->
+      if l <> "" then
+        match (l.[0], String.index_opt l ' ') with
+        | '#', _ ->
+          advance (int_of_string (String.sub l 1 (String.length l - 1)))
+        | 'b', Some sp ->
+          let c = String.sub l (sp + 1) (String.length l - sp - 1) in
+          current.(Hashtbl.find code c) <- bits (String.sub l 1 (sp - 1))
+        | ('0' | '1'), None ->
+          let c = String.sub l 1 (String.length l - 1) in
+          current.(Hashtbl.find code c) <- bits (String.make 1 l.[0])
+        | _ -> ())
+    lines;
+  advance cycles;
+  rows
+
+(* Trace every node of the circuit, so wires the tape compiler aliased or
+   CSE-merged are in the dump: read back, each must carry the value the
+   reference interpreter computes for it, cycle by cycle. *)
 let test_vcd_backend_differential () =
   let stmt = Workloads.gemm ~m:2 ~n:2 ~k:2 in
   let design = Search.find_design_exn stmt "MNK-SST" in
   let env = Exec.alloc_inputs stmt in
   let acc = Accel.generate ~rows:2 ~cols:2 design env in
-  let dump backend =
-    let sim = Sim.create ~backend acc.Accel.circuit in
-    let vcd = Vcd.create sim acc.Accel.circuit in
-    Vcd.cycles vcd acc.Accel.total_cycles;
-    Vcd.contents vcd
-  in
-  (* the tape compiler aliases and CSE-merges wires; resolving traces
-     through canonical slots must make the dumps textually identical *)
-  Alcotest.(check string) "identical VCD text on both backends"
-    (dump `Closure) (dump `Tape)
+  let circuit = acc.Accel.circuit in
+  let nodes = Circuit.nodes circuit in
+  let cycles = acc.Accel.total_cycles in
+  let sim = Sim.create circuit in
+  let vcd = Vcd.create ~signals:(Array.to_list nodes) sim circuit in
+  Vcd.cycles vcd cycles;
+  let dumped = vcd_values (Vcd.contents vcd) ~cycles in
+  let reference = Oracle.Refsim.create circuit in
+  for t = 0 to cycles - 1 do
+    Oracle.Refsim.settle reference;
+    Array.iteri
+      (fun i (s : Signal.t) ->
+        let want = Oracle.Refsim.peek reference s in
+        if dumped.(t).(i) <> want then
+          Alcotest.failf "cycle %d: %s dumped as %d, reference %d" t
+            (Signal.blame s) dumped.(t).(i) want)
+      nodes;
+    Oracle.Refsim.latch reference
+  done
 
 let test_vcd_counter_ports_traced () =
   let acc = gen ~counters:true (Workloads.gemm ~m:2 ~n:2 ~k:2) "MNK-SST"
@@ -225,6 +279,58 @@ let test_vcd_counter_ports_traced () =
 
 (* ---------------- activity probe ---------------------------------- *)
 
+(* The probe's three counts over [n] cycles, taken on the reference
+   interpreter: register toggles across each latch edge, read-address
+   changes per read port (the first cycle counts), and cycles whose write
+   is committed (enable high, address in range). *)
+let reference_activity circuit n =
+  let r = Oracle.Refsim.create circuit in
+  let peek = Oracle.Refsim.peek r in
+  let nodes = Array.to_list (Circuit.nodes circuit) in
+  let regs =
+    List.filter
+      (fun (s : Signal.t) ->
+        match s.Signal.node with Signal.Reg _ -> true | _ -> false)
+      nodes
+  in
+  let read_addrs =
+    List.filter_map
+      (fun (s : Signal.t) ->
+        match s.Signal.node with
+        | Signal.Ram_read (_, a) -> Some (a, ref None)
+        | _ -> None)
+      nodes
+  in
+  let popcount v =
+    let rec go v n = if v = 0 then n else go (v lsr 1) (n + (v land 1)) in
+    go v 0
+  in
+  let toggles = ref 0 and reads = ref 0 and writes = ref 0 in
+  for _ = 1 to n do
+    Oracle.Refsim.settle r;
+    List.iter
+      (fun (a, prev) ->
+        let v = peek a in
+        if !prev <> Some v then incr reads;
+        prev := Some v)
+      read_addrs;
+    List.iter
+      (fun (ram : Signal.ram) ->
+        match ram.Signal.write_port with
+        | Some wp
+          when peek wp.Signal.we <> 0 && peek wp.Signal.waddr < ram.Signal.size
+          ->
+          incr writes
+        | _ -> ())
+      (Circuit.rams circuit);
+    let before = List.map peek regs in
+    Oracle.Refsim.latch r;
+    List.iter2
+      (fun s q -> toggles := !toggles + popcount (q lxor peek s))
+      regs before
+  done;
+  (!toggles, !reads, !writes)
+
 let test_activity_probe_known_toggles () =
   let open Signal in
   (* 1-bit oscillator: exactly one toggle per cycle *)
@@ -232,40 +338,30 @@ let test_activity_probe_known_toggles () =
   let q = reg w -- "osc" in
   assign w (not_ q);
   let c = Circuit.create ~name:"act" ~outputs:[ ("q", q) ] in
-  let run backend =
-    let sim = Sim.create ~backend c in
-    let probe = Activity.create sim c in
-    Activity.cycles probe 10;
-    Activity.report probe
-  in
-  let rt = run `Tape and rc = run `Closure in
-  List.iter
-    (fun (tag, (r : Activity.report)) ->
-      Alcotest.(check int) (tag ^ " cycles") 10 r.Activity.cycles;
-      Alcotest.(check int) (tag ^ " toggles") 10 r.Activity.reg_toggles;
-      check (tag ^ " alpha_reg = 1")
-        (abs_float (Activity.alpha_reg r -. 1.0) < 1e-9))
-    [ ("tape", rt); ("closure", rc) ];
-  Alcotest.(check int) "backends agree on toggles" rt.Activity.reg_toggles
-    rc.Activity.reg_toggles
+  let probe = Activity.create (Sim.create c) c in
+  Activity.cycles probe 10;
+  let r = Activity.report probe in
+  Alcotest.(check int) "cycles" 10 r.Activity.cycles;
+  Alcotest.(check int) "toggles" 10 r.Activity.reg_toggles;
+  check "alpha_reg = 1" (abs_float (Activity.alpha_reg r -. 1.0) < 1e-9);
+  let toggles, _, _ = reference_activity c 10 in
+  Alcotest.(check int) "reference counts the same toggles" toggles
+    r.Activity.reg_toggles
 
 let test_activity_probe_accelerator () =
   let acc = gen (Workloads.gemm ~m:4 ~n:4 ~k:4) "MNK-SST" in
-  let run backend =
-    let sim = Sim.create ~backend acc.Accel.circuit in
-    let probe = Activity.create sim acc.Accel.circuit in
-    Activity.cycles probe (Accel.planned_cycles acc);
-    Accel.check_done acc sim;
-    Activity.report probe
-  in
-  let rt = run `Tape and rc = run `Closure in
+  let n = Accel.planned_cycles acc in
+  let sim = Sim.create acc.Accel.circuit in
+  let probe = Activity.create sim acc.Accel.circuit in
+  Activity.cycles probe n;
+  Accel.check_done acc sim;
+  let rt = Activity.report probe in
   check "some register toggled" (rt.Activity.reg_toggles > 0);
   check "writes observed = 16 outputs" (rt.Activity.ram_writes = 16);
-  Alcotest.(check int) "backends agree on reg toggles"
-    rt.Activity.reg_toggles rc.Activity.reg_toggles;
-  Alcotest.(check int) "backends agree on ram accesses"
-    (rt.Activity.ram_reads + rt.Activity.ram_writes)
-    (rc.Activity.ram_reads + rc.Activity.ram_writes)
+  let toggles, reads, writes = reference_activity acc.Accel.circuit n in
+  Alcotest.(check (list int))
+    "reference: same toggles, reads and writes" [ toggles; reads; writes ]
+    [ rt.Activity.reg_toggles; rt.Activity.ram_reads; rt.Activity.ram_writes ]
 
 (* ---------------- ASIC model under measured activity --------------- *)
 
@@ -375,7 +471,7 @@ let suite =
       test_vcd_initial_dump;
     Alcotest.test_case "vcd: sanitizer and uniquifier" `Quick
       test_vcd_sanitize_and_uniquify;
-    Alcotest.test_case "vcd: tape vs closure differential" `Quick
+    Alcotest.test_case "vcd: tape dump = reference trace" `Quick
       test_vcd_backend_differential;
     Alcotest.test_case "vcd: counter ports traced" `Quick
       test_vcd_counter_ports_traced;

@@ -1,6 +1,7 @@
-(* Differential testing of the three simulator backends (instruction tape,
-   closure reference interpreter, bit-sliced batch), Tl_par pool semantics,
-   and a smoke run of the benchmark gate. *)
+(* Differential testing of the simulator backends (instruction tape,
+   bit-sliced batch) against each other and against the reference
+   interpreter [Oracle.Refsim], Tl_par pool semantics, and a smoke run of
+   the benchmark gate. *)
 
 open Tensorlib
 open Signal
@@ -80,38 +81,36 @@ let test_differential_random () =
   for case = 1 to 40 do
     let circ, m = random_circuit rng in
     let tape = Sim.create circ in
-    let closure = Sim.create ~backend:`Closure circ in
-    Alcotest.(check bool) "backends" true
-      (Sim.backend tape = `Tape && Sim.backend closure = `Closure);
+    let reference = Oracle.Refsim.create circ in
     for cyc = 1 to 15 do
       let xv = Random.State.int rng 256 and yv = Random.State.int rng 64 in
       (* an input can be unreachable from the sampled outputs *)
-      let set s nm v = try Sim.set_input s nm v with Not_found -> () in
-      set tape "x" xv;
-      set tape "y" yv;
-      set closure "x" xv;
-      set closure "y" yv;
+      let set f nm v = try f nm v with Not_found -> () in
+      set (Sim.set_input tape) "x" xv;
+      set (Sim.set_input tape) "y" yv;
+      set (Oracle.Refsim.set_input reference) "x" xv;
+      set (Oracle.Refsim.set_input reference) "y" yv;
       Sim.settle tape;
-      Sim.settle closure;
+      Oracle.Refsim.settle reference;
       (* every node (through any tape aliasing) must agree post-settle *)
       Array.iter
         (fun n ->
-          let a = Sim.peek tape n and b = Sim.peek closure n in
+          let a = Sim.peek tape n and b = Oracle.Refsim.peek reference n in
           if a <> b then
             Alcotest.failf "case %d cycle %d: node %d (width %d): %d <> %d"
               case cyc n.id n.width a b)
         (Circuit.nodes circ);
       List.iter
         (fun (nm, _) ->
-          if Sim.output tape nm <> Sim.output closure nm then
+          if Sim.output tape nm <> Oracle.Refsim.output reference nm then
             Alcotest.failf "case %d cycle %d: output %s differs" case cyc nm)
         (Circuit.outputs circ);
       (* advance the clock edge (settle is idempotent, so cycle's second
          settle recomputes the same values before latching) *)
       Sim.cycle tape;
-      Sim.cycle closure;
-      if Sim.ram_contents tape m <> Sim.ram_contents closure m then
-        Alcotest.failf "case %d cycle %d: ram contents diverged" case cyc
+      Oracle.Refsim.cycle reference;
+      if Sim.ram_contents tape m <> Oracle.Refsim.ram_contents reference m
+      then Alcotest.failf "case %d cycle %d: ram contents diverged" case cyc
     done
   done
 
@@ -181,9 +180,11 @@ let check_workload stmt dname rows cols () =
   Alcotest.(check bool)
     (dname ^ " tape = golden") true
     (Dense.equal golden (Accel.execute acc));
-  Alcotest.(check bool)
-    (dname ^ " closure = golden") true
-    (Dense.equal golden (Accel.execute ~backend:`Closure acc));
+  let sim = Sim.create acc.Accel.circuit in
+  Alcotest.(check (list string))
+    (dname ^ " reference = tape") []
+    (Oracle.Refsim.run_against acc.Accel.circuit sim
+       (Accel.planned_cycles acc));
   Alcotest.(check bool)
     (dname ^ " batch = golden") true
     (Dense.equal golden (Accel.execute ~backend:`Batch acc))
@@ -253,7 +254,7 @@ let test_reset_reproducible () =
       let first, second = counter_trace backend in
       Alcotest.(check (list (pair int int)))
         "trace replays after reset" first second)
-    [ `Tape; `Closure; `Batch ]
+    [ `Tape; `Batch ]
 
 (* Stale per-lane force masks must not survive [reset]: a reused batch
    simulator would otherwise leak stuck bits into the next campaign's
@@ -343,7 +344,7 @@ let test_par_explore_deterministic () =
     "enumerate: same signatures, same order" (signatures 1) (signatures 3)
 
 let suite =
-  [ Alcotest.test_case "tape vs closure: random netlists" `Quick
+  [ Alcotest.test_case "tape vs reference: random netlists" `Quick
       test_differential_random;
     Alcotest.test_case "batch lanes vs tape: random netlists" `Quick
       test_batch_lane_differential;
