@@ -513,7 +513,7 @@ let () =
     if i mod 10 = 0 then begin
       incr evals_checked;
       let config = { Perf.default_config with Perf.rows; cols } in
-      let fast = outcome (fun () -> Perf.evaluate ~config ~cache:false d) in
+      let fast = outcome (fun () -> Perf.evaluate ~config d) in
       let reference = outcome (fun () -> Oracle.evaluate_reference ~config d) in
       if fast <> reference then disagree i "evaluate" ~rows ~cols d;
       (* the one classification sweep against the per-candidate

@@ -158,6 +158,19 @@ let extents_arg =
        & info [ "extents" ]
            ~doc:"Iterator extents for --expr as m=64,n=64,k=64 (nest order).")
 
+(* [m=64,n=64,k=64], the syntax of [--extents] and of serve's
+   ["extents"]; a binding that is not [name=int] is named in the error *)
+let extents_of_string s =
+  List.map
+    (fun kv ->
+      match String.split_on_char '=' kv with
+      | [ k; v ] -> (
+        match int_of_string_opt (String.trim v) with
+        | Some n -> (String.trim k, n)
+        | None -> failwith ("bad extent binding: " ^ kv))
+      | _ -> failwith ("bad extent binding: " ^ kv))
+    (String.split_on_char ',' s)
+
 let workload_of expr extents w =
   match expr with
   | None -> workload_of_string w
@@ -165,13 +178,7 @@ let workload_of expr extents w =
     let extents =
       match extents with
       | None -> failwith "--expr requires --extents"
-      | Some s ->
-        List.map
-          (fun kv ->
-            match String.split_on_char '=' kv with
-            | [ k; v ] -> (String.trim k, int_of_string (String.trim v))
-            | _ -> failwith ("bad extent binding: " ^ kv))
-          (String.split_on_char ',' s)
+      | Some s -> extents_of_string s
     in
     Parse.stmt formula ~extents
 
@@ -1074,17 +1081,6 @@ let sweep_cmd =
    Responses echo the id and carry the sweep roll-up plus the store's
    per-request hit counts; malformed requests answer {"ok": false, ...}
    without stopping the loop. *)
-
-let extents_of_string s =
-  List.map
-    (fun kv ->
-      match String.split_on_char '=' kv with
-      | [ k; v ] -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n -> (String.trim k, n)
-        | None -> failwith ("bad extent binding: " ^ kv))
-      | _ -> failwith ("bad extent binding: " ^ kv))
-    (String.split_on_char ',' s)
 
 (* The statement of an "expr" or "einsum" request.  A malformed formula
    or extent binding is the client's error: a [Failure] that the caller

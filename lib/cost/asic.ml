@@ -46,17 +46,8 @@ type report = {
   breakdown : (string * float) list;
 }
 
-(* Reports are memoised per exact design (identity signature — the module
-   inventory depends on dataflow directions, so no symmetry folding) and
-   geometry.  Custom coefficient sets bypass the cache.  Bounded for the
-   same reason as [Perf_model]'s memo: a network sweep costs every point
-   of every shape once, so an unbounded table only grows. *)
-let cache_capacity = 1024
-
-let report_cache : report Tl_par.Cache.t =
-  Tl_par.Cache.create ~capacity:cache_capacity ~name:"asic.evaluate" ()
-
-let evaluate_uncached ~params ?rows ?cols ?data_width ?acc_width design =
+let evaluate ?(params = default_params) ?rows ?cols ?data_width ?acc_width
+    design =
   let inv = Inventory.of_design ?rows ?cols ?data_width ?acc_width design in
   let f = float_of_int in
   let p = params in
@@ -90,27 +81,6 @@ let evaluate_uncached ~params ?rows ?cols ?data_width ?acc_width design =
     +. p.a_base
   in
   { design_name = design.Tl_stt.Design.name; area; power_mw; breakdown }
-
-let evaluate ?(params = default_params) ?rows ?cols ?data_width ?acc_width
-    design =
-  if params != default_params then
-    evaluate_uncached ~params ?rows ?cols ?data_width ?acc_width design
-  else
-    let geom =
-      let d = function None -> "-" | Some v -> string_of_int v in
-      Printf.sprintf "%s,%s,%s,%s|" (d rows) (d cols) (d data_width)
-        (d acc_width)
-    in
-    let stmt =
-      design.Tl_stt.Design.transform.Tl_stt.Transform.stmt
-    in
-    Tl_par.Cache.find_or_add report_cache
-      (geom
-      ^ Tl_stt.Signature.stmt_fingerprint stmt
-      ^ Tl_stt.Signature.identity_signature design)
-      (fun () ->
-        evaluate_uncached ~params:default_params ?rows ?cols ?data_width
-          ?acc_width design)
 
 type activity = {
   alpha_compute : float;

@@ -38,11 +38,8 @@ type report = {
 
 val evaluate : ?params:params -> ?rows:int -> ?cols:int -> ?data_width:int ->
   ?acc_width:int -> Tl_stt.Design.t -> report
-(** Reports with the default coefficients are memoised in the
-    ["asic.evaluate"] {!Tl_par.Cache}, which holds at most
-    {!cache_capacity} entries. *)
-
-val cache_capacity : int
+(** Cost a design from its {!Inventory.of_design} at the given geometry
+    (the paper's calibrated coefficients unless [params] is given). *)
 
 type activity = {
   alpha_compute : float;  (** MAC datapath activity (multipliers, adders) *)

@@ -136,10 +136,8 @@ let decode_points payload =
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation of one unique shape (always single-domain: the sweep
-   parallelises across shapes, never inside one).  The points of a shape
-   are canonically distinct, so none would hit the [perf.evaluate] memo:
-   they bypass it rather than pay its key and push out entries other
-   callers reuse.  The store keeps the whole shape. *)
+   parallelises across shapes, never inside one).  The store keeps the
+   whole shape. *)
 
 let evaluate_shape ~config ?per_shape_limit
     ?(budget = Tl_resil.Budget.unlimited) stmt =
@@ -152,7 +150,7 @@ let evaluate_shape ~config ?per_shape_limit
   List.filter_map
     (fun (p : Enumerate.point) ->
       Tl_resil.Budget.check budget;
-      match Perf.evaluate ~config ~cache:false p.Enumerate.design with
+      match Perf.evaluate ~config p.Enumerate.design with
       | exception Invalid_argument _ -> None
       | perf ->
         let asic =

@@ -69,7 +69,10 @@ val shape_key :
   Tl_ir.Stmt.t ->
   string
 (** The store key of a layer shape under a config (and optional point
-    cap, which changes the evaluated set and therefore the key). *)
+    cap, which changes the evaluated set and therefore the key): a
+    version tag, {!Tl_perf.Perf_model.config_fingerprint}, the limit and
+    {!Tl_stt.Signature.stmt_fingerprint}.  Its text is a store format: a
+    changed key orphans every entry of an existing store. *)
 
 val evaluate_shape :
   config:Tl_perf.Perf_model.config ->
@@ -78,8 +81,7 @@ val evaluate_shape :
   Tl_ir.Stmt.t ->
   point list
 (** Enumerate ([domains:1]) and evaluate one shape's design space;
-    points that fail evaluation are dropped.  The points never repeat, so
-    they bypass the ["perf.evaluate"] memo.  [budget] is polled per
+    points that fail evaluation are dropped.  [budget] is polled per
     candidate matrix and per evaluated point; expiry raises
     {!Tl_resil.Budget.Expired}. *)
 

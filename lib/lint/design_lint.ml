@@ -2,22 +2,13 @@ open Tl_stt
 
 let tensor_name (ti : Design.tensor_info) = ti.Design.access.Tl_ir.Access.tensor
 
-(* Footprint bounding box over the selected domain, mirroring
-   [Schedule.build]: the first space row indexes array rows, the second
-   (when present) array columns. *)
+(* Footprint bounding box over the selected domain, as [Schedule.build]
+   sizes it: the first space row indexes array rows, the second (when
+   present) array columns. *)
 let footprint_dims transform =
-  let fp = Transform.space_footprint transform in
-  let sd = Transform.space_dims transform in
-  let lo = Array.make sd max_int and hi = Array.make sd min_int in
-  Hashtbl.iter
-    (fun p () ->
-      Array.iteri
-        (fun i v ->
-          if v < lo.(i) then lo.(i) <- v;
-          if v > hi.(i) then hi.(i) <- v)
-        p)
-    fp;
-  Array.init sd (fun i -> hi.(i) - lo.(i) + 1)
+  Array.init (Transform.space_dims transform) (fun i ->
+      let lo, hi = Transform.row_bounds transform i in
+      hi - lo + 1)
 
 let check_design ?(rows = 16) ?(cols = 16) ?(suppress = []) design =
   let target = design.Design.name in

@@ -353,7 +353,7 @@ let reset_counters () =
 
 (* ---------------------------------------------------------------- *)
 
-let evaluate_core ~config (design : Tl_stt.Design.t) =
+let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
   let transform = design.Tl_stt.Design.transform in
   if Tl_stt.Transform.space_dims transform <> 2 then
     invalid_arg "Perf_model.evaluate: only 2-D arrays";
@@ -592,46 +592,9 @@ let evaluate_core ~config (design : Tl_stt.Design.t) =
         (fun (t, per_pass) -> (t, per_pass *. float_of_int total_passes))
         stats.per_tensor }
 
-(* ---------------------------------------------------------------- *)
-(* Evaluation cache: results are keyed by the config fingerprint and the
-   D4-canonical evaluation signature, so symmetry-equivalent designs (which
-   provably evaluate identically on a square array) share one entry.
-
-   The memo is bounded, so a long-running process that evaluates many
-   distinct designs does not grow with them.  1024 entries (about 1.5 MB)
-   cover the repeats callers make: a whole GEMM design space (393 points),
-   [explore]'s 64-design default and [evaluate_name]'s six candidates.
-   [Network.sweep] bypasses it: a network's points are canonically
-   distinct and never hit. *)
-
-let cache_capacity = 1024
-
-let eval_cache : (result, exn) Stdlib.result Tl_par.Cache.t =
-  Tl_par.Cache.create ~capacity:cache_capacity ~name:"perf.evaluate" ()
-
 let config_fingerprint c =
   Printf.sprintf "%d,%d,%h,%h,%d,%h" c.rows c.cols c.freq_mhz
     c.bandwidth_gbps c.elem_bytes c.scratchpad_kbytes
-
-(* The full memo key: config fingerprint joined with the symmetry-canonical
-   evaluation signature, pure text with hex floats.  The persistent design
-   store does not use it; it keys whole shapes by [Network.shape_key]. *)
-let cache_key ?(config = default_config) (design : Tl_stt.Design.t) =
-  config_fingerprint config ^ "|"
-  ^ Tl_stt.Signature.eval_key ~square:(config.rows = config.cols) design
-
-let evaluate ?(config = default_config) ?(cache = true)
-    (design : Tl_stt.Design.t) =
-  let run () = evaluate_core ~config design in
-  if cache then
-    let key = cache_key ~config design in
-    match
-      Tl_par.Cache.find_or_add eval_cache key (fun () ->
-          match run () with r -> Ok r | exception e -> Error e)
-    with
-    | Ok r -> r
-    | Error e -> raise e
-  else run ()
 
 (* Several transformation matrices can realise the same dataflow name; the
    best choice (e.g. a [0,1,1] space row that packs y+p Conv2D loops into

@@ -91,31 +91,21 @@ val tile_statistics :
     Bit-identical, float [demand] included, to the statistics counted
     over a materialised schedule, which the tests keep as the oracle. *)
 
-val evaluate : ?config:config -> ?cache:bool -> Tl_stt.Design.t -> result
+val evaluate : ?config:config -> Tl_stt.Design.t -> result
 (** Evaluate a design: a branch-and-bound search for the three tiles with
     the best analytic estimate, then {!tile_statistics} of each.  The
     search precomputes the rows of [|T|] and of every tensor's access
     matrix over the selected loops and keeps their extents per depth; a
     binary search finds where each candidate list stops fitting, so a
-    node costs a few integer operations and allocates nothing.  Results
-    are memoised by D4-canonical design signature and config fingerprint
-    when [cache] is true (default); [cache:false] bypasses the memo, as
-    {!Tl_dse.Network} sweeps do, whose points never repeat.  The memo
-    (["perf.evaluate"] in {!Tl_par.Cache}) holds at most
-    {!cache_capacity} entries.
+    node costs a few integer operations and allocates nothing.  Nothing
+    is memoised: the persistent store keeps whole swept shapes.
     @raise Invalid_argument for non-2-D space transformations. *)
-
-val cache_capacity : int
 
 val config_fingerprint : config -> string
 (** Stable textual form of a config (ints + hex floats): equal strings
-    iff the configs evaluate identically.  Part of {!cache_key}. *)
-
-val cache_key : ?config:config -> Tl_stt.Design.t -> string
-(** The exact memoisation key {!evaluate} uses: config fingerprint joined
-    with the symmetry-canonical evaluation signature.  Pure text, stable
-    across processes.  The persistent design store does not use it: it
-    keys whole shapes by {!Tl_dse.Network.shape_key}. *)
+    iff the configs evaluate identically.  Part of
+    {!Tl_dse.Network.shape_key}, the persistent store's key, so its text
+    is a store format. *)
 
 val result_to_string : result -> string
 (** Versioned exact codec (hex floats): [result_of_string (result_to_string

@@ -1,12 +1,10 @@
-(* Canonical design signatures, statement fingerprints and evaluation-cache
-   keys.
+(* Canonical design signatures and statement fingerprints.
 
    Two designs whose interconnects differ only by a rotation/reflection of
    the square PE array are the same hardware; signatures are canonicalised
    under the dihedral group D4 acting on every direction vector at once.
    Rendering goes through one reused [Buffer] (no [Format]): every point
-   {!Tl_dse.Enumerate.design_space} keeps, and every evaluation key, is
-   rendered eight times. *)
+   {!Tl_dse.Enumerate.design_space} keeps is rendered eight times. *)
 
 (* A D4 element as data: [new_r = sr * (swap ? c : r)],
    [new_c = sc * (swap ? r : c)]. *)
@@ -23,10 +21,6 @@ let d4 =
     { swap = true; sr = -1; sc = 1 };
     { swap = true; sr = 1; sc = -1 };
     { swap = true; sr = -1; sc = -1 } ]
-
-(* The subgroup preserving the row/col axes — the symmetries of a
-   rectangular (non-square) array. *)
-let axis_syms = List.filter (fun s -> not s.swap) d4
 
 let map_vec s v =
   if s == identity then v
@@ -61,28 +55,22 @@ let render_tensors buf s (d : Design.t) =
       Dataflow.render buf (map_dataflow s ti.Design.dataflow))
     d.Design.tensors
 
-let min_render ~syms ~prefix render =
+(* The lexicographic minimum over [d4] of the rendered label and
+   dataflows, one [Buffer] for all eight renders. *)
+let signature (d : Design.t) =
+  let prefix = Transform.selection_label d.Design.transform in
   let buf = Buffer.create 96 in
   let one s =
     Buffer.clear buf;
     Buffer.add_string buf prefix;
-    render buf s;
+    render_tensors buf s d;
     Buffer.contents buf
   in
-  match syms with
-  | [] -> invalid_arg "Signature.min_render: empty symmetry group"
-  | s0 :: rest ->
-    List.fold_left
-      (fun best s ->
-        let x = one s in
-        if String.compare x best < 0 then x else best)
-      (one s0) rest
-
-let signature_under syms (d : Design.t) =
-  let prefix = Transform.selection_label d.Design.transform in
-  min_render ~syms ~prefix (fun buf s -> render_tensors buf s d)
-
-let signature d = signature_under d4 d
+  List.fold_left
+    (fun best s ->
+      let x = one s in
+      if String.compare x best < 0 then x else best)
+    (one identity) (List.tl d4)
 
 (* One buffer-render with the identity element: a cheap non-canonical key
    whose equality implies canonical-signature equality. *)
@@ -93,7 +81,7 @@ let identity_signature (d : Design.t) =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Fingerprints for cache keys.                                        *)
+(* Statement fingerprints.                                             *)
 
 let add_int_array buf a =
   Array.iter
@@ -144,59 +132,7 @@ let stmt_fingerprint = fingerprint ~full:true
    the rest of each iterator name and the tensor names are left out. *)
 let structure_fingerprint = fingerprint ~full:false
 
-(* Render [d]'s STT matrix with the spatial rows transformed by [s]:
-   [s] permutes/negates the two space rows and fixes the time row, i.e. it
-   renders the matrix of the same design re-expressed in the transformed
-   array coordinates.  Entries are plain [string_of_int] text (this runs
-   8 times per evaluation key); the persistent store addresses entries by
-   that key, so its text must not change. *)
-let render_matrix buf s (d : Design.t) =
-  let m = d.Design.transform.Transform.imatrix in
-  let n = Array.length m in
-  let src_row i =
-    if n >= 3 && i = 0 then (if s.swap then 1 else 0)
-    else if n >= 3 && i = 1 then (if s.swap then 0 else 1)
-    else i
-  in
-  let row_sign i =
-    if n >= 3 && i = 0 then s.sr else if n >= 3 && i = 1 then s.sc else 1
-  in
-  for i = 0 to n - 1 do
-    let r = src_row i and sg = row_sign i in
-    Array.iter
-      (fun v ->
-        Buffer.add_char buf ',';
-        Buffer.add_string buf (string_of_int (sg * v)))
-      m.(r);
-    Buffer.add_char buf ';'
-  done
-
-(* A key that pins everything {!Tl_perf} and {!Tl_cost} read from a design:
-   the statement, the selection, and the (matrix, dataflows) pair
-   canonicalised under the symmetries that provably leave the evaluation
-   invariant — the full D4 group when the array is square, only the
-   axis-preserving subgroup when [rows <> cols] (a transpose would swap the
-   row/col feasibility checks). *)
 (* Stable 32-hex-char content digest of a key string.  MD5 of the exact
-   bytes, so it is identical across processes and sessions — the
+   bytes, so it is identical across processes and sessions: the
    persistent design store names its entry files with it. *)
 let key_digest s = Digest.to_hex (Digest.string s)
-
-let eval_key ~square (d : Design.t) =
-  let t = d.Design.transform in
-  let syms =
-    if Tl_linalg.Mat.rows t.Transform.matrix <> 3 then [ identity ]
-    else if square then d4
-    else axis_syms
-  in
-  let prefix =
-    let buf = Buffer.create 160 in
-    Buffer.add_string buf (stmt_fingerprint t.Transform.stmt);
-    Buffer.add_string buf "#sel";
-    add_int_array buf t.Transform.selected;
-    Buffer.add_char buf '#';
-    Buffer.contents buf
-  in
-  min_render ~syms ~prefix (fun buf s ->
-      render_matrix buf s d;
-      render_tensors buf s d)

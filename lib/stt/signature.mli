@@ -1,4 +1,4 @@
-(** Canonical design signatures, statement fingerprints and cache keys.
+(** Canonical design signatures, statement fingerprints and key digests.
 
     The fast-path replacement for per-design [Format] rendering: one reused
     [Buffer] and D4 canonicalisation as data ({!d4}, {!map_dataflow}),
@@ -40,11 +40,5 @@ val structure_fingerprint : Tl_ir.Stmt.t -> string
 val key_digest : string -> string
 (** Stable 32-hex-char MD5 digest of a key string — identical across
     processes and sessions for identical bytes.  The persistent design
-    store addresses its entries with [key_digest (cache key)]. *)
-
-val eval_key : square:bool -> Design.t -> string
-(** Memoisation key for performance/cost evaluation: statement fingerprint,
-    selection, and the (STT matrix, dataflows) pair canonicalised under the
-    symmetries that leave evaluation invariant — full {!d4} when [square],
-    the four that keep the row and column axes otherwise, and no symmetry
-    at all for non-2-D arrays. *)
+    store names each entry by [key_digest] of its
+    {!Tl_dse.Network.shape_key}. *)

@@ -117,37 +117,18 @@ let restricted_access t (a : Tl_ir.Access.t) =
   Mat.make ~rows:(Mat.rows full) ~cols:(Array.length t.selected)
     (fun i j -> Mat.get full i t.selected.(j))
 
-(* The schedule is linear, so its extrema over the box domain are attained
-   coordinate-wise: each column contributes min/max of {0, c*(ext-1)}. *)
-let time_bounds t =
-  let n = Array.length t.selected in
+(* Each row of [T] is linear, so its extrema over the box domain are
+   attained coordinate-wise: column [j] contributes the min/max of
+   {0, c_j * (ext_j - 1)}. *)
+let row_bounds t i =
   let ext = selected_extents t in
   let lo = ref 0 and hi = ref 0 in
-  for j = 0 to n - 1 do
-    let c = Rat.to_int (Mat.get t.matrix (n - 1) j) in
-    let contrib = c * (ext.(j) - 1) in
-    if contrib >= 0 then hi := !hi + contrib else lo := !lo + contrib
-  done;
+  Array.iteri
+    (fun j c ->
+      let contrib = c * (ext.(j) - 1) in
+      if contrib >= 0 then hi := !hi + contrib else lo := !lo + contrib)
+    t.imatrix.(i);
   (!lo, !hi)
-
-let space_footprint t =
-  let ext = selected_extents t in
-  let n = Array.length ext in
-  let seen = Hashtbl.create 64 in
-  let x = Array.make n 0 in
-  let rec go d =
-    if d = n then begin
-      let p, _ = apply t x in
-      if not (Hashtbl.mem seen p) then Hashtbl.add seen p ()
-    end
-    else
-      for v = 0 to ext.(d) - 1 do
-        x.(d) <- v;
-        go (d + 1)
-      done
-  in
-  go 0;
-  seen
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>STT %s of %s:@,%a@]" (selection_label t)

@@ -59,12 +59,10 @@ val restricted_access : t -> Tl_ir.Access.t -> Tl_linalg.Mat.t
 (** The access matrix restricted to the selected iterator columns (the
     matrix [A] of Eq. 2 in the selected subspace). *)
 
-val time_bounds : t -> int * int
-(** Minimum and maximum schedule value over the full selected iteration
-    domain (inclusive); the per-tile latency span used by the performance
-    model. *)
-
-val space_footprint : t -> (int array, unit) Hashtbl.t
-(** The set of PE coordinates actually used by the selected domain. *)
+val row_bounds : t -> int -> int * int
+(** [row_bounds t i] is the minimum and maximum of row [i] of [T] over
+    the full selected iteration domain (inclusive), in closed form.  The
+    space rows give the PE footprint; the last row, the schedule, gives
+    the per-tile latency span used by the performance model. *)
 
 val pp : Format.formatter -> t -> unit

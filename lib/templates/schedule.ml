@@ -43,15 +43,6 @@ type geom = {
   g_preload : int;
 }
 
-let row_bounds row ext =
-  let lo = ref 0 and hi = ref 0 in
-  Array.iteri
-    (fun j c ->
-      let contrib = c * (ext.(j) - 1) in
-      if contrib >= 0 then hi := !hi + contrib else lo := !lo + contrib)
-    row;
-  (!lo, !hi)
-
 let geometry design ~rows ~cols =
   let transform = design.Tl_stt.Design.transform in
   let sd = Tl_stt.Transform.space_dims transform in
@@ -71,7 +62,7 @@ let geometry design ~rows ~cols =
     List.map (fun i -> all.(i)) unselected
   in
   let passes = List.fold_left ( * ) 1 unsel_ext in
-  let t_min, t_max = Tl_stt.Transform.time_bounds transform in
+  let t_min, t_max = Tl_stt.Transform.row_bounds transform sd in
   let span = t_max - t_min + 1 in
   let preload = 1 in
   let tm = transform.Tl_stt.Transform.imatrix in
@@ -79,8 +70,10 @@ let geometry design ~rows ~cols =
   let row_r = tm.(0) in
   let row_c = if sd = 1 then Array.make n_sel 0 else tm.(1) in
   let row_t = if sd = 1 then tm.(1) else tm.(2) in
-  let min_r, max_r = row_bounds row_r sel_ext in
-  let min_c, max_c = row_bounds row_c sel_ext in
+  let min_r, max_r = Tl_stt.Transform.row_bounds transform 0 in
+  let min_c, max_c =
+    if sd = 1 then (0, 0) else Tl_stt.Transform.row_bounds transform 1
+  in
   if max_r - min_r + 1 > rows || max_c - min_c + 1 > cols then
     raise
       (Unsupported

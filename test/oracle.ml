@@ -7,7 +7,9 @@
    keeps the first matrix of each dataflow list that passes the
    exclusions, and the survivors are deduplicated on the identity
    signature and then on the canonical (D4) signature.  [matching_designs] is the per-candidate name lookup
-   that [Search.matching_designs] replaced.  [tile_statistics] and
+   that [Search.matching_designs] replaced.  [space_footprint] is the
+   point-by-point image of the selected box that [Transform.row_bounds]
+   replaced in the L102 lint.  [tile_statistics] and
    [evaluate_reference], at the end, are the perf model's materialised
    statistics and exhaustive tile search.  [Refsim] is the reference
    interpreter the simulator is checked against. *)
@@ -134,6 +136,27 @@ let best_supported_design stmt (baseline : Baselines.t) =
          | None -> Some (d, r)
          | Some (_, rb) -> if r.Perf.cycles < rb.Perf.cycles then Some (d, r) else best)
        None
+
+(* The set of PE coordinates the selected domain occupies, one
+   [Transform.apply] per point of the box. *)
+let space_footprint t =
+  let ext = Transform.selected_extents t in
+  let n = Array.length ext in
+  let seen = Hashtbl.create 64 in
+  let x = Array.make n 0 in
+  let rec go d =
+    if d = n then begin
+      let p, _ = Transform.apply t x in
+      if not (Hashtbl.mem seen p) then Hashtbl.add seen p ()
+    end
+    else
+      for v = 0 to ext.(d) - 1 do
+        x.(d) <- v;
+        go (d + 1)
+      done
+  in
+  go 0;
+  seen
 
 (* ------------------------------------------------------------------ *)
 (* The perf model's reference paths, which [Perf.tile_statistics] and

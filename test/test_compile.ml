@@ -678,6 +678,22 @@ let test_cli_duplicate_extent_rejected () =
   Alcotest.(check bool) "compile names the duplicate" true
     (contains err "k is declared twice")
 
+(* a malformed --extents binding is the exit-2 error naming the binding,
+   in every command that takes --expr: one parser serves them and serve's
+   "extents" *)
+let test_cli_bad_extent_binding () =
+  List.iter
+    (fun cmd ->
+      let rc, _, err =
+        run_cli (cmd ^ " -e 'C[m,n]+=A[m,k]*B[n,k]' --extents m=4,n=4,k=x")
+      in
+      Alcotest.(check int) (cmd ^ " exits 2") 2 rc;
+      Alcotest.(check bool) (cmd ^ " names k=x") true
+        (contains err "bad extent binding: k=x"))
+    [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
+      "simulate -d MNK-SST";
+      "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ]
+
 (* requests far over the envelope are rejected before any scheduling:
    one with an input too large, and two whose iterator [b] indexes no
    input (only the output, in the second) and multiplies the passes *)
@@ -752,6 +768,8 @@ let suite =
       test_cli_serve_bad_einsum_keeps_id;
     Alcotest.test_case "cli duplicate extent rejected" `Quick
       test_cli_duplicate_extent_rejected;
+    Alcotest.test_case "cli bad extent binding named" `Quick
+      test_cli_bad_extent_binding;
     Alcotest.test_case "cli serve oversized rejected fast" `Quick
       test_cli_oversized_rejected_fast;
     Alcotest.test_case "cli serve einsum deadline" `Quick

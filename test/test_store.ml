@@ -307,15 +307,14 @@ let test_signature_no_collisions () =
   let dw = Workloads.depthwise_conv ~k:4 ~y:6 ~x:6 ~p:3 ~q:3 in
   let dw2 = Workloads.depthwise_conv ~k:4 ~y:6 ~x:6 ~p:3 ~q:5 in
   Alcotest.(check bool) "extent change" false (fp dw = fp dw2);
-  (* config changes separate full cache keys for one design *)
-  let d = Search.find_design_exn gemm "MNK-SST" in
-  let c1 = Perf.default_config in
-  let c2 = { c1 with Perf.rows = 8 } in
-  Alcotest.(check bool) "config in key" false
-    (Perf.cache_key ~config:c1 d = Perf.cache_key ~config:c2 d);
-  Alcotest.(check string) "cache_key deterministic"
-    (Perf.cache_key ~config:c1 d)
-    (Perf.cache_key ~config:c1 d)
+  (* a config, a point cap and an extent each separate store keys *)
+  let key = Network.shape_key in
+  let c2 = { Perf.default_config with Perf.rows = 8 } in
+  Alcotest.(check bool) "config in key" false (key gemm = key ~config:c2 gemm);
+  Alcotest.(check bool) "limit in key" false
+    (key gemm = key ~per_shape_limit:10 gemm);
+  Alcotest.(check bool) "extent in key" false
+    (key gemm = key (Workloads.gemm ~m:8 ~n:8 ~k:4))
 
 (* ---------------- perf result codec ---------------- *)
 

@@ -147,7 +147,7 @@ let test_projector_matches_nullspace () =
     d.Design.tensors
 
 let test_time_bounds () =
-  let lo, hi = Transform.time_bounds fig1b in
+  let lo, hi = Transform.row_bounds fig1b 2 in
   Alcotest.(check int) "min time" 0 lo;
   Alcotest.(check int) "max time" 9 hi;
   (* negative schedule coefficients give a negative lower bound *)
@@ -155,13 +155,41 @@ let test_time_bounds () =
     Transform.by_names gemm [ "m"; "n"; "k" ]
       ~matrix:[ [ 1; 0; 0 ]; [ 0; 1; 0 ]; [ -1; 0; 1 ] ]
   in
-  let lo, hi = Transform.time_bounds t in
+  let lo, hi = Transform.row_bounds t 2 in
   Alcotest.(check int) "min time negative" (-3) lo;
   Alcotest.(check int) "max time" 3 hi
 
 let test_space_footprint () =
-  let fp = Transform.space_footprint fig1b in
+  let fp = Oracle.space_footprint fig1b in
   Alcotest.(check int) "footprint 4x4" 16 (Hashtbl.length fp)
+
+(* the closed-form range of each space row is the bounding box of the
+   footprint enumerated point by point, on every candidate matrix of every
+   selection of three Table-II workloads with distinct extents *)
+let test_row_bounds_footprint () =
+  List.iter
+    (fun stmt ->
+      List.iter
+        (fun selected ->
+          List.iter
+            (fun matrix ->
+              let t = Transform.v stmt ~selected ~matrix in
+              let fp = Oracle.space_footprint t in
+              for i = 0 to Transform.space_dims t - 1 do
+                let lo, hi =
+                  Hashtbl.fold
+                    (fun p () (lo, hi) -> (min lo p.(i), max hi p.(i)))
+                    fp (max_int, min_int)
+                in
+                if (lo, hi) <> Transform.row_bounds t i then
+                  Alcotest.failf "%s %s row %d: enumerated [%d, %d]"
+                    stmt.Stmt.name (Transform.selection_label t) i lo hi
+              done)
+            (Search.candidate_matrices ~n:3))
+        (Search.selections stmt ~n:3))
+    [ Workloads.gemm ~m:2 ~n:4 ~k:3;
+      Workloads.batched_gemv ~m:3 ~n:2 ~k:4;
+      Workloads.mttkrp ~i:2 ~j:3 ~k:4 ~l:2 ]
 
 let test_selection_label () =
   let conv = Workloads.conv2d ~k:4 ~c:4 ~y:6 ~x:6 ~p:3 ~q:3 in
@@ -345,3 +373,5 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_classification_sound; prop_one_to_one;
         prop_reuse_dim_complements_rank ]
+  @ [ Alcotest.test_case "row bounds = enumerated footprint" `Quick
+        test_row_bounds_footprint ]
