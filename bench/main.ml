@@ -718,20 +718,24 @@ let tier1_accel (_, stmt, dname) =
   Accel.generate ~rows:4 ~cols:4 ~counters:true design (Exec.alloc_inputs stmt)
 
 (* ------------------------------------------------------------------ *)
-(* Store gate: sweep a small network twice through a fresh persistent
-   store using fresh CLI processes; the second run must be served
-   entirely from disk, at least 5x faster and bit-identical.  Then
-   deliberately truncate one entry: the third run must still succeed
-   (corruption degrades to a miss) with an unchanged digest.  Exit 1 on
-   any violated property — small enough for a pre-commit hook.          *)
+(* Store gate: sweep a small network through fresh persistent stores
+   using fresh CLI processes (cold), then again through the first of them
+   (warm); the warm runs must be served entirely from disk, at least 5x
+   faster and bit-identical.  Each side is timed as the fastest of three
+   runs, since one sub-second run against another varies past 5x on
+   timing noise alone.  Then deliberately truncate one entry: the next
+   run must still succeed (corruption degrades to a miss) with an
+   unchanged digest.  Exit 1 on any violated property — small enough for
+   a pre-commit hook.                                                    *)
 
 let store_smoke () =
   section "Store gate: persistent design store (cold/warm/corrupt)";
   let cli = cli_binary "store-smoke" in
   let dir = temp_dir "tlstore" in
-  let root = Filename.concat dir "store" in
+  let store i = Filename.concat dir (Printf.sprintf "store%d" i) in
+  let root = store 0 in
   let out = Filename.concat dir "sweep.json" in
-  let run_sweep () =
+  let run_sweep ?(root = root) () =
     let cmd =
       Printf.sprintf "%s sweep --network tiny --store %s --json > %s"
         (Filename.quote cli) (Filename.quote root) (Filename.quote out)
@@ -750,14 +754,23 @@ let store_smoke () =
       let hit_rate = Option.value (Json.mem_number j "hit_rate") ~default:0. in
       (secs, digest, hit_rate)
   in
-  let cold_s, cold_digest, cold_rate = run_sweep () in
-  let warm_s, warm_digest, warm_rate = run_sweep () in
+  let colds = List.init 3 (fun i -> run_sweep ~root:(store i) ()) in
+  let warms = List.init 3 (fun _ -> run_sweep ()) in
+  let fastest =
+    List.fold_left (fun acc (s, _, _) -> Float.min acc s) infinity
+  in
+  let cold_s = fastest colds and warm_s = fastest warms in
+  let _, cold_digest, cold_rate = List.hd colds in
+  let warm_rate =
+    List.fold_left (fun acc (_, _, r) -> Float.min acc r) 1. warms
+  in
   Printf.printf "  cold %.3fs (hit rate %.0f%%)  warm %.3fs (hit rate \
-                 %.0f%%)  %.1fx\n"
+                 %.0f%%)  %.1fx  (fastest of 3 each)\n"
     cold_s (100. *. cold_rate) warm_s (100. *. warm_rate) (cold_s /. warm_s);
   check "warm run served entirely from the store" (warm_rate = 1.0);
   check "warm run at least 5x faster than cold" (cold_s >= 5. *. warm_s);
-  check "warm results bit-identical to cold" (warm_digest = cold_digest);
+  check "warm results bit-identical to cold"
+    (List.for_all (fun (_, d, _) -> d = cold_digest) (colds @ warms));
   (* corruption tolerance: truncate one entry file to half its length *)
   let entries = Filename.concat root "entries" in
   (match Sys.readdir entries with

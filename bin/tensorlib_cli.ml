@@ -1088,9 +1088,11 @@ let sweep_cmd =
 let stmt_of_request req ~field =
   let formula = Option.get (Json.mem_string req field) in
   let extents =
-    match Json.mem_string req "extents" with
+    match Json.member "extents" req with
     | None -> failwith (Printf.sprintf "%S requires \"extents\"" field)
-    | Some s -> extents_of_string s
+    | Some (Json.Str s) -> extents_of_string s
+    | Some _ ->
+      failwith "\"extents\" must be a string such as \"m=64,n=64,k=64\""
   in
   try Parse.stmt formula ~extents
   with Parse.Parse_error msg -> failwith ("bad request: " ^ msg)

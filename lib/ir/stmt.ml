@@ -17,6 +17,16 @@ let v name ~iters ~output ~inputs =
   in
   check output;
   List.iter check inputs;
+  (* [domain_size] and every count derived from it are ints *)
+  ignore
+    (List.fold_left
+       (fun acc (i : Iter.t) ->
+         if i.Iter.extent > max_int / acc then
+           invalid_arg
+             "Stmt.v: the iteration domain (the product of the extents) \
+              does not fit in an int";
+         acc * i.Iter.extent)
+       1 iters);
   { name; iters; output; inputs }
 
 let depth s = List.length s.iters

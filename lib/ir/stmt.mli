@@ -15,7 +15,8 @@ type t = {
 val v : string -> iters:Iter.t list -> output:Access.t ->
   inputs:Access.t list -> t
 (** @raise Invalid_argument if the access depths disagree with the nest
-    depth, or [inputs] is empty. *)
+    depth, [inputs] is empty, or the iteration domain has more than
+    [max_int] points. *)
 
 val depth : t -> int
 val extents : t -> int array

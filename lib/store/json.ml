@@ -206,30 +206,44 @@ let add_escaped buf s =
         | c -> Buffer.add_char buf c)
       s
 
+(* The digits of [v <= 0], most significant first; counting on the
+   non-positive side covers [min_int].  The writer of
+   [Tl_hw.Verilog.add_int], which this library does not link. *)
+let rec add_digits buf v =
+  if v <= -10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (v mod 10)))
+
+(* The bytes of [string_of_int v], written without allocating. *)
+let add_int buf v =
+  if v < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf v
+  end
+  else add_digits buf (-v)
+
 (* Integral values below 1e15 print as integers, exactly as "%.0f" would
    (including "-0"), without going through [Printf]. *)
-let number f =
+let add_number buf f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f)
+    if f = 0. && Float.sign_bit f then Buffer.add_string buf "-0"
+    else add_int buf (int_of_float f)
   else
     let s = Printf.sprintf "%.17g" f in
-    if Float.is_finite f then s else "null"
+    Buffer.add_string buf (if Float.is_finite f then s else "null")
 
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Num f -> Buffer.add_string buf (number f)
+  | Num f -> add_number buf f
   | Str s ->
     Buffer.add_char buf '"';
     add_escaped buf s;
     Buffer.add_char buf '"'
-  | List xs ->
+  | List [] -> Buffer.add_string buf "[]"
+  | List (x :: xs) ->
     Buffer.add_char buf '[';
-    List.iteri
-      (fun i x ->
-        if i > 0 then Buffer.add_string buf ", ";
-        render buf x)
-      xs;
+    render buf x;
+    render_tail buf xs;
     Buffer.add_char buf ']'
   | Obj kvs ->
     Buffer.add_char buf '{';
@@ -242,6 +256,14 @@ let rec render buf = function
         render buf v)
       kvs;
     Buffer.add_char buf '}'
+
+(* the elements after a list's first, each behind its separator *)
+and render_tail buf = function
+  | [] -> ()
+  | x :: xs ->
+    Buffer.add_string buf ", ";
+    render buf x;
+    render_tail buf xs
 
 let to_string v =
   let buf = Buffer.create 256 in

@@ -123,13 +123,20 @@ let max_dt (design : Tl_stt.Design.t) =
 
 let total_of ~compute_end ~rows design = compute_end + rows + max_dt design + 4
 
+(* The total is [f_preload + passes * span + rows + max_dt + 4].  The
+   domain fitting an int does not make it fit: with m = n = 1 and k near
+   [max_int] the sum wraps negative, and a negative need passes every
+   capacity check. *)
 let schedule_size design ~rows ~cols =
   let fr =
     try Schedule.frame design ~rows ~cols
     with Schedule.Unsupported msg -> raise (Unsupported msg)
   in
-  (total_of ~compute_end:fr.Schedule.f_compute_end ~rows design,
-   fr.Schedule.f_passes)
+  let passes = fr.Schedule.f_passes and span = fr.Schedule.f_span in
+  let fixed = fr.Schedule.f_preload + rows + max_dt design + 4 in
+  if span <= 0 || span > (max_int - fixed) / passes then
+    raise (Unsupported "Layout: the schedule length does not fit in an int");
+  (total_of ~compute_end:fr.Schedule.f_compute_end ~rows design, passes)
 
 (* last cycle of pass [p] *)
 let tick_cycle (sched : Schedule.t) p =

@@ -141,7 +141,8 @@ val schedule_size : Tl_stt.Design.t -> rows:int -> cols:int -> int * int
     schedule's {!Schedule.frame} in O(depth): no events are built, so the
     cost does not grow with the extents.
     @raise Unsupported when the schedule footprint does not fit the
-    array, as {!build} would. *)
+    array, as {!build} would, or when the total does not fit in an
+    int. *)
 
 val build : ?rename:(string -> string) -> Tl_stt.Design.t ->
   rows:int -> cols:int -> t

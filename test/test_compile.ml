@@ -329,7 +329,21 @@ let test_precheck_sound () =
   List.iter
     (fun w ->
       Alcotest.(check bool) ("rejections on " ^ w) true (List.mem w !fired))
-    [ "schedule cycles"; "schedule passes"; "tensor A elements" ]
+    [ "schedule cycles"; "schedule passes"; "tensor A elements" ];
+  (* the domain fits an int, the schedule length does not: a typed
+     rejection, not a negative need that passes the capacity check *)
+  let huge =
+    Search.find_design_exn (Workloads.gemm ~m:1 ~n:1 ~k:(max_int - 3))
+      "MNK-SST"
+  in
+  Alcotest.(check bool) "overflowing schedule_size raises" true
+    (match Layout.schedule_size huge ~rows:4 ~cols:4 with
+     | exception Layout.Unsupported _ -> true
+     | _ -> false);
+  Alcotest.(check bool) "overflowing schedule rejected" true
+    (match Compile.compile ~target huge with
+     | Error (Compile.Unsupported_design _) -> true
+     | _ -> false)
 
 (* ---------------- loader validation ---------------- *)
 
@@ -620,15 +634,11 @@ let test_cli_serve_einsum () =
 
 let gemm_einsum = "C[m,n] += A[m,k] * B[n,k]"
 
-(* serve answers on one line per (id, einsum, extents) request, parsed *)
-let serve_answers ?(flags = "") requests =
+(* serve's answers to request lines, one per line, parsed *)
+let serve_lines ?(flags = "") lines =
   let path = Filename.temp_file "tlreq" ".jsonl" in
   let oc = open_out path in
-  List.iter
-    (fun (id, einsum, extents) ->
-      Printf.fprintf oc "{\"id\": %d, \"einsum\": %S, \"extents\": %S}\n" id
-        einsum extents)
-    requests;
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
   let rc, out, _ =
     run_cli ~stdin:path
@@ -643,6 +653,15 @@ let serve_answers ?(flags = "") requests =
       | Ok j -> j
       | Error e -> Alcotest.failf "unparsable answer %S: %s" l e)
 
+(* serve answers on one line per (id, einsum, extents) request, parsed *)
+let serve_answers ?flags requests =
+  serve_lines ?flags
+    (List.map
+       (fun (id, einsum, extents) ->
+         Printf.sprintf "{\"id\": %d, \"einsum\": %S, \"extents\": %S}" id
+           einsum extents)
+       requests)
+
 let check_rejected ~id ~error j =
   Alcotest.(check (option int)) "answer keeps the id" (Some id)
     (Option.bind (Json.member "id" j) Json.int_opt);
@@ -652,18 +671,37 @@ let check_rejected ~id ~error j =
   Alcotest.(check bool) (Printf.sprintf "%S in %S" error msg) true
     (contains msg error)
 
-(* parse errors and bad extents are the client's: answered with its id *)
+(* parse errors and bad extents are the client's: answered with its id,
+   at once, and the request behind them is served *)
 let test_cli_serve_bad_einsum_keeps_id () =
-  match
-    serve_answers
-      [ (7, gemm_einsum, "m=4,n=4"); (8, gemm_einsum, "m=4,n=4,k=0");
-        (9, gemm_einsum, "m=4,n=4,k=-3") ]
-  with
-  | [ a; b; c ] ->
-    check_rejected ~id:7 ~error:"bad request: iterator k is not declared" a;
-    check_rejected ~id:8 ~error:"bad request: extent of k must be positive" b;
-    check_rejected ~id:9 ~error:"bad request: extent of k must be positive" c
-  | l -> Alcotest.failf "expected 3 answers, got %d" (List.length l)
+  let line id extents =
+    Printf.sprintf "{\"id\":%d,\"einsum\":%S,\"extents\":%s}" id gemm_einsum
+      extents
+  in
+  let t0 = Unix.gettimeofday () in
+  let answers =
+    serve_lines
+      [ line 7 "\"m=4,n=4\""; line 8 "\"m=4,n=4,k=0\"";
+        line 9 "\"m=4,n=4,k=-3\"";
+        (* 4 * 4 * k points overflow an int *)
+        line 1 "\"m=4,n=4,k=4611686018427387903\""; line 10 "7";
+        line 2 "\"m=4,n=4,k=4\"" ]
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  (match answers with
+   | [ a; b; c; d; e; f ] ->
+     check_rejected ~id:7 ~error:"bad request: iterator k is not declared" a;
+     check_rejected ~id:8 ~error:"bad request: extent of k must be positive" b;
+     check_rejected ~id:9 ~error:"bad request: extent of k must be positive" c;
+     check_rejected ~id:1 ~error:"bad request: Stmt.v: the iteration domain" d;
+     check_rejected ~id:10
+       ~error:"\"extents\" must be a string such as \"m=64,n=64,k=64\"" e;
+     Alcotest.(check bool) "the request behind them is served" true
+       (Json.member "ok" f = Some (Json.Bool true))
+   | l -> Alcotest.failf "expected 6 answers, got %d" (List.length l));
+  Alcotest.(check bool)
+    (Printf.sprintf "server answered within 1 s (took %.2f s)" wall)
+    true (wall < 1.)
 
 let test_cli_duplicate_extent_rejected () =
   (match serve_answers [ (3, gemm_einsum, "m=4,n=4,k=4,k=8") ] with
@@ -678,21 +716,29 @@ let test_cli_duplicate_extent_rejected () =
   Alcotest.(check bool) "compile names the duplicate" true
     (contains err "k is declared twice")
 
-(* a malformed --extents binding is the exit-2 error naming the binding,
-   in every command that takes --expr: one parser serves them and serve's
+(* a malformed --extents binding, or extents whose iteration domain
+   overflows an int, is the exit-2 error naming the fault, in every
+   command that takes --expr: one parser serves them and serve's
    "extents" *)
 let test_cli_bad_extent_binding () =
   List.iter
-    (fun cmd ->
-      let rc, _, err =
-        run_cli (cmd ^ " -e 'C[m,n]+=A[m,k]*B[n,k]' --extents m=4,n=4,k=x")
-      in
-      Alcotest.(check int) (cmd ^ " exits 2") 2 rc;
-      Alcotest.(check bool) (cmd ^ " names k=x") true
-        (contains err "bad extent binding: k=x"))
-    [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
-      "simulate -d MNK-SST";
-      "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ]
+    (fun (extents, error) ->
+      List.iter
+        (fun cmd ->
+          let rc, out, err =
+            run_cli
+              (cmd ^ " -e 'C[m,n]+=A[m,k]*B[n,k]' --extents " ^ extents)
+          in
+          Alcotest.(check int) (cmd ^ " " ^ extents ^ " exits 2") 2 rc;
+          Alcotest.(check string) (cmd ^ " prints no result") "" out;
+          Alcotest.(check bool) (cmd ^ " says " ^ error) true
+            (contains err error))
+        [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
+          "simulate -d MNK-SST";
+          "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ])
+    [ ("m=4,n=4,k=x", "bad extent binding: k=x");
+      ("m=4,n=4,k=4611686018427387903",
+       "the iteration domain (the product of the extents) does not fit") ]
 
 (* requests far over the envelope are rejected before any scheduling:
    one with an input too large, and two whose iterator [b] indexes no

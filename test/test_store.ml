@@ -110,7 +110,22 @@ let test_json_render_bytes () =
         ("ss", Json.List (List.map (fun s -> Json.Str s) strs)) ]
   in
   Alcotest.(check string) "whole document" (reference_render doc)
-    (Json.to_string doc)
+    (Json.to_string doc);
+  (* lists and objects of zero, one and several members, nested *)
+  let one = Json.Num 7. and s = Json.Str "x" in
+  List.iter
+    (fun v ->
+      Alcotest.(check string) (reference_render v) (reference_render v)
+        (Json.to_string v))
+    [ Json.List []; Json.Obj []; Json.List [ one ]; Json.Obj [ ("a", one) ];
+      Json.List [ Json.List [] ]; Json.List [ Json.Obj [] ];
+      Json.List [ Json.List []; Json.List [ one ]; Json.List [ one; s ] ];
+      Json.Obj [ ("e", Json.List []); ("o", Json.Obj []) ];
+      Json.Obj
+        [ ("xs",
+           Json.List [ Json.Obj [ ("k", Json.List [ one ]) ]; Json.Null ]);
+          ("b", Json.Bool false) ];
+      Json.List [ Json.List [ Json.List [ Json.List [ one ] ] ]; one ] ]
 
 (* ---------------- store basics ---------------- *)
 
