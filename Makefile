@@ -75,9 +75,10 @@ obs-smoke:
 	@echo "obs-smoke: OK"
 
 # Abstract-interpretation gate: every tier-1 workload's generated netlist
-# must statically prove the L200/L201/L202 safety rules — no simulation —
-# via the CLI netlist analyzer (exit 1 on any unproven rule; engine and
-# rule family: docs/ANALYSIS.md).
+# must statically prove the L200/L201/L202 safety rules — from the
+# fixpoint and the control slice recorded on the tape, with no run on
+# data — via the CLI netlist analyzer (exit 1 on any unproven rule;
+# engine and rule family: docs/ANALYSIS.md).
 analyze-smoke:
 	dune build bin/tensorlib_cli.exe
 	dune exec bin/tensorlib_cli.exe -- analyze -w gemm-small -d MNK-SST \

@@ -6,8 +6,13 @@
    Five phases:
    - designs: random stmt x random STT; generated accelerators must match
      the golden executor, and the lint must report no error-severity
-     finding on the generated netlist, before or after [Rewrite].  Trials
-     run on the Tl_par domain pool (override width with TL_DOMAINS=n).
+     finding on the generated netlist, before or after [Rewrite].  Every
+     node of the control slice, recorded by [Absint.Stream.record] on the
+     tape for the planned cycles plus 4, must take the recorded value on
+     every cycle of an [Oracle.Refsim] run whose inputs the trial's RNG
+     drives, and the reference's slice registers must give the recorded
+     [saturation] and [repeat].  Trials run on the Tl_par domain pool
+     (override width with TL_DOMAINS=n).
    - netlists: random raw netlists; the lint must never crash, and
      [Rewrite.circuit] must never introduce a finding (per-rule counts
      never grow).  A slice of deliberately broken netlists checks that
@@ -222,6 +227,20 @@ let usage () =
   prerr_endline "usage: fuzz.exe [iterations >= 1] [seed]";
   exit 2
 
+(* what one phase-1 trial reports back from the domain pool *)
+type trial = {
+  checked : int;
+  skipped : int;
+  failed : int;
+  slice_nodes : int;
+  stream_violations : int;
+  report : string;
+}
+
+let skipped_trial =
+  { checked = 0; skipped = 1; failed = 0; slice_nodes = 0;
+    stream_violations = 0; report = "" }
+
 let () =
   let arg i default =
     if Array.length Sys.argv <= i then default
@@ -242,11 +261,11 @@ let () =
     let stmt = random_stmt rng in
     let t = random_transform rng stmt in
     let d = Design.analyze t in
-    if not (Design.netlist_supported d) then (0, 1, 0, "")
+    if not (Design.netlist_supported d) then skipped_trial
     else
       let env = Exec.alloc_inputs ~seed:i stmt in
       match Accel.generate ~rows:12 ~cols:12 d env with
-      | exception Accel.Unsupported _ -> (0, 1, 0, "")
+      | exception Accel.Unsupported _ -> skipped_trial
       | acc ->
         let buf = Buffer.create 64 in
         let fmt = Format.formatter_of_buffer buf in
@@ -278,16 +297,44 @@ let () =
             end)
           [ ("design", design_errors); ("netlist", netlist_errors);
             ("rewritten netlist", rewritten_errors) ];
+        (* the control slice recorded on the tape against the reference
+           interpreter, whose inputs the trial's RNG drives *)
+        let circuit = acc.Accel.circuit in
+        let slice = Absint.Stream.build circuit in
+        let track =
+          List.filter (Absint.Stream.in_slice slice)
+            (Array.to_list (Circuit.nodes circuit))
+        in
+        let run =
+          Absint.Stream.record slice
+            ~cycles:(Accel.planned_cycles acc + 4)
+            ~track
+        in
+        let stream_diffs =
+          Oracle.Refsim.stream_differences circuit slice ~rng run
+        in
+        List.iter
+          (fun diff ->
+            Format.fprintf fmt "STREAM FAIL at iteration %d: %s@." i diff)
+          stream_diffs;
         Format.pp_print_flush fmt ();
-        (1, 0, !failures, Buffer.contents buf)
+        { checked = 1; skipped = 0; failed = !failures;
+          slice_nodes = List.length track;
+          stream_violations = List.length stream_diffs;
+          report = Buffer.contents buf }
   in
   let results = Par.map trial (List.init iterations (fun i -> i + 1)) in
-  let checked = List.fold_left (fun a (c, _, _, _) -> a + c) 0 results in
-  let skipped = List.fold_left (fun a (_, s, _, _) -> a + s) 0 results in
-  let failed = ref (List.fold_left (fun a (_, _, f, _) -> a + f) 0 results) in
-  List.iter (fun (_, _, _, msg) -> print_string msg) results;
+  let total f = List.fold_left (fun a r -> a + f r) 0 results in
+  let checked = total (fun r -> r.checked) in
+  let failed = ref (total (fun r -> r.failed)) in
+  let stream_violations = total (fun r -> r.stream_violations) in
+  List.iter (fun r -> print_string r.report) results;
   Printf.printf "fuzz designs: %d checked, %d skipped, %d failed (seed %d)\n"
-    checked skipped !failed seed;
+    checked (total (fun r -> r.skipped)) !failed seed;
+  Printf.printf
+    "fuzz stream oracle: %d control slices, %d nodes recorded on the tape \
+     vs the reference, %d violations\n"
+    checked (total (fun r -> r.slice_nodes)) stream_violations;
   (* phase 2: raw netlists through the lint differential oracle *)
   let linted = ref 0 and violations = ref 0 in
   for i = 1 to iterations do
@@ -542,6 +589,7 @@ let () =
      the reference, %d violations\n"
     !stats_checked !evals_checked !spaces_checked !stats_violations;
   if
-    !failed > 0 || !violations > 0 || !absint_violations > 0
+    !failed > 0 || stream_violations > 0 || !violations > 0
+    || !absint_violations > 0
     || !batch_violations > 0 || !stats_violations > 0
   then exit 1

@@ -244,6 +244,31 @@ let resolve ?expr ?extents ?select ?matrix w d =
     failwith "--select and --matrix must be given together"
   | None, None -> (stmt, design_of_name stmt w d)
 
+(* The input tensors of [stmt] with their sample data, after checking
+   that every tensor of it fits one array: [Exec.alloc_inputs] and
+   [Exec.run] would otherwise fail in [Array.make].  The element count
+   saturates past the limit, so it cannot wrap. *)
+let alloc_inputs stmt =
+  List.iter
+    (fun (a : Access.t) ->
+      let shape = Access.shape a stmt.Stmt.iters in
+      let limit = Sys.max_array_length in
+      let count =
+        Array.fold_left
+          (fun n e -> if n > limit / e then limit + 1 else n * e)
+          1 shape
+      in
+      if count > limit then
+        failwith
+          (Printf.sprintf
+             "tensor %s of shape %s has more elements than an array holds \
+              (%d)"
+             a.Access.tensor
+             (String.concat "x" (Array.to_list (Array.map string_of_int shape)))
+             limit))
+    (Stmt.tensors stmt);
+  Exec.alloc_inputs stmt
+
 (* Programmable-target construction shared by [compile] and [serve]: size
    the descriptor memories to [headroom]× the generating design's natural
    schedule, so any compatible einsum within that envelope loads without
@@ -294,7 +319,7 @@ let analyze_cmd =
     if netlist then begin
       validate_grid ~rows ~cols;
       validate_widths ~data_width:dw ~acc_width:aw;
-      let env = Exec.alloc_inputs stmt in
+      let env = alloc_inputs stmt in
       let acc =
         Accel.generate ~rows ~cols ~data_width:dw ~acc_width:aw design env
       in
@@ -336,7 +361,7 @@ let generate_cmd =
     validate_grid ~rows ~cols;
     validate_widths ~data_width:dw ~acc_width:aw;
     let stmt, design = resolve ?expr ?extents w d in
-    let env = Exec.alloc_inputs stmt in
+    let env = alloc_inputs stmt in
     let acc =
       Accel.generate ~rows ~cols ~data_width:dw ~acc_width:aw design env
     in
@@ -385,7 +410,7 @@ let simulate_cmd =
     validate_widths ~data_width:dw ~acc_width:aw;
     let backend = Cli_backend.of_string backend_s in
     let stmt, design = resolve ?expr ?extents ?select ?matrix w d in
-    let env = Exec.alloc_inputs stmt in
+    let env = alloc_inputs stmt in
     let golden = Exec.run stmt env in
     let acc =
       Accel.generate ~rows ~cols ~data_width:dw ~acc_width:aw design env

@@ -226,7 +226,13 @@ let analyze ?(config = Engine.default_config) ?(cycles = 1024) ?target
     match target with Some t -> t | None -> Circuit.name circuit
   in
   let nodes = Circuit.nodes circuit in
-  let slice = Stream.build circuit in
+  (* a ram whose contents the config overrides holds data the proofs
+     must not read exactly: its reads leave the slice *)
+  let slice =
+    Stream.build
+      ~unknown:(fun r -> config.Engine.ram_override r <> None)
+      circuit
+  in
   let findings = ref [] in
   let proofs = ref [] in
   let emit f = findings := f :: !findings in

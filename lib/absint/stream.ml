@@ -5,22 +5,23 @@ type t = {
   tainted : (int, unit) Hashtbl.t;  (* node id -> depends on inputs/ram *)
 }
 
-(* dependencies for the taint pass: sequential edges included, ram write
-   ports excluded (a read of a writable ram is tainted directly) *)
-let taint_children (s : Signal.t) =
+let opaque unknown (r : Signal.ram) = r.Signal.write_port <> None || unknown r
+
+(* dependencies for the taint pass: sequential edges included, reads of
+   opaque rams excluded (such a read is tainted directly) *)
+let taint_children unknown (s : Signal.t) =
   match s.Signal.node with
   | Signal.Reg r ->
     (r.Signal.d :: Option.to_list r.Signal.enable)
     @ Option.to_list r.Signal.clear
-  | Signal.Ram_read (r, addr) ->
-    if r.Signal.write_port <> None then [] else [ addr ]
+  | Signal.Ram_read (r, addr) -> if opaque unknown r then [] else [ addr ]
   | Signal.Wire w -> ( match !w with Some d -> [ d ] | None -> [])
   | Signal.Input _ | Signal.Const _ -> []
   | Signal.Unop (_, a) | Signal.Repl (a, _) | Signal.Select (a, _, _) -> [ a ]
   | Signal.Binop (_, a, b) | Signal.Concat (a, b) -> [ a; b ]
   | Signal.Mux (c, a, b) -> [ c; a; b ]
 
-let build circuit =
+let build ?(unknown = fun _ -> false) circuit =
   let nodes = Circuit.nodes circuit in
   let tainted : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let taint (s : Signal.t) = Hashtbl.replace tainted s.Signal.id () in
@@ -30,7 +31,7 @@ let build circuit =
     (fun (s : Signal.t) ->
       match s.Signal.node with
       | Signal.Input _ -> taint s
-      | Signal.Ram_read (r, _) when r.Signal.write_port <> None -> taint s
+      | Signal.Ram_read (r, _) when opaque unknown r -> taint s
       | _ -> ())
     nodes;
   (* propagate to a fixpoint; register back-edges need repeated passes *)
@@ -40,7 +41,8 @@ let build circuit =
     Array.iter
       (fun (s : Signal.t) ->
         if
-          (not (is_tainted s)) && List.exists is_tainted (taint_children s)
+          (not (is_tainted s))
+          && List.exists is_tainted (taint_children unknown s)
         then begin
           taint s;
           changed := true
@@ -58,140 +60,48 @@ type run = {
   repeat : (int * int) option;
 }
 
+(* The slice depends on no input and no opaque ram, so the tape run with
+   its inputs left at 0 computes it exactly.  Slice registers are read at
+   their slots, which the tape never aliases or merges. *)
 let record t ~cycles ~track =
-  List.iter
-    (fun (s : Signal.t) ->
-      if not (in_slice t s) then
-        invalid_arg
-          (Printf.sprintf
-             "Stream.record: signal %d is input-dependent (outside the \
-              control slice)"
-             s.Signal.id))
-    track;
-  let nodes = Circuit.nodes t.circuit in
-  (* dense indices for slice nodes, in topological order *)
-  let index : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let slice =
-    Array.of_list
-      (Array.to_list nodes |> List.filter (fun s -> in_slice t s))
+  let sim = Sim.create t.circuit in
+  let slot (s : Signal.t) =
+    match Sim.slot sim s with
+    | Some i when in_slice t s -> i
+    | _ ->
+      invalid_arg
+        (Printf.sprintf
+           "Stream.record: signal %d is not a node of the control slice"
+           s.Signal.id)
   in
-  Array.iteri
-    (fun i (s : Signal.t) -> Hashtbl.replace index s.Signal.id i)
-    slice;
-  let n = Array.length slice in
-  let vals = Array.make n 0 in
-  let idx (s : Signal.t) = Hashtbl.find index s.Signal.id in
-  let v s = vals.(idx s) in
-  (* register state, by dense index of the reg node *)
   let regs =
-    Array.to_list slice
+    Array.to_list (Circuit.nodes t.circuit)
     |> List.filter_map (fun (s : Signal.t) ->
         match s.Signal.node with
-        | Signal.Reg r -> Some (idx s, s.Signal.width, r)
+        | Signal.Reg _ when in_slice t s -> Some (slot s)
         | _ -> None)
+    |> Array.of_list
   in
-  let state = Hashtbl.create 16 in
-  List.iter
-    (fun (i, _, (r : Signal.reg)) -> Hashtbl.replace state i r.Signal.init)
-    regs;
-  let m w x = Signal.mask_to_width w x in
-  let settle () =
-    Array.iteri
-      (fun i (s : Signal.t) ->
-        let w = s.Signal.width in
-        vals.(i) <-
-          (match s.Signal.node with
-           | Signal.Input _ -> assert false
-           | Signal.Const c -> c
-           | Signal.Unop (Signal.Not, a) -> m w (lnot (v a))
-           | Signal.Binop (op, a, b) -> (
-             let va = v a and vb = v b in
-             let aw = a.Signal.width in
-             match op with
-             | Signal.Add -> m w (va + vb)
-             | Signal.Sub -> m w (va - vb)
-             | Signal.Mul -> m w (va * vb)
-             | Signal.And -> va land vb
-             | Signal.Or -> va lor vb
-             | Signal.Xor -> va lxor vb
-             | Signal.Eq -> if va = vb then 1 else 0
-             | Signal.Ult -> if va < vb then 1 else 0
-             | Signal.Slt ->
-               if Signal.to_signed aw va < Signal.to_signed aw vb then 1
-               else 0
-             | Signal.Shl k -> m w (va lsl k)
-             | Signal.Shr k -> va lsr k
-             | Signal.Sra k -> m w (Signal.to_signed aw va asr k))
-           | Signal.Mux (c, x, y) -> if v c <> 0 then v x else v y
-           | Signal.Concat (hi, lo) ->
-             m w ((v hi lsl lo.Signal.width) lor v lo)
-           | Signal.Repl (a, k) ->
-             let acc = ref 0 in
-             let aw = a.Signal.width in
-             for _ = 1 to k do
-               acc := (!acc lsl aw) lor v a
-             done;
-             m w !acc
-           | Signal.Select (a, _, lo) -> m w (v a lsr lo)
-           | Signal.Reg _ -> Hashtbl.find state i
-           | Signal.Wire r -> (
-             match !r with Some d -> v d | None -> 0)
-           | Signal.Ram_read (r, addr) ->
-             let a = v addr in
-             if a >= 0 && a < r.Signal.size then r.Signal.init_data.(a)
-             else 0))
-      slice
-  in
-  let latch () =
-    let any_change = ref false in
-    let nexts =
-      List.map
-        (fun (i, w, (r : Signal.reg)) ->
-          let cleared =
-            match r.Signal.clear with
-            | Some c when v c <> 0 -> Some r.Signal.clear_to
-            | _ -> None
-          in
-          let next =
-            match cleared with
-            | Some cv -> cv
-            | None -> (
-              match r.Signal.enable with
-              | Some e when v e = 0 -> Hashtbl.find state i
-              | _ -> m w (v r.Signal.d))
-          in
-          (i, next))
-        regs
-    in
-    List.iter
-      (fun (i, next) ->
-        if Hashtbl.find state i <> next then begin
-          any_change := true;
-          Hashtbl.replace state i next
-        end)
-      nexts;
-    !any_change
-  in
+  let tracked = Array.of_list (List.map slot track) in
   let streams =
     List.map (fun (s : Signal.t) -> (s.Signal.id, Array.make cycles 0)) track
   in
+  let arrays = Array.of_list (List.map snd streams) in
+  let state () = Array.map (Sim.read_slot sim) regs in
   let saturation = ref None in
   let repeat = ref None in
-  let seen : (int list, int) Hashtbl.t = Hashtbl.create 64 in
-  let state_key () = List.map (fun (i, _, _) -> Hashtbl.find state i) regs in
+  let seen : (int array, int) Hashtbl.t = Hashtbl.create 64 in
   for c = 0 to cycles - 1 do
+    let entry = state () in
     if !repeat = None then begin
-      let k = state_key () in
-      match Hashtbl.find_opt seen k with
+      match Hashtbl.find_opt seen entry with
       | Some c1 -> repeat := Some (c1, c)
-      | None -> Hashtbl.add seen k c
+      | None -> Hashtbl.add seen entry c
     end;
-    settle ();
-    List.iter2
-      (fun (s : Signal.t) (_, arr) -> arr.(c) <- v s)
-      track streams;
-    let changed = latch () in
-    if (not changed) && !saturation = None then saturation := Some c
+    Sim.settle sim;
+    Array.iteri (fun k i -> arrays.(k).(c) <- Sim.read_slot sim i) tracked;
+    Sim.latch sim;
+    if !saturation = None && state () = entry then saturation := Some c
   done;
   { cycles; streams; saturation = !saturation; repeat = !repeat }
 

@@ -441,14 +441,14 @@ let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
   for j = n - 1 downto 0 do
     let cs = cand.(j) in
     let max_c = cs.(Array.length cs - 1) in
-    suffix_min.(j) <- suffix_min.(j + 1) * ((sel_ext.(j) + max_c - 1) / max_c)
+    suffix_min.(j) <- suffix_min.(j + 1) * (((sel_ext.(j) - 1) / max_c) + 1)
   done;
   (* the best three leaves by estimate, a later leaf before an equal one *)
   let kept = ref 0 in
   let best_est = Array.make 3 0. and best_tile = Array.make 3 [||] in
   let best_passes = Array.make 3 0 in
-  let keep est passes =
-    let est = float_of_int est in
+  let keep passes span =
+    let est = float_of_int passes *. float_of_int span in
     let p = ref 0 in
     while !p < !kept && est > best_est.(!p) do
       incr p
@@ -480,13 +480,16 @@ let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
     for i = 0 to !fit - 1 do
       let s = cs.(i) in
       let span = here.(2) + (cj.(2) * (s - 1)) in
-      let passes = passes_so_far * ((sel_ext.(j) + s - 1) / s) in
-      let lb = float_of_int (passes * suffix_min.(j + 1) * span) in
+      let passes = passes_so_far * (((sel_ext.(j) - 1) / s) + 1) in
+      let lb =
+        float_of_int passes *. float_of_int suffix_min.(j + 1)
+        *. float_of_int span
+      in
       tile.(j) <- s;
       if !kept = 3 && lb > best_est.(2) then incr pruned
       else if j = n - 1 then begin
         incr leaves;
-        keep (passes * span) passes
+        keep passes span
       end
       else begin
         let next = ext.(j + 1) in
@@ -630,9 +633,9 @@ let quick_estimate config (design : Tl_stt.Design.t) =
   in
   let sel_passes = ref 1 in
   Array.iteri
-    (fun j tj -> sel_passes := !sel_passes * ((sel_ext.(j) + tj - 1) / tj))
+    (fun j tj -> sel_passes := !sel_passes * (((sel_ext.(j) - 1) / tj) + 1))
     tile;
-  float_of_int (!sel_passes * max span per_pe)
+  float_of_int !sel_passes *. float_of_int (max span per_pe)
 
 let evaluate_name ?(config = default_config) stmt name =
   match Tl_stt.Search.matching_designs stmt name with

@@ -246,3 +246,75 @@ let run_against circuit sim n =
   Sim.cycles sim n;
   cycles t n;
   differences t sim
+
+(* ------------------------------------------------------------------ *)
+(* Checking a control-slice recording.                                 *)
+
+(* Every way [run], a [Stream.record] of [slice] (built over [circuit]),
+   disagrees with a reference run from power-on for [run.cycles] cycles
+   whose inputs all take fresh values from [rng] on every cycle: each
+   recorded signal at the first cycle its stream differs, then the
+   [saturation] and the [repeat] recomputed from the reference's slice
+   registers.  Empty when they agree.  Random inputs also catch a slice
+   node that depends on an input. *)
+let stream_differences circuit slice ~rng (run : Absint.Stream.run) =
+  let module S = Absint.Stream in
+  let t = create circuit in
+  let streams =
+    List.map (fun (id, arr) -> (Hashtbl.find t.index id, arr)) run.S.streams
+  in
+  let regs =
+    Array.of_list
+      (List.filter
+         (fun i -> S.in_slice slice t.nodes.(i))
+         (Array.to_list t.regs))
+  in
+  let n = run.S.cycles in
+  (* slice register state entering each cycle, and after the last *)
+  let states = Array.make (n + 1) [||] in
+  let diffs = ref [] in
+  let diverged = Hashtbl.create 8 in
+  for c = 0 to n - 1 do
+    states.(c) <- Array.map (fun i -> t.values.(i)) regs;
+    List.iter
+      (fun (name, _) -> set_input t name (Random.State.full_int rng max_int))
+      (Circuit.inputs circuit);
+    settle t;
+    List.iter
+      (fun (i, arr) ->
+        if t.values.(i) <> arr.(c) && not (Hashtbl.mem diverged i) then begin
+          Hashtbl.replace diverged i ();
+          diffs :=
+            Printf.sprintf "%s at cycle %d: recorded %d, reference %d"
+              (Signal.blame t.nodes.(i)) c arr.(c) t.values.(i)
+            :: !diffs
+        end)
+      streams;
+    latch t
+  done;
+  states.(n) <- Array.map (fun i -> t.values.(i)) regs;
+  (* the least [c] in [0, hi) such that [p c] *)
+  let first hi p =
+    let rec go c = if c >= hi then None else if p c then Some c else go (c + 1) in
+    go 0
+  in
+  let saturation = first n (fun c -> states.(c) = states.(c + 1)) in
+  (* the first state to recur, and the cycle it first occurred *)
+  let repeat =
+    let earlier c2 = first c2 (fun c1 -> states.(c1) = states.(c2)) in
+    Option.map
+      (fun c2 -> (Option.get (earlier c2), c2))
+      (first n (fun c2 -> earlier c2 <> None))
+  in
+  let check what show recorded reference =
+    let show = function None -> "none" | Some v -> show v in
+    if recorded = reference then []
+    else
+      [ Printf.sprintf "%s: recorded %s, reference %s" what (show recorded)
+          (show reference) ]
+  in
+  List.rev !diffs
+  @ check "saturation" string_of_int run.S.saturation saturation
+  @ check "repeat"
+      (fun (c1, c2) -> Printf.sprintf "(%d, %d)" c1 c2)
+      run.S.repeat repeat

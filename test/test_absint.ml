@@ -292,7 +292,8 @@ let test_tier1_proven_safe () =
       let design = Search.find_design_exn stmt dname in
       let env = Exec.alloc_inputs stmt in
       let acc = Accel.generate ~rows:4 ~cols:4 ~counters:true design env in
-      (* static proof only: the accelerator is never simulated *)
+      (* static proof: no data runs through the accelerator; only its
+         control slice is recorded on the tape *)
       let r = Absint.Report.of_accel acc in
       Alcotest.(check bool) (tag ^ " safe") true r.Absint.Report.safe;
       Alcotest.(check (list Alcotest.string)) (tag ^ " gate") []
@@ -305,6 +306,98 @@ let test_tier1_proven_safe () =
       Alcotest.(check bool) (tag ^ " json safe") true
         (contains (Absint.Report.to_json r) "\"safe\": true"))
     tier1_cases
+
+(* ---------------- the control slice on the tape vs the reference ---- *)
+
+(* every slice node of each tier-1 design, as a ROM build and as a
+   hardened programmable one with counters, recorded on the tape and
+   replayed on the reference interpreter under random inputs *)
+let test_stream_vs_reference () =
+  let rng = Random.State.make [| 23 |] in
+  List.iter
+    (fun (tag, stmt, dname) ->
+      let design = Search.find_design_exn stmt dname in
+      let env = Exec.alloc_inputs stmt in
+      let envelope =
+        Layout.envelope ~headroom:2 (Layout.build design ~rows:4 ~cols:4)
+      in
+      List.iter
+        (fun (combo, acc) ->
+          let circuit = acc.Accel.circuit in
+          let slice = Stream.build circuit in
+          let track =
+            List.filter (Stream.in_slice slice)
+              (Array.to_list (Circuit.nodes circuit))
+          in
+          let run =
+            Stream.record slice ~cycles:(Accel.planned_cycles acc + 4) ~track
+          in
+          let what = tag ^ " " ^ combo in
+          Alcotest.(check bool) (what ^ " quiesces") true
+            (run.Stream.saturation <> None);
+          Alcotest.(check (list string)) what []
+            (Oracle.Refsim.stream_differences circuit slice ~rng run))
+        [ ("rom", Accel.generate ~rows:4 ~cols:4 design env);
+          ( "prog2+ctr+full",
+            Accel.generate ~rows:4 ~cols:4 ~counters:true ~harden:Harden.full
+              ~programmable:envelope design env ) ])
+    tier1_cases
+
+(* ---------------- --data-bound proofs ------------------------------- *)
+
+let bounded ~acc_width ~bound design stmt =
+  let acc =
+    Accel.generate ~rows:4 ~cols:4 ~data_width:8 ~acc_width design
+      (Exec.alloc_inputs stmt)
+  in
+  (acc, Absint.Report.of_accel ~data_bound:bound acc)
+
+(* with 8-bit data bounded by 128, products reach 127 * 127 and four of
+   them overflow a 12-bit accumulator: the baked-in data, which keep it
+   small, must not make the proof *)
+let test_data_bound_repro () =
+  let stmt = Workloads.gemm ~m:4 ~n:4 ~k:4 in
+  let design = Search.find_design_exn stmt "MNK-SST" in
+  let _, r = bounded ~acc_width:12 ~bound:128 design stmt in
+  Alcotest.(check bool) "unproven" false r.Absint.Report.safe;
+  Alcotest.(check bool) "L200" true
+    (has_rule "L200" (Proof.gate r.Absint.Report.findings))
+
+(* a SAFE verdict under [--data-bound b] must hold for any data within
+   the bound: every extreme (each input tensor all [b] or all [-b], clamped
+   to the 8-bit data width) runs exactly on the accelerator *)
+let test_data_bound_sound () =
+  let safe = ref 0 in
+  List.iter
+    (fun (tag, stmt, dname) ->
+      let design = Search.find_design_exn stmt dname in
+      List.iter
+        (fun (acc_width, bound) ->
+          let acc, r = bounded ~acc_width ~bound design stmt in
+          if r.Absint.Report.safe then begin
+            incr safe;
+            let inputs = Exec.alloc_inputs stmt in
+            for signs = 0 to (1 lsl List.length inputs) - 1 do
+              let env =
+                List.mapi
+                  (fun i (name, t) ->
+                    let v =
+                      if signs land (1 lsl i) = 0 then min bound 127
+                      else -min bound 128
+                    in
+                    (name, Dense.map (fun _ -> v) t))
+                  inputs
+              in
+              if not (Dense.equal (Exec.run stmt env)
+                        (Accel.execute_with acc env))
+              then
+                Alcotest.failf "%s acc-width %d bound %d: SAFE, but data %d \
+                                diverges" tag acc_width bound signs
+            done
+          end)
+        [ (12, 3); (12, 128); (16, 128); (20, 128) ])
+    tier1_cases;
+  Alcotest.(check bool) "some bound proven" true (!safe > 0)
 
 (* ---------------- SARIF export -------------------------------------- *)
 
@@ -359,5 +452,9 @@ let suite =
       test_l204_dead_high_bits;
     Alcotest.test_case "narrow-differential" `Quick test_narrow_differential;
     Alcotest.test_case "tier1-proven-safe" `Quick test_tier1_proven_safe;
+    Alcotest.test_case "stream-vs-reference" `Quick test_stream_vs_reference;
+    Alcotest.test_case "data-bound-repro-unproven" `Quick
+      test_data_bound_repro;
+    Alcotest.test_case "data-bound-sound" `Quick test_data_bound_sound;
     Alcotest.test_case "sarif-export" `Quick test_sarif;
     Alcotest.test_case "blame-messages" `Quick test_blame_messages ]

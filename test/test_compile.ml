@@ -721,8 +721,13 @@ let test_cli_duplicate_extent_rejected () =
    command that takes --expr: one parser serves them and serve's
    "extents" *)
 let test_cli_bad_extent_binding () =
+  let every =
+    [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
+      "simulate -d MNK-SST";
+      "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ]
+  in
   List.iter
-    (fun (extents, error) ->
+    (fun (extents, error, cmds) ->
       List.iter
         (fun cmd ->
           let rc, out, err =
@@ -733,12 +738,18 @@ let test_cli_bad_extent_binding () =
           Alcotest.(check string) (cmd ^ " prints no result") "" out;
           Alcotest.(check bool) (cmd ^ " says " ^ error) true
             (contains err error))
-        [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
-          "simulate -d MNK-SST";
-          "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ])
-    [ ("m=4,n=4,k=x", "bad extent binding: k=x");
+        cmds)
+    [ ("m=4,n=4,k=x", "bad extent binding: k=x", every);
       ("m=4,n=4,k=4611686018427387903",
-       "the iteration domain (the product of the extents) does not fit") ]
+       "the iteration domain (the product of the extents) does not fit",
+       every);
+      (* the domain fits an int, but tensor A has more elements than
+         Sys.max_array_length: the commands that allocate the tensors *)
+      ("m=1,n=1,k=4611686018427387900",
+       "tensor A of shape 1x4611686018427387900 has more elements than an \
+        array holds",
+       [ "analyze --netlist -d MNK-SST"; "generate -d MNK-SST";
+         "simulate -d MNK-SST" ]) ]
 
 (* requests far over the envelope are rejected before any scheduling:
    one with an input too large, and two whose iterator [b] indexes no

@@ -276,6 +276,23 @@ let test_evaluate_name_deterministic () =
   Alcotest.(check bool) "some result" true (a <> None);
   Alcotest.(check bool) "repeat = first" true (a = b)
 
+(* an extent near max_int whose domain still fits an int: the pass count
+   and the cycle estimates must not wrap negative *)
+let test_evaluate_huge_extent () =
+  let stmt =
+    Parse.stmt "C[m,n] += A[m,k] * B[n,k]"
+      ~extents:[ ("m", 1); ("n", 1); ("k", 4611686018427387900) ]
+  in
+  match Perf.evaluate_name stmt "MNK-SST" with
+  | None -> Alcotest.fail "no result"
+  | Some r ->
+    (* a 512-deep k tile: k / 512 rounded up is 2^53 passes *)
+    Alcotest.(check int) "passes" (1 lsl 53) r.Perf.total_passes;
+    Alcotest.(check string) "cycles" "4611686018427387904"
+      (Printf.sprintf "%.0f" r.Perf.cycles);
+    Alcotest.(check bool) "pipelined cycles positive" true
+      (r.Perf.pipelined_cycles > 0.)
+
 let rec remove_tree path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
@@ -366,6 +383,8 @@ let suite =
       test_evaluate_multi_domain;
     Alcotest.test_case "evaluate_name deterministic" `Quick
       test_evaluate_name_deterministic;
+    Alcotest.test_case "evaluate with a near-max_int extent" `Quick
+      test_evaluate_huge_extent;
     Alcotest.test_case "streaming stats = materialised stats (random STT)"
       `Quick test_streaming_stats_random;
     Alcotest.test_case "closed-form stats on 1-D frames" `Quick
