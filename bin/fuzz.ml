@@ -4,8 +4,10 @@
    generator (the CI-style long-running counterpart of the property tests).
 
    Five phases:
-   - designs: random stmt x random STT; generated accelerators must match
-     the golden executor, and the lint must report no error-severity
+   - designs: random stmt x random STT; the golden executor [Exec.run]
+     must equal the point-by-point [Oracle.exec_run] on every trial's
+     statement and inputs, generated accelerators must match the golden
+     executor, and the lint must report no error-severity
      finding on the generated netlist, before or after [Rewrite].  Every
      node of the control slice, recorded by [Absint.Stream.record] on the
      tape for the planned cycles plus 4, must take the recorded value on
@@ -36,7 +38,9 @@
      [Oracle.evaluate_reference] (exhaustive search, materialised
      statistics) or raise the same exception, and [Enumerate.design_space] of the statement must
      equal the per-candidate [Oracle.design_space] (signatures and
-     matrices, in order).
+     matrices, in order).  Every case's statement also runs through
+     [Exec.run] and [Oracle.exec_run] on full-width random data, so
+     products and sums wrap.
 
    Usage: dune exec bin/fuzz.exe -- [iterations] [seed]
    (iterations >= 1, default 200; seed any integer, default 2024; anything
@@ -232,14 +236,28 @@ type trial = {
   checked : int;
   skipped : int;
   failed : int;
+  exec_mismatches : int;
   slice_nodes : int;
   stream_violations : int;
   report : string;
 }
 
-let skipped_trial =
-  { checked = 0; skipped = 1; failed = 0; slice_nodes = 0;
-    stream_violations = 0; report = "" }
+(* [Exec.run] against the point-by-point interpreter it replaced, on one
+   statement and its inputs: the mismatch count (0 or 1) and a report *)
+let exec_vs_oracle ~what stmt env =
+  let outcome f =
+    match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+  in
+  let fast = outcome (fun () -> Exec.run stmt env) in
+  let reference = outcome (fun () -> Oracle.exec_run stmt env) in
+  let same =
+    match (fast, reference) with
+    | Ok a, Ok b -> Dense.equal a b
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  if same then (0, "")
+  else (1, Format.asprintf "EXEC FAIL at %s: %a@." what Stmt.pp stmt)
 
 let () =
   let arg i default =
@@ -259,16 +277,24 @@ let () =
   let trial i =
     let rng = Random.State.make [| seed; i |] in
     let stmt = random_stmt rng in
+    let env = Exec.alloc_inputs ~seed:i stmt in
+    let exec_mismatches, exec_report =
+      exec_vs_oracle ~what:(Printf.sprintf "iteration %d" i) stmt env
+    in
+    let skipped =
+      { checked = 0; skipped = 1; failed = 0; exec_mismatches;
+        slice_nodes = 0; stream_violations = 0; report = exec_report }
+    in
     let t = random_transform rng stmt in
     let d = Design.analyze t in
-    if not (Design.netlist_supported d) then skipped_trial
+    if not (Design.netlist_supported d) then skipped
     else
-      let env = Exec.alloc_inputs ~seed:i stmt in
       match Accel.generate ~rows:12 ~cols:12 d env with
-      | exception Accel.Unsupported _ -> skipped_trial
+      | exception Accel.Unsupported _ -> skipped
       | acc ->
         let buf = Buffer.create 64 in
         let fmt = Format.formatter_of_buffer buf in
+        Buffer.add_string buf exec_report;
         let failures = ref 0 in
         let golden = Exec.run stmt env in
         if not (Dense.equal golden (Accel.execute acc)) then begin
@@ -318,7 +344,7 @@ let () =
             Format.fprintf fmt "STREAM FAIL at iteration %d: %s@." i diff)
           stream_diffs;
         Format.pp_print_flush fmt ();
-        { checked = 1; skipped = 0; failed = !failures;
+        { checked = 1; skipped = 0; failed = !failures; exec_mismatches;
           slice_nodes = List.length track;
           stream_violations = List.length stream_diffs;
           report = Buffer.contents buf }
@@ -327,10 +353,14 @@ let () =
   let total f = List.fold_left (fun a r -> a + f r) 0 results in
   let checked = total (fun r -> r.checked) in
   let failed = ref (total (fun r -> r.failed)) in
+  let exec_mismatches = total (fun r -> r.exec_mismatches) in
   let stream_violations = total (fun r -> r.stream_violations) in
   List.iter (fun r -> print_string r.report) results;
-  Printf.printf "fuzz designs: %d checked, %d skipped, %d failed (seed %d)\n"
-    checked (total (fun r -> r.skipped)) !failed seed;
+  Printf.printf
+    "fuzz designs: %d checked, %d skipped, %d failed; executor: %d \
+     statements vs the oracle, %d mismatches (seed %d)\n"
+    checked (total (fun r -> r.skipped)) !failed iterations exec_mismatches
+    seed;
   Printf.printf
     "fuzz stream oracle: %d control slices, %d nodes recorded on the tape \
      vs the reference, %d violations\n"
@@ -542,8 +572,25 @@ let () =
     Format.printf "PERF FAIL at case %d (%s, %dx%d):@.%a@." i what rows cols
       Design.pp_report d
   in
+  let exec_checked = ref 0 and exec_wide_mismatches = ref 0 in
   for i = 1 to iterations do
     let stmt = random_stmt ~sums:true rng in
+    (* full-width data from the case's own generator, so the products and
+       sums wrap and the phase's draws stay as they were *)
+    let data = Random.State.make [| seed; 5; i |] in
+    let wide _ =
+      Random.State.bits data lxor (Random.State.bits data lsl 30)
+      lxor (Random.State.bits data lsl 60)
+    in
+    let env =
+      List.map (fun (n, t) -> (n, Dense.map wide t)) (Exec.alloc_inputs stmt)
+    in
+    let m, report =
+      exec_vs_oracle ~what:(Printf.sprintf "case %d" i) stmt env
+    in
+    incr exec_checked;
+    exec_wide_mismatches := !exec_wide_mismatches + m;
+    print_string report;
     let d = Design.analyze (random_transform rng stmt) in
     let rows = 2 + Random.State.int rng 8 in
     let cols = 2 + Random.State.int rng 8 in
@@ -586,10 +633,14 @@ let () =
   done;
   Printf.printf
     "fuzz perf oracle: %d tile stats, %d evaluations and %d design spaces vs \
-     the reference, %d violations\n"
-    !stats_checked !evals_checked !spaces_checked !stats_violations;
+     the reference, %d violations; executor: %d statements with wide data \
+     vs the oracle, %d mismatches\n"
+    !stats_checked !evals_checked !spaces_checked !stats_violations
+    !exec_checked !exec_wide_mismatches;
   if
-    !failed > 0 || stream_violations > 0 || !violations > 0
+    !failed > 0 || exec_mismatches + !exec_wide_mismatches > 0
+    || stream_violations > 0
+    || !violations > 0
     || !absint_violations > 0
     || !batch_violations > 0 || !stats_violations > 0
   then exit 1

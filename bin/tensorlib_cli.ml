@@ -246,26 +246,19 @@ let resolve ?expr ?extents ?select ?matrix w d =
 
 (* The input tensors of [stmt] with their sample data, after checking
    that every tensor of it fits one array: [Exec.alloc_inputs] and
-   [Exec.run] would otherwise fail in [Array.make].  The element count
-   saturates past the limit, so it cannot wrap. *)
+   [Exec.run] would otherwise fail in [Dense.create]. *)
 let alloc_inputs stmt =
   List.iter
     (fun (a : Access.t) ->
       let shape = Access.shape a stmt.Stmt.iters in
-      let limit = Sys.max_array_length in
-      let count =
-        Array.fold_left
-          (fun n e -> if n > limit / e then limit + 1 else n * e)
-          1 shape
-      in
-      if count > limit then
+      if not (Dense.fits_array shape) then
         failwith
           (Printf.sprintf
              "tensor %s of shape %s has more elements than an array holds \
               (%d)"
              a.Access.tensor
              (String.concat "x" (Array.to_list (Array.map string_of_int shape)))
-             limit))
+             Sys.max_array_length))
     (Stmt.tensors stmt);
   Exec.alloc_inputs stmt
 

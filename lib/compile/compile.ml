@@ -362,7 +362,11 @@ let program_of_json s =
   in
   let* out_shape_j = field j "out_shape" in
   let* p_out_shape = nat_array "out_shape" out_shape_j in
-  Ok
+  let p =
     { Layout.p_name = name; p_structure = structure; p_total = total;
       p_passes = passes; p_events = events; p_images = images;
       p_inputs = inputs; p_out = out; p_out_shape }
+  in
+  match Layout.out_defect p with
+  | Some msg -> Error ("program: " ^ msg)
+  | None -> Ok p

@@ -82,5 +82,6 @@ val program_of_json : string ->
   (Tl_templates.Layout.program, string) result
 (** Parse and validate: schema, field types, non-negative values, image
     lengths against the declared total/passes, shape/element agreement,
+    an output map that fits [out_shape] ({!Tl_templates.Layout.out_defect}),
     structure-digest integrity.  A program that decodes is well-formed;
     target-dependent checks remain with {!Tl_templates.Accel.load_program}. *)

@@ -146,7 +146,7 @@ type t = {
   out_slot_of : (string, int * int) Hashtbl.t;  (** name → dense idx, width *)
   init_image : int array;
       (** [values] as first constructed (constants, folded slots, register
-          init values) — [reset] restores it with one blit *)
+          init values) — [reset] restores it with one copy *)
   mutable clock : int;
   mutable forces : (int * int * int) array;
       (** (register slot, and_mask, or_mask) stuck-at forces, re-applied
@@ -155,6 +155,19 @@ type t = {
 }
 
 let backend t = t.backend
+
+(* Copy [n] ints from [src.(s)] to [dst.(d)] by a plain loop.  On OCaml 5
+   [Array.blit] stores each element through [caml_modify] when [dst] is
+   in the major heap, as the simulator's long-lived arrays are; a store
+   into an [int array] needs no write barrier.  The two ranges must not
+   overlap. *)
+let blit_ints (src : int array) s (dst : int array) d n =
+  if s < 0 || d < 0 || n < 0 || s > Array.length src - n
+     || d > Array.length dst - n
+  then invalid_arg "Sim.blit_ints";
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
 
 (* [land]-able immediates: a full-width (62-bit) signal needs no masking,
    exactly like Signal.mask_to_width. *)
@@ -254,7 +267,7 @@ let compile_tape nodes ~index_of ~slot_of_input ~ram_slot =
   let push v =
     if !len = Array.length !buf then begin
       let bigger = Array.make (2 * !len) 0 in
-      Array.blit !buf 0 bigger 0 !len;
+      blit_ints !buf 0 bigger 0 !len;
       buf := bigger
     end;
     !buf.(!len) <- v;
@@ -835,7 +848,7 @@ let translate_batch code ~widths ~lanes ~latch_slots =
   let push v =
     if !len = Array.length !buf then begin
       let bigger = Array.make (2 * !len) 0 in
-      Array.blit !buf 0 bigger 0 !len;
+      blit_ints !buf 0 bigger 0 !len;
       buf := bigger
     end;
     !buf.(!len) <- v;
@@ -1556,7 +1569,7 @@ let exec_batch b =
            Bytes.unsafe_set u d '\001'
          end
          else begin
-           Array.blit w x w d l;
+           blit_ints w x w d l;
            setu d
          end
        else if c = 0 then
@@ -1565,7 +1578,7 @@ let exec_batch b =
            Bytes.unsafe_set u d '\001'
          end
          else begin
-           Array.blit w y w d l;
+           blit_ints w y w d l;
            setu d
          end
        else begin
@@ -1593,7 +1606,7 @@ let exec_batch b =
            Bytes.unsafe_set u d '\001'
          end
          else begin
-           Array.blit w y w d l;
+           blit_ints w y w d l;
            setu d
          end
        else begin
@@ -1620,7 +1633,7 @@ let exec_batch b =
            Bytes.unsafe_set u d '\001'
          end
          else begin
-           Array.blit w x w d l;
+           blit_ints w x w d l;
            setu d
          end
        else begin
@@ -1706,7 +1719,7 @@ let exec_batch b =
         Bytes.unsafe_set u d '\001'
       end
       else begin
-        Array.blit w a w d l;
+        blit_ints w a w d l;
         setu d
       end;
       pc := q + 3
@@ -1726,7 +1739,7 @@ let exec_batch b =
            Bytes.unsafe_set u d '\001'
          end
          else begin
-           Array.blit contents (addr * l) w d l;
+           blit_ints contents (addr * l) w d l;
            setu d
          end
        end
@@ -1756,7 +1769,7 @@ let exec_batch b =
         Bytes.unsafe_set u d '\001'
       end
       else begin
-        Array.blit ins base w d l;
+        blit_ints ins base w d l;
         setu d
       end;
       pc := q + 3
@@ -2005,7 +2018,7 @@ let latch_batch b =
           Bytes.unsafe_set nu k '\001'
         end
         else begin
-          Array.blit w r.bself nw base l;
+          blit_ints w r.bself nw base l;
           Bytes.unsafe_set nu k '\000'
         end
       end
@@ -2029,7 +2042,7 @@ let latch_batch b =
           Bytes.unsafe_set nu k '\001'
         end
         else begin
-          Array.blit w r.bd nw base l;
+          blit_ints w r.bd nw base l;
           Bytes.unsafe_set nu k '\000'
         end
       end
@@ -2140,7 +2153,7 @@ let latch_batch b =
         Bytes.unsafe_set u r.bself '\001'
       end
       else begin
-        Array.blit nw base w r.bself l;
+        blit_ints nw base w r.bself l;
         Bytes.unsafe_set u r.bself '\000'
       end
     end
@@ -2393,17 +2406,17 @@ let create ?(backend = `Tape) ?lanes circuit =
    through their own arrays), all of which are restored in place — no
    recompilation needed. *)
 let reset t =
-  Array.blit t.init_image 0 t.values 0 (Array.length t.values);
+  blit_ints t.init_image 0 t.values 0 (Array.length t.values);
   (* Read-only rams cannot have drifted from their init image, so only
      rams with a write port — plus any the testbench rewrote through
      [load_ram] — need restoring. *)
   Array.iter
-    (fun (c, init) -> Array.blit init 0 c 0 (Array.length c))
+    (fun (c, init) -> blit_ints init 0 c 0 (Array.length c))
     t.writable_inits;
   Hashtbl.iter
     (fun id () ->
       let c = Hashtbl.find t.ram_state id in
-      Array.blit (Hashtbl.find t.ram_init_of id) 0 c 0 (Array.length c))
+      blit_ints (Hashtbl.find t.ram_init_of id) 0 c 0 (Array.length c))
     t.dirty_rams;
   Hashtbl.reset t.dirty_rams;
   Array.fill t.input_slots 0 (Array.length t.input_slots) 0;

@@ -42,16 +42,31 @@ let shape a iters =
   let extents = Array.of_list (List.map (fun i -> i.Iter.extent) iters) in
   if Array.length extents <> depth a then
     invalid_arg "Access.shape: iterator count mismatch";
+  (* the largest index is [Σ_{c>0} c (e − 1)], the smallest
+     [Σ_{c<0} c (e − 1)]: it is negative as soon as one such term is, and
+     the largest is summed only while it stays below [max_int], checked
+     by division, so neither can wrap *)
   Array.map
     (fun row ->
-      let hi = ref 0 and lo = ref 0 in
+      let hi = ref 0 in
       Array.iteri
         (fun j c ->
-          if c > 0 then hi := !hi + (c * (extents.(j) - 1))
-          else if c < 0 then lo := !lo + (c * (extents.(j) - 1)))
+          let span = extents.(j) - 1 in
+          if c < 0 && span > 0 then
+            invalid_arg
+              (Printf.sprintf
+                 "Access.shape: an index of %s can go negative (offsets \
+                  unsupported)"
+                 a.tensor);
+          if c > 0 && span > 0 then begin
+            if c > (max_int - 1 - !hi) / span then
+              invalid_arg
+                (Printf.sprintf
+                   "Access.shape: an index of %s does not fit in an int"
+                   a.tensor);
+            hi := !hi + (c * span)
+          end)
         row;
-      if !lo < 0 then
-        invalid_arg "Access.shape: index can go negative (offsets unsupported)";
       !hi + 1)
     a.matrix
 

@@ -33,7 +33,8 @@ val shape : t -> Iter.t list -> int array
 (** Tensor extents implied by the iteration domain: for each dimension the
     maximum reachable index + 1 (entries may be negative; the minimum
     reachable index must be 0 for the dense golden executor).
-    @raise Invalid_argument if some index can go negative. *)
+    @raise Invalid_argument if some index can go negative, or the largest
+    one exceeds [max_int - 1] (no sum wraps). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints e.g. [A[c, y+p, x+q]] given no iterator names are available;

@@ -8,11 +8,22 @@ let compute_strides shape =
   done;
   strides
 
+(* the element count saturates past the limit, so it cannot wrap *)
+let fits_array shape =
+  let limit = Sys.max_array_length in
+  Array.for_all (fun e -> e > 0) shape
+  && Array.fold_left
+       (fun n e -> if n > limit / e then limit + 1 else n * e)
+       1 shape
+     <= limit
+
 let create shape =
   if Array.length shape = 0 then invalid_arg "Dense.create: empty shape";
   Array.iter
     (fun e -> if e <= 0 then invalid_arg "Dense.create: non-positive extent")
     shape;
+  if not (fits_array shape) then
+    invalid_arg "Dense.create: more elements than an array holds";
   let size = Array.fold_left ( * ) 1 shape in
   { shape = Array.copy shape;
     strides = compute_strides shape;
@@ -21,6 +32,7 @@ let create shape =
 let shape t = Array.copy t.shape
 let size t = Array.length t.data
 let strides t = Array.copy t.strides
+let data t = t.data
 
 let offset t idx =
   if Array.length idx <> Array.length t.shape then

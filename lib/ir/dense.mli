@@ -7,9 +7,15 @@
 
 type t
 
+val fits_array : int array -> bool
+(** Every extent is positive and their product is at most
+    [Sys.max_array_length], the most elements one array holds; the
+    product is formed saturating, so it cannot wrap. *)
+
 val create : int array -> t
 (** Zero-filled tensor of the given shape. @raise Invalid_argument on an
-    empty shape or non-positive extent. *)
+    empty shape, a non-positive extent or a shape that does not
+    {!fits_array}. *)
 
 val init : int array -> (int array -> int) -> t
 val shape : t -> int array
@@ -23,6 +29,11 @@ val offset : t -> int array -> int
     out of bounds. *)
 
 val strides : t -> int array
+
+val data : t -> int array
+(** The row-major storage itself, not a copy: element [idx] is at
+    [offset t idx], and a write to the array is a write to the tensor. *)
+
 val fill : t -> int -> unit
 val copy : t -> t
 val equal : t -> t -> bool

@@ -165,7 +165,11 @@ let stmt ?name src ~extents =
              List.iter
                (fun { coeff; iter } ->
                  if coeff <= 0 then fail "non-positive coefficient on %s" iter;
-                 row.(pos iter) <- row.(pos iter) + coeff)
+                 let j = pos iter in
+                 if row.(j) > max_int - coeff then
+                   fail "the coefficient of %s in %s does not fit in an int"
+                     iter a.tensor;
+                 row.(j) <- row.(j) + coeff)
                dim;
              row)
            a.dims)
@@ -173,9 +177,15 @@ let stmt ?name src ~extents =
     Access.v a.tensor matrix
   in
   let name = match name with Some n -> n | None -> output_ast.tensor in
+  (* every tensor's shape is an int: [Access.shape] raises rather than wrap *)
+  let shaped s =
+    List.iter (fun a -> ignore (Access.shape a iters)) (Stmt.tensors s);
+    s
+  in
   match
-    Stmt.v name ~iters ~output:(build output_ast)
-      ~inputs:(List.map build input_asts)
+    shaped
+      (Stmt.v name ~iters ~output:(build output_ast)
+         ~inputs:(List.map build input_asts))
   with
   | s -> s
   | exception Invalid_argument m -> fail "%s" m

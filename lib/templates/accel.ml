@@ -772,8 +772,9 @@ let execute_batch ?max_cycles t envs =
 (* Runtime programming: load a compiled program (descriptor images +
    data layout, see Tl_compile) into a live simulator of a programmable
    netlist.  Validation is strict — a program that names an unknown
-   memory, overflows a capacity, or carries a value wider than the
-   generated port raises [Bad_program] before anything is written, and so
+   memory, overflows a capacity, carries a value wider than the generated
+   port, or maps an output element outside the output shape or the
+   target's banks raises [Bad_program] before anything is written, and so
    does an env that lacks a tensor or holds one of the wrong size
    ([Invalid_argument]). *)
 
@@ -856,6 +857,20 @@ let load_program t sim (p : Layout.program) env =
         (ram, Array.init inp.Layout.in_elems (Tl_ir.Dense.flat_get dense)))
       p.Layout.p_inputs
   in
+  (* the output map: it must fit the output shape and name banks and
+     addresses of the target *)
+  Option.iter (fun msg -> raise (Bad_program msg)) (Layout.out_defect p);
+  List.iter
+    (fun (_, (bname, addr)) ->
+      match List.assoc_opt bname t.banks with
+      | None -> raise (Bad_program ("program references unknown bank " ^ bname))
+      | Some (bank : Signal.ram) ->
+        if addr < 0 || addr >= bank.Signal.size then
+          raise
+            (Bad_program
+               (Printf.sprintf "program bank address %d out of range for %s"
+                  addr bname)))
+    p.Layout.p_out;
   (* reset before the loads: it restores every ram's init image (banks to
      zero, descriptors to the generating shape), which the loads below then
      overwrite — the reverse order would wipe the program *)
@@ -883,16 +898,8 @@ let read_program_output t sim (p : Layout.program) =
     t.banks;
   List.iter
     (fun (idx, (bname, addr)) ->
-      match Hashtbl.find_opt contents bname with
-      | None -> raise (Bad_program ("program references unknown bank " ^ bname))
-      | Some data ->
-        if addr < 0 || addr >= Array.length data then
-          raise
-            (Bad_program
-               (Printf.sprintf "program bank address %d out of range for %s"
-                  addr bname));
-        Tl_ir.Dense.set out (Array.of_list idx)
-          (Signal.to_signed t.acc_width data.(addr)))
+      Tl_ir.Dense.set out (Array.of_list idx)
+        (Signal.to_signed t.acc_width (Hashtbl.find contents bname).(addr)))
     p.Layout.p_out;
   out
 

@@ -33,8 +33,10 @@ exception Bad_program of string
 (** Raised by {!load_program} / {!execute_program} when a program cannot
     run on the target netlist: the target is not programmable, the
     structure strings differ, an image is missing / names an unknown
-    memory / exceeds a memory's capacity, or a value overflows the
-    generated port width.  Validation is strict and happens before
+    memory / exceeds a memory's capacity, a value overflows the
+    generated port width, or the output map does not fit the output
+    shape ({!Layout.out_defect}) or names a bank or address the target
+    lacks.  Validation is strict and happens before
     anything is written, so a rejected program never half-configures the
     array. *)
 
@@ -190,8 +192,9 @@ val load_program : t -> Tl_hw.Sim.t -> Layout.program -> Tl_ir.Exec.env ->
     on hardened variants).  Program images for memories the target did
     not elaborate (e.g. counter increments on a counters-off netlist) are
     ignored, so one program serves every option variant of a structure.
-    Every image, data memory and [env] tensor is checked before the reset,
-    so a rejected program leaves the simulator as it was.
+    Every image, data memory, output-map entry and [env] tensor is
+    checked before the reset, so a rejected program leaves the simulator
+    as it was.
     @raise Bad_program on any validation failure (see {!Bad_program});
     @raise Invalid_argument on a missing tensor or shape mismatch in
     [env] (mirroring {!load_env}). *)
@@ -208,7 +211,9 @@ val execute_program : ?backend:Tl_hw.Sim.backend -> ?max_cycles:int ->
 
 val read_program_output : t -> Tl_hw.Sim.t -> Layout.program -> Tl_ir.Dense.t
 (** Reassemble a program's output tensor from a live simulator (no
-    cycling, no [done] check) — {!read_output} for programmed runs. *)
+    cycling, no [done] check) — {!read_output} for programmed runs.
+    [p] is the program {!load_program} accepted: its output map is not
+    checked again. *)
 
 val check_done : t -> Tl_hw.Sim.t -> unit
 (** @raise Simulation_timeout if the [done] output is not asserted — on

@@ -835,6 +835,33 @@ let overflow_to_string { what; need; capacity } =
 
 let structure_digest structure = Tl_stt.Signature.key_digest structure
 
+let out_defect p =
+  let shape = p.p_out_shape in
+  let dims l = String.concat ", " (List.map string_of_int l) in
+  if Array.length shape = 0 || Array.exists (fun e -> e < 1) shape then
+    Some
+      (Printf.sprintf "out_shape [%s] must list extents of at least 1"
+         (dims (Array.to_list shape)))
+  else if not (Tl_ir.Dense.fits_array shape) then
+    Some
+      (Printf.sprintf "out_shape [%s] has more elements than an array holds"
+         (dims (Array.to_list shape)))
+  else
+    List.find_map
+      (fun (idx, _) ->
+        if List.length idx <> Array.length shape then
+          Some
+            (Printf.sprintf "out index [%s] has rank %d, out_shape %d"
+               (dims idx) (List.length idx) (Array.length shape))
+        else if List.exists2 (fun i e -> i < 0 || i >= e) idx
+                  (Array.to_list shape)
+        then
+          Some
+            (Printf.sprintf "out index [%s] lies outside out_shape [%s]"
+               (dims idx) (dims (Array.to_list shape)))
+        else None)
+      p.p_out
+
 let to_program ?name l =
   let name =
     match name with

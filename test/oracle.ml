@@ -11,11 +11,34 @@
    point-by-point image of the selected box that [Transform.row_bounds]
    replaced in the L102 lint.  [tile_statistics] and
    [evaluate_reference], at the end, are the perf model's materialised
-   statistics and exhaustive tile search.  [Refsim] is the reference
-   interpreter the simulator is checked against. *)
+   statistics and exhaustive tile search.  [exec_run] is the golden
+   executor's point-by-point interpreter that [Exec.run]'s strided walk
+   replaced.  [Refsim] is the reference interpreter the simulator is
+   checked against. *)
 
 open Tensorlib
 module Refsim = Refsim
+
+(* Each point's indices through [Access.index], each element through a
+   bounds-checked [Dense.get]: an input too small for its access raises
+   only at the first point past it, after the earlier points' sums. *)
+let exec_run stmt env =
+  let out = Exec.alloc_output stmt in
+  let inputs =
+    List.map
+      (fun (a : Access.t) -> (a, List.assoc a.Access.tensor env))
+      stmt.Stmt.inputs
+  in
+  let out_access = stmt.Stmt.output in
+  Stmt.iter_domain stmt (fun x ->
+      let product =
+        List.fold_left
+          (fun acc (a, t) -> acc * Dense.get t (Access.index a x))
+          1 inputs
+      in
+      let oi = Access.index out_access x in
+      Dense.set out oi (Dense.get out oi + product));
+  out
 
 let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
     ?domains stmt =

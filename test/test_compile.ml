@@ -417,6 +417,22 @@ let test_load_rejects_bad_programs () =
         List.map
           (fun (i : Layout.input) -> { i with Layout.in_mem = "nowhere" })
           p.Layout.p_inputs };
+  (* the output map, checked before the reset as the images are *)
+  expect_bad "zero out extent" { p with Layout.p_out_shape = [| 0; 4 |] };
+  expect_bad "index at an extent" { p with Layout.p_out_shape = [| 3; 4 |] };
+  expect_bad "out_shape past an array"
+    { p with Layout.p_out_shape = [| 4; 1 lsl 53 |] };
+  let first_out f =
+    { p with
+      Layout.p_out =
+        (match p.Layout.p_out with e :: rest -> f e :: rest | [] -> []) }
+  in
+  expect_bad "index of the wrong rank"
+    (first_out (fun (idx, loc) -> (idx @ [ 0 ], loc)));
+  expect_bad "unknown bank"
+    (first_out (fun (idx, (_, addr)) -> (idx, ("nowhere", addr))));
+  expect_bad "bank address out of range"
+    (first_out (fun (idx, (bank, _)) -> (idx, (bank, 1 lsl 40))));
   expect_invalid "missing tensor" (List.tl env);
   expect_invalid "shape mismatch"
     (Exec.alloc_inputs (Workloads.gemm ~m:4 ~n:4 ~k:11));
@@ -477,7 +493,22 @@ let test_codec_rejects_malformed () =
   expect_err "missing field" (replace_first s "\"total\"" "\"totally\"") "total";
   expect_err "negative value"
     (replace_first s "\"passes\": " "\"passes\": -")
-    "passes"
+    "passes";
+  (* an output map that does not fit out_shape is a decode error, not an
+     exception from the output tensor after the run *)
+  expect_err "zero out extent"
+    (replace_first s "\"out_shape\": [4, 4]" "\"out_shape\": [0, 4]")
+    "out_shape";
+  expect_err "index at an extent"
+    (replace_first s "\"out_shape\": [4, 4]" "\"out_shape\": [3, 4]")
+    "outside out_shape";
+  expect_err "index of the wrong rank"
+    (replace_first s "\"index\": [3, 3]" "\"index\": [3, 3, 0]")
+    "rank";
+  expect_err "out_shape past an array"
+    (replace_first s "\"out_shape\": [4, 4]"
+       "\"out_shape\": [4, 9007199254740992]")
+    "array holds"
 
 (* ---------------- CLI validation sweep ---------------- *)
 
@@ -685,20 +716,26 @@ let test_cli_serve_bad_einsum_keeps_id () =
         line 9 "\"m=4,n=4,k=-3\"";
         (* 4 * 4 * k points overflow an int *)
         line 1 "\"m=4,n=4,k=4611686018427387903\""; line 10 "7";
+        (* B's coefficient of k sums to max_int + 1 *)
+        Printf.sprintf "{\"id\":11,\"einsum\":%S,\"extents\":\"m=1,n=1,k=3\"}"
+          "C[m,n] += A[m,k] * B[n,4611686018427387903k+1k]";
         line 2 "\"m=4,n=4,k=4\"" ]
   in
   let wall = Unix.gettimeofday () -. t0 in
   (match answers with
-   | [ a; b; c; d; e; f ] ->
+   | [ a; b; c; d; e; f; g ] ->
      check_rejected ~id:7 ~error:"bad request: iterator k is not declared" a;
      check_rejected ~id:8 ~error:"bad request: extent of k must be positive" b;
      check_rejected ~id:9 ~error:"bad request: extent of k must be positive" c;
      check_rejected ~id:1 ~error:"bad request: Stmt.v: the iteration domain" d;
      check_rejected ~id:10
        ~error:"\"extents\" must be a string such as \"m=64,n=64,k=64\"" e;
+     check_rejected ~id:11
+       ~error:"bad request: the coefficient of k in B does not fit in an int"
+       f;
      Alcotest.(check bool) "the request behind them is served" true
-       (Json.member "ok" f = Some (Json.Bool true))
-   | l -> Alcotest.failf "expected 6 answers, got %d" (List.length l));
+       (Json.member "ok" g = Some (Json.Bool true))
+   | l -> Alcotest.failf "expected 7 answers, got %d" (List.length l));
   Alcotest.(check bool)
     (Printf.sprintf "server answered within 1 s (took %.2f s)" wall)
     true (wall < 1.)
@@ -716,10 +753,10 @@ let test_cli_duplicate_extent_rejected () =
   Alcotest.(check bool) "compile names the duplicate" true
     (contains err "k is declared twice")
 
-(* a malformed --extents binding, or extents whose iteration domain
-   overflows an int, is the exit-2 error naming the fault, in every
-   command that takes --expr: one parser serves them and serve's
-   "extents" *)
+(* a malformed --extents binding, extents whose iteration domain
+   overflows an int, or an index that would wrap one, is the exit-2
+   error naming the fault, in every command that takes --expr: one
+   parser serves them and serve's "extents" *)
 let test_cli_bad_extent_binding () =
   let every =
     [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
@@ -727,25 +764,29 @@ let test_cli_bad_extent_binding () =
       "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ]
   in
   List.iter
-    (fun (extents, error, cmds) ->
+    (fun (b, extents, error, cmds) ->
       List.iter
         (fun cmd ->
           let rc, out, err =
             run_cli
-              (cmd ^ " -e 'C[m,n]+=A[m,k]*B[n,k]' --extents " ^ extents)
+              (cmd ^ " -e 'C[m,n]+=A[m,k]*B[n," ^ b ^ "]' --extents "
+             ^ extents)
           in
           Alcotest.(check int) (cmd ^ " " ^ extents ^ " exits 2") 2 rc;
           Alcotest.(check string) (cmd ^ " prints no result") "" out;
           Alcotest.(check bool) (cmd ^ " says " ^ error) true
             (contains err error))
         cmds)
-    [ ("m=4,n=4,k=x", "bad extent binding: k=x", every);
-      ("m=4,n=4,k=4611686018427387903",
+    [ ("k", "m=4,n=4,k=x", "bad extent binding: k=x", every);
+      ("k", "m=4,n=4,k=4611686018427387903",
        "the iteration domain (the product of the extents) does not fit",
        every);
+      (* B's largest index, 2^61 (k - 1), passes max_int *)
+      ("2305843009213693952k", "m=4,n=4,k=3",
+       "an index of B does not fit in an int", every);
       (* the domain fits an int, but tensor A has more elements than
          Sys.max_array_length: the commands that allocate the tensors *)
-      ("m=1,n=1,k=4611686018427387900",
+      ("k", "m=1,n=1,k=4611686018427387900",
        "tensor A of shape 1x4611686018427387900 has more elements than an \
         array holds",
        [ "analyze --netlist -d MNK-SST"; "generate -d MNK-SST";

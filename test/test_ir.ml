@@ -30,7 +30,33 @@ let test_access_shape () =
   Alcotest.(check (array int)) "conv input shape (halo)" [| 3; 7; 8 |]
     (Access.shape input stmt.Stmt.iters);
   Alcotest.(check (array int)) "conv output shape" [| 4; 5; 6 |]
-    (Access.shape stmt.Stmt.output stmt.Stmt.iters)
+    (Access.shape stmt.Stmt.output stmt.Stmt.iters);
+  (* one row [c1 c2] over two loops of extent [e]: the largest index
+     [(c1 + c2) (e - 1)] may reach [max_int - 1], never wrap *)
+  let shape_of c1 c2 e =
+    Access.shape (Access.v "B" [| [| c1; c2 |] |]) [ Iter.v "i" e; Iter.v "j" e ]
+  in
+  Alcotest.(check (array int)) "largest index max_int - 1" [| max_int |]
+    (shape_of (max_int - 1) 0 2);
+  List.iter
+    (fun (what, c1, c2, e, msg) ->
+      Alcotest.check_raises what (Invalid_argument ("Access.shape: " ^ msg))
+        (fun () -> ignore (shape_of c1 c2 e)))
+    [ ("largest index max_int", max_int, 0, 2,
+       "an index of B does not fit in an int");
+      ("a term wraps", 1 lsl 61, 0, 5, "an index of B does not fit in an int");
+      ("the sum wraps", 1 lsl 60, 1 lsl 60, 3,
+       "an index of B does not fit in an int");
+      (* [min_int * 2] and [-2^61 * 4] both wrap to 0 *)
+      ("min_int coefficient", min_int, 0, 3,
+       "an index of B can go negative (offsets unsupported)");
+      ("-2^61 coefficient", -(1 lsl 61), 0, 5,
+       "an index of B can go negative (offsets unsupported)") ];
+  Alcotest.(check (array int)) "any coefficient on an extent-1 loop"
+    [| 4 |]
+    (Access.shape
+       (Access.v "B" [| [| min_int; 1 |] |])
+       [ Iter.v "i" 1; Iter.v "j" 4 ])
 
 let test_stmt_table2 () =
   (* all six Table II workloads build and render *)
@@ -134,6 +160,105 @@ let test_exec_accumulates () =
   Alcotest.(check bool) "second run accumulates" true
     (Dense.equal out doubled)
 
+(* The strided executor against the point-by-point interpreter it
+   replaced: every workload at small extents, parsed einsums with
+   compound and scaled indices, one and four inputs, data large enough
+   that products and sums wrap, and inputs larger than their accesses
+   need (read through their own strides). *)
+let test_exec_matches_oracle () =
+  let parsed formula extents = Parse.stmt formula ~extents in
+  let stmts =
+    [ Workloads.gemm ~m:3 ~n:4 ~k:5;
+      Workloads.batched_gemv ~m:3 ~n:2 ~k:4;
+      Workloads.conv2d ~k:2 ~c:3 ~y:4 ~x:3 ~p:2 ~q:3;
+      Workloads.depthwise_conv ~k:2 ~y:3 ~x:4 ~p:3 ~q:2;
+      Workloads.mttkrp ~i:2 ~j:3 ~k:4 ~l:2;
+      Workloads.ttmc ~i:2 ~j:2 ~k:3 ~l:2 ~m:3;
+      Workloads.conv2d_strided ~stride:2 ~k:2 ~c:2 ~y:3 ~x:3 ~p:3 ~q:2;
+      Workloads.pointwise_conv ~k:2 ~c:3 ~y:2 ~x:3;
+      Workloads.gemv ~m:4 ~k:5;
+      parsed "C[k,y,x] += A[c, y+p, x+q] * B[k,c,p,q]"
+        [ ("k", 2); ("c", 2); ("y", 3); ("x", 2); ("p", 2); ("q", 3) ];
+      parsed "C[k,y,x] += A[c, 2y+p, 3x+q] * B[k,c,p,q]"
+        [ ("k", 2); ("c", 2); ("y", 3); ("x", 2); ("p", 2); ("q", 3) ];
+      parsed "D[i+j, 2k] += A[i,k]" [ ("i", 3); ("j", 2); ("k", 3) ];
+      parsed "E[i] += A[i,j] * B[j] * C[j+i] * D[i]" [ ("i", 3); ("j", 4) ] ]
+  in
+  let rng = Random.State.make [| 24 |] in
+  let wide _ =
+    Random.State.bits rng lxor (Random.State.bits rng lsl 30)
+    lxor (Random.State.bits rng lsl 60)
+  in
+  let larger (name, t) =
+    let shape = Dense.shape t in
+    let big = Dense.init (Array.map (fun e -> e + 2) shape) (fun _ -> 0) in
+    Dense.iteri (fun idx v -> Dense.set big idx v) t;
+    (name, big)
+  in
+  List.iter
+    (fun stmt ->
+      let env = Exec.alloc_inputs stmt in
+      List.iter
+        (fun (what, env) ->
+          Alcotest.(check bool)
+            (Format.asprintf "%a, %s" Stmt.pp stmt what)
+            true
+            (Dense.equal (Exec.run stmt env) (Oracle.exec_run stmt env)))
+        [ ("small data", env);
+          ("wide data", List.map (fun (n, t) -> (n, Dense.map wide t)) env);
+          ("larger inputs", List.map larger env) ])
+    stmts
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+(* A tensor too small for its access, or of another rank, or an access
+   whose indices go negative, is rejected up front, naming the tensor,
+   before any partial sum reaches the output. *)
+let test_exec_rejects_unfit_tensors () =
+  let stmt = Workloads.gemm ~m:3 ~n:4 ~k:5 in
+  let env = Exec.alloc_inputs stmt in
+  let with_b b = ("B", b) :: List.remove_assoc "B" env in
+  let out = Exec.run stmt env in
+  (* [C[m,n] += A[m,k] * B[n, c k]] with [m = n = 1]: a negative [c]
+     reaches a negative index of B, even where [c (k - 1)] wraps to 0 *)
+  let scaled c k =
+    Stmt.v "scaled"
+      ~iters:[ Iter.v "m" 1; Iter.v "n" 1; Iter.v "k" k ]
+      ~output:(Access.v "C" [| [| 1; 0; 0 |]; [| 0; 1; 0 |] |])
+      ~inputs:
+        [ Access.v "A" [| [| 1; 0; 0 |]; [| 0; 0; 1 |] |];
+          Access.v "B" [| [| 0; 1; 0 |]; [| 0; 0; c |] |] ]
+  in
+  let scaled_env k =
+    [ ("A", Dense.init [| 1; k |] (fun _ -> 1));
+      ("B", Dense.init [| 1; 1 |] (fun _ -> 1)) ]
+  in
+  List.iter
+    (fun (what, stmt, env, out, needle) ->
+      let before = Dense.copy out in
+      match Exec.run_with stmt env out with
+      | () -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names %s: %s" what needle msg)
+          true (contains msg needle);
+        Alcotest.(check bool) (what ^ ": output unchanged") true
+          (Dense.equal out before))
+    [ ("small input", stmt, with_b (Dense.create [| 4; 4 |]), out, "tensor B");
+      ("input of another rank", stmt, with_b (Dense.create [| 4; 5; 1 |]),
+       out, "tensor B");
+      ("small output", stmt, env,
+       Dense.init [| 3; 3 |] (fun i -> i.(0) + i.(1)), "tensor C");
+      ("min_int coefficient", scaled min_int 3, scaled_env 3,
+       Dense.init [| 1; 1 |] (fun _ -> 7), "an index of B");
+      ("-2^61 coefficient", scaled (-(1 lsl 61)) 5, scaled_env 5,
+       Dense.init [| 1; 1 |] (fun _ -> 7), "an index of B") ];
+  Alcotest.check_raises "missing input" Not_found (fun () ->
+      Exec.run_with stmt (List.remove_assoc "A" env) out)
+
 let test_resnet_shapes () =
   let l2 = Workloads.resnet_layer2 in
   Alcotest.(check int) "layer2 macs" (64 * 64 * 56 * 56 * 3 * 3)
@@ -192,6 +317,10 @@ let suite =
     Alcotest.test_case "golden mttkrp" `Quick test_exec_mttkrp;
     Alcotest.test_case "deterministic inputs" `Quick test_exec_deterministic;
     Alcotest.test_case "run_with accumulates" `Quick test_exec_accumulates;
+    Alcotest.test_case "executor = point-by-point oracle" `Quick
+      test_exec_matches_oracle;
+    Alcotest.test_case "executor rejects unfit tensors up front" `Quick
+      test_exec_rejects_unfit_tensors;
     Alcotest.test_case "resnet shapes" `Quick test_resnet_shapes ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_gemm_matches_naive; prop_shape_bounds_indices ]

@@ -51,7 +51,20 @@ let test_dense_validation () =
       ignore (Dense.create [||]));
   Alcotest.check_raises "zero extent"
     (Invalid_argument "Dense.create: non-positive extent") (fun () ->
-      ignore (Dense.create [| 2; 0 |]))
+      ignore (Dense.create [| 2; 0 |]));
+  (* 2^32 * 2^32 wraps to 0 in an int: refused before any allocation *)
+  Alcotest.check_raises "more elements than an array holds"
+    (Invalid_argument "Dense.create: more elements than an array holds")
+    (fun () -> ignore (Dense.create [| 1 lsl 32; 1 lsl 32 |]));
+  List.iter
+    (fun (shape, fits) ->
+      Alcotest.(check bool)
+        (String.concat "x" (Array.to_list (Array.map string_of_int shape)))
+        fits (Dense.fits_array shape))
+    [ ([| Sys.max_array_length; 1 |], true);
+      ([| Sys.max_array_length; 2 |], false);
+      ([| 1 lsl 32; 1 lsl 32 |], false);
+      ([| 2; 0 |], false) ]
 
 let test_dense_fill_and_pp () =
   let t = Dense.create [| 2; 2 |] in

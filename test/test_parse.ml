@@ -81,7 +81,18 @@ let test_parse_errors () =
   check_error "negative extent" (fun () ->
       Parse.stmt "C[m] += A[m]" ~extents:[ ("m", -3) ]);
   check_error "empty iterator name" (fun () ->
-      Parse.stmt "C[m] += A[m]" ~extents:[ ("m", 2); ("", 2) ])
+      Parse.stmt "C[m] += A[m]" ~extents:[ ("m", 2); ("", 2) ]);
+  (* coefficients whose sum, or whose largest index, would wrap *)
+  let gemm_b b = "C[m,n] += A[m,k] * B[n," ^ b ^ "]" in
+  let extents = [ ("m", 1); ("n", 1); ("k", 3) ] in
+  check_error "coefficient sum wraps" (fun () ->
+      Parse.stmt (gemm_b "4611686018427387903k+1k") ~extents);
+  check_error "largest index wraps" (fun () ->
+      Parse.stmt (gemm_b "2305843009213693952k") ~extents);
+  Alcotest.(check (array int)) "largest index max_int - 1"
+    [| 1; max_int |]
+    (let s = Parse.stmt (gemm_b "2305843009213693951k") ~extents in
+     Access.shape (List.nth s.Stmt.inputs 1) s.Stmt.iters)
 
 let test_parse_end_to_end_hardware () =
   (* the parsed workload drives the whole generator *)
