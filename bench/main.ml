@@ -449,8 +449,8 @@ let ablation_float () =
         List.iter
           (fun (ti : Design.tensor_info) ->
             incr total;
-            let a_sel = Transform.restricted_access t ti.Design.access in
-            let at = Mat.mul a_sel (Transform.inverse t) in
+            let a_sel = Oracle.restricted_access t ti.Design.access in
+            let at = Mat.mul a_sel (Oracle.inverse t) in
             let fm =
               Array.init (Mat.rows at) (fun i ->
                   Array.init (Mat.cols at) (fun j ->

@@ -40,7 +40,11 @@
      equal the per-candidate [Oracle.design_space] (signatures and
      matrices, in order).  Every case's statement also runs through
      [Exec.run] and [Oracle.exec_run] on full-width random data, so
-     products and sums wrap.
+     products and sums wrap.  Every case also draws, from its own
+     generator, an [Oracle.classifier_case] (coefficients above 1 and
+     sums, integer matrices with n = 2, 3 or 4), on which [Design.analyze]
+     must return the rational reference's design ([Oracle.analyze]), or
+     refuse on overflow only where the reference overflows too.
 
    Usage: dune exec bin/fuzz.exe -- [iterations] [seed]
    (iterations >= 1, default 200; seed any integer, default 2024; anything
@@ -573,7 +577,21 @@ let () =
       Design.pp_report d
   in
   let exec_checked = ref 0 and exec_wide_mismatches = ref 0 in
+  let classified = ref 0 and refusals = ref 0 in
+  let classifier_mismatches = ref 0 in
   for i = 1 to iterations do
+    (* the classifier case draws from its own generator, so the phase's
+       other draws stay as they were *)
+    (match
+       Oracle.check_classifier
+         (Oracle.classifier_case (Random.State.make [| seed; 6; i |]))
+     with
+     | Oracle.Agree _ -> incr classified
+     | Oracle.Refused -> incr refusals
+     | Oracle.Unchecked -> ()
+     | Oracle.Mismatch msg ->
+       incr classifier_mismatches;
+       Printf.printf "CLASSIFIER FAIL at case %d: %s\n" i msg);
     let stmt = random_stmt ~sums:true rng in
     (* full-width data from the case's own generator, so the products and
        sums wrap and the phase's draws stay as they were *)
@@ -637,8 +655,13 @@ let () =
      vs the oracle, %d mismatches\n"
     !stats_checked !evals_checked !spaces_checked !stats_violations
     !exec_checked !exec_wide_mismatches;
+  Printf.printf
+    "classifier: %d designs vs the rational reference, %d refusals, %d \
+     mismatches\n"
+    !classified !refusals !classifier_mismatches;
   if
     !failed > 0 || exec_mismatches + !exec_wide_mismatches > 0
+    || !classifier_mismatches > 0
     || stream_violations > 0
     || !violations > 0
     || !absint_violations > 0

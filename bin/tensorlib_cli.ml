@@ -74,13 +74,18 @@ let validate_widths ~data_width ~acc_width =
   check "--acc-width" acc_width
 
 (* Run a command body, turning [Failure] (our validation / lookup errors),
-   [Sys_error] (a file that cannot be read or written) and
+   [Sys_error] (a file that cannot be read or written),
    [Accel.Unsupported] (a design with no netlist on the requested array)
-   into a one-line message on stderr and exit code 2. *)
+   and [Reuse.Overflow] (a statement or matrix whose classification does
+   not fit native ints) into a one-line message on stderr and exit
+   code 2. *)
 let guard f =
   try f () with
-  | Failure msg | Parse.Parse_error msg | Sys_error msg | Accel.Unsupported msg
-    ->
+  | Failure msg
+  | Parse.Parse_error msg
+  | Sys_error msg
+  | Accel.Unsupported msg
+  | Reuse.Overflow msg ->
     Printf.eprintf "tensorlib: error: %s\n" msg;
     exit 2
 
@@ -1187,7 +1192,7 @@ let serve_request ?deadline_ms ?accel store limit line =
   | Ok req when Json.mem_string req "einsum" <> None -> (
     let id = Option.value (Json.member "id" req) ~default:Json.Null in
     match serve_program ~budget ~accel ~id req with
-    | exception Failure msg -> fail id msg
+    | exception (Failure msg | Reuse.Overflow msg) -> fail id msg
     | exception Resil.Budget.Expired _ -> fail id "deadline"
     | answer -> answer)
   | Ok req -> (
@@ -1206,7 +1211,7 @@ let serve_request ?deadline_ms ?accel store limit line =
     | name, layers -> (
       let before = Store.stats store in
       match Network.sweep ?per_shape_limit:limit ~budget ~store ~name layers with
-      | exception Failure msg -> fail id msg
+      | exception (Failure msg | Reuse.Overflow msg) -> fail id msg
       | r when not r.Network.r_complete -> fail id "deadline"
       | r ->
         let after = Store.stats store in

@@ -13,16 +13,7 @@ type t = {
   has_unicast : bool;
 }
 
-(* number of distinct lines of an R×C grid along direction d *)
-let line_count rows cols d =
-  let total = rows * cols in
-  let len =
-    (* length of a maximal line segment inside the grid *)
-    let steps_r = if d.(0) = 0 then max_int else (rows - 1) / abs d.(0) in
-    let steps_c = if d.(1) = 0 then max_int else (cols - 1) / abs d.(1) in
-    1 + min steps_r steps_c
-  in
-  (total + len - 1) / len
+let line_count = Tl_stt.Dataflow.line_count
 
 let of_flows ?(rows = 16) ?(cols = 16) ?(data_width = 16) ?(acc_width = 32)
     flows =

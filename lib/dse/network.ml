@@ -307,6 +307,11 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
         (hit, payload, pts))
       unique
   in
+  (* an overflowing classification is the statement's fault, not a
+     transient one: no estimate stands in for it *)
+  List.iter
+    (function Error (Tl_stt.Reuse.Overflow _ as e) -> raise e | _ -> ())
+    results;
   let shards = List.map2 (fun (_, _, key) r -> (key, r)) unique results in
   let by_key : (string, (bool * string * point list, exn) result) Hashtbl.t =
     Hashtbl.create 16

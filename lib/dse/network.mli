@@ -109,7 +109,10 @@ val sweep :
     {- [budget] (default unlimited) gates fresh computation only — store
        hits are served even on an expired budget.  An expired shape (or
        one killed by an injected fault) degrades to an estimate-only
-       layer instead of failing the sweep; see {!report.r_complete}.}
+       layer instead of failing the sweep; see {!report.r_complete}.
+       A shape whose classification overflows is the statement's fault
+       and the same on every run: after every shape has run,
+       {!Tl_stt.Reuse.Overflow} fails the sweep.}
     {- [checkpoint] names a file that is atomically rewritten after
        every completed unique shape and removed when the sweep
        completes.  With [resume:true] (default false), completed shape

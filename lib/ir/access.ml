@@ -34,10 +34,6 @@ let index a x =
       !acc)
     a.matrix
 
-let to_mat a =
-  Tl_linalg.Mat.make ~rows:(rank a) ~cols:(depth a) (fun i j ->
-      Tl_linalg.Rat.of_int a.matrix.(i).(j))
-
 let shape a iters =
   let extents = Array.of_list (List.map (fun i -> i.Iter.extent) iters) in
   if Array.length extents <> depth a then

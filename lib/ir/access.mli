@@ -28,7 +28,6 @@ val depth : t -> int
 val index : t -> int array -> int array
 (** [index a x] evaluates [A x]. *)
 
-val to_mat : t -> Tl_linalg.Mat.t
 val shape : t -> Iter.t list -> int array
 (** Tensor extents implied by the iteration domain: for each dimension the
     maximum reachable index + 1 (entries may be negative; the minimum

@@ -11,6 +11,10 @@ type t = private { num : int; den : int }
 exception Overflow
 (** Raised when an intermediate product would exceed native-int range. *)
 
+val mul_check : int -> int -> int
+val add_check : int -> int -> int
+(** Native-int product and sum.  @raise Overflow instead of wrapping. *)
+
 exception Division_by_zero
 
 val make : int -> int -> t

@@ -28,11 +28,11 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 let to_integer v =
   if is_zero v then invalid_arg "Vec.to_integer: zero vector";
-  let lcm a b = a / gcd a b * b in
+  let lcm a b = Rat.mul_check (a / gcd a b) b in
   let denominators = Array.map (fun (r : Rat.t) -> r.Rat.den) v in
   let m = Array.fold_left lcm 1 denominators in
   let ints =
-    Array.map (fun (r : Rat.t) -> r.Rat.num * (m / r.Rat.den)) v
+    Array.map (fun (r : Rat.t) -> Rat.mul_check r.Rat.num (m / r.Rat.den)) v
   in
   let g =
     Array.fold_left (fun acc x -> gcd acc (abs x)) 0 ints

@@ -24,6 +24,7 @@ val to_integer : t -> int array
 (** Scale a rational vector by the lcm of denominators and divide by the gcd
     of numerators, producing the primitive integer vector spanning the same
     ray.  The sign convention makes the first nonzero entry positive.
-    @raise Invalid_argument on the zero vector. *)
+    @raise Invalid_argument on the zero vector.
+    @raise Rat.Overflow when the scaled entries do not fit a native int. *)
 
 val pp : Format.formatter -> t -> unit

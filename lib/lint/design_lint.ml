@@ -48,12 +48,15 @@ let check_design ?(rows = 16) ?(cols = 16) ?(suppress = []) design =
            accumulates one element every cycle")
    | _ -> ());
   (* L104: raw reuse directions with dt < 0 (classification normalises the
-     orientation, but the raw transform maps reuse backwards in time) *)
+     orientation, but the raw transform maps reuse backwards in time),
+     each direction primitive with its first nonzero entry positive *)
   List.iter
     (fun (ti : Design.tensor_info) ->
-      List.iter
-        (fun v ->
-          let ints = Tl_linalg.Vec.to_integer v in
+      let prep =
+        Reuse.prepare ~selected:transform.Transform.selected ti.Design.access
+      in
+      Array.iter
+        (fun ints ->
           let dt = ints.(Array.length ints - 1) in
           if dt < 0 then
             add
@@ -64,7 +67,7 @@ let check_design ?(rows = 16) ?(cols = 16) ?(suppress = []) design =
                     (String.concat "; "
                        (Array.to_list (Array.map string_of_int ints)))
                     dt)))
-        (Reuse.reuse_basis transform ti.Design.access))
+        (Reuse.directions prep transform.Transform.imatrix))
     design.Design.tensors;
   (* L105: dataflows without a structural RTL template *)
   if not (Design.netlist_supported design) then

@@ -13,6 +13,14 @@ type t =
   | Reuse2d of shape2d
   | Reuse_full
 
+let line_count rows cols d =
+  let total = rows * cols in
+  (* length of a maximal line segment inside the grid *)
+  let steps_r = if d.(0) = 0 then max_int else (rows - 1) / abs d.(0) in
+  let steps_c = if d.(1) = 0 then max_int else (cols - 1) / abs d.(1) in
+  let len = 1 + min steps_r steps_c in
+  (total + len - 1) / len
+
 let letter = function
   | Unicast -> 'U'
   | Stationary _ -> 'T'

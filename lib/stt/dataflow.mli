@@ -35,6 +35,13 @@ type t =
       (** The tensor ignores all selected loops (3-D reuse): broadcast once,
           stationary everywhere.  Rare; kept for totality. *)
 
+val line_count : int -> int -> int array -> int
+(** [line_count rows cols d] is the number of lines along direction [d]
+    that cover a [rows × cols] PE array: its cells divided by the length
+    of the longest segment of such a line inside it, rounded up.  The
+    interconnect ([Topology]) and the cost inventory count chains, buses
+    and trees with it. *)
+
 val letter : t -> char
 (** The paper's naming letters: S (systolic), T (stationary), M (multicast /
     reduction tree), U (unicast), B (2-D or full reuse). *)

@@ -31,19 +31,15 @@ let of_dataflows transform dataflows =
 
 let accesses stmt = stmt.Tl_ir.Stmt.inputs @ [ stmt.Tl_ir.Stmt.output ]
 
+(* the classifier every sweep runs, one prepared null space per tensor *)
 let analyze transform =
+  let selected = transform.Transform.selected in
   of_dataflows transform
-    (List.map (Reuse.classify transform) (accesses transform.Transform.stmt))
-
-(* Hoists the per-(selection, tensor) null-space work out of a matrix
-   sweep: the returned closure analyses any transform over the same
-   statement and selection with pure integer classification, producing a
-   design structurally identical to {!analyze}'s. *)
-let analyzer stmt ~selected =
-  let preps = List.map (Reuse.prepare ~selected) (accesses stmt) in
-  fun transform ->
-    of_dataflows transform
-      (List.map (fun p -> Reuse.classify_prepared p transform) preps)
+    (List.map
+       (fun a ->
+         Reuse.classify_matrix (Reuse.prepare ~selected a)
+           transform.Transform.imatrix)
+       (accesses transform.Transform.stmt))
 
 let letters d =
   String.init (List.length d.tensors) (fun i ->

@@ -20,6 +20,9 @@ type t = {
 }
 
 val analyze : Transform.t -> t
+(** Classifies every tensor with {!Reuse.classify_matrix}, the classifier
+    the sweeps of {!Search} run.  @raise Reuse.Overflow when a tensor's
+    analysis does not fit native ints. *)
 
 val of_dataflows : Transform.t -> Dataflow.t list -> t
 (** [of_dataflows t dfs] is the design of [t] whose tensors (inputs in
@@ -28,12 +31,6 @@ val of_dataflows : Transform.t -> Dataflow.t list -> t
     are the dataflows {!analyze} finds, as the sweeps of {!Search} know
     them to be.  @raise Invalid_argument when [dfs] has the wrong
     length. *)
-
-val analyzer : Tl_ir.Stmt.t -> selected:int array -> Transform.t -> t
-(** [analyzer stmt ~selected] hoists the per-(selection, tensor) null-space
-    analysis out of a matrix sweep; applying the result to a transform over
-    the same statement and selection yields exactly [analyze transform],
-    computed with integer-only classification ({!Reuse.classify_prepared}). *)
 
 val letters : t -> string
 (** Just the dataflow letters, e.g. ["SST"]. *)

@@ -148,15 +148,17 @@ type tensor_classes = {
 (* Every coordinate of every image packs into 6 bits as [x + 31], image
    [v] coordinate [i] at bit [6 (v n + i)]: at most 3 × 3 coordinates,
    54 bits.  The packing is exact when no row can push a coordinate out
-   of -31..31; otherwise the tensor goes without a memo rather than risk
-   a colliding key. *)
+   of -31..31; otherwise (an image past [max_int] included) the tensor
+   goes without a memo rather than risk a colliding key. *)
 let row_terms prep rows ~n =
   (* the images of the matrix whose rows all equal [r] hold [r·v] in
      every coordinate *)
-  let images = Array.map (fun r -> Reuse.images prep (Array.make n r)) rows in
-  if Array.exists (Array.exists (Array.exists (fun x -> abs x > 31))) images
-  then None
-  else
+  match Array.map (fun r -> Reuse.images prep (Array.make n r)) rows with
+  | exception Reuse.Overflow _ -> None
+  | images when
+      Array.exists (Array.exists (Array.exists (fun x -> abs x > 31))) images
+    -> None
+  | images ->
     Some
       (Array.init n (fun i ->
            Array.map

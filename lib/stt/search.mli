@@ -39,7 +39,9 @@ val sweep : budget:Tl_resil.Budget.t -> Tl_ir.Stmt.t -> selected:int array ->
     one table lookup.  [budget] is polled once per candidate;
     {!Tl_resil.Budget.Expired} aborts the sweep.
     @raise Invalid_argument unless [selected] names 2 or 3 distinct
-    iterators of [stmt]. *)
+    iterators of [stmt].
+    @raise Reuse.Overflow when a tensor's classification under some
+    candidate does not fit native ints; so do the sweeps below. *)
 
 val distinct_flows : budget:Tl_resil.Budget.t -> Tl_ir.Stmt.t ->
   selected:int array -> (int list list * Dataflow.t list) list

@@ -72,14 +72,6 @@ let signature (d : Design.t) =
       if String.compare x best < 0 then x else best)
     (one identity) (List.tl d4)
 
-(* One buffer-render with the identity element: a cheap non-canonical key
-   whose equality implies canonical-signature equality. *)
-let identity_signature (d : Design.t) =
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf (Transform.selection_label d.Design.transform);
-  render_tensors buf identity d;
-  Buffer.contents buf
-
 (* ------------------------------------------------------------------ *)
 (* Statement fingerprints.                                             *)
 

@@ -20,12 +20,6 @@ val signature : Design.t -> string
     {!d4} of [selection_label ^ "|" ^ tensor:dataflow ^ ...].  Identical
     strings to the historical [Enumerate.signature]. *)
 
-
-val identity_signature : Design.t -> string
-(** One render with the identity only.  Equal identity signatures imply
-    equal canonical signatures, so this is a sound (and ~8x cheaper) key
-    where canonical equality is not needed. *)
-
 val stmt_fingerprint : Tl_ir.Stmt.t -> string
 (** Pins everything the analyses read from a statement: name, iterator
     names/extents, and exact access matrices (output last). *)

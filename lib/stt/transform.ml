@@ -1,9 +1,6 @@
-open Tl_linalg
-
 type t = {
   stmt : Tl_ir.Stmt.t;
   selected : int array;
-  matrix : Mat.t;
   imatrix : int array array;
 }
 
@@ -36,15 +33,14 @@ let v stmt ~selected ~matrix =
   if Array.length imatrix <> n
      || Array.exists (fun r -> Array.length r <> n) imatrix
   then invalid_arg "Transform.v: matrix must be n*n for n selected iterators";
-  let m = Mat.of_int_rows matrix in
   let singular =
     match int_det_small imatrix with
     | Some d -> d = 0
-    | None -> Rat.is_zero (Mat.det m)
+    | None -> Tl_linalg.(Rat.is_zero (Mat.det (Mat.of_int_rows matrix)))
   in
   if singular then
     invalid_arg "Transform.v: STT matrix must be full rank (one-to-one)";
-  { stmt; selected; matrix = m; imatrix }
+  { stmt; selected; imatrix }
 
 let by_names stmt names ~matrix =
   let selected =
@@ -53,7 +49,7 @@ let by_names stmt names ~matrix =
   in
   v stmt ~selected ~matrix
 
-let space_dims t = Mat.rows t.matrix - 1
+let space_dims t = Array.length t.imatrix - 1
 
 let selected_iters t =
   let iters = Array.of_list t.stmt.Tl_ir.Stmt.iters in
@@ -75,14 +71,6 @@ let label_of stmt selected =
 
 let selection_label t = label_of t.stmt t.selected
 
-let apply t x_sel =
-  let n = Array.length t.selected in
-  if Array.length x_sel <> n then invalid_arg "Transform.apply: bad point";
-  let xv = Array.map Rat.of_int x_sel in
-  let st = Mat.mul_vec t.matrix xv in
-  let p = Array.init (n - 1) (fun i -> Rat.to_int st.(i)) in
-  (p, Rat.to_int st.(n - 1))
-
 (* [m · adj m = det m · I], so [m⁻¹ v = adj m · v / det m] stays in
    integers *)
 let adjugate t =
@@ -97,26 +85,6 @@ let adjugate t =
   in
   (adj, Option.get (int_det_small t.imatrix))
 
-let inverse t =
-  match Mat.inverse t.matrix with
-  | Some inv -> inv
-  | None -> assert false (* full rank checked in [v] *)
-
-let inverse_apply t p time =
-  let n = Array.length t.selected in
-  if Array.length p <> n - 1 then
-    invalid_arg "Transform.inverse_apply: bad space point";
-  let st =
-    Array.init n (fun i ->
-        if i < n - 1 then Rat.of_int p.(i) else Rat.of_int time)
-  in
-  Mat.mul_vec (inverse t) st
-
-let restricted_access t (a : Tl_ir.Access.t) =
-  let full = Tl_ir.Access.to_mat a in
-  Mat.make ~rows:(Mat.rows full) ~cols:(Array.length t.selected)
-    (fun i j -> Mat.get full i t.selected.(j))
-
 (* Each row of [T] is linear, so its extrema over the box domain are
    attained coordinate-wise: column [j] contributes the min/max of
    {0, c_j * (ext_j - 1)}. *)
@@ -130,6 +98,17 @@ let row_bounds t i =
     t.imatrix.(i);
   (!lo, !hi)
 
+(* the rows as [Mat.pp] prints a matrix, one [[a, b, c]] box per row *)
+let pp_rows ppf rows =
+  Format.fprintf ppf "@[<v>%a@]"
+    (Format.pp_print_array ~pp_sep:Format.pp_print_cut (fun ppf row ->
+         Format.fprintf ppf "[@[%a@]]"
+           (Format.pp_print_array
+              ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
+              Format.pp_print_int)
+           row))
+    rows
+
 let pp ppf t =
   Format.fprintf ppf "@[<v>STT %s of %s:@,%a@]" (selection_label t)
-    t.stmt.Tl_ir.Stmt.name Mat.pp t.matrix
+    t.stmt.Tl_ir.Stmt.name pp_rows t.imatrix

@@ -10,11 +10,7 @@
 type t = private {
   stmt : Tl_ir.Stmt.t;
   selected : int array;   (** ordered indices of the selected iterators *)
-  matrix : Tl_linalg.Mat.t; (** n×n, full rank; last row = time *)
-  imatrix : int array array;
-      (** the same matrix as native integers (every STT matrix is integer);
-          the fast path for per-candidate analysis avoids rational
-          arithmetic entirely *)
+  imatrix : int array array;  (** n×n, full rank; last row = time *)
 }
 
 val v : Tl_ir.Stmt.t -> selected:int array -> matrix:int list list -> t
@@ -39,25 +35,10 @@ val label_of : Tl_ir.Stmt.t -> int array -> string
 (** [label_of stmt selected] is the {!selection_label} of any transform
     of [stmt] with that selection. *)
 
-val apply : t -> int array -> int array * int
-(** [apply t x_sel] is [(p, time)] for a selected-iterator point. *)
-
-val inverse : t -> Tl_linalg.Mat.t
-(** Exact rational [T⁻¹]. *)
-
 val adjugate : t -> int array array * int
 (** [(adj T, det T)] in native integers: [T · adj T = det T · I], so
     [T⁻¹ v = adj T · v / det T] needs no rational arithmetic.
     @raise Invalid_argument unless [n] is 2 or 3. *)
-
-val inverse_apply : t -> int array -> int -> Tl_linalg.Vec.t
-(** [inverse_apply t p time] recovers the (rational) iteration point mapped
-    to space-time position [(p, time)].  An iteration point exists there iff
-    the result is integral and within bounds. *)
-
-val restricted_access : t -> Tl_ir.Access.t -> Tl_linalg.Mat.t
-(** The access matrix restricted to the selected iterator columns (the
-    matrix [A] of Eq. 2 in the selected subspace). *)
 
 val row_bounds : t -> int -> int * int
 (** [row_bounds t i] is the minimum and maximum of row [i] of [T] over

@@ -22,12 +22,7 @@ type t = {
   tensors : tensor_topology list;
 }
 
-let line_count rows cols d =
-  let total = rows * cols in
-  let steps_r = if d.(0) = 0 then max_int else (rows - 1) / abs d.(0) in
-  let steps_c = if d.(1) = 0 then max_int else (cols - 1) / abs d.(1) in
-  let len = 1 + min steps_r steps_c in
-  (total + len - 1) / len
+let line_count = Tl_stt.Dataflow.line_count
 
 let line_length rows cols d =
   let total = rows * cols in

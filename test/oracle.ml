@@ -1,20 +1,24 @@
 (* Reference implementations the fast paths are checked against, by the
    test suite and by fuzz.exe.
 
-   [design_space] is the per-candidate enumeration that
-   [Enumerate.design_space] replaced: every candidate matrix becomes a
-   [Transform.v] and is analysed, a selection (one [Tl_par] task each)
-   keeps the first matrix of each dataflow list that passes the
-   exclusions, and the survivors are deduplicated on the identity
-   signature and then on the canonical (D4) signature.  [matching_designs] is the per-candidate name lookup
-   that [Search.matching_designs] replaced.  [space_footprint] is the
-   point-by-point image of the selected box that [Transform.row_bounds]
-   replaced in the L102 lint.  [tile_statistics] and
-   [evaluate_reference], at the end, are the perf model's materialised
-   statistics and exhaustive tile search.  [exec_run] is the golden
-   executor's point-by-point interpreter that [Exec.run]'s strided walk
-   replaced.  [Refsim] is the reference interpreter the simulator is
-   checked against. *)
+   [analyze] is the rational reuse analysis (§IV, Eq. 2–3, Table I) that
+   [Design.analyze] replaced with the integer classifier the sweeps run:
+   the reuse basis [T · null(A_sel)] over exact rationals, Eq. 3's
+   projector, and the unit-step descent that reduces a systolic
+   direction against a multicast one.  [design_space] is the
+   per-candidate enumeration that [Enumerate.design_space] replaced:
+   every candidate matrix becomes a [Transform.v] and is analysed, a
+   selection (one [Tl_par] task each) keeps the first matrix of each
+   dataflow list that passes the exclusions, and the survivors are
+   deduplicated on the canonical (D4) signature.  [matching_designs] is
+   the per-candidate name lookup that [Search.matching_designs] replaced.
+   [space_footprint] is the point-by-point image of the selected box
+   that [Transform.row_bounds] replaced in the L102 lint.
+   [tile_statistics] and [evaluate_reference], at the end, are the perf
+   model's materialised statistics and exhaustive tile search.
+   [exec_run] is the golden executor's point-by-point interpreter that
+   [Exec.run]'s strided walk replaced.  [Refsim] is the reference
+   interpreter the simulator is checked against. *)
 
 open Tensorlib
 module Refsim = Refsim
@@ -40,6 +44,237 @@ let exec_run stmt env =
       Dense.set out oi (Dense.get out oi + product));
   out
 
+(* ------------------------------------------------------------------ *)
+(* The rational reuse analysis.  [matrix t] is the STT matrix over the
+   rationals, rebuilt from its integer rows. *)
+
+let matrix (t : Transform.t) =
+  Mat.of_int_rows (Array.to_list (Array.map Array.to_list t.Transform.imatrix))
+
+let to_mat (a : Access.t) =
+  Mat.make ~rows:(Access.rank a) ~cols:(Access.depth a) (fun i j ->
+      Rat.of_int a.Access.matrix.(i).(j))
+
+(* [(p, time)] for a selected-iterator point *)
+let apply t x_sel =
+  let n = Array.length t.Transform.selected in
+  if Array.length x_sel <> n then invalid_arg "Transform.apply: bad point";
+  let xv = Array.map Rat.of_int x_sel in
+  let st = Mat.mul_vec (matrix t) xv in
+  let p = Array.init (n - 1) (fun i -> Rat.to_int st.(i)) in
+  (p, Rat.to_int st.(n - 1))
+
+let inverse t =
+  match Mat.inverse (matrix t) with
+  | Some inv -> inv
+  | None -> assert false (* full rank checked in [Transform.v] *)
+
+(* the (rational) iteration point mapped to space-time position
+   [(p, time)]: an iteration point exists there iff it is integral and
+   within bounds *)
+let inverse_apply t p time =
+  let n = Array.length t.Transform.selected in
+  if Array.length p <> n - 1 then
+    invalid_arg "Transform.inverse_apply: bad space point";
+  let st =
+    Array.init n (fun i ->
+        if i < n - 1 then Rat.of_int p.(i) else Rat.of_int time)
+  in
+  Mat.mul_vec (inverse t) st
+
+(* the access matrix restricted to the selected iterator columns: the
+   matrix [A] of Eq. 2 in the selected subspace *)
+let restricted_access t (a : Access.t) =
+  let full = to_mat a in
+  Mat.make ~rows:(Mat.rows full) ~cols:(Array.length t.Transform.selected)
+    (fun i j -> Mat.get full i t.Transform.selected.(j))
+
+(* Eq. 2: a basis of the reuse subspace in space-time coordinates *)
+let reuse_basis t access =
+  let a_sel = restricted_access t access in
+  let null = Mat.null_space a_sel in
+  List.map (fun v -> Mat.mul_vec (matrix t) v) null
+
+(* the literal Eq. 3 operator [E − (A·T⁻¹)⁺(A·T⁻¹)], whose image is the
+   reuse subspace *)
+let projector t access =
+  let a_sel = restricted_access t access in
+  let at = Mat.mul a_sel (inverse t) in
+  let n = Mat.cols at in
+  Mat.sub (Mat.identity n) (Mat.mul (Mat.pseudo_inverse at) at)
+
+(* Normalise a rational space-time vector to a primitive integer vector with
+   dt >= 0 (and first nonzero dp positive when dt = 0). *)
+let normalize v =
+  let ints = Vec.to_integer v in
+  let n = Array.length ints in
+  let dt = ints.(n - 1) in
+  let ints = if dt < 0 then Array.map (fun x -> -x) ints else ints in
+  (Array.sub ints 0 (n - 1), ints.(n - 1))
+
+(* Reduce a systolic direction by integer multiples of the multicast
+   direction to obtain a canonical small representative. *)
+let reduce_against ~multicast (dp, dt) =
+  let l1 a = Array.fold_left (fun acc x -> acc + abs x) 0 a in
+  let sub k = Array.mapi (fun i x -> x - (k * multicast.(i))) dp in
+  let rec improve best =
+    let better =
+      List.find_opt
+        (fun k -> l1 (sub k) < l1 (sub best))
+        [ best - 1; best + 1 ]
+    in
+    match better with Some k -> improve k | None -> best
+  in
+  let k = improve 0 in
+  (sub k, dt)
+
+let classify t access =
+  let basis = reuse_basis t access in
+  let sd = Transform.space_dims t in
+  (* 1-D arrays are handled uniformly by padding directions to 2-D: the
+     second (unused) array dimension never moves *)
+  let pad dp = if sd = 1 then [| dp.(0); 0 |] else dp in
+  match basis with
+  | [] -> Dataflow.Unicast
+  | [ r ] ->
+    let dp, dt = normalize r in
+    let dp = pad dp in
+    if Array.for_all (fun x -> x = 0) dp then Dataflow.Stationary { dt }
+    else if dt = 0 then Dataflow.Multicast { dp }
+    else Dataflow.Systolic { dp; dt }
+  | [ r1; r2 ] when sd = 2 ->
+    let time_of v = v.(Vec.dim v - 1) in
+    let t1 = time_of r1 and t2 = time_of r2 in
+    if Rat.is_zero t1 && Rat.is_zero t2 then Dataflow.Reuse2d Dataflow.Broadcast
+    else begin
+      (* plane /\ {dt = 0} is spanned by w = t2*r1 - t1*r2 (nonzero since
+         r1, r2 are independent and not both have zero time). *)
+      let w = Vec.sub (Vec.scale t2 r1) (Vec.scale t1 r2) in
+      let multicast, _ = normalize w in
+      (* e_t in plane <=> [r1 r2] c = e_t solvable *)
+      let n = Vec.dim r1 in
+      let plane =
+        Mat.make ~rows:n ~cols:2 (fun i j -> if j = 0 then r1.(i) else r2.(i))
+      in
+      let e_t = Vec.basis n (n - 1) in
+      match Mat.solve plane e_t with
+      | Some _ ->
+        Dataflow.Reuse2d (Dataflow.Multicast_stationary { multicast })
+      | None ->
+        let base = if Rat.is_zero t1 then r2 else r1 in
+        let dp, dt = reduce_against ~multicast (normalize base) in
+        Dataflow.Reuse2d
+          (Dataflow.Systolic_multicast
+             { multicast; systolic = { Dataflow.dp; dt } })
+    end
+  | _ -> Dataflow.Reuse_full
+
+(* brute force: do two selected iteration points access the same tensor
+   element? *)
+let reuses_same_element t access x1 x2 =
+  let a_sel = restricted_access t access in
+  let diff =
+    Array.init (Array.length x1) (fun i -> Rat.of_int (x1.(i) - x2.(i)))
+  in
+  Vec.is_zero (Mat.mul_vec a_sel diff)
+
+let analyze t =
+  let stmt = t.Transform.stmt in
+  Design.of_dataflows t
+    (List.map (classify t) (stmt.Stmt.inputs @ [ stmt.Stmt.output ]))
+
+(* Random classifier cases: a statement whose index terms carry
+   coefficients above 1 (and sums of two iterators), with an integer STT
+   matrix (n = 2, 3 or 4) whose entries reach past {-1, 0, 1}.  With three
+   selected iterators a 2-D reuse plane runs [reduce_against]'s descent,
+   one step per unit of the reduction, so coefficients stay below 2^8 and
+   entries below 2^6 there; with two or four no descent runs, and a
+   quarter of those draws take coefficients up to 2^61, where both
+   classifiers refuse on overflow. *)
+let classifier_case rng =
+  let int = Random.State.int rng in
+  let n = 2 + int 3 in
+  let huge = n <> 3 && int 4 = 0 in
+  let coef () =
+    let c =
+      match int 3 with
+      | 0 -> 1
+      | 1 -> 2 + int 8
+      | _ ->
+        if huge then 1 + Random.State.full_int rng (1 lsl 61) else 2 + int 256
+    in
+    if int 10 = 0 then -c else c
+  in
+  let depth = n + int 2 in
+  let access name =
+    Access.v name
+      (Array.init (1 + int 3) (fun _ ->
+           let row = Array.make depth 0 in
+           for _ = 0 to int 2 do
+             let j = int depth in
+             row.(j) <- row.(j) + coef ()
+           done;
+           row))
+  in
+  let inputs =
+    List.init (2 + int 2) (fun i -> access (String.make 1 "ABC".[i]))
+  in
+  let stmt =
+    Stmt.v "classify"
+      ~iters:(List.init depth (fun d -> Iter.v (String.make 1 "ijklm".[d]) 2))
+      ~output:(access "O") ~inputs
+  in
+  let order = Array.init depth Fun.id in
+  for i = depth - 1 downto 1 do
+    let j = int (i + 1) in
+    let x = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- x
+  done;
+  let selected = Array.sub order 0 n in
+  let entry () =
+    match int 3 with 0 -> int 3 - 1 | 1 -> int 19 - 9 | _ -> int 129 - 64
+  in
+  let rec draw () =
+    match
+      Transform.v stmt ~selected
+        ~matrix:(List.init n (fun _ -> List.init n (fun _ -> entry ())))
+    with
+    | t -> t
+    | exception Invalid_argument _ -> draw ()
+  in
+  draw ()
+
+type verdict =
+  | Agree of Design.t
+  | Refused  (** both overflow *)
+  | Unchecked  (** the reference overflows, the classifier answers *)
+  | Mismatch of string
+
+(* [Design.analyze] against [analyze]: a refusal is right only where the
+   reference overflows too *)
+let check_classifier t =
+  let show = Format.asprintf "%a" Design.pp_report in
+  let reference = try Some (analyze t) with Rat.Overflow -> None in
+  match (Design.analyze t, reference) with
+  | d, Some r ->
+    if d = r then Agree d else Mismatch (show d ^ "\nreference:\n" ^ show r)
+  | _, None -> Unchecked
+  | exception Reuse.Overflow msg -> (
+    match reference with
+    | None -> Refused
+    | Some r -> Mismatch (msg ^ "; the reference returns\n" ^ show r))
+
+(* [Design.analyze] for every transform of one selection, its null spaces
+   prepared once: the per-candidate analysis of the oracles below *)
+let analyzer stmt ~selected =
+  let preps =
+    List.map (Reuse.prepare ~selected) (stmt.Stmt.inputs @ [ stmt.Stmt.output ])
+  in
+  fun t ->
+    Design.of_dataflows t
+      (List.map (fun p -> Reuse.classify_matrix p t.Transform.imatrix) preps)
+
 let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
     ?domains stmt =
   let depth = Stmt.depth stmt in
@@ -52,7 +287,7 @@ let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
       (Search.selections stmt ~n:3)
   in
   let per_selection selected =
-    let analyze = Design.analyzer stmt ~selected in
+    let analyze = analyzer stmt ~selected in
     let local : (Dataflow.t list, unit) Hashtbl.t = Hashtbl.create 512 in
     List.filter_map
       (fun m ->
@@ -72,24 +307,19 @@ let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
         if excluded || Hashtbl.mem local dfs then None
         else begin
           Hashtbl.add local dfs ();
-          Some (d, Signature.identity_signature d)
+          Some d
         end)
       (Search.candidate_matrices ~n:3)
   in
-  let seen_id : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
   let seen : (string, unit) Hashtbl.t = Hashtbl.create 256 in
   Tl_par.map ?domains ~label:"dse-enumerate" per_selection selections
   |> List.concat
-  |> List.filter_map (fun (d, id_sig) ->
-      if Hashtbl.mem seen_id id_sig then None
+  |> List.filter_map (fun d ->
+      let s = Signature.signature d in
+      if Hashtbl.mem seen s then None
       else begin
-        Hashtbl.add seen_id id_sig ();
-        let s = Signature.signature d in
-        if Hashtbl.mem seen s then None
-        else begin
-          Hashtbl.add seen s ();
-          Some { Enumerate.design = d; signature = s }
-        end
+        Hashtbl.add seen s ();
+        Some { Enumerate.design = d; signature = s }
       end)
 
 let letter_matches ~loose (df : Dataflow.t) target =
@@ -113,7 +343,7 @@ let matching_designs stmt name =
     match Search.selection_of_label stmt label with
     | exception Not_found -> []
     | selected ->
-      let analyze = Design.analyzer stmt ~selected in
+      let analyze = analyzer stmt ~selected in
       let collect ~loose =
         List.filter_map
           (fun m ->
@@ -160,8 +390,8 @@ let best_supported_design stmt (baseline : Baselines.t) =
          | Some (_, rb) -> if r.Perf.cycles < rb.Perf.cycles then Some (d, r) else best)
        None
 
-(* The set of PE coordinates the selected domain occupies, one
-   [Transform.apply] per point of the box. *)
+(* The set of PE coordinates the selected domain occupies, one [apply]
+   per point of the box. *)
 let space_footprint t =
   let ext = Transform.selected_extents t in
   let n = Array.length ext in
@@ -169,7 +399,7 @@ let space_footprint t =
   let x = Array.make n 0 in
   let rec go d =
     if d = n then begin
-      let p, _ = Transform.apply t x in
+      let p, _ = apply t x in
       if not (Hashtbl.mem seen p) then Hashtbl.add seen p ()
     end
     else

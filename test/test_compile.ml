@@ -825,6 +825,67 @@ let test_cli_serve_einsum_deadline () =
       (Json.mem_string a "error")
   | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l)
 
+(* A statement whose reuse analysis does not fit native ints (the null
+   vector of [A] under [k, j] is (2^62 - 2, -(2^62 - 1))): every command
+   that takes --expr exits 2 with one error line naming the tensor,
+   explicit matrix or dataflow name alike. *)
+let overflow_einsum =
+  "C[m,n] += A[m,4611686018427387903k+4611686018427387902j] * B[n,k,j]"
+
+let test_cli_classifier_overflow () =
+  List.iter
+    (fun cmd ->
+      let rc, out, err =
+        run_cli
+          (Printf.sprintf "%s -e '%s' --extents m=2,n=2,k=1,j=1" cmd
+             overflow_einsum)
+      in
+      Alcotest.(check int) (cmd ^ " exits 2") 2 rc;
+      Alcotest.(check string) (cmd ^ " prints no result") "" out;
+      Alcotest.(check string) (cmd ^ " prints one error line")
+        "tensorlib: error: the reuse analysis of tensor A overflows a \
+         native int\n"
+        err)
+    [ "analyze --select k,j,m --matrix '1,1,0;1,-1,0;1,1,1'";
+      "simulate --select k,j,m --matrix '1,1,0;1,-1,0;1,1,1'";
+      "analyze -d KJM-SSS"; "perf -d KJM-SSS"; "generate -d KJM-SSS";
+      "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ]
+
+(* The classification costs the same whatever the coefficients: the
+   100 000 reduction is answered at once, the 2^62 - 1 one refused on
+   overflow inside a 100 ms budget (not as a deadline), and an "expr"
+   sweep refuses it too instead of degrading to an estimate.  The
+   server keeps serving behind them. *)
+let test_cli_serve_classifier_bounded () =
+  let overflow = "the reuse analysis of tensor A overflows a native int" in
+  let t0 = Unix.gettimeofday () in
+  let answers =
+    serve_lines
+      [ Printf.sprintf "{\"id\": 1, \"einsum\": %S, \"extents\": %S}"
+          "C[m,n] += A[m,100000k+99999j] * B[n,k,j]" "m=2,n=2,k=2,j=2";
+        Printf.sprintf "{\"id\": 2, \"expr\": %S, \"extents\": %S}"
+          overflow_einsum "m=2,n=2,k=1,j=1";
+        Printf.sprintf "{\"id\": 3, \"einsum\": %S, \"extents\": %S}"
+          gemm_einsum "m=4,n=4,k=4" ]
+  in
+  let wall = Unix.gettimeofday () -. t0 in
+  (match answers with
+   | [ a; b; c ] ->
+     check_rejected ~id:1 ~error:"no dataflow of C compiles" a;
+     check_rejected ~id:2 ~error:overflow b;
+     Alcotest.(check bool) "the request behind them is served" true
+       (Json.member "ok" c = Some (Json.Bool true))
+   | l -> Alcotest.failf "expected 3 answers, got %d" (List.length l));
+  Alcotest.(check bool)
+    (Printf.sprintf "server answered within 1 s (took %.2f s)" wall)
+    true (wall < 1.);
+  match
+    serve_answers ~flags:"--deadline-ms 100"
+      [ (4, overflow_einsum, "m=2,n=2,k=1,j=1") ]
+  with
+  | [ a ] -> check_rejected ~id:4 ~error:overflow a
+  | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l)
+
 let suite =
   [ Alcotest.test_case "programmable = ROM as generated" `Quick
       test_programmable_matches_rom;
@@ -871,4 +932,8 @@ let suite =
     Alcotest.test_case "cli serve oversized rejected fast" `Quick
       test_cli_oversized_rejected_fast;
     Alcotest.test_case "cli serve einsum deadline" `Quick
-      test_cli_serve_einsum_deadline ]
+      test_cli_serve_einsum_deadline;
+    Alcotest.test_case "cli classifier overflow refused" `Quick
+      test_cli_classifier_overflow;
+    Alcotest.test_case "cli serve classifier bounded" `Quick
+      test_cli_serve_classifier_bounded ]

@@ -90,8 +90,8 @@ let stats_features (d : Design.t) =
     | Dataflow.Systolic { dt; _ } when dt >= 2 -> [ "systolic dt>=2" ]
     | _ -> []
   in
-  let det = Mat.det d.Design.transform.Transform.matrix in
-  (if Rat.equal (Rat.abs det) (Rat.of_int 2) then [ "|det T|=2" ] else [])
+  let _, det = Transform.adjugate d.Design.transform in
+  (if abs det = 2 then [ "|det T|=2" ] else [])
   @ List.concat_map flow d.Design.tensors
 
 let test_streaming_stats_random () =
@@ -227,17 +227,41 @@ let test_evaluate_multi_domain () =
   let par = Par.map ~domains:2 (fun d -> Perf.evaluate d) designs in
   Alcotest.(check bool) "par = seq" true (seq = par)
 
-(* design analysis through the prepared-reuse fast path must match the
-   from-scratch analysis on random transforms *)
-let prop_analyzer_equals_analyze =
-  QCheck.Test.make ~name:"Design.analyzer = Design.analyze" ~count:60
-    arbitrary_matrix (fun m ->
-      let stmt = Workloads.gemm ~m:8 ~n:8 ~k:8 in
-      let t = Transform.by_names stmt [ "m"; "n"; "k" ] ~matrix:m in
-      let analyzer =
-        Design.analyzer stmt ~selected:t.Transform.selected
-      in
-      Design.analyze t = analyzer t)
+(* The one classifier against the rational reference ([Oracle.analyze])
+   on random statements whose index terms carry coefficients above 1 and
+   sums, under random integer matrices with n = 2, 3 or 4: equal designs,
+   and a refusal only where the reference overflows too.  The draws reach
+   every array rank, the 2-D systolic+multicast reduction and a
+   refusal. *)
+let test_analyze_equals_oracle () =
+  let seen = Hashtbl.create 8 in
+  let reach f = Hashtbl.replace seen f () in
+  let prop =
+    QCheck.Test.make ~name:"Design.analyze = Oracle.analyze" ~count:400
+      (QCheck.make ~print:string_of_int QCheck.Gen.int)
+      (fun seed ->
+        let t = Oracle.classifier_case (Random.State.make [| seed |]) in
+        reach (Printf.sprintf "n=%d" (Array.length t.Transform.selected));
+        match Oracle.check_classifier t with
+        | Oracle.Agree d ->
+          List.iter
+            (fun (ti : Design.tensor_info) ->
+              match ti.Design.dataflow with
+              | Dataflow.Reuse2d (Dataflow.Systolic_multicast _) ->
+                reach "systolic-multicast"
+              | _ -> ())
+            d.Design.tensors;
+          true
+        | Oracle.Refused ->
+          reach "refused";
+          true
+        | Oracle.Unchecked -> true
+        | Oracle.Mismatch msg -> QCheck.Test.fail_report msg)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 25 |]) prop;
+  List.iter
+    (fun f -> Alcotest.(check bool) ("reached " ^ f) true (Hashtbl.mem seen f))
+    [ "n=2"; "n=3"; "n=4"; "systolic-multicast"; "refused" ]
 
 (* Pareto: the sweep must agree with the quadratic reference, preserving
    input order and keeping duplicate projections *)
@@ -388,8 +412,10 @@ let suite =
     Alcotest.test_case "streaming stats = materialised stats (random STT)"
       `Quick test_streaming_stats_random;
     Alcotest.test_case "closed-form stats on 1-D frames" `Quick
-      test_stats_1d_frames ]
-  @ qsuite [ prop_analyzer_equals_analyze; prop_pareto_matches_reference ]
+      test_stats_1d_frames;
+    Alcotest.test_case "Design.analyze = Oracle.analyze" `Quick
+      test_analyze_equals_oracle ]
+  @ qsuite [ prop_pareto_matches_reference ]
   @ [ Alcotest.test_case "systolic dt=2 regression (YXP-SBS)" `Quick
         test_systolic_dt2_regression;
       Alcotest.test_case "cold sweep digests pinned" `Slow

@@ -19,7 +19,7 @@ let oracle ?selection stmt =
   let table = Hashtbl.create 64 in
   List.iter
     (fun selected ->
-      let analyze = Design.analyzer stmt ~selected in
+      let analyze = Oracle.analyzer stmt ~selected in
       List.iter
         (fun m ->
           let t = Transform.v stmt ~selected ~matrix:m in

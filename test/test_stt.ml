@@ -24,11 +24,11 @@ let test_transform_validity () =
 
 let test_fig1b_mapping () =
   (* paper: i=1, j=2, k=3 executes at PE (1,2) at cycle 6 *)
-  let p, t = Transform.apply fig1b [| 1; 2; 3 |] in
+  let p, t = Oracle.apply fig1b [| 1; 2; 3 |] in
   Alcotest.(check (array int)) "PE" [| 1; 2 |] p;
   Alcotest.(check int) "time" 6 t;
   (* inverse recovers the iteration *)
-  let x = Transform.inverse_apply fig1b [| 1; 2 |] 6 in
+  let x = Oracle.inverse_apply fig1b [| 1; 2 |] 6 in
   Alcotest.(check (array int)) "inverse" [| 1; 2; 3 |] (Vec.to_integer x |> fun _ ->
     Array.map Rat.to_int x)
 
@@ -130,8 +130,8 @@ let test_projector_matches_nullspace () =
   let d = Design.analyze fig1b in
   List.iter
     (fun (ti : Design.tensor_info) ->
-      let p = Reuse.projector fig1b ti.Design.access in
-      let basis = Reuse.reuse_basis fig1b ti.Design.access in
+      let p = Oracle.projector fig1b ti.Design.access in
+      let basis = Oracle.reuse_basis fig1b ti.Design.access in
       (* projector is idempotent *)
       Alcotest.(check bool) "P^2 = P" true (Mat.equal (Mat.mul p p) p);
       (* image of the projector has the same rank as the reuse space *)
@@ -266,13 +266,13 @@ let arbitrary_transform =
 let check_step dp dt access t ext points =
   List.for_all
     (fun x1 ->
-      let p1, t1 = Transform.apply t x1 in
+      let p1, t1 = Oracle.apply t x1 in
       let p2 = [| p1.(0) + dp.(0); p1.(1) + dp.(1) |] in
-      let x2r = Transform.inverse_apply t p2 (t1 + dt) in
+      let x2r = Oracle.inverse_apply t p2 (t1 + dt) in
       if Array.for_all Rat.is_integer x2r then begin
         let x2 = Array.map Rat.to_int x2r in
         let inb = Array.for_all2 (fun v e -> v >= 0 && v < e) x2 ext in
-        (not inb) || Reuse.reuses_same_element t access x1 x2
+        (not inb) || Oracle.reuses_same_element t access x1 x2
       end
       else true)
     points
@@ -304,7 +304,7 @@ let prop_classification_sound =
               (fun x1 ->
                 List.for_all
                   (fun x2 ->
-                    x1 == x2 || not (Reuse.reuses_same_element t access x1 x2))
+                    x1 == x2 || not (Oracle.reuses_same_element t access x1 x2))
                   !points)
               !points
           | Dataflow.Systolic { dp; dt } ->
@@ -316,6 +316,32 @@ let prop_classification_sound =
           | Dataflow.Reuse2d _ | Dataflow.Reuse_full -> true)
         d.Design.tensors)
 
+(* the closed-form reduction against the unit-step descent it replaced *)
+let prop_reduce_closed_form =
+  QCheck.Test.make ~name:"closed-form reduction = unit-step descent"
+    ~count:1000
+    QCheck.(
+      pair
+        (pair (int_range (-1000) 1000) (int_range (-1000) 1000))
+        (pair (int_range (-40) 40) (int_range (-40) 40)))
+    (fun ((d0, d1), (m0, m1)) ->
+      QCheck.assume ((m0, m1) <> (0, 0));
+      let multicast = [| m0; m1 |] and dp = [| d0; d1 |] in
+      Reuse.reduce_against ~multicast dp
+      = fst (Oracle.reduce_against ~multicast (dp, 0)))
+
+(* the descent would take 2^61 steps here *)
+let test_reduce_far () =
+  Alcotest.(check (array int)) "2^61 multiples removed" [| 0; 3 |]
+    (Reuse.reduce_against ~multicast:[| 1; 1 |]
+       [| 1 lsl 61; (1 lsl 61) + 3 |]);
+  Alcotest.(check (array int)) "0 when no multiple shortens it" [| 5; -4 |]
+    (Reuse.reduce_against ~multicast:[| 1; 1 |] [| 5; -4 |]);
+  Alcotest.check_raises "min_int refused"
+    (Reuse.Overflow "Reuse.reduce_against overflows a native int")
+    (fun () ->
+      ignore (Reuse.reduce_against ~multicast:[| 1; 0 |] [| min_int; 0 |]))
+
 let prop_one_to_one =
   QCheck.Test.make ~name:"full-rank STT is one-to-one on the domain"
     ~count:60 arbitrary_transform (fun m ->
@@ -326,7 +352,7 @@ let prop_one_to_one =
       for i = 0 to ext.(0) - 1 do
         for j = 0 to ext.(1) - 1 do
           for k = 0 to ext.(2) - 1 do
-            let p, tm = Transform.apply t [| i; j; k |] in
+            let p, tm = Oracle.apply t [| i; j; k |] in
             let key = (p.(0), p.(1), tm) in
             if Hashtbl.mem seen key then ok := false;
             Hashtbl.add seen key ()
@@ -342,7 +368,7 @@ let prop_reuse_dim_complements_rank =
       let d = Design.analyze t in
       List.for_all
         (fun (ti : Design.tensor_info) ->
-          let a_sel = Transform.restricted_access t ti.Design.access in
+          let a_sel = Oracle.restricted_access t ti.Design.access in
           Dataflow.subspace_dim ti.Design.dataflow = 3 - Mat.rank a_sel)
         d.Design.tensors)
 
@@ -372,6 +398,8 @@ let suite =
     Alcotest.test_case "netlist support flag" `Quick test_netlist_supported ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_classification_sound; prop_one_to_one;
-        prop_reuse_dim_complements_rank ]
+        prop_reuse_dim_complements_rank; prop_reduce_closed_form ]
   @ [ Alcotest.test_case "row bounds = enumerated footprint" `Quick
-        test_row_bounds_footprint ]
+        test_row_bounds_footprint;
+      Alcotest.test_case "closed-form reduction, far and refused" `Quick
+        test_reduce_far ]

@@ -220,7 +220,7 @@ let check_space label expected got =
   List.iteri
     (fun i (p : Enumerate.point) ->
       let d = p.Enumerate.design in
-      if i mod 50 = 0 && d <> Design.analyze d.Design.transform then
+      if i mod 50 = 0 && d <> Oracle.analyze d.Design.transform then
         Alcotest.failf "%s: %s is not analyze of its transform" label
           p.Enumerate.signature)
     got
