@@ -44,7 +44,11 @@
      generator, an [Oracle.classifier_case] (coefficients above 1 and
      sums, integer matrices with n = 2, 3 or 4), on which [Design.analyze]
      must return the rational reference's design ([Oracle.analyze]), or
-     refuse on overflow only where the reference overflows too.
+     refuse on overflow only where the reference overflows too; and an
+     [Oracle.boundary_matrix] (n = 2 to 5, entries at the edges of
+     native ints), on which [Transform.check] must accept exactly with
+     the determinant [Mat.det] finds, or call singular exactly where it
+     is 0, wherever both answer ([Oracle.check_rank]).
 
    Usage: dune exec bin/fuzz.exe -- [iterations] [seed]
    (iterations >= 1, default 200; seed any integer, default 2024; anything
@@ -579,6 +583,7 @@ let () =
   let exec_checked = ref 0 and exec_wide_mismatches = ref 0 in
   let classified = ref 0 and refusals = ref 0 in
   let classifier_mismatches = ref 0 in
+  let ranked = ref 0 and rank_refusals = ref 0 and rank_wrong = ref 0 in
   for i = 1 to iterations do
     (* the classifier case draws from its own generator, so the phase's
        other draws stay as they were *)
@@ -592,6 +597,17 @@ let () =
      | Oracle.Mismatch msg ->
        incr classifier_mismatches;
        Printf.printf "CLASSIFIER FAIL at case %d: %s\n" i msg);
+    (* so does the boundary matrix *)
+    (match
+       Oracle.check_rank
+         (Oracle.boundary_matrix (Random.State.make [| seed; 7; i |]))
+     with
+     | Oracle.Det_agree -> incr ranked
+     | Oracle.Det_refused -> incr rank_refusals
+     | Oracle.Det_unchecked -> ()
+     | Oracle.Det_wrong msg ->
+       incr rank_wrong;
+       Printf.printf "TRANSFORM FAIL at case %d: %s\n" i msg);
     let stmt = random_stmt ~sums:true rng in
     (* full-width data from the case's own generator, so the products and
        sums wrap and the phase's draws stay as they were *)
@@ -659,9 +675,13 @@ let () =
     "classifier: %d designs vs the rational reference, %d refusals, %d \
      mismatches\n"
     !classified !refusals !classifier_mismatches;
+  Printf.printf
+    "transform: %d matrices vs the rational determinant, %d refusals, %d \
+     wrong verdicts\n"
+    !ranked !rank_refusals !rank_wrong;
   if
     !failed > 0 || exec_mismatches + !exec_wide_mismatches > 0
-    || !classifier_mismatches > 0
+    || !classifier_mismatches > 0 || !rank_wrong > 0
     || stream_violations > 0
     || !violations > 0
     || !absint_violations > 0

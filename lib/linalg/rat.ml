@@ -17,14 +17,20 @@ let add_check a b =
     raise Overflow;
   s
 
+let neg_check a = if a = min_int then raise Overflow else -a
+
+(* [gcd] of two nonzero ints is plus or minus their gcd; it is [min_int]
+   only for [min_int] twice, where both quotients are 1.  The sign moves
+   to the numerator last, so only a reduced fraction that does not fit
+   raises. *)
 let make num den =
   if den = 0 then raise Division_by_zero;
   if num = 0 then { num = 0; den = 1 }
   else
-    let s = if den < 0 then -1 else 1 in
-    let num = num * s and den = den * s in
-    let g = gcd (abs num) den in
-    { num = num / g; den = den / g }
+    let g = abs (gcd num den) in
+    let num = num / g and den = den / g in
+    if den < 0 then { num = neg_check num; den = neg_check den }
+    else { num; den }
 
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
@@ -34,7 +40,7 @@ let add a b =
   make (add_check (mul_check a.num b.den) (mul_check b.num a.den))
     (mul_check a.den b.den)
 
-let neg a = { a with num = -a.num }
+let neg a = { a with num = neg_check a.num }
 let sub a b = add a (neg b)
 let mul a b = make (mul_check a.num b.num) (mul_check a.den b.den)
 
@@ -43,7 +49,7 @@ let inv a =
   make a.den a.num
 
 let div a b = mul a (inv b)
-let abs a = { a with num = Stdlib.abs a.num }
+let abs a = if a.num < 0 then neg a else a
 let equal a b = a.num = b.num && a.den = b.den
 
 let compare a b =

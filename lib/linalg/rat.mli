@@ -13,13 +13,17 @@ exception Overflow
 
 val mul_check : int -> int -> int
 val add_check : int -> int -> int
-(** Native-int product and sum.  @raise Overflow instead of wrapping. *)
+val neg_check : int -> int
+(** Native-int product, sum and negation.  @raise Overflow instead of
+    wrapping. *)
 
 exception Division_by_zero
 
 val make : int -> int -> t
 (** [make num den] is the normalised rational [num/den].
-    @raise Division_by_zero if [den = 0]. *)
+    @raise Division_by_zero if [den = 0].
+    @raise Overflow if the normalised fraction does not fit, as
+    [make 1 min_int] does not. *)
 
 val of_int : int -> t
 
@@ -35,7 +39,9 @@ val div : t -> t -> t
 val neg : t -> t
 val abs : t -> t
 val inv : t -> t
-(** @raise Division_by_zero on {!zero}. *)
+(** @raise Overflow on a numerator of [min_int], whose negation and
+    (as a denominator) whose inverse do not fit.
+    @raise Division_by_zero on {!zero} ([inv]). *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

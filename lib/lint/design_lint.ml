@@ -15,17 +15,21 @@ let check_design ?(rows = 16) ?(cols = 16) ?(suppress = []) design =
   let transform = design.Design.transform in
   let findings = ref [] in
   let add f = findings := f :: !findings in
-  (* L102: PE bounds *)
-  let dims = footprint_dims transform in
-  let fits =
-    match Array.length dims with
-    | 1 -> dims.(0) <= rows
-    | 2 -> dims.(0) <= rows && dims.(1) <= cols
-    | _ -> false
+  (* L102: PE bounds; a footprint past [max_int] fits no array *)
+  let l102 msg =
+    add (Finding.v ~rule:"L102" ~target ~subject:"space footprint" msg)
   in
-  if not fits then
-    add
-      (Finding.v ~rule:"L102" ~target ~subject:"space footprint"
+  (match footprint_dims transform with
+   | exception Transform.Overflow msg -> l102 msg
+   | dims ->
+     let fits =
+       match Array.length dims with
+       | 1 -> dims.(0) <= rows
+       | 2 -> dims.(0) <= rows && dims.(1) <= cols
+       | _ -> false
+     in
+     if not fits then
+       l102
          (Printf.sprintf "footprint %s exceeds the %dx%d PE array"
             (String.concat "x"
                (Array.to_list (Array.map string_of_int dims)))
@@ -93,50 +97,23 @@ let check_design ?(rows = 16) ?(cols = 16) ?(suppress = []) design =
   Finding.suppress ~rules:suppress (List.rev !findings)
 
 let check_matrix ?rows ?cols ?(suppress = []) stmt ~selected ~matrix =
-  let target =
-    Printf.sprintf "stt[%s]"
-      (String.concat ","
-         (Array.to_list (Array.map string_of_int selected)))
-  in
-  let structural = ref [] in
-  let add_struct msg =
-    structural :=
-      Finding.v ~rule:"L100" ~target ~subject:"selection/matrix" msg
-      :: !structural
-  in
-  let n = Array.length selected in
-  let depth = Tl_ir.Stmt.depth stmt in
-  if n < 2 then add_struct "need at least 2 selected iterators";
-  Array.iter
-    (fun i ->
-      if i < 0 || i >= depth then
-        add_struct
-          (Printf.sprintf "selected iterator %d out of range [0, %d)" i
-             depth))
-    selected;
-  let sorted = Array.copy selected in
-  Array.sort compare sorted;
-  for i = 0 to n - 2 do
-    if sorted.(i) = sorted.(i + 1) then
-      add_struct
-        (Printf.sprintf "iterator %d selected more than once" sorted.(i))
-  done;
-  if
-    List.length matrix <> n
-    || List.exists (fun row -> List.length row <> n) matrix
-  then
-    add_struct
-      (Printf.sprintf "matrix must be %dx%d for %d selected iterators" n n n);
-  match !structural with
-  | _ :: _ as fs -> (Finding.suppress ~rules:suppress (List.rev fs), None)
-  | [] ->
-    let m = Tl_linalg.Mat.of_int_rows matrix in
-    if Tl_linalg.Rat.is_zero (Tl_linalg.Mat.det m) then
-      ( Finding.suppress ~rules:suppress
-          [ Finding.v ~rule:"L101" ~target ~subject:"matrix"
-              "the STT matrix is singular: distinct iterations collide on \
-               the same (PE, cycle) slot" ],
-        None )
-    else
-      let design = Design.analyze (Transform.v stmt ~selected ~matrix) in
-      (check_design ?rows ?cols ~suppress design, Some design)
+  match Transform.check stmt ~selected ~matrix with
+  | Ok transform ->
+    let design = Design.analyze transform in
+    (check_design ?rows ?cols ~suppress design, Some design)
+  | Error problems ->
+    let target =
+      Printf.sprintf "stt[%s]"
+        (String.concat ","
+           (Array.to_list (Array.map string_of_int selected)))
+    in
+    let finding problem =
+      let rule, subject =
+        match problem with
+        | Transform.Singular | Transform.Determinant_overflow ->
+          ("L101", "matrix")
+        | _ -> ("L100", "selection/matrix")
+      in
+      Finding.v ~rule ~target ~subject (Transform.describe problem)
+    in
+    (Finding.suppress ~rules:suppress (List.map finding problems), None)

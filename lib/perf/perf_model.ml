@@ -513,14 +513,16 @@ let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
     /. (config.freq_mhz *. 1e6)
     /. float_of_int config.elem_bytes
   in
-  let int_rows = Array.to_list (Array.map Array.to_list im) in
   let evaluate_tile (tile, sel_passes) =
     Atomic.incr c_tiles_evaluated;
-    let ts = tile_stmt stmt selected tile in
-    let tt = Tl_stt.Transform.v ts ~selected ~matrix:int_rows in
-    (* classification reads no extents: the tile keeps the design's
+    (* the design's transform over the tile: only the extents differ.
+       Classification reads no extents, so the tile keeps the design's
        dataflows *)
-    let td = { design with Tl_stt.Design.transform = tt } in
+    let td =
+      { design with
+        Tl_stt.Design.transform =
+          Tl_stt.Transform.with_stmt transform (tile_stmt stmt selected tile) }
+    in
     let stats =
       tile_statistics td (Schedule.frame td ~rows:config.rows ~cols:config.cols)
     in

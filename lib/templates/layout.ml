@@ -126,7 +126,8 @@ let total_of ~compute_end ~rows design = compute_end + rows + max_dt design + 4
 (* The total is [f_preload + passes * span + rows + max_dt + 4].  The
    domain fitting an int does not make it fit: with m = n = 1 and k near
    [max_int] the sum wraps negative, and a negative need passes every
-   capacity check. *)
+   capacity check.  [Schedule.frame] refuses a span past [max_int], so
+   [span >= 1] here. *)
 let schedule_size design ~rows ~cols =
   let fr =
     try Schedule.frame design ~rows ~cols
@@ -134,7 +135,7 @@ let schedule_size design ~rows ~cols =
   in
   let passes = fr.Schedule.f_passes and span = fr.Schedule.f_span in
   let fixed = fr.Schedule.f_preload + rows + max_dt design + 4 in
-  if span <= 0 || span > (max_int - fixed) / passes then
+  if span > (max_int - fixed) / passes then
     raise (Unsupported "Layout: the schedule length does not fit in an int");
   (total_of ~compute_end:fr.Schedule.f_compute_end ~rows design, passes)
 

@@ -62,7 +62,13 @@ let geometry design ~rows ~cols =
     List.map (fun i -> all.(i)) unselected
   in
   let passes = List.fold_left ( * ) 1 unsel_ext in
-  let t_min, t_max = Tl_stt.Transform.row_bounds transform sd in
+  (* a row whose span passes [max_int] fits no array *)
+  let row_bounds i =
+    try Tl_stt.Transform.row_bounds transform i
+    with Tl_stt.Transform.Overflow msg ->
+      raise (Unsupported ("Schedule.build: " ^ msg))
+  in
+  let t_min, t_max = row_bounds sd in
   let span = t_max - t_min + 1 in
   let preload = 1 in
   let tm = transform.Tl_stt.Transform.imatrix in
@@ -70,10 +76,8 @@ let geometry design ~rows ~cols =
   let row_r = tm.(0) in
   let row_c = if sd = 1 then Array.make n_sel 0 else tm.(1) in
   let row_t = if sd = 1 then tm.(1) else tm.(2) in
-  let min_r, max_r = Tl_stt.Transform.row_bounds transform 0 in
-  let min_c, max_c =
-    if sd = 1 then (0, 0) else Tl_stt.Transform.row_bounds transform 1
-  in
+  let min_r, max_r = row_bounds 0 in
+  let min_c, max_c = if sd = 1 then (0, 0) else row_bounds 1 in
   if max_r - min_r + 1 > rows || max_c - min_c + 1 > cols then
     raise
       (Unsupported

@@ -34,7 +34,8 @@ type t = {
 }
 
 val build : Tl_stt.Design.t -> rows:int -> cols:int -> t
-(** @raise Unsupported when the space footprint does not fit the array. *)
+(** @raise Unsupported when the space footprint does not fit the array,
+    or a row of the STT spans more than [max_int] over the domain. *)
 
 type frame = private {
   f_design : Tl_stt.Design.t;

@@ -5,7 +5,9 @@
    [Design.analyze] replaced with the integer classifier the sweeps run:
    the reuse basis [T · null(A_sel)] over exact rationals, Eq. 3's
    projector, and the unit-step descent that reduces a systolic
-   direction against a multicast one.  [design_space] is the
+   direction against a multicast one.  [check_rank] compares the rank
+   verdict and checked determinant of [Transform.check] with the
+   rational [Mat.det] on [boundary_matrix] draws.  [design_space] is the
    per-candidate enumeration that [Enumerate.design_space] replaced:
    every candidate matrix becomes a [Transform.v] and is analysed, a
    selection (one [Tl_par] task each) keeps the first matrix of each
@@ -264,6 +266,87 @@ let check_classifier t =
     match reference with
     | None -> Refused
     | Some r -> Mismatch (msg ^ "; the reference returns\n" ^ show r))
+
+(* ------------------------------------------------------------------ *)
+(* The rank of [T] against the rational determinant.  [boundary_matrix]
+   draws square integer matrices (n = 2 to 5) whose entries mix small
+   values with the edges of native ints, in up to [n] cells: ±2^31 and
+   ±2^32, whose product 2^63 wraps to 0; (2^63 + 1) / 3, whose triple
+   wraps to 1; [max_int] (2^62 − 1) and [min_int].  A quarter of the
+   rows after the first repeat an earlier one, so singular matrices with
+   such entries come up too. *)
+
+let boundary_values =
+  [| 0; 1; -1; 1 lsl 31; -(1 lsl 31); 1 lsl 32; -(1 lsl 32);
+     3074457345618258603; max_int; min_int |]
+
+let boundary_matrix ?n rng =
+  let int = Random.State.int rng in
+  let n = match n with Some n -> n | None -> 2 + int 4 in
+  let m = Array.init n (fun _ -> Array.init n (fun _ -> int 5 - 2)) in
+  (* up to [n] cells at the edges *)
+  for _ = 1 to int (n + 1) do
+    m.(int n).(int n) <- boundary_values.(int (Array.length boundary_values))
+  done;
+  for i = 1 to n - 1 do
+    if int 4 = 0 then m.(i) <- m.(int i)
+  done;
+  Array.to_list (Array.map Array.to_list m)
+
+(* a loop nest over the box [ext] (up to 5 loops) for [Transform.check]
+   to select every iterator of *)
+let box_stmt ext =
+  let n = Array.length ext in
+  Stmt.v "box"
+    ~iters:(List.init n (fun d -> Iter.v (String.make 1 "ijklm".[d]) ext.(d)))
+    ~output:(Access.of_terms "O" ~depth:n [ [ 0 ] ])
+    ~inputs:[ Access.of_terms "A" ~depth:n (List.init n (fun d -> [ d ])) ]
+
+(* [[a, b]; [c, d]] as "a, b; c, d" *)
+let show_rows m =
+  String.concat "; "
+    (List.map (fun r -> String.concat ", " (List.map string_of_int r)) m)
+
+type det_verdict =
+  | Det_agree  (** both answer, alike *)
+  | Det_refused  (** [Transform] refuses on overflow *)
+  | Det_unchecked  (** [Mat.det] overflows, [Transform] answers *)
+  | Det_wrong of string
+
+(* [Transform.check]'s verdict on [matrix] against [Mat.det]: wrong is a
+   matrix accepted with another determinant than the rational one (0
+   among them), or called singular where that determinant is not 0.
+   [Transform] may refuse where [Mat.det] answers. *)
+let check_rank matrix =
+  let n = List.length matrix in
+  let reference =
+    try Some (Mat.det (Mat.of_int_rows matrix)) with Rat.Overflow -> None
+  in
+  let show () = show_rows matrix in
+  match
+    ( Transform.check
+        (box_stmt (Array.make n 2))
+        ~selected:(Array.init n Fun.id) ~matrix,
+      reference )
+  with
+  | Error [ Transform.Determinant_overflow ], _ -> Det_refused
+  | (Ok _ | Error [ Transform.Singular ]), None -> Det_unchecked
+  | Ok t, Some d ->
+    if Rat.equal d (Rat.of_int t.Transform.det) then Det_agree
+    else
+      Det_wrong
+        (Printf.sprintf "[%s]: det %d, the rational determinant %s" (show ())
+           t.Transform.det (Rat.to_string d))
+  | Error [ Transform.Singular ], Some d ->
+    if Rat.is_zero d then Det_agree
+    else
+      Det_wrong
+        (Printf.sprintf "[%s]: called singular, the rational determinant %s"
+           (show ()) (Rat.to_string d))
+  | Error ps, _ ->
+    Det_wrong
+      (Printf.sprintf "[%s]: %s" (show ())
+         (String.concat "; " (List.map Transform.describe ps)))
 
 (* [Design.analyze] for every transform of one selection, its null spaces
    prepared once: the per-candidate analysis of the oracles below *)

@@ -851,6 +851,63 @@ let test_cli_classifier_overflow () =
       "analyze -d KJM-SSS"; "perf -d KJM-SSS"; "generate -d KJM-SSS";
       "compile -w gemm-small -d MNK-SST --rows 4 --cols 4" ]
 
+(* STT entries at the edges of native ints.  (2^63 + 1) / 3 times 3
+   wraps to 1, so a wrapping footprint read 2 wide; 2^31 · 2^32 wraps to
+   0, so a wrapping determinant read singular.  Each is a typed refusal:
+   an L102 or L101 error finding in lint, exit 2 with one error line
+   naming the overflow elsewhere. *)
+let test_cli_matrix_overflow () =
+  let contains hay sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let wide = "3074457345618258603,0,0;0,1,0;1,1,1" in
+  let det3 = "2147483648,0,0;0,4294967296,0;0,0,1" in
+  let det4 = "2147483648,0,0,0;0,4294967296,0,0;0,0,1,0;0,0,0,1" in
+  let flags w sel m =
+    Printf.sprintf "-w %s --select %s --matrix '%s'" w sel m
+  in
+  let gemm_small = flags "gemm-small" "m,n,k" wide in
+  let gemm = flags "gemm" "m,n,k" det3 in
+  let mttkrp = flags "mttkrp-small" "i,j,k,l" det4 in
+  let span =
+    "the span of STT row 0 over the iteration domain overflows a native int"
+  in
+  let det = "the determinant of the STT matrix overflows a native int" in
+  let refused sel m =
+    Printf.sprintf "--select %s --matrix %s: Transform.v: %s" sel m det
+  in
+  List.iter
+    (fun (cmd, args, code, expected) ->
+      let what = cmd ^ " " ^ args in
+      let rc, out, err = run_cli what in
+      Alcotest.(check int) (Printf.sprintf "%s exits %d" what code) code rc;
+      if code = 2 then begin
+        Alcotest.(check string) (what ^ " prints no result") "" out;
+        Alcotest.(check string) (what ^ " prints one error line")
+          ("tensorlib: error: " ^ expected ^ "\n") err
+      end
+      else
+        Alcotest.(check bool) (what ^ " reports " ^ expected) true
+          (contains out expected))
+    [ ("lint", gemm_small, 1, "L102 error   [MNK-SST] space footprint: "
+                               ^ span);
+      ("simulate", gemm_small, 2, "Schedule.build: " ^ span);
+      ("analyze --netlist", gemm_small, 2, "Schedule.build: " ^ span);
+      ("analyze", gemm, 2, refused "m,n,k" det3);
+      ("lint", gemm, 1, "L101 error   [stt[0,1,2]] matrix: " ^ det);
+      ("analyze", mttkrp, 2, refused "i,j,k,l" det4);
+      ("lint", mttkrp, 1, "L101 error   [stt[0,1,2,3]] matrix: " ^ det);
+      ("simulate", mttkrp, 2, refused "i,j,k,l" det4) ];
+  (* the footprint is refused only where an array needs it *)
+  let rc, out, _ = run_cli ("analyze " ^ gemm_small) in
+  Alcotest.(check int) "analyze without --netlist exits 0" 0 rc;
+  Alcotest.(check bool) "and prints the design" true
+    (contains out "design MNK-SST on GEMM")
+
 (* The classification costs the same whatever the coefficients: the
    100 000 reduction is answered at once, the 2^62 - 1 one refused on
    overflow inside a 100 ms budget (not as a deadline), and an "expr"
@@ -935,5 +992,7 @@ let suite =
       test_cli_serve_einsum_deadline;
     Alcotest.test_case "cli classifier overflow refused" `Quick
       test_cli_classifier_overflow;
+    Alcotest.test_case "cli matrix overflow refused" `Quick
+      test_cli_matrix_overflow;
     Alcotest.test_case "cli serve classifier bounded" `Quick
       test_cli_serve_classifier_bounded ]

@@ -24,6 +24,27 @@ let test_rat_arith () =
   Alcotest.check_raises "div by zero" Rat.Division_by_zero (fun () ->
       ignore (Rat.div half Rat.zero))
 
+(* [min_int] has no negation: every operation that would negate it
+   raises instead of wrapping *)
+let test_rat_min_int () =
+  let m = Rat.of_int min_int in
+  List.iter
+    (fun (what, f) ->
+      Alcotest.check_raises what Rat.Overflow (fun () -> ignore (f ())))
+    [ ("neg", fun () -> Rat.neg m);
+      ("abs", fun () -> Rat.abs m);
+      ("inv", fun () -> Rat.inv m);
+      ("make 1 min_int", fun () -> Rat.make 1 min_int);
+      ("make min_int (-1)", fun () -> Rat.make min_int (-1)) ];
+  Alcotest.(check (pair int int)) "min_int / 12 reduces to a fitting fraction"
+    (min_int / 4, 3)
+    (let r = Rat.make min_int 12 in
+     (r.Rat.num, r.Rat.den));
+  Alcotest.check rat "min_int / min_int" Rat.one (Rat.make min_int min_int);
+  (* the determinant is 2; the wrapped inverse of the pivot read -2 *)
+  Alcotest.check_raises "det [[min_int, -2]; [1, 0]]" Rat.Overflow (fun () ->
+      ignore (Mat.det (Mat.of_int_rows [ [ min_int; -2 ]; [ 1; 0 ] ])))
+
 let test_rat_compare () =
   Alcotest.(check int) "1/2 < 2/3" (-1) (Rat.compare (Rat.make 1 2) (Rat.make 2 3));
   Alcotest.(check int) "sign neg" (-1) (Rat.sign (Rat.make (-3) 4));
@@ -197,6 +218,7 @@ let prop_rat_field =
 let suite =
   [ Alcotest.test_case "rat make/normalise" `Quick test_rat_make;
     Alcotest.test_case "rat arithmetic" `Quick test_rat_arith;
+    Alcotest.test_case "rat min_int refused" `Quick test_rat_min_int;
     Alcotest.test_case "rat compare" `Quick test_rat_compare;
     Alcotest.test_case "rat to_float" `Quick test_rat_to_float;
     Alcotest.test_case "vec basics" `Quick test_vec_basic;

@@ -247,6 +247,17 @@ let test_l101_singular () =
   Alcotest.(check bool) "fires" true (has_rule "L101" fs);
   Alcotest.(check bool) "error severity" true (Lint.Finding.has_errors fs);
   Alcotest.(check bool) "no design" true (d = None);
+  (* det 2^63 wraps to 0; its rank is not decided, not called singular *)
+  let fs, d =
+    Lint.Design.check_matrix gemm ~selected:[| 0; 1; 2 |]
+      ~matrix:[ [ 1 lsl 31; 0; 0 ]; [ 0; 1 lsl 32; 0 ]; [ 0; 0; 1 ] ]
+  in
+  Alcotest.(check (list string)) "determinant overflow"
+    [ "L101: the determinant of the STT matrix overflows a native int" ]
+    (List.map
+       (fun f -> f.Lint.Finding.rule ^ ": " ^ f.Lint.Finding.message)
+       fs);
+  Alcotest.(check bool) "no design either" true (d = None);
   let fs, _ =
     Lint.Design.check_matrix gemm ~selected:[| 0; 1; 2 |] ~matrix:identity
   in
@@ -259,7 +270,15 @@ let test_l102_pe_bounds () =
   let fs = Lint.Design.check_design ~rows:2 ~cols:2 identity_design in
   Alcotest.(check bool) "fires on 2x2" true (has_rule "L102" fs);
   let fs = Lint.Design.check_design ~rows:16 ~cols:16 identity_design in
-  Alcotest.(check bool) "quiet on 16x16" false (has_rule "L102" fs)
+  Alcotest.(check bool) "quiet on 16x16" false (has_rule "L102" fs);
+  (* (2^63 + 1) / 3 times 3 wraps to 1: a wrapped footprint read 2 wide *)
+  let wide =
+    Design.analyze
+      (Transform.v gemm ~selected:[| 0; 1; 2 |]
+         ~matrix:[ [ 3074457345618258603; 0; 0 ]; [ 0; 1; 0 ]; [ 1; 1; 1 ] ])
+  in
+  Alcotest.(check bool) "fires past max_int" true
+    (has_rule "L102" (Lint.Design.check_design wide))
 
 (* O[i] += A[i,j] * B[j,k]: the output ignores j and k, so a transform
    sending both to pure space makes every PE hit the same element in the

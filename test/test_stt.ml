@@ -372,6 +372,200 @@ let prop_reuse_dim_complements_rank =
           Dataflow.subspace_dim ti.Design.dataflow = 3 - Mat.rank a_sel)
         d.Design.tensors)
 
+(* ---------- the checked integer facts about T ---------- *)
+
+(* the closed forms, the elimination with and without a row swap, and
+   refusals where the determinant or a term of it passes max_int *)
+let test_checked_det () =
+  let det m = Transform.det (Array.of_list (List.map Array.of_list m)) in
+  Alcotest.(check int) "[[min_int, -2]; [1, 0]]" 2
+    (det [ [ min_int; -2 ]; [ 1; 0 ] ]);
+  Alcotest.(check int) "a 3x3 entry of (2^63 + 1) / 3" 3074457345618258603
+    (det [ [ 3074457345618258603; 0; 0 ]; [ 0; 1; 0 ]; [ 1; 1; 1 ] ]);
+  Alcotest.(check int) "4x4, no swap" (-72)
+    (det
+       [ [ 2; 1; 0; 3 ]; [ 1; 3; 2; 0 ]; [ 0; 1; 4; 1 ]; [ 3; 0; 1; 2 ] ]);
+  Alcotest.(check int) "4x4, a zero pivot swapped" (-1)
+    (det [ [ 0; 1; 0; 0 ]; [ 1; 0; 0; 0 ]; [ 0; 0; 1; 0 ]; [ 0; 0; 0; 1 ] ]);
+  Alcotest.(check int) "5x5, singular" 0
+    (det
+       [ [ 1; 2; 3; 4; 5 ]; [ 0; 0; 1; 0; 0 ]; [ 2; 4; 6; 8; 10 ];
+         [ 0; 1; 0; 0; 0 ]; [ 0; 0; 0; 0; 1 ] ]);
+  List.iter
+    (fun m ->
+      match det m with
+      | d ->
+        Alcotest.failf "[%s]: det %d, expected a refusal" (Oracle.show_rows m)
+          d
+      | exception Transform.Overflow _ -> ())
+    [ [ [ 1 lsl 31; 0; 0 ]; [ 0; 1 lsl 32; 0 ]; [ 0; 0; 1 ] ];
+      [ [ 1 lsl 31; 0; 0; 0 ]; [ 0; 1 lsl 32; 0; 0 ]; [ 0; 0; 1; 0 ];
+        [ 0; 0; 0; 1 ] ];
+      [ [ min_int; 0 ]; [ 0; -1 ] ] ]
+
+(* Transform's verdict and determinant against [Mat.det], wherever both
+   answer; the checked one may refuse where the rational one answers *)
+let prop_checked_det =
+  QCheck.Test.make ~name:"checked det = Mat.det where both answer"
+    ~count:3000
+    (QCheck.make ~print:Oracle.show_rows (fun rng ->
+         Oracle.boundary_matrix rng))
+    (fun m ->
+      match Oracle.check_rank m with
+      | Oracle.Det_wrong msg -> QCheck.Test.fail_report msg
+      | Oracle.Det_agree | Oracle.Det_refused | Oracle.Det_unchecked -> true)
+
+let transform_of ?ext m =
+  let n = List.length m in
+  let ext = Option.value ext ~default:(Array.make n 2) in
+  Transform.check (Oracle.box_stmt ext) ~selected:(Array.init n Fun.id)
+    ~matrix:m
+
+let prop_adjugate =
+  QCheck.Test.make ~name:"T adj T = det T I wherever it fits" ~count:2000
+    (QCheck.make ~print:Oracle.show_rows (fun rng ->
+         Oracle.boundary_matrix ~n:(2 + Random.State.int rng 2) rng))
+    (fun m ->
+      match transform_of m with
+      | Error _ -> true
+      | Ok t -> (
+        match Transform.adjugate t with
+        | exception Transform.Overflow _ -> true
+        | adj, det ->
+          let tm = t.Transform.imatrix in
+          let n = Array.length tm in
+          (* entry [(i, j)] of [T · adj T], or [Rat.Overflow] *)
+          let product i j =
+            let acc = ref 0 in
+            for k = 0 to n - 1 do
+              acc := Rat.add_check !acc (Rat.mul_check tm.(i).(k) adj.(k).(j))
+            done;
+            !acc
+          in
+          let all f = List.for_all f (List.init n Fun.id) in
+          all (fun i ->
+              all (fun j ->
+                  match product i j with
+                  | p -> p = if i = j then det else 0
+                  | exception Rat.Overflow -> true))))
+
+(* On small entries and extents, every space row's bounds are the
+   bounding box of the enumerated footprint, and the time row's the range
+   of the enumerated cycles. *)
+let prop_row_bounds_small =
+  QCheck.Test.make ~name:"row bounds = footprint on small extents" ~count:300
+    QCheck.(
+      pair
+        (int_range 2 4)
+        (pair
+           (array_of_size (Gen.return 16) (int_range (-3) 3))
+           (array_of_size (Gen.return 4) (int_range 1 4))))
+    (fun (n, (cells, ext)) ->
+      let m =
+        List.init n (fun i -> List.init n (fun j -> cells.((i * n) + j)))
+      in
+      match transform_of ~ext:(Array.sub ext 0 n) m with
+      | Error _ -> true
+      | Ok t ->
+        let fp = Oracle.space_footprint t in
+        let space i =
+          Hashtbl.fold
+            (fun p () (lo, hi) -> (min lo p.(i), max hi p.(i)))
+            fp (max_int, min_int)
+        in
+        let times = ref (max_int, min_int) in
+        let x = Array.make n 0 in
+        let rec walk d =
+          if d = n then begin
+            let _, c = Oracle.apply t x in
+            let lo, hi = !times in
+            times := (min lo c, max hi c)
+          end
+          else
+            for v = 0 to ext.(d) - 1 do
+              x.(d) <- v;
+              walk (d + 1)
+            done
+        in
+        walk 0;
+        List.for_all
+          (fun i ->
+            Transform.row_bounds t i = if i < n - 1 then space i else !times)
+          (List.init n Fun.id))
+
+(* Exact integers as [h * 2^32 + l] with [0 <= l < 2^32]: wide enough for
+   the bounds of a row of edge entries times extents up to 2^20.  One
+   fits a native int iff [-2^30 <= h < 2^30]. *)
+let low = (1 lsl 32) - 1
+let wide_mul c k =
+  let l = (c land low) * k in
+  (((c asr 32) * k) + (l asr 32), l land low)
+let wide_add (h1, l1) (h2, l2) =
+  let l = l1 + l2 in
+  (h1 + h2 + (l asr 32), l land low)
+let wide_neg (h, l) = if l = 0 then (-h, 0) else (-h - 1, low + 1 - l)
+
+(* Edge entries with extents up to 2^20 + 1: [row_bounds] answers the exact
+   bounds where the exact span fits, and refuses where it passes
+   [max_int].  A unit upper-triangular matrix with shuffled rows keeps
+   [det T = ±1], so most draws are transforms. *)
+let prop_row_bounds_refusal =
+  QCheck.Test.make ~name:"row bounds refuse past max_int" ~count:2000
+    (QCheck.make
+       ~print:(fun (m, ext) ->
+         Printf.sprintf "[%s] over %s" (Oracle.show_rows m)
+           (String.concat "x" (Array.to_list (Array.map string_of_int ext))))
+       (fun rng ->
+         let int = Random.State.int rng in
+         let n = 2 + int 3 in
+         let m =
+           if int 2 = 0 then Oracle.boundary_matrix ~n rng
+           else begin
+             let edges = Oracle.boundary_values in
+             let edge () = edges.(int (Array.length edges)) in
+             let rows =
+               Array.init n (fun i ->
+                   List.init n (fun j ->
+                       if j = i then 1 else if j > i then edge () else 0))
+             in
+             for i = n - 1 downto 1 do
+               let j = int (i + 1) in
+               let r = rows.(i) in
+               rows.(i) <- rows.(j);
+               rows.(j) <- r
+             done;
+             Array.to_list rows
+           end
+         in
+         (* up to two extents up to 2^20 + 1, so the domain fits *)
+         let ext = Array.init n (fun _ -> 1 + int 4) in
+         for _ = 1 to 2 do
+           if int 2 = 0 then ext.(int n) <- 1 + (1 lsl int 21)
+         done;
+         (m, ext)))
+    (fun (m, ext) ->
+      let n = List.length m in
+      match transform_of ~ext m with
+      | Error _ -> true
+      | Ok t ->
+        List.for_all
+          (fun i ->
+            let lo, hi =
+              List.fold_left
+                (fun (lo, hi) (j, c) ->
+                  let w = wide_mul c (ext.(j) - 1) in
+                  if fst w < 0 then (wide_add lo w, hi)
+                  else (lo, wide_add hi w))
+                ((0, 0), (0, 0))
+                (List.mapi (fun j c -> (j, c)) (List.nth m i))
+            in
+            let span_h, _ = wide_add (wide_add hi (wide_neg lo)) (0, 1) in
+            let int_of (h, l) = (h lsl 32) + l in
+            match Transform.row_bounds t i with
+            | bounds -> span_h < 1 lsl 30 && bounds = (int_of lo, int_of hi)
+            | exception Transform.Overflow _ -> span_h >= 1 lsl 30)
+          (List.init n Fun.id))
+
 let suite =
   [ Alcotest.test_case "transform validity" `Quick test_transform_validity;
     Alcotest.test_case "fig 1(b) mapping" `Quick test_fig1b_mapping;
@@ -402,4 +596,8 @@ let suite =
   @ [ Alcotest.test_case "row bounds = enumerated footprint" `Quick
         test_row_bounds_footprint;
       Alcotest.test_case "closed-form reduction, far and refused" `Quick
-        test_reduce_far ]
+        test_reduce_far;
+      Alcotest.test_case "checked determinant" `Quick test_checked_det ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_checked_det; prop_adjugate; prop_row_bounds_small;
+        prop_row_bounds_refusal ]
