@@ -1151,11 +1151,11 @@ let bench_fault () =
   then failwith "batch campaign diverged from the scalar tape";
   let show tag (r : Campaign.report) s =
     Printf.printf
-      "  %-9s %-10s trials=%d masked=%d detected=%d hang=%d sdc=%d  \
-       (SDC %.4f)  %.2fs\n"
-      tag r.Campaign.hardening r.Campaign.trials r.Campaign.masked
-      r.Campaign.detected r.Campaign.hang r.Campaign.sdc r.Campaign.sdc_rate
-      s
+      "  %-9s %-10s trials=%d pruned=%d masked=%d detected=%d hang=%d \
+       sdc=%d  (SDC %.4f)  %.2fs\n"
+      tag r.Campaign.hardening r.Campaign.trials r.Campaign.pruned
+      r.Campaign.masked r.Campaign.detected r.Campaign.hang r.Campaign.sdc
+      r.Campaign.sdc_rate s
   in
   show "baseline" base_rep base_s;
   show "tape-8x8" tape_rep tape_s;

@@ -13,8 +13,12 @@
      tape for the planned cycles plus 4, must take the recorded value on
      every cycle of an [Oracle.Refsim] run whose inputs the trial's RNG
      drives, and the reference's slice registers must give the recorded
-     [saturation] and [repeat].  Trials run on the Tl_par domain pool
-     (override width with TL_DOMAINS=n).
+     [saturation] and [repeat].  A seeded 16-fault plan over the
+     accelerator's memory cells runs through [Campaign.run_faults], and
+     every fault it prunes ([Campaign.prunable]) must end, flipped on an
+     [Oracle.Refsim] run, with [done] = 1 and every output cell equal to
+     golden.  Trials run on the Tl_par domain pool (override width with
+     TL_DOMAINS=n).
    - netlists: random raw netlists; the lint must never crash, and
      [Rewrite.circuit] must never introduce a finding (per-rule counts
      never grow).  A slice of deliberately broken netlists checks that
@@ -247,6 +251,8 @@ type trial = {
   exec_mismatches : int;
   slice_nodes : int;
   stream_violations : int;
+  pruned : int;
+  pruning_violations : int;
   report : string;
 }
 
@@ -266,6 +272,56 @@ let exec_vs_oracle ~what stmt env =
   in
   if same then (0, "")
   else (1, Format.asprintf "EXEC FAIL at %s: %a@." what Stmt.pp stmt)
+
+(* A seeded plan over [acc]'s memory cells through the campaign: every
+   fault it prunes, flipped on the reference interpreter, must end with
+   [done] = 1 and the golden output cells.  Returns the pruned count and
+   a message per violation. *)
+let pruning_check (acc : Accel.t) ~golden ~seed =
+  let circuit = acc.Accel.circuit in
+  let planned = Accel.planned_cycles acc in
+  let faults =
+    Fault.plan ~seed ~trials:16 ~cycles:planned
+      (Fault.table ~classes:[ Fault.Memory; Fault.Rom ] circuit)
+  in
+  let report =
+    Campaign.run_faults
+      ~config:{ Campaign.default_config with domains = Some 1 }
+      ~golden acc faults
+  in
+  let dead = List.filter (Campaign.prunable ~golden acc) faults in
+  let cells = Accel.golden_cells acc golden in
+  let ends_golden = function
+    | Fault.Flip_mem { ram; addr; bit; cycle; _ } ->
+      let r = Oracle.Refsim.create circuit in
+      for c = 0 to planned - 1 do
+        if c = cycle then
+          Oracle.Refsim.poke_ram r ram addr
+            ((Oracle.Refsim.ram_contents r ram).(addr) lxor (1 lsl bit));
+        Oracle.Refsim.cycle r
+      done;
+      Oracle.Refsim.output r "done" = 1
+      && List.for_all
+           (fun (bank, a, expect) ->
+             Signal.to_signed acc.Accel.acc_width
+               (Oracle.Refsim.ram_contents r bank).(a)
+             = expect)
+           cells
+    | Fault.Flip_reg _ | Fault.Stuck_reg _ -> false
+  in
+  let count =
+    if report.Campaign.pruned = List.length dead then []
+    else
+      [ Printf.sprintf "the campaign pruned %d faults, prunable holds for %d"
+          report.Campaign.pruned (List.length dead) ]
+  in
+  ( List.length dead,
+    count
+    @ List.filter_map
+        (fun f ->
+          if ends_golden f then None
+          else Some (Fault.fault_label f ^ " was pruned but changes the run"))
+        dead )
 
 let () =
   let arg i default =
@@ -291,7 +347,8 @@ let () =
     in
     let skipped =
       { checked = 0; skipped = 1; failed = 0; exec_mismatches;
-        slice_nodes = 0; stream_violations = 0; report = exec_report }
+        slice_nodes = 0; stream_violations = 0; pruned = 0;
+        pruning_violations = 0; report = exec_report }
     in
     let t = random_transform rng stmt in
     let d = Design.analyze t in
@@ -351,10 +408,16 @@ let () =
           (fun diff ->
             Format.fprintf fmt "STREAM FAIL at iteration %d: %s@." i diff)
           stream_diffs;
+        let pruned, pruning_failures = pruning_check acc ~golden ~seed:i in
+        List.iter
+          (fun msg ->
+            Format.fprintf fmt "PRUNING FAIL at iteration %d: %s@." i msg)
+          pruning_failures;
         Format.pp_print_flush fmt ();
         { checked = 1; skipped = 0; failed = !failures; exec_mismatches;
           slice_nodes = List.length track;
           stream_violations = List.length stream_diffs;
+          pruned; pruning_violations = List.length pruning_failures;
           report = Buffer.contents buf }
   in
   let results = Par.map trial (List.init iterations (fun i -> i + 1)) in
@@ -363,6 +426,7 @@ let () =
   let failed = ref (total (fun r -> r.failed)) in
   let exec_mismatches = total (fun r -> r.exec_mismatches) in
   let stream_violations = total (fun r -> r.stream_violations) in
+  let pruning_violations = total (fun r -> r.pruning_violations) in
   List.iter (fun r -> print_string r.report) results;
   Printf.printf
     "fuzz designs: %d checked, %d skipped, %d failed; executor: %d \
@@ -373,6 +437,8 @@ let () =
     "fuzz stream oracle: %d control slices, %d nodes recorded on the tape \
      vs the reference, %d violations\n"
     checked (total (fun r -> r.slice_nodes)) stream_violations;
+  Printf.printf "fuzz fault pruning: %d plans, %d pruned, %d violations\n"
+    checked (total (fun r -> r.pruned)) pruning_violations;
   (* phase 2: raw netlists through the lint differential oracle *)
   let linted = ref 0 and violations = ref 0 in
   for i = 1 to iterations do
@@ -682,7 +748,7 @@ let () =
   if
     !failed > 0 || exec_mismatches + !exec_wide_mismatches > 0
     || !classifier_mismatches > 0 || !rank_wrong > 0
-    || stream_violations > 0
+    || stream_violations > 0 || pruning_violations > 0
     || !violations > 0
     || !absint_violations > 0
     || !batch_violations > 0 || !stats_violations > 0

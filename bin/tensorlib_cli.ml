@@ -250,20 +250,20 @@ let resolve ?expr ?extents ?select ?matrix w d =
   | None, None -> (stmt, design_of_name stmt w d)
 
 (* The input tensors of [stmt] with their sample data, after checking
-   that every tensor of it fits one array: [Exec.alloc_inputs] and
-   [Exec.run] would otherwise fail in [Dense.create]. *)
+   that every tensor of it fits [Dense.max_elements]: [Exec.alloc_inputs]
+   and [Exec.run] would otherwise fail in [Dense.create]. *)
 let alloc_inputs stmt =
   List.iter
     (fun (a : Access.t) ->
       let shape = Access.shape a stmt.Stmt.iters in
-      if not (Dense.fits_array shape) then
+      if not (Dense.fits shape) then
         failwith
           (Printf.sprintf
-             "tensor %s of shape %s has more elements than an array holds \
+             "tensor %s of shape %s has more elements than a tensor may hold \
               (%d)"
              a.Access.tensor
              (String.concat "x" (Array.to_list (Array.map string_of_int shape)))
-             Sys.max_array_length))
+             Dense.max_elements))
     (Stmt.tensors stmt);
   Exec.alloc_inputs stmt
 

@@ -55,6 +55,7 @@ type report = {
   sdc : int;
   detected : int;
   hang : int;
+  pruned : int;
   sdc_rate : float;
   per_class : class_stats list;
   results : trial list;
@@ -157,7 +158,7 @@ let chunk n lst =
   in
   if len = 0 then [] else go [] [] 0 lst
 
-let summarize (acc : Accel.t) (config : config) results =
+let summarize (acc : Accel.t) (config : config) ~pruned results =
   let count p = List.length (List.filter p results) in
   let of_outcome o = count (fun t -> t.outcome = o) in
   let masked = of_outcome Masked
@@ -190,6 +191,7 @@ let summarize (acc : Accel.t) (config : config) results =
     sdc;
     detected;
     hang;
+    pruned;
     sdc_rate = (if trials = 0 then 0.0 else float_of_int sdc /. float_of_int trials);
     per_class;
     results }
@@ -204,60 +206,149 @@ let groups_of n lst =
   in
   go [] [] 0 lst
 
+(* The fault-free run, once on the tape, recording for every ram cell the
+   last cycle at which a read port addresses it (-1: never).  Read ports
+   are found as [Activity.create] finds them; a ram with a port whose
+   address slot does not resolve has no table, so none of its flips is
+   pruned.  Returns the golden output (this run's when [golden] is
+   omitted, raising [Accel.Simulation_timeout] as [Accel.execute] does)
+   and the pruning decision.
+
+   A flip of cell [a] at cycle [c] is dead when no read port addresses
+   [a] at cycle [c] or later in the fault-free run and [a] is not an
+   output cell: the flip lands before cycle [c]'s settle, a cell reaches
+   other state only through a read port, and a write replaces the whole
+   word, so every other piece of state, the output cells and [done]
+   included, follows the fault-free run to the end.  That run must
+   therefore end with [done] = 1 and the golden output, or nothing is
+   pruned. *)
+let fault_free ?golden (acc : Accel.t) =
+  let circuit = acc.Accel.circuit in
+  let sim = Sim.create circuit in
+  let last = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Signal.ram) ->
+      Hashtbl.replace last r.Signal.ram_id (Array.make r.Signal.size (-1)))
+    (Circuit.rams circuit);
+  let reads =
+    Array.to_list (Circuit.nodes circuit)
+    |> List.filter_map (fun (s : Signal.t) ->
+        match s.Signal.node with
+        | Signal.Ram_read (r, addr) -> Some (r.Signal.ram_id, Sim.slot sim addr)
+        | _ -> None)
+  in
+  List.iter (fun (id, slot) -> if slot = None then Hashtbl.remove last id) reads;
+  let ports =
+    List.filter_map
+      (fun (id, slot) ->
+        match (slot, Hashtbl.find_opt last id) with
+        | Some slot, Some cells -> Some (slot, cells)
+        | _ -> None)
+      reads
+    |> Array.of_list
+  in
+  for c = 0 to Accel.planned_cycles acc - 1 do
+    Sim.settle sim;
+    Array.iter
+      (fun (slot, cells) ->
+        let a = Sim.read_slot sim slot in
+        if a < Array.length cells then cells.(a) <- c)
+      ports;
+    Sim.latch sim
+  done;
+  let golden, trusted =
+    match golden with
+    | Some g ->
+      (g, Sim.output sim "done" = 1 && Dense.equal (Accel.read_output acc sim) g)
+    | None ->
+      Accel.check_done acc sim;
+      (Accel.read_output acc sim, true)
+  in
+  let outputs = Hashtbl.create 64 in
+  List.iter
+    (fun ((r : Signal.ram), addr, _) ->
+      Hashtbl.replace outputs (r.Signal.ram_id, addr) ())
+    (Accel.golden_cells acc golden);
+  let dead = function
+    | Fault.Flip_mem { ram; addr; cycle; _ } when trusted -> (
+      match Hashtbl.find_opt last ram.Signal.ram_id with
+      | Some cells ->
+        addr >= 0 && addr < Array.length cells
+        && cells.(addr) < cycle
+        && not (Hashtbl.mem outputs (ram.Signal.ram_id, addr))
+      | None -> false)
+    | Fault.Flip_mem _ | Fault.Flip_reg _ | Fault.Stuck_reg _ -> false
+  in
+  (golden, dead)
+
+let prunable ?golden acc = snd (fault_free ?golden acc)
+
 let run_faults ?(config = default_config) ?golden (acc : Accel.t) faults =
   (* the golden run is a single fault-free trial: no batching to exploit,
-     so it runs on the scalar tape *)
-  let golden = match golden with Some g -> g | None -> Accel.execute acc in
+     so it runs on the scalar tape, and it also decides which flips need
+     no simulation *)
+  let golden, dead = fault_free ?golden acc in
   let gcells = Accel.golden_cells acc golden in
   let domains =
     match config.domains with Some d -> max 1 d | None -> Tl_par.n_domains ()
   in
-  match config.backend with
-  | `Tape ->
-    let chunks = chunk domains faults in
-    Tl_par.map ~domains ~label:"fault-campaign"
-      (fun chunk ->
-        let sim = Sim.create acc.Accel.circuit in
-        let check = Accel.output_checker acc sim gcells in
-        List.map (run_one acc sim config golden check) chunk)
-      chunks
-    |> List.concat
-    |> summarize acc config
-  | `Batch ->
-    (* ⌈trials/max_lanes⌉ bit-sliced passes instead of [trials] scalar
-       runs.  Lanes are packed from a site-sorted plan: faults in one
-       pass hit the same or neighbouring state elements, so their fan-out
-       cones overlap and most word slots stay lane-uniform — scattered
-       packing would diverge the whole circuit and forfeit the batch
-       speedup.  Plan order is restored afterwards so reports match the
-       scalar path trial for trial. *)
-    let indexed = List.mapi (fun i f -> (i, f)) faults in
-    let sorted =
-      List.stable_sort
-        (fun (_, a) (_, b) ->
-          compare (Fault.site_ord a) (Fault.site_ord b))
-        indexed
-    in
-    let groups = groups_of Sim.max_lanes sorted in
-    let chunks = chunk domains groups in
-    Tl_par.map ~domains ~label:"fault-campaign"
-      (fun chunk ->
-        let sim =
-          Sim.create ~backend:`Batch ~lanes:Sim.max_lanes acc.Accel.circuit
-        in
-        let check = Accel.output_checker acc sim gcells in
-        List.concat_map
-          (fun group ->
-            let res =
-              run_group acc sim config golden check (List.map snd group)
-            in
-            List.map2 (fun (i, _) r -> (i, r)) group res)
-          chunk)
-      chunks
-    |> List.concat
-    |> List.sort (fun (i, _) (j, _) -> compare i j)
-    |> List.map snd
-    |> summarize acc config
+  let pruned, live =
+    List.partition (fun (_, f) -> dead f) (List.mapi (fun i f -> (i, f)) faults)
+  in
+  let simulated =
+    match config.backend with
+    | `Tape ->
+      let chunks = chunk domains live in
+      Tl_par.map ~domains ~label:"fault-campaign"
+        (fun chunk ->
+          let sim = Sim.create acc.Accel.circuit in
+          let check = Accel.output_checker acc sim gcells in
+          List.map
+            (fun (i, f) -> (i, run_one acc sim config golden check f))
+            chunk)
+        chunks
+      |> List.concat
+    | `Batch ->
+      (* ⌈trials/max_lanes⌉ bit-sliced passes instead of [trials] scalar
+         runs.  Lanes are packed from a site-sorted plan: faults in one
+         pass hit the same or neighbouring state elements, so their
+         fan-out cones overlap and most word slots stay lane-uniform —
+         scattered packing would diverge the whole circuit and forfeit
+         the batch speedup. *)
+      let sorted =
+        List.stable_sort
+          (fun (_, a) (_, b) ->
+            compare (Fault.site_ord a) (Fault.site_ord b))
+          live
+      in
+      let groups = groups_of Sim.max_lanes sorted in
+      let chunks = chunk domains groups in
+      Tl_par.map ~domains ~label:"fault-campaign"
+        (fun chunk ->
+          let sim =
+            Sim.create ~backend:`Batch ~lanes:Sim.max_lanes acc.Accel.circuit
+          in
+          let check = Accel.output_checker acc sim gcells in
+          List.concat_map
+            (fun group ->
+              let res =
+                run_group acc sim config golden check (List.map snd group)
+              in
+              List.map2 (fun (i, _) r -> (i, r)) group res)
+            chunk)
+        chunks
+      |> List.concat
+      |> List.sort (fun (i, _) (j, _) -> compare i j)
+  in
+  (* plan order, so reports match trial for trial whatever was pruned *)
+  List.merge
+    (fun (i, _) (j, _) -> compare i j)
+    (List.map
+       (fun (i, fault) -> (i, { fault; outcome = Masked; detected_by = None }))
+       pruned)
+    simulated
+  |> List.map snd
+  |> summarize acc config ~pruned:(List.length pruned)
 
 let run ?(config = default_config) ?golden (acc : Accel.t) =
   let table = Fault.table ?classes:config.classes acc.Accel.circuit in
@@ -270,10 +361,10 @@ let run ?(config = default_config) ?golden (acc : Accel.t) =
 let pp ppf r =
   Format.fprintf ppf
     "fault campaign: %s (hardening=%s, backend=%s)@\n\
-     trials=%d seed=%d@\n\
+     trials=%d seed=%d pruned=%d@\n\
      masked=%d detected=%d hang=%d sdc=%d  (SDC rate %.4f)@\n"
-    r.design r.hardening r.backend r.trials r.seed r.masked r.detected
-    r.hang r.sdc r.sdc_rate;
+    r.design r.hardening r.backend r.trials r.seed r.pruned r.masked
+    r.detected r.hang r.sdc r.sdc_rate;
   List.iter
     (fun c ->
       Format.fprintf ppf
@@ -290,6 +381,7 @@ let to_json ?(extra = []) r =
        ("backend", Str r.backend);
        ("trials", int r.trials);
        ("seed", int r.seed);
+       ("pruned", int r.pruned);
        ("outcomes",
         Obj
           [ ("masked", int r.masked); ("sdc", int r.sdc);

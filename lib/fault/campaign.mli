@@ -1,8 +1,10 @@
 (** Monte-Carlo fault-injection campaigns over a generated accelerator.
 
-    Each trial resets one long-lived simulator instance, installs /
-    fires one fault from a deterministic {!Fault.plan}, runs the full
-    bounded schedule and classifies the result:
+    A campaign first runs the accelerator fault-free once on the tape,
+    recording for every ram cell the last cycle at which a read port
+    addresses it.  Each trial then installs / fires one fault from a
+    deterministic {!Fault.plan} on a reset, long-lived simulator, runs
+    the full bounded schedule and classifies the result:
 
     - [Hang]: the controller never asserted [done] — the cycle watchdog
       caught a wedged control path;
@@ -13,9 +15,16 @@
       hardened memories, or the ABFT checksum verification;
     - [Sdc]: silent data corruption — wrong output, no flag.
 
-    Every trial lands in exactly one bucket.  Trials fan out over the
-    {!Tl_par} domain pool in contiguous chunks (one simulator per
-    chunk); results are independent of the pool width. *)
+    A trial is not simulated when it is {!prunable}: a memory flip at
+    cycle [c] of a cell that the fault-free run never reads at or after
+    [c] and that is not an output cell.  It is recorded [Masked] (with
+    [detected_by = None]), which is what the full run would find, and
+    counted in [pruned].  The rule applies only when the fault-free run
+    ends with [done] = 1 and an output equal to [golden].
+
+    Every trial lands in exactly one bucket.  Simulated trials fan out
+    over the {!Tl_par} domain pool in contiguous chunks (one simulator
+    per chunk); results are independent of the pool width. *)
 
 type outcome = Masked | Sdc | Detected | Hang
 
@@ -64,6 +73,9 @@ type report = {
   sdc : int;
   detected : int;
   hang : int;
+  pruned : int;
+      (** trials recorded [Masked] without simulation ({!prunable});
+          already counted in [masked] *)
   sdc_rate : float;
   per_class : class_stats list;  (** only classes with at least one trial *)
   results : trial list;  (** per-trial detail, in plan order *)
@@ -78,7 +90,23 @@ val run : ?config:config -> ?golden:Tl_ir.Dense.t -> Tl_templates.Accel.t ->
 
 val run_faults : ?config:config -> ?golden:Tl_ir.Dense.t ->
   Tl_templates.Accel.t -> Fault.fault list -> report
-(** Run an explicit fault list (targeted experiments, replays). *)
+(** Run an explicit fault list (targeted experiments, replays).  The
+    fault-free run supplies [golden] when it is omitted.
+    @raise Tl_templates.Accel.Simulation_timeout when [golden] is omitted
+    and the fault-free run does not assert [done]. *)
+
+val prunable : ?golden:Tl_ir.Dense.t -> Tl_templates.Accel.t ->
+  Fault.fault -> bool
+(** The decision {!run_faults} prunes by.  [prunable ?golden acc] runs
+    [acc] fault-free once on the tape; the function it returns holds
+    [true] exactly for a {!Fault.Flip_mem} at cycle [c] on a cell that
+    is not one of {!Tl_templates.Accel.golden_cells}, whose ram's read
+    ports all have a resolvable address slot, and that no read port
+    addresses at cycle [c] or later — provided the fault-free run ends
+    with [done] = 1 and an output equal to [golden] (its own output when
+    omitted).  Such a flip cannot reach other state, so the trial ends
+    [Masked].  Apply it to [acc] once and reuse the result per fault.
+    @raise Tl_templates.Accel.Simulation_timeout as {!run_faults}. *)
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable summary table. *)

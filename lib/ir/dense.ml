@@ -8,22 +8,23 @@ let compute_strides shape =
   done;
   strides
 
+let max_elements = 1 lsl 24
+
 (* the element count saturates past the limit, so it cannot wrap *)
-let fits_array shape =
-  let limit = Sys.max_array_length in
+let fits shape =
   Array.for_all (fun e -> e > 0) shape
   && Array.fold_left
-       (fun n e -> if n > limit / e then limit + 1 else n * e)
+       (fun n e -> if n > max_elements / e then max_elements + 1 else n * e)
        1 shape
-     <= limit
+     <= max_elements
 
 let create shape =
   if Array.length shape = 0 then invalid_arg "Dense.create: empty shape";
   Array.iter
     (fun e -> if e <= 0 then invalid_arg "Dense.create: non-positive extent")
     shape;
-  if not (fits_array shape) then
-    invalid_arg "Dense.create: more elements than an array holds";
+  if not (fits shape) then
+    invalid_arg "Dense.create: more elements than Dense.max_elements";
   let size = Array.fold_left ( * ) 1 shape in
   { shape = Array.copy shape;
     strides = compute_strides shape;

@@ -7,15 +7,23 @@
 
 type t
 
-val fits_array : int array -> bool
+val max_elements : int
+(** The most elements a tensor may hold: 2^24 (128 MiB of words), fixed.
+    It lies far above every tensor the tests, examples, bench sections
+    and perfbench workloads allocate (the largest is 64 × 64, 4 096
+    elements, for [-w gemm]) and far below what one array could hold
+    ([Sys.max_array_length]), so an oversized request is refused before
+    anything is allocated instead of exhausting memory. *)
+
+val fits : int array -> bool
 (** Every extent is positive and their product is at most
-    [Sys.max_array_length], the most elements one array holds; the
-    product is formed saturating, so it cannot wrap. *)
+    {!max_elements}; the product is formed saturating, so it cannot
+    wrap. *)
 
 val create : int array -> t
 (** Zero-filled tensor of the given shape. @raise Invalid_argument on an
     empty shape, a non-positive extent or a shape that does not
-    {!fits_array}. *)
+    {!fits}. *)
 
 val init : int array -> (int array -> int) -> t
 val shape : t -> int array

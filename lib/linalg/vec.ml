@@ -34,17 +34,20 @@ let to_integer v =
   let ints =
     Array.map (fun (r : Rat.t) -> Rat.mul_check r.Rat.num (m / r.Rat.den)) v
   in
+  (* the gcd as a negative number: -|x| always fits, |min_int| does not.
+     Dividing by it reverses every entry, except by -1, which could not
+     negate min_int and is skipped. *)
   let g =
-    Array.fold_left (fun acc x -> gcd acc (abs x)) 0 ints
+    Array.fold_left (fun acc x -> gcd acc (if x > 0 then -x else x)) 0 ints
   in
-  let ints = Array.map (fun x -> x / g) ints in
+  let ints = if g = -1 then ints else Array.map (fun x -> x / g) ints in
   (* first nonzero entry positive *)
   let rec first_sign i =
     if i >= Array.length ints then 1
     else if ints.(i) <> 0 then compare ints.(i) 0
     else first_sign (i + 1)
   in
-  if first_sign 0 < 0 then Array.map (fun x -> -x) ints else ints
+  if first_sign 0 < 0 then Array.map Rat.neg_check ints else ints
 
 let pp ppf v =
   Format.fprintf ppf "(@[%a@])"

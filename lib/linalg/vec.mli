@@ -25,6 +25,8 @@ val to_integer : t -> int array
     of numerators, producing the primitive integer vector spanning the same
     ray.  The sign convention makes the first nonzero entry positive.
     @raise Invalid_argument on the zero vector.
-    @raise Rat.Overflow when the scaled entries do not fit a native int. *)
+    @raise Rat.Overflow when the scaled entries or the primitive,
+    positively oriented vector do not fit a native int: [(min_int, 1)]
+    raises, [(min_int, 2)] is [(2^61, -1)]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -843,10 +843,11 @@ let out_defect p =
     Some
       (Printf.sprintf "out_shape [%s] must list extents of at least 1"
          (dims (Array.to_list shape)))
-  else if not (Tl_ir.Dense.fits_array shape) then
+  else if not (Tl_ir.Dense.fits shape) then
     Some
-      (Printf.sprintf "out_shape [%s] has more elements than an array holds"
-         (dims (Array.to_list shape)))
+      (Printf.sprintf "out_shape [%s] has more elements than a tensor may \
+                       hold (%d)"
+         (dims (Array.to_list shape)) Tl_ir.Dense.max_elements)
   else
     List.find_map
       (fun (idx, _) ->

@@ -176,9 +176,10 @@ val structure_digest : string -> string
 
 val out_defect : program -> string option
 (** The first way [p_out] does not fit [p_out_shape], if any: no extents,
-    an extent below 1, more elements than an array holds, or an index of
-    another rank or outside an extent.  {!Tl_compile.program_of_json} and
-    {!Accel.load_program} reject such a program before anything runs. *)
+    an extent below 1, more elements than {!Tl_ir.Dense.max_elements}, or
+    an index of another rank or outside an extent.
+    {!Tl_compile.program_of_json} and {!Accel.load_program} reject such a
+    program before anything runs. *)
 
 val to_program : ?name:string -> t -> program
 (** Strip a layout down to its loadable program (default name: the

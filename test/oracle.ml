@@ -20,7 +20,9 @@
    model's materialised statistics and exhaustive tile search.
    [exec_run] is the golden executor's point-by-point interpreter that
    [Exec.run]'s strided walk replaced.  [Refsim] is the reference
-   interpreter the simulator is checked against. *)
+   interpreter the simulator is checked against.  [campaign], last, is
+   the fault campaign that simulates every fault, including those
+   [Campaign.run_faults] prunes. *)
 
 open Tensorlib
 module Refsim = Refsim
@@ -871,3 +873,50 @@ let evaluate_reference ?(config = Perf.default_config) (design : Design.t) =
       List.map
         (fun (t, per_pass) -> (t, per_pass *. float_of_int total_passes))
         stats.Perf.per_tensor }
+
+(* ------------------------------------------------------------------ *)
+(* The fault campaign without pruning: every fault runs the full
+   schedule on one reused tape simulator, flipped or forced as
+   [Campaign] does, and is classified by its decision tree, written out
+   here.  A run that never asserts [done] hangs (the watchdog); an
+   output equal to [golden] is masked; a wrong output is detected by the
+   [error_detected] port, else by a parity mismatch left in a hardened
+   memory, else by the ABFT checksums, or else it is silent data
+   corruption. *)
+let campaign ?(abft = false) (acc : Accel.t) ~golden faults =
+  let sim = Sim.create acc.Accel.circuit in
+  let planned = Accel.planned_cycles acc in
+  let parity_mismatch () =
+    List.exists
+      (fun (data, parity) ->
+        let d = Sim.ram_contents sim data and p = Sim.ram_contents sim parity in
+        let bad = ref false in
+        Array.iteri (fun i v -> if Harden.parity_bit v <> p.(i) then bad := true) d;
+        !bad)
+      acc.Accel.hardening.Harden.parity_pairs
+  in
+  List.map
+    (fun fault ->
+      Sim.reset sim;
+      Fault.install sim fault;
+      for c = 0 to planned - 1 do
+        if Fault.trigger_cycle fault = Some c then Fault.trigger sim fault;
+        Sim.cycle sim
+      done;
+      let outcome, detected_by =
+        if Sim.output sim "done" <> 1 then (Campaign.Hang, Some "watchdog")
+        else
+          let out = Accel.read_output acc sim in
+          if Dense.equal out golden then (Campaign.Masked, None)
+          else if
+            match Sim.output sim "error_detected" with
+            | v -> v <> 0
+            | exception Not_found -> false
+          then (Campaign.Detected, Some "parity")
+          else if parity_mismatch () then (Campaign.Detected, Some "parity-sweep")
+          else if abft && not (Abft.check ~acc_width:acc.Accel.acc_width out)
+          then (Campaign.Detected, Some "abft")
+          else (Campaign.Sdc, None)
+      in
+      { Campaign.fault; outcome; detected_by })
+    faults

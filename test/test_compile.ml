@@ -422,6 +422,8 @@ let test_load_rejects_bad_programs () =
   expect_bad "index at an extent" { p with Layout.p_out_shape = [| 3; 4 |] };
   expect_bad "out_shape past an array"
     { p with Layout.p_out_shape = [| 4; 1 lsl 53 |] };
+  expect_bad "out_shape past Dense.max_elements"
+    { p with Layout.p_out_shape = [| 4; (Dense.max_elements / 4) + 1 |] };
   let first_out f =
     { p with
       Layout.p_out =
@@ -508,7 +510,7 @@ let test_codec_rejects_malformed () =
   expect_err "out_shape past an array"
     (replace_first s "\"out_shape\": [4, 4]"
        "\"out_shape\": [4, 9007199254740992]")
-    "array holds"
+    "a tensor may hold"
 
 (* ---------------- CLI validation sweep ---------------- *)
 
@@ -516,12 +518,19 @@ let cli =
   if Sys.file_exists "../bin/tensorlib_cli.exe" then "../bin/tensorlib_cli.exe"
   else "_build/default/bin/tensorlib_cli.exe"
 
-let run_cli ?(stdin = "/dev/null") args =
+(* [max_kb] caps the child's virtual memory (ulimit -v), so a command
+   that should refuse an oversized tensor fails fast if it allocates *)
+let run_cli ?(stdin = "/dev/null") ?max_kb args =
   let out = Filename.temp_file "tlcli" ".out" in
   let err = Filename.temp_file "tlcli" ".err" in
+  let limit =
+    match max_kb with
+    | Some kb -> Printf.sprintf "ulimit -v %d; " kb
+    | None -> ""
+  in
   let rc =
     Sys.command
-      (Printf.sprintf "%s %s < %s > %s 2> %s" (Filename.quote cli) args
+      (Printf.sprintf "%s%s %s < %s > %s 2> %s" limit (Filename.quote cli) args
          (Filename.quote stdin) (Filename.quote out) (Filename.quote err))
   in
   let read path =
@@ -756,7 +765,8 @@ let test_cli_duplicate_extent_rejected () =
 (* a malformed --extents binding, extents whose iteration domain
    overflows an int, or an index that would wrap one, is the exit-2
    error naming the fault, in every command that takes --expr: one
-   parser serves them and serve's "extents" *)
+   parser serves them and serve's "extents".  So is a tensor past
+   [Dense.max_elements] where a command allocates the tensors. *)
 let test_cli_bad_extent_binding () =
   let every =
     [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
@@ -768,7 +778,7 @@ let test_cli_bad_extent_binding () =
       List.iter
         (fun cmd ->
           let rc, out, err =
-            run_cli
+            run_cli ~max_kb:2_000_000
               (cmd ^ " -e 'C[m,n]+=A[m,k]*B[n," ^ b ^ "]' --extents "
              ^ extents)
           in
@@ -784,11 +794,17 @@ let test_cli_bad_extent_binding () =
       (* B's largest index, 2^61 (k - 1), passes max_int *)
       ("2305843009213693952k", "m=4,n=4,k=3",
        "an index of B does not fit in an int", every);
-      (* the domain fits an int, but tensor A has more elements than
-         Sys.max_array_length: the commands that allocate the tensors *)
+      (* the domain fits an int, but a tensor has more elements than
+         Dense.max_elements: the commands that allocate the tensors,
+         before they allocate (B is 4 x 2^32, 128 GiB of words) *)
       ("k", "m=1,n=1,k=4611686018427387900",
-       "tensor A of shape 1x4611686018427387900 has more elements than an \
-        array holds",
+       "tensor A of shape 1x4611686018427387900 has more elements than a \
+        tensor may hold",
+       [ "analyze --netlist -d MNK-SST"; "generate -d MNK-SST";
+         "simulate -d MNK-SST" ]);
+      ("4294967295k", "m=4,n=4,k=2",
+       "tensor B of shape 4x4294967296 has more elements than a tensor may \
+        hold",
        [ "analyze --netlist -d MNK-SST"; "generate -d MNK-SST";
          "simulate -d MNK-SST" ]) ]
 

@@ -15,15 +15,16 @@ let gen ?(harden = Harden.none) ?(rows = 8) ?(cols = 8) stmt dname =
 
 let small_gemm () = Workloads.gemm ~m:4 ~n:4 ~k:4
 
+(* the four tier-1 designs *)
+let tier1 =
+  [ (Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
+    (Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3, "KCX-SST");
+    (Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3, "XYP-MMM");
+    (Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4, "IKL-UBBB") ]
+
 (* ---------------- hardening is transparent when fault-free ------------ *)
 
 let test_zero_fault_golden () =
-  let cases =
-    [ (Workloads.gemm ~m:4 ~n:4 ~k:5, "MNK-SST");
-      (Workloads.conv2d ~k:4 ~c:4 ~y:4 ~x:4 ~p:3 ~q:3, "KCX-SST");
-      (Workloads.depthwise_conv ~k:4 ~y:4 ~x:4 ~p:3 ~q:3, "XYP-MMM");
-      (Workloads.mttkrp ~i:4 ~j:4 ~k:4 ~l:4, "IKL-UBBB") ]
-  in
   List.iter
     (fun (stmt, dname) ->
       List.iter
@@ -39,7 +40,7 @@ let test_zero_fault_golden () =
                (Sim.create acc.Accel.circuit)
                (Accel.planned_cycles acc)))
         [ Harden.none; Harden.full ])
-    cases
+    tier1
 
 let test_hardened_interface () =
   let acc, _ = gen ~harden:Harden.full ~rows:4 ~cols:4 (small_gemm ()) "MNK-SST" in
@@ -173,6 +174,149 @@ let test_batch_campaign_reuse () =
   check "stuck-at outcomes match the scalar tape"
     (List.map trial_sig rt.Campaign.results
     = List.map trial_sig r1.Campaign.results)
+
+(* ---------------- pruned campaigns = unpruned campaigns --------------- *)
+
+let trial_sigs (r : Campaign.report) = List.map trial_sig r.Campaign.results
+
+(* A campaign on each tier-1 build at 4x4, plain and fully hardened, on
+   both backends: trial for trial what [Oracle.campaign] finds by
+   simulating every fault, with some trials pruned in each build and
+   [pruned] counting the faults [Campaign.prunable] holds for. *)
+let test_pruned_campaign_differential () =
+  List.iter
+    (fun (stmt, dname) ->
+      List.iter
+        (fun harden ->
+          let acc, golden = gen ~harden ~rows:4 ~cols:4 stmt dname in
+          let label = dname ^ "/" ^ Harden.label harden in
+          let faults =
+            Fault.plan ~seed:5 ~trials:124 ~cycles:(Accel.planned_cycles acc)
+              (Fault.table acc.Accel.circuit)
+          in
+          let reference =
+            List.map trial_sig (Oracle.campaign acc ~golden faults)
+          in
+          let dead = List.filter (Campaign.prunable ~golden acc) faults in
+          check (label ^ ": some trial is pruned") (dead <> []);
+          List.iter
+            (fun backend ->
+              let config =
+                { Campaign.default_config with backend; domains = Some 2 }
+              in
+              let r = Campaign.run_faults ~config ~golden acc faults in
+              let tag = label ^ "/" ^ r.Campaign.backend in
+              Alcotest.(check int) (tag ^ ": pruned") (List.length dead)
+                r.Campaign.pruned;
+              Alcotest.(check (list (triple string string (option string))))
+                (tag ^ " = the unpruned campaign") reference (trial_sigs r))
+            [ `Tape; `Batch ])
+        [ Harden.none; Harden.full ])
+    tier1
+
+(* For each ram cell, the last cycle a read port addresses it and the
+   last cycle a write lands on it, in a fault-free run of the reference
+   interpreter *)
+let last_reads_and_writes (acc : Accel.t) =
+  let circuit = acc.Accel.circuit in
+  let r = Oracle.Refsim.create circuit in
+  let reads = Hashtbl.create 64 and writes = Hashtbl.create 64 in
+  let ports =
+    Array.to_list (Circuit.nodes circuit)
+    |> List.filter_map (fun (s : Signal.t) ->
+        match s.Signal.node with
+        | Signal.Ram_read (ram, addr) -> Some (ram, addr)
+        | _ -> None)
+  in
+  for c = 0 to Accel.planned_cycles acc - 1 do
+    Oracle.Refsim.settle r;
+    List.iter
+      (fun ((ram : Signal.ram), addr) ->
+        Hashtbl.replace reads (ram.Signal.ram_id, Oracle.Refsim.peek r addr) c)
+      ports;
+    List.iter
+      (fun (ram : Signal.ram) ->
+        match ram.Signal.write_port with
+        | Some wp when Oracle.Refsim.peek r wp.Signal.we <> 0 ->
+          Hashtbl.replace writes
+            (ram.Signal.ram_id, Oracle.Refsim.peek r wp.Signal.waddr) c
+        | Some _ | None -> ())
+      (Circuit.rams circuit);
+    Oracle.Refsim.latch r
+  done;
+  (reads, writes)
+
+(* Flips that must be simulated: an output cell flipped after its last
+   write, and an input cell flipped at its last read or the cycle before
+   (the cycle after is pruned); and every flip, when the golden passed in
+   is not what the fault-free run computes. *)
+let test_pruning_boundaries () =
+  let acc, golden = gen ~rows:4 ~cols:4 (small_gemm ()) "MNK-SST" in
+  let planned = Accel.planned_cycles acc in
+  let reads, writes = last_reads_and_writes acc in
+  let flip (ram : Signal.ram) addr cycle =
+    Fault.Flip_mem { ram; cls = Fault.Memory; addr; bit = 0; cycle }
+  in
+  let out_ram, out_addr, written =
+    List.find_map
+      (fun ((bank : Signal.ram), addr, _) ->
+        match Hashtbl.find_opt writes (bank.Signal.ram_id, addr) with
+        | Some w when w + 1 < planned -> Some (bank, addr, w)
+        | Some _ | None -> None)
+      (Accel.golden_cells acc golden)
+    |> Option.get
+  in
+  let in_ram, in_addr, read =
+    List.find_map
+      (fun (_, (ram : Signal.ram)) ->
+        List.find_map
+          (fun addr ->
+            match Hashtbl.find_opt reads (ram.Signal.ram_id, addr) with
+            | Some l when l >= 1 && l + 1 < planned -> Some (ram, addr, l)
+            | Some _ | None -> None)
+          (List.init ram.Signal.size Fun.id))
+      acc.Accel.input_rams
+    |> Option.get
+  in
+  let kept =
+    [ flip out_ram out_addr (written + 1); flip in_ram in_addr read;
+      flip in_ram in_addr (read - 1) ]
+  in
+  let dead = flip in_ram in_addr (read + 1) in
+  let prunable = Campaign.prunable ~golden acc in
+  List.iter
+    (fun f -> check (Fault.fault_label f ^ " is simulated") (not (prunable f)))
+    kept;
+  check (Fault.fault_label dead ^ " is pruned") (prunable dead);
+  let faults = dead :: kept in
+  let r = Campaign.run_faults ~golden acc faults in
+  Alcotest.(check int) "one pruned" 1 r.Campaign.pruned;
+  Alcotest.(check (list (triple string string (option string))))
+    "= the unpruned campaign"
+    (List.map trial_sig (Oracle.campaign acc ~golden faults))
+    (trial_sigs r);
+  let wrong = Dense.copy golden in
+  Dense.flat_set wrong 0 (Dense.flat_get wrong 0 + 1);
+  check "a wrong golden prunes nothing"
+    (not (Campaign.prunable ~golden:wrong acc dead));
+  let plan =
+    Fault.plan ~seed:3 ~trials:62 ~cycles:planned
+      (Fault.table acc.Accel.circuit)
+  in
+  List.iter
+    (fun backend ->
+      let r =
+        Campaign.run_faults
+          ~config:{ Campaign.default_config with backend }
+          ~golden:wrong acc (dead :: plan)
+      in
+      Alcotest.(check int) (r.Campaign.backend ^ ": none pruned") 0
+        r.Campaign.pruned;
+      Alcotest.(check (list (triple string string (option string))))
+        (r.Campaign.backend ^ ": = the unpruned campaign")
+        (List.map trial_sig (Oracle.campaign acc ~golden:wrong (dead :: plan)))
+        (trial_sigs r))
+    [ `Tape; `Batch ]
 
 (* ---------------- ABFT ----------------------------------------------- *)
 
@@ -388,6 +532,9 @@ let suite =
       test_batch_campaign_differential;
     Alcotest.test_case "batch campaign reuse leaks no forces" `Quick
       test_batch_campaign_reuse;
+    Alcotest.test_case "pruned campaign = unpruned (tier-1, both backends)"
+      `Quick test_pruned_campaign_differential;
+    Alcotest.test_case "pruning boundaries" `Quick test_pruning_boundaries;
     Alcotest.test_case "abft detects single-bit corruption" `Quick
       test_abft_detects_single_bit;
     Alcotest.test_case "abft rejects non-gemm" `Quick

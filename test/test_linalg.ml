@@ -76,7 +76,16 @@ let test_vec_to_integer () =
   Alcotest.(check (array int)) "orientation" [| 1; -2 |] (Vec.to_integer neg);
   Alcotest.check_raises "zero vector"
     (Invalid_argument "Vec.to_integer: zero vector") (fun () ->
-      ignore (Vec.to_integer (Vec.make 2 Rat.zero)))
+      ignore (Vec.to_integer (Vec.make 2 Rat.zero)));
+  (* oriented, (min_int, 1) is (2^62, -1), past max_int *)
+  Alcotest.check_raises "(min_int, 1) does not fit" Rat.Overflow (fun () ->
+      ignore (Vec.to_integer (Vec.of_ints [ min_int; 1 ])));
+  Alcotest.(check (array int)) "(min_int, 2)" [| 1 lsl 61; -1 |]
+    (Vec.to_integer (Vec.of_ints [ min_int; 2 ]));
+  Alcotest.(check (array int)) "(1, min_int) keeps min_int" [| 1; min_int |]
+    (Vec.to_integer (Vec.of_ints [ 1; min_int ]));
+  Alcotest.(check (array int)) "(min_int, 0)" [| 1; 0 |]
+    (Vec.to_integer (Vec.of_ints [ min_int; 0 ]))
 
 let test_mat_basic () =
   let a = Mat.of_int_rows [ [ 1; 2 ]; [ 3; 4 ] ] in

@@ -52,17 +52,25 @@ let test_dense_validation () =
   Alcotest.check_raises "zero extent"
     (Invalid_argument "Dense.create: non-positive extent") (fun () ->
       ignore (Dense.create [| 2; 0 |]));
-  (* 2^32 * 2^32 wraps to 0 in an int: refused before any allocation *)
-  Alcotest.check_raises "more elements than an array holds"
-    (Invalid_argument "Dense.create: more elements than an array holds")
-    (fun () -> ignore (Dense.create [| 1 lsl 32; 1 lsl 32 |]));
+  (* refused before any allocation: 2^32 * 2^32 wraps to 0 in an int,
+     and 4 x 2^32 words are 128 GiB *)
+  List.iter
+    (fun shape ->
+      Alcotest.check_raises "more elements than Dense.max_elements"
+        (Invalid_argument "Dense.create: more elements than Dense.max_elements")
+        (fun () -> ignore (Dense.create shape)))
+    [ [| 1 lsl 32; 1 lsl 32 |]; [| 4; 1 lsl 32 |];
+      [| Dense.max_elements + 1 |] ];
   List.iter
     (fun (shape, fits) ->
       Alcotest.(check bool)
         (String.concat "x" (Array.to_list (Array.map string_of_int shape)))
-        fits (Dense.fits_array shape))
-    [ ([| Sys.max_array_length; 1 |], true);
-      ([| Sys.max_array_length; 2 |], false);
+        fits (Dense.fits shape))
+    [ ([| Dense.max_elements; 1 |], true);
+      ([| 1 lsl 12; 1 lsl 12 |], true);
+      ([| Dense.max_elements; 2 |], false);
+      ([| 4; 1 lsl 32 |], false);
+      ([| Sys.max_array_length; 1 |], false);
       ([| 1 lsl 32; 1 lsl 32 |], false);
       ([| 2; 0 |], false) ]
 
