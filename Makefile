@@ -24,16 +24,17 @@ store-smoke:
 # sites — store I/O (torn writes, injected Sys_error, corrupt payloads),
 # Tl_par tasks (kills, delays), and the serve loop's stdin (oversized
 # lines, mid-line EOF).  Asserts >= 200 injected faults, zero crashes,
-# store faults degrading to misses, and an interrupted-then-resumed
-# sweep digest bit-identical to an uninterrupted run at pool widths 1
-# and 3 (probe catalog: docs/RESILIENCE.md).
+# store faults degrading to misses, and that an interrupted sweep, rerun
+# against its store, is bit-identical to an uninterrupted run at pool
+# widths 1 and 3 (probe catalog: docs/RESILIENCE.md).
 chaos-smoke:
 	dune build bin/tensorlib_cli.exe bench/main.exe
 	dune exec bench/main.exe -- chaos-smoke
 
 # Software-resilience benchmark: retry economics under injected read
 # weather, budget-degraded partial-sweep latency vs a full sweep, and
-# the resume-from-checkpoint speedup; writes BENCH_resil.json.
+# the speedup of rerunning an interrupted sweep against its store;
+# writes BENCH_resil.json.
 bench-resil:
 	dune build bin/tensorlib_cli.exe bench/main.exe
 	dune exec bench/main.exe -- bench-resil
@@ -43,7 +44,8 @@ bench-resil:
 # TMR+parity+ABFT-hardened 4x4 GEMM accelerator, plus a 10000-trial
 # tape-vs-batch throughput campaign on the 8x8 GEMM; writes
 # BENCH_fault.json (fault models and outcome taxonomy:
-# docs/RESILIENCE.md).
+# docs/RESILIENCE.md).  Fails on any hardened SDC or on any seeded
+# outcome count other than its pinned value.
 fault-smoke:
 	dune exec bench/main.exe -- bench-fault
 

@@ -794,7 +794,7 @@ let store_smoke () =
    Tl_par tasks (kills, delays), and the serve loop's stdin (oversized
    lines, mid-line EOF).  Asserts >= 200 injected faults, zero process
    crashes, every store fault degrading to a miss (never wrong bytes),
-   and an interrupted-then-resumed tiny sweep whose digest is
+   and an interrupted tiny sweep that, rerun against its store, is
    bit-identical to an uninterrupted run at pool widths 1 and 3.        *)
 
 let chaos_smoke () =
@@ -855,7 +855,7 @@ let chaos_smoke () =
   let torn_ok = ref true in
   for cut = 0 to String.length full - 1 do
     write_file victim (String.sub full 0 cut);
-    (* fresh handle: no index state, straight to the torn file *)
+    (* fresh handle, straight to the torn file *)
     let probe_store = Store.open_store ~root:root2 () in
     match Store.find probe_store "torn" with
     | None -> ()
@@ -956,37 +956,30 @@ let chaos_smoke () =
   in
   check "serve printed the final stats line on stderr" contains_shutdown;
 
-  (* -- interrupted-then-resumed sweep, digest-identical -------------- *)
+  (* -- interrupted sweep rerun against its store, digest-identical --- *)
   let layers = List.assoc "tiny" (Network.networks ()) in
-  let sweep ~width ~root ~resume =
-    Network.sweep ~domains:width
-      ~checkpoint:(Filename.concat root "sweep-tiny.ckpt")
-      ~resume ~store:(Store.open_store ~root ()) ~name:"tiny" layers
+  let sweep ~width ~root =
+    Network.sweep ~domains:width ~store:(Store.open_store ~root ())
+      ~name:"tiny" layers
   in
   List.iter
     (fun width ->
-      let cold = sweep ~width ~root:(temp_dir "tlcold") ~resume:false in
+      let cold = sweep ~width ~root:(temp_dir "tlcold") in
       let int_root = temp_dir "tlint" in
       arm_kill_shape0 ();
-      let interrupted = sweep ~width ~root:int_root ~resume:false in
+      let interrupted = sweep ~width ~root:int_root in
       Resil.Chaos.disarm ();
       check
         (Printf.sprintf "width %d: injected kill degrades the sweep" width)
         ((not interrupted.Network.r_complete)
          && interrupted.Network.r_degraded_shapes = 1);
-      check
-        (Printf.sprintf "width %d: interrupted sweep left a checkpoint" width)
-        (Sys.file_exists (Filename.concat int_root "sweep-tiny.ckpt"));
-      let resumed = sweep ~width ~root:int_root ~resume:true in
+      let rerun = sweep ~width ~root:int_root in
       check
         (Printf.sprintf
-           "width %d: resumed digest bit-identical to uninterrupted" width)
-        (resumed.Network.r_complete
-         && resumed.Network.r_digest = cold.Network.r_digest
-         && resumed.Network.r_resumed_shapes = 2);
-      check
-        (Printf.sprintf "width %d: completed checkpoint removed" width)
-        (not (Sys.file_exists (Filename.concat int_root "sweep-tiny.ckpt"))))
+           "width %d: rerun digest bit-identical to uninterrupted" width)
+        (rerun.Network.r_complete
+         && rerun.Network.r_digest = cold.Network.r_digest
+         && rerun.Network.r_hits = 2))
     [ 1; 3 ];
 
   let injected = Resil.Chaos.injected () in
@@ -998,8 +991,9 @@ let chaos_smoke () =
 (* Benchmark gate: resilience overheads.  Measures what the software
    armour costs and buys — retry counts under injected read weather,
    the latency of a budget-degraded partial sweep vs a full one, and
-   the resume-from-checkpoint speedup vs a cold sweep — and writes
-   BENCH_resil.json (schema tensorlib-bench-resil/1).                   *)
+   the speedup of rerunning an interrupted sweep against its store vs a
+   cold sweep — and writes BENCH_resil.json (schema
+   tensorlib-bench-resil/1).                                            *)
 
 let bench_resil () =
   section "Benchmark gate: resilience (retries, partial latency, resume)";
@@ -1037,9 +1031,7 @@ let bench_resil () =
 
   (* partial-result latency: a hard budget answers fast with estimates *)
   let layers = List.assoc "tiny" (Network.networks ()) in
-  let sweep ?budget ?checkpoint ?resume store =
-    Network.sweep ?budget ?checkpoint ?resume ~store ~name:"tiny" layers
-  in
+  let sweep ?budget store = Network.sweep ?budget ~store ~name:"tiny" layers in
   let fresh_store prefix = Store.open_store ~root:(temp_dir prefix) () in
   let cold, cold_s = wall (fun () -> sweep (fresh_store "tlresilc")) in
   let partial, partial_s =
@@ -1054,24 +1046,20 @@ let bench_resil () =
   if partial.Network.r_complete then
     failwith "bench-resil: budget failed to degrade the sweep";
 
-  (* resume-vs-cold: interrupt by killing shape 0, then resume *)
-  let int_root = temp_dir "tlresili" in
-  let int_store = Store.open_store ~root:int_root () in
-  let checkpoint = Filename.concat int_root "sweep-tiny.ckpt" in
+  (* resume-vs-cold: interrupt by killing shape 0, then rerun against
+     the same store *)
+  let int_store = fresh_store "tlresili" in
   arm_kill_shape0 ();
-  let _interrupted = sweep ~checkpoint int_store in
+  let _interrupted = sweep int_store in
   Resil.Chaos.disarm ();
-  let resumed, resume_s =
-    wall (fun () -> sweep ~checkpoint ~resume:true int_store)
-  in
+  let resumed, resume_s = wall (fun () -> sweep int_store) in
   let digest_identical = resumed.Network.r_digest = cold.Network.r_digest in
   Printf.printf
-    "  cold sweep %.3fs  resumed %.3fs (%.1fx, %d shapes from checkpoint, \
-     digest %s)\n"
-    cold_s resume_s (cold_s /. resume_s) resumed.Network.r_resumed_shapes
+    "  cold sweep %.3fs  rerun %.3fs (%.1fx, %d store hits, digest %s)\n"
+    cold_s resume_s (cold_s /. resume_s) resumed.Network.r_hits
     (if digest_identical then "identical" else "DIVERGED");
   if not digest_identical then
-    failwith "bench-resil: resumed digest diverged from cold";
+    failwith "bench-resil: rerun digest diverged from cold";
   write_json "BENCH_resil.json"
     (Json.Obj
        [ ("schema", Json.Str "tensorlib-bench-resil/1");
@@ -1093,7 +1081,7 @@ let bench_resil () =
           Json.Obj
             [ ("cold_s", Json.Num cold_s); ("resume_s", Json.Num resume_s);
               ("speedup", Json.Num (cold_s /. resume_s));
-              ("resumed_shapes", int resumed.Network.r_resumed_shapes);
+              ("hits", int resumed.Network.r_hits);
               ("digest_identical", Json.Bool digest_identical) ]);
          ("injected_faults", int (Resil.Chaos.injected ())) ])
 
@@ -1209,6 +1197,17 @@ let bench_fault () =
          ("batch_speedup", Json.Num (tape_s /. batch_s)) ]);
   check "hardened design: zero silent data corruptions"
     (hard_rep.Campaign.sdc = 0);
+  (* the campaigns are seeded: every outcome count is pinned *)
+  let outcomes tag (r : Campaign.report) (masked, sdc, detected, hang) =
+    List.iter
+      (fun (what, got, want) ->
+        check (Printf.sprintf "%s campaign: %s = %d" tag what want) (got = want))
+      [ ("masked", r.Campaign.masked, masked); ("sdc", r.Campaign.sdc, sdc);
+        ("detected", r.Campaign.detected, detected);
+        ("hang", r.Campaign.hang, hang) ]
+  in
+  outcomes "baseline" base_rep (622, 375, 0, 3);
+  outcomes "hardened" hard_rep (593, 0, 407, 0);
   conclude "fault-smoke"
 
 (* ------------------------------------------------------------------ *)

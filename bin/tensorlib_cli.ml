@@ -954,8 +954,7 @@ let report_json (r : Network.report) =
       ("hit_rate", Json.Num r.Network.r_hit_rate);
       ("digest", Json.Str r.Network.r_digest);
       ("complete", Json.Bool r.Network.r_complete);
-      ("degraded_shapes", Json.Num (float_of_int r.Network.r_degraded_shapes));
-      ("resumed_shapes", Json.Num (float_of_int r.Network.r_resumed_shapes)) ]
+      ("degraded_shapes", Json.Num (float_of_int r.Network.r_degraded_shapes)) ]
 
 let print_report_text (r : Network.report) =
   List.iter
@@ -994,9 +993,6 @@ let print_report_text (r : Network.report) =
       "PARTIAL result: %d of %d unique shapes degraded to estimates (budget \
        expired or fault injected); totals include per-layer estimates\n"
       r.Network.r_degraded_shapes r.Network.r_unique_shapes;
-  if r.Network.r_resumed_shapes > 0 then
-    Printf.printf "resumed: %d shapes restored from checkpoint\n"
-      r.Network.r_resumed_shapes;
   Printf.printf "result digest: %s\n" r.Network.r_digest
 
 let network_arg =
@@ -1015,15 +1011,6 @@ let limit_arg =
        & info [ "limit" ]
            ~doc:"Evaluate at most N design points per unique shape (the cap \
                  is part of the store key).")
-
-let resume_arg =
-  Arg.(value & flag
-       & info [ "resume" ]
-           ~doc:"Resume an interrupted sweep from its checkpoint (requires \
-                 --store; the checkpoint lives next to the store).  Shapes \
-                 completed before the interruption are served from the \
-                 store, so the final digest is bit-identical to an \
-                 uninterrupted run.")
 
 let deadline_ms_arg =
   Arg.(value & opt (some int) None
@@ -1052,21 +1039,13 @@ let budget_of ~deadline_ms ~budget_checks =
   | None, Some n -> Tensorlib.Resil.Budget.of_checks n
   | None, None -> Tensorlib.Resil.Budget.unlimited
 
-let checkpoint_of store_dir name =
-  Option.map
-    (fun dir -> Filename.concat dir ("sweep-" ^ name ^ ".ckpt"))
-    store_dir
-
 let sweep_cmd =
-  let run name store_dir limit json resume deadline_ms budget_checks =
+  let run name store_dir limit json deadline_ms budget_checks =
     guard @@ fun () ->
     require_positive_opt "--limit" limit;
-    if resume && store_dir = None then
-      failwith "--resume requires --store (the checkpoint lives next to it)";
     let budget = budget_of ~deadline_ms ~budget_checks in
     let layers = network_of_string name in
     let store = store_of_path store_dir in
-    let checkpoint = checkpoint_of store_dir name in
     let progress =
       if json then None
       else
@@ -1079,8 +1058,8 @@ let sweep_cmd =
                else Printf.sprintf "computed %d points" p.Network.pr_points))
     in
     let r =
-      Network.sweep ?per_shape_limit:limit ?progress ~budget ?checkpoint
-        ~resume ~store ~name layers
+      Network.sweep ?per_shape_limit:limit ?progress ~budget ~store ~name
+        layers
     in
     if json then print_endline (Json.to_string (report_json r))
     else print_report_text r
@@ -1092,10 +1071,11 @@ let sweep_cmd =
              each unique shape once (or load it from the store), report \
              per-layer Pareto winners and network totals.  Budgets \
              (--deadline-ms / --budget-checks) degrade gracefully to \
-             PARTIAL results; --resume continues an interrupted sweep from \
-             its checkpoint.")
+             PARTIAL results; running the same sweep again with the same \
+             --store resumes an interrupted one, its finished shapes \
+             served from the store.")
     Term.(const run $ network_arg $ store_arg $ limit_arg $ json_arg
-          $ resume_arg $ deadline_ms_arg $ budget_checks_arg)
+          $ deadline_ms_arg $ budget_checks_arg)
 
 (* serve: one JSON request per stdin line, one JSON response per line.
    Requests: {"id": .., "network": "tiny"}

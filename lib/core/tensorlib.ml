@@ -81,12 +81,11 @@ module Campaign = Tl_fault.Campaign
 (* Parallel work pool *)
 module Par = Tl_par
 
-(* Software-layer resilience: budgets, retries, chaos, checkpoints *)
+(* Software-layer resilience: budgets, retries, chaos *)
 module Resil = struct
   module Budget = Tl_resil.Budget
   module Retry = Tl_resil.Retry
   module Chaos = Tl_resil.Chaos
-  module Checkpoint = Tl_resil.Checkpoint
 end
 
 (* Observability: counter validation, measured-activity power, tracing *)

@@ -15,12 +15,10 @@ type t = {
 
 let line_count = Tl_stt.Dataflow.line_count
 
-let of_flows ?(rows = 16) ?(cols = 16) ?(data_width = 16) ?(acc_width = 32)
-    flows =
+let of_design ?(rows = 16) ?(cols = 16) ?(data_width = 16) ?(acc_width = 32)
+    (design : Tl_stt.Design.t) =
   let pes = rows * cols in
-  let n_inputs =
-    List.length (List.filter (fun (role, _) -> role = Tl_stt.Design.Input) flows)
-  in
+  let n_inputs = List.length (Tl_stt.Design.input_infos design) in
   let inv =
     ref
       { pes;
@@ -181,19 +179,12 @@ let of_flows ?(rows = 16) ?(cols = 16) ?(data_width = 16) ?(acc_width = 32)
             bank_ports = i.bank_ports + 1 })
   in
   List.iter
-    (fun (role, df) ->
-      match role with
-      | Tl_stt.Design.Input -> input_tensor df
-      | Tl_stt.Design.Output -> output_tensor df)
-    flows;
+    (fun (ti : Tl_stt.Design.tensor_info) ->
+      match ti.Tl_stt.Design.role with
+      | Tl_stt.Design.Input -> input_tensor ti.Tl_stt.Design.dataflow
+      | Tl_stt.Design.Output -> output_tensor ti.Tl_stt.Design.dataflow)
+    design.Tl_stt.Design.tensors;
   !inv
-
-let of_design ?rows ?cols ?data_width ?acc_width (design : Tl_stt.Design.t) =
-  of_flows ?rows ?cols ?data_width ?acc_width
-    (List.map
-       (fun (ti : Tl_stt.Design.tensor_info) ->
-         (ti.Tl_stt.Design.role, ti.Tl_stt.Design.dataflow))
-       design.Tl_stt.Design.tensors)
 
 let pp ppf i =
   Format.fprintf ppf

@@ -29,10 +29,4 @@ val of_design : ?rows:int -> ?cols:int -> ?data_width:int -> ?acc_width:int ->
   Tl_stt.Design.t -> t
 (** Defaults: 16×16, 16-bit data, 32-bit accumulators. *)
 
-val of_flows : ?rows:int -> ?cols:int -> ?data_width:int -> ?acc_width:int ->
-  (Tl_stt.Design.role * Tl_stt.Dataflow.t) list -> t
-(** [of_design] reads only each tensor's role and dataflow, in tensor
-    order; this takes them without a design, as enumeration has them
-    before it builds one. *)
-
 val pp : Format.formatter -> t -> unit

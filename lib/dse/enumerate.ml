@@ -8,35 +8,17 @@ type point = {
    dihedral group D4 lives in {!Tl_stt.Signature}. *)
 let signature = Tl_stt.Signature.signature
 
-let design_space ?max_unselected ?(exclude_unicast = false)
-    ?max_bank_ports ?domains ?(budget = Tl_resil.Budget.unlimited) stmt =
-  let depth = Tl_ir.Stmt.depth stmt in
-  let selections =
-    List.filter
-      (fun sel ->
-        match max_unselected with
-        | None -> true
-        | Some k -> depth - Array.length sel <= k)
-      (Tl_stt.Search.selections stmt ~n:3)
-  in
-  let roles =
-    List.map (fun _ -> Tl_stt.Design.Input) stmt.Tl_ir.Stmt.inputs
-    @ [ Tl_stt.Design.Output ]
-  in
-  (* every exclusion reads the dataflow list alone (the inventory reads
-     roles and dataflows), so it is decided once per distinct list *)
+let design_space ?(exclude_unicast = false) ?domains
+    ?(budget = Tl_resil.Budget.unlimited) stmt =
+  let selections = Tl_stt.Search.selections stmt ~n:3 in
+  (* the exclusion reads the dataflow list alone, so it is decided once
+     per distinct list *)
   let excluded dfs =
     List.exists
       (fun df ->
         df = Tl_stt.Dataflow.Reuse_full
         || (exclude_unicast && df = Tl_stt.Dataflow.Unicast))
       dfs
-    ||
-    match max_bank_ports with
-    | None -> false
-    | Some limit ->
-      (Tl_cost.Inventory.of_flows (List.combine roles dfs))
-        .Tl_cost.Inventory.bank_ports > limit
   in
   (* each selection's sweep is its own task; the dedup below stays
      sequential over the (selection-order, matrix-order) stream, so the

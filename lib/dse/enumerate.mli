@@ -16,16 +16,12 @@ val signature : Tl_stt.Design.t -> string
 (** Canonical textual form of the architecture (selection label + each
     tensor's dataflow with direction vectors). *)
 
-val design_space : ?max_unselected:int -> ?exclude_unicast:bool ->
-  ?max_bank_ports:int -> ?domains:int -> ?budget:Tl_resil.Budget.t ->
-  Tl_ir.Stmt.t -> point list
+val design_space : ?exclude_unicast:bool -> ?domains:int ->
+  ?budget:Tl_resil.Budget.t -> Tl_ir.Stmt.t -> point list
 (** All distinct design points reachable with {-1,0,1} transformation
-    matrices over every 3-loop selection.  [max_unselected] (default: no
-    limit) can restrict how many loops are left sequential — the paper's
-    Fig. 6 spaces keep every selection.  Points with [Reuse_full] tensors
-    are excluded (no hardware mapping), and so, on request, are points
-    with a [Unicast] tensor or more than [max_bank_ports] scratchpad
-    ports on the default 16×16 inventory.
+    matrices over every 3-loop selection, as the paper's Fig. 6 spaces
+    are.  Points with [Reuse_full] tensors are excluded (no hardware
+    mapping), and so, on request, are points with a [Unicast] tensor.
 
     Cost: one {!Tl_stt.Search.sweep} per selection, which classifies
     each candidate by integer table lookups; an exclusion is decided once

@@ -52,7 +52,6 @@ type report = {
   r_digest : string;  (** MD5 over all shape payloads, shape order *)
   r_complete : bool;  (** every unique shape fully swept *)
   r_degraded_shapes : int;  (** unique shapes answered estimate-only *)
-  r_resumed_shapes : int;  (** unique shapes found in a loaded checkpoint *)
 }
 
 type progress = {
@@ -179,13 +178,6 @@ let best_of pts =
         if p.p_perf.Perf.cycles < b.p_perf.Perf.cycles then Some p else acc)
     None pts
 
-(* The checkpoint tag binds a checkpoint file to one exact sweep: the
-   network name plus every unique shape key (which already embeds the
-   config fingerprint and the per-shape limit).  A checkpoint written by
-   any other sweep is silently ignored on resume. *)
-let checkpoint_tag ~name unique_keys =
-  Tl_stt.Signature.key_digest (String.concat "\n" (name :: unique_keys))
-
 (* O(1) fallback when a shape could not be swept: ideal MACs/cycle on a
    fully-busy [rows x cols] array.  Deliberately design-agnostic — it
    needs no enumeration, no evaluation, and no store access. *)
@@ -194,8 +186,7 @@ let estimate_cycles ~config stmt =
   float_of_int (Tl_ir.Stmt.domain_size stmt) /. Float.max 1. pes
 
 let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
-    ?(budget = Tl_resil.Budget.unlimited) ?checkpoint ?(resume = false)
-    ~store ~name layers =
+    ?(budget = Tl_resil.Budget.unlimited) ~store ~name layers =
   (* dedup by shape key, preserving first-occurrence order *)
   let keyed =
     List.map
@@ -214,37 +205,6 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
       keyed
   in
   let total = List.length unique in
-  let unique_keys = List.map (fun (_, _, key) -> key) unique in
-  let tag = checkpoint_tag ~name unique_keys in
-  let resumed_keys : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  (match checkpoint with
-  | Some path when resume -> (
-    match Tl_resil.Checkpoint.load ~path ~tag with
-    | None -> ()
-    | Some keys ->
-      List.iter
-        (fun k -> if Hashtbl.mem seen k then Hashtbl.replace resumed_keys k ())
-        keys)
-  | _ -> ());
-  (* completed-shape journal: mutated only under [ckpt_lock]; the
-     checkpoint file is rewritten atomically after every finished shape
-     so an interrupted sweep can resume from the last completed one *)
-  let ckpt_lock = Mutex.create () in
-  let completed : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let mark_done key =
-    Mutex.lock ckpt_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock ckpt_lock)
-      (fun () ->
-        Hashtbl.replace completed key ();
-        match checkpoint with
-        | None -> ()
-        | Some path ->
-          let keys =
-            List.filter (fun k -> Hashtbl.mem completed k) unique_keys
-          in
-          Tl_resil.Checkpoint.save ~path ~tag keys)
-  in
   let done_ctr = Atomic.make 0 in
   let progress_lock = Mutex.create () in
   let note lname hit points =
@@ -302,7 +262,6 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
             in
             (false, payload, pts)
         in
-        mark_done key;
         note lname hit (List.length pts);
         (hit, payload, pts))
       unique
@@ -368,10 +327,6 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
   in
   let misses = completed_n - hits in
   let complete = degraded = 0 in
-  (* a finished sweep leaves nothing to resume from *)
-  (match checkpoint with
-  | Some path when complete -> Tl_resil.Checkpoint.remove ~path
-  | _ -> ());
   let sum f =
     List.fold_left
       (fun acc l -> match l.l_best with Some p -> acc +. f p | None -> acc)
@@ -404,5 +359,4 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     r_digest = digest;
     r_complete = complete;
     r_degraded_shapes = degraded;
-    r_resumed_shapes = Hashtbl.length resumed_keys;
   }

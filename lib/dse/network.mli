@@ -10,7 +10,9 @@
 
     Both cold and warm sweeps build their reports by decoding the stored
     payload (exact hex-float codec), so a warm sweep reproduces a cold
-    sweep bit-for-bit. *)
+    sweep bit-for-bit.  The store's entry files are the only record of a
+    swept shape: an interrupted sweep resumes by running again against
+    the same store, which serves every finished shape as a hit. *)
 
 type point = {
   p_area : float;  (** ASIC area *)
@@ -49,7 +51,6 @@ type report = {
           complete sweep this covers every shape *)
   r_complete : bool;  (** no shape degraded *)
   r_degraded_shapes : int;
-  r_resumed_shapes : int;  (** unique shapes listed in a loaded checkpoint *)
 }
 
 type progress = {
@@ -95,8 +96,6 @@ val sweep :
   ?per_shape_limit:int ->
   ?progress:(progress -> unit) ->
   ?budget:Tl_resil.Budget.t ->
-  ?checkpoint:string ->
-  ?resume:bool ->
   store:Tl_store.Store.t ->
   name:string ->
   (string * Tl_ir.Stmt.t) list ->
@@ -113,13 +112,11 @@ val sweep :
        A shape whose classification overflows is the statement's fault
        and the same on every run: after every shape has run,
        {!Tl_stt.Reuse.Overflow} fails the sweep.}
-    {- [checkpoint] names a file that is atomically rewritten after
-       every completed unique shape and removed when the sweep
-       completes.  With [resume:true] (default false), completed shape
-       keys listed in a checkpoint whose tag matches this exact sweep
-       are counted in {!report.r_resumed_shapes}; their payloads are
-       served from the store, so an interrupted-then-resumed sweep's
-       digest is bit-identical to an uninterrupted one.}}
+    {- A computed shape is put into [store] before its progress call,
+       so rerunning an interrupted sweep against the same store serves
+       the finished shapes as hits and computes the rest (and any whose
+       put was dropped): its digest is bit-identical to an uninterrupted
+       sweep's.}}
 
     The Ok/degraded pattern, the report and its digest are deterministic
     and independent of the pool width (for [Budget.of_checks] budgets,

@@ -16,24 +16,12 @@ type expected = {
   e_writes_total : int;            (* aggregate over collector banks *)
 }
 
-(* same fold as the generator's drain margin: the model-side prediction
-   of the total cycle count is f_compute_end + rows + max_dt + 4 *)
-let max_dt (design : Tl_stt.Design.t) =
-  List.fold_left
-    (fun acc (ti : Tl_stt.Design.tensor_info) ->
-      match ti.Tl_stt.Design.dataflow with
-      | Tl_stt.Dataflow.Systolic { dt; _ } -> max acc dt
-      | Tl_stt.Dataflow.Reuse2d
-          (Tl_stt.Dataflow.Systolic_multicast { systolic; _ }) ->
-        max acc systolic.Tl_stt.Dataflow.dt
-      | _ -> acc)
-    1 design.Tl_stt.Design.tensors
-
 let iround f = int_of_float (Float.round f)
 
 let expected (acc : Accel.t) =
   let design = acc.Accel.design in
-  let fr = Schedule.frame design ~rows:acc.Accel.rows ~cols:acc.Accel.cols in
+  let rows = acc.Accel.rows and cols = acc.Accel.cols in
+  let fr = Schedule.frame design ~rows ~cols in
   let stats = Tl_perf.Perf_model.tile_statistics design fr in
   let passes = fr.Schedule.f_passes in
   let per_tensor name =
@@ -52,7 +40,8 @@ let expected (acc : Accel.t) =
     (Tl_stt.Design.output_info design).Tl_stt.Design.access
       .Tl_ir.Access.tensor
   in
-  { e_cycles = fr.Schedule.f_compute_end + acc.Accel.rows + max_dt design + 4;
+  (* the schedule length the generator sizes the controller by *)
+  { e_cycles = fst (Layout.schedule_size design ~rows ~cols);
     e_active_pe_cycles =
       passes * stats.Tl_perf.Perf_model.active_pe_cycles;
     e_reads;

@@ -9,7 +9,8 @@
 
 type expected = {
   e_cycles : int;
-      (** model-side total cycles: [f_compute_end + rows + max_dt + 4] *)
+      (** model-side total cycles: the controller's schedule length,
+          {!Tl_templates.Layout.schedule_size} *)
   e_active_pe_cycles : int;
       (** [f_passes x active_pe_cycles] from the model's statistics *)
   e_reads : (string * int) list;

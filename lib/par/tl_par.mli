@@ -76,8 +76,8 @@ module Cache : sig
     entries : int;
     evictions : int;
         (** entries dropped by a capacity policy (a cache created with
-            [~capacity], or an external source such as the persistent
-            design store); always [0] for unbounded in-memory caches *)
+            [~capacity]); always [0] for unbounded caches and for the
+            persistent design store, which never drops an entry *)
   }
 
   val create : ?capacity:int -> name:string -> unit -> 'a t

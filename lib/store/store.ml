@@ -19,12 +19,10 @@
    by [Sys.rename], which is atomic on POSIX, so concurrent writers of
    the same key can only ever race complete files into place.
 
-   An index file <root>/index.tsv (one digest per line) gives O(1)
-   warm-open: it is loaded into a hash table at [open_store] and
-   rewritten atomically whenever it grows.  A missing or stale index is
-   never fatal — [find] falls back to probing the entry file directly
-   (which also picks up entries written by other processes), and the
-   index is rebuilt by scanning entries/ when absent.
+   The entry files are the store's only record: [find] opens the one
+   file a key names, and the [entries] count is a scan of entries/ at
+   [open_store] plus the keys this handle adds, so handles sharing a
+   root (other processes included) see each other's entries.
 
    A store registers its stats/clear hooks into [Tl_par.Cache]'s
    registry, so `bench` and the observability surface report disk hits
@@ -33,12 +31,10 @@
 type t = {
   root : string option; (* None = in-memory only *)
   mem : (string, string) Hashtbl.t; (* key -> payload (in-memory mode) *)
-  index : (string, unit) Hashtbl.t; (* digest -> present (disk mode) *)
+  known : (string, unit) Hashtbl.t; (* entries/ at open + own puts (disk) *)
   lock : Mutex.t;
   hits : int Atomic.t;
   misses : int Atomic.t;
-  evictions : int Atomic.t;
-  max_entries : int option;
   tmp_ctr : int Atomic.t;
   retry : Tl_resil.Retry.policy;
   degraded_reads : int Atomic.t; (* reads that exhausted their retries *)
@@ -51,7 +47,6 @@ let digest_hex s = Digest.to_hex (Digest.string s)
 
 let entries_dir root = Filename.concat root "entries"
 let tmp_dir root = Filename.concat root "tmp"
-let index_file root = Filename.concat root "index.tsv"
 let entry_path root key = Filename.concat (entries_dir root) (digest_hex key)
 
 let mkdir_p dir =
@@ -129,85 +124,39 @@ let decode_entry ~key content =
       | _ -> None)
     | _ -> None)
 
-(* ------------------------------------------------------------------ *)
-(* Index maintenance (disk mode only). *)
+(* The digests already under entries/ when a handle opens (disk mode
+   only); an unreadable directory counts as empty. *)
+let scan_entries st root =
+  match Sys.readdir (entries_dir root) with
+  | names ->
+    Array.iter
+      (fun name ->
+        if String.length name = 32 then Hashtbl.replace st.known name ())
+      names
+  | exception Sys_error _ -> ()
 
-let load_index st root =
-  match read_file (index_file root) with
-  | Some content ->
-    String.split_on_char '\n' content
-    |> List.iter (fun line ->
-           let line = String.trim line in
-           if String.length line = 32 then Hashtbl.replace st.index line ())
-  | None -> (
-    (* no index: rebuild by scanning entries/ *)
-    match Sys.readdir (entries_dir root) with
-    | names ->
-      Array.iter
-        (fun name ->
-          if String.length name = 32 then Hashtbl.replace st.index name ())
-        names
-    | exception Sys_error _ -> ())
+let stats st =
+  {
+    Tl_par.Cache.name =
+      (match st.root with None -> "store:mem" | Some r -> "store:" ^ r);
+    hits = Atomic.get st.hits;
+    misses = Atomic.get st.misses;
+    entries =
+      (match st.root with
+      | None -> Hashtbl.length st.mem
+      | Some _ -> Hashtbl.length st.known);
+    evictions = 0;
+  }
 
-let save_index st root =
-  let buf = Buffer.create (Hashtbl.length st.index * 33) in
-  Hashtbl.iter
-    (fun digest () ->
-      Buffer.add_string buf digest;
-      Buffer.add_char buf '\n')
-    st.index;
-  write_atomic st root ~dest:(index_file root) (Buffer.contents buf)
-
-(* ------------------------------------------------------------------ *)
-(* Eviction: drop oldest-mtime entries until back under the cap.  Entries
-   written within one timestamp tick tie on mtime, so [keep], the entry
-   being put, is never a candidate: it is the newest. *)
-
-let evict_locked st root cap ~keep =
-  let entries =
-    Hashtbl.fold
-      (fun digest () acc ->
-        if digest = keep then acc
-        else
-          let path = Filename.concat (entries_dir root) digest in
-          match Unix.stat path with
-          | { Unix.st_mtime; _ } -> (st_mtime, digest) :: acc
-          | exception Unix.Unix_error _ ->
-            (* file vanished: just forget it *)
-            Hashtbl.remove st.index digest;
-            acc)
-      st.index []
-  in
-  let n = List.length entries + 1 (* [keep] *) in
-  if n > cap then begin
-    let by_age = List.sort compare entries in
-    let doomed = ref (n - cap) in
-    List.iter
-      (fun (_, digest) ->
-        if !doomed > 0 then begin
-          decr doomed;
-          (try Sys.remove (Filename.concat (entries_dir root) digest)
-           with Sys_error _ -> ());
-          Hashtbl.remove st.index digest;
-          Atomic.incr st.evictions
-        end)
-      by_age;
-    save_index st root
-  end
-
-(* ------------------------------------------------------------------ *)
-
-let open_store ?max_entries ?(retry = Tl_resil.Retry.default) ?root () =
+let open_store ?(retry = Tl_resil.Retry.default) ?root () =
   let st =
     {
       root;
       mem = Hashtbl.create 64;
-      index = Hashtbl.create 256;
+      known = Hashtbl.create 256;
       lock = Mutex.create ();
       hits = Atomic.make 0;
       misses = Atomic.make 0;
-      evictions = Atomic.make 0;
-      max_entries;
       tmp_ctr = Atomic.make 0;
       retry;
       degraded_reads = Atomic.make 0;
@@ -219,27 +168,13 @@ let open_store ?max_entries ?(retry = Tl_resil.Retry.default) ?root () =
   | Some root ->
     mkdir_p (entries_dir root);
     mkdir_p (tmp_dir root);
-    load_index st root);
-  let label =
-    match root with None -> "store:mem" | Some r -> "store:" ^ r
-  in
+    scan_entries st root);
   Tl_par.Cache.register
-    ~stats:(fun () ->
-      {
-        Tl_par.Cache.name = label;
-        hits = Atomic.get st.hits;
-        misses = Atomic.get st.misses;
-        entries =
-          (match st.root with
-          | None -> Hashtbl.length st.mem
-          | Some _ -> Hashtbl.length st.index);
-        evictions = Atomic.get st.evictions;
-      })
+    ~stats:(fun () -> stats st)
     ~clear:(fun () ->
       (* reset counters, never disk contents *)
       Atomic.set st.hits 0;
-      Atomic.set st.misses 0;
-      Atomic.set st.evictions 0);
+      Atomic.set st.misses 0);
   st
 
 let find st key =
@@ -283,55 +218,18 @@ let put st key payload =
     Mutex.unlock st.lock
   | Some root -> (
     let dest = entry_path root key in
-    (* retried as one idempotent unit (entry write + index update): a
-       failure between the two just rewrites the same complete entry.
-       A put that exhausts its retries is dropped — the store is a
-       cache, so the only consequence is a future miss. *)
-    let attempt () =
-      write_atomic st root ~dest (encode_entry ~key ~payload);
-      Mutex.lock st.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock st.lock)
-        (fun () ->
-          let digest = Filename.basename dest in
-          if not (Hashtbl.mem st.index digest) then begin
-            Hashtbl.replace st.index digest ();
-            save_index st root
-          end;
-          match st.max_entries with
-          | Some cap when Hashtbl.length st.index > cap ->
-            evict_locked st root cap ~keep:digest
-          | _ -> ())
-    in
+    (* the entry write is the retried unit: rewriting the same complete
+       entry is idempotent.  A put that exhausts its retries is dropped —
+       the store is a cache, so the only consequence is a future miss. *)
     match
       Tl_resil.Retry.with_retry_opt ~policy:st.retry ~label:"store.put"
-        attempt
+        (fun () -> write_atomic st root ~dest (encode_entry ~key ~payload))
     with
-    | Some () -> ()
+    | Some () ->
+      Mutex.lock st.lock;
+      Hashtbl.replace st.known (Filename.basename dest) ();
+      Mutex.unlock st.lock
     | None -> Atomic.incr st.dropped_writes)
-
-let find_or_add st key f =
-  match find st key with
-  | Some payload -> payload
-  | None ->
-    let payload = f () in
-    put st key payload;
-    payload
-
-let stats st =
-  let label =
-    match st.root with None -> "store:mem" | Some r -> "store:" ^ r
-  in
-  {
-    Tl_par.Cache.name = label;
-    hits = Atomic.get st.hits;
-    misses = Atomic.get st.misses;
-    entries =
-      (match st.root with
-      | None -> Hashtbl.length st.mem
-      | Some _ -> Hashtbl.length st.index);
-    evictions = Atomic.get st.evictions;
-  }
 
 let io_failures st =
   (Atomic.get st.degraded_reads, Atomic.get st.dropped_writes)

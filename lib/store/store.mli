@@ -8,22 +8,22 @@
     or truncated entries are detected at load and degrade to a miss —
     never a crash, never a bad payload.  Writes are tempfile + rename,
     so concurrent writers (same key or not) can only race {e complete}
-    files into place.  Without a [root] the store is a plain in-memory
-    table with the same interface.
+    files into place.  The entry files are the store's only record, so
+    handles over one root, in one process or several, see each other's
+    entries.  Without a [root] the store is a plain in-memory table with
+    the same interface.
 
-    Every store registers its hit/miss/eviction counters into
+    Every store registers its hit/miss counters into
     {!Tl_par.Cache}'s registry so benchmark and observability code
     report it alongside the in-memory memo tables ([clear_all] resets
     the counters, not the disk contents). *)
 
 type t
 
-val open_store :
-  ?max_entries:int -> ?retry:Tl_resil.Retry.policy -> ?root:string -> unit -> t
+val open_store : ?retry:Tl_resil.Retry.policy -> ?root:string -> unit -> t
 (** Open (creating directories as needed) a store rooted at [root], or
-    an in-memory store when [root] is omitted.  [max_entries] caps the
-    on-disk entry count: when exceeded after a {!put}, oldest-mtime
-    entries are evicted (and counted) until back at the cap.
+    an in-memory store when [root] is omitted.  A store on disk holds
+    [<root>/entries/] and [<root>/tmp/] and nothing else.
 
     Disk I/O is wrapped in [retry] (default {!Tl_resil.Retry.default}:
     3 attempts, seeded exponential backoff on [Sys_error]-class
@@ -42,12 +42,12 @@ val put : t -> string -> string -> unit
 (** Insert a payload.  First insertion wins semantics: concurrent
     writers of one key each write a complete file; whichever rename
     lands last is the visible one, and since payloads for a given key
-    are deterministic this is indistinguishable from first-wins. *)
-
-val find_or_add : t -> string -> (unit -> string) -> string
-(** [find] then, on a miss, compute + [put] + return. *)
+    are deterministic this is indistinguishable from first-wins.  On
+    disk a put writes one file, the entry. *)
 
 val stats : t -> Tl_par.Cache.stats
+(** [entries] counts, on disk, the entry files present at {!open_store}
+    plus the keys this handle has put since; [evictions] is always 0. *)
 
 val io_failures : t -> int * int
 (** [(degraded_reads, dropped_writes)]: transient I/O failures that

@@ -360,17 +360,8 @@ let analyzer stmt ~selected =
     Design.of_dataflows t
       (List.map (fun p -> Reuse.classify_matrix p t.Transform.imatrix) preps)
 
-let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
-    ?domains stmt =
-  let depth = Stmt.depth stmt in
-  let selections =
-    List.filter
-      (fun sel ->
-        match max_unselected with
-        | None -> true
-        | Some k -> depth - Array.length sel <= k)
-      (Search.selections stmt ~n:3)
-  in
+let design_space ?(exclude_unicast = false) ?domains stmt =
+  let selections = Search.selections stmt ~n:3 in
   let per_selection selected =
     let analyze = analyzer stmt ~selected in
     let local : (Dataflow.t list, unit) Hashtbl.t = Hashtbl.create 512 in
@@ -384,10 +375,6 @@ let design_space ?max_unselected ?(exclude_unicast = false) ?max_bank_ports
               df = Dataflow.Reuse_full
               || (exclude_unicast && df = Dataflow.Unicast))
             dfs
-          ||
-          match max_bank_ports with
-          | None -> false
-          | Some limit -> (Inventory.of_design d).Inventory.bank_ports > limit
         in
         if excluded || Hashtbl.mem local dfs then None
         else begin

@@ -1,6 +1,6 @@
 (* Software-layer resilience: budgets, seeded retry, chaos injection,
-   pool failure isolation, checkpoint/resume, and the hardened CLI
-   surfaces (sweep --resume, serve stdin limits). *)
+   pool failure isolation, resuming a sweep from its store, and the
+   hardened CLI surfaces (sweep budgets, serve stdin limits). *)
 
 open Tensorlib
 
@@ -308,28 +308,6 @@ let test_store_torn_write_all_offsets () =
       None (Store.find fresh "victim")
   done
 
-let test_store_eviction_concurrent_writers () =
-  let root = temp_dir "tlresil" in
-  let st = Store.open_store ~max_entries:4 ~root () in
-  (* two pool workers race puts into a store 10x over its cap; eviction
-     must stay consistent and every surviving entry byte-exact *)
-  let keys = List.init 40 (fun i -> Printf.sprintf "k%d" i) in
-  let _ =
-    Par.map ~domains:2 ~label:"evict-race"
-      (fun k ->
-        Store.put st k ("payload:" ^ k);
-        Store.find st k)
-      keys
-  in
-  let entries = (Store.stats st).Par.Cache.entries in
-  Alcotest.(check bool) "cap respected" true (entries <= 4);
-  List.iter
-    (fun k ->
-      match Store.find st k with
-      | None -> ()
-      | Some v -> Alcotest.(check string) ("exact " ^ k) ("payload:" ^ k) v)
-    keys
-
 (* ---------------- DSE budgets ---------------- *)
 
 let test_enumerate_budget () =
@@ -348,38 +326,6 @@ let test_enumerate_budget () =
   match Explore.explore ~domains:1 ~budget:(Resil.Budget.of_checks 1) stmt with
   | _ -> Alcotest.fail "explore budget must expire"
   | exception Resil.Budget.Expired _ -> ()
-
-(* ---------------- checkpoints ---------------- *)
-
-let test_checkpoint_roundtrip () =
-  let path = Filename.temp_file "tlckpt" ".ckpt" in
-  let keys = [ "alpha"; "beta with spaces"; "gamma|delta" ] in
-  Resil.Checkpoint.save ~path ~tag:"tag1" keys;
-  Alcotest.(check (option (list string))) "roundtrip" (Some keys)
-    (Resil.Checkpoint.load ~path ~tag:"tag1");
-  Alcotest.(check (option (list string))) "tag mismatch" None
-    (Resil.Checkpoint.load ~path ~tag:"tag2");
-  (* corruption: flip one byte -> None, never garbage *)
-  let ic = open_in_bin path in
-  let c = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let b = Bytes.of_string c in
-  Bytes.set b (Bytes.length b - 2) '!';
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc;
-  Alcotest.(check (option (list string))) "corruption -> None" None
-    (Resil.Checkpoint.load ~path ~tag:"tag1");
-  Resil.Checkpoint.remove ~path;
-  Alcotest.(check (option (list string))) "missing -> None" None
-    (Resil.Checkpoint.load ~path ~tag:"tag1");
-  Resil.Checkpoint.remove ~path (* idempotent *);
-  (match Resil.Checkpoint.save ~path ~tag:"t" [ "bad\nkey" ] with
-  | () -> Alcotest.fail "newline key accepted"
-  | exception Invalid_argument _ -> ());
-  match Resil.Checkpoint.save ~path ~tag:"bad tag" [ "k" ] with
-  | () -> Alcotest.fail "whitespace tag accepted"
-  | exception Invalid_argument _ -> ()
 
 (* ---------------- partial sweeps + resume ---------------- *)
 
@@ -408,7 +354,10 @@ let test_sweep_budget_partial () =
   Alcotest.(check bool) "totals carry the estimates" true
     (r.Network.r_total_cycles > 0.)
 
-let test_sweep_interrupt_resume_digest () =
+(* the store's entry files are the only record of a swept shape:
+   rerunning a sweep that an injected kill of shape 0 interrupted serves
+   the two finished shapes as hits and computes the killed one *)
+let test_sweep_rerun_against_store () =
   let layers = tiny_layers () in
   let kill_rate = 0.5 in
   let fires s k =
@@ -431,7 +380,6 @@ let test_sweep_interrupt_resume_digest () =
       in
       let root = temp_dir "tlint" in
       let store = Store.open_store ~root () in
-      let ckpt = Filename.concat root "sweep-t.ckpt" in
       let interrupted =
         with_chaos
           {
@@ -441,8 +389,8 @@ let test_sweep_interrupt_resume_digest () =
               [ ("par:network-sweep", [ Resil.Chaos.Fail "interrupted" ]) ];
           }
           (fun () ->
-            Network.sweep ~domains:width ~per_shape_limit:4 ~checkpoint:ckpt
-              ~store ~name:"t" layers)
+            Network.sweep ~domains:width ~per_shape_limit:4 ~store ~name:"t"
+              layers)
       in
       Alcotest.(check bool)
         (Printf.sprintf "width %d interrupted" width)
@@ -450,25 +398,24 @@ let test_sweep_interrupt_resume_digest () =
       Alcotest.(check int)
         (Printf.sprintf "width %d one shape degraded" width)
         1 interrupted.Network.r_degraded_shapes;
-      Alcotest.(check bool)
-        (Printf.sprintf "width %d checkpoint exists" width)
-        true (Sys.file_exists ckpt);
-      let resumed =
-        Network.sweep ~domains:width ~per_shape_limit:4 ~checkpoint:ckpt
-          ~resume:true ~store ~name:"t" layers
+      let rerun =
+        Network.sweep ~domains:width ~per_shape_limit:4 ~store ~name:"t"
+          layers
       in
       Alcotest.(check bool)
-        (Printf.sprintf "width %d resumed complete" width)
-        true resumed.Network.r_complete;
-      Alcotest.(check int)
-        (Printf.sprintf "width %d resumed from checkpoint" width)
-        2 resumed.Network.r_resumed_shapes;
+        (Printf.sprintf "width %d rerun complete" width)
+        true rerun.Network.r_complete;
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "width %d rerun hits, misses" width)
+        (2, 1)
+        (rerun.Network.r_hits, rerun.Network.r_misses);
       Alcotest.(check string)
         (Printf.sprintf "width %d digest bit-identical to cold" width)
-        cold.Network.r_digest resumed.Network.r_digest;
-      Alcotest.(check bool)
-        (Printf.sprintf "width %d checkpoint removed on completion" width)
-        false (Sys.file_exists ckpt))
+        cold.Network.r_digest rerun.Network.r_digest;
+      Alcotest.(check (list string))
+        (Printf.sprintf "width %d store holds only entries/ and tmp/" width)
+        [ "entries"; "tmp" ]
+        (List.sort compare (Array.to_list (Sys.readdir root))))
     [ 1; 3 ]
 
 (* ---------------- hardened CLI surfaces ---------------- *)
@@ -500,9 +447,6 @@ let run_cli args =
   (rc, read out, read err)
 
 let test_cli_sweep_resume_validation () =
-  let rc, _, err = run_cli "sweep --network tiny --resume" in
-  Alcotest.(check int) "--resume without --store exits 2" 2 rc;
-  Alcotest.(check bool) "mentions --store" true (contains err "--store");
   let rc, _, _ = run_cli "sweep --network tiny --deadline-ms 0" in
   Alcotest.(check int) "bad deadline exits 2" 2 rc;
   let rc, _, err =
@@ -586,15 +530,12 @@ let suite =
       test_store_read_weather;
     Alcotest.test_case "store torn write all offsets" `Quick
       test_store_torn_write_all_offsets;
-    Alcotest.test_case "store eviction race" `Quick
-      test_store_eviction_concurrent_writers;
     Alcotest.test_case "enumerate/explore budgets" `Quick
       test_enumerate_budget;
-    Alcotest.test_case "checkpoint codec" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "sweep budget -> typed partial" `Quick
       test_sweep_budget_partial;
-    Alcotest.test_case "sweep interrupt/resume digest" `Slow
-      test_sweep_interrupt_resume_digest;
+    Alcotest.test_case "interrupted sweep rerun against its store" `Slow
+      test_sweep_rerun_against_store;
     Alcotest.test_case "cli sweep resume validation" `Slow
       test_cli_sweep_resume_validation;
     Alcotest.test_case "cli serve hardening" `Slow test_cli_serve_hardening ]
