@@ -689,16 +689,18 @@ let write_json path v =
   write_file path (Json.to_string v ^ "\n");
   Printf.printf "\n  (machine-readable results written to %s)\n" path
 
-(* Interrupt a tiny-network sweep by killing its shape 0: the smallest
-   seed whose [par:network-sweep] plan kills task 0 but not tasks 1 and 2.
+(* Interrupt a tiny-network sweep by killing its unique shape [index]
+   (0 conv_a, 1 gemm_a, 2 gemv_a): the smallest seed whose
+   [par:network-sweep] plan kills that task and neither of the other two.
    Injections key on the task index, so the choice holds at any pool
    width. *)
-let arm_kill_shape0 () =
+let arm_kill_shape index =
   let rate = 0.5 and site = "par:network-sweep" in
   let fires seed key = Resil.Chaos.would_fire ~seed ~rate ~site ~key in
   let rec find s =
-    if s > 100_000 then failwith "no seed kills exactly shape 0"
-    else if fires s 0 && not (fires s 1 || fires s 2) then s
+    if s > 100_000 then
+      failwith (Printf.sprintf "no seed kills exactly shape %d" index)
+    else if List.for_all (fun k -> fires s k = (k = index)) [ 0; 1; 2 ] then s
     else find (s + 1)
   in
   Resil.Chaos.arm
@@ -966,7 +968,7 @@ let chaos_smoke () =
     (fun width ->
       let cold = sweep ~width ~root:(temp_dir "tlcold") in
       let int_root = temp_dir "tlint" in
-      arm_kill_shape0 ();
+      arm_kill_shape 0;
       let interrupted = sweep ~width ~root:int_root in
       Resil.Chaos.disarm ();
       check
@@ -1046,10 +1048,11 @@ let bench_resil () =
   if partial.Network.r_complete then
     failwith "bench-resil: budget failed to degrade the sweep";
 
-  (* resume-vs-cold: interrupt by killing shape 0, then rerun against
-     the same store *)
+  (* resume-vs-cold: interrupt by killing gemm_a, then rerun against the
+     same store.  conv_a is nearly all of the cold sweep, so a rerun that
+     recomputes it would time the cold sweep again. *)
   let int_store = fresh_store "tlresili" in
-  arm_kill_shape0 ();
+  arm_kill_shape 1;
   let _interrupted = sweep int_store in
   Resil.Chaos.disarm ();
   let resumed, resume_s = wall (fun () -> sweep int_store) in
@@ -1060,6 +1063,8 @@ let bench_resil () =
     (if digest_identical then "identical" else "DIVERGED");
   if not digest_identical then
     failwith "bench-resil: rerun digest diverged from cold";
+  if resumed.Network.r_hits <> 2 then
+    failwith "bench-resil: the rerun must take conv_a and gemv_a from the store";
   write_json "BENCH_resil.json"
     (Json.Obj
        [ ("schema", Json.Str "tensorlib-bench-resil/1");

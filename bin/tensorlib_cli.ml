@@ -1100,22 +1100,64 @@ let stmt_of_request req ~field =
   try Parse.stmt formula ~extents
   with Parse.Parse_error msg -> failwith ("bad request: " ^ msg)
 
+(* One answer, whether it is [ok], and the writer of its line: the
+   members [id] and [ok], then [members], then for an accepted einsum its
+   program document's stored text as the last member, "program". *)
+let answer ?program id ok members =
+  let members = ("id", id) :: ("ok", Json.Bool ok) :: members in
+  ( ok,
+    fun oc ->
+      match program with
+      | None -> output_string oc (Json.to_string (Json.Obj members))
+      | Some text -> Json.output_with_text oc members ("program", text) )
+
+(* The standing programmable array of [serve --accel-workload]: its
+   netlist, the one simulator every program request runs on, and what
+   [Compile.find_design] decided for each statement served: the accepted
+   design's name, its program and the program's document, rendered once;
+   or every candidate's rejection.  The key is the full statement
+   fingerprint, because a program document carries the request's own
+   statement and tensor names.  A compile cut short by the budget stores
+   nothing. *)
+type standing = {
+  target : Accel.t;
+  sim : Sim.t;
+  compiled :
+    (string * Layout.program * string, (string * Compile.error) list) result
+    Par.Cache.t;
+}
+
+(* Keys come from client text, so the cache is bounded and starts over
+   when full.  The envelope caps an entry: on the 4x4 GEMM target with
+   headroom 16 (k <= 64) a program takes at most 37 KiB and its text
+   17 KiB, so a full cache holds about 3.3 MiB. *)
+let compile_capacity = 64
+
 (* Program request against the standing programmable netlist
-   (--accel-workload): compile the einsum to a descriptor program, load
-   and run it on the server's one amortised simulator, verify against the
-   golden executor, and answer with the program document itself.  The
-   request's budget is polled between stages and between compile
-   candidates; expiry raises [Budget.Expired]. *)
+   (--accel-workload): compile the einsum to a descriptor program (or
+   take the outcome a request with the same statement left), load and run
+   it on the server's one amortised simulator, verify against the golden
+   executor, and answer with the program document itself.  The request's
+   budget is polled between stages and between compile candidates; expiry
+   raises [Budget.Expired]. *)
 let serve_program ~budget ~accel ~id req =
   match accel with
   | None ->
     failwith
       "server started without --accel-workload; \"einsum\" requests \
        unavailable"
-  | Some ((target : Accel.t), sim) -> (
+  | Some { target; sim; compiled } -> (
     let stmt = stmt_of_request req ~field:"einsum" in
     Resil.Budget.check budget;
-    match Compile.find_design ~budget ~target stmt with
+    let outcome =
+      Par.Cache.find_or_add compiled (Signature.stmt_fingerprint stmt)
+        (fun () ->
+          Result.map
+            (fun (design, program) ->
+              (design.Design.name, program, Compile.program_to_json program))
+            (Compile.find_design ~budget ~target stmt))
+    in
+    match outcome with
     | Error rejections ->
       let head =
         match rejections with
@@ -1129,7 +1171,7 @@ let serve_program ~budget ~accel ~id req =
             rejected%s"
            stmt.Stmt.name target.Accel.design.Design.name
            (List.length rejections) head)
-    | Ok (design, program) ->
+    | Ok (design, program, doc) ->
       Resil.Budget.check budget;
       let env = Exec.alloc_inputs stmt in
       let golden = Exec.run stmt env in
@@ -1142,22 +1184,16 @@ let serve_program ~budget ~accel ~id req =
         Perf.estimate_program ~rows:target.Accel.rows
           ~cols:target.Accel.cols program
       in
-      Json.Obj
-        [ ("id", id);
-          ("ok", Json.Bool true);
-          ("design", Json.Str design.Design.name);
+      answer ~program:doc id true
+        [ ("design", Json.Str design);
           ("verified", Json.Bool verified);
           ("cycles", Json.Num (float_of_int est.Perf.pe_cycles));
           ("macs", Json.Num (float_of_int est.Perf.pe_macs));
           ("program_words",
-           Json.Num (float_of_int est.Perf.pe_program_words));
-          ("program", Compile.program_to_value program) ])
+           Json.Num (float_of_int est.Perf.pe_program_words)) ])
 
 let serve_request ?deadline_ms ?accel store limit line =
-  let fail id msg =
-    Json.Obj
-      (("id", id) :: [ ("ok", Json.Bool false); ("error", Json.Str msg) ])
-  in
+  let fail id msg = answer id false [ ("error", Json.Str msg) ] in
   (* a fresh budget per request: one slow request degrades its own
      answer, never the server or the requests behind it *)
   let budget =
@@ -1174,7 +1210,7 @@ let serve_request ?deadline_ms ?accel store limit line =
     match serve_program ~budget ~accel ~id req with
     | exception (Failure msg | Reuse.Overflow msg) -> fail id msg
     | exception Resil.Budget.Expired _ -> fail id "deadline"
-    | answer -> answer)
+    | a -> a)
   | Ok req -> (
     let id = Option.value (Json.member "id" req) ~default:Json.Null in
     let layers_of () =
@@ -1198,10 +1234,8 @@ let serve_request ?deadline_ms ?accel store limit line =
         let req_hits = after.Par.Cache.hits - before.Par.Cache.hits in
         let req_misses = after.Par.Cache.misses - before.Par.Cache.misses in
         let req_total = req_hits + req_misses in
-        Json.Obj
-          [ ("id", id);
-            ("ok", Json.Bool true);
-            ("report", report_json r);
+        answer id true
+          [ ("report", report_json r);
             ("store_hits", Json.Num (float_of_int req_hits));
             ("store_misses", Json.Num (float_of_int req_misses));
             ("store_hit_rate",
@@ -1257,41 +1291,49 @@ let serve_cmd =
             ~data_width:16 ~acc_width:32 ~headroom stmt design
         in
         (* one compiled simulator amortised across every program request *)
-        Some (target, Sim.create target.Accel.circuit)
+        Some
+          { target;
+            sim = Sim.create target.Accel.circuit;
+            compiled =
+              Par.Cache.create ~capacity:compile_capacity
+                ~name:"serve.compile" () }
     in
     let store = store_of_path store_dir in
     let served = ref 0 in
     let errors = ref 0 in
-    let respond json =
+    let respond (ok, write) =
       incr served;
-      (match Json.member "ok" json with
-      | Some (Json.Bool false) -> incr errors
-      | _ -> ());
-      print_endline (Json.to_string json);
-      flush stdout
+      if not ok then incr errors;
+      write stdout;
+      print_newline ()
     in
     let handle line =
       (* last-resort containment: any unanticipated exception becomes a
          structured error answer, never a dead server *)
       try serve_request ?deadline_ms ?accel store limit line
       with e ->
-        Json.Obj
-          [ ("id", Json.Null);
-            ("ok", Json.Bool false);
-            ("error", Json.Str ("internal: " ^ Printexc.to_string e)) ]
+        answer Json.Null false
+          [ ("error", Json.Str ("internal: " ^ Printexc.to_string e)) ]
     in
     let oversized_answer =
-      Json.Obj
-        [ ("id", Json.Null);
-          ("ok", Json.Bool false);
-          ("error",
+      answer Json.Null false
+        [ ("error",
            Json.Str
              (Printf.sprintf "request exceeds --max-request-bytes=%d"
                 max_request_bytes)) ]
     in
     let shutdown () =
-      Printf.eprintf "serve: shutdown after %d responses (%d errors)\n%!"
-        !served !errors
+      let hits, misses =
+        match accel with
+        | Some { compiled; _ } ->
+          let st = Par.Cache.stats compiled in
+          (st.Par.Cache.hits, st.Par.Cache.misses)
+        | None -> (0, 0)
+      in
+      Printf.eprintf
+        "serve: shutdown after %d responses (%d errors; compile cache %d \
+         hits, %d misses)\n%!"
+        !served !errors hits misses
     in
     let rec loop () =
       match read_bounded_line ~max_bytes:max_request_bytes stdin with

@@ -346,6 +346,7 @@ let analyze ?(config = Engine.default_config) ?(cycles = 1024) ?target
     | _ -> None
   in
   let reg_clamps = ref [] in
+  let unproven = Hashtbl.create 8 in
   List.iter
     (fun a ->
       let w = a.reg_sig.Signal.width in
@@ -370,6 +371,7 @@ let analyze ?(config = Engine.default_config) ?(cycles = 1024) ?target
              w
              (match mode with Unsigned -> "unsigned" | Signed -> "signed"))
       | None ->
+        Hashtbl.replace unproven a.reg_sig.Signal.id ();
         emit
           (F.v ~rule:"L200" ~target ~subject:(describe a.reg_sig)
              (Printf.sprintf
@@ -383,6 +385,21 @@ let analyze ?(config = Engine.default_config) ?(cycles = 1024) ?target
     else Engine.run ~config ~reg_clamps:!reg_clamps circuit
   in
   (* -- phase 3: read-modify-write bank bounds -> ram clamps --------- *)
+  (* A written term fed by an unproven accumulator may carry a wrapped
+     value, which its width interval cannot show: such a bank is not
+     proven.  The walk follows registers and memory write ports. *)
+  let fed_by_unproven (s : Signal.t) =
+    let seen = Hashtbl.create 64 in
+    let rec go (s : Signal.t) =
+      Hashtbl.mem unproven s.Signal.id
+      || (not (Hashtbl.mem seen s.Signal.id))
+         && begin
+           Hashtbl.replace seen s.Signal.id ();
+           List.exists go (Circuit.all_children s)
+         end
+    in
+    Hashtbl.length unproven > 0 && go s
+  in
   let rmw_value (r : Signal.ram) (wp : Signal.write_port) =
     match (Signal.resolve wp.Signal.wdata).Signal.node with
     | Signal.Binop (Signal.Add, x, y) -> (
@@ -455,9 +472,11 @@ let analyze ?(config = Engine.default_config) ?(cycles = 1024) ?target
                 else (Unsigned, Signed)
               in
               (match
-                 (match try_bank first with
-                  | Some r -> Some r
-                  | None -> try_bank second)
+                 if fed_by_unproven value then None
+                 else
+                   match try_bank first with
+                   | Some r -> Some r
+                   | None -> try_bank second
                with
                | Some (mode, lo, hi) ->
                  let av =

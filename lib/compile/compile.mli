@@ -71,12 +71,8 @@ val find_design : ?budget:Tl_resil.Budget.t -> target:Tl_templates.Accel.t ->
 
 val schema : string
 
-val program_to_value : Tl_templates.Layout.program -> Tl_store.Json.t
-(** The program document as a JSON value, for embedding in a larger
-    document without printing and re-parsing it. *)
-
 val program_to_json : Tl_templates.Layout.program -> string
-(** [Json.to_string (program_to_value p)]. *)
+(** The program document, rendered on one line. *)
 
 val program_of_json : string ->
   (Tl_templates.Layout.program, string) result

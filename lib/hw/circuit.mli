@@ -40,6 +40,12 @@ val nodes : t -> Signal.t array
 (** All reachable nodes in topological (evaluation) order. *)
 
 val rams : t -> Signal.ram list
+
+val all_children : Signal.t -> Signal.t list
+(** A node's inputs, sequential ones included: a register's data, enable
+    and clear, a wire's driver, and a memory read's address and the
+    memory's write port.  @raise Unassigned_wire on an unassigned wire. *)
+
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -231,6 +231,13 @@ let add_number buf f =
     let s = Printf.sprintf "%.17g" f in
     Buffer.add_string buf (if Float.is_finite f then s else "null")
 
+(* member [i] of an object, up to its value *)
+let add_key buf i k =
+  if i > 0 then Buffer.add_string buf ", ";
+  Buffer.add_char buf '"';
+  add_escaped buf k;
+  Buffer.add_string buf "\": "
+
 let rec render buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
@@ -247,15 +254,15 @@ let rec render buf = function
     Buffer.add_char buf ']'
   | Obj kvs ->
     Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_char buf '"';
-        add_escaped buf k;
-        Buffer.add_string buf "\": ";
-        render buf v)
-      kvs;
+    render_members buf kvs;
     Buffer.add_char buf '}'
+
+and render_members buf kvs =
+  List.iteri
+    (fun i (k, v) ->
+      add_key buf i k;
+      render buf v)
+    kvs
 
 (* the elements after a list's first, each behind its separator *)
 and render_tail buf = function
@@ -269,6 +276,15 @@ let to_string v =
   let buf = Buffer.create 256 in
   render buf v;
   Buffer.contents buf
+
+let output_with_text oc kvs (key, text) =
+  let buf = Buffer.create 256 in
+  Buffer.add_char buf '{';
+  render_members buf kvs;
+  add_key buf (List.length kvs) key;
+  Buffer.output_buffer oc buf;
+  output_string oc text;
+  output_char oc '}'
 
 (* ------------------------------------------------------------------ *)
 (* Accessors. *)

@@ -17,6 +17,13 @@ val to_string : t -> string
 (** Render on one line (no newlines are ever emitted), suitable for a
     line-oriented protocol.  Non-finite numbers render as [null]. *)
 
+val output_with_text : out_channel -> (string * t) list -> string * string ->
+  unit
+(** [output_with_text oc kvs (key, text)] writes [to_string (Obj (kvs @
+    [ (key, v) ]))] to [oc], where [text = to_string v]: a document
+    rendered once and kept as text is embedded without being parsed,
+    rendered or copied into a new string. *)
+
 val member : string -> t -> t option
 (** Object field lookup; [None] for non-objects and missing keys. *)
 

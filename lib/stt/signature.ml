@@ -75,11 +75,18 @@ let signature (d : Design.t) =
 (* ------------------------------------------------------------------ *)
 (* Statement fingerprints.                                             *)
 
+(* The bytes of [string_of_int v].  Access coefficients are mostly single
+   digits, which skip the formatted conversion: serve fingerprints every
+   einsum request. *)
+let add_int buf v =
+  if v >= 0 && v < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + v))
+  else Buffer.add_string buf (string_of_int v)
+
 let add_int_array buf a =
   Array.iter
     (fun v ->
       Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int v))
+      add_int buf v)
     a
 
 let add_access ~full buf (a : Tl_ir.Access.t) =
@@ -106,7 +113,7 @@ let fingerprint ~full (stmt : Tl_ir.Stmt.t) =
       if full then begin
         Buffer.add_string buf name;
         Buffer.add_char buf '=';
-        Buffer.add_string buf (string_of_int it.Tl_ir.Iter.extent)
+        add_int buf it.Tl_ir.Iter.extent
       end
       else Buffer.add_char buf (Char.uppercase_ascii name.[0]);
       Buffer.add_char buf ' ')

@@ -361,7 +361,12 @@ let test_data_bound_repro () =
   let _, r = bounded ~acc_width:12 ~bound:128 design stmt in
   Alcotest.(check bool) "unproven" false r.Absint.Report.safe;
   Alcotest.(check bool) "L200" true
-    (has_rule "L200" (Proof.gate r.Absint.Report.findings))
+    (has_rule "L200" (Proof.gate r.Absint.Report.findings));
+  (* the banks take the unproven accumulators' values: no bank proof *)
+  Alcotest.(check (list string)) "no bank proof" []
+    (List.filter
+       (fun p -> contains p "bank cells stay")
+       r.Absint.Report.proofs)
 
 (* a SAFE verdict under [--data-bound b] must hold for any data within
    the bound: every extreme (each input tensor all [b] or all [-b], clamped

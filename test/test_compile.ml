@@ -674,24 +674,29 @@ let test_cli_serve_einsum () =
 
 let gemm_einsum = "C[m,n] += A[m,k] * B[n,k]"
 
-(* serve's answers to request lines, one per line, parsed *)
-let serve_lines ?(flags = "") lines =
+(* serve's answer lines to request lines, one per line, and its stderr *)
+let serve_raw ?(flags = "") lines =
   let path = Filename.temp_file "tlreq" ".jsonl" in
   let oc = open_out path in
   List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
-  let rc, out, _ =
+  let rc, out, err =
     run_cli ~stdin:path
       ("serve --accel-workload gemm-small --headroom 16 " ^ flags)
   in
   Sys.remove path;
   Alcotest.(check int) "serve exits 0" 0 rc;
-  String.split_on_char '\n' out
-  |> List.filter (fun l -> String.trim l <> "")
-  |> List.map (fun l ->
+  (List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' out),
+   err)
+
+(* serve's answers to request lines, one per line, parsed *)
+let serve_lines ?flags lines =
+  List.map
+    (fun l ->
       match Json.parse l with
       | Ok j -> j
       | Error e -> Alcotest.failf "unparsable answer %S: %s" l e)
+    (fst (serve_raw ?flags lines))
 
 (* serve answers on one line per (id, einsum, extents) request, parsed *)
 let serve_answers ?flags requests =
@@ -959,6 +964,69 @@ let test_cli_serve_classifier_bounded () =
   | [ a ] -> check_rejected ~id:4 ~error:overflow a
   | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l)
 
+(* The compile cache changes no answer.  One session repeats each hot k,
+   runs k = 64, 3, 64 (hits after a longer and after a shorter program on
+   the one simulator), sends a Structure_mismatch reject (m = 3) and an
+   Unsupported reject (m = 5) twice each, a GEMM under other tensor names
+   after its namesake, and a malformed line between repeats.  Each answer
+   is the line a fresh server gives that request alone, byte for byte; an
+   accepted line re-renders to itself, which pins the spliced program
+   member; and the stats line counts exactly the repeated statements as
+   hits. *)
+let test_cli_serve_compile_cache () =
+  let target, _ =
+    programmable ~headroom:16 (Workloads.gemm ~m:4 ~n:4 ~k:4) "MNK-SST"
+  in
+  List.iter
+    (fun (m, what, kind) ->
+      match Compile.find_design ~target (Workloads.gemm ~m ~n:4 ~k:4) with
+      | Error rejections ->
+        Alcotest.(check bool) (Printf.sprintf "m = %d: %s" m what) true
+          (List.exists (fun (_, e) -> kind e) rejections)
+      | Ok _ -> Alcotest.failf "m = %d compiles" m)
+    [ (3, "Structure_mismatch",
+       (function Compile.Structure_mismatch -> true | _ -> false));
+      (5, "Unsupported_design",
+       (function Compile.Unsupported_design _ -> true | _ -> false)) ];
+  let gemm e = Some (gemm_einsum, e) in
+  let session =
+    [ gemm "m=4,n=4,k=4"; gemm "m=4,n=4,k=16"; gemm "m=4,n=4,k=40";
+      gemm "m=4,n=4,k=64"; gemm "m=4,n=4,k=4"; gemm "m=4,n=4,k=16"; None;
+      gemm "m=4,n=4,k=40"; gemm "m=4,n=4,k=64"; gemm "m=4,n=4,k=3";
+      gemm "m=4,n=4,k=64"; gemm "m=3,n=4,k=4"; gemm "m=5,n=4,k=4";
+      gemm "m=3,n=4,k=4"; gemm "m=5,n=4,k=4";
+      Some ("Z[m,n] += X[m,k] * Y[n,k]", "m=4,n=4,k=4") ]
+  in
+  let lines =
+    List.mapi
+      (fun id -> function
+        | Some (einsum, extents) ->
+          Printf.sprintf "{\"id\": %d, \"einsum\": %S, \"extents\": %S}" id
+            einsum extents
+        | None -> "{\"id\": 99, \"einsum\": ")
+      session
+  in
+  let answers, err = serve_raw lines in
+  Alcotest.(check int) "one answer per line" (List.length lines)
+    (List.length answers);
+  List.iter2
+    (fun line answer ->
+      Alcotest.(check (list string)) ("fresh server: " ^ line)
+        (fst (serve_raw [ line ])) [ answer ];
+      match Json.parse answer with
+      | Ok j when Json.member "ok" j = Some (Json.Bool true) ->
+        Alcotest.(check string) "re-renders to itself" answer
+          (Json.to_string j)
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "unparsable answer %S: %s" answer e)
+    lines answers;
+  let einsums = List.filter_map Fun.id session in
+  let distinct = List.length (List.sort_uniq compare einsums) in
+  Alcotest.(check bool) "stats line counts the repeats as hits" true
+    (contains err
+       (Printf.sprintf "(5 errors; compile cache %d hits, %d misses)"
+          (List.length einsums - distinct) distinct))
+
 let suite =
   [ Alcotest.test_case "programmable = ROM as generated" `Quick
       test_programmable_matches_rom;
@@ -1011,4 +1079,6 @@ let suite =
     Alcotest.test_case "cli matrix overflow refused" `Quick
       test_cli_matrix_overflow;
     Alcotest.test_case "cli serve classifier bounded" `Quick
-      test_cli_serve_classifier_bounded ]
+      test_cli_serve_classifier_bounded;
+    Alcotest.test_case "cli serve compile cache = fresh server" `Quick
+      test_cli_serve_compile_cache ]

@@ -125,7 +125,23 @@ let test_json_render_bytes () =
         [ ("xs",
            Json.List [ Json.Obj [ ("k", Json.List [ one ]) ]; Json.Null ]);
           ("b", Json.Bool false) ];
-      Json.List [ Json.List [ Json.List [ Json.List [ one ] ] ]; one ] ]
+      Json.List [ Json.List [ Json.List [ Json.List [ one ] ] ]; one ] ];
+  (* an object whose last member is text rendered earlier: after zero,
+     one and two members, under a key that needs escaping *)
+  List.iter
+    (fun kvs ->
+      let v = Json.Obj (kvs @ [ ("t\"ail", doc) ]) in
+      let path = Filename.temp_file "tljson" ".txt" in
+      let oc = open_out_bin path in
+      Json.output_with_text oc kvs ("t\"ail", Json.to_string doc);
+      close_out oc;
+      let ic = open_in_bin path in
+      let written = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      Sys.remove path;
+      Alcotest.(check string) "last member given as text"
+        (reference_render v) written)
+    [ []; [ ("a", one) ]; [ ("e", Json.List []); ("o", Json.Obj [ ("k", s) ]) ] ]
 
 (* ---------------- store basics ---------------- *)
 
