@@ -1417,14 +1417,10 @@ let bench_absint () =
 let prog_headroom = 4
 
 let prog_target () =
-  let stmt = Workloads.gemm ~m:4 ~n:4 ~k:4 in
-  let design = design_of_name stmt "MNK-SST" in
-  let envelope =
-    Layout.envelope ~headroom:prog_headroom
-      (Layout.build design ~rows:4 ~cols:4)
-  in
-  let env = Exec.alloc_inputs stmt in
-  Accel.generate ~rows:4 ~cols:4 ~programmable:envelope design env
+  let design = design_of_name (Workloads.gemm ~m:4 ~n:4 ~k:4) "MNK-SST" in
+  fst
+    (Compile.target ~rows:4 ~cols:4 ~data_width:16 ~acc_width:32
+       ~headroom:prog_headroom design)
 
 let prog_shapes = [ 6; 10; 14 ]
 

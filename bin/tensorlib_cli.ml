@@ -163,19 +163,6 @@ let extents_arg =
        & info [ "extents" ]
            ~doc:"Iterator extents for --expr as m=64,n=64,k=64 (nest order).")
 
-(* [m=64,n=64,k=64], the syntax of [--extents] and of serve's
-   ["extents"]; a binding that is not [name=int] is named in the error *)
-let extents_of_string s =
-  List.map
-    (fun kv ->
-      match String.split_on_char '=' kv with
-      | [ k; v ] -> (
-        match int_of_string_opt (String.trim v) with
-        | Some n -> (String.trim k, n)
-        | None -> failwith ("bad extent binding: " ^ kv))
-      | _ -> failwith ("bad extent binding: " ^ kv))
-    (String.split_on_char ',' s)
-
 let workload_of expr extents w =
   match expr with
   | None -> workload_of_string w
@@ -183,7 +170,7 @@ let workload_of expr extents w =
     let extents =
       match extents with
       | None -> failwith "--expr requires --extents"
-      | Some s -> extents_of_string s
+      | Some s -> Parse.extents s
     in
     Parse.stmt formula ~extents
 
@@ -230,7 +217,7 @@ let matrix_rows m =
     (fun row ->
       List.map
         (fun c ->
-          match int_of_string_opt (String.trim c) with
+          match Parse.decimal (String.trim c) with
           | Some v -> v
           | None -> failwith (Printf.sprintf "bad entry %S in --matrix %s" c m))
         (String.split_on_char ',' row))
@@ -266,18 +253,6 @@ let alloc_inputs stmt =
              Dense.max_elements))
     (Stmt.tensors stmt);
   Exec.alloc_inputs stmt
-
-(* Programmable-target construction shared by [compile] and [serve]: size
-   the descriptor memories to [headroom]× the generating design's natural
-   schedule, so any compatible einsum within that envelope loads without
-   re-elaboration. *)
-let programmable_target ~rows ~cols ~data_width ~acc_width ~headroom stmt
-    design =
-  let envelope = Layout.envelope ~headroom (Layout.build design ~rows ~cols) in
-  let env = Exec.alloc_inputs stmt in
-  ( Accel.generate ~rows ~cols ~data_width ~acc_width ~programmable:envelope
-      design env,
-    envelope )
 
 let json_arg =
   Arg.(value & flag
@@ -822,10 +797,10 @@ let compile_cmd =
     ignore (Cli_backend.of_string ~allowed:[ "tape" ] backend_s);
     (* the target netlist comes from the named workload + dataflow; the
        request einsum from --expr/--extents (default: the target itself) *)
-    let tstmt, tdesign = resolve w d in
+    let _, tdesign = resolve w d in
     let target, envelope =
-      programmable_target ~rows ~cols ~data_width:dw ~acc_width:aw ~headroom
-        tstmt tdesign
+      Compile.target ~rows ~cols ~data_width:dw ~acc_width:aw ~headroom
+        tdesign
     in
     let rstmt = workload_of expr extents w in
     match Compile.find_design ~target rstmt with
@@ -892,17 +867,6 @@ let compile_cmd =
 
 (* ---------------- sweep / serve ---------------- *)
 
-let network_names () = List.map fst (Network.networks ())
-
-let network_of_string name =
-  match List.assoc_opt name (Network.networks ()) with
-  | Some layers -> layers
-  | None ->
-    failwith
-      (Printf.sprintf "unknown network %S; valid names: %s%s" name
-         (String.concat ", " (network_names ()))
-         (Cli_backend.suggest ~valid:(network_names ()) name))
-
 let store_of_path = function
   | None -> Store.open_store ()
   | Some dir ->
@@ -913,48 +877,6 @@ let store_of_path = function
            "--store: parent directory %S does not exist (create it first)"
            parent);
     Store.open_store ~root:dir ()
-
-let layer_json (l : Network.layer) =
-  let best =
-    match l.Network.l_best with
-    | None -> Json.Null
-    | Some p ->
-      Json.Obj
-        [ ("design", Json.Str p.Network.p_perf.Perf.design_name);
-          ("cycles", Json.Num p.Network.p_perf.Perf.cycles);
-          ("runtime_us", Json.Num p.Network.p_perf.Perf.runtime_us);
-          ("area", Json.Num p.Network.p_area);
-          ("power_mw", Json.Num p.Network.p_power) ]
-  in
-  Json.Obj
-    [ ("name", Json.Str l.Network.l_name);
-      ("hit", Json.Bool l.Network.l_hit);
-      ("points", Json.Num (float_of_int l.Network.l_points));
-      ("frontier", Json.Num (float_of_int (List.length l.Network.l_frontier)));
-      ("best", best);
-      ("degraded", Json.Bool l.Network.l_degraded);
-      ("est_cycles",
-       match l.Network.l_est_cycles with
-       | None -> Json.Null
-       | Some c -> Json.Num c) ]
-
-let report_json (r : Network.report) =
-  Json.Obj
-    [ ("schema", Json.Str "tensorlib-sweep/1");
-      ("network", Json.Str r.Network.r_network);
-      ("layers", Json.List (List.map layer_json r.Network.r_layers));
-      ("unique_shapes", Json.Num (float_of_int r.Network.r_unique_shapes));
-      ("points", Json.Num (float_of_int r.Network.r_points));
-      ("total_cycles", Json.Num r.Network.r_total_cycles);
-      ("total_runtime_us", Json.Num r.Network.r_total_runtime_us);
-      ("total_area", Json.Num r.Network.r_total_area);
-      ("total_power_mw", Json.Num r.Network.r_total_power);
-      ("hits", Json.Num (float_of_int r.Network.r_hits));
-      ("misses", Json.Num (float_of_int r.Network.r_misses));
-      ("hit_rate", Json.Num r.Network.r_hit_rate);
-      ("digest", Json.Str r.Network.r_digest);
-      ("complete", Json.Bool r.Network.r_complete);
-      ("degraded_shapes", Json.Num (float_of_int r.Network.r_degraded_shapes)) ]
 
 let print_report_text (r : Network.report) =
   List.iter
@@ -1044,7 +966,7 @@ let sweep_cmd =
     guard @@ fun () ->
     require_positive_opt "--limit" limit;
     let budget = budget_of ~deadline_ms ~budget_checks in
-    let layers = network_of_string name in
+    let layers = Network.find name in
     let store = store_of_path store_dir in
     let progress =
       if json then None
@@ -1061,7 +983,7 @@ let sweep_cmd =
       Network.sweep ?per_shape_limit:limit ?progress ~budget ~store ~name
         layers
     in
-    if json then print_endline (Json.to_string (report_json r))
+    if json then print_endline (Json.to_string (Network.to_json r))
     else print_report_text r
   in
   Cmd.v
@@ -1077,171 +999,8 @@ let sweep_cmd =
     Term.(const run $ network_arg $ store_arg $ limit_arg $ json_arg
           $ deadline_ms_arg $ budget_checks_arg)
 
-(* serve: one JSON request per stdin line, one JSON response per line.
-   Requests: {"id": .., "network": "tiny"}
-          or {"id": .., "expr": "C[m,n] += A[m,k] * B[n,k]",
-              "extents": "m=64,n=64,k=64"}
-   Responses echo the id and carry the sweep roll-up plus the store's
-   per-request hit counts; malformed requests answer {"ok": false, ...}
-   without stopping the loop. *)
-
-(* The statement of an "expr" or "einsum" request.  A malformed formula
-   or extent binding is the client's error: a [Failure] that the caller
-   answers with the request's id. *)
-let stmt_of_request req ~field =
-  let formula = Option.get (Json.mem_string req field) in
-  let extents =
-    match Json.member "extents" req with
-    | None -> failwith (Printf.sprintf "%S requires \"extents\"" field)
-    | Some (Json.Str s) -> extents_of_string s
-    | Some _ ->
-      failwith "\"extents\" must be a string such as \"m=64,n=64,k=64\""
-  in
-  try Parse.stmt formula ~extents
-  with Parse.Parse_error msg -> failwith ("bad request: " ^ msg)
-
-(* One answer, whether it is [ok], and the writer of its line: the
-   members [id] and [ok], then [members], then for an accepted einsum its
-   program document's stored text as the last member, "program". *)
-let answer ?program id ok members =
-  let members = ("id", id) :: ("ok", Json.Bool ok) :: members in
-  ( ok,
-    fun oc ->
-      match program with
-      | None -> output_string oc (Json.to_string (Json.Obj members))
-      | Some text -> Json.output_with_text oc members ("program", text) )
-
-(* The standing programmable array of [serve --accel-workload]: its
-   netlist, the one simulator every program request runs on, and what
-   [Compile.find_design] decided for each statement served: the accepted
-   design's name, its program and the program's document, rendered once;
-   or every candidate's rejection.  The key is the full statement
-   fingerprint, because a program document carries the request's own
-   statement and tensor names.  A compile cut short by the budget stores
-   nothing. *)
-type standing = {
-  target : Accel.t;
-  sim : Sim.t;
-  compiled :
-    (string * Layout.program * string, (string * Compile.error) list) result
-    Par.Cache.t;
-}
-
-(* Keys come from client text, so the cache is bounded and starts over
-   when full.  The envelope caps an entry: on the 4x4 GEMM target with
-   headroom 16 (k <= 64) a program takes at most 37 KiB and its text
-   17 KiB, so a full cache holds about 3.3 MiB. *)
-let compile_capacity = 64
-
-(* Program request against the standing programmable netlist
-   (--accel-workload): compile the einsum to a descriptor program (or
-   take the outcome a request with the same statement left), load and run
-   it on the server's one amortised simulator, verify against the golden
-   executor, and answer with the program document itself.  The request's
-   budget is polled between stages and between compile candidates; expiry
-   raises [Budget.Expired]. *)
-let serve_program ~budget ~accel ~id req =
-  match accel with
-  | None ->
-    failwith
-      "server started without --accel-workload; \"einsum\" requests \
-       unavailable"
-  | Some { target; sim; compiled } -> (
-    let stmt = stmt_of_request req ~field:"einsum" in
-    Resil.Budget.check budget;
-    let outcome =
-      Par.Cache.find_or_add compiled (Signature.stmt_fingerprint stmt)
-        (fun () ->
-          Result.map
-            (fun (design, program) ->
-              (design.Design.name, program, Compile.program_to_json program))
-            (Compile.find_design ~budget ~target stmt))
-    in
-    match outcome with
-    | Error rejections ->
-      let head =
-        match rejections with
-        | (name, e) :: _ ->
-          Printf.sprintf " (%s: %s)" name (Compile.error_to_string e)
-        | [] -> ""
-      in
-      failwith
-        (Printf.sprintf
-           "no dataflow of %s compiles onto the %s target; %d candidates \
-            rejected%s"
-           stmt.Stmt.name target.Accel.design.Design.name
-           (List.length rejections) head)
-    | Ok (design, program, doc) ->
-      Resil.Budget.check budget;
-      let env = Exec.alloc_inputs stmt in
-      let golden = Exec.run stmt env in
-      let got = Accel.execute_program ~sim target program env in
-      let verified = Dense.equal got golden in
-      if not verified then
-        failwith "golden verification of the programmed run failed";
-      Resil.Budget.check budget;
-      let est =
-        Perf.estimate_program ~rows:target.Accel.rows
-          ~cols:target.Accel.cols program
-      in
-      answer ~program:doc id true
-        [ ("design", Json.Str design);
-          ("verified", Json.Bool verified);
-          ("cycles", Json.Num (float_of_int est.Perf.pe_cycles));
-          ("macs", Json.Num (float_of_int est.Perf.pe_macs));
-          ("program_words",
-           Json.Num (float_of_int est.Perf.pe_program_words)) ])
-
-let serve_request ?deadline_ms ?accel store limit line =
-  let fail id msg = answer id false [ ("error", Json.Str msg) ] in
-  (* a fresh budget per request: one slow request degrades its own
-     answer, never the server or the requests behind it *)
-  let budget =
-    match deadline_ms with
-    | None -> Resil.Budget.unlimited
-    | Some ms ->
-      Resil.Budget.of_seconds ~label:"serve-request"
-        (float_of_int ms /. 1000.)
-  in
-  match Json.parse line with
-  | Error msg -> fail Json.Null ("bad request: " ^ msg)
-  | Ok req when Json.mem_string req "einsum" <> None -> (
-    let id = Option.value (Json.member "id" req) ~default:Json.Null in
-    match serve_program ~budget ~accel ~id req with
-    | exception (Failure msg | Reuse.Overflow msg) -> fail id msg
-    | exception Resil.Budget.Expired _ -> fail id "deadline"
-    | a -> a)
-  | Ok req -> (
-    let id = Option.value (Json.member "id" req) ~default:Json.Null in
-    let layers_of () =
-      match Json.mem_string req "network" with
-      | Some name -> (name, network_of_string name)
-      | None when Json.mem_string req "expr" <> None ->
-        let stmt = stmt_of_request req ~field:"expr" in
-        ("adhoc", [ (stmt.Stmt.name, stmt) ])
-      | None ->
-        failwith "request needs \"network\", \"expr\" or \"einsum\""
-    in
-    match layers_of () with
-    | exception Failure msg -> fail id msg
-    | name, layers -> (
-      let before = Store.stats store in
-      match Network.sweep ?per_shape_limit:limit ~budget ~store ~name layers with
-      | exception (Failure msg | Reuse.Overflow msg) -> fail id msg
-      | r when not r.Network.r_complete -> fail id "deadline"
-      | r ->
-        let after = Store.stats store in
-        let req_hits = after.Par.Cache.hits - before.Par.Cache.hits in
-        let req_misses = after.Par.Cache.misses - before.Par.Cache.misses in
-        let req_total = req_hits + req_misses in
-        answer id true
-          [ ("report", report_json r);
-            ("store_hits", Json.Num (float_of_int req_hits));
-            ("store_misses", Json.Num (float_of_int req_misses));
-            ("store_hit_rate",
-             Json.Num
-               (if req_total = 0 then 1.
-                else float_of_int req_hits /. float_of_int req_total)) ]))
+(* serve: one JSON request per stdin line ({!Serve.handle}), one answer
+   line per request on stdout, and a stats line on stderr at EOF. *)
 
 (* Bounded request reader: the server never buffers more than the cap no
    matter what arrives on stdin. *)
@@ -1280,70 +1039,49 @@ let serve_cmd =
     require_positive "--max-request-bytes" max_request_bytes;
     require_positive_opt "--deadline-ms" deadline_ms;
     require_positive "--headroom" headroom;
-    let accel =
-      match accel_w with
-      | None -> None
-      | Some w ->
-        validate_grid ~rows:accel_rows ~cols:accel_cols;
-        let stmt, design = resolve w accel_d in
-        let target, _ =
-          programmable_target ~rows:accel_rows ~cols:accel_cols
-            ~data_width:16 ~acc_width:32 ~headroom stmt design
-        in
-        (* one compiled simulator amortised across every program request *)
-        Some
-          { target;
-            sim = Sim.create target.Accel.circuit;
-            compiled =
-              Par.Cache.create ~capacity:compile_capacity
-                ~name:"serve.compile" () }
+    let target =
+      Option.map
+        (fun w ->
+          validate_grid ~rows:accel_rows ~cols:accel_cols;
+          let _, design = resolve w accel_d in
+          fst
+            (Compile.target ~rows:accel_rows ~cols:accel_cols ~data_width:16
+               ~acc_width:32 ~headroom design))
+        accel_w
     in
-    let store = store_of_path store_dir in
+    let server =
+      Serve.create ?limit ?deadline_ms ?target (store_of_path store_dir)
+    in
     let served = ref 0 in
     let errors = ref 0 in
-    let respond (ok, write) =
+    let respond (a : Serve.answer) =
       incr served;
-      if not ok then incr errors;
-      write stdout;
+      if not a.Serve.ok then incr errors;
+      a.Serve.write stdout;
       print_newline ()
     in
-    let handle line =
-      (* last-resort containment: any unanticipated exception becomes a
-         structured error answer, never a dead server *)
-      try serve_request ?deadline_ms ?accel store limit line
-      with e ->
-        answer Json.Null false
-          [ ("error", Json.Str ("internal: " ^ Printexc.to_string e)) ]
-    in
-    let oversized_answer =
-      answer Json.Null false
-        [ ("error",
-           Json.Str
-             (Printf.sprintf "request exceeds --max-request-bytes=%d"
-                max_request_bytes)) ]
+    let oversized =
+      Serve.refuse
+        (Printf.sprintf "request exceeds --max-request-bytes=%d"
+           max_request_bytes)
     in
     let shutdown () =
-      let hits, misses =
-        match accel with
-        | Some { compiled; _ } ->
-          let st = Par.Cache.stats compiled in
-          (st.Par.Cache.hits, st.Par.Cache.misses)
-        | None -> (0, 0)
-      in
+      let hits, misses = Serve.compile_cache server in
       Printf.eprintf
         "serve: shutdown after %d responses (%d errors; compile cache %d \
          hits, %d misses)\n%!"
         !served !errors hits misses
     in
+    let handle line = respond (Serve.handle server line) in
     let rec loop () =
       match read_bounded_line ~max_bytes:max_request_bytes stdin with
       | Eof -> shutdown ()
-      | Oversized -> respond oversized_answer; loop ()
+      | Oversized -> respond oversized; loop ()
       | Line line when String.trim line = "" -> loop ()
-      | Line line -> respond (handle line); loop ()
+      | Line line -> handle line; loop ()
       | Last line ->
         (* mid-line EOF: answer the partial line, then shut down *)
-        if String.trim line <> "" then respond (handle line);
+        if String.trim line <> "" then handle line;
         shutdown ()
     in
     loop ()

@@ -169,6 +169,16 @@ let find_design ?(budget = Tl_resil.Budget.unlimited) ~(target : Accel.t)
   in
   go [] candidates
 
+(* The descriptor memories sized to [headroom] times [design]'s own
+   schedule, so every compatible einsum within that envelope loads
+   without re-elaboration. *)
+let target ~rows ~cols ~data_width ~acc_width ~headroom design =
+  let envelope = Layout.envelope ~headroom (Layout.build design ~rows ~cols) in
+  let stmt = design.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
+  ( Accel.generate ~rows ~cols ~data_width ~acc_width ~programmable:envelope
+      design (Tl_ir.Exec.alloc_inputs stmt),
+    envelope )
+
 (* ------------------------------------------------------------------ *)
 (* Program codec: a versioned one-line JSON document.  Decoding
    revalidates everything it can without the target (schema, types,

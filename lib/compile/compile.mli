@@ -44,6 +44,15 @@ type error =
 
 val error_to_string : error -> string
 
+val target : rows:int -> cols:int -> data_width:int -> acc_width:int ->
+  headroom:int -> Tl_stt.Design.t ->
+  Tl_templates.Accel.t * Tl_templates.Layout.envelope
+(** A programmable netlist of [design] on a [rows] x [cols] array, powered
+    on with its statement's sample data, and its envelope: [headroom]
+    times the design's own schedule ({!Tl_templates.Layout.envelope}).
+    @raise Tl_templates.Accel.Unsupported when [design] has no netlist
+    on the array. *)
+
 val compile : target:Tl_templates.Accel.t -> Tl_stt.Design.t ->
   (Tl_templates.Layout.program, error) result
 (** Compile [request] onto [target].  Request tensors are renamed

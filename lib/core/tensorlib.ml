@@ -110,6 +110,9 @@ module Store = Tl_store.Store
 module Json = Tl_store.Json
 module Baselines = Tl_baselines.Baselines
 
+(* The request path of [tensorlib serve] *)
+module Serve = Tl_serve.Serve
+
 let design_of_name = Search.find_design_exn
 let analyze stmt ~select ~matrix =
   Design.analyze (Transform.by_names stmt select ~matrix)

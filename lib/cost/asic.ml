@@ -1,5 +1,6 @@
+(* The calibrated per-module coefficients *)
 type params = {
-  p_mult : float;
+  p_mult : float;        (* mW per 16-bit multiplier at full activity *)
   p_mac_adder : float;
   p_tree_adder : float;
   p_reg_bit : float;
@@ -7,9 +8,9 @@ type params = {
   p_wire_unit : float;
   p_bank : float;
   p_bank_port : float;
-  p_stationary_ctrl : float;
-  p_base : float;
-  a_mult : float;
+  p_stationary_ctrl : float;  (* stage control per stationary tensor *)
+  p_base : float;             (* controller + clock tree *)
+  a_mult : float;        (* area units (≈ kGE/10) per module *)
   a_adder : float;
   a_reg_bit : float;
   a_mux_bit : float;
@@ -46,11 +47,10 @@ type report = {
   breakdown : (string * float) list;
 }
 
-let evaluate ?(params = default_params) ?rows ?cols ?data_width ?acc_width
-    design =
+let evaluate ?rows ?cols ?data_width ?acc_width design =
   let inv = Inventory.of_design ?rows ?cols ?data_width ?acc_width design in
   let f = float_of_int in
-  let p = params in
+  let p = default_params in
   let breakdown =
     [ ("compute",
        (f inv.Inventory.multipliers *. p.p_mult)
@@ -90,11 +90,10 @@ type activity = {
 
 let full_activity = { alpha_compute = 1.; alpha_reg = 1.; alpha_mem = 1. }
 
-let evaluate_netlist ?(params = default_params) ?(activity = full_activity)
-    circuit =
+let evaluate_netlist ?(activity = full_activity) circuit =
   let st = Tl_hw.Circuit.stats circuit in
   let f = float_of_int in
-  let p = params in
+  let p = default_params in
   (* dynamic categories scale with their measured (or assumed) switching
      activity; the control/base term is treated as static *)
   let breakdown =

@@ -8,38 +8,17 @@
     *relative* structure — which dataflows cost more and why — comes
     entirely from the module inventory. *)
 
-type params = {
-  p_mult : float;        (** mW per 16-bit multiplier at full activity *)
-  p_mac_adder : float;
-  p_tree_adder : float;
-  p_reg_bit : float;
-  p_mux_bit : float;
-  p_wire_unit : float;
-  p_bank : float;
-  p_bank_port : float;
-  p_stationary_ctrl : float;  (** stage control per stationary tensor *)
-  p_base : float;             (** controller + clock tree *)
-  a_mult : float;        (** area units (≈ kGE/10) per module *)
-  a_adder : float;
-  a_reg_bit : float;
-  a_mux_bit : float;
-  a_wire_unit : float;
-  a_bank : float;
-  a_stationary_ctrl : float;
-  a_base : float;
-}
-
 type report = {
   design_name : string;
-  area : float;        (** arbitrary units; see {!params} *)
+  area : float;        (** arbitrary units (about kGE/10 per multiplier) *)
   power_mw : float;
   breakdown : (string * float) list;  (** power by category *)
 }
 
-val evaluate : ?params:params -> ?rows:int -> ?cols:int -> ?data_width:int ->
-  ?acc_width:int -> Tl_stt.Design.t -> report
+val evaluate : ?rows:int -> ?cols:int -> ?data_width:int -> ?acc_width:int ->
+  Tl_stt.Design.t -> report
 (** Cost a design from its {!Inventory.of_design} at the given geometry
-    (the paper's calibrated coefficients unless [params] is given). *)
+    with the paper's calibrated coefficients. *)
 
 type activity = {
   alpha_compute : float;  (** MAC datapath activity (multipliers, adders) *)
@@ -54,8 +33,7 @@ type activity = {
 val full_activity : activity
 (** All factors 1.0 — the assumption the un-instrumented model makes. *)
 
-val evaluate_netlist : ?params:params -> ?activity:activity ->
-  Tl_hw.Circuit.t -> report
+val evaluate_netlist : ?activity:activity -> Tl_hw.Circuit.t -> report
 (** Cost an {i elaborated} circuit from its actual cell counts (registers,
     adders, multipliers, muxes, memory bits) with the same coefficients —
     a cross-check of the analytic {!Inventory}-based model against the

@@ -64,6 +64,16 @@ type progress = {
 
 let networks () = Tl_ir.Workloads.networks ()
 
+let find name =
+  match List.assoc_opt name (networks ()) with
+  | Some layers -> layers
+  | None ->
+    let names = List.map fst (networks ()) in
+    failwith
+      (Printf.sprintf "unknown network %S; valid names: %s%s" name
+         (String.concat ", " names)
+         (Tl_ir.Parse.suggest ~valid:names name))
+
 (* ------------------------------------------------------------------ *)
 (* Shape keys and payload codec. *)
 
@@ -360,3 +370,43 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     r_complete = complete;
     r_degraded_shapes = degraded;
   }
+
+let to_json r =
+  let open Tl_store.Json in
+  let int n = Num (float_of_int n) in
+  let layer l =
+    Obj
+      [ ("name", Str l.l_name);
+        ("hit", Bool l.l_hit);
+        ("points", int l.l_points);
+        ("frontier", int (List.length l.l_frontier));
+        ("best",
+         match l.l_best with
+         | None -> Null
+         | Some p ->
+           Obj
+             [ ("design", Str p.p_perf.Perf.design_name);
+               ("cycles", Num p.p_perf.Perf.cycles);
+               ("runtime_us", Num p.p_perf.Perf.runtime_us);
+               ("area", Num p.p_area);
+               ("power_mw", Num p.p_power) ]);
+        ("degraded", Bool l.l_degraded);
+        ("est_cycles",
+         match l.l_est_cycles with None -> Null | Some c -> Num c) ]
+  in
+  Obj
+    [ ("schema", Str "tensorlib-sweep/1");
+      ("network", Str r.r_network);
+      ("layers", List (List.map layer r.r_layers));
+      ("unique_shapes", int r.r_unique_shapes);
+      ("points", int r.r_points);
+      ("total_cycles", Num r.r_total_cycles);
+      ("total_runtime_us", Num r.r_total_runtime_us);
+      ("total_area", Num r.r_total_area);
+      ("total_power_mw", Num r.r_total_power);
+      ("hits", int r.r_hits);
+      ("misses", int r.r_misses);
+      ("hit_rate", Num r.r_hit_rate);
+      ("digest", Str r.r_digest);
+      ("complete", Bool r.r_complete);
+      ("degraded_shapes", int r.r_degraded_shapes) ]

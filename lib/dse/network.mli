@@ -64,6 +64,11 @@ type progress = {
 val networks : unit -> (string * (string * Tl_ir.Stmt.t) list) list
 (** The named network tables ({!Tl_ir.Workloads.networks}). *)
 
+val find : string -> (string * Tl_ir.Stmt.t) list
+(** The layers of the network named [name].  @raise Failure naming the
+    valid networks, with a did-you-mean ({!Tl_ir.Parse.suggest}), when
+    none is. *)
+
 val shape_key :
   ?config:Tl_perf.Perf_model.config ->
   ?per_shape_limit:int ->
@@ -122,3 +127,7 @@ val sweep :
     and independent of the pool width (for [Budget.of_checks] budgets,
     deterministic at [domains:1]). *)
 
+
+val to_json : report -> Tl_store.Json.t
+(** The report as a ["tensorlib-sweep/1"] document: the output of
+    [sweep --json] and the ["report"] of a served sweep. *)

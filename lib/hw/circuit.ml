@@ -209,7 +209,7 @@ let default_delay (s : Signal.t) =
   | Signal.Input _ | Signal.Const _ | Signal.Concat _ | Signal.Repl _
   | Signal.Select _ | Signal.Reg _ | Signal.Wire _ -> 0
 
-let critical_path ?(delay = default_delay) (t : t) =
+let critical_path (t : t) =
   (* nodes are already in combinational topological order; registers and
      inputs start paths at depth 0 *)
   let depth : (int, int) Hashtbl.t = Hashtbl.create (Array.length t.nodes) in
@@ -223,7 +223,7 @@ let critical_path ?(delay = default_delay) (t : t) =
         | Signal.Reg _ | Signal.Input _ | Signal.Const _ -> 0
         | _ ->
           List.fold_left (fun acc c -> max acc (get c)) 0 (comb_children s)
-          + delay s
+          + default_delay s
       in
       Hashtbl.replace depth s.Signal.id arrival)
     t.nodes;

@@ -49,9 +49,9 @@ val all_children : Signal.t -> Signal.t list
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
-val critical_path : ?delay:(Signal.t -> int) -> t -> int
+val critical_path : t -> int
 (** Longest register-to-register combinational path, in delay units.  The
-    default delay model charges multipliers 4, adders/subtractors and
+    delay model charges multipliers 4, adders/subtractors and
     comparators 2, muxes and logic 1, wiring/selection 0 — a coarse
     gate-level proxy good enough to compare dataflow families (reduction
     trees and long fan-in cones show up as deeper paths and therefore lower

@@ -141,7 +141,9 @@ let emit buf circuit =
   let id s = str (node_name n s) in
   (* "[w-1:0] ", or nothing for a single bit *)
   let width w = if w <> 1 then (str "["; int (w - 1); str ":0] ") in
-  let lit w v = int w; str "'d"; int v in
+  (* a value as its low 62 bits: Verilog has no negative sized literal,
+     so a negative 62-bit value is written as its bit pattern *)
+  let lit w v = int w; str "'d"; int (v land max_int) in
   let infix a op b = id a; str op; id b in
   let signed a = str "$signed("; id a; str ")" in
   let expr (s : Signal.t) =
@@ -200,7 +202,8 @@ let emit buf circuit =
       and before_value = "] = " ^ string_of_int w ^ "'d" in
       Array.iteri
         (fun i v ->
-          str before_index; int i; str before_value; int v; str ";\n")
+          str before_index; int i; str before_value; int (v land max_int);
+          str ";\n")
         ram.Signal.init_data;
       str "  end\n")
     (Circuit.rams circuit);

@@ -189,3 +189,54 @@ let stmt ?name src ~extents =
   with
   | s -> s
   | exception Invalid_argument m -> fail "%s" m
+
+(* --- names and numbers at the input boundary ------------------------ *)
+
+let decimal s =
+  let n = String.length s in
+  let rec digits i =
+    i = n || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1))
+  in
+  let first = if n > 0 && s.[0] = '-' then 1 else 0 in
+  (* digits only, so [int_of_string_opt] refuses a value past an int
+     instead of wrapping it as it does a hex literal *)
+  if first < n && digits first then int_of_string_opt s else None
+
+let extents s =
+  List.map
+    (fun kv ->
+      match String.split_on_char '=' kv with
+      | [ k; v ] -> (
+        match decimal (String.trim v) with
+        | Some n -> (String.trim k, n)
+        | None -> fail "bad extent binding: %s" kv)
+      | _ -> fail "bad extent binding: %s" kv)
+    (String.split_on_char ',' s)
+
+(* Levenshtein distance: the candidate sets are a few short words, so the
+   textbook O(|a|·|b|) table is plenty *)
+let distance a b =
+  let la = String.length a and lb = String.length b in
+  let row = Array.init (lb + 1) Fun.id in
+  for i = 1 to la do
+    let diag = ref row.(0) in
+    row.(0) <- i;
+    for j = 1 to lb do
+      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
+      let v = min (min (row.(j) + 1) (row.(j - 1) + 1)) (!diag + cost) in
+      diag := row.(j);
+      row.(j) <- v
+    done
+  done;
+  row.(lb)
+
+let suggest ~valid s =
+  let s = String.lowercase_ascii (String.trim s) in
+  if s = "" then ""
+  else
+    match
+      List.sort compare
+        (List.map (fun c -> (distance s (String.lowercase_ascii c), c)) valid)
+    with
+    | (d, c) :: _ when d <= 2 -> Printf.sprintf "; did you mean %S?" c
+    | _ -> ""

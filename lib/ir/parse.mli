@@ -21,3 +21,22 @@ val stmt : ?name:string -> string -> extents:(string * int) list -> Stmt.t
     [extents] that bind an iterator twice, to a non-positive extent or
     to an empty name, and a coefficient or a tensor extent
     ({!Access.shape}) that does not fit in an int. *)
+
+(** {2 Names and numbers at the input boundary} *)
+
+val decimal : string -> int option
+(** An optional [-], then decimal digits, as an int; [None] for anything
+    else (an OCaml literal such as [0x9], [1_000] or [+5]) and for a value
+    past an int. *)
+
+val extents : string -> (string * int) list
+(** [m=64,n=64,k=64] as bindings in nest order, each value read by
+    {!decimal}: the syntax of [--extents] and of a served request's
+    ["extents"].  @raise Parse_error ["bad extent binding: k=x"] naming a
+    binding that is not [name=int]. *)
+
+val suggest : valid:string list -> string -> string
+(** The did-you-mean fragment for an unknown name: ["; did you mean
+    \"tape\"?"] naming the canonical spelling of the closest of [valid]
+    within two edits, compared case-insensitively; [""] when none is
+    that close or [s] is blank. *)

@@ -15,7 +15,7 @@ type comparison = {
   measured : Tl_cost.Asic.report;  (* measured activity factors *)
 }
 
-let measure ?params (acc : Accel.t) =
+let measure (acc : Accel.t) =
   let sim = Sim.create acc.Accel.circuit in
   let probe = Activity.create sim acc.Accel.circuit in
   Activity.cycles probe (Accel.planned_cycles acc);
@@ -39,9 +39,8 @@ let measure ?params (acc : Accel.t) =
     p_cycles = rep.Activity.cycles;
     probe = rep;
     alpha;
-    modeled = Tl_cost.Asic.evaluate_netlist ?params acc.Accel.circuit;
-    measured = Tl_cost.Asic.evaluate_netlist ?params ~activity:alpha
-        acc.Accel.circuit }
+    modeled = Tl_cost.Asic.evaluate_netlist acc.Accel.circuit;
+    measured = Tl_cost.Asic.evaluate_netlist ~activity:alpha acc.Accel.circuit }
 
 let to_json c =
   let open Tl_store.Json in

@@ -19,8 +19,7 @@ type comparison = {
   measured : Tl_cost.Asic.report;  (** scaled by [alpha] *)
 }
 
-val measure : ?params:Tl_cost.Asic.params ->
-  Tl_templates.Accel.t -> comparison
+val measure : Tl_templates.Accel.t -> comparison
 (** @raise Tl_templates.Accel.Simulation_timeout if [done] never rises. *)
 
 val to_json : comparison -> Tl_store.Json.t

@@ -13,7 +13,6 @@ type span = {
   s_cat : string;
   s_ts_us : float;
   s_dur_us : float;
-  s_pid : int;
   s_tid : int;
   s_args : (string * string) list;
 }
@@ -22,21 +21,21 @@ type t = { lock : Mutex.t; mutable spans : span list (* newest first *) }
 
 let create () = { lock = Mutex.create (); spans = [] }
 
-let add t ?(cat = "tensorlib") ?(pid = 0) ?(tid = 0) ?(args = []) ~name
-    ~ts_us ~dur_us () =
+let add t ?(cat = "tensorlib") ?(tid = 0) ?(args = []) ~name ~ts_us
+    ~dur_us () =
   let s =
     { s_name = name; s_cat = cat; s_ts_us = ts_us; s_dur_us = dur_us;
-      s_pid = pid; s_tid = tid; s_args = args }
+      s_tid = tid; s_args = args }
   in
   Mutex.lock t.lock;
   t.spans <- s :: t.spans;
   Mutex.unlock t.lock
 
-let span t ~clock ?cat ?pid ?tid ?args ~name f =
+let span t ~clock ?cat ?tid ?args ~name f =
   let t0 = clock () in
   let finish () =
     let t1 = clock () in
-    add t ?cat ?pid ?tid ?args ~name ~ts_us:(t0 *. 1e6)
+    add t ?cat ?tid ?args ~name ~ts_us:(t0 *. 1e6)
       ~dur_us:((t1 -. t0) *. 1e6) ()
   in
   match f () with
@@ -98,9 +97,9 @@ let to_json t =
       Buffer.add_string b
         (Printf.sprintf
            "  { \"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"ts\": \
-            %.3f, \"dur\": %.3f, \"pid\": %d, \"tid\": %d%s }"
+            %.3f, \"dur\": %.3f, \"pid\": 0, \"tid\": %d%s }"
            (json_escape s.s_name) (json_escape s.s_cat) s.s_ts_us s.s_dur_us
-           s.s_pid s.s_tid args))
+           s.s_tid args))
     spans;
   Buffer.add_string b "\n], \"displayTimeUnit\": \"ms\" }\n";
   Buffer.contents b

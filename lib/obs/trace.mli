@@ -13,14 +13,13 @@ type t
 
 val create : unit -> t
 
-val add : t -> ?cat:string -> ?pid:int -> ?tid:int ->
-  ?args:(string * string) list -> name:string -> ts_us:float ->
-  dur_us:float -> unit -> unit
-(** Record one complete event (timestamps in microseconds). *)
+val add : t -> ?cat:string -> ?tid:int -> ?args:(string * string) list ->
+  name:string -> ts_us:float -> dur_us:float -> unit -> unit
+(** Record one complete event (timestamps in microseconds), in process
+    [pid] 0. *)
 
-val span : t -> clock:(unit -> float) -> ?cat:string -> ?pid:int ->
-  ?tid:int -> ?args:(string * string) list -> name:string ->
-  (unit -> 'a) -> 'a
+val span : t -> clock:(unit -> float) -> ?cat:string -> ?tid:int ->
+  ?args:(string * string) list -> name:string -> (unit -> 'a) -> 'a
 (** Time a thunk and record it; the span is recorded even when the thunk
     raises (the exception is re-raised). *)
 

@@ -716,8 +716,9 @@ let check_rejected ~id ~error j =
   Alcotest.(check bool) (Printf.sprintf "%S in %S" error msg) true
     (contains msg error)
 
-(* parse errors and bad extents are the client's: answered with its id,
-   at once, and the request behind them is served *)
+(* parse errors, bad extents and a request member that is not a string
+   are the client's: answered with its id, at once, and the request
+   behind them is served *)
 let test_cli_serve_bad_einsum_keeps_id () =
   let line id extents =
     Printf.sprintf "{\"id\":%d,\"einsum\":%S,\"extents\":%s}" id gemm_einsum
@@ -733,11 +734,15 @@ let test_cli_serve_bad_einsum_keeps_id () =
         (* B's coefficient of k sums to max_int + 1 *)
         Printf.sprintf "{\"id\":11,\"einsum\":%S,\"extents\":\"m=1,n=1,k=3\"}"
           "C[m,n] += A[m,k] * B[n,4611686018427387903k+1k]";
+        {|{"id":12,"einsum":5,"extents":"m=4"}|};
+        {|{"id":13,"expr":["C"],"extents":"m=4"}|};
+        {|{"id":14,"network":true}|};
         line 2 "\"m=4,n=4,k=4\"" ]
   in
   let wall = Unix.gettimeofday () -. t0 in
+  let gemm = "such as \"C[m,n] += A[m,k] * B[n,k]\"" in
   (match answers with
-   | [ a; b; c; d; e; f; g ] ->
+   | [ a; b; c; d; e; f; h; i; j; g ] ->
      check_rejected ~id:7 ~error:"bad request: iterator k is not declared" a;
      check_rejected ~id:8 ~error:"bad request: extent of k must be positive" b;
      check_rejected ~id:9 ~error:"bad request: extent of k must be positive" c;
@@ -747,9 +752,13 @@ let test_cli_serve_bad_einsum_keeps_id () =
      check_rejected ~id:11
        ~error:"bad request: the coefficient of k in B does not fit in an int"
        f;
+     check_rejected ~id:12 ~error:("\"einsum\" must be a string " ^ gemm) h;
+     check_rejected ~id:13 ~error:("\"expr\" must be a string " ^ gemm) i;
+     check_rejected ~id:14
+       ~error:"\"network\" must be a string such as \"tiny\"" j;
      Alcotest.(check bool) "the request behind them is served" true
        (Json.member "ok" g = Some (Json.Bool true))
-   | l -> Alcotest.failf "expected 7 answers, got %d" (List.length l));
+   | l -> Alcotest.failf "expected 10 answers, got %d" (List.length l));
   Alcotest.(check bool)
     (Printf.sprintf "server answered within 1 s (took %.2f s)" wall)
     true (wall < 1.)
@@ -767,12 +776,16 @@ let test_cli_duplicate_extent_rejected () =
   Alcotest.(check bool) "compile names the duplicate" true
     (contains err "k is declared twice")
 
-(* a malformed --extents binding, extents whose iteration domain
+(* a malformed --extents binding (a value that is not decimal digits,
+   such as a hex literal past max_int), extents whose iteration domain
    overflows an int, or an index that would wrap one, is the exit-2
    error naming the fault, in every command that takes --expr: one
    parser serves them and serve's "extents".  So is a tensor past
    [Dense.max_elements] where a command allocates the tensors. *)
 let test_cli_bad_extent_binding () =
+  (match serve_answers [ (12, gemm_einsum, "m=4,n=4,k=0x9") ] with
+   | [ a ] -> check_rejected ~id:12 ~error:"bad extent binding: k=0x9" a
+   | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l));
   let every =
     [ "perf -d MNK-SST"; "analyze -d MNK-SST"; "generate -d MNK-SST";
       "simulate -d MNK-SST";
@@ -793,6 +806,8 @@ let test_cli_bad_extent_binding () =
             (contains err error))
         cmds)
     [ ("k", "m=4,n=4,k=x", "bad extent binding: k=x", every);
+      ("k", "m=4,n=4,k=0x7FFFFFFFFFFFFFFF",
+       "bad extent binding: k=0x7FFFFFFFFFFFFFFF", every);
       ("k", "m=4,n=4,k=4611686018427387903",
        "the iteration domain (the product of the extents) does not fit",
        every);
@@ -886,6 +901,8 @@ let test_cli_matrix_overflow () =
     go 0
   in
   let wide = "3074457345618258603,0,0;0,1,0;1,1,1" in
+  (* a hex literal past max_int that int_of_string would wrap to -1 *)
+  let hex = "0x7FFFFFFFFFFFFFFF,0,0;0,1,0;1,1,1" in
   let det3 = "2147483648,0,0;0,4294967296,0;0,0,1" in
   let det4 = "2147483648,0,0,0;0,4294967296,0,0;0,0,1,0;0,0,0,1" in
   let flags w sel m =
@@ -922,7 +939,10 @@ let test_cli_matrix_overflow () =
       ("lint", gemm, 1, "L101 error   [stt[0,1,2]] matrix: " ^ det);
       ("analyze", mttkrp, 2, refused "i,j,k,l" det4);
       ("lint", mttkrp, 1, "L101 error   [stt[0,1,2,3]] matrix: " ^ det);
-      ("simulate", mttkrp, 2, refused "i,j,k,l" det4) ];
+      ("simulate", mttkrp, 2, refused "i,j,k,l" det4);
+      ("analyze", flags "gemm-small" "m,n,k" hex, 2,
+       Printf.sprintf "bad entry \"0x7FFFFFFFFFFFFFFF\" in --matrix %s" hex)
+    ];
   (* the footprint is refused only where an array needs it *)
   let rc, out, _ = run_cli ("analyze " ^ gemm_small) in
   Alcotest.(check int) "analyze without --netlist exits 0" 0 rc;
@@ -964,12 +984,31 @@ let test_cli_serve_classifier_bounded () =
   | [ a ] -> check_rejected ~id:4 ~error:overflow a
   | l -> Alcotest.failf "expected 1 answer, got %d" (List.length l)
 
-(* The compile cache changes no answer.  One session repeats each hot k,
-   runs k = 64, 3, 64 (hits after a longer and after a shorter program on
-   the one simulator), sends a Structure_mismatch reject (m = 3) and an
-   Unsupported reject (m = 5) twice each, a GEMM under other tensor names
-   after its namesake, and a malformed line between repeats.  Each answer
-   is the line a fresh server gives that request alone, byte for byte; an
+(* A session that repeats each hot k, runs k = 64, 3, 64 (hits after a
+   longer and after a shorter program on the one simulator), sends a
+   Structure_mismatch reject (m = 3) and an Unsupported reject (m = 5)
+   twice each, a GEMM under other tensor names after its namesake, and a
+   malformed line between repeats. *)
+let cache_session =
+  let gemm e = Some (gemm_einsum, e) in
+  [ gemm "m=4,n=4,k=4"; gemm "m=4,n=4,k=16"; gemm "m=4,n=4,k=40";
+    gemm "m=4,n=4,k=64"; gemm "m=4,n=4,k=4"; gemm "m=4,n=4,k=16"; None;
+    gemm "m=4,n=4,k=40"; gemm "m=4,n=4,k=64"; gemm "m=4,n=4,k=3";
+    gemm "m=4,n=4,k=64"; gemm "m=3,n=4,k=4"; gemm "m=5,n=4,k=4";
+    gemm "m=3,n=4,k=4"; gemm "m=5,n=4,k=4";
+    Some ("Z[m,n] += X[m,k] * Y[n,k]", "m=4,n=4,k=4") ]
+
+let cache_session_lines =
+  List.mapi
+    (fun id -> function
+      | Some (einsum, extents) ->
+        Printf.sprintf "{\"id\": %d, \"einsum\": %S, \"extents\": %S}" id
+          einsum extents
+      | None -> "{\"id\": 99, \"einsum\": ")
+    cache_session
+
+(* The compile cache changes no answer.  Each answer to the session is
+   the line a fresh server gives that request alone, byte for byte; an
    accepted line re-renders to itself, which pins the spliced program
    member; and the stats line counts exactly the repeated statements as
    hits. *)
@@ -988,24 +1027,7 @@ let test_cli_serve_compile_cache () =
        (function Compile.Structure_mismatch -> true | _ -> false));
       (5, "Unsupported_design",
        (function Compile.Unsupported_design _ -> true | _ -> false)) ];
-  let gemm e = Some (gemm_einsum, e) in
-  let session =
-    [ gemm "m=4,n=4,k=4"; gemm "m=4,n=4,k=16"; gemm "m=4,n=4,k=40";
-      gemm "m=4,n=4,k=64"; gemm "m=4,n=4,k=4"; gemm "m=4,n=4,k=16"; None;
-      gemm "m=4,n=4,k=40"; gemm "m=4,n=4,k=64"; gemm "m=4,n=4,k=3";
-      gemm "m=4,n=4,k=64"; gemm "m=3,n=4,k=4"; gemm "m=5,n=4,k=4";
-      gemm "m=3,n=4,k=4"; gemm "m=5,n=4,k=4";
-      Some ("Z[m,n] += X[m,k] * Y[n,k]", "m=4,n=4,k=4") ]
-  in
-  let lines =
-    List.mapi
-      (fun id -> function
-        | Some (einsum, extents) ->
-          Printf.sprintf "{\"id\": %d, \"einsum\": %S, \"extents\": %S}" id
-            einsum extents
-        | None -> "{\"id\": 99, \"einsum\": ")
-      session
-  in
+  let lines = cache_session_lines in
   let answers, err = serve_raw lines in
   Alcotest.(check int) "one answer per line" (List.length lines)
     (List.length answers);
@@ -1020,12 +1042,75 @@ let test_cli_serve_compile_cache () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "unparsable answer %S: %s" answer e)
     lines answers;
-  let einsums = List.filter_map Fun.id session in
+  let einsums = List.filter_map Fun.id cache_session in
   let distinct = List.length (List.sort_uniq compare einsums) in
   Alcotest.(check bool) "stats line counts the repeats as hits" true
     (contains err
        (Printf.sprintf "(5 errors; compile cache %d hits, %d misses)"
           (List.length einsums - distinct) distinct))
+
+(* [Serve.handle] answers in-process what the serve process answers: the
+   compile-cache session, then a "network" and an "expr" sweep (at most
+   20 points per shape) over a temporary store, through one server and
+   through a fresh server per line over one store, each byte for byte
+   the process's output. *)
+let test_serve_handle_matches_cli () =
+  let lines =
+    cache_session_lines
+    @ [ {|{"id": 100, "network": "tiny"}|};
+        Printf.sprintf "{\"id\": 101, \"expr\": %S, \"extents\": %S}"
+          gemm_einsum "m=8,n=8,k=8" ]
+  in
+  let temp_store () =
+    let dir = Filename.temp_file "tlstore" "" in
+    Sys.remove dir;
+    dir
+  in
+  let remove dir = ignore (Sys.command ("rm -rf " ^ Filename.quote dir)) in
+  let read path =
+    let ic = open_in_bin path in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    Sys.remove path;
+    text
+  in
+  let requests = Filename.temp_file "tlreq" ".jsonl" in
+  let oc = open_out requests in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  let dir = temp_store () in
+  let rc, expected, _ =
+    run_cli ~stdin:requests
+      ("serve --accel-workload gemm-small --headroom 16 --limit 20 --store "
+     ^ Filename.quote dir)
+  in
+  Sys.remove requests;
+  remove dir;
+  Alcotest.(check int) "serve exits 0" 0 rc;
+  let target, _ =
+    Compile.target ~rows:4 ~cols:4 ~data_width:16 ~acc_width:32 ~headroom:16
+      (Search.find_design_exn (Workloads.gemm ~m:4 ~n:4 ~k:4) "MNK-SST")
+  in
+  let in_process ~fresh =
+    let dir = temp_store () in
+    let store = Store.open_store ~root:dir () in
+    let server () = Serve.create ~limit:20 ~target store in
+    let one = server () in
+    let path = Filename.temp_file "tlserve" ".out" in
+    let oc = open_out_bin path in
+    List.iter
+      (fun line ->
+        let a = Serve.handle (if fresh then server () else one) line in
+        a.Serve.write oc;
+        output_char oc '\n')
+      lines;
+    close_out oc;
+    remove dir;
+    read path
+  in
+  Alcotest.(check string) "one server" expected (in_process ~fresh:false);
+  Alcotest.(check string) "a fresh server per line" expected
+    (in_process ~fresh:true)
 
 let suite =
   [ Alcotest.test_case "programmable = ROM as generated" `Quick
@@ -1081,4 +1166,6 @@ let suite =
     Alcotest.test_case "cli serve classifier bounded" `Quick
       test_cli_serve_classifier_bounded;
     Alcotest.test_case "cli serve compile cache = fresh server" `Quick
-      test_cli_serve_compile_cache ]
+      test_cli_serve_compile_cache;
+    Alcotest.test_case "serve handle = cli process" `Quick
+      test_serve_handle_matches_cli ]

@@ -241,8 +241,9 @@ let test_verilog_emission () =
 (* The whole emitted text of a circuit with every node constructor, all
    twelve binops, both select forms, the four register forms, 1-bit and
    wide declarations, a 19-digit constant, a rom and a written ram.  A
-   62-bit value is not masked, so a negative one keeps its sign
-   ([62'd-1]). *)
+   negative 62-bit constant, register init or clear value, or rom image
+   entry is emitted as its low 62 bits: -1 as all ones, [min_int] as 0,
+   never as a [62'd-1] that no Verilog parser accepts. *)
 let test_verilog_exact_text () =
   let a = input "a" 8 and b = input "b" 8 in
   let en = input "en" 1 and clr = input "clr" 1 and we = input "we" 1 in
@@ -264,6 +265,8 @@ let test_verilog_exact_text () =
   let lut = rom ~name:"lut" ~width:8 [| 10; 109; 255 |] in
   let mem = ram ~name:"mem" ~size:4 ~width:8 ~init:[| 0; 1; 2; 3 |] () in
   ram_write mem ~we ~addr:(select a ~hi:1 ~lo:0) ~data:gated;
+  let wide = reg ~clear:clr ~clear_to:min_int ~init:(-1) ones -- "wide" in
+  let image = rom ~name:"image" ~width:62 [| -1; min_int |] in
   let c =
     Circuit.create ~name:"exact"
       ~outputs:
@@ -271,7 +274,8 @@ let test_verilog_exact_text () =
           ("picked", picked); ("ones", ones);
           ("minus_one", minus_one); ("lowest", lowest);
           ("lut_q", ram_read lut (select b ~hi:1 ~lo:0));
-          ("mem_q", ram_read mem (select b ~hi:1 ~lo:0)) ]
+          ("mem_q", ram_read mem (select b ~hi:1 ~lo:0));
+          ("wide_q", wide); ("image_q", ram_read image (bit b 0)) ]
   in
   Alcotest.(check string) "emitted text"
     {|module exact(
@@ -289,7 +293,9 @@ let test_verilog_exact_text () =
   output [61:0] minus_one,
   output [61:0] lowest,
   output [7:0] lut_q,
-  output [7:0] mem_q
+  output [7:0] mem_q,
+  output [61:0] wide_q,
+  output [61:0] image_q
 );
 
   reg [7:0] lut [0:2];
@@ -304,6 +310,11 @@ let test_verilog_exact_text () =
     mem[1] = 8'd1;
     mem[2] = 8'd2;
     mem[3] = 8'd3;
+  end
+  reg [61:0] image [0:1];
+  initial begin
+    image[0] = 62'd4611686018427387903;
+    image[1] = 62'd0;
   end
   wire [7:0] s0 = ~a;
   wire [7:0] s1 = a + b;
@@ -339,20 +350,24 @@ let test_verilog_exact_text () =
   wire [3:0] s30 = {4{en}};
   wire [3:0] s31 = s28 ? s29 : s30;
   wire [61:0] ones_1 = 62'd4611686018427387903;
-  wire [61:0] minus_one_1 = 62'd-1;
-  wire [61:0] lowest_1 = 62'd-4611686018427387904;
+  wire [61:0] minus_one_1 = 62'd4611686018427387903;
+  wire [61:0] lowest_1 = 62'd0;
   wire [1:0] s32 = b[1:0];
   wire [7:0] s33 = lut[s32];
   wire [1:0] s34 = b[1:0];
   wire [1:0] s35 = a[1:0];
   reg [7:0] s36 = 8'd0;
   wire [7:0] s37 = mem[s34];
+  reg [61:0] wide = 62'd4611686018427387903;
+  wire s38 = b[0];
+  wire [61:0] s39 = image[s38];
 
   always @(posedge clock) begin
     s19 <= s18;
     if (clr) acc <= 8'd3; else if (en) acc <= s21;
     if (clr) s22 <= 8'd5; else s22 <= a;
     if (en) s36 <= b;
+    if (clr) wide <= 62'd0; else wide <= ones_1;
     if (we) mem[s35] <= s36;
   end
 
@@ -365,6 +380,8 @@ let test_verilog_exact_text () =
   assign lowest = lowest_1;
   assign lut_q = s33;
   assign mem_q = s37;
+  assign wide_q = wide;
+  assign image_q = s39;
 endmodule
 |}
     (Netlist_text.normalize (Verilog.to_string c))
