@@ -694,15 +694,12 @@ let () =
     let d = Design.analyze (random_transform rng stmt) in
     let rows = 2 + Random.State.int rng 8 in
     let cols = 2 + Random.State.int rng 8 in
-    (match Schedule.frame d ~rows ~cols with
+    (match Schedule.v d ~rows ~cols with
      | exception Schedule.Unsupported _ -> ()
-     | fr ->
+     | sched ->
        incr stats_checked;
-       let fast = outcome (fun () -> Perf.tile_statistics d fr) in
-       let reference =
-         outcome (fun () ->
-             Oracle.tile_statistics d (Schedule.build d ~rows ~cols))
-       in
+       let fast = outcome (fun () -> Perf.tile_statistics sched) in
+       let reference = outcome (fun () -> Oracle.tile_statistics sched) in
        if fast <> reference then disagree i "tile stats" ~rows ~cols d);
     if i mod 10 = 0 then begin
       incr evals_checked;

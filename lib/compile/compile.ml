@@ -81,7 +81,7 @@ let capacity = function
 (* [Layout.build] costs time in proportion to the schedule's events
    (passes times the selected box), which a request's extents can make
    arbitrarily many.  The schedule length and pass count come from the
-   schedule's frame and the input sizes from the access shapes, all
+   schedule's geometry and the input sizes from the access shapes, all
    without events and equal to what [Layout.build] records, so rejecting
    here only moves a rejection [Layout.overflow] would make anyway. *)
 let precheck (env : Layout.envelope) (request : Tl_stt.Design.t) ~rows ~cols =

@@ -46,7 +46,10 @@ let tokenize src =
        while !i < n && src.[!i] >= '0' && src.[!i] <= '9' do
          incr i
        done;
-       tokens := Int (int_of_string (String.sub src start (!i - start))) :: !tokens
+       let digits = String.sub src start (!i - start) in
+       (match int_of_string_opt digits with
+        | Some c -> tokens := Int c :: !tokens
+        | None -> fail "the coefficient %s does not fit in an int" digits)
      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
        let start = !i in
        let is_ident c =

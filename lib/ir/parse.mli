@@ -19,8 +19,9 @@ val stmt : ?name:string -> string -> extents:(string * int) list -> Stmt.t
 (** @raise Parse_error on malformed input (with a description), including
     iterators used in the formula but missing from [extents], and
     [extents] that bind an iterator twice, to a non-positive extent or
-    to an empty name, and a coefficient or a tensor extent
-    ({!Access.shape}) that does not fit in an int. *)
+    to an empty name, and a coefficient (its digits, or the sum of an
+    iterator's terms in one index) or a tensor extent ({!Access.shape})
+    that does not fit in an int. *)
 
 (** {2 Names and numbers at the input boundary} *)
 

@@ -2,12 +2,13 @@ open Tl_stt
 
 let tensor_name (ti : Design.tensor_info) = ti.Design.access.Tl_ir.Access.tensor
 
-(* Footprint bounding box over the selected domain, as [Schedule.build]
+(* Footprint bounding box over the selected domain, as [Schedule.v]
    sizes it: the first space row indexes array rows, the second (when
    present) array columns. *)
 let footprint_dims transform =
+  let ext = Transform.selected_extents transform in
   Array.init (Transform.space_dims transform) (fun i ->
-      let lo, hi = Transform.row_bounds transform i in
+      let lo, hi = Transform.row_bounds transform ext i in
       hi - lo + 1)
 
 let check_design ?(rows = 16) ?(cols = 16) ?(suppress = []) design =

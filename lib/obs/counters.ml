@@ -1,7 +1,7 @@
 (* Measured-vs-modeled cross-check: read the hardware performance
    counters of an instrumented accelerator after a full run and compare
    them, count for count, against Perf_model's closed-form schedule
-   statistics.  The two sides share nothing below the Schedule frame —
+   statistics.  The two sides share nothing below the schedule geometry —
    the hardware counts real valid strobes, write enables and feeder
    fetches; the model counts events analytically — so equality is a
    genuine validation of both. *)
@@ -21,9 +21,9 @@ let iround f = int_of_float (Float.round f)
 let expected (acc : Accel.t) =
   let design = acc.Accel.design in
   let rows = acc.Accel.rows and cols = acc.Accel.cols in
-  let fr = Schedule.frame design ~rows ~cols in
-  let stats = Tl_perf.Perf_model.tile_statistics design fr in
-  let passes = fr.Schedule.f_passes in
+  let sched = acc.Accel.schedule in
+  let stats = Tl_perf.Perf_model.tile_statistics sched in
+  let passes = sched.Schedule.passes in
   let per_tensor name =
     match List.assoc_opt name stats.Tl_perf.Perf_model.per_tensor with
     | Some words -> iround (words *. float_of_int passes)

@@ -5,14 +5,14 @@
     compares them against {!Tl_perf.Perf_model}'s closed-form schedule
     statistics.  The hardware side counts real valid strobes, write
     enables and feeder fetches; the model side counts events
-    analytically from the schedule frame — equality validates both. *)
+    analytically from the schedule geometry — equality validates both. *)
 
 type expected = {
   e_cycles : int;
       (** model-side total cycles: the controller's schedule length,
           {!Tl_templates.Layout.schedule_size} *)
   e_active_pe_cycles : int;
-      (** [f_passes x active_pe_cycles] from the model's statistics *)
+      (** [passes x active_pe_cycles] from the model's statistics *)
   e_reads : (string * int) list;
       (** useful reads per input memory: [per_tensor x passes] *)
   e_writes_total : int;

@@ -24,14 +24,13 @@ let measure (acc : Accel.t) =
   (* MAC activity from the schedule: events per PE-cycle over the whole
      array and run — the same quantity the hardware's active-PE-cycle
      counter accumulates, normalised by capacity *)
-  let fr =
-    Schedule.frame acc.Accel.design ~rows:acc.Accel.rows ~cols:acc.Accel.cols
-  in
   let capacity = acc.Accel.rows * acc.Accel.cols * acc.Accel.total_cycles in
   let alpha =
     { Tl_cost.Asic.alpha_compute =
         (if capacity = 0 then 0.
-         else float_of_int fr.Schedule.f_event_count /. float_of_int capacity);
+         else
+           float_of_int acc.Accel.schedule.Schedule.event_count
+           /. float_of_int capacity);
       alpha_reg = Activity.alpha_reg rep;
       alpha_mem = Activity.alpha_mem rep }
   in

@@ -36,25 +36,6 @@ type result = {
 }
 
 (* ---------------------------------------------------------------- *)
-(* Tile statement: selected loops shrunk to the tile, unselected = 1 *)
-
-let tile_stmt stmt selected tile =
-  let iters =
-    List.mapi
-      (fun i (it : Tl_ir.Iter.t) ->
-        let ext =
-          match Array.to_list selected |> List.mapi (fun k s -> (k, s))
-                |> List.find_opt (fun (_, s) -> s = i)
-          with
-          | Some (k, _) -> tile.(k)
-          | None -> 1
-        in
-        Tl_ir.Iter.v it.Tl_ir.Iter.name ext)
-      stmt.Tl_ir.Stmt.iters
-  in
-  Tl_ir.Stmt.v stmt.Tl_ir.Stmt.name ~iters ~output:stmt.Tl_ir.Stmt.output
-    ~inputs:stmt.Tl_ir.Stmt.inputs
-
 (* bounding-box feasibility and analytic span from the (integer) matrix
    rows; monotone nondecreasing in every tile dimension *)
 let row_extent imatrix row tile =
@@ -122,14 +103,15 @@ type tile_stats = {
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let tile_statistics (design : Tl_stt.Design.t) (fr : Schedule.frame) =
+let tile_statistics (sched : Schedule.t) =
   let module S = Schedule in
   let module D = Tl_stt.Dataflow in
-  let rows = fr.S.f_rows and cols = fr.S.f_cols in
-  let span = fr.S.f_span in
-  let t_min = fr.S.f_t_min in
+  let design = sched.S.design in
+  let rows = sched.S.rows and cols = sched.S.cols in
+  let span = sched.S.span in
+  let t_min = sched.S.t_min in
   let transform = design.Tl_stt.Design.transform in
-  let ext = Tl_stt.Transform.selected_extents transform in
+  let ext = sched.S.extents in
   let n = Array.length ext in
   let im = transform.Tl_stt.Transform.imatrix in
   let row_t = im.(n - 1) in
@@ -268,7 +250,7 @@ let tile_statistics (design : Tl_stt.Design.t) (fr : Schedule.frame) =
     let row_r = im.(0) and row_c = im.(1) in
     let seen = Array.make (rows * cols) false and count = ref 0 in
     iter_heads kernel (fun _ ->
-        let r = ref fr.S.f_offset.(0) and c = ref fr.S.f_offset.(1) in
+        let r = ref sched.S.offset.(0) and c = ref sched.S.offset.(1) in
         for d = 0 to n - 1 do
           r := !r + (row_r.(d) * xs.(d));
           c := !c + (row_c.(d) * xs.(d))
@@ -327,7 +309,7 @@ let tile_statistics (design : Tl_stt.Design.t) (fr : Schedule.frame) =
   { t_span = span;
     active_pes;
     active_pe_cycles = volume ext;
-    busiest_pe = fr.S.f_passes * !longest;
+    busiest_pe = sched.S.passes * !longest;
     demand;
     per_tensor = List.rev !per_tensor }
 
@@ -515,26 +497,23 @@ let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
   in
   let evaluate_tile (tile, sel_passes) =
     Atomic.incr c_tiles_evaluated;
-    (* the design's transform over the tile: only the extents differ.
-       Classification reads no extents, so the tile keeps the design's
-       dataflows *)
-    let td =
-      { design with
-        Tl_stt.Design.transform =
-          Tl_stt.Transform.with_stmt transform (tile_stmt stmt selected tile) }
-    in
+    (* one pass of the design's STT over the tile's box.  Classification
+       reads no extents, so the tile keeps the design's dataflows *)
     let stats =
-      tile_statistics td (Schedule.frame td ~rows:config.rows ~cols:config.cols)
+      tile_statistics
+        (Schedule.tile design ~rows:config.rows ~cols:config.cols tile)
     in
-    let eff_span =
+    let effective_span =
       Array.fold_left
         (fun acc d -> acc +. Stdlib.max 1. (d /. capacity))
         0. stats.demand
     in
     let total_passes = sel_passes * unsel_product in
     let tail = config.rows in
-    let cycles = (float_of_int total_passes *. eff_span) +. float_of_int tail in
-    (tile, sel_passes, total_passes, stats, eff_span, cycles)
+    let cycles =
+      (float_of_int total_passes *. effective_span) +. float_of_int tail
+    in
+    (tile, sel_passes, total_passes, stats, effective_span, cycles)
   in
   let results = List.map evaluate_tile top in
   let best =
@@ -547,14 +526,16 @@ let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
           if c' < c then Some r else acc)
       None results
   in
-  let tile, sel_passes, total_passes, stats, eff_span, cycles =
+  let tile, sel_passes, total_passes, stats, effective_span, cycles =
     match best with Some r -> r | None -> assert false
   in
   (* steady-state throughput when consecutive passes pipeline through the
      array: the per-pass skew is paid once, each pass then costs the
      busiest PE's occupancy (plus any bandwidth stall) *)
   let busy = float_of_int stats.busiest_pe in
-  let busy_eff = busy +. Stdlib.max 0. (eff_span -. float_of_int stats.t_span) in
+  let busy_eff =
+    busy +. Stdlib.max 0. (effective_span -. float_of_int stats.t_span)
+  in
   let pipelined_cycles =
     (float_of_int total_passes *. busy_eff)
     +. (float_of_int stats.t_span -. busy)
@@ -567,7 +548,7 @@ let evaluate ?(config = default_config) (design : Tl_stt.Design.t) =
     /. (array_size *. float_of_int stats.t_span)
   in
   let normalized_perf = float_of_int macs /. (array_size *. cycles) in
-  let bw_stall_factor = eff_span /. float_of_int stats.t_span in
+  let bw_stall_factor = effective_span /. float_of_int stats.t_span in
   let words_per_cycle =
     Array.fold_left ( +. ) 0. stats.demand /. float_of_int stats.t_span
   in

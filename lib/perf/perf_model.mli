@@ -65,11 +65,12 @@ type tile_stats = {
 }
 (** Exact per-tile schedule statistics. *)
 
-val tile_statistics :
-  Tl_stt.Design.t -> Tl_templates.Schedule.frame -> tile_stats
-(** The statistics of one tile, in closed form: counts over the selected
-    box [0, e) binned by window cycle [τ·x - t_min], with no event of the
-    schedule visited.
+val tile_statistics : Tl_templates.Schedule.t -> tile_stats
+(** The statistics of one pass of a schedule geometry (a design's own box
+    from {!Tl_templates.Schedule.v}, or a tile's from
+    {!Tl_templates.Schedule.tile}), in closed form: counts over the
+    selected box [0, e) binned by window cycle [τ·x - t_min], with no
+    event of the schedule visited.
     - Occupancy per cycle is a convolution of one comb per selected loop
       (step [|τ_d|], [e_d] teeth), O(span · n).
     - A systolic tensor with step [(dp, dt)] fetches at [x] iff [x - u]

@@ -138,11 +138,6 @@ let by_names stmt names ~matrix =
   in
   v stmt ~selected ~matrix
 
-let with_stmt t stmt =
-  if Tl_ir.Stmt.depth stmt <> Tl_ir.Stmt.depth t.stmt then
-    invalid_arg "Transform.with_stmt: a loop nest of another depth";
-  { t with stmt }
-
 let space_dims t = Array.length t.imatrix - 1
 
 let selected_iters t =
@@ -181,12 +176,11 @@ let adjugate t =
   in
   (adj, t.det)
 
-(* Each row of [T] is linear, so its extrema over the box domain are
-   attained coordinate-wise: column [j] contributes the min/max of
+(* Each row of [T] is linear, so its extrema over the box are attained
+   coordinate-wise: column [j] contributes the min/max of
    {0, c_j * (ext_j - 1)}.  [lo <= 0 <= hi], and the span [hi - lo + 1]
    must fit too. *)
-let row_bounds t i =
-  let ext = selected_extents t in
+let row_bounds t ext i =
   let lo = ref 0 and hi = ref 0 in
   try
     Array.iteri

@@ -52,12 +52,6 @@ val by_names : Tl_ir.Stmt.t -> string list -> matrix:int list list -> t
 (** Select iterators by name, e.g. [by_names stmt ["k"; "c"; "x"] ...].
     @raise Not_found on an unknown iterator. *)
 
-val with_stmt : t -> Tl_ir.Stmt.t -> t
-(** [with_stmt t stmt] is [t] over [stmt], a statement with [t.stmt]'s
-    loop nest up to its extents (a tile of it): the same selection,
-    matrix and determinant, with nothing decided again.
-    @raise Invalid_argument if the nests differ in depth. *)
-
 val det : int array array -> int
 (** The determinant of a square integer matrix: closed forms for 2×2 and
     3×3, fraction-free elimination above.  Exact wherever it answers.
@@ -82,11 +76,12 @@ val adjugate : t -> int array array * int
     @raise Overflow when an entry of [adj T] does not fit.
     @raise Invalid_argument unless [n] is 2 or 3. *)
 
-val row_bounds : t -> int -> int * int
-(** [row_bounds t i] is the minimum and maximum of row [i] of [T] over
-    the full selected iteration domain (inclusive), in closed form.  The
-    space rows give the PE footprint; the last row, the schedule, gives
-    the per-tile latency span used by the performance model.
+val row_bounds : t -> int array -> int -> int * int
+(** [row_bounds t ext i] is the minimum and maximum of row [i] of [T]
+    over the selected box [\[0, ext)] (inclusive), in closed form: over
+    {!selected_extents} for the whole domain, over a tile's extents for
+    one tile.  The space rows give the PE footprint; the last row, the
+    schedule, gives the latency span of one pass.
     @raise Overflow when the span [max - min + 1] passes [max_int]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -747,15 +747,15 @@ let load_env t sim env =
         Sim.load_ram_prefix sim ram (env_image t name ram dense))
     t.input_rams
 
-let execute_with ?backend ?max_cycles t env =
-  let sim = Sim.create ?backend t.circuit in
+let execute_with t env =
+  let sim = Sim.create t.circuit in
   load_env t sim env;
-  run_sim ?max_cycles t sim
+  run_sim t sim
 
 (* One bit-sliced pass over up to [Sim.max_lanes] independent input
    environments: results arrive in input order, each bit-identical to a
    scalar [execute_with] on that environment. *)
-let execute_batch ?max_cycles t envs =
+let execute_batch t envs =
   let n = List.length envs in
   if n < 1 then invalid_arg "Accel.execute_batch: no environments";
   if n > Sim.max_lanes then
@@ -764,7 +764,7 @@ let execute_batch ?max_cycles t envs =
          Sim.max_lanes);
   let sim = Sim.create ~backend:`Batch ~lanes:n t.circuit in
   List.iteri (fun lane env -> load_env_lane t sim lane env) envs;
-  Sim.cycles sim (bounded_cycles ?max_cycles t);
+  Sim.cycles sim (planned_cycles t);
   check_done t sim;
   List.mapi (fun lane _ -> read_output_lane t sim lane) envs
 
@@ -903,20 +903,10 @@ let read_program_output t sim (p : Layout.program) =
     p.Layout.p_out;
   out
 
-let execute_program ?backend ?max_cycles ?sim t (p : Layout.program) env =
-  let sim =
-    match sim with Some s -> s | None -> Sim.create ?backend t.circuit
-  in
+let execute_program ?sim t (p : Layout.program) env =
+  let sim = match sim with Some s -> s | None -> Sim.create t.circuit in
   load_program t sim p env;
-  let planned = p.Layout.p_total + 1 in
-  let n =
-    match max_cycles with
-    | None -> planned
-    | Some m ->
-      if m < 1 then invalid_arg "Accel: max_cycles must be >= 1";
-      min m planned
-  in
-  Sim.cycles sim n;
+  Sim.cycles sim (p.Layout.p_total + 1);
   check_done t sim;
   read_program_output t sim p
 

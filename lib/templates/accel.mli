@@ -41,10 +41,10 @@ exception Bad_program of string
     array. *)
 
 exception Simulation_timeout of { design : string; cycles : int }
-(** Raised by {!execute} / {!execute_with} when, after the bounded run,
-    the controller's [done] flag is not asserted — either the caller's
-    [max_cycles] cut the schedule short, or (under fault injection) a
-    corrupted controller failed to reach its terminal count.  The
+(** Raised by the [execute] functions when, after the bounded run, the
+    controller's [done] flag is not asserted — either the caller's
+    [max_cycles] cut the schedule short ({!execute}), or (under fault
+    injection) a corrupted controller failed to reach its terminal count.  The
     simulation itself is always bounded, so a wedged controller is
     reported as a clean timeout instead of garbage output. *)
 
@@ -64,7 +64,7 @@ type t = {
   cols : int;
   data_width : int;
   acc_width : int;
-  schedule : Schedule.t;
+  schedule : Schedule.t;  (** the schedule's geometry *)
   circuit : Tl_hw.Circuit.t;
   total_cycles : int;
   out_locs : (int list, Tl_hw.Signal.ram * int) Hashtbl.t;
@@ -141,21 +141,20 @@ val execute : ?backend:Tl_hw.Sim.backend -> ?max_cycles:int -> t ->
     @raise Simulation_timeout as above,
     @raise Invalid_argument if [max_cycles < 1]. *)
 
-val execute_with : ?backend:Tl_hw.Sim.backend -> ?max_cycles:int -> t ->
-  Tl_ir.Exec.env -> Tl_ir.Dense.t
+val execute_with : t -> Tl_ir.Exec.env -> Tl_ir.Dense.t
 (** Re-run the {i same} generated accelerator on different input data by
-    rewriting the input data memories (no re-elaboration).
+    rewriting the input data memories (no re-elaboration), for
+    {!planned_cycles} on the default backend.
     @raise Invalid_argument on a missing tensor or shape mismatch.
     @raise Simulation_timeout (see {!execute}). *)
 
-val execute_batch : ?max_cycles:int -> t -> Tl_ir.Exec.env list ->
-  Tl_ir.Dense.t list
+val execute_batch : t -> Tl_ir.Exec.env list -> Tl_ir.Dense.t list
 (** Run up to [Tl_hw.Sim.max_lanes] independent input environments
     through {e one} bit-sliced simulation pass ([`Batch] backend, one
     lane per environment).  Results arrive in input order, each
     bit-identical to a scalar [execute_with] on that environment.
-    [max_cycles] behaves as in {!execute}, checked {e per lane}: any
-    lane that has not asserted [done] raises {!Simulation_timeout}.
+    [done] is checked {e per lane}: any lane that has not asserted it
+    raises {!Simulation_timeout}.
     @raise Invalid_argument on an empty list, more than
     [Tl_hw.Sim.max_lanes] environments, a missing tensor or a shape
     mismatch. *)
@@ -199,12 +198,11 @@ val load_program : t -> Tl_hw.Sim.t -> Layout.program -> Tl_ir.Exec.env ->
     @raise Invalid_argument on a missing tensor or shape mismatch in
     [env] (mirroring {!load_env}). *)
 
-val execute_program : ?backend:Tl_hw.Sim.backend -> ?max_cycles:int ->
-  ?sim:Tl_hw.Sim.t -> t -> Layout.program -> Tl_ir.Exec.env -> Tl_ir.Dense.t
-(** {!load_program} into [sim] (default: a fresh simulator on [backend]),
-    run the program's [p_total + 1] cycles (capped by [max_cycles] as in
-    {!execute}), check [done], and reassemble the output tensor via the
-    program's own bank map.  Pass [sim] to amortise one compiled
+val execute_program : ?sim:Tl_hw.Sim.t -> t -> Layout.program ->
+  Tl_ir.Exec.env -> Tl_ir.Dense.t
+(** {!load_program} into [sim] (default: a fresh simulator on the default
+    backend), run the program's [p_total + 1] cycles, check [done], and
+    reassemble the output tensor via the program's own bank map.  Pass [sim] to amortise one compiled
     simulator across many programs — the serving fast path.
     @raise Bad_program, @raise Simulation_timeout, @raise Invalid_argument
     as {!load_program} / {!execute}. *)

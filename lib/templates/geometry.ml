@@ -1,7 +1,6 @@
 type pos = int * int
 
 let in_grid ~rows ~cols (r, c) = r >= 0 && r < rows && c >= 0 && c < cols
-let step (r, c) d = (r + d.(0), c + d.(1))
 let back (r, c) d = (r - d.(0), c - d.(1))
 
 let line_rep ~rows ~cols ~dir p =
@@ -12,10 +11,3 @@ let line_rep ~rows ~cols ~dir p =
     if in_grid ~rows ~cols prev then walk prev else p
   in
   walk p
-
-let line_members ~rows ~cols ~dir p =
-  let rec forward p acc =
-    if in_grid ~rows ~cols p then forward (step p dir) (p :: acc)
-    else List.rev acc
-  in
-  forward (line_rep ~rows ~cols ~dir p) []

@@ -15,7 +15,3 @@ val line_rep : rows:int -> cols:int -> dir:int array -> pos -> pos
 (** Canonical representative of the line through [p] along [dir]: the
     position reached by walking backwards while staying inside the grid.
     @raise Invalid_argument if [dir] is the zero vector. *)
-
-val line_members : rows:int -> cols:int -> dir:int array -> pos -> pos list
-(** All grid positions on the line through [p], ordered from the
-    representative forward. *)

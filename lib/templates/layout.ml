@@ -13,7 +13,7 @@
    Hashtbl's iteration order, the table's initial size and insertion
    sequence are part of that order. *)
 
-exception Unsupported of string
+exception Unsupported = Schedule.Unsupported
 
 type domain = Cycle | Pass
 
@@ -123,21 +123,18 @@ let max_dt (design : Tl_stt.Design.t) =
 
 let total_of ~compute_end ~rows design = compute_end + rows + max_dt design + 4
 
-(* The total is [f_preload + passes * span + rows + max_dt + 4].  The
+(* The total is [preload + passes * span + rows + max_dt + 4].  The
    domain fitting an int does not make it fit: with m = n = 1 and k near
    [max_int] the sum wraps negative, and a negative need passes every
-   capacity check.  [Schedule.frame] refuses a span past [max_int], so
+   capacity check.  [Schedule.v] refuses a span past [max_int], so
    [span >= 1] here. *)
 let schedule_size design ~rows ~cols =
-  let fr =
-    try Schedule.frame design ~rows ~cols
-    with Schedule.Unsupported msg -> raise (Unsupported msg)
-  in
-  let passes = fr.Schedule.f_passes and span = fr.Schedule.f_span in
-  let fixed = fr.Schedule.f_preload + rows + max_dt design + 4 in
+  let sched = Schedule.v design ~rows ~cols in
+  let passes = sched.Schedule.passes and span = sched.Schedule.span in
+  let fixed = sched.Schedule.preload + rows + max_dt design + 4 in
   if span > (max_int - fixed) / passes then
     raise (Unsupported "Layout: the schedule length does not fit in an int");
-  (total_of ~compute_end:fr.Schedule.f_compute_end ~rows design, passes)
+  (total_of ~compute_end:sched.Schedule.compute_end ~rows design, passes)
 
 (* last cycle of pass [p] *)
 let tick_cycle (sched : Schedule.t) p =
@@ -151,10 +148,10 @@ let grid_iter rows cols f =
   done
 
 (* PEs with at least one event, row-major *)
-let active_pes (sched : Schedule.t) =
+let active_pes (sched : Schedule.t) by_pe =
   let acc = ref [] in
-  grid_iter sched.Schedule.rows sched.Schedule.cols (fun p ->
-      if Schedule.pe_active sched p then acc := p :: !acc);
+  grid_iter sched.Schedule.rows sched.Schedule.cols (fun (r, c) ->
+      if by_pe.(r).(c) <> [] then acc := (r, c) :: !acc);
   List.rev !acc
 
 (* ------------------------------------------------------------------ *)
@@ -162,6 +159,7 @@ let active_pes (sched : Schedule.t) =
 
 type ctx = {
   sched : Schedule.t;
+  by_pe : Schedule.event list array array;  (* [Schedule.by_pe sched] *)
   total : int;
   pes : pos list;  (* active PEs, row-major *)
   rename : string -> string;  (* request tensor name → target tensor name *)
@@ -188,7 +186,7 @@ let add_mem ctx ~domain name image =
   ctx.mems <- m :: ctx.mems;
   m
 
-let events_of ctx (r, c) = ctx.sched.Schedule.by_pe.(r).(c)
+let events_of ctx (r, c) = ctx.by_pe.(r).(c)
 
 let shape_of ctx tensor =
   try List.assoc tensor ctx.shapes
@@ -677,10 +675,8 @@ let build_output ctx (ti : Tl_stt.Design.tensor_info) =
 (* ------------------------------------------------------------------ *)
 
 let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
-  let sched =
-    try Schedule.build design ~rows ~cols
-    with Schedule.Unsupported msg -> raise (Unsupported msg)
-  in
+  let sched = Schedule.v design ~rows ~cols in
+  let by_pe = Schedule.by_pe sched in
   let total = total_of ~compute_end:sched.Schedule.compute_end ~rows design in
   let stmt = design.Tl_stt.Design.transform.Tl_stt.Transform.stmt in
   let shapes =
@@ -691,7 +687,7 @@ let build ?(rename = Fun.id) (design : Tl_stt.Design.t) ~rows ~cols =
       (Tl_ir.Stmt.tensors stmt)
   in
   let ctx =
-    { sched; total; pes = active_pes sched; rename; shapes;
+    { sched; by_pe; total; pes = active_pes sched by_pe; rename; shapes;
       iters = stmt.Tl_ir.Stmt.iters; mems = [];
       inputs = []; seen_inputs = Hashtbl.create 8;
       out_locs = Hashtbl.create 64; banks = []; tally_reads = Hashtbl.create 4;

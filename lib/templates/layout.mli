@@ -17,8 +17,10 @@
     netlist generated from the other. *)
 
 exception Unsupported of string
-(** The design has no netlist: missing template, footprint overflow,
-    drain-chain/span conflict, collector overflow or write conflict. *)
+(** Bound to {!Schedule.Unsupported}: one exception under two names, so a
+    handler for either catches both.  The design has no netlist: missing
+    template, footprint overflow, drain-chain/span conflict, collector
+    overflow or write conflict. *)
 
 type domain = Cycle | Pass
 (** Index domain of a schedule table: cycle-indexed tables have natural
@@ -95,7 +97,7 @@ type t = {
   l_design : Tl_stt.Design.t;
   l_rows : int;
   l_cols : int;
-  l_sched : Schedule.t;
+  l_sched : Schedule.t;  (** the geometry; [build] materialises the events *)
   l_total : int;   (** controller cycle count *)
   l_passes : int;
   l_events : int;  (** MAC events (= statement domain size) *)
@@ -138,8 +140,8 @@ val pos_name : string -> pos -> string
 
 val schedule_size : Tl_stt.Design.t -> rows:int -> cols:int -> int * int
 (** [(l_total, l_passes)] of [build design ~rows ~cols], read off the
-    schedule's {!Schedule.frame} in O(depth): no events are built, so the
-    cost does not grow with the extents.
+    schedule's geometry ({!Schedule.v}) in O(depth): no events are built,
+    so the cost does not grow with the extents.
     @raise Unsupported when the schedule footprint does not fit the
     array, as {!build} would, or when the total does not fit in an
     int. *)
@@ -151,6 +153,8 @@ val build : ?rename:(string -> string) -> Tl_stt.Design.t ->
     when compiling a request whose tensors are named differently); memory
     names, counter names and [in_mem] use renamed names, while
     [in_tensor] and the keys of [l_feeds] keep the request-side names.
+    The schedule's events are materialised once ({!Schedule.by_pe}) and
+    dropped with the build.
     @raise Unsupported when the design has no netlist. *)
 
 val envelope : headroom:int -> t -> envelope

@@ -16,8 +16,10 @@
    the per-candidate name lookup that [Search.matching_designs] replaced.
    [space_footprint] is the point-by-point image of the selected box
    that [Transform.row_bounds] replaced in the L102 lint.
+   [events] and [pe_active] read a schedule's materialised events.
    [tile_statistics] and [evaluate_reference], at the end, are the perf
-   model's materialised statistics and exhaustive tile search.
+   model's materialised statistics and exhaustive tile search; a tile is
+   the schedule of its own statement ([tile_stmt]).
    [exec_run] is the golden executor's point-by-point interpreter that
    [Exec.run]'s strided walk replaced.  [Refsim] is the reference
    interpreter the simulator is checked against.  [campaign], last, is
@@ -484,6 +486,25 @@ let space_footprint t =
   seen
 
 (* ------------------------------------------------------------------ *)
+(* A schedule's materialised events, as the tests read them: all of them
+   sorted by cycle (ties by PE), and whether a PE has any. *)
+
+let events sched =
+  let by_pe = Schedule.by_pe sched in
+  let all = ref [] in
+  for r = sched.Schedule.rows - 1 downto 0 do
+    for c = sched.Schedule.cols - 1 downto 0 do
+      all := List.rev_append (List.rev by_pe.(r).(c)) !all
+    done
+  done;
+  List.stable_sort
+    (fun (a : Schedule.event) (b : Schedule.event) ->
+      compare (a.Schedule.cycle, a.Schedule.pe) (b.Schedule.cycle, b.Schedule.pe))
+    !all
+
+let pe_active sched (r, c) = (Schedule.by_pe sched).(r).(c) <> []
+
+(* ------------------------------------------------------------------ *)
 (* The perf model's reference paths, which [Perf.tile_statistics] and
    [Perf.evaluate] replaced: statistics counted over a materialised
    schedule with hash tables keyed by PE, cycle and tensor element, and
@@ -513,7 +534,8 @@ let pos_cycle_code (r, c) cycle =
     invalid_arg "Oracle.pos_cycle_code: cycle out of range";
   (((cycle * 0x20_0000) + r) * 0x20_0000) + c
 
-let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
+let entry_count_per_cycle sched by_pe access ~dp ~dt span offset count_into
+    ~group =
   (* count reuse-chain entries per cycle, optionally grouped into lines *)
   let module S = Schedule in
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 1024 in
@@ -525,7 +547,7 @@ let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
           Hashtbl.replace tbl
             (pos_cycle_code (r, c) ev.S.cycle)
             (index_code (Access.index access ev.S.x)))
-        sched.S.by_pe.(r).(c)
+        by_pe.(r).(c)
     done
   done;
   let groups : (int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -557,12 +579,14 @@ let entry_count_per_cycle sched access ~dp ~dt span offset count_into ~group =
                   count_into.(t) <- count_into.(t) +. 1.
                 end
           end)
-        sched.S.by_pe.(r).(c)
+        by_pe.(r).(c)
     done
   done
 
-let tile_statistics (design : Design.t) sched =
+let tile_statistics sched =
   let module S = Schedule in
+  let design = sched.S.design in
+  let by_pe = S.by_pe sched in
   let rows = sched.S.rows and cols = sched.S.cols in
   let span = sched.S.span in
   let offset = sched.S.preload in
@@ -573,7 +597,7 @@ let tile_statistics (design : Design.t) sched =
   let busiest = ref 0 in
   for r = 0 to rows - 1 do
     for c = 0 to cols - 1 do
-      let evs = sched.S.by_pe.(r).(c) in
+      let evs = by_pe.(r).(c) in
       if evs <> [] then incr active_pes;
       busiest := max !busiest (List.length evs);
       List.iter
@@ -609,7 +633,7 @@ let tile_statistics (design : Design.t) sched =
                 counts.(t) <- counts.(t) +. 1.
               end
             end)
-          sched.S.by_pe.(r).(c)
+          by_pe.(r).(c)
       done
     done;
     counts
@@ -632,7 +656,7 @@ let tile_statistics (design : Design.t) sched =
     let reps = Hashtbl.create 16 in
     for r = 0 to rows - 1 do
       for c = 0 to cols - 1 do
-        if sched.S.by_pe.(r).(c) <> [] then
+        if by_pe.(r).(c) <> [] then
           Hashtbl.replace reps (Geometry.line_rep ~rows ~cols ~dir (r, c)) ()
       done
     done;
@@ -648,7 +672,7 @@ let tile_statistics (design : Design.t) sched =
       | Dataflow.Stationary _ -> add_amortized (float_of_int !active_pes)
       | Dataflow.Systolic { dp; dt } ->
         let counts = Array.make span 0. in
-        entry_count_per_cycle sched access ~dp ~dt span offset counts
+        entry_count_per_cycle sched by_pe access ~dp ~dt span offset counts
           ~group:None;
         add counts
       | Dataflow.Multicast { dp } ->
@@ -662,7 +686,7 @@ let tile_statistics (design : Design.t) sched =
       | Dataflow.Reuse2d
           (Dataflow.Systolic_multicast { multicast; systolic }) ->
         let counts = Array.make span 0. in
-        entry_count_per_cycle sched access ~dp:systolic.Dataflow.dp
+        entry_count_per_cycle sched by_pe access ~dp:systolic.Dataflow.dp
           ~dt:systolic.Dataflow.dt span offset counts
           ~group:(Some multicast);
         add counts
@@ -692,6 +716,19 @@ let tile_stmt stmt selected tile =
   in
   Stmt.v stmt.Stmt.name ~iters ~output:stmt.Stmt.output
     ~inputs:stmt.Stmt.inputs
+
+(* [design] over its tile statement, keeping its dataflows *)
+let tile_design (design : Design.t) tile =
+  let transform = design.Design.transform in
+  let selected = transform.Transform.selected in
+  let matrix =
+    Array.to_list (Array.map Array.to_list transform.Transform.imatrix)
+  in
+  { design with
+    Design.transform =
+      Transform.v
+        (tile_stmt transform.Transform.stmt selected tile)
+        ~selected ~matrix }
 
 let row_extent imatrix row tile =
   let n = Array.length tile in
@@ -783,14 +820,11 @@ let evaluate_reference ?(config = Perf.default_config) (design : Design.t) =
     /. (config.Perf.freq_mhz *. 1e6)
     /. float_of_int config.Perf.elem_bytes
   in
-  let int_rows = Array.to_list (Array.map Array.to_list im) in
   let evaluate_tile (_, tile, sel_passes, _) =
-    let ts = tile_stmt stmt selected tile in
-    let tt = Transform.v ts ~selected ~matrix:int_rows in
-    let td = { design with Design.transform = tt } in
     let stats =
-      tile_statistics td
-        (Schedule.build td ~rows:config.Perf.rows ~cols:config.Perf.cols)
+      tile_statistics
+        (Schedule.v (tile_design design tile) ~rows:config.Perf.rows
+           ~cols:config.Perf.cols)
     in
     let eff_span =
       Array.fold_left

@@ -737,12 +737,15 @@ let test_cli_serve_bad_einsum_keeps_id () =
         {|{"id":12,"einsum":5,"extents":"m=4"}|};
         {|{"id":13,"expr":["C"],"extents":"m=4"}|};
         {|{"id":14,"network":true}|};
+        (* a coefficient past max_int, in a sweep request *)
+        Printf.sprintf "{\"id\":15,\"expr\":%S,\"extents\":\"m=4,n=4,k=4\"}"
+          "C[m,n] += A[m,99999999999999999999k] * B[n,k]";
         line 2 "\"m=4,n=4,k=4\"" ]
   in
   let wall = Unix.gettimeofday () -. t0 in
   let gemm = "such as \"C[m,n] += A[m,k] * B[n,k]\"" in
   (match answers with
-   | [ a; b; c; d; e; f; h; i; j; g ] ->
+   | [ a; b; c; d; e; f; h; i; j; k; g ] ->
      check_rejected ~id:7 ~error:"bad request: iterator k is not declared" a;
      check_rejected ~id:8 ~error:"bad request: extent of k must be positive" b;
      check_rejected ~id:9 ~error:"bad request: extent of k must be positive" c;
@@ -756,9 +759,14 @@ let test_cli_serve_bad_einsum_keeps_id () =
      check_rejected ~id:13 ~error:("\"expr\" must be a string " ^ gemm) i;
      check_rejected ~id:14
        ~error:"\"network\" must be a string such as \"tiny\"" j;
+     check_rejected ~id:15
+       ~error:
+         "bad request: the coefficient 99999999999999999999 does not fit in \
+          an int"
+       k;
      Alcotest.(check bool) "the request behind them is served" true
        (Json.member "ok" g = Some (Json.Bool true))
-   | l -> Alcotest.failf "expected 10 answers, got %d" (List.length l));
+   | l -> Alcotest.failf "expected 11 answers, got %d" (List.length l));
   Alcotest.(check bool)
     (Printf.sprintf "server answered within 1 s (took %.2f s)" wall)
     true (wall < 1.)
@@ -814,6 +822,9 @@ let test_cli_bad_extent_binding () =
       (* B's largest index, 2^61 (k - 1), passes max_int *)
       ("2305843009213693952k", "m=4,n=4,k=3",
        "an index of B does not fit in an int", every);
+      (* a coefficient's digits past max_int *)
+      ("99999999999999999999k", "m=4,n=4,k=4",
+       "the coefficient 99999999999999999999 does not fit in an int", every);
       (* the domain fits an int, but a tensor has more elements than
          Dense.max_elements: the commands that allocate the tensors,
          before they allocate (B is 4 x 2^32, 128 GiB of words) *)

@@ -33,14 +33,11 @@ let test_streaming_stats_workloads () =
     (fun (wname, stmt) ->
       List.iter
         (fun (dname, d) ->
-          match Schedule.build d ~rows:16 ~cols:16 with
+          match Schedule.v d ~rows:16 ~cols:16 with
           | exception Schedule.Unsupported _ -> ()
           | sched ->
-            let reference = Oracle.tile_statistics d sched in
-            let streaming =
-              Perf.tile_statistics d
-                (Schedule.frame d ~rows:16 ~cols:16)
-            in
+            let reference = Oracle.tile_statistics sched in
+            let streaming = Perf.tile_statistics sched in
             incr checked;
             check_stats_equal (wname ^ "/" ^ dname) reference streaming)
         (List.filteri (fun i _ -> i < 10) (Search.all_designs stmt)))
@@ -69,7 +66,7 @@ let arbitrary_matrix =
 
 (* Random STTs over three statement/selection pairs.  GEMM reuses in one
    pass only; conv2d selecting (y, x, p) and mttkrp selecting (i, k, l)
-   add 2-D reuse, unselected loops > 1 (multi-pass frames), systolic
+   add 2-D reuse, unselected loops > 1 (multi-pass schedules), systolic
    steps with [dt >= 2] and [|det T| = 2].  The run tallies the cases
    that reach each counting rule of the closed form and requires
    every one, so the property cannot quietly degenerate to easy cases. *)
@@ -94,24 +91,32 @@ let stats_features (d : Design.t) =
   (if abs det = 2 then [ "|det T|=2" ] else [])
   @ List.concat_map flow d.Design.tensors
 
+(* Each draw also scores a tile inside the selected box, [1 + v mod e]
+   per loop: [Schedule.tile]'s one pass over it against the schedule of
+   the tile's own statement, materialised. *)
 let test_streaming_stats_random () =
   let seen = Hashtbl.create 8 in
   let arb =
-    QCheck.pair (QCheck.int_bound (Array.length stats_cases - 1))
+    QCheck.triple (QCheck.int_bound (Array.length stats_cases - 1))
       arbitrary_matrix
+      (QCheck.array_of_size (QCheck.Gen.return 3) QCheck.small_nat)
   in
   let prop =
     QCheck.Test.make ~name:"streaming = materialised" ~count:150 arb
-      (fun (case, m) ->
+      (fun (case, m, draw) ->
         let stmt, names = stats_cases.(case) in
         let d = Design.analyze (Transform.by_names stmt names ~matrix:m) in
-        match Schedule.build d ~rows:24 ~cols:24 with
+        match Schedule.v d ~rows:24 ~cols:24 with
         | exception Schedule.Unsupported _ -> true
         | sched ->
           List.iter (fun f -> Hashtbl.replace seen f ()) (stats_features d);
-          Oracle.tile_statistics d sched
-          = Perf.tile_statistics d
-              (Schedule.frame d ~rows:24 ~cols:24))
+          let tile =
+            Array.mapi (fun j e -> 1 + (draw.(j) mod e)) sched.Schedule.extents
+          in
+          Oracle.tile_statistics sched = Perf.tile_statistics sched
+          && Oracle.tile_statistics
+               (Schedule.v (Oracle.tile_design d tile) ~rows:24 ~cols:24)
+             = Perf.tile_statistics (Schedule.tile d ~rows:24 ~cols:24 tile))
   in
   QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) prop;
   List.iter
@@ -119,7 +124,7 @@ let test_streaming_stats_random () =
     [ "systolic-multicast"; "multicast-stationary"; "broadcast";
       "systolic dt>=2"; "|det T|=2" ]
 
-(* 1-D frames (two selected iterators, one column): every full-rank
+(* 1-D arrays (two selected iterators, one column): every full-rank
    {-1,0,1} 2×2 STT of GEMM (m, k) and conv2d (y, p) on 3, 8 and 24
    rows, so the two-row transforms reach each rule the random 3×3 ones
    do on a 2-D array *)
@@ -132,14 +137,14 @@ let test_stats_1d_frames () =
           let d = Design.analyze (Transform.by_names stmt names ~matrix:m) in
           List.iter
             (fun rows ->
-              match Schedule.build d ~rows ~cols:1 with
+              match Schedule.v d ~rows ~cols:1 with
               | exception Schedule.Unsupported _ -> ()
               | sched ->
                 incr checked;
                 check_stats_equal
                   (Printf.sprintf "%s %dx1" d.Design.name rows)
-                  (Oracle.tile_statistics d sched)
-                  (Perf.tile_statistics d (Schedule.frame d ~rows ~cols:1)))
+                  (Oracle.tile_statistics sched)
+                  (Perf.tile_statistics sched))
             [ 3; 8; 24 ])
         (Search.candidate_matrices ~n:2))
     [ (fst stats_cases.(0), [ "m"; "k" ]);
@@ -156,9 +161,9 @@ let test_stats_wide_indices () =
       ~matrix:[ [ 0; 1; 0 ]; [ 0; 0; 1 ]; [ 1; 0; 0 ] ]
   in
   let d = Design.analyze t in
-  let sched = Schedule.build d ~rows:16 ~cols:16 in
-  check_stats_equal "wide" (Oracle.tile_statistics d sched)
-    (Perf.tile_statistics d (Schedule.frame d ~rows:16 ~cols:16))
+  let sched = Schedule.v d ~rows:16 ~cols:16 in
+  check_stats_equal "wide" (Oracle.tile_statistics sched)
+    (Perf.tile_statistics sched)
 
 (* pruned tile search + closed-form stats must reproduce the exhaustive +
    materialised reference bit-for-bit, over whole evaluation records: both
@@ -197,9 +202,9 @@ let test_systolic_dt2_regression () =
          ~matrix:[ [ -1; -1; -1 ]; [ -1; -1; 0 ]; [ -1; 0; 1 ] ])
   in
   Alcotest.(check string) "design" "YXP-SBS" d.Design.name;
-  check_stats_equal "YXP-SBS"
-    (Oracle.tile_statistics d (Schedule.build d ~rows:24 ~cols:24))
-    (Perf.tile_statistics d (Schedule.frame d ~rows:24 ~cols:24));
+  let sched = Schedule.v d ~rows:24 ~cols:24 in
+  check_stats_equal "YXP-SBS" (Oracle.tile_statistics sched)
+    (Perf.tile_statistics sched);
   match check_evaluate_agrees "YXP-SBS" d with
   | Ok r -> Alcotest.(check (float 0.)) "cycles" 64. r.Perf.cycles
   | Error e -> Alcotest.fail e

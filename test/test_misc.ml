@@ -162,8 +162,8 @@ let test_verilog_ram_write_block () =
 let test_schedule_events_sorted () =
   let stmt = Workloads.gemm ~m:3 ~n:3 ~k:3 in
   let d = Search.find_design_exn stmt "MNK-SST" in
-  let sched = Schedule.build d ~rows:4 ~cols:4 in
-  let events = Schedule.events sched in
+  let sched = Schedule.v d ~rows:4 ~cols:4 in
+  let events = Oracle.events sched in
   let rec sorted = function
     | a :: (b :: _ as rest) ->
       a.Schedule.cycle <= b.Schedule.cycle && sorted rest

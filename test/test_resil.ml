@@ -4,11 +4,6 @@
 
 open Tensorlib
 
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  path
-
 let with_chaos cfg f =
   Resil.Chaos.arm cfg;
   Fun.protect ~finally:Resil.Chaos.disarm f
@@ -269,7 +264,7 @@ let test_par_chaos_kills_width_independent () =
 
 let test_store_read_weather () =
   let retry = { Resil.Retry.default with sleep = ignore } in
-  let root = temp_dir "tlresil" in
+  let root = Temp_dir.make "tlresil" in
   let st = Store.open_store ~retry ~root () in
   Store.put st "k" "v";
   (* permanent weather: every read fails, retry exhausts, find degrades
@@ -289,7 +284,7 @@ let test_store_read_weather () =
     (Store.find st "k")
 
 let test_store_torn_write_all_offsets () =
-  let root = temp_dir "tlresil" in
+  let root = Temp_dir.make "tlresil" in
   let st = Store.open_store ~root () in
   Store.put st "victim" "torn-write-payload";
   let path =
@@ -336,7 +331,7 @@ let tiny_layers () =
     ("l3", Workloads.gemm ~m:5 ~n:4 ~k:4) ]
 
 let test_sweep_budget_partial () =
-  let root = temp_dir "tlresil" in
+  let root = Temp_dir.make "tlresil" in
   let store = Store.open_store ~root () in
   let r =
     Network.sweep ~domains:1 ~per_shape_limit:4
@@ -372,13 +367,13 @@ let test_sweep_rerun_against_store () =
   let seed = find_seed 0 in
   List.iter
     (fun width ->
-      let cold_root = temp_dir "tlcold" in
+      let cold_root = Temp_dir.make "tlcold" in
       let cold =
         Network.sweep ~domains:width ~per_shape_limit:4
           ~store:(Store.open_store ~root:cold_root ())
           ~name:"t" layers
       in
-      let root = temp_dir "tlint" in
+      let root = Temp_dir.make "tlint" in
       let store = Store.open_store ~root () in
       let interrupted =
         with_chaos

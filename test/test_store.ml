@@ -4,11 +4,6 @@
 
 open Tensorlib
 
-let temp_dir prefix =
-  let path = Filename.temp_file prefix "" in
-  Sys.remove path;
-  path
-
 (* ---------------- JSON ---------------- *)
 
 let test_json_roundtrip () =
@@ -156,7 +151,7 @@ let test_store_memory () =
   Alcotest.(check int) "entries" 1 s.Par.Cache.entries
 
 let test_store_persistence () =
-  let root = temp_dir "tlstore" in
+  let root = Temp_dir.make "tlstore" in
   let st = Store.open_store ~root () in
   Store.put st "key one" "payload\nwith\nnewlines\tand tabs";
   Store.put st "key two" "";
@@ -178,7 +173,7 @@ let test_store_persistence () =
     (Store.find st2 "key three")
 
 let test_store_corruption () =
-  let root = temp_dir "tlstore" in
+  let root = Temp_dir.make "tlstore" in
   let st = Store.open_store ~root () in
   Store.put st "victim" "some serialized payload";
   let path =
@@ -216,7 +211,7 @@ let test_store_corruption () =
 (* the entry files are the only record: handles sharing a root never
    overwrite each other's count *)
 let test_store_shared_root () =
-  let root = temp_dir "tlstore" in
+  let root = Temp_dir.make "tlstore" in
   let a = Store.open_store ~root () and b = Store.open_store ~root () in
   Store.put a "from a" "va";
   Store.put b "from b" "vb";
@@ -232,7 +227,7 @@ let test_store_shared_root () =
 let test_store_concurrent_writers () =
   (* many domains hammer the same keys; first-insertion-wins semantics
      and atomic rename mean no crash and no torn payload *)
-  let root = temp_dir "tlstore" in
+  let root = Temp_dir.make "tlstore" in
   let st = Store.open_store ~root () in
   let results =
     Par.map ~domains:4 ~label:"store-race"
@@ -389,7 +384,7 @@ let fast_net () =
     ("c", Workloads.batched_gemv ~m:4 ~n:8 ~k:8) ]
 
 let test_network_dedup_and_warm () =
-  let root = temp_dir "tlstore" in
+  let root = Temp_dir.make "tlstore" in
   let store = Store.open_store ~root () in
   let layers = fast_net () in
   let r1 = Network.sweep ~per_shape_limit:40 ~store ~name:"fast" layers in
@@ -426,7 +421,7 @@ let test_network_pool_width_independent () =
      digest + totals compared *)
   let layers = fast_net () in
   let run domains =
-    let store = Store.open_store ~root:(temp_dir "tlstore") () in
+    let store = Store.open_store ~root:(Temp_dir.make "tlstore") () in
     Par.Cache.clear_all ();
     Network.sweep ~domains ~per_shape_limit:40 ~store ~name:"fast" layers
   in
@@ -523,7 +518,7 @@ let test_cli_sweep_validation () =
   Alcotest.(check int) "bad limit exit" 2 rc
 
 let test_cli_sweep_and_serve () =
-  let root = temp_dir "tlstore" in
+  let root = Temp_dir.make "tlstore" in
   let rc, out, _ =
     run_cli
       (Printf.sprintf "sweep --network tiny --store %s --limit 8 --json"

@@ -147,7 +147,9 @@ let test_projector_matches_nullspace () =
     d.Design.tensors
 
 let test_time_bounds () =
-  let lo, hi = Transform.row_bounds fig1b 2 in
+  let lo, hi =
+    Transform.row_bounds fig1b (Transform.selected_extents fig1b) 2
+  in
   Alcotest.(check int) "min time" 0 lo;
   Alcotest.(check int) "max time" 9 hi;
   (* negative schedule coefficients give a negative lower bound *)
@@ -155,7 +157,7 @@ let test_time_bounds () =
     Transform.by_names gemm [ "m"; "n"; "k" ]
       ~matrix:[ [ 1; 0; 0 ]; [ 0; 1; 0 ]; [ -1; 0; 1 ] ]
   in
-  let lo, hi = Transform.row_bounds t 2 in
+  let lo, hi = Transform.row_bounds t (Transform.selected_extents t) 2 in
   Alcotest.(check int) "min time negative" (-3) lo;
   Alcotest.(check int) "max time" 3 hi
 
@@ -181,7 +183,10 @@ let test_row_bounds_footprint () =
                     (fun p () (lo, hi) -> (min lo p.(i), max hi p.(i)))
                     fp (max_int, min_int)
                 in
-                if (lo, hi) <> Transform.row_bounds t i then
+                if
+                  (lo, hi)
+                  <> Transform.row_bounds t (Transform.selected_extents t) i
+                then
                   Alcotest.failf "%s %s row %d: enumerated [%d, %d]"
                     stmt.Stmt.name (Transform.selection_label t) i lo hi
               done)
@@ -490,7 +495,8 @@ let prop_row_bounds_small =
         walk 0;
         List.for_all
           (fun i ->
-            Transform.row_bounds t i = if i < n - 1 then space i else !times)
+            Transform.row_bounds t (Transform.selected_extents t) i
+            = if i < n - 1 then space i else !times)
           (List.init n Fun.id))
 
 (* Exact integers as [h * 2^32 + l] with [0 <= l < 2^32]: wide enough for
@@ -561,7 +567,9 @@ let prop_row_bounds_refusal =
             in
             let span_h, _ = wide_add (wide_add hi (wide_neg lo)) (0, 1) in
             let int_of (h, l) = (h lsl 32) + l in
-            match Transform.row_bounds t i with
+            match
+              Transform.row_bounds t (Transform.selected_extents t) i
+            with
             | bounds -> span_h < 1 lsl 30 && bounds = (int_of lo, int_of hi)
             | exception Transform.Overflow _ -> span_h >= 1 lsl 30)
           (List.init n Fun.id))
