@@ -52,7 +52,12 @@
      [Oracle.boundary_matrix] (n = 2 to 5, entries at the edges of
      native ints), on which [Transform.check] must accept exactly with
      the determinant [Mat.det] finds, or call singular exactly where it
-     is 0, wherever both answer ([Oracle.check_rank]).
+     is 0, wherever both answer ([Oracle.check_rank]); and an
+     [Oracle.payload_case] (a few evaluated points with random area and
+     power bits, encoded as a store payload and damaged), which
+     [Network.decode_points] must read bit for bit as the line-splitting
+     [Oracle.decode_points] does, [None] included, without raising
+     ([Oracle.check_payload]).
 
    Usage: dune exec bin/fuzz.exe -- [iterations] [seed]
    (iterations >= 1, default 200; seed any integer, default 2024; anything
@@ -650,6 +655,8 @@ let () =
   let classified = ref 0 and refusals = ref 0 in
   let classifier_mismatches = ref 0 in
   let ranked = ref 0 and rank_refusals = ref 0 and rank_wrong = ref 0 in
+  let payloads = ref 0 and payloads_answered = ref 0 in
+  let payload_disagreements = ref 0 in
   for i = 1 to iterations do
     (* the classifier case draws from its own generator, so the phase's
        other draws stay as they were *)
@@ -674,6 +681,15 @@ let () =
      | Oracle.Det_wrong msg ->
        incr rank_wrong;
        Printf.printf "TRANSFORM FAIL at case %d: %s\n" i msg);
+    (* and so does the damaged store payload *)
+    let payload = Oracle.payload_case (Random.State.make [| seed; 8; i |]) in
+    incr payloads;
+    (match Oracle.check_payload payload with
+     | Oracle.Answered -> incr payloads_answered
+     | Oracle.Rejected -> ()
+     | Oracle.Disagree msg ->
+       incr payload_disagreements;
+       Printf.printf "PAYLOAD FAIL at case %d: %s on %S\n" i msg payload);
     let stmt = random_stmt ~sums:true rng in
     (* full-width data from the case's own generator, so the products and
        sums wrap and the phase's draws stay as they were *)
@@ -742,9 +758,14 @@ let () =
     "transform: %d matrices vs the rational determinant, %d refusals, %d \
      wrong verdicts\n"
     !ranked !rank_refusals !rank_wrong;
+  Printf.printf
+    "payload: %d payloads vs the line-splitting reference, %d answered, %d \
+     disagreements\n"
+    !payloads !payloads_answered !payload_disagreements;
   if
     !failed > 0 || exec_mismatches + !exec_wide_mismatches > 0
     || !classifier_mismatches > 0 || !rank_wrong > 0
+    || !payload_disagreements > 0
     || stream_violations > 0 || pruning_violations > 0
     || !violations > 0
     || !absint_violations > 0

@@ -869,6 +869,7 @@ let compile_cmd =
 
 let store_of_path = function
   | None -> Store.open_store ()
+  | Some "" -> failwith "--store: the path is empty; name a directory"
   | Some dir ->
     let parent = Filename.dirname dir in
     if not (Sys.file_exists parent && Sys.is_directory parent) then

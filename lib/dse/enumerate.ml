@@ -93,36 +93,43 @@ let design_space ?(exclude_unicast = false) ?domains
    strict: either a strictly smaller x with y' <= y, or an equal x with a
    strictly smaller y.  One sweep over the points sorted by (x, y) decides
    both cases — running min-y over strictly-smaller x, and the group's
-   min-y for equal x — in O(n log n) instead of the all-pairs scan.
+   min-y for equal x — in O(n log n) instead of the all-pairs scan.  The
+   objectives sit in two float arrays and a merge sort permutes indices
+   (points tied on both objectives are decided alike, so their order
+   does not matter).
    Output keeps the input order; points with equal projections never
    dominate each other, so duplicates are all kept, exactly as the
-   quadratic reference did. *)
+   quadratic reference did (for objectives that are not nan). *)
 let pareto_min project items =
-  match items with
-  | [] -> []
-  | _ ->
-    let proj = Array.of_list (List.map project items) in
-    let n = Array.length proj in
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun i j ->
-        let x1, y1 = proj.(i) and x2, y2 = proj.(j) in
-        match compare x1 x2 with 0 -> compare y1 y2 | c -> c)
-      order;
-    let keep = Array.make n true in
-    let min_y_before = ref infinity in
-    let i = ref 0 in
-    while !i < n do
-      let x0 = fst proj.(order.(!i)) in
-      let group_min_y = snd proj.(order.(!i)) in
-      let j = ref !i in
-      while !j < n && fst proj.(order.(!j)) = x0 do
-        let y = snd proj.(order.(!j)) in
-        if !min_y_before <= y || group_min_y < y then
-          keep.(order.(!j)) <- false;
-        incr j
-      done;
-      if group_min_y < !min_y_before then min_y_before := group_min_y;
-      i := !j
+  let n = List.length items in
+  let xs = Array.make n 0. and ys = Array.make n 0. in
+  List.iteri
+    (fun k item ->
+      let x, y = project item in
+      xs.(k) <- x;
+      ys.(k) <- y)
+    items;
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      match Float.compare xs.(i) xs.(j) with
+      | 0 -> Float.compare ys.(i) ys.(j)
+      | c -> c)
+    order;
+  let keep = Array.make n true in
+  let min_y_before = ref infinity in
+  let i = ref 0 in
+  while !i < n do
+    let x0 = xs.(order.(!i)) and group_min_y = ys.(order.(!i)) in
+    let j = ref (!i + 1) in
+    while !j < n && xs.(order.(!j)) = x0 do
+      incr j
     done;
-    List.filteri (fun k _ -> keep.(k)) items
+    for k = !i to !j - 1 do
+      let y = ys.(order.(k)) in
+      if !min_y_before <= y || group_min_y < y then keep.(order.(k)) <- false
+    done;
+    if group_min_y < !min_y_before then min_y_before := group_min_y;
+    i := !j
+  done;
+  List.filteri (fun k _ -> keep.(k)) items

@@ -106,41 +106,15 @@ let decode_points payload =
   | Some nl -> (
     match String.split_on_char ' ' (String.sub payload 0 nl) with
     | [ m; count ] when m = payload_magic -> (
-      match int_of_string_opt count with
-      | None -> None
-      | Some count ->
-        let body = String.sub payload (nl + 1) (String.length payload - nl - 1) in
-        let lines =
-          String.split_on_char '\n' body
-          |> List.filter (fun l -> l <> "")
-        in
-        if List.length lines <> count then None
-        else
-          let pts =
-            List.filter_map
-              (fun line ->
-                match String.index_opt line '\t' with
-                | None -> None
-                | Some t1 -> (
-                  match String.index_from_opt line (t1 + 1) '\t' with
-                  | None -> None
-                  | Some t2 -> (
-                    let area = String.sub line 0 t1 in
-                    let power = String.sub line (t1 + 1) (t2 - t1 - 1) in
-                    let rest =
-                      String.sub line (t2 + 1) (String.length line - t2 - 1)
-                    in
-                    match
-                      ( float_of_string_opt area,
-                        float_of_string_opt power,
-                        Perf.result_of_string rest )
-                    with
-                    | Some p_area, Some p_power, Some p_perf ->
-                      Some { p_area; p_power; p_perf }
-                    | _ -> None)))
-              lines
-          in
-          if List.length pts = count then Some pts else None)
+      match
+        (int_of_string_opt count, Perf.read_records payload ~pos:(nl + 1))
+      with
+      | Some count, Some records when List.length records = count ->
+        Some
+          (List.map
+             (fun (p_area, p_power, p_perf) -> { p_area; p_power; p_perf })
+             records)
+      | _ -> None)
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -272,8 +246,20 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
             in
             (false, payload, pts)
         in
-        note lname hit (List.length pts);
-        (hit, payload, pts))
+        let points = List.length pts in
+        note lname hit points;
+        (* the roll-up, made once: every layer of the shape reads it *)
+        ( payload,
+          {
+            l_name = lname;
+            l_key = key;
+            l_hit = hit;
+            l_points = points;
+            l_frontier = frontier_of pts;
+            l_best = best_of pts;
+            l_degraded = false;
+            l_est_cycles = None;
+          } ))
       unique
   in
   (* an overflowing classification is the statement's fault, not a
@@ -282,7 +268,7 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     (function Error (Tl_stt.Reuse.Overflow _ as e) -> raise e | _ -> ())
     results;
   let shards = List.map2 (fun (_, _, key) r -> (key, r)) unique results in
-  let by_key : (string, (bool * string * point list, exn) result) Hashtbl.t =
+  let by_key : (string, (string * layer, exn) result) Hashtbl.t =
     Hashtbl.create 16
   in
   List.iter (fun (key, r) -> Hashtbl.replace by_key key r) shards;
@@ -290,17 +276,7 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     List.map
       (fun (lname, stmt, key) ->
         match Hashtbl.find by_key key with
-        | Ok (hit, _payload, pts) ->
-          {
-            l_name = lname;
-            l_key = key;
-            l_hit = hit;
-            l_points = List.length pts;
-            l_frontier = frontier_of pts;
-            l_best = best_of pts;
-            l_degraded = false;
-            l_est_cycles = None;
-          }
+        | Ok (_, l) -> { l with l_name = lname }
         | Error _ ->
           {
             l_name = lname;
@@ -322,7 +298,7 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     List.iter
       (fun (_, _, key) ->
         match Hashtbl.find by_key key with
-        | Ok (_, payload, _) -> Buffer.add_string buf payload
+        | Ok (payload, _) -> Buffer.add_string buf payload
         | Error _ -> ())
       unique;
     Tl_stt.Signature.key_digest (Buffer.contents buf)
@@ -333,7 +309,7 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
   let completed_n = total - degraded in
   let hits =
     List.length
-      (List.filter (function _, Ok (hit, _, _) -> hit | _ -> false) shards)
+      (List.filter (function _, Ok (_, l) -> l.l_hit | _ -> false) shards)
   in
   let misses = completed_n - hits in
   let complete = degraded = 0 in
@@ -355,7 +331,7 @@ let sweep ?(config = Perf.default_config) ?domains ?per_shape_limit ?progress
     r_points =
       List.fold_left
         (fun acc (_, r) ->
-          match r with Ok (_, _, pts) -> acc + List.length pts | Error _ -> acc)
+          match r with Ok (_, l) -> acc + l.l_points | Error _ -> acc)
         0 shards;
     r_total_cycles = sum (fun p -> p.p_perf.Perf.cycles) +. est_sum;
     r_total_runtime_us = sum (fun p -> p.p_perf.Perf.runtime_us);

@@ -135,11 +135,6 @@ module Cache = struct
     in
     push ()
 
-  (* External stat sources (the persistent design store) join the same
-     registry, so [all_stats] / [clear_all] cover them alongside the
-     in-memory memo tables. *)
-  let register ~stats ~clear = register_entry { r_stats = stats; r_clear = clear }
-
   let stats c =
     { name = c.c_name;
       hits = Atomic.get c.hits;

@@ -90,12 +90,6 @@ module Cache : sig
   val stats : 'a t -> stats
   val clear : 'a t -> unit
 
-  val register : stats:(unit -> stats) -> clear:(unit -> unit) -> unit
-  (** Register an external stat source (e.g. the on-disk design store)
-      into the same registry that {!all_stats} and {!clear_all} walk.
-      [clear] is the source's own notion of reset — a persistent store
-      resets its counters, not its disk contents. *)
-
   val all_stats : unit -> stats list
   (** Stats of every cache ever created, in creation order. *)
 

@@ -728,74 +728,241 @@ let result_to_string (r : result) =
       Printf.sprintf "%h" r.pipelined_perf;
       traffic ]
 
+(* The decoder reads its fields in place, left to right, from a cursor:
+   each number where it stands and each text field as one substring.  A
+   record ends at a newline or at the end of the text.  A number's
+   extent is what [String.split_on_char] would give it: up to the first
+   tab, comma, newline or the end.  The encoder's spellings (plain
+   decimal digits for an int, [%h] for a float) are read from the bytes;
+   any other goes to [int_of_string_opt] or [float_of_string_opt] on the
+   substring.  A field that does not read raises [Malformed]. *)
+
+exception Malformed
+
+type cursor = { text : string; mutable pos : int }
+
+let ends c q =
+  q = String.length c.text
+  ||
+  let ch = c.text.[q] in
+  ch = '\t' || ch = ',' || ch = '\n'
+
+(* the end of the number at [i] *)
+let rec number_end c i = if ends c i then i else number_end c (i + 1)
+
+(* the spelling at [i] to its end, read by [of_string] *)
+let spelled c i of_string =
+  let e = number_end c i in
+  c.pos <- e;
+  match of_string (String.sub c.text i (e - i)) with
+  | Some v -> v
+  | None -> raise Malformed
+
+(* decimal digits from [p] read onto [n] while they last; [c.pos] is
+   left after them *)
+let rec digits c p n =
+  let s = c.text in
+  match if p = String.length s then ' ' else s.[p] with
+  | '0' .. '9' as ch -> digits c (p + 1) ((n * 10) + Char.code ch - 48)
+  | _ ->
+    c.pos <- p;
+    n
+
+(* at most 18 digits, so the value cannot pass [max_int] *)
+let int_at c =
+  let i = c.pos in
+  let k = if i < String.length c.text && c.text.[i] = '-' then i + 1 else i in
+  let n = digits c k 0 in
+  let count = c.pos - k in
+  if count >= 1 && count <= 18 && ends c c.pos then if k > i then -n else n
+  else spelled c i int_of_string_opt
+
+(* a lowercase hex digit's value, or 16 *)
+let hex_digit = function
+  | '0' .. '9' as ch -> Char.code ch - 48
+  | 'a' .. 'f' as ch -> Char.code ch - 87
+  | _ -> 16
+
+(* hex digits from [p] read onto [m]: [m * 16 + n] after [n] of them,
+   -1 past 13 *)
+let rec fraction s p m n =
+  let d = if p = String.length s then 16 else hex_digit s.[p] in
+  if d = 16 then (m lsl 4) lor n
+  else if n = 13 then -1
+  else fraction s (p + 1) ((m lsl 4) lor d) (n + 1)
+
+(* [%h] writes [-]0x(0|1)[.h{1,13}]p(+|-)d{1,4}: a mantissa of at most 53
+   bits, which [Float.ldexp] scales exactly, as [float_of_string] does.
+   [packed] holds the mantissa and its digit count after the point as
+   [m * 16 + n], or -1 for another spelling. *)
+let float_at c =
+  let s = c.text and i = c.pos in
+  let len = String.length s in
+  let k = if i < len && s.[i] = '-' then i + 1 else i in
+  let packed =
+    if len - k < 6 || s.[k] <> '0' || s.[k + 1] <> 'x' then -1
+    else
+      match s.[k + 2] with
+      | ('0' | '1') as ch ->
+        let lead = Char.code ch - 48 in
+        if s.[k + 3] <> '.' then lead lsl 4
+        else
+          let f = fraction s (k + 4) lead 0 in
+          if f land 15 = 0 then -1 else f
+      | _ -> -1
+  in
+  let frac = packed land 15 in
+  let p = if frac = 0 then k + 3 else k + 4 + frac in
+  let sign =
+    if packed < 0 || p + 2 >= len || s.[p] <> 'p' then 0
+    else match s.[p + 1] with '+' -> 1 | '-' -> -1 | _ -> 0
+  in
+  let e = if sign <> 0 then digits c (p + 2) 0 else 0 in
+  let count = c.pos - (p + 2) in
+  if sign <> 0 && count >= 1 && count <= 4 && ends c c.pos then
+    let v = Float.ldexp (float_of_int (packed lsr 4)) ((sign * e) - (4 * frac)) in
+    if k > i then -.v else v
+  else spelled c i float_of_string_opt
+
+(* step over the tab that ends a field *)
+let tab c =
+  if c.pos < String.length c.text && c.text.[c.pos] = '\t' then
+    c.pos <- c.pos + 1
+  else raise Malformed
+
+let int_field c =
+  let n = int_at c in
+  tab c;
+  n
+
+let float_field c =
+  let v = float_at c in
+  tab c;
+  v
+
+(* a text field: up to the first tab or newline *)
+let text_field c =
+  let s = c.text and i = c.pos in
+  let rec stop j =
+    if j = String.length s || s.[j] = '\t' || s.[j] = '\n' then j
+    else stop (j + 1)
+  in
+  let j = stop i in
+  c.pos <- j;
+  tab c;
+  String.sub s i (j - i)
+
+(* comma-separated ints; an empty field is none *)
+let tile_field c =
+  let s = c.text in
+  let comma () = c.pos < String.length s && s.[c.pos] = ',' in
+  let rec ints acc =
+    let acc = int_at c :: acc in
+    if comma () then begin
+      c.pos <- c.pos + 1;
+      ints acc
+    end
+    else Array.of_list (List.rev acc)
+  in
+  let a =
+    if c.pos < String.length s && s.[c.pos] = '\t' then [||] else ints []
+  in
+  tab c;
+  a
+
+(* [name=w] entries between commas, to the record's end; a name runs to
+   its entry's first [=] *)
+let traffic c =
+  let s = c.text and len = String.length c.text in
+  let at_end () = c.pos = len || s.[c.pos] = '\n' in
+  let rec name_end j =
+    if j = len then raise Malformed
+    else
+      match s.[j] with
+      | '=' -> j
+      | '\t' | ',' | '\n' -> raise Malformed
+      | _ -> name_end (j + 1)
+  in
+  let rec entries acc =
+    let i = c.pos in
+    let eq = name_end i in
+    let name = unescape_name (String.sub s i (eq - i)) in
+    c.pos <- eq + 1;
+    let acc = (name, float_at c) :: acc in
+    if c.pos < len && s.[c.pos] = ',' then begin
+      c.pos <- c.pos + 1;
+      entries acc
+    end
+    else if at_end () then List.rev acc
+    else raise Malformed
+  in
+  if at_end () then [] else entries []
+
+(* the result at [c.pos], to the end of its record *)
+let read_result c =
+  if text_field c <> codec_magic then raise Malformed;
+  let design_name = unescape_name (text_field c) in
+  let tile = tile_field c in
+  let selected_passes = int_field c in
+  let total_passes = int_field c in
+  let span = int_field c in
+  let tail = int_field c in
+  let cycles = float_field c in
+  let macs = int_field c in
+  let utilization = float_field c in
+  let normalized_perf = float_field c in
+  let bw_stall_factor = float_field c in
+  let words_per_cycle = float_field c in
+  let runtime_us = float_field c in
+  let gops = float_field c in
+  let pipelined_cycles = float_field c in
+  let pipelined_perf = float_field c in
+  let traffic_words = traffic c in
+  { design_name;
+    tile;
+    selected_passes;
+    total_passes;
+    span;
+    tail;
+    cycles;
+    macs;
+    utilization;
+    normalized_perf;
+    bw_stall_factor;
+    words_per_cycle;
+    runtime_us;
+    gops;
+    pipelined_cycles;
+    pipelined_perf;
+    traffic_words }
+
 let result_of_string s =
-  match String.split_on_char '\t' s with
-  | [ magic; name; tile; sel_passes; tot_passes; span; tail; cycles; macs;
-      util; norm; bw; wpc; runtime; gops; pcycles; pperf; traffic ]
-    when magic = codec_magic -> (
-    let int_of = int_of_string_opt in
-    let float_of = float_of_string_opt in
-    let tile =
-      if tile = "" then Some [||]
-      else
-        let parts = String.split_on_char ',' tile in
-        let vals = List.filter_map int_of parts in
-        if List.length vals = List.length parts then
-          Some (Array.of_list vals)
-        else None
-    in
-    let traffic =
-      if traffic = "" then Some []
-      else
-        let parts = String.split_on_char ',' traffic in
-        let decoded =
-          List.filter_map
-            (fun p ->
-              match String.index_opt p '=' with
-              | None -> None
-              | Some eq ->
-                let name = unescape_name (String.sub p 0 eq) in
-                let v =
-                  float_of
-                    (String.sub p (eq + 1) (String.length p - eq - 1))
-                in
-                Option.map (fun v -> (name, v)) v)
-            parts
-        in
-        if List.length decoded = List.length parts then Some decoded
-        else None
-    in
-    match
-      ( tile, int_of sel_passes, int_of tot_passes, int_of span, int_of tail,
-        float_of cycles, int_of macs, float_of util, float_of norm,
-        float_of bw, float_of wpc, float_of runtime, float_of gops,
-        float_of pcycles, float_of pperf, traffic )
-    with
-    | ( Some tile, Some selected_passes, Some total_passes, Some span,
-        Some tail, Some cycles, Some macs, Some utilization,
-        Some normalized_perf, Some bw_stall_factor, Some words_per_cycle,
-        Some runtime_us, Some gops, Some pipelined_cycles,
-        Some pipelined_perf, Some traffic_words ) ->
-      Some
-        { design_name = unescape_name name;
-          tile;
-          selected_passes;
-          total_passes;
-          span;
-          tail;
-          cycles;
-          macs;
-          utilization;
-          normalized_perf;
-          bw_stall_factor;
-          words_per_cycle;
-          runtime_us;
-          gops;
-          pipelined_cycles;
-          pipelined_perf;
-          traffic_words }
-    | _ -> None)
+  let c = { text = s; pos = 0 } in
+  match read_result c with
+  | r when c.pos = String.length s -> Some r
   | _ -> None
+  | exception Malformed -> None
+
+let read_records s ~pos =
+  let c = { text = s; pos } in
+  let len = String.length s in
+  let rec records acc =
+    if c.pos >= len then List.rev acc
+    else if s.[c.pos] = '\n' then begin
+      c.pos <- c.pos + 1;
+      records acc
+    end
+    else
+      let area = float_field c in
+      let power = float_field c in
+      let r = read_result c in
+      (* past the newline that ends the record, or the end *)
+      c.pos <- c.pos + 1;
+      records ((area, power, r) :: acc)
+  in
+  match records [] with
+  | rs -> Some rs
+  | exception Malformed -> None
 
 (* ------------------------------------------------------------------ *)
 (* Program-aware estimates: when a compiled program (not a design) is

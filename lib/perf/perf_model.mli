@@ -114,7 +114,19 @@ val result_to_string : result -> string
 
 val result_of_string : string -> result option
 (** [None] on version mismatch or any malformed field — corrupted store
-    payloads degrade to a miss, never a crash. *)
+    payloads degrade to a miss, never a crash.  A result is one record,
+    so a newline in [s] is malformed too (the encoder writes none). *)
+
+val read_records : string -> pos:int -> (float * float * result) list option
+(** The records of a store payload from [pos] on, one per non-empty
+    line: two [%h] floats (area, power), each ended by a tab, then a
+    result as {!result_to_string} writes it.  The text is read in one
+    pass, each number where it stands; the encoder's own spellings
+    (plain decimal digits, [%h] floats, whose mantissa and exponent go
+    through [Float.ldexp]) are read from the bytes, and any other
+    through [int_of_string_opt] or [float_of_string_opt] on its field,
+    so every field reads exactly as a line-splitting decoder reads it.
+    [None] if any record is malformed. *)
 
 val counters : unit -> (string * int) list
 (** Cumulative tile-search counters: [tile_nodes], [tile_leaves],

@@ -24,9 +24,9 @@
    [open_store] plus the keys this handle adds, so handles sharing a
    root (other processes included) see each other's entries.
 
-   A store registers its stats/clear hooks into [Tl_par.Cache]'s
-   registry, so `bench` and the observability surface report disk hits
-   and misses alongside the in-memory memo tables. *)
+   A handle's counters are its own ([stats]); it joins no process-wide
+   registry, so a dropped handle is garbage like any other value.  A
+   root whose directories cannot be made is a [Sys_error] naming it. *)
 
 type t = {
   root : string option; (* None = in-memory only *)
@@ -166,15 +166,17 @@ let open_store ?(retry = Tl_resil.Retry.default) ?root () =
   (match root with
   | None -> ()
   | Some root ->
-    mkdir_p (entries_dir root);
-    mkdir_p (tmp_dir root);
+    let refuse why =
+      raise (Sys_error (Printf.sprintf "store root %S: %s" root why))
+    in
+    List.iter
+      (fun dir ->
+        (try mkdir_p dir
+         with Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e));
+        if not (Sys.is_directory dir) then
+          refuse (Printf.sprintf "%s is not a directory" dir))
+      [ entries_dir root; tmp_dir root ];
     scan_entries st root);
-  Tl_par.Cache.register
-    ~stats:(fun () -> stats st)
-    ~clear:(fun () ->
-      (* reset counters, never disk contents *)
-      Atomic.set st.hits 0;
-      Atomic.set st.misses 0);
   st
 
 let find st key =

@@ -13,10 +13,9 @@
     entries.  Without a [root] the store is a plain in-memory table with
     the same interface.
 
-    Every store registers its hit/miss counters into
-    {!Tl_par.Cache}'s registry so benchmark and observability code
-    report it alongside the in-memory memo tables ([clear_all] resets
-    the counters, not the disk contents). *)
+    A handle's hit/miss counters are its own ({!stats}); a store joins no
+    process-wide registry, so a dropped handle is collected like any
+    other value. *)
 
 type t
 
@@ -24,6 +23,8 @@ val open_store : ?retry:Tl_resil.Retry.policy -> ?root:string -> unit -> t
 (** Open (creating directories as needed) a store rooted at [root], or
     an in-memory store when [root] is omitted.  A store on disk holds
     [<root>/entries/] and [<root>/tmp/] and nothing else.
+    @raise Sys_error naming [root] when those two directories cannot be
+    made (say, [root] is a regular file).
 
     Disk I/O is wrapped in [retry] (default {!Tl_resil.Retry.default}:
     3 attempts, seeded exponential backoff on [Sys_error]-class

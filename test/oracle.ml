@@ -24,7 +24,10 @@
    [Exec.run]'s strided walk replaced.  [Refsim] is the reference
    interpreter the simulator is checked against.  [campaign], last, is
    the fault campaign that simulates every fault, including those
-   [Campaign.run_faults] prunes. *)
+   [Campaign.run_faults] prunes.  [result_of_string] and [decode_points]
+   are the store codecs' line-splitting decoders that the one-pass field
+   reader replaced; [check_payload] compares the two on payloads that
+   [mutate_payload] and [payload_case] damage. *)
 
 open Tensorlib
 module Refsim = Refsim
@@ -941,3 +944,309 @@ let campaign ?(abft = false) (acc : Accel.t) ~golden faults =
       in
       { Campaign.fault; outcome; detected_by })
     faults
+
+(* ------------------------------------------------------------------ *)
+(* The store codecs' line-splitting decoders, which the in-place field
+   reader behind [Perf.result_of_string] and [Network.decode_points]
+   replaced: every field a substring, read by [int_of_string_opt] or
+   [float_of_string_opt].  [unescape_name] is the codec's own. *)
+
+let unescape_name s =
+  if not (String.contains s '%') then s
+  else begin
+    let buf = Buffer.create (String.length s) in
+    let n = String.length s in
+    let i = ref 0 in
+    while !i < n do
+      if s.[!i] = '%' && !i + 2 < n then begin
+        (match int_of_string_opt ("0x" ^ String.sub s (!i + 1) 2) with
+        | Some code -> Buffer.add_char buf (Char.chr code)
+        | None -> Buffer.add_char buf s.[!i]);
+        i := !i + 3
+      end
+      else begin
+        Buffer.add_char buf s.[!i];
+        incr i
+      end
+    done;
+    Buffer.contents buf
+  end
+
+let result_of_string s =
+  match String.split_on_char '\t' s with
+  | [ magic; name; tile; sel_passes; tot_passes; span; tail; cycles; macs;
+      util; norm; bw; wpc; runtime; gops; pcycles; pperf; traffic ]
+    when magic = "tlperf/1" -> (
+    let int_of = int_of_string_opt in
+    let float_of = float_of_string_opt in
+    let tile =
+      if tile = "" then Some [||]
+      else
+        let parts = String.split_on_char ',' tile in
+        let vals = List.filter_map int_of parts in
+        if List.length vals = List.length parts then
+          Some (Array.of_list vals)
+        else None
+    in
+    let traffic =
+      if traffic = "" then Some []
+      else
+        let parts = String.split_on_char ',' traffic in
+        let decoded =
+          List.filter_map
+            (fun p ->
+              match String.index_opt p '=' with
+              | None -> None
+              | Some eq ->
+                let name = unescape_name (String.sub p 0 eq) in
+                let v =
+                  float_of
+                    (String.sub p (eq + 1) (String.length p - eq - 1))
+                in
+                Option.map (fun v -> (name, v)) v)
+            parts
+        in
+        if List.length decoded = List.length parts then Some decoded
+        else None
+    in
+    match
+      ( tile, int_of sel_passes, int_of tot_passes, int_of span, int_of tail,
+        float_of cycles, int_of macs, float_of util, float_of norm,
+        float_of bw, float_of wpc, float_of runtime, float_of gops,
+        float_of pcycles, float_of pperf, traffic )
+    with
+    | ( Some tile, Some selected_passes, Some total_passes, Some span,
+        Some tail, Some cycles, Some macs, Some utilization,
+        Some normalized_perf, Some bw_stall_factor, Some words_per_cycle,
+        Some runtime_us, Some gops, Some pipelined_cycles,
+        Some pipelined_perf, Some traffic_words ) ->
+      Some
+        { Perf.design_name = unescape_name name;
+          tile;
+          selected_passes;
+          total_passes;
+          span;
+          tail;
+          cycles;
+          macs;
+          utilization;
+          normalized_perf;
+          bw_stall_factor;
+          words_per_cycle;
+          runtime_us;
+          gops;
+          pipelined_cycles;
+          pipelined_perf;
+          traffic_words }
+    | _ -> None)
+  | _ -> None
+
+let decode_points payload =
+  match String.index_opt payload '\n' with
+  | None -> None
+  | Some nl -> (
+    match String.split_on_char ' ' (String.sub payload 0 nl) with
+    | [ m; count ] when m = "tlnetpts/1" -> (
+      match int_of_string_opt count with
+      | None -> None
+      | Some count ->
+        let body = String.sub payload (nl + 1) (String.length payload - nl - 1) in
+        let lines =
+          String.split_on_char '\n' body
+          |> List.filter (fun l -> l <> "")
+        in
+        if List.length lines <> count then None
+        else
+          let pts =
+            List.filter_map
+              (fun line ->
+                match String.index_opt line '\t' with
+                | None -> None
+                | Some t1 -> (
+                  match String.index_from_opt line (t1 + 1) '\t' with
+                  | None -> None
+                  | Some t2 -> (
+                    let area = String.sub line 0 t1 in
+                    let power = String.sub line (t1 + 1) (t2 - t1 - 1) in
+                    let rest =
+                      String.sub line (t2 + 1) (String.length line - t2 - 1)
+                    in
+                    match
+                      ( float_of_string_opt area,
+                        float_of_string_opt power,
+                        result_of_string rest )
+                    with
+                    | Some p_area, Some p_power, Some p_perf ->
+                      Some { Network.p_area; p_power; p_perf }
+                    | _ -> None)))
+              lines
+          in
+          if List.length pts = count then Some pts else None)
+    | _ -> None)
+
+(* Decoded points with every float as its bit pattern, so that two
+   decodings compare bit for bit under [=], nan payloads and signed
+   zeros included. *)
+let points_bits pts =
+  let b = Int64.bits_of_float in
+  let result (r : Perf.result) =
+    ( (r.Perf.design_name, r.Perf.tile,
+       [ r.Perf.selected_passes; r.Perf.total_passes; r.Perf.span;
+         r.Perf.tail; r.Perf.macs ]),
+      List.map b
+        [ r.Perf.cycles; r.Perf.utilization; r.Perf.normalized_perf;
+          r.Perf.bw_stall_factor; r.Perf.words_per_cycle; r.Perf.runtime_us;
+          r.Perf.gops; r.Perf.pipelined_cycles; r.Perf.pipelined_perf ],
+      List.map (fun (name, w) -> (name, b w)) r.Perf.traffic_words )
+  in
+  Option.map
+    (List.map (fun (p : Network.point) ->
+         (b p.Network.p_area, b p.Network.p_power, result p.Network.p_perf)))
+    pts
+
+(* Seeded damage to a store payload: truncations, byte flips, dropped or
+   doubled tabs, a float or an integer field respelled (decimal,
+   [infinity], other hex forms; [+], [0x], [_], digits past [max_int]),
+   a duplicated line, a separator inserted (half the time at a field's
+   edge).  One to three of them per call. *)
+let mutate_payload rng payload =
+  let int = Random.State.int rng in
+  let pick l = List.nth l (int (List.length l)) in
+  let separator c = c = '\t' || c = '\n' || c = ',' || c = '=' || c = ' ' in
+  (* the field around a position: separators bound it *)
+  let field s p =
+    let i = ref p and j = ref p in
+    while !i > 0 && not (separator s.[!i - 1]) do decr i done;
+    while !j < String.length s && not (separator s.[!j]) do incr j done;
+    (!i, !j)
+  in
+  let splice s i j text =
+    String.sub s 0 i ^ text ^ String.sub s j (String.length s - j)
+  in
+  (* an occurrence of [c], the first after a random position *)
+  let some_char s c =
+    if s = "" then None
+    else
+      match String.index_from_opt s (int (String.length s)) c with
+      | Some k -> Some k
+      | None -> String.index_opt s c
+  in
+  (* a field passing [ok], found in a few random probes *)
+  let find_field s ok =
+    let rec go tries =
+      if tries = 0 || s = "" then None
+      else
+        let i, j = field s (int (String.length s)) in
+        if j > i && ok (String.sub s i (j - i)) then Some (i, j)
+        else go (tries - 1)
+    in
+    go 64
+  in
+  let is_hex t =
+    String.starts_with ~prefix:"0x" t || String.starts_with ~prefix:"-0x" t
+  in
+  let is_int t =
+    t <> "" && t <> "-"
+    && String.for_all (fun c -> (c >= '0' && c <= '9') || c = '-') t
+  in
+  let once s =
+    let n = String.length s in
+    match int 8 with
+    | 0 -> String.sub s 0 (int (n + 1))
+    | 1 when n > 0 ->
+      let b = Bytes.of_string s in
+      Bytes.set b (int n) (Char.chr (int 256));
+      Bytes.to_string b
+    | 2 -> (
+      match some_char s '\t' with Some k -> splice s k (k + 1) "" | None -> s)
+    | 3 -> (
+      match some_char s '\t' with Some k -> splice s k k "\t" | None -> s)
+    | 4 -> (
+      match find_field s is_hex with
+      | None -> s
+      | Some (i, j) ->
+        let v =
+          Option.value ~default:1.5
+            (float_of_string_opt (String.sub s i (j - i)))
+        in
+        splice s i j
+          (pick
+             [ Printf.sprintf "%.17g" v; Printf.sprintf "%g" v; "infinity";
+               "-infinity"; "nan"; "inf"; "1e400"; "+0x1p+0"; "0x1p3";
+               "0X1P+0"; "0x1.p+0"; "0x2p+0"; "0x1.00000000000000p+0";
+               "0x1p+99999"; "0x1_0p+0"; "0x1.8p+-1"; ""; "-" ]))
+    | 5 -> (
+      match find_field s is_int with
+      | None -> s
+      | Some (i, j) ->
+        let t = String.sub s i (j - i) in
+        let v = int_of_string_opt t in
+        splice s i j
+          (pick
+             [ "+" ^ t; "00" ^ t; t ^ "_0"; "1_" ^ t;
+               (match v with Some v -> Printf.sprintf "0x%x" v | None -> t);
+               "0o17"; "0b101"; "0u12"; "-0"; "99999999999999999999";
+               "4611686018427387903"; "4611686018427387904";
+               "-4611686018427387904"; "-4611686018427387905";
+               "1234567890123456789"; String.make 25 '9'; "" ]))
+    | 6 -> (
+      match some_char s '\n' with
+      | Some k when k + 1 < n ->
+        let e =
+          Option.value (String.index_from_opt s (k + 1) '\n') ~default:n
+        in
+        splice s k k (String.sub s k (e - k))
+      | _ -> s)
+    | _ ->
+      (* a separator, half the time beside another, where fields end *)
+      let k =
+        match if int 2 = 0 then some_char s (pick [ '\t'; '\n'; ',' ]) else None with
+        | Some k -> k + int 2
+        | None -> int (n + 1)
+      in
+      splice s k k (String.make 1 (pick [ '\t'; '\n'; ','; '='; ' '; '%' ]))
+  in
+  let rec go k s = if k = 0 then s else go (k - 1) (once s) in
+  go (1 + int 3) payload
+
+(* A fuzz case for the payload decoder: one to four evaluated points of
+   a small GEMM shape with random area/power bit patterns (a quarter of
+   them nan, infinities, signed zeros, subnormals or the edges of the
+   normals), encoded, then damaged by [mutate_payload]. *)
+let payload_pool =
+  lazy
+    (Array.of_list
+       (Network.evaluate_shape ~config:Perf.default_config ~per_shape_limit:24
+          (Workloads.gemm ~m:16 ~n:16 ~k:16)))
+
+let special_floats =
+  [| 0.; -0.; infinity; neg_infinity; nan; -.nan; Float.max_float;
+     Float.min_float; 5e-324; Int64.float_of_bits 0x000fffffffffffffL |]
+
+let payload_case rng =
+  let int = Random.State.int rng in
+  let pool = Lazy.force payload_pool in
+  let float () =
+    if int 4 = 0 then special_floats.(int (Array.length special_floats))
+    else Int64.float_of_bits (Random.State.bits64 rng)
+  in
+  let pts =
+    List.init (1 + int 4) (fun _ ->
+        let p = pool.(int (Array.length pool)) in
+        let p_area = float () in
+        { p with Network.p_area; p_power = float () })
+  in
+  mutate_payload rng (Network.encode_points pts)
+
+type payload_verdict = Answered | Rejected | Disagree of string
+
+(* [Network.decode_points] against [decode_points]: the same points bit
+   for bit, or [None] from both, and never an exception *)
+let check_payload payload =
+  match Network.decode_points payload with
+  | exception e -> Disagree ("decode_points raised " ^ Printexc.to_string e)
+  | fast ->
+    if points_bits fast <> points_bits (decode_points payload) then
+      Disagree "the decoders disagree"
+    else if fast = None then Rejected
+    else Answered

@@ -224,6 +224,24 @@ let test_store_shared_root () =
     [ "entries"; "tmp" ]
     (List.sort compare (Array.to_list (Sys.readdir root)))
 
+(* A handle's counters are its own: opening stores adds nothing to the
+   process-wide cache registry, and a dropped handle is collected. *)
+let test_store_handles_unregistered () =
+  let root = Temp_dir.make "tlstore" in
+  let before = List.length (Par.Cache.all_stats ()) in
+  let slot = Weak.create 1 in
+  let open_and_drop () =
+    let st = Store.open_store ~root () in
+    Store.put st "k" "v";
+    Weak.set slot 0 (Some st)
+  in
+  open_and_drop ();
+  ignore (Store.open_store ());
+  Alcotest.(check int) "registry unchanged" before
+    (List.length (Par.Cache.all_stats ()));
+  Gc.full_major ();
+  Alcotest.(check bool) "dropped handle collected" false (Weak.check slot 0)
+
 let test_store_concurrent_writers () =
   (* many domains hammer the same keys; first-insertion-wins semantics
      and atomic rename mean no crash and no torn payload *)
@@ -449,6 +467,114 @@ let test_network_payload_codec () =
   Alcotest.(check bool) "garbage rejected" true
     (Network.decode_points "tlnetpts/1 nonsense\n" = None)
 
+(* The payloads of a cold tiny sweep, one per unique shape. *)
+let tiny_payloads =
+  lazy
+    (let store = Store.open_store () in
+     let r = Network.sweep ~domains:1 ~store ~name:"tiny" (Network.find "tiny") in
+     List.sort_uniq compare
+       (List.map
+          (fun l -> Option.get (Store.find store l.Network.l_key))
+          r.Network.r_layers))
+
+let test_network_decode_reference () =
+  let payloads = Lazy.force tiny_payloads in
+  Alcotest.(check int) "three shapes" 3 (List.length payloads);
+  List.iter
+    (fun p ->
+      let fast = Network.decode_points p in
+      Alcotest.(check bool) "decodes" true (fast <> None);
+      Alcotest.(check bool) "bit for bit the line-splitting decoder" true
+        (Oracle.points_bits fast = Oracle.points_bits (Oracle.decode_points p)))
+    payloads
+
+(* Damaged payloads are refused or read exactly as the reference reads
+   them, and never raise: every separator of the smallest payload's first
+   point dropped, doubled or preceded by another, then seeded mutations
+   of every payload. *)
+let test_network_decode_mutations () =
+  let payloads = Array.of_list (Lazy.force tiny_payloads) in
+  let p =
+    Array.fold_left
+      (fun a b -> if String.length b < String.length a then b else a)
+      payloads.(0) payloads
+  in
+  let first = String.index p '\n' + 1 in
+  for q = first to String.index_from p first '\n' do
+    if String.contains "\t\n,=" p.[q] then
+      List.iter
+        (fun text ->
+          let damaged =
+            String.sub p 0 q ^ text ^ String.sub p (q + 1) (String.length p - q - 1)
+          in
+          match Oracle.check_payload damaged with
+          | Oracle.Disagree msg ->
+            Alcotest.failf "%S in place of %C at %d: %s" text p.[q] q msg
+          | Oracle.Answered | Oracle.Rejected -> ())
+        (List.map
+           (fun sep -> String.make 1 sep ^ String.make 1 p.[q])
+           [ '\t'; '\n'; ','; '=' ]
+        @ [ ""; String.make 2 p.[q] ])
+  done;
+  let answered = ref 0 and refused = ref 0 in
+  for i = 1 to 1200 do
+    let rng = Random.State.make [| 2024; i |] in
+    let p = payloads.(Random.State.int rng (Array.length payloads)) in
+    match Oracle.check_payload (Oracle.mutate_payload rng p) with
+    | Oracle.Answered -> incr answered
+    | Oracle.Rejected -> incr refused
+    | Oracle.Disagree msg -> Alcotest.failf "mutation %d: %s" i msg
+  done;
+  Alcotest.(check bool) "some answered" true (!answered > 0);
+  Alcotest.(check bool) "some refused" true (!refused > 0)
+
+(* The payload reader's hex floats against [float_of_string] on [%h] of
+   random bit patterns, with subnormals, nan payloads and the boundary
+   values forced in: as the area (a tab ends it), the power, the
+   result's cycles and its last traffic entry (a newline ends it). *)
+let test_float_reader () =
+  let bits = Int64.bits_of_float in
+  let r = (Lazy.force Oracle.payload_pool).(0).Network.p_perf in
+  Alcotest.(check bool) "traffic entries to read" true
+    (r.Perf.traffic_words <> []);
+  let specials =
+    [ 0L; Int64.min_int; bits infinity; bits neg_infinity; bits nan;
+      bits (-.nan); bits Float.max_float; bits (-.Float.max_float);
+      bits Float.min_float; bits (-.Float.min_float); 1L;
+      0x800fffffffffffffL; 0x000fffffffffffffL; 0x8000000000000001L ]
+  in
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (2, oneofl specials);
+          (2, map (Int64.logand 0x800fffffffffffffL) ui64);
+          (1, map (Int64.logor 0x7ff0000000000000L) ui64);
+          (5, ui64) ])
+  in
+  let prop =
+    QCheck.Test.make ~name:"payload floats = float_of_string on %h"
+      ~count:2000
+      (QCheck.make ~print:(Printf.sprintf "%Lx") gen)
+      (fun b ->
+        let f = Int64.float_of_bits b in
+        let want = bits (float_of_string (Printf.sprintf "%h" f)) in
+        let traffic_words =
+          List.map (fun (name, _) -> (name, f)) r.Perf.traffic_words
+        in
+        let record =
+          Printf.sprintf "%h\t%h\t%s\n" f f
+            (Perf.result_to_string
+               { r with Perf.cycles = f; traffic_words })
+        in
+        match Perf.read_records record ~pos:0 with
+        | Some [ (area, power, r') ] ->
+          bits area = want && bits power = want
+          && bits r'.Perf.cycles = want
+          && List.for_all (fun (_, w) -> bits w = want) r'.Perf.traffic_words
+        | _ -> false)
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 2024 |]) prop
+
 let test_network_tables () =
   let nets = Network.networks () in
   List.iter
@@ -513,6 +639,44 @@ let test_cli_sweep_validation () =
   in
   Alcotest.(check int) "bad store parent exit" 2 rc;
   Alcotest.(check bool) "mentions parent" true (contains err "parent");
+  (* --store must name a directory: a regular file is one error line
+     naming it, in sweep and serve alike *)
+  let dir = Temp_dir.make "tlcli" in
+  let file = Filename.concat dir "F" in
+  close_out (open_out file);
+  let error_lines err =
+    List.length
+      (List.filter
+         (fun l -> String.starts_with ~prefix:"tensorlib: error:" l)
+         (String.split_on_char '\n' err))
+  in
+  List.iter
+    (fun cmd ->
+      let rc, _, err =
+        run_cli
+          (Printf.sprintf "%s --store %s --limit 1 < /dev/null" cmd
+             (Filename.quote file))
+      in
+      Alcotest.(check int) (cmd ^ " on a file exit") 2 rc;
+      Alcotest.(check int) (cmd ^ " on a file: one error line") 1
+        (error_lines err);
+      Alcotest.(check bool) (cmd ^ " names the file") true (contains err file))
+    [ "sweep --network tiny"; "serve" ];
+  (* an empty --store is refused before anything lands in the working
+     directory *)
+  let abs_cli =
+    if Filename.is_relative cli then Filename.concat (Sys.getcwd ()) cli
+    else cli
+  in
+  let rc =
+    Sys.command
+      (Printf.sprintf "cd %s && %s sweep --network tiny --store '' --limit 1 \
+                       > /dev/null 2>&1"
+         (Filename.quote dir) (Filename.quote abs_cli))
+  in
+  Alcotest.(check int) "empty store exit" 2 rc;
+  Alcotest.(check (list string)) "nothing made in the working directory"
+    [ "F" ] (Array.to_list (Sys.readdir dir));
   (* bad limit: exit 2 *)
   let rc, _, _ = run_cli "sweep --network tiny --limit 0" in
   Alcotest.(check int) "bad limit exit" 2 rc
@@ -596,6 +760,8 @@ let suite =
     Alcotest.test_case "store corruption -> miss" `Quick test_store_corruption;
     Alcotest.test_case "store handles sharing a root" `Quick
       test_store_shared_root;
+    Alcotest.test_case "store handles join no registry" `Quick
+      test_store_handles_unregistered;
     Alcotest.test_case "store concurrent writers" `Quick
       test_store_concurrent_writers;
     Alcotest.test_case "cache counters exact under domains" `Quick
@@ -614,6 +780,12 @@ let suite =
       test_network_pool_width_independent;
     Alcotest.test_case "network payload codec" `Quick
       test_network_payload_codec;
+    Alcotest.test_case "network decode = line-splitting reference" `Quick
+      test_network_decode_reference;
+    Alcotest.test_case "network decode under mutation" `Quick
+      test_network_decode_mutations;
+    Alcotest.test_case "hex float reader = float_of_string" `Quick
+      test_float_reader;
     Alcotest.test_case "network tables" `Quick test_network_tables;
     Alcotest.test_case "cli sweep validation" `Quick test_cli_sweep_validation;
     Alcotest.test_case "cli sweep + serve" `Slow test_cli_sweep_and_serve ]
